@@ -235,12 +235,11 @@ fn coalescing_ab(case_base: &CaseBase) -> (f64, f64) {
     let hit_rate = |batch_size: usize| -> f64 {
         let config = ServiceConfig::default().with_cache_capacity(0);
         let mut harness = BatchHarness::new(case_base, &config);
-        let now = Instant::now();
         let mut receivers = Vec::with_capacity(burst.len());
         for chunk in burst.chunks(batch_size) {
             let mut jobs = Vec::with_capacity(chunk.len());
             for (i, request) in chunk.iter().enumerate() {
-                let (j, rx) = job(i as u64, QosClass::Medium, request.clone(), now, None);
+                let (j, rx) = job(i as u64, QosClass::Medium, request.clone(), 0, None);
                 jobs.push(j);
                 receivers.push(rx);
             }

@@ -22,11 +22,8 @@
 //! [`MetricSource`].
 
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use rqfa_telemetry::{
-    micros_between, Counter, EventKind, FlightRecorder, MetricSource, Sample, SharedClock,
-};
+use rqfa_telemetry::{Counter, EventKind, FlightRecorder, MetricSource, Sample, SharedClock};
 
 /// Where the breaker's state machine currently sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,14 +53,14 @@ impl BreakerState {
 struct BreakerInner {
     state: BreakerState,
     consecutive_failures: u64,
-    opened_at: Instant,
+    /// Clock tick of the last trip, µs.
+    opened_at_us: u64,
 }
 
 /// The breaker proper. Shareable across threads; see the module docs
 /// for the state machine.
 pub struct CircuitBreaker {
     clock: SharedClock,
-    epoch: Instant,
     threshold: u64,
     cooldown_us: u64,
     /// Which node this breaker guards — only used to label recorded
@@ -97,9 +94,7 @@ impl CircuitBreaker {
     pub fn new(clock: SharedClock, node: u16, threshold: u64, cooldown_us: u64) -> CircuitBreaker {
         assert!(threshold > 0, "a breaker must tolerate ≥ 1 failure");
         assert!(cooldown_us > 0, "an open breaker must stay open a while");
-        let now = clock.now();
         CircuitBreaker {
-            epoch: now,
             clock,
             threshold,
             cooldown_us,
@@ -108,7 +103,7 @@ impl CircuitBreaker {
             inner: Mutex::new(BreakerInner {
                 state: BreakerState::Closed,
                 consecutive_failures: 0,
-                opened_at: now,
+                opened_at_us: 0,
             }),
             opens: Counter::new(),
             fast_fails: Counter::new(),
@@ -155,7 +150,7 @@ impl CircuitBreaker {
                 false
             }
             BreakerState::Open => {
-                let waited = micros_between(inner.opened_at, self.clock.now());
+                let waited = self.clock.now_us().saturating_sub(inner.opened_at_us);
                 if waited >= self.cooldown_us {
                     // This caller becomes the probe.
                     inner.state = BreakerState::HalfOpen;
@@ -195,7 +190,7 @@ impl CircuitBreaker {
         };
         if trip {
             inner.state = BreakerState::Open;
-            inner.opened_at = self.clock.now();
+            inner.opened_at_us = self.clock.now_us();
             self.opens.incr();
             self.record(EventKind::BreakerOpened, inner.consecutive_failures);
         }
@@ -203,8 +198,7 @@ impl CircuitBreaker {
 
     fn record(&self, kind: EventKind, arg: u64) {
         if let Some(recorder) = &self.recorder {
-            let at_us = micros_between(self.epoch, self.clock.now());
-            recorder.record(at_us, u64::from(self.node), 0, kind, arg);
+            recorder.record(self.clock.now_us(), u64::from(self.node), 0, kind, arg);
         }
     }
 }

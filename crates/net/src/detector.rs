@@ -9,7 +9,7 @@
 //! * 1 to `down_misses − 1` → [`Liveness::Suspect`],
 //! * ≥ `down_misses` → [`Liveness::Down`].
 //!
-//! The assessment is a pure function of `(last_beat, clock.now())`, so
+//! The assessment is a pure function of `(last_beat, clock.now_us())`, so
 //! under a `ManualClock` the whole detect→decide path is deterministic:
 //! a chaos schedule that advances the clock by exactly `k` leases
 //! always produces the same verdict, and a heartbeat loss shorter than
@@ -23,11 +23,8 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use rqfa_telemetry::{
-    micros_between, EventKind, FlightRecorder, MetricSource, Sample, SharedClock,
-};
+use rqfa_telemetry::{EventKind, FlightRecorder, MetricSource, Sample, SharedClock};
 
 /// The detector's verdict on one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -55,15 +52,14 @@ impl Liveness {
 
 #[derive(Debug, Clone, Copy)]
 struct NodeHealth {
-    last_beat: Instant,
+    /// Clock tick of the last lease renewal, µs.
+    last_beat_us: u64,
     verdict: Liveness,
 }
 
 /// Per-node lease bookkeeping (see the module docs for the contract).
 pub struct FailureDetector {
     clock: SharedClock,
-    /// Stamp origin for recorded events (the detector's birth instant).
-    epoch: Instant,
     lease_us: u64,
     down_misses: u64,
     recorder: Option<Arc<FlightRecorder>>,
@@ -91,7 +87,6 @@ impl FailureDetector {
         assert!(lease_us > 0, "a lease must cover a positive interval");
         assert!(down_misses > 0, "the down threshold must allow ≥ 1 miss");
         FailureDetector {
-            epoch: clock.now(),
             clock,
             lease_us,
             down_misses,
@@ -120,54 +115,39 @@ impl FailureDetector {
     }
 
     /// Registers (or re-registers) a node with a fresh lease granted at
-    /// the current clock instant.
+    /// the current clock tick.
     pub fn register(&self, node: u16) {
-        let now = self.clock.now();
+        let now = self.clock.now_us();
         self.nodes.lock().expect("detector poisoned").insert(
             node,
             NodeHealth {
-                last_beat: now,
+                last_beat_us: now,
                 verdict: Liveness::Healthy,
             },
         );
     }
 
-    /// Renews `node`'s lease at the current clock instant (a heartbeat
+    /// Renews `node`'s lease at the current clock tick (a heartbeat
     /// answered). Unknown nodes are registered implicitly.
     pub fn beat(&self, node: u16) {
-        let now = self.clock.now();
+        let now = self.clock.now_us();
         let mut nodes = self.nodes.lock().expect("detector poisoned");
         let health = nodes.entry(node).or_insert(NodeHealth {
-            last_beat: now,
+            last_beat_us: now,
             verdict: Liveness::Healthy,
         });
         let was = health.verdict;
-        health.last_beat = now;
+        health.last_beat_us = now;
         health.verdict = Liveness::Healthy;
         if was != Liveness::Healthy {
             self.record(node, EventKind::NodeRecovered, 0);
         }
     }
 
-    /// Whole lease periods elapsed since `node`'s last renewal (0 for
-    /// an unknown node — nothing was promised yet).
-    pub fn misses(&self, node: u16) -> u64 {
-        let now = self.clock.now();
-        let nodes = self.nodes.lock().expect("detector poisoned");
-        nodes
-            .get(&node)
-            .map_or(0, |h| micros_between(h.last_beat, now) / self.lease_us)
-    }
-
-    /// Classifies `node` at the current clock instant, recording any
-    /// state transition. Unknown nodes read `Healthy`.
-    pub fn assess(&self, node: u16) -> Liveness {
-        let now = self.clock.now();
-        let mut nodes = self.nodes.lock().expect("detector poisoned");
-        let Some(health) = nodes.get_mut(&node) else {
-            return Liveness::Healthy;
-        };
-        let misses = micros_between(health.last_beat, now) / self.lease_us;
+    /// Whole lease periods between `health`'s last renewal and `now`,
+    /// and the verdict they imply.
+    fn judge(&self, health: &NodeHealth, now: u64) -> (u64, Liveness) {
+        let misses = now.saturating_sub(health.last_beat_us) / self.lease_us;
         let verdict = if misses == 0 {
             Liveness::Healthy
         } else if misses < self.down_misses {
@@ -175,6 +155,26 @@ impl FailureDetector {
         } else {
             Liveness::Down
         };
+        (misses, verdict)
+    }
+
+    /// Whole lease periods elapsed since `node`'s last renewal (0 for
+    /// an unknown node — nothing was promised yet).
+    pub fn misses(&self, node: u16) -> u64 {
+        let now = self.clock.now_us();
+        let nodes = self.nodes.lock().expect("detector poisoned");
+        nodes.get(&node).map_or(0, |h| self.judge(h, now).0)
+    }
+
+    /// Classifies `node` at the current clock tick, recording any
+    /// state transition. Unknown nodes read `Healthy`.
+    pub fn assess(&self, node: u16) -> Liveness {
+        let now = self.clock.now_us();
+        let mut nodes = self.nodes.lock().expect("detector poisoned");
+        let Some(health) = nodes.get_mut(&node) else {
+            return Liveness::Healthy;
+        };
+        let (misses, verdict) = self.judge(health, now);
         if verdict != health.verdict {
             health.verdict = verdict;
             let kind = match verdict {
@@ -189,25 +189,17 @@ impl FailureDetector {
 
     fn record(&self, node: u16, kind: EventKind, misses: u64) {
         if let Some(recorder) = &self.recorder {
-            let at_us = micros_between(self.epoch, self.clock.now());
-            recorder.record(at_us, u64::from(node), 0, kind, misses);
+            recorder.record(self.clock.now_us(), u64::from(node), 0, kind, misses);
         }
     }
 }
 
 impl MetricSource for FailureDetector {
     fn collect(&self, out: &mut Vec<Sample>) {
-        let now = self.clock.now();
+        let now = self.clock.now_us();
         let nodes = self.nodes.lock().expect("detector poisoned");
         for (node, health) in nodes.iter() {
-            let misses = micros_between(health.last_beat, now) / self.lease_us;
-            let verdict = if misses == 0 {
-                Liveness::Healthy
-            } else if misses < self.down_misses {
-                Liveness::Suspect
-            } else {
-                Liveness::Down
-            };
+            let (misses, verdict) = self.judge(health, now);
             out.push(Sample::count(format!("node{node}/liveness"), verdict.gauge()));
             out.push(Sample::count(format!("node{node}/missed_leases"), misses));
         }

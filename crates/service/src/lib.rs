@@ -7,10 +7,11 @@
 //! virtualization literature converges on:
 //!
 //! * **Sharding** ([`shard`]): function types partition across N shards,
-//!   each owned by a worker thread with a private
-//!   [`FixedEngine`](rqfa_core::FixedEngine) — since
-//!   retrieval only touches the requested type's subtree, shard answers
-//!   are bit-identical to one big engine over the merged case base.
+//!   each one shard core — queue, result cache, compiled
+//!   [`PlaneEngine`](rqfa_core::PlaneEngine) — driven by a worker
+//!   thread. Since retrieval only touches the requested type's subtree,
+//!   shard answers are bit-identical to one big
+//!   [`FixedEngine`](rqfa_core::FixedEngine) over the merged case base.
 //! * **Batching + deadline-aware QoS scheduling** ([`queue`], [`sched`]):
 //!   per-class lanes ordered earliest-deadline-first, drained in weighted
 //!   round-robin (8:4:2:1) with bounded slack promotion for lane heads
@@ -31,7 +32,8 @@
 //!   consistency and a [`MetricSource`]
 //!   bridge into the workspace metrics registry.
 //! * **Observability** (`rqfa-telemetry`): the service clock is
-//!   injectable ([`ServiceConfig::with_clock`]) so schedulers, deadline
+//!   injectable ([`ServiceConfig::with_clock`]) and its `u64` µs tick is
+//!   the only time type on the request path, so schedulers, deadline
 //!   checks and latency stamps run against a
 //!   [`ManualClock`] in tests and replays;
 //!   [`ServiceConfig::with_trace_capacity`] arms a per-shard
@@ -40,9 +42,8 @@
 //!   ([`AllocationService::drain_trace`]). `docs/observability.md` has
 //!   the full model.
 //! * **Deterministic replay** ([`replay`]): a single-threaded
-//!   discrete-event driver that pushes a timestamped trace through the
-//!   real queue/scheduler/batch pipeline under a manual clock — same
-//!   code, reproducible latencies.
+//!   discrete-event driver of the very shard cores the worker threads
+//!   drive, under a manual clock — same code, reproducible latencies.
 //!
 //! ## Quick start
 //!
@@ -68,6 +69,8 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod config;
+mod durable;
 mod error;
 pub mod metrics;
 pub mod queue;
@@ -80,18 +83,18 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rqfa_core::{CaseBase, CaseMutation, CoreError, ImplVariant, QosClass, Request, Scored, TypeId};
 
 // The kernel-path knob is part of the service configuration surface.
 pub use rqfa_core::KernelPath;
 use rqfa_fixed::Q15;
-use rqfa_persist::{
-    DurableCaseBase, FileStore, PersistError, PersistPolicy, RecoveryReport, Store, StoreSet,
-};
-use rqfa_telemetry::{clock::micros_between, monotonic, EventKind, MetricSource, Registry};
+use rqfa_persist::{PersistError, RecoveryReport};
+use rqfa_telemetry::{MetricSource, Registry};
 
+use config::validate_config;
+pub use config::ServiceConfig;
 pub use error::ServiceError;
 pub use metrics::{ClassSnapshot, MetricsSnapshot, ServiceMetrics};
 pub use rqfa_cache::{CachePolicy, CacheStats};
@@ -99,252 +102,6 @@ pub use rqfa_telemetry::{
     Clock, ManualClock, MonotonicClock, RequestTimeline, SharedClock, StageBreakdown, TraceDump,
 };
 pub use sched::{ArbiterMode, Pick, SchedMode, ServiceTimeEstimator, WeightedArbiter};
-
-/// First line of the durable-state manifest file.
-const MANIFEST_HEADER: &str = "rqfa-durable-service v1";
-/// Manifest file name inside a durable-state directory.
-const MANIFEST_FILE: &str = "MANIFEST";
-
-/// Configuration of an [`AllocationService`].
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Number of shards / worker threads (min 1).
-    pub shards: usize,
-    /// Maximum jobs dispatched per scheduling round of one worker.
-    pub batch_size: usize,
-    /// Per-shard queue bound across classes. Admission limits step with
-    /// urgency: LOW is refused at `1×` this bound, MEDIUM at `2×`, HIGH
-    /// at `4×`; CRITICAL is always admitted.
-    pub queue_capacity: usize,
-    /// Per-shard result-cache capacity in entries (0 disables caching).
-    pub cache_capacity: usize,
-    /// Eviction policy of the per-shard result cache. FIFO (the
-    /// historical default) has zero per-hit bookkeeping and serves the
-    /// bursty repeat traffic of §3 well; LRU and 2Q keep a zipf-skewed
-    /// hot set resident (see `docs/caching.md` and the
-    /// `service_throughput` policy A/B).
-    pub cache_policy: CachePolicy,
-    /// Whether the per-shard cache runs a one-hit-wonder admission
-    /// filter: a fingerprint must be sighted twice before its result is
-    /// cached at all (the first sighting is only remembered, even while
-    /// the cache has free room). Off by default (the historical
-    /// behaviour).
-    pub cache_admission: bool,
-    /// Per-class queueing-delay budget in µs, indexed by
-    /// [`QosClass::index`]. The budget defines a sheddable job's
-    /// *effective deadline* (submit time + budget) unless the request
-    /// carried an explicit deadline
-    /// ([`AllocationService::submit_with_deadline`]); a job whose
-    /// effective deadline has expired when the worker picks it up is
-    /// dropped. `None` disables the budget; CRITICAL ignores its budget
-    /// entirely (never shed, but a served-late CRITICAL request counts as
-    /// a [`missed deadline`](ClassSnapshot::missed_deadline)).
-    pub deadline_budget_us: [Option<u64>; QosClass::COUNT],
-    /// How jobs are ordered within a class lane: earliest-deadline-first
-    /// (default) or strict arrival order (the A/B baseline).
-    pub scheduling: SchedMode,
-    /// Which arbitration policy decides the next lane each batch slot is
-    /// drawn from: strict priority, credit WRR with bounded slack
-    /// promotion (default), dynamic priority under measured urgency
-    /// margins, or sliding-window fair-share bandwidth regulation. See
-    /// [`ArbiterMode`] and `docs/scheduling.md`.
-    pub arbiter_mode: ArbiterMode,
-    /// A lane head within this many µs of its effective deadline is
-    /// *urgent*: the scheduler may serve it ahead of the weighted order
-    /// (bounded by [`ServiceConfig::promotions_per_round`]). `0` promotes
-    /// only already-overdue heads, which is usually too late — size it
-    /// around one batch's service time. Ignored in FIFO mode.
-    pub promotion_margin_us: u64,
-    /// How many times per scheduling round an urgent, out-of-credit lane
-    /// may be served anyway. Bounds priority inversion: CRITICAL's share
-    /// never drops below `weight / (Σ weights + promotions_per_round)`.
-    pub promotions_per_round: u32,
-    /// Weighted-round-robin credit per class, indexed by
-    /// [`QosClass::index`].
-    pub class_weights: [u32; QosClass::COUNT],
-    /// Durable shards checkpoint (snapshot + WAL compaction) after this
-    /// many acknowledged mutations; `0` checkpoints only on
-    /// [`AllocationService::checkpoint`]. Ignored by ephemeral services.
-    ///
-    /// A checkpoint runs under the owning shard's store lock, so the
-    /// shard serves no retrievals for its duration (snapshot write +
-    /// fsync + log rewrite). Latency-sensitive deployments with frequent
-    /// mutations should set `0` and run explicit
-    /// [`AllocationService::checkpoint`]s from a maintenance context at
-    /// quiet moments instead.
-    pub snapshot_every: u64,
-    /// The time source of the whole request path: admission stamps, EDF
-    /// ordering, slack promotion, dispatch-time deadline checks and
-    /// reply latencies all read this clock — never `Instant::now()`
-    /// directly. Defaults to the monotonic wall clock; inject a
-    /// [`ManualClock`] for deterministic tests and trace replays.
-    pub clock: SharedClock,
-    /// Per-shard flight-recorder capacity in events. `0` (the default)
-    /// disables tracing entirely — no recorder is allocated and the
-    /// request path records nothing. When armed, each shard keeps the
-    /// newest `trace_capacity` events in a fixed ring (zero allocation
-    /// per event); drain them with [`AllocationService::drain_trace`].
-    pub trace_capacity: usize,
-    /// Whether admission refuses deadlined sheddable jobs the measured
-    /// service rate predicts cannot finish in time even if queued
-    /// (answered with [`Outcome::ShedPredicted`] immediately). Off by
-    /// default; has no effect until the shard's estimator is warm. The
-    /// degradation lever that keeps doomed LOW work from clogging
-    /// queues — and burning remote retry budgets — while a node is
-    /// down (see `docs/distribution.md`).
-    pub predictive_shed: bool,
-    /// Kernel path of the per-shard plane engines:
-    /// [`KernelPath::Auto`] (default) runtime-detects the wide SIMD
-    /// kernel, [`KernelPath::ForceScalar`] pins the scalar loops. Either
-    /// way results are bit-identical; this is a performance/debugging
-    /// knob (the CI fallback lane forces scalar).
-    pub kernel_path: KernelPath,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> ServiceConfig {
-        ServiceConfig {
-            shards: 1,
-            batch_size: 32,
-            queue_capacity: 4096,
-            cache_capacity: 1 << 16,
-            cache_policy: CachePolicy::Fifo,
-            cache_admission: false,
-            deadline_budget_us: [None; QosClass::COUNT],
-            scheduling: SchedMode::Edf,
-            arbiter_mode: ArbiterMode::WeightedRoundRobin,
-            promotion_margin_us: 0,
-            promotions_per_round: WeightedArbiter::DEFAULT_PROMOTIONS,
-            class_weights: QosClass::ALL.map(QosClass::weight),
-            snapshot_every: PersistPolicy::default().snapshot_every,
-            clock: monotonic(),
-            trace_capacity: 0,
-            predictive_shed: false,
-            kernel_path: KernelPath::default(),
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// Sets the shard count. The value is stored as given — a zero shard
-    /// count is rejected at service construction with
-    /// [`ServiceError::Config`], never silently clamped.
-    pub fn with_shards(mut self, shards: usize) -> ServiceConfig {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the dispatch batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> ServiceConfig {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Sets the per-shard queue bound.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> ServiceConfig {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets the per-shard cache capacity (0 disables caching).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> ServiceConfig {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the per-shard cache eviction policy.
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> ServiceConfig {
-        self.cache_policy = policy;
-        self
-    }
-
-    /// Enables/disables the one-hit-wonder admission filter.
-    pub fn with_cache_admission(mut self, admission: bool) -> ServiceConfig {
-        self.cache_admission = admission;
-        self
-    }
-
-    /// Sets one class's queueing-delay budget.
-    pub fn with_deadline_budget_us(mut self, class: QosClass, budget_us: u64) -> ServiceConfig {
-        self.deadline_budget_us[class.index()] = Some(budget_us);
-        self
-    }
-
-    /// Sets the within-lane scheduling mode (EDF vs FIFO baseline).
-    pub fn with_scheduling(mut self, mode: SchedMode) -> ServiceConfig {
-        self.scheduling = mode;
-        self
-    }
-
-    /// Selects the cross-lane arbitration policy (see [`ArbiterMode`]).
-    pub fn with_arbiter_mode(mut self, mode: ArbiterMode) -> ServiceConfig {
-        self.arbiter_mode = mode;
-        self
-    }
-
-    /// Sets the slack margin (µs) under which a lane head is promoted.
-    pub fn with_promotion_margin_us(mut self, margin_us: u64) -> ServiceConfig {
-        self.promotion_margin_us = margin_us;
-        self
-    }
-
-    /// Sets the per-round bound on out-of-credit promotions.
-    pub fn with_promotions_per_round(mut self, per_round: u32) -> ServiceConfig {
-        self.promotions_per_round = per_round;
-        self
-    }
-
-    /// Sets the durable checkpoint cadence (0 = manual only).
-    pub fn with_snapshot_every(mut self, mutations: u64) -> ServiceConfig {
-        self.snapshot_every = mutations;
-        self
-    }
-
-    /// Injects the request-path time source (see
-    /// [`ServiceConfig::clock`]).
-    pub fn with_clock(mut self, clock: SharedClock) -> ServiceConfig {
-        self.clock = clock;
-        self
-    }
-
-    /// Arms per-shard flight recording with the given ring capacity in
-    /// events (0 disables tracing).
-    pub fn with_trace_capacity(mut self, capacity: usize) -> ServiceConfig {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// Enables predictive shedding at admission (see
-    /// [`ServiceConfig::predictive_shed`]).
-    pub fn with_predictive_shed(mut self, on: bool) -> ServiceConfig {
-        self.predictive_shed = on;
-        self
-    }
-
-    /// Pins the plane-kernel path of every shard worker (see
-    /// [`ServiceConfig::kernel_path`]).
-    pub fn with_kernel_path(mut self, path: KernelPath) -> ServiceConfig {
-        self.kernel_path = path;
-        self
-    }
-
-    /// The arbiter the configuration describes.
-    pub(crate) fn arbiter(&self) -> WeightedArbiter {
-        WeightedArbiter::with_weights(self.class_weights)
-            .with_promotions(self.promotions_per_round)
-            .with_mode(self.arbiter_mode)
-    }
-}
-
-/// Validates a configuration before any shard state is built or touched.
-fn validate_config(config: &ServiceConfig) -> Result<(), ServiceError> {
-    if config.shards == 0 {
-        return Err(ServiceError::Config(
-            "shards must be at least 1 (routing is type_id % shards)".into(),
-        ));
-    }
-    Ok(())
-}
 
 /// How one request ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -414,10 +171,12 @@ pub struct Job {
     pub(crate) id: u64,
     pub(crate) class: QosClass,
     pub(crate) request: Request,
-    pub(crate) enqueued_at: Instant,
-    /// Effective deadline: the explicit per-request deadline, else
-    /// submit time + class budget, else none (EDF far horizon).
-    pub(crate) deadline: Option<Instant>,
+    /// Clock tick (µs) at which the job was submitted.
+    pub(crate) enqueued_at: u64,
+    /// Effective deadline as a clock tick (µs): the explicit per-request
+    /// deadline, else submit time + class budget, else none (sorts
+    /// behind every deadlined job).
+    pub(crate) deadline: Option<u64>,
     pub(crate) reply_tx: mpsc::Sender<Reply>,
 }
 
@@ -432,8 +191,8 @@ impl Job {
         self.class
     }
 
-    /// The job's effective deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
+    /// The job's effective deadline, if any, as a clock tick in µs.
+    pub fn deadline(&self) -> Option<u64> {
         self.deadline
     }
 }
@@ -485,11 +244,6 @@ pub struct AllocationService {
     shards: Vec<shard::Shard>,
     metrics: Arc<ServiceMetrics>,
     next_id: AtomicU64,
-    deadline_budget_us: [Option<u64>; QosClass::COUNT],
-    clock: SharedClock,
-    /// Trace timestamps are µs offsets from this instant (the moment the
-    /// service was built), so every shard's events share one timebase.
-    epoch: Instant,
 }
 
 impl AllocationService {
@@ -508,13 +262,9 @@ impl AllocationService {
         config: &ServiceConfig,
     ) -> Result<AllocationService, ServiceError> {
         validate_config(config)?;
-        let slices = shard::partition(case_base, config.shards);
-        let stores = slices
+        let stores = shard::partition(case_base, config.shards)
             .into_iter()
-            .map(|slice| match slice {
-                Some(cb) => shard::ShardStore::Ephemeral(cb),
-                None => shard::ShardStore::Empty,
-            })
+            .map(shard::ShardStore::ephemeral)
             .collect();
         Ok(AllocationService::from_stores(stores, config))
     }
@@ -559,58 +309,7 @@ impl AllocationService {
         config: &ServiceConfig,
     ) -> Result<AllocationService, ServiceError> {
         validate_config(config)?;
-        // Discard previous durable state up front: a stale `shard-<i>`
-        // directory from an older layout would otherwise resurrect on
-        // the next recover (e.g. a shard whose slice is empty now writes
-        // nothing, so the old directory would win).
-        if dir.is_dir() {
-            let _ = std::fs::remove_file(dir.join(MANIFEST_FILE));
-            let entries = std::fs::read_dir(dir)
-                .map_err(|e| ServiceError::Manifest(format!("scan {}: {e}", dir.display())))?;
-            for entry in entries.flatten() {
-                if entry.file_name().to_string_lossy().starts_with("shard-") {
-                    std::fs::remove_dir_all(entry.path()).map_err(|e| {
-                        ServiceError::Manifest(format!("purge stale shard state: {e}"))
-                    })?;
-                }
-            }
-        }
-        // The shard drives the checkpoint cadence itself (two-phase, off
-        // the store lock); the inner durable case base must never
-        // auto-checkpoint under the lock.
-        let policy = PersistPolicy::manual();
-        let slices = shard::partition(case_base, config.shards);
-        let mut stores = Vec::with_capacity(slices.len());
-        for (index, slice) in slices.into_iter().enumerate() {
-            match slice {
-                Some(cb) => {
-                    let set = StoreSet::in_dir(&dir.join(format!("shard-{index}")))?;
-                    let durable = DurableCaseBase::create(&cb, set, policy)?;
-                    stores.push(shard::ShardStore::Durable(Box::new(durable)));
-                }
-                None => stores.push(shard::ShardStore::Empty),
-            }
-        }
-        // The manifest records *which* shards hold durable state, so a
-        // lost shard directory is a loud recovery error, never a silent
-        // empty shard. Written with the same durability discipline as
-        // every other persistent file (atomic replace + fsync via
-        // FileStore) — it is the one file recovery cannot do without.
-        let durable_shards: Vec<String> = stores
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, shard::ShardStore::Durable(_)))
-            .map(|(i, _)| i.to_string())
-            .collect();
-        let manifest = format!(
-            "{MANIFEST_HEADER}\nshards={}\ndurable={}\n",
-            stores.len(),
-            durable_shards.join(",")
-        );
-        std::fs::create_dir_all(dir).map_err(|e| ServiceError::Manifest(e.to_string()))?;
-        FileStore::new(dir.join(MANIFEST_FILE))
-            .replace(manifest.as_bytes())
-            .map_err(|e| ServiceError::Manifest(format!("write {MANIFEST_FILE}: {e}")))?;
+        let stores = durable::create(case_base, dir, config.shards)?;
         Ok(AllocationService::from_stores(stores, config))
     }
 
@@ -635,82 +334,22 @@ impl AllocationService {
         dir: &Path,
         config: &ServiceConfig,
     ) -> Result<(AllocationService, Vec<Option<RecoveryReport>>), ServiceError> {
-        let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE))
-            .map_err(|e| ServiceError::Manifest(format!("read {MANIFEST_FILE}: {e}")))?;
-        let mut lines = manifest.lines();
-        if lines.next() != Some(MANIFEST_HEADER) {
-            return Err(ServiceError::Manifest("unknown header".into()));
-        }
-        let shards: usize = lines
-            .next()
-            .and_then(|l| l.strip_prefix("shards="))
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| ServiceError::Manifest("missing shards= line".into()))?;
-        if shards == 0 {
-            return Err(ServiceError::Manifest("zero shards".into()));
-        }
-        let durable_set: Vec<usize> = match lines.next().and_then(|l| l.strip_prefix("durable=")) {
-            Some("") => Vec::new(),
-            Some(list) => list
-                .split(',')
-                .map(|n| {
-                    let index: usize = n
-                        .parse()
-                        .map_err(|_| ServiceError::Manifest(format!("bad durable index {n:?}")))?;
-                    if index >= shards {
-                        return Err(ServiceError::Manifest(format!(
-                            "durable index {index} out of range for {shards} shard(s)"
-                        )));
-                    }
-                    Ok(index)
-                })
-                .collect::<Result<_, _>>()?,
-            None => return Err(ServiceError::Manifest("missing durable= line".into())),
-        };
-        // As in durable_create: checkpoint cadence is shard-driven.
-        let policy = PersistPolicy::manual();
-        let mut stores = Vec::with_capacity(shards);
-        let mut reports = Vec::with_capacity(shards);
-        for index in 0..shards {
-            if !durable_set.contains(&index) {
-                stores.push(shard::ShardStore::Empty);
-                reports.push(None);
-                continue;
-            }
-            let shard_dir = dir.join(format!("shard-{index}"));
-            if !shard_dir.is_dir() {
-                // Losing a shard's state must be a loud error, not a
-                // silent UnknownType degradation for its types.
-                return Err(ServiceError::Manifest(format!(
-                    "manifest lists shard-{index} as durable but its directory is missing"
-                )));
-            }
-            let set = StoreSet::in_dir(&shard_dir)?;
-            let (durable, report) = DurableCaseBase::recover(set, policy)?;
-            stores.push(shard::ShardStore::Durable(Box::new(durable)));
-            reports.push(Some(report));
-        }
+        let (stores, reports) = durable::recover(dir)?;
         Ok((AllocationService::from_stores(stores, config), reports))
     }
 
     /// Spawns the workers over prepared shard stores.
     fn from_stores(stores: Vec<shard::ShardStore>, config: &ServiceConfig) -> AllocationService {
         let metrics = Arc::new(ServiceMetrics::default());
-        let epoch = config.clock.now();
         let shards = stores
             .into_iter()
             .enumerate()
-            .map(|(index, store)| {
-                shard::Shard::spawn(index, store, config, Arc::clone(&metrics), epoch)
-            })
+            .map(|(index, store)| shard::Shard::spawn(index, store, config, Arc::clone(&metrics)))
             .collect();
         AllocationService {
             shards,
             metrics,
             next_id: AtomicU64::new(0),
-            deadline_budget_us: config.deadline_budget_us,
-            clock: Arc::clone(&config.clock),
-            epoch,
         }
     }
 
@@ -762,7 +401,7 @@ impl AllocationService {
     /// [`AllocationService::submit_with_deadline`] for per-request
     /// deadlines.
     pub fn submit(&self, request: Request, class: QosClass) -> Ticket {
-        self.submit_inner(request, class, None)
+        self.submit_us(request, class, None)
     }
 
     /// Submits a request that must complete within `deadline` from now.
@@ -770,85 +409,33 @@ impl AllocationService {
     /// slack promotion, displacement *and* dispatch shedding — except
     /// that CRITICAL is still never shed: a late CRITICAL request is
     /// served anyway and counted as a
-    /// [`missed deadline`](ClassSnapshot::missed_deadline).
+    /// [`missed deadline`](ClassSnapshot::missed_deadline). A deadline
+    /// too far to represent saturates at the end of the time axis.
     pub fn submit_with_deadline(
         &self,
         request: Request,
         class: QosClass,
         deadline: Duration,
     ) -> Ticket {
-        self.submit_inner(request, class, Some(deadline))
+        let deadline_us = u64::try_from(deadline.as_micros()).unwrap_or(u64::MAX);
+        self.submit_us(request, class, Some(deadline_us))
     }
 
-    fn submit_inner(
+    /// The one submit path: numbers the request and hands it to the
+    /// owning shard's front half ([`queue::ClassQueue::admit`]).
+    /// `deadline_us` is relative to now, in µs — the form deadlines
+    /// arrive in over the wire.
+    pub(crate) fn submit_us(
         &self,
         request: Request,
         class: QosClass,
-        deadline: Option<Duration>,
+        deadline_us: Option<u64>,
     ) -> Ticket {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .class(class)
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, rx) = mpsc::channel();
-        let shard = &self.shards[shard::route(request.type_id(), self.shards.len())];
-        let now = self.clock.now();
-        let at_us = micros_between(self.epoch, now);
-        let record = |request_id: u64, class: QosClass, kind: EventKind, arg: u64| {
-            if let Some(recorder) = &shard.recorder {
-                recorder.record(at_us, request_id, class.index() as u8, kind, arg);
-            }
-        };
-        record(id, class, EventKind::Submitted, 0);
-        let budget = if class.sheddable() {
-            self.deadline_budget_us[class.index()].map(Duration::from_micros)
-        } else {
-            None
-        };
-        let job = Job {
-            id,
-            class,
-            request,
-            enqueued_at: now,
-            deadline: deadline.or(budget).map(|d| now + d),
-            reply_tx,
-        };
-        match shard.queue.push(job) {
-            queue::Admission::Admitted => {
-                record(id, class, EventKind::Admitted, 0);
-            }
-            queue::Admission::Displaced(victim) => {
-                // The newcomer took the largest-slack resident's slot.
-                record(id, class, EventKind::Admitted, 0);
-                record(victim.id, victim.class, EventKind::Displaced, id);
-                record(victim.id, victim.class, EventKind::ShedQueueFull, 0);
-                self.metrics
-                    .class(victim.class)
-                    .shed_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                let waited = micros_between(victim.enqueued_at, now);
-                victim.reply(Outcome::ShedQueueFull, waited, &self.metrics);
-            }
-            queue::Admission::Refused(job) => {
-                record(id, class, EventKind::Refused, 0);
-                record(id, class, EventKind::ShedQueueFull, 0);
-                self.metrics
-                    .class(class)
-                    .shed_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                job.reply(Outcome::ShedQueueFull, 0, &self.metrics);
-            }
-            queue::Admission::Doomed { job, late_us } => {
-                record(id, class, EventKind::Refused, 0);
-                record(id, class, EventKind::ShedPredicted, late_us);
-                self.metrics
-                    .class(class)
-                    .shed_predicted
-                    .fetch_add(1, Ordering::Relaxed);
-                job.reply(Outcome::ShedPredicted { late_us }, 0, &self.metrics);
-            }
-        }
+        let rx = self
+            .shard_for(request.type_id())
+            .queue
+            .admit(id, request, class, deadline_us);
         Ticket { id, class, rx }
     }
 
@@ -857,12 +444,9 @@ impl AllocationService {
     /// the shard worker feeds it after a real dispatch. Lets harnesses
     /// under a frozen [`ManualClock`] (where measured batch durations
     /// are zero) warm the predictive-shedding and dynamic-margin
-    /// machinery from a cost model instead; a no-op on a shard without
-    /// an estimator.
+    /// machinery from a cost model instead.
     pub fn prime_service_estimate(&self, shard: usize, batch_us: u64, jobs: usize) {
-        if let Some(estimator) = self.shards[shard].queue.estimator() {
-            estimator.observe(batch_us, jobs);
-        }
+        self.shards[shard].queue.estimator().observe(batch_us, jobs);
     }
 
     /// Applies any [`CaseMutation`] on the shard owning its function
@@ -1023,14 +607,15 @@ impl AllocationService {
 
     /// Drains every shard's flight recorder into one merged dump
     /// (empty when tracing is off — see
-    /// [`ServiceConfig::with_trace_capacity`]). Timestamps are µs since
-    /// the service was built, shared across shards; the drain is
-    /// non-destructive and safe under live traffic.
+    /// [`ServiceConfig::with_trace_capacity`]). Timestamps are the
+    /// service clock's µs ticks, shared across shards (and with every
+    /// other recorder on the same clock); the drain is non-destructive
+    /// and safe under live traffic.
     pub fn drain_trace(&self) -> TraceDump {
         TraceDump::merge(
             self.shards
                 .iter()
-                .filter_map(|shard| shard.recorder.as_ref())
+                .filter_map(|shard| shard.queue.recorder.as_ref())
                 .map(|recorder| recorder.drain()),
         )
     }
@@ -1073,14 +658,14 @@ pub mod testkit {
 
     pub use crate::shard::BatchHarness;
 
-    /// Builds a job with an explicit enqueue instant and effective
-    /// deadline, plus the receiver its reply (if any) arrives on.
+    /// Builds a job with an explicit enqueue tick and effective deadline
+    /// (both clock µs), plus the receiver its reply (if any) arrives on.
     pub fn job(
         id: u64,
         class: QosClass,
         request: Request,
-        enqueued_at: Instant,
-        deadline: Option<Instant>,
+        enqueued_at: u64,
+        deadline: Option<u64>,
     ) -> (Job, mpsc::Receiver<Reply>) {
         let (reply_tx, rx) = mpsc::channel();
         (

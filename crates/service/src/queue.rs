@@ -11,7 +11,7 @@
 //! [`SchedMode::Edf`] the sort key is the job's *effective deadline*
 //! (its explicit per-request deadline, else enqueue time + class
 //! budget); a job with no deadline at all carries an explicit
-//! no-deadline sentinel that orders **after every instant**, so *any*
+//! no-deadline sentinel that orders **after every tick**, so *any*
 //! explicit deadline — however far in the future — sorts ahead of the
 //! deadline-free backlog, and deadline-free jobs keep arrival order
 //! among themselves. The lane head is therefore always the job closest
@@ -39,26 +39,24 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 
-use rqfa_core::QosClass;
-use rqfa_telemetry::{clock::micros_between, monotonic, EventKind, FlightRecorder, SharedClock};
+use rqfa_core::{QosClass, Request};
+use rqfa_telemetry::{EventKind, FlightRecorder};
 
 use crate::metrics::ServiceMetrics;
 use crate::sched::{ArbiterMode, SchedMode, ServiceTimeEstimator, WeightedArbiter};
-use crate::Job;
+use crate::{Job, Outcome, Reply, ServiceConfig};
 
-/// A lane's sort key: explicit instants order chronologically, and the
-/// no-deadline sentinel orders after **every** instant (the derived
-/// `Ord` follows variant order). The former 1-year sort *horizon*
-/// misordered here: an explicit deadline beyond the horizon sorted
-/// behind deadline-free jobs and was displaced first as "largest slack".
+/// A lane's sort key: explicit ticks order chronologically, and the
+/// no-deadline sentinel orders after **every** tick (the derived `Ord`
+/// follows variant order) — so even a deadline saturated at `u64::MAX`
+/// sorts ahead of the deadline-free backlog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SortKey {
-    /// Order by this instant: the effective deadline (EDF) or the
-    /// enqueue time (FIFO).
-    At(Instant),
+    /// Order by this clock tick (µs): the effective deadline (EDF) or
+    /// the enqueue time (FIFO).
+    At(u64),
     /// EDF job with no deadline at all: behind every deadlined job, in
     /// arrival order among themselves (via the tie-breaking sequence).
     NoDeadline,
@@ -105,19 +103,16 @@ impl Inner {
         ]
     }
 
-    /// Which lane heads are within `margin` of their effective deadline
-    /// *and still viable*. An already-expired head is deliberately not
-    /// urgent: promoting it spends rescue bandwidth on a job that sheds
-    /// at dispatch anyway — it drains at the lane's weighted rate
-    /// instead.
-    fn urgent(&self, now: Instant, margin: Duration) -> [bool; QosClass::COUNT] {
+    /// Which lane heads are within `margin_us` of their effective
+    /// deadline *and still viable*. An already-expired head is
+    /// deliberately not urgent: promoting it spends rescue bandwidth on
+    /// a job that sheds at dispatch anyway — it drains at the lane's
+    /// weighted rate instead.
+    fn urgent(&self, now: u64, margin_us: u64) -> [bool; QosClass::COUNT] {
         let mut urgent = [false; QosClass::COUNT];
         for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some((_, head)) = lane.first_key_value() {
-                if let Some(deadline) = head.deadline {
-                    urgent[i] =
-                        now <= deadline && deadline.saturating_duration_since(now) <= margin;
-                }
+            if let Some(deadline) = lane.first_key_value().and_then(|(_, head)| head.deadline) {
+                urgent[i] = now <= deadline && deadline - now <= margin_us;
             }
         }
         urgent
@@ -125,105 +120,122 @@ impl Inner {
 }
 
 /// A bounded, class-aware, deadline-aware MPSC job queue feeding one
-/// shard worker.
+/// shard worker — the shard's *front half*: [`ClassQueue::admit`] is the
+/// one place a request becomes a [`Job`] and the one home of the
+/// [`Admission`] handling, whichever driver runs the shard.
 pub struct ClassQueue {
     inner: Mutex<Inner>,
     available: Condvar,
-    capacity: usize,
-    mode: SchedMode,
-    promotion_margin: Duration,
-    metrics: Arc<ServiceMetrics>,
-    /// Time source for urgency checks and trace timestamps — injected so
-    /// the scheduler is drivable deterministically.
-    clock: SharedClock,
-    /// Flight recorder for `Scheduled` events (`None` = tracing off).
-    recorder: Option<Arc<FlightRecorder>>,
-    /// Zero point of trace timestamps.
-    epoch: Instant,
-    /// Measured batch-service-time estimator shared with the shard
-    /// worker (`None` = no measurement: fixed margins, no deadline-aware
-    /// batch composition).
-    estimator: Option<Arc<ServiceTimeEstimator>>,
-    /// Whether admission refuses deadlined sheddable jobs the estimator
-    /// predicts cannot finish in time even if queued (see
-    /// [`Admission::Doomed`]). Off by default.
-    predictive_shed: bool,
+    /// The service configuration the queue reads its knobs from.
+    /// `config.clock` is the whole shard's one time base: arrival
+    /// stamps, deadlines, urgency checks, batch stamps and trace stamps
+    /// are all that clock's µs ticks.
+    pub(crate) config: ServiceConfig,
+    pub(crate) metrics: Arc<ServiceMetrics>,
+    /// The shard's flight recorder (`None` = tracing off).
+    pub(crate) recorder: Option<Arc<FlightRecorder>>,
+    /// Batch-service-time estimator: written by the shard's driver,
+    /// read here to size the [`ArbiterMode::DynamicPriority`] margin, to
+    /// stop a batch fill that would make a picked job late, and to
+    /// predict doomed arrivals. Cold (no samples) it changes nothing.
+    estimator: ServiceTimeEstimator,
 }
 
 impl ClassQueue {
-    /// A queue admitting at most `capacity` jobs (min 1) across classes,
-    /// ordered per `mode`, scheduled by `arbiter`; lane heads within
-    /// `promotion_margin_us` of their deadline are flagged urgent to the
-    /// arbiter (EDF mode only). Promotions are counted into `metrics`.
-    /// Uses the wall clock and no tracing; see
-    /// [`ClassQueue::with_telemetry`].
+    /// The queue `config` describes, counting into `metrics` and tracing
+    /// into `recorder`.
     pub fn new(
-        capacity: usize,
-        arbiter: WeightedArbiter,
-        mode: SchedMode,
-        promotion_margin_us: u64,
+        config: &ServiceConfig,
         metrics: Arc<ServiceMetrics>,
+        recorder: Option<Arc<FlightRecorder>>,
     ) -> ClassQueue {
-        let clock = monotonic();
-        let epoch = clock.now();
         ClassQueue {
             inner: Mutex::new(Inner {
                 lanes: Default::default(),
-                arbiter,
+                arbiter: WeightedArbiter::with_weights(config.class_weights)
+                    .with_promotions(config.promotions_per_round)
+                    .with_mode(config.arbiter_mode),
                 len: 0,
                 seq: 0,
                 shutdown: false,
             }),
             available: Condvar::new(),
-            capacity: capacity.max(1),
-            mode,
-            promotion_margin: Duration::from_micros(promotion_margin_us),
+            config: config.clone(),
             metrics,
-            clock,
-            recorder: None,
-            epoch,
-            estimator: None,
-            predictive_shed: false,
+            recorder,
+            estimator: ServiceTimeEstimator::new(),
         }
     }
 
-    /// Replaces the queue's time source and flight recorder. `epoch` is
-    /// the zero point trace timestamps are measured from (share one
-    /// epoch across a service so per-request timelines line up).
-    pub fn with_telemetry(
-        mut self,
-        clock: SharedClock,
-        recorder: Option<Arc<FlightRecorder>>,
-        epoch: Instant,
-    ) -> ClassQueue {
-        self.clock = clock;
-        self.recorder = recorder;
-        self.epoch = epoch;
-        self
+    /// The shard's measured service-time estimator.
+    pub fn estimator(&self) -> &ServiceTimeEstimator {
+        &self.estimator
     }
 
-    /// Attaches the shard's measured service-time estimator. With it the
-    /// queue (in EDF mode) sizes the [`ArbiterMode::DynamicPriority`]
-    /// urgency margin from live measurement
-    /// ([`ServiceTimeEstimator::margin_us`], falling back to the
-    /// configured fixed margin while cold) and stops filling a batch
-    /// when the estimator predicts the next pick would make an
-    /// already-picked job miss its effective deadline.
-    pub fn with_estimator(mut self, estimator: Arc<ServiceTimeEstimator>) -> ClassQueue {
-        self.estimator = Some(estimator);
-        self
+    /// Records one event of request `id` at tick `at_us` (no-op with
+    /// tracing off).
+    pub(crate) fn trace(&self, at_us: u64, id: u64, class: QosClass, kind: EventKind, arg: u64) {
+        if let Some(recorder) = &self.recorder {
+            recorder.record(at_us, id, class.index() as u8, kind, arg);
+        }
     }
 
-    /// Enables predictive shedding at admission (needs an estimator to
-    /// have any effect; a cold estimator predicts nothing).
-    pub fn with_predictive_shed(mut self, on: bool) -> ClassQueue {
-        self.predictive_shed = on;
-        self
-    }
-
-    /// The shard's measured service-time estimator, if attached.
-    pub(crate) fn estimator(&self) -> Option<Arc<ServiceTimeEstimator>> {
-        self.estimator.clone()
+    /// Submits one request to this shard: stamps it, forms its effective
+    /// deadline (`deadline_us` after now, else the class budget for a
+    /// sheddable class, else none — saturating, so an absurdly far
+    /// deadline stays in the future instead of wrapping into the past),
+    /// pushes it, and answers whatever admission sheds on the spot. The
+    /// reply, immediate or the worker's, arrives on the returned receiver.
+    pub fn admit(
+        &self,
+        id: u64,
+        request: Request,
+        class: QosClass,
+        deadline_us: Option<u64>,
+    ) -> mpsc::Receiver<Reply> {
+        let metrics = &*self.metrics;
+        metrics.class(class).submitted.fetch_add(1, Ordering::Relaxed);
+        let (reply_tx, rx) = mpsc::channel();
+        let now = self.config.clock.now_us();
+        let record = |id, class, kind, arg| self.trace(now, id, class, kind, arg);
+        record(id, class, EventKind::Submitted, 0);
+        let budget = self.config.deadline_budget_us[class.index()].filter(|_| class.sheddable());
+        let job = Job {
+            id,
+            class,
+            request,
+            enqueued_at: now,
+            deadline: deadline_us.or(budget).map(|d| now.saturating_add(d)),
+            reply_tx,
+        };
+        match self.push(job) {
+            Admission::Admitted => record(id, class, EventKind::Admitted, 0),
+            Admission::Displaced(victim) => {
+                // The newcomer took the largest-slack resident's slot.
+                record(id, class, EventKind::Admitted, 0);
+                record(victim.id, victim.class, EventKind::Displaced, id);
+                record(victim.id, victim.class, EventKind::ShedQueueFull, 0);
+                let shed = &metrics.class(victim.class).shed_queue_full;
+                shed.fetch_add(1, Ordering::Relaxed);
+                let waited_us = now.saturating_sub(victim.enqueued_at);
+                victim.reply(Outcome::ShedQueueFull, waited_us, metrics);
+            }
+            Admission::Refused(job) => {
+                record(id, class, EventKind::Refused, 0);
+                record(id, class, EventKind::ShedQueueFull, 0);
+                let shed = &metrics.class(class).shed_queue_full;
+                shed.fetch_add(1, Ordering::Relaxed);
+                job.reply(Outcome::ShedQueueFull, 0, metrics);
+            }
+            Admission::Doomed { job, late_us } => {
+                record(id, class, EventKind::Refused, 0);
+                record(id, class, EventKind::ShedPredicted, late_us);
+                let shed = &metrics.class(class).shed_predicted;
+                shed.fetch_add(1, Ordering::Relaxed);
+                job.reply(Outcome::ShedPredicted { late_us }, 0, metrics);
+            }
+        }
+        rx
     }
 
     /// Predicted lateness (µs) of a deadlined sheddable job arriving
@@ -232,53 +244,45 @@ impl ClassQueue {
     /// after roughly `(n + 1) × per_job_us`. `None` = viable (or not
     /// predictable: predictive shedding off, cold estimator, CRITICAL,
     /// or no deadline).
-    fn predicted_lateness(&self, job: &Job, queued: usize, now: Instant) -> Option<u64> {
-        if !self.predictive_shed || !job.class.sheddable() {
+    fn predicted_lateness(&self, job: &Job, queued: usize) -> Option<u64> {
+        if !self.config.predictive_shed || !job.class.sheddable() || self.estimator.samples() == 0 {
             return None;
         }
         let deadline = job.deadline?;
-        let estimator = self.estimator.as_ref()?;
-        if estimator.samples() == 0 {
-            return None;
-        }
-        let per_job = estimator.per_job_us();
-        let predicted_us = per_job.checked_mul(queued as u64 + 1)?;
-        let completes = now + Duration::from_micros(predicted_us);
-        if completes > deadline {
-            Some(micros_between(deadline, completes))
-        } else {
-            None
-        }
+        let predicted_us = self.estimator.per_job_us().checked_mul(queued as u64 + 1)?;
+        let completes = self.config.clock.now_us().saturating_add(predicted_us);
+        (completes > deadline).then(|| completes - deadline)
     }
 
     /// The lane sort key of a job under this queue's mode.
     fn sort_key(&self, job: &Job) -> SortKey {
-        match self.mode {
+        match self.config.scheduling {
             SchedMode::Fifo => SortKey::At(job.enqueued_at),
             SchedMode::Edf => job.deadline.map_or(SortKey::NoDeadline, SortKey::At),
         }
     }
 
-    /// Enqueues a job. See [`Admission`] for the three outcomes; the
-    /// class's admission limit is LOW: 1× capacity, MEDIUM: 2×, HIGH:
-    /// 4×, CRITICAL: unlimited.
+    /// Enqueues a job. See [`Admission`] for the outcomes; the class's
+    /// admission limit is LOW: 1× capacity, MEDIUM: 2×, HIGH: 4×,
+    /// CRITICAL: unlimited.
     pub fn push(&self, job: Job) -> Admission {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.shutdown {
             return Admission::Refused(job);
         }
-        if let Some(late_us) = self.predicted_lateness(&job, inner.len, self.clock.now()) {
+        if let Some(late_us) = self.predicted_lateness(&job, inner.len) {
             // Refuse-fast: the measured service rate says this job
             // sheds at dispatch anyway; answering now costs nothing and
             // keeps the doomed work from occupying a queue slot.
             drop(inner);
             return Admission::Doomed { job, late_us };
         }
+        let capacity = self.config.queue_capacity.max(1);
         let limit = match job.class {
             QosClass::Critical => usize::MAX,
-            QosClass::High => self.capacity.saturating_mul(4),
-            QosClass::Medium => self.capacity.saturating_mul(2),
-            QosClass::Low => self.capacity,
+            QosClass::High => capacity.saturating_mul(4),
+            QosClass::Medium => capacity.saturating_mul(2),
+            QosClass::Low => capacity,
         };
         let key = (self.sort_key(&job), inner.seq);
         inner.seq += 1;
@@ -321,42 +325,36 @@ impl ClassQueue {
             }
             inner = self.available.wait(inner).expect("queue poisoned");
         }
-        // DYNAMIC_PRIORITY sizes the urgency margin from measurement;
-        // every other mode keeps the configured fixed margin. The
-        // estimator is written only by this shard's worker — the thread
-        // running this very loop — so both reads are stable across the
-        // whole fill.
-        let margin = match (&self.estimator, inner.arbiter.mode()) {
-            (Some(est), ArbiterMode::DynamicPriority) => Duration::from_micros(
-                est.margin_us(self.promotion_margin.as_micros() as u64),
-            ),
-            _ => self.promotion_margin,
+        // DYNAMIC_PRIORITY sizes the urgency margin from measurement
+        // (the configured margin while the estimator is cold); every
+        // other mode keeps the configured fixed margin. The estimator is
+        // written only by this shard's driver — the thread running this
+        // very loop — so both reads are stable across the whole fill.
+        let margin_us = match inner.arbiter.mode() {
+            ArbiterMode::DynamicPriority => self.estimator.margin_us(self.config.promotion_margin_us),
+            _ => self.config.promotion_margin_us,
         };
-        self.metrics.sched_margin_us.set(margin.as_micros() as u64);
-        let per_job_us = self
-            .estimator
-            .as_deref()
-            .map_or(0, ServiceTimeEstimator::per_job_us);
+        self.metrics.sched_margin_us.set(margin_us);
+        let per_job_us = self.estimator.per_job_us();
         // Tightest effective deadline among jobs already picked — the
         // deadline-aware composition bound.
-        let mut tightest: Option<Instant> = None;
+        let mut tightest: Option<u64> = None;
         let mut batch = Vec::with_capacity(max.min(inner.len));
         while batch.len() < max {
             // Re-stamp every pick: under a real clock the urgency flags
             // and `Scheduled` trace stamps must not go stale across a
-            // long batch. A frozen manual clock returns the same instant
+            // long batch. A frozen manual clock returns the same tick
             // each read, so deterministic replays are unaffected.
-            let now = self.clock.now();
-            let at_us = micros_between(self.epoch, now);
-            if self.mode == SchedMode::Edf && per_job_us > 0 {
+            let now = self.config.clock.now_us();
+            if self.config.scheduling == SchedMode::Edf && per_job_us > 0 {
                 if let Some(tight) = tightest {
                     // Stop filling when the estimator says one more pick
                     // would turn an already-picked job from meeting its
                     // deadline into missing it. An already-late batch
                     // keeps filling — stopping cannot unmiss it.
                     let len = batch.len() as u64;
-                    let finish = now + Duration::from_micros(per_job_us * len);
-                    let next = now + Duration::from_micros(per_job_us * (len + 1));
+                    let finish = now.saturating_add(per_job_us.saturating_mul(len));
+                    let next = now.saturating_add(per_job_us.saturating_mul(len + 1));
                     if finish <= tight && next > tight {
                         break;
                     }
@@ -364,8 +362,8 @@ impl ClassQueue {
             }
             let Some(pick) = ({
                 let backlogged = inner.backlogged();
-                let urgent = match self.mode {
-                    SchedMode::Edf => inner.urgent(now, margin),
+                let urgent = match self.config.scheduling {
+                    SchedMode::Edf => inner.urgent(now, margin_us),
                     SchedMode::Fifo => [false; QosClass::COUNT],
                 };
                 inner.arbiter.pick_urgent(backlogged, urgent)
@@ -380,16 +378,9 @@ impl ClassQueue {
             if pick.promoted {
                 class_metrics.promoted.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some(recorder) = &self.recorder {
-                recorder.record(
-                    at_us,
-                    job.id,
-                    job.class.index() as u8,
-                    EventKind::Scheduled,
-                    u64::from(pick.promoted),
-                );
-            }
-            if self.mode == SchedMode::Edf {
+            let promoted = u64::from(pick.promoted);
+            self.trace(now, job.id, job.class, EventKind::Scheduled, promoted);
+            if self.config.scheduling == SchedMode::Edf {
                 if let Some(deadline) = job.deadline {
                     tightest = Some(tightest.map_or(deadline, |t| t.min(deadline)));
                 }
@@ -416,6 +407,21 @@ impl ClassQueue {
         self.inner.lock().expect("queue poisoned").shutdown = true;
         self.available.notify_all();
     }
+
+    /// Tears the queue down *without* draining: new pushes are refused
+    /// and the backlog is dropped unanswered, which disconnects every
+    /// queued job's reply channel — a waiting [`Ticket`](crate::Ticket)
+    /// wakes with `None`. A no-op after a drained shutdown.
+    pub(crate) fn abort(&self) {
+        // Runs from a `Drop`, possibly mid-unwind: never panic here.
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.shutdown = true;
+        inner.len = 0;
+        let backlog = std::mem::take(&mut inner.lanes);
+        drop(inner);
+        drop(backlog);
+        self.available.notify_all();
+    }
 }
 
 #[cfg(test)]
@@ -423,7 +429,7 @@ mod tests {
     use super::*;
     use crate::testkit;
     use rqfa_core::ids::{AttrId, TypeId};
-    use rqfa_core::Request;
+    use rqfa_telemetry::{ManualClock, SharedClock};
 
     fn request() -> Request {
         Request::builder(TypeId::new(1).unwrap())
@@ -433,32 +439,31 @@ mod tests {
     }
 
     fn job(id: u64, class: QosClass) -> Job {
-        testkit::job(id, class, request(), Instant::now(), None).0
+        testkit::job(id, class, request(), 0, None).0
     }
 
-    fn deadline_job(id: u64, class: QosClass, base: Instant, deadline_us: u64) -> Job {
-        testkit::job(
-            id,
-            class,
-            request(),
-            base,
-            Some(base + Duration::from_micros(deadline_us)),
-        )
-        .0
+    fn deadline_job(id: u64, class: QosClass, base: u64, deadline_us: u64) -> Job {
+        testkit::job(id, class, request(), base, Some(base + deadline_us)).0
+    }
+
+    /// A config on a frozen manual clock (tick 0), so every test here is
+    /// wall-clock-free.
+    fn config(capacity: usize) -> ServiceConfig {
+        ServiceConfig::default()
+            .with_queue_capacity(capacity)
+            .with_clock(Arc::new(ManualClock::new()))
+    }
+
+    fn build(config: &ServiceConfig) -> ClassQueue {
+        ClassQueue::new(config, Arc::new(ServiceMetrics::default()), None)
     }
 
     fn queue(capacity: usize) -> ClassQueue {
-        queue_mode(capacity, SchedMode::Edf)
+        build(&config(capacity))
     }
 
     fn queue_mode(capacity: usize, mode: SchedMode) -> ClassQueue {
-        ClassQueue::new(
-            capacity,
-            WeightedArbiter::new(),
-            mode,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
+        build(&config(capacity).with_scheduling(mode))
     }
 
     fn push_ok(q: &ClassQueue, job: Job) {
@@ -490,13 +495,12 @@ mod tests {
     #[test]
     fn edf_orders_a_lane_by_effective_deadline() {
         let q = queue(64);
-        let base = Instant::now();
         // Insertion order 0..4 with deadlines 40/10/30/20 ms — and one
         // deadline-free job that must sort behind all of them.
         for (id, us) in [(0, 40_000u64), (1, 10_000), (2, 30_000), (3, 20_000)] {
-            push_ok(&q, deadline_job(id, QosClass::High, base, us));
+            push_ok(&q, deadline_job(id, QosClass::High, 0, us));
         }
-        push_ok(&q, testkit::job(4, QosClass::High, request(), base, None).0);
+        push_ok(&q, job(4, QosClass::High));
         let order: Vec<u64> = q.pop_batch(8).unwrap().iter().map(|j| j.id).collect();
         assert_eq!(order, [1, 3, 2, 0, 4], "earliest deadline first");
     }
@@ -504,9 +508,8 @@ mod tests {
     #[test]
     fn fifo_mode_ignores_deadlines() {
         let q = queue_mode(64, SchedMode::Fifo);
-        let base = Instant::now();
         for (id, us) in [(0, 40_000u64), (1, 10_000), (2, 30_000), (3, 20_000)] {
-            push_ok(&q, deadline_job(id, QosClass::High, base, us));
+            push_ok(&q, deadline_job(id, QosClass::High, 0, us));
         }
         let order: Vec<u64> = q.pop_batch(8).unwrap().iter().map(|j| j.id).collect();
         assert_eq!(order, [0, 1, 2, 3], "strict arrival order");
@@ -546,17 +549,16 @@ mod tests {
     #[test]
     fn overload_displaces_the_largest_slack_resident() {
         let q = queue(3);
-        let base = Instant::now();
-        push_ok(&q, deadline_job(0, QosClass::Low, base, 40_000));
-        push_ok(&q, deadline_job(1, QosClass::Low, base, 10_000));
-        push_ok(&q, deadline_job(2, QosClass::Low, base, 30_000));
+        push_ok(&q, deadline_job(0, QosClass::Low, 0, 40_000));
+        push_ok(&q, deadline_job(1, QosClass::Low, 0, 10_000));
+        push_ok(&q, deadline_job(2, QosClass::Low, 0, 30_000));
         // Full. A tighter newcomer displaces id 0 (largest slack)…
-        match q.push(deadline_job(3, QosClass::Low, base, 5_000)) {
+        match q.push(deadline_job(3, QosClass::Low, 0, 5_000)) {
             Admission::Displaced(victim) => assert_eq!(victim.id, 0),
             other => panic!("expected displacement, got {other:?}"),
         }
         // …while a looser newcomer (now the largest slack itself) bounces.
-        match q.push(deadline_job(4, QosClass::Low, base, 50_000)) {
+        match q.push(deadline_job(4, QosClass::Low, 0, 50_000)) {
             Admission::Refused(refused) => assert_eq!(refused.id, 4),
             other => panic!("expected refusal, got {other:?}"),
         }
@@ -572,13 +574,12 @@ mod tests {
         // displaced first as "largest slack" under overload. Any
         // explicit deadline must order before the no-deadline sentinel.
         let q = queue(2);
-        let base = Instant::now();
         let two_years_us = 2 * 365 * 24 * 3600 * 1_000_000u64;
-        push_ok(&q, testkit::job(0, QosClass::Low, request(), base, None).0);
-        push_ok(&q, deadline_job(1, QosClass::Low, base, two_years_us));
+        push_ok(&q, job(0, QosClass::Low));
+        push_ok(&q, deadline_job(1, QosClass::Low, 0, two_years_us));
         // Full. The tight newcomer must displace the no-deadline job,
         // not the far-deadline one.
-        match q.push(deadline_job(2, QosClass::Low, base, 1_000)) {
+        match q.push(deadline_job(2, QosClass::Low, 0, 1_000)) {
             Admission::Displaced(victim) => {
                 assert_eq!(victim.id, 0, "the deadline-free job holds the largest slack");
             }
@@ -586,6 +587,32 @@ mod tests {
         }
         let order: Vec<u64> = q.pop_batch(8).unwrap().iter().map(|j| j.id).collect();
         assert_eq!(order, [2, 1], "far deadline dispatches before none");
+    }
+
+    #[test]
+    fn admit_saturates_deadlines_too_far_to_represent() {
+        // Regression: `now + deadline` used to overflow at the front
+        // door (a panic on the old time type, a wrap into the past on raw ticks
+        // — which would shed viable work). The deadline saturates at the
+        // far end of the time axis instead: admitted, behind nearer
+        // deadlines, ahead of deadline-free work, and answered.
+        let clock = Arc::new(ManualClock::new());
+        clock.advance_us(1_000);
+        let q = build(&config(64).with_clock(Arc::clone(&clock) as SharedClock));
+        // A huge measured per-job cost drives the batch-fill projection
+        // (`per_job_us × (len + 1)`) past `u64::MAX` as well.
+        q.estimator().observe(u64::MAX >> 4, 1);
+        let mut receivers = vec![q.admit(0, request(), QosClass::Low, None)];
+        receivers.extend((1..19).map(|id| q.admit(id, request(), QosClass::Low, Some(u64::MAX))));
+        receivers.push(q.admit(19, request(), QosClass::Low, Some(10_000)));
+        let batch = q.pop_batch(32).unwrap();
+        let order: Vec<u64> = batch.iter().map(|j| j.id).collect();
+        let expected: Vec<u64> = std::iter::once(19).chain(1..19).chain([0]).collect();
+        assert_eq!(order, expected, "near, then saturated-far, then none");
+        assert_eq!(batch[1].deadline, Some(u64::MAX));
+        for rx in receivers {
+            assert!(rx.try_recv().is_err(), "admitted, not shed at the door");
+        }
     }
 
     /// Tiny deterministic generator (splitmix64) for the mixed-trace
@@ -611,24 +638,17 @@ mod tests {
             for mode in [SchedMode::Edf, SchedMode::Fifo] {
                 let mut state = seed ^ 0xEDF0;
                 let q = queue_mode(1024, mode);
-                let base = Instant::now();
-                // (id, absolute deadline in µs from base, if any);
-                // arrival instants strictly increase with id.
+                // (id, absolute deadline tick, if any); arrival ticks
+                // strictly increase with id.
                 let mut jobs: Vec<(u64, Option<u64>)> = Vec::new();
                 for id in 0..64u64 {
-                    let deadline_us = match splitmix(&mut state) % 3 {
+                    let deadline = match splitmix(&mut state) % 3 {
                         0 => None,
                         1 => Some(id + splitmix(&mut state) % 100_000),
                         _ => Some(id + year_us + splitmix(&mut state) % year_us),
                     };
-                    let enqueued = base + Duration::from_micros(id);
-                    let deadline =
-                        deadline_us.map(|at| base + Duration::from_micros(at));
-                    push_ok(
-                        &q,
-                        testkit::job(id, QosClass::High, request(), enqueued, deadline).0,
-                    );
-                    jobs.push((id, deadline_us));
+                    push_ok(&q, testkit::job(id, QosClass::High, request(), id, deadline).0);
+                    jobs.push((id, deadline));
                 }
                 let mut expected: Vec<u64> = jobs.iter().map(|&(id, _)| id).collect();
                 if mode == SchedMode::Edf {
@@ -646,19 +666,14 @@ mod tests {
         }
     }
 
-    /// A clock that jumps forward one fixed step on every read — makes
-    /// the per-pick clock re-read in `pop_batch` observable.
-    #[derive(Debug)]
-    struct TickingClock {
-        base: Instant,
-        step_us: u64,
-        reads: std::sync::atomic::AtomicU64,
-    }
+    /// A clock that jumps forward 10 µs on every read — makes the
+    /// per-pick clock re-read in `pop_batch` observable.
+    #[derive(Debug, Default)]
+    struct TickingClock(std::sync::atomic::AtomicU64);
 
     impl rqfa_telemetry::Clock for TickingClock {
-        fn now(&self) -> Instant {
-            let n = self.reads.fetch_add(1, Ordering::SeqCst);
-            self.base + Duration::from_micros(self.step_us * n)
+        fn now_us(&self) -> u64 {
+            self.0.fetch_add(10, Ordering::SeqCst)
         }
     }
 
@@ -667,21 +682,12 @@ mod tests {
         // Regression: `pop_batch` used to read the clock once before the
         // fill loop, so every `Scheduled` event in a batch carried the
         // same stamp (and urgency went stale) under an advancing clock.
-        let clock: SharedClock = Arc::new(TickingClock {
-            base: Instant::now(),
-            step_us: 10,
-            reads: std::sync::atomic::AtomicU64::new(0),
-        });
-        let epoch = clock.now();
         let recorder = Arc::new(FlightRecorder::new(64));
         let q = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
+            &config(64).with_clock(Arc::new(TickingClock::default())),
             Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), Some(Arc::clone(&recorder)), epoch);
+            Some(Arc::clone(&recorder)),
+        );
         for id in 0..4 {
             push_ok(&q, job(id, QosClass::High));
         }
@@ -699,6 +705,16 @@ mod tests {
         }
     }
 
+    /// A queue on a caller-driven manual clock with a 1 ms fixed
+    /// promotion margin, plus its metrics.
+    fn queue_on(clock: &Arc<ManualClock>) -> (ClassQueue, Arc<ServiceMetrics>) {
+        let metrics = Arc::new(ServiceMetrics::default());
+        let config = config(64)
+            .with_clock(Arc::clone(clock) as SharedClock)
+            .with_promotion_margin_us(1_000);
+        (ClassQueue::new(&config, Arc::clone(&metrics), None), metrics)
+    }
+
     #[test]
     fn expired_heads_are_not_urgent() {
         // Regression: an already-expired lane head used to flag its lane
@@ -706,38 +722,20 @@ mod tests {
         // rescue bandwidth on jobs that shed at dispatch anyway. An
         // expired head must drain at the lane's weighted rate; a viable
         // head inside the margin must still be promoted.
-        let manual = Arc::new(rqfa_telemetry::ManualClock::new());
-        let clock: SharedClock = Arc::clone(&manual) as SharedClock;
-        let base = clock.now();
-        let metrics = Arc::new(ServiceMetrics::default());
-        let q = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            1_000,
-            Arc::clone(&metrics),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base);
-        push_ok(&q, deadline_job(0, QosClass::Low, base, 100));
+        let clock = Arc::new(ManualClock::new());
+        let (q, metrics) = queue_on(&clock);
+        push_ok(&q, deadline_job(0, QosClass::Low, 0, 100));
         for id in 1..4 {
             push_ok(&q, job(id, QosClass::Critical));
         }
-        manual.advance_us(200); // LOW's head is now 100 µs past its deadline
+        clock.advance_us(200); // LOW's head is now 100 µs past its deadline
         let first = q.pop_batch(1).unwrap();
         assert_eq!(first[0].class, QosClass::Critical, "expired head attracts no promotion");
         assert_eq!(metrics.class(QosClass::Low).promoted.load(Ordering::Relaxed), 0);
         // Control: the same shape with a still-viable head inside the
         // margin is promoted ahead of CRITICAL as before.
-        let metrics2 = Arc::new(ServiceMetrics::default());
-        let q2 = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            1_000,
-            Arc::clone(&metrics2),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base);
-        push_ok(&q2, deadline_job(10, QosClass::Low, clock.now(), 500));
+        let (q2, metrics2) = queue_on(&clock);
+        push_ok(&q2, deadline_job(10, QosClass::Low, clock.elapsed_us(), 500));
         for id in 11..14 {
             push_ok(&q2, job(id, QosClass::Critical));
         }
@@ -751,21 +749,9 @@ mod tests {
         // 50 µs estimated per job against a 100 µs deadline: two picks
         // fit, a third would turn job 0 from meeting its deadline into
         // missing it, so the fill stops at 2 of max 8.
-        let manual = Arc::new(rqfa_telemetry::ManualClock::new());
-        let clock: SharedClock = Arc::clone(&manual) as SharedClock;
-        let base = clock.now();
-        let estimator = Arc::new(ServiceTimeEstimator::new());
-        estimator.observe(100, 2);
-        let q = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base)
-        .with_estimator(estimator);
-        push_ok(&q, deadline_job(0, QosClass::High, base, 100));
+        let q = queue(64);
+        q.estimator().observe(100, 2);
+        push_ok(&q, deadline_job(0, QosClass::High, 0, 100));
         for id in 1..8 {
             push_ok(&q, job(id, QosClass::High));
         }
@@ -780,21 +766,9 @@ mod tests {
         // 100 µs estimated per job against a 50 µs deadline: job 0 is
         // late after its own service time alone. Capping the batch
         // cannot unmiss it, so the fill must keep going to max.
-        let manual = Arc::new(rqfa_telemetry::ManualClock::new());
-        let clock: SharedClock = Arc::clone(&manual) as SharedClock;
-        let base = clock.now();
-        let estimator = Arc::new(ServiceTimeEstimator::new());
-        estimator.observe(100, 1);
-        let q = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base)
-        .with_estimator(estimator);
-        push_ok(&q, deadline_job(0, QosClass::High, base, 50));
+        let q = queue(64);
+        q.estimator().observe(100, 1);
+        push_ok(&q, deadline_job(0, QosClass::High, 0, 50));
         for id in 1..8 {
             push_ok(&q, job(id, QosClass::High));
         }
@@ -805,26 +779,13 @@ mod tests {
     fn predictive_shedding_dooms_only_the_truly_doomed() {
         // 100 µs estimated per job. Five jobs already queued, so a
         // newcomer completes at ~(5+1)×100 = 600 µs.
-        let manual = Arc::new(rqfa_telemetry::ManualClock::new());
-        let clock: SharedClock = Arc::clone(&manual) as SharedClock;
-        let base = clock.now();
-        let estimator = Arc::new(ServiceTimeEstimator::new());
-        estimator.observe(100, 1);
-        let q = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base)
-        .with_estimator(estimator)
-        .with_predictive_shed(true);
+        let q = build(&config(64).with_predictive_shed(true));
+        q.estimator().observe(100, 1);
         for id in 0..5 {
             push_ok(&q, job(id, QosClass::Low));
         }
         // Doomed: 300 µs deadline against a 600 µs predicted completion.
-        match q.push(deadline_job(10, QosClass::Low, base, 300)) {
+        match q.push(deadline_job(10, QosClass::Low, 0, 300)) {
             Admission::Doomed { job, late_us } => {
                 assert_eq!(job.id, 10);
                 assert_eq!(late_us, 300, "predicted 600 µs against a 300 µs deadline");
@@ -832,49 +793,28 @@ mod tests {
             other => panic!("expected Doomed, got {other:?}"),
         }
         // Viable: 1 ms of slack admits normally.
-        push_ok(&q, deadline_job(11, QosClass::Low, base, 1_000));
+        push_ok(&q, deadline_job(11, QosClass::Low, 0, 1_000));
         // No deadline: nothing to predict against.
         push_ok(&q, job(12, QosClass::Low));
         // CRITICAL is never sheddable, predicted lateness or not.
-        push_ok(&q, deadline_job(13, QosClass::Critical, base, 1));
+        push_ok(&q, deadline_job(13, QosClass::Critical, 0, 1));
     }
 
     #[test]
     fn predictive_shedding_stays_dormant_when_cold_or_disabled() {
-        let manual = Arc::new(rqfa_telemetry::ManualClock::new());
-        let clock: SharedClock = Arc::clone(&manual) as SharedClock;
-        let base = clock.now();
         // Cold estimator (no samples): admit even hopeless deadlines.
-        let cold = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base)
-        .with_estimator(Arc::new(ServiceTimeEstimator::new()))
-        .with_predictive_shed(true);
+        let cold = build(&config(64).with_predictive_shed(true));
         for id in 0..5 {
             push_ok(&cold, job(id, QosClass::Low));
         }
-        push_ok(&cold, deadline_job(10, QosClass::Low, base, 1));
+        push_ok(&cold, deadline_job(10, QosClass::Low, 0, 1));
         // Feature off: a warm estimator must not shed either.
-        let estimator = Arc::new(ServiceTimeEstimator::new());
-        estimator.observe(100, 1);
-        let off = ClassQueue::new(
-            64,
-            WeightedArbiter::new(),
-            SchedMode::Edf,
-            0,
-            Arc::new(ServiceMetrics::default()),
-        )
-        .with_telemetry(Arc::clone(&clock), None, base)
-        .with_estimator(estimator);
+        let off = queue(64);
+        off.estimator().observe(100, 1);
         for id in 0..5 {
             push_ok(&off, job(id, QosClass::Low));
         }
-        push_ok(&off, deadline_job(10, QosClass::Low, base, 1));
+        push_ok(&off, deadline_job(10, QosClass::Low, 0, 1));
     }
 
     #[test]
@@ -895,6 +835,21 @@ mod tests {
         assert!(matches!(q.push(job(1, QosClass::Critical)), Admission::Refused(_)));
         assert_eq!(q.pop_batch(8).unwrap().len(), 1);
         assert!(q.pop_batch(8).is_none());
+    }
+
+    #[test]
+    fn abort_disconnects_the_backlog_and_refuses_newcomers() {
+        let q = queue(64);
+        let queued = q.admit(0, request(), QosClass::Critical, None);
+        q.abort();
+        assert_eq!(
+            queued.try_recv(),
+            Err(mpsc::TryRecvError::Disconnected),
+            "a stranded job's ticket must wake with nothing, not hang"
+        );
+        let late = q.admit(1, request(), QosClass::Critical, None);
+        assert_eq!(late.try_recv().unwrap().outcome, Outcome::ShedQueueFull);
+        assert!(q.pop_batch(8).is_none(), "nothing left to serve");
     }
 
     #[test]

@@ -64,7 +64,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rqfa_core::placement::{NodeId, Placement, ShardSite};
 use rqfa_core::{CaseMutation, Generation, QosClass, Request};
@@ -73,7 +73,7 @@ use rqfa_net::{
     FrameConn, Heartbeat, Liveness, Message, MutateAck, NetError, NetStats, RetryPolicy, TailAck,
     WireOutcome, WireReply,
 };
-use rqfa_telemetry::{clock::micros_between, EventKind, FlightRecorder, SharedClock};
+use rqfa_telemetry::{EventKind, FlightRecorder, SharedClock};
 
 use crate::{shard, AllocationService, Outcome, Reply, ServiceError};
 
@@ -294,14 +294,7 @@ fn serve_connection(
         match message {
             Message::Submit(submit) => {
                 let id = submit.id;
-                let ticket = match submit.deadline_us {
-                    Some(us) => service.submit_with_deadline(
-                        submit.request,
-                        submit.class,
-                        Duration::from_micros(us),
-                    ),
-                    None => service.submit(submit.request, submit.class),
-                };
+                let ticket = service.submit_us(submit.request, submit.class, submit.deadline_us);
                 let Some(reply) = ticket.wait() else { return };
                 let Ok(outcome) = outcome_to_wire(&reply.outcome) else {
                     return;
@@ -380,10 +373,18 @@ fn serve_connection(
 // Client side
 // ---------------------------------------------------------------------------
 
+/// A flight recorder plus the clock that stamps its events.
 struct Tracer {
     recorder: Arc<FlightRecorder>,
     clock: SharedClock,
-    epoch: Instant,
+}
+
+impl Tracer {
+    fn record(&self, request_id: u64, class: QosClass, kind: EventKind, arg: u64) {
+        #[allow(clippy::cast_possible_truncation)]
+        self.recorder
+            .record(self.clock.now_us(), request_id, class.index() as u8, kind, arg);
+    }
 }
 
 /// The client of one remote node: a cached framed connection plus the
@@ -433,19 +434,15 @@ impl RemoteShard {
     }
 
     /// Arms net-plane flight recording: every frame sent/received and
-    /// every retry/timeout lands in `recorder` stamped by `clock`
-    /// (timestamps are µs since this call).
+    /// every retry/timeout lands in `recorder` stamped with `clock`'s
+    /// µs tick — share the service's clock and the events line up with
+    /// its shard recorders.
     pub fn with_recorder(
         mut self,
         recorder: Arc<FlightRecorder>,
         clock: SharedClock,
     ) -> RemoteShard {
-        let epoch = clock.now();
-        self.tracer = Some(Tracer {
-            recorder,
-            clock,
-            epoch,
-        });
+        self.tracer = Some(Tracer { recorder, clock });
         self
     }
 
@@ -470,11 +467,7 @@ impl RemoteShard {
 
     fn record(&self, request_id: u64, class: QosClass, kind: EventKind, arg: u64) {
         if let Some(tracer) = &self.tracer {
-            let at_us = micros_between(tracer.epoch, tracer.clock.now());
-            #[allow(clippy::cast_possible_truncation)]
-            tracer
-                .recorder
-                .record(at_us, request_id, class.index() as u8, kind, arg);
+            tracer.record(request_id, class, kind, arg);
         }
     }
 
@@ -734,8 +727,8 @@ impl ClusterClient {
         class: QosClass,
         deadline: Duration,
     ) -> Reply {
-        #[allow(clippy::cast_possible_truncation)]
-        self.submit_inner(request, class, Some(deadline.as_micros() as u64))
+        let deadline_us = u64::try_from(deadline.as_micros()).unwrap_or(u64::MAX);
+        self.submit_inner(request, class, Some(deadline_us))
     }
 
     fn submit_inner(&self, request: Request, class: QosClass, deadline_us: Option<u64>) -> Reply {
@@ -746,12 +739,7 @@ impl ClusterClient {
                     .local
                     .as_ref()
                     .expect("placement routed to a local site but no local service is attached");
-                let ticket = match deadline_us {
-                    Some(us) => {
-                        service.submit_with_deadline(request, class, Duration::from_micros(us))
-                    }
-                    None => service.submit(request, class),
-                };
+                let ticket = service.submit_us(request, class, deadline_us);
                 let mut reply = ticket.wait().expect("local service answered");
                 // The local service numbers its own requests; the cluster
                 // reply carries the *cluster* id.
@@ -885,8 +873,7 @@ pub struct Supervisor {
     client: Arc<ClusterClient>,
     detector: Arc<FailureDetector>,
     standbys: HashMap<NodeId, PromoteFn>,
-    recorder: Option<Arc<FlightRecorder>>,
-    clock: Option<(SharedClock, Instant)>,
+    tracer: Option<Tracer>,
 }
 
 impl Supervisor {
@@ -899,20 +886,17 @@ impl Supervisor {
             client,
             detector,
             standbys: HashMap::new(),
-            recorder: None,
-            clock: None,
+            tracer: None,
         }
     }
 
     /// Arms flight recording: promotions land in `recorder` as
-    /// [`EventKind::NodePromoted`] stamped by `clock` (µs since this
-    /// call), with the node id in the request-id field and the new
-    /// epoch as the argument.
+    /// [`EventKind::NodePromoted`] stamped with `clock`'s µs tick, with
+    /// the node id in the request-id field and the new epoch as the
+    /// argument.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<FlightRecorder>, clock: SharedClock) -> Supervisor {
-        let epoch = clock.now();
-        self.recorder = Some(recorder);
-        self.clock = Some((clock, epoch));
+        self.tracer = Some(Tracer { recorder, clock });
         self
     }
 
@@ -972,14 +956,10 @@ impl Supervisor {
                 // lease so the next tick judges the replacement, not
                 // the corpse.
                 self.detector.beat(node_u16);
-                if let (Some(recorder), Some((clock, since))) = (&self.recorder, &self.clock) {
-                    recorder.record(
-                        micros_between(*since, clock.now()),
-                        u64::from(node_u16),
-                        0,
-                        EventKind::NodePromoted,
-                        epoch,
-                    );
+                if let Some(tracer) = &self.tracer {
+                    // Control-plane events carry class index 0.
+                    let node_id = u64::from(node_u16);
+                    tracer.record(node_id, QosClass::Critical, EventKind::NodePromoted, epoch);
                 }
                 SupervisorEvent::Promoted { node, epoch }
             }
@@ -1155,6 +1135,19 @@ mod tests {
         let stats = remote.stats();
         assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 1);
         assert_eq!(stats.frames_received.load(Ordering::Relaxed), 1);
+        // A peer-supplied deadline at the far end of the wire type must
+        // saturate, not overflow `now + deadline` on the node (which
+        // used to kill the connection thread) or wrap into the past.
+        let far = remote
+            .call_submit(rqfa_net::Submit {
+                id: 7,
+                class: QosClass::Low,
+                deadline_us: Some(u64::MAX),
+                request: paper::table1_request().unwrap(),
+            })
+            .expect("the node survives a far deadline");
+        assert!(matches!(far.outcome, WireOutcome::Allocated { .. }), "{far:?}");
+        assert_eq!(stats.retries.load(Ordering::Relaxed), 0);
         server.shutdown();
         // A killed node degrades into a bounded Unavailable, not a hang.
         let after = remote.call_submit(rqfa_net::Submit {

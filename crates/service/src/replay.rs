@@ -6,11 +6,13 @@
 //! latency histograms. That is correct for production and useless for a
 //! regression trajectory. [`TraceDriver`] removes exactly the two sources
 //! of nondeterminism — threads and the wall clock — and keeps everything
-//! else: arrivals go through the real [`ClassQueue`] (same admission
-//! limits, displacement, EDF lanes, weighted arbiter, promotions) and
-//! batches run through the real worker batch path (same coalescing,
-//! cache, plane kernel, metrics commit), all under a [`ManualClock`]
-//! driven by a single-threaded discrete-event loop.
+//! else: it drives the very `ShardCore` the live worker threads drive —
+//! arrivals enter through [`ClassQueue::admit`](crate::queue::ClassQueue::admit)
+//! (same admission limits, displacement, EDF lanes, weighted arbiter,
+//! promotions, predictive shedding) and batches run through the same
+//! `step` (same coalescing, cache, plane kernel, metrics commit), all
+//! under a [`ManualClock`] advanced by a single-threaded discrete-event
+//! loop.
 //!
 //! ## Event model
 //!
@@ -30,17 +32,13 @@
 
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 
 use rqfa_core::{CaseBase, QosClass, Request};
-use rqfa_telemetry::{EventKind, FlightRecorder, ManualClock, SharedClock, TraceDump};
+use rqfa_telemetry::{FlightRecorder, ManualClock, TraceDump};
 
-use crate::cache::RetrievalCache;
 use crate::metrics::ServiceMetrics;
-use crate::queue::{Admission, ClassQueue};
-use crate::sched::ServiceTimeEstimator;
-use crate::shard::{self, ShardStore, WorkerContext};
-use crate::{Job, MetricsSnapshot, Outcome, Reply, ServiceConfig};
+use crate::shard::{self, ShardCore, ShardStore};
+use crate::{MetricsSnapshot, Reply, ServiceConfig};
 
 /// Deterministic service-time model of one dispatched batch.
 #[derive(Debug, Clone, Copy)]
@@ -94,14 +92,10 @@ pub struct TraceReport {
     pub trace: TraceDump,
 }
 
-/// One replayed shard: real queue, real worker context, a free-at stamp,
-/// and the shard's service-time estimator (fed from the cost model, so
-/// the adaptive scheduler modes close their loop deterministically).
+/// One replayed shard: the real shard core plus the tick it is busy
+/// until.
 struct ReplayShard {
-    queue: ClassQueue,
-    store: ShardStore,
-    ctx: WorkerContext,
-    estimator: Arc<ServiceTimeEstimator>,
+    core: ShardCore,
     free_at_us: u64,
 }
 
@@ -134,43 +128,23 @@ impl TraceDriver {
     /// Deterministic: identical inputs give an identical report.
     pub fn run(&self, arrivals: &[TraceArrival]) -> TraceReport {
         let clock = Arc::new(ManualClock::new());
-        let shared: SharedClock = Arc::clone(&clock) as SharedClock;
-        let epoch = shared.now();
+        let mut config = self.config.clone();
+        config.clock = Arc::clone(&clock) as _;
         let metrics = Arc::new(ServiceMetrics::default());
-        let recorder = Arc::new(FlightRecorder::new(self.config.trace_capacity));
+        // One ring for the whole replay (the live service keeps one per
+        // shard): the dump is then a single globally ordered stream.
+        let recorder = Arc::new(FlightRecorder::new(config.trace_capacity));
 
-        let mut shards: Vec<ReplayShard> = shard::partition(&self.case_base, self.config.shards)
+        let mut shards: Vec<ReplayShard> = shard::partition(&self.case_base, config.shards)
             .into_iter()
-            .map(|slice| {
-                let store = match slice {
-                    Some(cb) => ShardStore::Ephemeral(cb),
-                    None => ShardStore::Empty,
-                };
-                let estimator = Arc::new(ServiceTimeEstimator::new());
-                let queue = ClassQueue::new(
-                    self.config.queue_capacity,
-                    self.config.arbiter(),
-                    self.config.scheduling,
-                    self.config.promotion_margin_us,
+            .map(|slice| ReplayShard {
+                core: ShardCore::new(
+                    ShardStore::ephemeral(slice),
+                    &config,
                     Arc::clone(&metrics),
-                )
-                .with_telemetry(Arc::clone(&shared), Some(Arc::clone(&recorder)), epoch)
-                .with_estimator(Arc::clone(&estimator));
-                let cache = RetrievalCache::with_policy(
-                    self.config.cache_capacity,
-                    self.config.cache_policy,
-                    self.config.cache_admission,
-                );
-                let ctx = WorkerContext::new(cache)
-                    .with_kernel(self.config.kernel_path)
-                    .with_telemetry(Arc::clone(&shared), Some(Arc::clone(&recorder)), epoch);
-                ReplayShard {
-                    queue,
-                    store,
-                    ctx,
-                    estimator,
-                    free_at_us: 0,
-                }
+                    Some(Arc::clone(&recorder)),
+                ),
+                free_at_us: 0,
             })
             .collect();
 
@@ -178,7 +152,6 @@ impl TraceDriver {
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
         order.sort_by_key(|&i| arrivals[i].at_us);
 
-        let batch_size = self.config.batch_size.max(1);
         let mut receivers: Vec<mpsc::Receiver<Reply>> = Vec::with_capacity(arrivals.len());
         let mut next = 0usize; // index into `order`
         loop {
@@ -186,7 +159,7 @@ impl TraceDriver {
             let next_arrival = order.get(next).map(|&i| arrivals[i].at_us);
             let next_free = shards
                 .iter()
-                .filter(|s| !s.queue.is_empty())
+                .filter(|s| !s.core.queue.is_empty())
                 .map(|s| s.free_at_us)
                 .min();
             let t = match (next_arrival, next_free) {
@@ -200,31 +173,38 @@ impl TraceDriver {
             // Arrivals first at equal instants: in the live service a job
             // must be queued before a worker can pick it up.
             while let Some(&i) = order.get(next) {
-                if arrivals[i].at_us > t {
+                let arrival = &arrivals[i];
+                if arrival.at_us > t {
                     break;
                 }
-                receivers.push(self.submit(&shards, &metrics, &recorder, &shared, epoch, i as u64, &arrivals[i]));
+                let owner = shard::route(arrival.request.type_id(), shards.len());
+                receivers.push(shards[owner].core.queue.admit(
+                    i as u64,
+                    arrival.request.clone(),
+                    arrival.class,
+                    arrival.deadline_us,
+                ));
                 next += 1;
             }
 
             // Then every free, backlogged shard dispatches one batch,
             // processed at `t` and occupying the shard for its cost.
             for shard in &mut shards {
-                if shard.free_at_us > t || shard.queue.is_empty() {
+                if shard.free_at_us > t || shard.core.queue.is_empty() {
                     continue;
                 }
-                let batch = shard
-                    .queue
-                    .pop_batch(batch_size)
-                    .expect("backlogged queue yields a batch");
-                let served = batch.len();
-                shard::process_batch(batch, &shard.store, &metrics, &mut shard.ctx);
+                let served = shard
+                    .core
+                    .step()
+                    .expect("backlogged queue yields a batch")
+                    .served;
                 let batch_us = self.cost.batch_us(served);
-                // The live worker measures elapsed wall time around the
-                // batch; here the cost model *is* the truth, so the
-                // estimator sees exactly what the event loop charges —
-                // the adaptive modes replay bit-identically.
-                shard.estimator.observe(batch_us, served);
+                // The live driver feeds the estimator the clock time it
+                // measured around the step; here the cost model *is* the
+                // truth, so the estimator sees exactly what the event
+                // loop charges — the adaptive modes replay
+                // bit-identically.
+                shard.core.queue.estimator().observe(batch_us, served);
                 shard.free_at_us = t + batch_us;
             }
         }
@@ -240,89 +220,12 @@ impl TraceDriver {
             trace: recorder.drain(),
         }
     }
-
-    /// The front-end half of the live service's `submit_inner`, inline:
-    /// same metrics, same admission handling, same trace events.
-    #[allow(clippy::too_many_arguments)]
-    fn submit(
-        &self,
-        shards: &[ReplayShard],
-        metrics: &ServiceMetrics,
-        recorder: &FlightRecorder,
-        clock: &SharedClock,
-        epoch: std::time::Instant,
-        id: u64,
-        arrival: &TraceArrival,
-    ) -> mpsc::Receiver<Reply> {
-        let class = arrival.class;
-        metrics.class(class).submitted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let (reply_tx, rx) = mpsc::channel();
-        let shard = &shards[shard::route(arrival.request.type_id(), shards.len())];
-        let now = clock.now();
-        let at_us = rqfa_telemetry::clock::micros_between(epoch, now);
-        let record = |request_id: u64, class: QosClass, kind: EventKind, arg: u64| {
-            recorder.record(at_us, request_id, class.index() as u8, kind, arg);
-        };
-        record(id, class, EventKind::Submitted, 0);
-        let budget = if class.sheddable() {
-            self.config.deadline_budget_us[class.index()].map(Duration::from_micros)
-        } else {
-            None
-        };
-        let deadline = arrival
-            .deadline_us
-            .map(Duration::from_micros)
-            .or(budget)
-            .map(|d| now + d);
-        let job = Job {
-            id,
-            class,
-            request: arrival.request.clone(),
-            enqueued_at: now,
-            deadline,
-            reply_tx,
-        };
-        match shard.queue.push(job) {
-            Admission::Admitted => {
-                record(id, class, EventKind::Admitted, 0);
-            }
-            Admission::Displaced(victim) => {
-                record(id, class, EventKind::Admitted, 0);
-                record(victim.id, victim.class, EventKind::Displaced, id);
-                record(victim.id, victim.class, EventKind::ShedQueueFull, 0);
-                metrics
-                    .class(victim.class)
-                    .shed_queue_full
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let waited = rqfa_telemetry::clock::micros_between(victim.enqueued_at, now);
-                victim.reply(Outcome::ShedQueueFull, waited, metrics);
-            }
-            Admission::Refused(job) => {
-                record(id, class, EventKind::Refused, 0);
-                record(id, class, EventKind::ShedQueueFull, 0);
-                metrics
-                    .class(class)
-                    .shed_queue_full
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                job.reply(Outcome::ShedQueueFull, 0, metrics);
-            }
-            Admission::Doomed { job, late_us } => {
-                record(id, class, EventKind::Refused, 0);
-                record(id, class, EventKind::ShedPredicted, late_us);
-                metrics
-                    .class(class)
-                    .shed_predicted
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                job.reply(Outcome::ShedPredicted { late_us }, 0, metrics);
-            }
-        }
-        rx
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Outcome;
     use rqfa_core::paper;
 
     fn arrivals(n: u64, gap_us: u64) -> Vec<TraceArrival> {
@@ -422,5 +325,43 @@ mod tests {
         let report = driver.run(&trace);
         assert_eq!(report.replies[1].outcome, Outcome::ShedDeadline);
         assert_eq!(report.metrics.class(QosClass::Low).shed_deadline, 1);
+    }
+    #[test]
+    fn replay_honours_predictive_shedding() {
+        // Regression: the replay used to wire its queues by hand and
+        // left `predictive_shed` out, so a replay silently ignored the
+        // setting. 10 ms per batch against 500 µs deadlines arriving
+        // every 100 µs: once the first batch has warmed the estimator,
+        // every queued LOW arrival is predictably late and must be
+        // refused at the door, exactly as the live service does.
+        let cb = paper::table1_case_base();
+        let config = ServiceConfig::default()
+            .with_shards(1)
+            .with_batch_size(1)
+            .with_predictive_shed(true);
+        let cost = CostModel {
+            dispatch_overhead_us: 10_000,
+            per_request_us: 0,
+        };
+        let trace: Vec<TraceArrival> = (0..32)
+            .map(|i| TraceArrival {
+                at_us: i * 100,
+                class: QosClass::Low,
+                deadline_us: Some(500),
+                request: paper::table1_request().unwrap(),
+            })
+            .collect();
+        let report = TraceDriver::new(&cb, &config, cost).run(&trace);
+        let predicted = report
+            .replies
+            .iter()
+            .filter(|r| matches!(r.outcome, Outcome::ShedPredicted { .. }))
+            .count() as u64;
+        assert!(predicted >= 1, "a saturating deadlined trace must shed predictively");
+        assert_eq!(report.metrics.class(QosClass::Low).shed_predicted, predicted);
+        // The same trace with the lever off sheds only at dispatch.
+        let off = TraceDriver::new(&cb, &config.with_predictive_shed(false), cost).run(&trace);
+        assert_eq!(off.metrics.class(QosClass::Low).shed_predicted, 0);
+        assert!(off.metrics.class(QosClass::Low).shed_deadline > 0);
     }
 }

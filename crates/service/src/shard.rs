@@ -1,13 +1,16 @@
-//! The sharded case-base store and its worker threads.
+//! The sharded case-base store, the shard core and its drivers.
 //!
 //! Function types are partitioned across N shards by `TypeId` (modulo N —
-//! type ids are dense in practice, so the spread is even). Each shard owns
-//! a private [`CaseBase`] slice behind a mutex, a private
-//! [`RetrievalCache`], a [`ClassQueue`] and one worker thread running a
-//! [`PlaneEngine`]. Because retrieval only ever touches the requested
-//! type's subtree, a shard answers exactly as the single big engine would
-//! over the merged case base — sharding changes *where* a request runs,
-//! never *what* it answers (the integration suite asserts this).
+//! type ids are dense in practice, so the spread is even). Each shard is
+//! one `ShardCore`: a private [`CaseBase`] slice behind a mutex, a private
+//! [`RetrievalCache`], a [`ClassQueue`] and a [`PlaneEngine`], built by
+//! one constructor and run through one path — `ClassQueue::admit` in,
+//! `ShardCore::step` out. The live service drives it from a worker
+//! thread, the replay from its event loop, the [`BatchHarness`] by hand.
+//! Because retrieval only ever touches the requested type's subtree, a
+//! shard answers exactly as the single big engine would over the merged
+//! case base — sharding changes *where* a request runs, never *what* it
+//! answers (the integration suite asserts this).
 //!
 //! Mutations (retain/revise/evict) lock the owning shard's case base
 //! directly; the bumped generation counter invalidates that shard's cache
@@ -30,18 +33,16 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use rqfa_core::{CaseBase, CaseMutation, CoreError, Generation, PlaneEngine, Retrieval, TypeId};
 use rqfa_fixed::Q15;
 use rqfa_persist::{DurableCaseBase, FileStore, PendingCheckpoint, PersistError, WrittenCheckpoint};
-use rqfa_telemetry::{clock::micros_between, monotonic, EventKind, FlightRecorder, SharedClock, TraceDump};
+use rqfa_telemetry::{EventKind, FlightRecorder};
 
 use crate::cache::{CacheLookup, RetrievalCache};
 use crate::error::ServiceError;
 use crate::metrics::{BatchDeltas, ServiceMetrics};
 use crate::queue::ClassQueue;
-use crate::sched::ServiceTimeEstimator;
 use crate::{Job, Outcome, Reply, ServiceConfig};
 
 /// Routes a function type to its owning shard — the service's placement
@@ -104,6 +105,12 @@ pub(crate) enum ShardStore {
 }
 
 impl ShardStore {
+    /// An in-memory store over one [`partition`] slice (`None` = no
+    /// type routes to the shard).
+    pub(crate) fn ephemeral(slice: Option<CaseBase>) -> ShardStore {
+        slice.map_or(ShardStore::Empty, ShardStore::Ephemeral)
+    }
+
     /// The case base served by this shard, if any.
     pub(crate) fn case_base(&self) -> Option<&CaseBase> {
         match self {
@@ -177,12 +184,12 @@ impl ShardStore {
     }
 }
 
-/// One shard: queue, store, worker thread, and checkpoint cadence.
+/// One live shard: the thread-loop driver of a [`ShardCore`], plus the
+/// handles the service front end keeps (queue to admit into, store to
+/// mutate) and the checkpoint cadence.
 pub(crate) struct Shard {
     pub(crate) queue: Arc<ClassQueue>,
     pub(crate) store: Arc<Mutex<ShardStore>>,
-    /// This shard's flight recorder (`None` = tracing disabled).
-    pub(crate) recorder: Option<Arc<FlightRecorder>>,
     /// Serializes checkpoints against each other (never against the
     /// store lock — retrievals keep flowing during checkpoint I/O).
     checkpoint_lock: Mutex<()>,
@@ -196,14 +203,17 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Spawns the shard worker over `store`. `epoch` is the service-wide
-    /// zero point of trace timestamps.
+    /// Spawns the live driver of a shard core over `store`: a thread
+    /// stepping the core until the queue is shut down and drained,
+    /// feeding each step's *measured* duration (store-lock wait included
+    /// — the next lane head waits that out too) to the scheduler's
+    /// estimator. Under a frozen `ManualClock` every measurement is 0 and
+    /// the scheduler keeps its configured margins.
     pub(crate) fn spawn(
         index: usize,
         store: ShardStore,
         config: &ServiceConfig,
         metrics: Arc<ServiceMetrics>,
-        epoch: Instant,
     ) -> Shard {
         // Only durable stores have anything to checkpoint; an ephemeral
         // shard with a live cadence would pointlessly re-take the store
@@ -213,53 +223,22 @@ impl Shard {
             ShardStore::Durable(_) => config.snapshot_every,
             _ => 0,
         };
-        let recorder = (config.trace_capacity > 0)
-            .then(|| Arc::new(FlightRecorder::new(config.trace_capacity)));
-        // The measured service-time signal: the worker writes what each
-        // batch actually cost, the queue reads it to size DYNAMIC_PRIORITY
-        // urgency margins and stop deadline-breaking batch fill.
-        let estimator = Arc::new(ServiceTimeEstimator::new());
-        let queue = Arc::new(
-            ClassQueue::new(
-                config.queue_capacity,
-                config.arbiter(),
-                config.scheduling,
-                config.promotion_margin_us,
-                Arc::clone(&metrics),
-            )
-            .with_telemetry(Arc::clone(&config.clock), recorder.clone(), epoch)
-            .with_estimator(Arc::clone(&estimator))
-            .with_predictive_shed(config.predictive_shed),
-        );
-        let store = Arc::new(Mutex::new(store));
-        let worker_queue = Arc::clone(&queue);
-        let worker_store = Arc::clone(&store);
-        let batch_size = config.batch_size.max(1);
-        let cache = RetrievalCache::with_policy(
-            config.cache_capacity,
-            config.cache_policy,
-            config.cache_admission,
-        );
-        let ctx = WorkerContext::new(cache)
-            .with_kernel(config.kernel_path)
-            .with_telemetry(Arc::clone(&config.clock), recorder.clone(), epoch);
+        let mut core = ShardCore::new(store, config, metrics, None);
+        let queue = Arc::clone(&core.queue);
+        let store = Arc::clone(&core.store);
         let worker = std::thread::Builder::new()
             .name(format!("rqfa-shard-{index}"))
             .spawn(move || {
-                run_worker(
-                    &worker_queue,
-                    &worker_store,
-                    &metrics,
-                    batch_size,
-                    ctx,
-                    &estimator,
-                );
+                // `core` is dropped when this thread exits — by return or
+                // by panic — which tears the queue down (see its `Drop`).
+                while let Some(report) = core.step() {
+                    core.queue.estimator().observe(report.elapsed_us, report.served);
+                }
             })
             .expect("spawn shard worker");
         Shard {
             queue,
             store,
-            recorder,
             checkpoint_lock: Mutex::new(()),
             since_checkpoint: AtomicU64::new(0),
             snapshot_every,
@@ -414,6 +393,99 @@ impl Drop for Shard {
     }
 }
 
+/// What one [`ShardCore::step`] did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepReport {
+    /// Jobs in the processed batch.
+    pub(crate) served: usize,
+    /// Clock µs from before the store lock was taken to after the last
+    /// reply was sent.
+    pub(crate) elapsed_us: u64,
+}
+
+/// One shard's whole request path, driver-agnostic: the front half
+/// ([`ClassQueue::admit`] on [`ShardCore::queue`]) turns requests into
+/// queued jobs, the worker half ([`ShardCore::step`]) turns queued jobs
+/// into replies. The live service steps it from a thread loop, the
+/// deterministic replay from its discrete-event loop, and the
+/// [`BatchHarness`] hands [`ShardCore::run`] caller-built batches — one
+/// constructor, one execution path, three drivers.
+pub(crate) struct ShardCore {
+    /// The front half; also holds what both halves share — the
+    /// configuration (with its clock), the metrics block and the flight
+    /// recorder.
+    pub(crate) queue: Arc<ClassQueue>,
+    pub(crate) store: Arc<Mutex<ShardStore>>,
+    ctx: WorkerContext,
+}
+
+impl ShardCore {
+    /// Wires one shard from `config`: queue (with its estimator), result
+    /// cache, plane engine and flight recorder, all on `config.clock`,
+    /// counting into `metrics`. The recorder is a ring of the shard's
+    /// own, sized by `config.trace_capacity` (0 = tracing off), unless
+    /// the driver passes one to share across shards.
+    pub(crate) fn new(
+        store: ShardStore,
+        config: &ServiceConfig,
+        metrics: Arc<ServiceMetrics>,
+        shared_recorder: Option<Arc<FlightRecorder>>,
+    ) -> ShardCore {
+        let capacity = config.trace_capacity;
+        let recorder = shared_recorder
+            .or_else(|| (capacity > 0).then(|| Arc::new(FlightRecorder::new(capacity))));
+        ShardCore {
+            queue: Arc::new(ClassQueue::new(config, metrics, recorder)),
+            store: Arc::new(Mutex::new(store)),
+            ctx: WorkerContext {
+                engine: PlaneEngine::with_kernel(config.kernel_path),
+                cache: RetrievalCache::with_policy(
+                    config.cache_capacity,
+                    config.cache_policy,
+                    config.cache_admission,
+                ),
+                results: Vec::new(),
+                seen: HashMap::new(),
+                followers: Vec::new(),
+                deltas: BatchDeltas::default(),
+            },
+        }
+    }
+
+    /// Pops the next batch (blocking while the queue is empty) and runs
+    /// it. `None` once the queue is shut down and drained — the
+    /// driver's signal to stop.
+    pub(crate) fn step(&mut self) -> Option<StepReport> {
+        let batch = self.queue.pop_batch(self.queue.config.batch_size.max(1))?;
+        Some(self.run(batch))
+    }
+
+    /// Runs one batch against the (locked) store.
+    pub(crate) fn run(&mut self, batch: Vec<Job>) -> StepReport {
+        let served = batch.len();
+        let started = self.queue.config.clock.now_us();
+        let store = self.store.lock().expect("store poisoned");
+        process_batch(batch, &store, &self.queue, &mut self.ctx);
+        drop(store);
+        StepReport {
+            served,
+            elapsed_us: self.queue.config.clock.now_us().saturating_sub(started),
+        }
+    }
+}
+
+/// Dropping the core — the worker half — leaves nobody to serve the
+/// queue, so the queue goes with it: shut, backlog dropped unanswered.
+/// A no-op after a drained shutdown; if a live worker thread dies
+/// instead (a panic under the poisoned store lock), queued tickets wake
+/// with `None` and later submits are refused on the spot, instead of
+/// both waiting forever on a thread that is gone.
+impl Drop for ShardCore {
+    fn drop(&mut self) {
+        self.queue.abort();
+    }
+}
+
 /// The reusable per-worker state of the retrieval hot path: the compiled
 /// plane engine (scratch arena + plane, recompiled on generation change),
 /// the shard's result cache, and the batch-local coalescing buffers.
@@ -421,7 +493,7 @@ impl Drop for Shard {
 /// Everything here is sized by the first few batches and reused after, so
 /// the steady-state engine path allocates nothing per request (the
 /// per-batch job vectors from the queue are the only churn).
-pub(crate) struct WorkerContext {
+struct WorkerContext {
     engine: PlaneEngine,
     cache: RetrievalCache,
     /// Engine results of the current batch's leaders, reused.
@@ -430,94 +502,56 @@ pub(crate) struct WorkerContext {
     seen: HashMap<u64, usize>,
     /// Coalesced within-batch duplicates: `(leader index, job)`.
     followers: Vec<(usize, Job)>,
-    /// Injected time source (stamps batches and latencies).
-    clock: SharedClock,
-    /// Zero point of trace timestamps.
-    epoch: Instant,
-    /// Flight recorder for pipeline events (`None` = tracing off).
-    recorder: Option<Arc<FlightRecorder>>,
     /// The current batch's outcome deltas, committed batch-atomically.
     deltas: BatchDeltas,
 }
 
-impl WorkerContext {
-    pub(crate) fn new(cache: RetrievalCache) -> WorkerContext {
-        let clock = monotonic();
-        let epoch = clock.now();
-        WorkerContext {
-            engine: PlaneEngine::new(),
-            cache,
-            results: Vec::new(),
-            seen: HashMap::new(),
-            followers: Vec::new(),
-            clock,
-            epoch,
-            recorder: None,
-            deltas: BatchDeltas::default(),
-        }
-    }
-
-    /// Pins the worker engine's kernel path (see
-    /// [`ServiceConfig::kernel_path`](crate::ServiceConfig::kernel_path)).
-    pub(crate) fn with_kernel(mut self, path: rqfa_core::KernelPath) -> WorkerContext {
-        self.engine = PlaneEngine::with_kernel(path);
-        self
-    }
-
-    /// Replaces the worker's time source and flight recorder.
-    pub(crate) fn with_telemetry(
-        mut self,
-        clock: SharedClock,
-        recorder: Option<Arc<FlightRecorder>>,
-        epoch: Instant,
-    ) -> WorkerContext {
-        self.clock = clock;
-        self.recorder = recorder;
-        self.epoch = epoch;
-        self
-    }
+/// One batch's stamp: the single clock read that every event, deadline
+/// check and reply latency of the batch shares (which keeps a
+/// manual-clock replay exactly reproducible), plus where the batch's
+/// events and latency samples go.
+struct BatchStamp<'a> {
+    now: u64,
+    queue: &'a ClassQueue,
 }
 
-/// The worker loop: pop a batch, process it against the (locked) store,
-/// and feed the measured service time (store-lock wait included — it is
-/// part of what the next lane head will wait out) back to the
-/// scheduler's estimator. Under a frozen [`ManualClock`]
-/// (`rqfa_telemetry::ManualClock`) every measurement is 0, so the
-/// estimator stays cold and the scheduler keeps its configured margins —
-/// deterministic tests see the historical behaviour.
-fn run_worker(
-    queue: &ClassQueue,
-    store: &Mutex<ShardStore>,
-    metrics: &ServiceMetrics,
-    batch_size: usize,
-    mut ctx: WorkerContext,
-    estimator: &ServiceTimeEstimator,
-) {
-    while let Some(batch) = queue.pop_batch(batch_size) {
-        if batch.is_empty() {
-            continue;
-        }
-        let served = batch.len();
-        let started = ctx.clock.now();
-        let store = store.lock().expect("store poisoned");
-        process_batch(batch, &store, metrics, &mut ctx);
-        drop(store);
-        estimator.observe(micros_between(started, ctx.clock.now()), served);
-    }
-}
-
-/// One batch's trace stamp: the recorder (if tracing) plus the batch
-/// timestamp every event of this batch carries.
-struct BatchTrace<'a> {
-    at_us: u64,
-    recorder: Option<&'a FlightRecorder>,
-}
-
-impl BatchTrace<'_> {
+impl BatchStamp<'_> {
     fn record(&self, job: &Job, kind: EventKind, arg: u64) {
-        if let Some(recorder) = self.recorder {
-            recorder.record(self.at_us, job.id, job.class.index() as u8, kind, arg);
+        self.queue.trace(self.now, job.id, job.class, kind, arg);
+    }
+
+    /// Answers `job`, its latency judged at the batch stamp.
+    fn reply(&self, job: Job, outcome: Outcome) {
+        let latency_us = self.now.saturating_sub(job.enqueued_at);
+        job.reply(outcome, latency_us, &self.queue.metrics);
+    }
+
+    /// Answers `job` as failed.
+    fn fail(&self, job: Job, error: CoreError, deltas: &mut BatchDeltas) {
+        deltas.class(job.class).failed += 1;
+        self.record(&job, EventKind::Failed, 0);
+        self.reply(job, Outcome::Failed(error));
+    }
+
+    /// Completes `job` with a retrieval result.
+    fn finish(&self, job: Job, retrieval: Retrieval<Q15>, cached: bool, deltas: &mut BatchDeltas) {
+        // Served, but late? CRITICAL is never shed, so an expired deadline
+        // surfaces here as a miss instead.
+        if job.deadline.is_some_and(|d| self.now > d) {
+            deltas.class(job.class).missed_deadline += 1;
         }
+        let Some(best) = retrieval.best else {
+            // Unreachable for a validated case base; reported honestly anyway.
+            let type_id = job.request.type_id();
+            return self.fail(job, CoreError::UnknownType { type_id }, deltas);
+        };
+        deltas.class(job.class).completed += 1;
+        if cached {
+            deltas.class(job.class).cache_hits += 1;
+        }
+        self.record(&job, EventKind::Replied, u64::from(cached));
+        let evaluated = retrieval.evaluated;
+        self.reply(job, Outcome::Allocated { best, evaluated, cached });
     }
 }
 
@@ -533,24 +567,19 @@ impl BatchTrace<'_> {
 /// filter is told about each coalesced repeat
 /// ([`RetrievalCache::note_repeat`]) so the leader's insert is not
 /// bounced as a one-hit wonder. Normative semantics: `docs/retrieval.md`.
-pub(crate) fn process_batch(
+fn process_batch(
     batch: Vec<Job>,
     store: &ShardStore,
-    metrics: &ServiceMetrics,
+    queue: &ClassQueue,
     ctx: &mut WorkerContext,
 ) {
+    let metrics = &*queue.metrics;
     metrics.batches.fetch_add(1, Ordering::Relaxed);
     metrics
         .batched_requests
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    // One clock read stamps the whole batch: dispatch events, deadline
-    // checks and reply latencies all see the same `now`, which keeps a
-    // manual-clock replay exactly reproducible.
-    let now = ctx.clock.now();
-    let trace = BatchTrace {
-        at_us: micros_between(ctx.epoch, now),
-        recorder: ctx.recorder.as_deref(),
-    };
+    let now = queue.config.clock.now_us();
+    let stamp = BatchStamp { now, queue };
     let generation = store.generation();
 
     // Pass 1: deadline shedding, cache lookups, duplicate coalescing.
@@ -559,15 +588,12 @@ pub(crate) fn process_batch(
     let mut pending: Vec<(u64, Job)> = Vec::with_capacity(batch.len());
     ctx.seen.clear();
     for job in batch {
-        trace.record(&job, EventKind::Dispatched, 0);
-        let waited_us = micros_between(job.enqueued_at, now);
-        if let Some(deadline) = job.deadline {
-            if job.class.sheddable() && now > deadline {
-                ctx.deltas.class(job.class).shed_deadline += 1;
-                trace.record(&job, EventKind::ShedDeadline, 0);
-                job.reply(Outcome::ShedDeadline, waited_us, metrics);
-                continue;
-            }
+        stamp.record(&job, EventKind::Dispatched, 0);
+        if job.class.sheddable() && job.deadline.is_some_and(|d| stamp.now > d) {
+            ctx.deltas.class(job.class).shed_deadline += 1;
+            stamp.record(&job, EventKind::ShedDeadline, 0);
+            stamp.reply(job, Outcome::ShedDeadline);
+            continue;
         }
         let fingerprint = job.request.fingerprint();
         if let Some(&leader) = ctx.seen.get(&fingerprint) {
@@ -578,8 +604,8 @@ pub(crate) fn process_batch(
         }
         match ctx.cache.lookup_outcome(fingerprint, generation) {
             CacheLookup::Hit(hit) => {
-                trace.record(&job, EventKind::CacheHit, 0);
-                finish(job, hit, true, now, &trace, &mut ctx.deltas, metrics);
+                stamp.record(&job, EventKind::CacheHit, 0);
+                stamp.finish(job, hit, true, &mut ctx.deltas);
                 continue;
             }
             CacheLookup::Miss { stale } => {
@@ -587,9 +613,9 @@ pub(crate) fn process_batch(
                 deltas.cache_misses += 1;
                 if stale {
                     deltas.cache_stale += 1;
-                    trace.record(&job, EventKind::CacheStale, 0);
+                    stamp.record(&job, EventKind::CacheStale, 0);
                 } else {
-                    trace.record(&job, EventKind::CacheMiss, 0);
+                    stamp.record(&job, EventKind::CacheMiss, 0);
                 }
             }
         }
@@ -603,87 +629,57 @@ pub(crate) fn process_batch(
             debug_assert!(ctx.followers.is_empty(), "followers imply a leader");
             break 'serve;
         }
-        match store.case_base() {
-            Some(case_base) => {
-                {
-                    let requests: Vec<&rqfa_core::Request> =
-                        pending.iter().map(|(_, j)| &j.request).collect();
-                    ctx.engine
-                        .retrieve_batch_into(case_base, &requests, &mut ctx.results);
+        let Some(case_base) = store.case_base() else {
+            // Empty shard: no type routes here, so the type is unknown
+            // (a follower's probe-that-never-was counts as a miss, as
+            // below).
+            for (_, job) in ctx.followers.drain(..) {
+                ctx.deltas.class(job.class).cache_misses += 1;
+                let type_id = job.request.type_id();
+                stamp.fail(job, CoreError::UnknownType { type_id }, &mut ctx.deltas);
+            }
+            for (_, job) in pending {
+                let type_id = job.request.type_id();
+                stamp.fail(job, CoreError::UnknownType { type_id }, &mut ctx.deltas);
+            }
+            break 'serve;
+        };
+        {
+            let requests: Vec<&rqfa_core::Request> =
+                pending.iter().map(|(_, j)| &j.request).collect();
+            ctx.engine
+                .retrieve_batch_into(case_base, &requests, &mut ctx.results);
+        }
+        let generation = case_base.generation();
+        for result in ctx.results.iter().flatten() {
+            ctx.deltas.add_ops(&result.ops);
+        }
+        // Followers first (they read the leaders' results), counted as
+        // cache hits — the coalesced "1 miss + N−1 hits" account.
+        for (leader, job) in ctx.followers.drain(..) {
+            match &ctx.results[leader] {
+                Ok(retrieval) => {
+                    stamp.record(&job, EventKind::CacheHit, 1);
+                    stamp.finish(job, retrieval.clone(), true, &mut ctx.deltas);
                 }
-                let generation = case_base.generation();
-                for result in ctx.results.iter().flatten() {
-                    ctx.deltas.add_ops(&result.ops);
-                }
-                // Followers first (they read the leaders' results), counted
-                // as cache hits — the coalesced "1 miss + N−1 hits" account.
-                for (leader, job) in ctx.followers.drain(..) {
-                    match &ctx.results[leader] {
-                        Ok(retrieval) => {
-                            trace.record(&job, EventKind::CacheHit, 1);
-                            finish(
-                                job,
-                                retrieval.clone(),
-                                true,
-                                now,
-                                &trace,
-                                &mut ctx.deltas,
-                                metrics,
-                            );
-                        }
-                        Err(error) => {
-                            // A failed leader fails its followers identically;
-                            // the follower's probe-that-never-was counts as a
-                            // miss so per-class cache counters keep summing to
-                            // the served total.
-                            let deltas = ctx.deltas.class(job.class);
-                            deltas.cache_misses += 1;
-                            deltas.failed += 1;
-                            trace.record(&job, EventKind::Failed, 0);
-                            let waited_us = micros_between(job.enqueued_at, now);
-                            job.reply(Outcome::Failed(error.clone()), waited_us, metrics);
-                        }
-                    }
-                }
-                for ((fingerprint, job), result) in pending.into_iter().zip(ctx.results.drain(..)) {
-                    match result {
-                        Ok(retrieval) => {
-                            trace.record(&job, EventKind::Scored, retrieval.evaluated as u64);
-                            ctx.cache.insert(fingerprint, generation, &retrieval);
-                            finish(job, retrieval, false, now, &trace, &mut ctx.deltas, metrics);
-                        }
-                        Err(error) => {
-                            ctx.deltas.class(job.class).failed += 1;
-                            trace.record(&job, EventKind::Failed, 0);
-                            let waited_us = micros_between(job.enqueued_at, now);
-                            job.reply(Outcome::Failed(error), waited_us, metrics);
-                        }
-                    }
+                Err(error) => {
+                    // A failed leader fails its followers identically; the
+                    // follower's probe-that-never-was counts as a miss so
+                    // per-class cache counters keep summing to the served
+                    // total.
+                    ctx.deltas.class(job.class).cache_misses += 1;
+                    stamp.fail(job, error.clone(), &mut ctx.deltas);
                 }
             }
-            None => {
-                // Empty shard: no type routes here, so the type is unknown.
-                let mut fail = |job: Job, count_miss: bool| {
-                    let deltas = ctx.deltas.class(job.class);
-                    if count_miss {
-                        deltas.cache_misses += 1;
-                    }
-                    deltas.failed += 1;
-                    trace.record(&job, EventKind::Failed, 0);
-                    let type_id = job.request.type_id();
-                    let waited_us = micros_between(job.enqueued_at, now);
-                    job.reply(
-                        Outcome::Failed(CoreError::UnknownType { type_id }),
-                        waited_us,
-                        metrics,
-                    );
-                };
-                for (_, job) in ctx.followers.drain(..) {
-                    fail(job, true);
+        }
+        for ((fingerprint, job), result) in pending.into_iter().zip(ctx.results.drain(..)) {
+            match result {
+                Ok(retrieval) => {
+                    stamp.record(&job, EventKind::Scored, retrieval.evaluated as u64);
+                    ctx.cache.insert(fingerprint, generation, &retrieval);
+                    stamp.finish(job, retrieval, false, &mut ctx.deltas);
                 }
-                for (_, job) in pending {
-                    fail(job, false);
-                }
+                Err(error) => stamp.fail(job, error, &mut ctx.deltas),
             }
         }
     }
@@ -692,49 +688,6 @@ pub(crate) fn process_batch(
     // invariant the observability suite samples under load).
     metrics.commit(&ctx.deltas);
     ctx.deltas.clear();
-}
-
-/// Completes one job with a retrieval result. Latency and deadline
-/// misses are judged against the batch's `now` stamp.
-fn finish(
-    job: Job,
-    retrieval: rqfa_core::Retrieval<rqfa_fixed::Q15>,
-    cached: bool,
-    now: Instant,
-    trace: &BatchTrace<'_>,
-    deltas: &mut BatchDeltas,
-    metrics: &ServiceMetrics,
-) {
-    let class = job.class;
-    let latency_us = micros_between(job.enqueued_at, now);
-    // Served, but late? CRITICAL is never shed, so an expired deadline
-    // surfaces here as a miss instead.
-    if job.deadline.is_some_and(|d| now > d) {
-        deltas.class(class).missed_deadline += 1;
-    }
-    let outcome = match retrieval.best {
-        Some(best) => {
-            deltas.class(class).completed += 1;
-            if cached {
-                deltas.class(class).cache_hits += 1;
-            }
-            trace.record(&job, EventKind::Replied, u64::from(cached));
-            Outcome::Allocated {
-                best,
-                evaluated: retrieval.evaluated,
-                cached,
-            }
-        }
-        // Unreachable for a validated case base; reported honestly anyway.
-        None => {
-            deltas.class(class).failed += 1;
-            trace.record(&job, EventKind::Failed, 0);
-            Outcome::Failed(CoreError::UnknownType {
-                type_id: job.request.type_id(),
-            })
-        }
-    };
-    job.reply(outcome, latency_us, metrics);
 }
 
 /// Drives the worker's batch-processing path synchronously, without
@@ -746,76 +699,50 @@ fn finish(
 /// Not part of the stable API — test support only.
 #[doc(hidden)]
 pub struct BatchHarness {
-    store: ShardStore,
-    metrics: Arc<ServiceMetrics>,
-    recorder: Option<Arc<FlightRecorder>>,
-    ctx: WorkerContext,
+    core: ShardCore,
 }
 
 impl BatchHarness {
-    /// A harness over an ephemeral copy of `case_base`, with the cache
-    /// configured from `config` (capacity / policy / admission) and the
-    /// clock / flight recorder taken from the same config.
+    /// A harness over an ephemeral copy of `case_base`: the shard core
+    /// `config` describes (cache, kernel path, clock, flight recorder),
+    /// driven by hand.
     pub fn new(case_base: &CaseBase, config: &ServiceConfig) -> BatchHarness {
-        let recorder = (config.trace_capacity > 0)
-            .then(|| Arc::new(FlightRecorder::new(config.trace_capacity)));
-        let epoch = config.clock.now();
+        let store = ShardStore::Ephemeral(case_base.clone());
+        let metrics = Arc::new(ServiceMetrics::default());
         BatchHarness {
-            store: ShardStore::Ephemeral(case_base.clone()),
-            metrics: Arc::new(ServiceMetrics::default()),
-            recorder: recorder.clone(),
-            ctx: WorkerContext::new(RetrievalCache::with_policy(
-                config.cache_capacity,
-                config.cache_policy,
-                config.cache_admission,
-            ))
-            .with_kernel(config.kernel_path)
-            .with_telemetry(Arc::clone(&config.clock), recorder, epoch),
-        }
-    }
-
-    /// Drains the harness's flight recorder (empty when tracing is off).
-    pub fn drain_trace(&self) -> TraceDump {
-        match &self.recorder {
-            Some(recorder) => recorder.drain(),
-            None => TraceDump::default(),
+            core: ShardCore::new(store, config, metrics, None),
         }
     }
 
     /// Processes `batch` exactly as one worker dispatch round would.
     pub fn run_batch(&mut self, batch: Vec<Job>) {
-        process_batch(batch, &self.store, &self.metrics, &mut self.ctx);
+        self.core.run(batch);
     }
 
     /// Applies a mutation to the underlying store (bumps the generation,
     /// so the next batch invalidates the cache and recompiles the plane).
     pub fn apply(&mut self, mutation: &CaseMutation) -> Result<CaseMutation, ServiceError> {
-        self.store.apply(mutation)
+        self.core.store.lock().expect("store poisoned").apply(mutation)
     }
 
     /// Metrics accumulated by the processed batches.
     pub fn metrics(&self) -> crate::MetricsSnapshot {
-        self.metrics.snapshot()
+        self.core.queue.metrics.snapshot()
     }
 
     /// The result cache's counter set.
     pub fn cache_stats(&self) -> rqfa_cache::CacheStats {
-        self.ctx.cache.cache_stats()
+        self.core.ctx.cache.cache_stats()
     }
 
     /// Live result-cache entries.
     pub fn cache_len(&self) -> usize {
-        self.ctx.cache.len()
+        self.core.ctx.cache.len()
     }
 
     /// Plane (re)compilations performed by the worker's engine.
     pub fn engine_recompiles(&self) -> u64 {
-        self.ctx.engine.recompiles()
-    }
-
-    /// Scratch-arena growth events of the worker's engine.
-    pub fn scratch_grows(&self) -> u64 {
-        self.ctx.engine.scratch_grows()
+        self.core.ctx.engine.recompiles()
     }
 }
 
@@ -886,5 +813,43 @@ mod tests {
         let cb = paper::table1_case_base();
         let slices = partition(&cb, 1);
         assert_eq!(slices[0].as_ref().unwrap(), &cb);
+    }
+    #[test]
+    fn a_dead_worker_strands_no_ticket() {
+        // Regression: a worker that died (here: its `store poisoned`
+        // expect, after a mutator panicked under the store lock) left
+        // the queue admitting, so every later `Ticket::wait` blocked
+        // forever on a thread that was gone.
+        use crate::{AllocationService, Outcome};
+        use rqfa_core::QosClass;
+        use rqfa_telemetry::{Clock, MonotonicClock};
+        use std::time::Duration;
+
+        let mut service =
+            AllocationService::new(&paper::table1_case_base(), &ServiceConfig::default())
+                .expect("valid service config");
+        let store = Arc::clone(&service.shards[0].store);
+        let poisoner = std::thread::spawn(move || {
+            let _held = store.lock().unwrap();
+            panic!("mutator dies holding the store lock (expected by this test)");
+        });
+        assert!(poisoner.join().is_err());
+
+        // The batch in the dying worker's hands is dropped unanswered:
+        // the ticket wakes with `None` well inside its bound.
+        let bound = Duration::from_secs(30);
+        let began_us = MonotonicClock.now_us();
+        let request = paper::table1_request().unwrap();
+        let in_flight = service.submit(request.clone(), QosClass::High);
+        assert_eq!(in_flight.wait_timeout(bound), None);
+        let waited = Duration::from_micros(MonotonicClock.now_us() - began_us);
+        assert!(waited < bound, "woken by the teardown, not the timeout");
+
+        // Once the worker is gone the queue is shut: a later submit is
+        // answered on the spot as refused instead of queueing forever.
+        let worker = service.shards[0].worker.take().expect("live worker");
+        assert!(worker.join().is_err(), "the worker died of the poisoned lock");
+        let late = service.submit(request, QosClass::High);
+        assert_eq!(late.try_wait().map(|r| r.outcome), Some(Outcome::ShedQueueFull));
     }
 }

@@ -10,10 +10,10 @@
 //! * **Injectable time** ([`clock`]): a [`Clock`] trait with a
 //!   [`MonotonicClock`] for production and a [`ManualClock`] for tests
 //!   and deterministic replay. Components that stamp time take a
-//!   [`SharedClock`] instead of calling `Instant::now()`, so schedulers,
-//!   deadlines and latency histograms can be driven microsecond by
-//!   microsecond from a bench harness — two runs over the same trace
-//!   produce bit-identical metrics.
+//!   [`SharedClock`] and read `u64` µs ticks from it instead of calling
+//!   `Instant::now()`, so schedulers, deadlines and latency histograms
+//!   can be driven microsecond by microsecond from a bench harness — two
+//!   runs over the same trace produce bit-identical metrics.
 //! * **Flight recorder** ([`trace`]): a lock-free, fixed-capacity ring
 //!   of [`TraceEvent`]s recording each request's life cycle (submitted →
 //!   admitted/displaced/refused → scheduled → dispatched → cache probe →
@@ -39,7 +39,7 @@ pub mod metrics;
 pub mod registry;
 pub mod trace;
 
-pub use clock::{micros_between, monotonic, Clock, ManualClock, MonotonicClock, SharedClock};
+pub use clock::{monotonic, Clock, ManualClock, MonotonicClock, SharedClock};
 pub use metrics::{ratio, Counter, Gauge, Histogram};
 pub use registry::{write_table, MetricSource, Registry, RegistrySnapshot, Sample};
 pub use trace::{

@@ -23,7 +23,7 @@
 //! `rqfa::service::testkit` with *virtual* time (one dispatch slot = one
 //! simulated millisecond), so they are timing-free and CI-stable.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rqfa::core::{
     paper, AttrBinding, AttrId, CaseMutation, ExecutionTarget, FixedEngine, ImplId, ImplVariant,
@@ -31,8 +31,8 @@ use rqfa::core::{
 };
 use rqfa::service::queue::{Admission, ClassQueue};
 use rqfa::service::{
-    testkit, AllocationService, ArbiterMode, Outcome, Reply, SchedMode, ServiceConfig,
-    ServiceMetrics, Ticket, WeightedArbiter,
+    testkit, AllocationService, ArbiterMode, ManualClock, Outcome, Reply, SchedMode,
+    ServiceConfig, ServiceMetrics, Ticket, WeightedArbiter,
 };
 use rqfa::workloads::{CaseGen, RequestGen};
 use std::sync::Arc;
@@ -217,12 +217,20 @@ fn probe_request() -> Request {
 
 /// Builds a queue in the given mode with the default 8:4:2:1 arbiter.
 fn sched_queue(capacity: usize, mode: SchedMode) -> ClassQueue {
+    sched_queue_from(
+        ServiceConfig::default()
+            .with_queue_capacity(capacity)
+            .with_scheduling(mode),
+    )
+}
+
+/// Builds the queue `config` describes on a frozen manual clock at tick
+/// 0 — the `base` every scheduler-level test below measures from.
+fn sched_queue_from(config: ServiceConfig) -> ClassQueue {
     ClassQueue::new(
-        capacity,
-        WeightedArbiter::new(),
-        mode,
-        0,
+        &config.with_clock(Arc::new(ManualClock::new())),
         Arc::new(ServiceMetrics::default()),
+        None,
     )
 }
 
@@ -233,22 +241,22 @@ fn sched_queue(capacity: usize, mode: SchedMode) -> ClassQueue {
 ///     only the within-lane order differs.
 #[test]
 fn edf_meets_high_budgets_where_fifo_misses() {
-    const SLOT: Duration = Duration::from_millis(1);
+    const SLOT_US: u64 = 1_000;
     const HIGHS: u64 = 30;
     let run = |mode: SchedMode| -> Vec<(u64, bool)> {
         let q = sched_queue(1024, mode);
-        let base = Instant::now();
+        let base = 0;
         // HIGH deadlines are *reverse-skewed*: the latest arrival has the
         // tightest deadline (50 − id ms), so arrival order and deadline
         // order are exactly opposed. MEDIUM load interleaves via the
         // 4:2 weighted share with effectively unconstrained deadlines.
         for id in 0..HIGHS {
-            let deadline = base + SLOT * u32::try_from(50 - id).unwrap();
+            let deadline = base + SLOT_US * (50 - id);
             let (job, _rx) = testkit::job(id, QosClass::High, probe_request(), base, Some(deadline));
             assert!(matches!(q.push(job), Admission::Admitted));
         }
         for id in HIGHS..HIGHS + 20 {
-            let deadline = base + SLOT * 500;
+            let deadline = base + SLOT_US * 500;
             let (job, _rx) =
                 testkit::job(id, QosClass::Medium, probe_request(), base, Some(deadline));
             assert!(matches!(q.push(job), Admission::Admitted));
@@ -262,7 +270,7 @@ fn edf_meets_high_budgets_where_fifo_misses() {
             .enumerate()
             .filter(|(_, job)| job.class() == QosClass::High)
             .map(|(position, job)| {
-                let completion = base + SLOT * u32::try_from(position as u64 + 1).unwrap();
+                let completion = base + SLOT_US * (position as u64 + 1);
                 (job.id(), completion <= job.deadline().unwrap())
             })
             .collect()
@@ -316,7 +324,7 @@ fn promotion_is_bounded_so_critical_keeps_its_share() {
 fn shed_order_is_largest_slack_first_and_deterministic() {
     let run = || {
         let q = sched_queue(4, SchedMode::Edf);
-        let base = Instant::now();
+        let base = 0;
         let mut log: Vec<String> = Vec::new();
         let push = |id: u64, deadline_ms: u64, log: &mut Vec<String>| {
             let (job, _rx) = testkit::job(
@@ -324,7 +332,7 @@ fn shed_order_is_largest_slack_first_and_deterministic() {
                 QosClass::Low,
                 probe_request(),
                 base,
-                Some(base + Duration::from_millis(deadline_ms)),
+                Some(base + deadline_ms * 1_000),
             );
             log.push(match q.push(job) {
                 Admission::Admitted => format!("admit {id}"),
@@ -374,12 +382,12 @@ fn shed_order_is_largest_slack_first_and_deterministic() {
 /// Builds a queue combining a scheduling mode with an arbiter mode; the
 /// 1 s urgency margin makes every deadlined lane head count as urgent.
 fn sched_queue_arbiter(capacity: usize, mode: SchedMode, arbiter: ArbiterMode) -> ClassQueue {
-    ClassQueue::new(
-        capacity,
-        WeightedArbiter::new().with_mode(arbiter),
-        mode,
-        1_000_000,
-        Arc::new(ServiceMetrics::default()),
+    sched_queue_from(
+        ServiceConfig::default()
+            .with_queue_capacity(capacity)
+            .with_scheduling(mode)
+            .with_arbiter_mode(arbiter)
+            .with_promotion_margin_us(1_000_000),
     )
 }
 
@@ -407,7 +415,7 @@ fn fair_share_served_shares_converge_on_saturating_traces() {
         for seed in 0..4u64 {
             let mut state = seed ^ 0xFA1E;
             let q = sched_queue_arbiter(8_192, mode, ArbiterMode::FairShare);
-            let base = Instant::now();
+            let base = 0;
             let mut id = 0u64;
             // Enough of every class that no lane drains before the last
             // pick (targets + one full window of slack each).
@@ -418,9 +426,9 @@ fn fair_share_served_shares_converge_on_saturating_traces() {
                 (QosClass::Low, 200),
             ] {
                 for _ in 0..count {
-                    let deadline = splitmix(&mut state).is_multiple_of(2).then(|| {
-                        base + Duration::from_micros(1 + splitmix(&mut state) % 50_000)
-                    });
+                    let deadline = splitmix(&mut state)
+                        .is_multiple_of(2)
+                        .then(|| base + 1 + splitmix(&mut state) % 50_000);
                     let (job, _rx) = testkit::job(id, class, probe_request(), base, deadline);
                     assert!(matches!(q.push(job), Admission::Admitted));
                     id += 1;
@@ -465,7 +473,7 @@ fn dynamic_priority_preserves_the_critical_floor_on_saturating_traces() {
         for seed in 0..4u64 {
             let mut state = seed ^ 0xD1A0;
             let q = sched_queue_arbiter(8_192, mode, ArbiterMode::DynamicPriority);
-            let base = Instant::now();
+            let base = 0;
             let mut id = 0u64;
             for (class, count, urgent) in [
                 (QosClass::Critical, 1_000u64, false),
@@ -474,7 +482,7 @@ fn dynamic_priority_preserves_the_critical_floor_on_saturating_traces() {
                 (QosClass::Low, 400, true),
             ] {
                 for _ in 0..count {
-                    let deadline = urgent.then(|| base + Duration::from_micros(1));
+                    let deadline = urgent.then_some(base + 1);
                     let (job, _rx) = testkit::job(id, class, probe_request(), base, deadline);
                     assert!(matches!(q.push(job), Admission::Admitted));
                     id += 1;
@@ -531,6 +539,19 @@ fn explicit_deadlines_shed_sheddable_but_never_critical() {
         matches!(critical.outcome, Outcome::Allocated { .. }),
         "CRITICAL is served even when late, got {:?}",
         critical.outcome
+    );
+
+    // The other extreme: a deadline too far to represent saturates
+    // instead of overflowing (this call used to panic in the caller) or
+    // wrapping into the past (which would shed it as expired).
+    let far = service
+        .submit_with_deadline(paper::table1_request().unwrap(), QosClass::Low, Duration::MAX)
+        .wait()
+        .unwrap();
+    assert!(
+        matches!(far.outcome, Outcome::Allocated { .. }),
+        "a far deadline is admitted and served, got {:?}",
+        far.outcome
     );
 
     let snap = service.shutdown();
@@ -823,11 +844,10 @@ fn within_batch_duplicates_coalesce_to_one_evaluation() {
         .build()
         .unwrap();
     let pattern = [&fir, &fft, &fir, &fir, &fft, &fir];
-    let now = Instant::now();
     let mut jobs = Vec::new();
     let mut receivers = Vec::new();
     for (i, request) in pattern.iter().enumerate() {
-        let (job, rx) = testkit::job(i as u64, QosClass::Medium, (*request).clone(), now, None);
+        let (job, rx) = testkit::job(i as u64, QosClass::Medium, (*request).clone(), 0, None);
         jobs.push(job);
         receivers.push(rx);
     }
@@ -868,7 +888,7 @@ fn within_batch_duplicates_coalesce_to_one_evaluation() {
 
     // A later batch of the same requests is served from the cache: no
     // new evaluation, no new insertions.
-    let (job, rx) = testkit::job(9, QosClass::Medium, fir.clone(), Instant::now(), None);
+    let (job, rx) = testkit::job(9, QosClass::Medium, fir.clone(), 0, None);
     harness.run_batch(vec![job]);
     match rx.try_recv().expect("replied").outcome {
         Outcome::Allocated { cached, .. } => assert!(cached, "resident entry hits"),
@@ -891,11 +911,10 @@ fn coalesced_repeats_earn_cache_admission() {
         .build()
         .unwrap();
     // One batch: fir three times (duplicate-heavy), fft once (singleton).
-    let now = Instant::now();
     let mut jobs = Vec::new();
     let mut receivers = Vec::new();
     for (i, request) in [&fir, &fft, &fir, &fir].iter().enumerate() {
-        let (job, rx) = testkit::job(i as u64, QosClass::High, (*request).clone(), now, None);
+        let (job, rx) = testkit::job(i as u64, QosClass::High, (*request).clone(), 0, None);
         jobs.push(job);
         receivers.push(rx);
     }
@@ -907,7 +926,7 @@ fn coalesced_repeats_earn_cache_admission() {
     );
     assert_eq!(harness.cache_stats().rejected, 1, "fft bounced once");
     // The resident entry serves the next batch.
-    let (job, rx) = testkit::job(9, QosClass::High, fir.clone(), Instant::now(), None);
+    let (job, rx) = testkit::job(9, QosClass::High, fir.clone(), 0, None);
     harness.run_batch(vec![job]);
     match rx.try_recv().expect("replied").outcome {
         Outcome::Allocated { cached, .. } => assert!(cached),
@@ -925,8 +944,7 @@ fn coalescing_respects_generation_invalidation() {
     let case_base = paper::table1_case_base();
     let mut harness = testkit::BatchHarness::new(&case_base, &ServiceConfig::default());
     let fir = paper::table1_request().unwrap();
-    let now = Instant::now();
-    let (job, rx) = testkit::job(0, QosClass::Medium, fir.clone(), now, None);
+    let (job, rx) = testkit::job(0, QosClass::Medium, fir.clone(), 0, None);
     harness.run_batch(vec![job]);
     assert!(rx.try_recv().is_ok());
     assert_eq!(harness.engine_recompiles(), 1);
@@ -942,7 +960,7 @@ fn coalescing_respects_generation_invalidation() {
     let mut jobs = Vec::new();
     let mut receivers = Vec::new();
     for i in 0..3 {
-        let (job, rx) = testkit::job(1 + i, QosClass::Medium, fir.clone(), Instant::now(), None);
+        let (job, rx) = testkit::job(1 + i, QosClass::Medium, fir.clone(), 0, None);
         jobs.push(job);
         receivers.push(rx);
     }
@@ -975,11 +993,10 @@ fn failed_leader_fans_failure_to_followers() {
         .constraint(AttrId::new(1).unwrap(), 1)
         .build()
         .unwrap();
-    let now = Instant::now();
     let mut jobs = Vec::new();
     let mut receivers = Vec::new();
     for i in 0..3 {
-        let (job, rx) = testkit::job(i, QosClass::Low, unknown.clone(), now, None);
+        let (job, rx) = testkit::job(i, QosClass::Low, unknown.clone(), 0, None);
         jobs.push(job);
         receivers.push(rx);
     }
