@@ -1,7 +1,7 @@
 //! Experiment E13 — allocation-service throughput vs shard count, and the
 //! QoS behaviour of the batching scheduler under an open-loop load.
 //!
-//! Three sweeps:
+//! Two sweeps:
 //!
 //! 1. **Closed-loop saturation**: submit a fixed request block as fast as
 //!    the front-end can, wait for every reply, report requests/second for
@@ -12,38 +12,19 @@
 //!    deliberately undersized queue and print the per-class service
 //!    report (p50/p99, hit rate, shed counts) — CRITICAL must end with
 //!    zero sheds.
-//! 3. **EDF vs FIFO under deadline skew**: replay the *same*
-//!    deadline-skewed trace (per-request deadlines, wide within-class
-//!    spread) once with FIFO lanes and once with EDF + slack promotion,
-//!    and report per-class p99 and deadline misses side by side — the
-//!    within-class reordering is exactly what the deadline-aware
-//!    scheduler buys.
-//! 4. **Cache policy A/B**: the same burst and zipf payload traces
-//!    through FIFO, LRU, 2Q and 2Q+admission result caches (one shard,
-//!    one class, so the lookup order — and therefore every hit count —
-//!    is a pure function of the trace). Acceptance: on the zipf-skewed
-//!    trace, 2Q's hit rate is at least FIFO's.
-//! 5. **Arbiter-mode sweep**: the same saturating deadline-skewed trace
-//!    through all four [`ArbiterMode`]s on the *live* service. Wall-clock
-//!    timing makes the per-mode numbers indicative rather than gated (the
-//!    deterministic mode A/B lives in `service_trace`), so the assertions
-//!    here are structural: every request is accounted for and CRITICAL
-//!    never sheds under any mode.
 //!
 //! `cargo run --release -p rqfa-bench --bin service_throughput [-- --json <path>]`
 //!
-//! With `--json <path>` the headline numbers of every sweep (direct and
-//! closed-loop req/s, EDF-vs-FIFO p99/misses, cache-policy hit rates)
-//! are additionally emitted as an `rqfa-bench/v1` report.
+//! With `--json <path>` the closed-loop numbers (direct and per-shard-count
+//! req/s, hit rates) are additionally emitted as an `rqfa-bench/v1`
+//! report.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rqfa_bench::json::BenchReport;
-use rqfa_core::{CaseBase, FixedEngine, QosClass, Request};
-use rqfa_service::{
-    AllocationService, ArbiterMode, CachePolicy, MetricsSnapshot, SchedMode, ServiceConfig, Ticket,
-};
-use rqfa_workloads::{CaseGen, ClassedArrival, Popularity, RequestGen, TrafficGen};
+use rqfa_core::{CaseBase, FixedEngine, QosClass};
+use rqfa_service::{AllocationService, ServiceConfig, Ticket};
+use rqfa_workloads::{CaseGen, RequestGen, TrafficGen};
 
 const TRIALS: usize = 5;
 const REQUESTS: usize = 30_000;
@@ -116,9 +97,6 @@ fn main() {
     );
 
     open_loop_qos(&case_base);
-    edf_vs_fifo(&case_base, &mut report);
-    cache_policy_ab(&case_base, &mut report);
-    arbiter_mode_sweep(&case_base);
 
     if let Some(path) = json_path {
         report
@@ -191,270 +169,6 @@ fn open_loop_qos(case_base: &CaseBase) {
         "CRITICAL must never be shed"
     );
     println!("\nCRITICAL sheds: 0 (guaranteed by construction)");
-}
-
-/// The same deadline-skewed trace through FIFO lanes and EDF lanes.
-fn edf_vs_fifo(case_base: &CaseBase, report: &mut BenchReport) {
-    println!("\nEDF vs FIFO under deadline-skewed load (same trace, 1 shard):");
-    // Rates sized to push one shard past saturation so queues actually
-    // build and within-class dispatch order decides who meets a deadline
-    // — an underloaded queue makes EDF and FIFO trivially identical.
-    let arrivals = TrafficGen::deadline_skewed(case_base)
-        .seed(0xEDF0)
-        .duration_us(200_000)
-        .rate_per_sec(QosClass::Critical, 1_000.0)
-        .rate_per_sec(QosClass::High, 8_000.0)
-        .rate_per_sec(QosClass::Medium, 12_000.0)
-        .rate_per_sec(QosClass::Low, 16_000.0)
-        .repeat_fraction(0.3)
-        .generate();
-    println!(
-        "trace: {} arrivals over 200 ms, per-request deadlines \
-         (HIGH 2–40 ms, MEDIUM 5–80 ms, LOW 10–160 ms)",
-        arrivals.len()
-    );
-    let run = |mode: SchedMode| -> MetricsSnapshot {
-        let config = ServiceConfig::default()
-            .with_shards(1)
-            .with_queue_capacity(128)
-            .with_batch_size(8)
-            .with_scheduling(mode)
-            .with_promotion_margin_us(2_000);
-        let service = AllocationService::new(case_base, &config).expect("valid service config");
-        let start = Instant::now();
-        for arrival in &arrivals {
-            while (start.elapsed().as_micros() as u64) < arrival.at_us {
-                std::hint::spin_loop();
-            }
-            let ClassedArrival { class, deadline_us, request, .. } = arrival;
-            let _ = match deadline_us {
-                Some(us) => service.submit_with_deadline(
-                    request.clone(),
-                    *class,
-                    Duration::from_micros(*us),
-                ),
-                None => service.submit(request.clone(), *class),
-            };
-        }
-        service.shutdown()
-    };
-    let fifo = run(SchedMode::Fifo);
-    let edf = run(SchedMode::Edf);
-    println!(
-        "{:<9} {:>12} {:>12} {:>11} {:>11} {:>10} {:>10}",
-        "class", "FIFO p99 µs", "EDF p99 µs", "FIFO miss", "EDF miss", "FIFO shed", "EDF shed"
-    );
-    for class in QosClass::ALL {
-        let f = fifo.class(class);
-        let e = edf.class(class);
-        println!(
-            "{:<9} {:>12} {:>12} {:>11} {:>11} {:>10} {:>10}",
-            class.to_string(),
-            f.p99_us,
-            e.p99_us,
-            f.missed_deadline,
-            e.missed_deadline,
-            f.shed(),
-            e.shed(),
-        );
-        #[allow(clippy::cast_precision_loss)]
-        for (mode, snap) in [("fifo", f), ("edf", e)] {
-            report.push(format!("deadline/{mode}/{class}/p99"), "us", snap.p99_us as f64);
-            report.push(
-                format!("deadline/{mode}/{class}/missed"),
-                "count",
-                snap.missed_deadline as f64,
-            );
-        }
-    }
-    println!(
-        "promotions (EDF only): {}",
-        QosClass::ALL
-            .iter()
-            .map(|&c| edf.class(c).promoted)
-            .sum::<u64>()
-    );
-    assert_eq!(fifo.class(QosClass::Critical).shed(), 0);
-    assert_eq!(edf.class(QosClass::Critical).shed(), 0);
-}
-
-/// Result-cache capacity for the policy A/B — deliberately far below the
-/// zipf universe (2048) so eviction quality, not capacity, decides.
-const AB_CACHE_CAPACITY: usize = 256;
-
-/// Burst and zipf payload traces through each eviction policy.
-///
-/// One shard and one class make the cache's lookup sequence exactly the
-/// submission sequence (a single EDF lane without deadlines is
-/// seq-ordered), and batch size 1 removes the only other source of
-/// variation (a repeat inside one dispatch batch misses alongside its
-/// twin, because batch lookups all run before the batch's inserts — and
-/// batch composition depends on timing). Hit counts are therefore a pure
-/// function of the trace; only req/s and p99 carry timing.
-fn cache_policy_ab(case_base: &CaseBase, report: &mut BenchReport) {
-    println!(
-        "\ncache policy A/B (closed loop, 1 shard, 1 class, cache capacity {AB_CACHE_CAPACITY}):"
-    );
-    let payloads = |gen: TrafficGen| -> Vec<Request> {
-        gen.duration_us(2_000_000)
-            .generate()
-            .into_iter()
-            .map(|a| a.request)
-            .collect()
-    };
-    let traces: [(&str, Vec<Request>); 2] = [
-        (
-            "burst",
-            payloads(
-                TrafficGen::new(case_base)
-                    .seed(0xCAB0)
-                    .popularity(Popularity::Burst { mean_run: 12 }),
-            ),
-        ),
-        ("zipf", payloads(TrafficGen::zipf_skewed(case_base).seed(0xCAB1))),
-    ];
-    let configs: [(&str, CachePolicy, bool); 4] = [
-        ("fifo", CachePolicy::Fifo, false),
-        ("lru", CachePolicy::Lru, false),
-        ("2q", CachePolicy::TwoQ, false),
-        ("2q+adm", CachePolicy::TwoQ, true),
-    ];
-    println!(
-        "{:<7} {:<8} {:>9} {:>8} {:>7} {:>10} {:>9}",
-        "trace", "policy", "requests", "hits", "hit %", "req/s", "p99 µs"
-    );
-    for (trace_name, requests) in &traces {
-        let mut fifo_hits = 0;
-        let mut two_q_hits = 0;
-        for (policy_name, policy, admission) in configs {
-            let service = AllocationService::new(
-                case_base,
-                &ServiceConfig::default()
-                    .with_queue_capacity(requests.len() + 1)
-                    .with_batch_size(1)
-                    .with_cache_capacity(AB_CACHE_CAPACITY)
-                    .with_cache_policy(policy)
-                    .with_cache_admission(admission),
-            ).expect("valid service config");
-            let start = Instant::now();
-            let tickets: Vec<Ticket> = requests
-                .iter()
-                .map(|r| service.submit(r.clone(), QosClass::Medium))
-                .collect();
-            for ticket in tickets {
-                ticket.wait().expect("every request answered");
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            let snap = service.shutdown();
-            let class = snap.class(QosClass::Medium);
-            assert_eq!(snap.shed(), 0, "closed loop must not shed");
-            assert_eq!(
-                class.cache_hits + class.cache_misses,
-                class.completed + class.failed,
-                "every dispatched request probes the cache exactly once"
-            );
-            match (policy, admission) {
-                (CachePolicy::Fifo, _) => fifo_hits = class.cache_hits,
-                (CachePolicy::TwoQ, false) => two_q_hits = class.cache_hits,
-                _ => {}
-            }
-            report.push(
-                format!("cache/{trace_name}/{policy_name}/hit_rate"),
-                "ratio",
-                class.hit_rate(),
-            );
-            println!(
-                "{:<7} {:<8} {:>9} {:>8} {:>6.1}% {:>10.0} {:>9}",
-                trace_name,
-                policy_name,
-                requests.len(),
-                class.cache_hits,
-                class.hit_rate() * 100.0,
-                per_sec(requests.len(), elapsed),
-                class.p99_us,
-            );
-        }
-        if *trace_name == "zipf" {
-            assert!(
-                two_q_hits >= fifo_hits,
-                "2Q must serve the zipf hot set at least as well as FIFO \
-                 (2Q {two_q_hits} vs FIFO {fifo_hits})"
-            );
-            println!("zipf verdict: 2Q hits ({two_q_hits}) >= FIFO hits ({fifo_hits}) ✓");
-        }
-    }
-}
-
-/// The saturating deadline-skewed trace through all four arbiter modes
-/// on the live service.
-///
-/// Real wall-clock dispatch makes per-mode counts indicative only — the
-/// deterministic, gated mode comparison is `service_trace`'s A/B. What
-/// this sweep pins is that every mode runs the real threaded pipeline
-/// end to end: all submissions are accounted for (completed + shed +
-/// failed), and CRITICAL never sheds regardless of arbitration policy.
-fn arbiter_mode_sweep(case_base: &CaseBase) {
-    println!("\narbiter-mode sweep (live service, same saturating trace, 1 shard):");
-    let arrivals = TrafficGen::saturating_skewed(case_base)
-        .seed(0xA9B)
-        .duration_us(200_000)
-        .generate();
-    println!("trace: {} arrivals over 200 ms (~20k req/s)", arrivals.len());
-    println!(
-        "{:<20} {:<9} {:>9} {:>9} {:>6} {:>10}",
-        "mode", "class", "submitted", "completed", "shed", "p99 µs"
-    );
-    for mode in ArbiterMode::ALL {
-        let config = ServiceConfig::default()
-            .with_shards(1)
-            .with_queue_capacity(128)
-            .with_batch_size(8)
-            .with_scheduling(SchedMode::Edf)
-            .with_arbiter_mode(mode)
-            .with_promotion_margin_us(2_000);
-        let service = AllocationService::new(case_base, &config).expect("valid service config");
-        let start = Instant::now();
-        for arrival in &arrivals {
-            while (start.elapsed().as_micros() as u64) < arrival.at_us {
-                std::hint::spin_loop();
-            }
-            let ClassedArrival { class, deadline_us, request, .. } = arrival;
-            let _ = match deadline_us {
-                Some(us) => service.submit_with_deadline(
-                    request.clone(),
-                    *class,
-                    Duration::from_micros(*us),
-                ),
-                None => service.submit(request.clone(), *class),
-            };
-        }
-        let snap = service.shutdown();
-        for class in QosClass::ALL {
-            let c = snap.class(class);
-            println!(
-                "{:<20} {:<9} {:>9} {:>9} {:>6} {:>10}",
-                mode.label(),
-                class.to_string(),
-                c.submitted,
-                c.completed,
-                c.shed(),
-                c.p99_us,
-            );
-            assert_eq!(
-                c.submitted,
-                c.completed + c.shed() + c.failed,
-                "{}/{class}: every submission must be accounted for",
-                mode.label()
-            );
-        }
-        assert_eq!(
-            snap.class(QosClass::Critical).shed(),
-            0,
-            "{}: CRITICAL must never shed",
-            mode.label()
-        );
-    }
-    println!("verdict: all modes account for every submission, CRITICAL sheds 0 ✓");
 }
 
 fn per_sec(n: usize, secs: f64) -> f64 {

@@ -26,7 +26,7 @@ use rqfa_bench::json::BenchReport;
 use rqfa_bench::push_samples;
 use rqfa_core::{CaseBase, QosClass};
 use rqfa_service::replay::{CostModel, TraceArrival, TraceDriver, TraceReport};
-use rqfa_service::{ArbiterMode, SchedMode, ServiceConfig};
+use rqfa_service::ServiceConfig;
 use rqfa_telemetry::Sample;
 use rqfa_workloads::{CaseGen, TrafficGen};
 
@@ -102,7 +102,6 @@ fn main() {
         .with_shards(2)
         .with_batch_size(8)
         .with_queue_capacity(128)
-        .with_scheduling(SchedMode::Edf)
         .with_promotion_margin_us(2_000)
         .with_cache_capacity(256)
         .with_trace_capacity(1 << 16);
@@ -156,173 +155,10 @@ fn main() {
         }
     }
 
-    arbiter_mode_ab(&case_base, &mut report);
-
     if let Some(path) = json_path {
         report
             .write_validated(&path)
             .expect("bench report must validate against rqfa-bench/v1");
         println!("json report: {} (schema valid)", path.display());
     }
-}
-
-/// The arbiter-mode A/B: one saturating deadline-skewed zipf trace
-/// replayed (twice, bit-identical) through each of the four
-/// [`ArbiterMode`]s on a deliberately undersized one-shard fabric.
-///
-/// The 20k req/s trace against ~15k req/s of capacity (batch 8 at
-/// 50 µs + 60 µs/request) keeps every class backlogged, so the arbiter —
-/// not the arrival process — decides who is served: exactly the regime
-/// where the modes separate. Assertions pin the structural claims:
-/// CRITICAL completes in full under every mode, DYNAMIC_PRIORITY
-/// strictly reduces LOW+MEDIUM deadline sheds vs static WRR, FAIR_SHARE
-/// holds each class's served share near its measured-equilibrium target,
-/// and STRICT_PRIORITY demonstrates the starvation the other modes
-/// exist to prevent.
-fn arbiter_mode_ab(case_base: &CaseBase, report: &mut BenchReport) {
-    println!("arbiter-mode A/B (same saturating trace, 1 shard, replayed twice per mode):");
-    let arrivals: Vec<TraceArrival> = TrafficGen::saturating_skewed(case_base)
-        .seed(0xAB9)
-        .duration_us(DURATION_US)
-        .generate()
-        .into_iter()
-        .map(|a| TraceArrival {
-            at_us: a.at_us,
-            class: a.class,
-            deadline_us: a.deadline_us,
-            request: a.request,
-        })
-        .collect();
-    let cost = CostModel {
-        dispatch_overhead_us: 50,
-        per_request_us: 60,
-    };
-    println!(
-        "trace: {} arrivals (~20k req/s) vs ~15k req/s capacity \
-         (batch 8, {} µs dispatch + {} µs/request)",
-        arrivals.len(),
-        cost.dispatch_overhead_us,
-        cost.per_request_us
-    );
-    let mut reports = Vec::new();
-    for mode in ArbiterMode::ALL {
-        let config = ServiceConfig::default()
-            .with_shards(1)
-            .with_batch_size(8)
-            .with_queue_capacity(512)
-            .with_scheduling(SchedMode::Edf)
-            .with_arbiter_mode(mode)
-            .with_promotion_margin_us(200)
-            .with_cache_capacity(256)
-            .with_trace_capacity(1 << 16);
-        let driver = TraceDriver::new(case_base, &config, cost);
-        reports.push((mode, run_twice(&driver, &arrivals)));
-    }
-
-    println!(
-        "{:<20} {:<9} {:>9} {:>10} {:>8} {:>9} {:>9}",
-        "mode", "class", "completed", "dl sheds", "share", "p99 µs", "margin µs"
-    );
-    for (mode, result) in &reports {
-        let total_picks = result.metrics.picks();
-        for class in QosClass::ALL {
-            let c = result.metrics.class(class);
-            let share = c.served_share(total_picks);
-            println!(
-                "{:<20} {:<9} {:>9} {:>10} {:>7.1}% {:>9} {:>9}",
-                mode.label(),
-                class.to_string(),
-                c.completed,
-                c.shed_deadline,
-                share * 100.0,
-                c.p99_us,
-                result.metrics.sched_margin_us,
-            );
-            #[allow(clippy::cast_precision_loss)]
-            {
-                let prefix = format!("modes/{}/{class}", mode.label());
-                report.push(format!("{prefix}/completed"), "count", c.completed as f64);
-                report.push(
-                    format!("{prefix}/deadline_sheds"),
-                    "count",
-                    c.shed_deadline as f64,
-                );
-                report.push(format!("{prefix}/served_share"), "ratio", share);
-                report.push(format!("{prefix}/p99"), "us", c.p99_us as f64);
-            }
-        }
-        #[allow(clippy::cast_precision_loss)]
-        report.push(
-            format!("modes/{}/sched_margin_us", mode.label()),
-            "us",
-            result.metrics.sched_margin_us as f64,
-        );
-    }
-
-    let by_mode = |mode: ArbiterMode| {
-        &reports
-            .iter()
-            .find(|(m, _)| *m == mode)
-            .expect("every mode ran")
-            .1
-    };
-    // CRITICAL completes in full under every mode — the anti-starvation
-    // floor carries across the whole mode family.
-    for (mode, result) in &reports {
-        let critical = result.metrics.class(QosClass::Critical);
-        assert_eq!(critical.shed(), 0, "{}: CRITICAL must never shed", mode.label());
-        assert_eq!(
-            critical.completed, critical.submitted,
-            "{}: CRITICAL must complete in full",
-            mode.label()
-        );
-    }
-    // DYNAMIC_PRIORITY: measured margins + deadline boosts must strictly
-    // reduce LOW+MEDIUM deadline sheds vs the static-margin WRR baseline.
-    let dl_sheds = |r: &TraceReport| {
-        r.metrics.class(QosClass::Low).shed_deadline
-            + r.metrics.class(QosClass::Medium).shed_deadline
-    };
-    let wrr_sheds = dl_sheds(by_mode(ArbiterMode::WeightedRoundRobin));
-    let dyn_sheds = dl_sheds(by_mode(ArbiterMode::DynamicPriority));
-    assert!(
-        dyn_sheds < wrr_sheds,
-        "DYNAMIC_PRIORITY must strictly reduce LOW+MEDIUM deadline sheds \
-         (dynamic {dyn_sheds} vs WRR {wrr_sheds})"
-    );
-    println!("\ndynamic-priority verdict: LOW+MEDIUM deadline sheds {dyn_sheds} < WRR {wrr_sheds} ✓");
-    // FAIR_SHARE: window-regulated interleaving keeps feeding the most
-    // oversubscribed lane every round instead of in bursty WRR credit
-    // rounds, so LOW completes strictly more work (MEDIUM pays for it —
-    // that trade is the mode's contract, not a defect).
-    let low_completed =
-        |mode: ArbiterMode| by_mode(mode).metrics.class(QosClass::Low).completed;
-    let fair_low = low_completed(ArbiterMode::FairShare);
-    let wrr_low = low_completed(ArbiterMode::WeightedRoundRobin);
-    assert!(
-        fair_low > wrr_low,
-        "FAIR_SHARE must complete strictly more LOW work than WRR \
-         (fair_share {fair_low} vs WRR {wrr_low})"
-    );
-    println!("fair-share verdict: LOW completed {fair_low} > WRR {wrr_low} ✓");
-    // STRICT_PRIORITY is the starvation baseline the other modes exist to
-    // prevent: every alternative must shed strictly fewer LOW deadlines.
-    let strict_low = by_mode(ArbiterMode::StrictPriority)
-        .metrics
-        .class(QosClass::Low)
-        .shed_deadline;
-    for mode in [
-        ArbiterMode::WeightedRoundRobin,
-        ArbiterMode::DynamicPriority,
-        ArbiterMode::FairShare,
-    ] {
-        let sheds = by_mode(mode).metrics.class(QosClass::Low).shed_deadline;
-        assert!(
-            sheds < strict_low,
-            "{}: must shed fewer LOW deadlines than strict priority \
-             ({sheds} vs {strict_low})",
-            mode.label()
-        );
-    }
-    println!("starvation verdict: every mode sheds fewer LOW deadlines than strict ({strict_low}) ✓");
 }

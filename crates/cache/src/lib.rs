@@ -16,51 +16,43 @@
 //!   stamp matches; a mismatch is a *stale* miss that drops the entry on
 //!   the spot, so the recompute that follows re-inserts it with a fresh
 //!   age (the historical FIFO cache kept the old age — see
-//!   `docs/caching.md` for why that was a bug).
-//! * [`EvictionPolicy`] — pluggable eviction bookkeeping, with
-//!   [`Fifo`] (the exact-compat baseline), [`Lru`], and [`TwoQ`]
-//!   (probation/protected split) built in, and the [`CachePolicy`] knob to
-//!   select one at runtime.
-//! * [`AdmissionFilter`] — a one-hit-wonder doorkeeper: a key must be
-//!   sighted twice before it is cached at all (the first sighting is
-//!   only remembered, even when the cache has free room).
+//!   `docs/caching.md` for why that was a bug). At capacity the oldest
+//!   *insertion* is evicted — FIFO: hits and overwrites do no
+//!   bookkeeping at all.
 //! * [`RankedEntry`] — cross-request n-best subsumption: a cached top-*k*
 //!   ranking answers later best-of and top-*j* (`j ≤ k`) lookups exactly.
 //!
 //! Everything is deterministic — no clocks, no randomness — so a
 //! brute-force model can (and does, in the workspace test
 //! `tests/cache_differential.rs`) replay arbitrary operation traces and
-//! demand bit-identical observable behaviour from every policy.
+//! demand bit-identical observable behaviour.
 //!
 //! ```
-//! use rqfa_cache::{CachePolicy, GenCache};
+//! use rqfa_cache::GenCache;
 //!
-//! let mut cache: GenCache<&str, u64> = GenCache::new(2, CachePolicy::Lru);
+//! let mut cache: GenCache<&str, u64> = GenCache::new(2);
 //! cache.insert(1, 0, "one");
 //! cache.insert(2, 0, "two");
 //! assert_eq!(cache.lookup(1, 0), Some(&"one"));
-//! cache.insert(3, 0, "three");           // capacity 2: LRU evicts key 2
-//! assert_eq!(cache.lookup(2, 0), None);
-//! assert_eq!(cache.lookup(1, 1), None);  // generation moved on: stale
+//! cache.insert(3, 0, "three");           // capacity 2: key 1, the oldest insert, goes
+//! assert_eq!(cache.lookup(1, 0), None);
+//! assert_eq!(cache.lookup(2, 1), None);  // generation moved on: stale
 //! assert_eq!(cache.stats().stale, 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod admission;
-mod policy;
 mod ranked;
 
-pub use admission::AdmissionFilter;
-pub use policy::{AnyPolicy, CachePolicy, EvictionPolicy, Fifo, Lru, TwoQ};
 pub use ranked::RankedEntry;
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// Cumulative observable counters of one [`GenCache`].
 ///
-/// Invariants (asserted by the differential harness for every policy):
+/// Invariants (asserted by the differential harness):
 /// `hits + misses == lookups`, and `stale + uncovered <= misses` (both
 /// are miss subcategories).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,9 +70,7 @@ pub struct CacheStats {
     pub uncovered: u64,
     /// Stores accepted (fresh inserts and in-place overwrites).
     pub insertions: u64,
-    /// Stores bounced by the admission filter (first-sighting keys).
-    pub rejected: u64,
-    /// Entries displaced by the eviction policy to make room.
+    /// Entries displaced (oldest insertion first) to make room.
     pub evictions: u64,
 }
 
@@ -98,69 +88,52 @@ impl CacheStats {
     }
 }
 
-/// One resident entry: the value plus the generation it was computed at.
+/// One resident entry: the value, the generation it was computed at, and
+/// its insertion age (its key in the eviction queue).
 #[derive(Debug, Clone)]
 struct Slot<V, G> {
     stamp: G,
     value: V,
+    age: u64,
 }
 
-/// Fingerprint-keyed, generation-invalidated, policy-evicted store.
+/// Fingerprint-keyed, generation-invalidated, FIFO-evicted store.
 ///
 /// `V` is the cached value, `G` the generation stamp (any `Copy + Eq`
-/// type — the workspace uses `rqfa_core::Generation`), `P` the eviction
-/// bookkeeping (defaults to the runtime-selected [`AnyPolicy`]).
+/// type — the workspace uses `rqfa_core::Generation`).
 ///
 /// Semantics, normative for every facade (see `docs/caching.md`):
 ///
 /// * a lookup hits iff the key is resident **and** its stamp equals the
 ///   lookup stamp (and the optional coverage predicate holds);
 /// * a stale entry is removed at detection, so its eventual re-insert is
-///   a *fresh* insert with a fresh age under every policy;
-/// * an insert over a resident key overwrites in place — FIFO keeps the
-///   original insertion age, LRU/2Q treat the write as a use;
-/// * capacity 0 disables storage entirely (lookups still count);
-/// * the admission filter only gates keys that are not resident.
+///   a *fresh* insert with a fresh age;
+/// * an insert over a resident key overwrites in place and keeps the
+///   original insertion age;
+/// * at capacity a fresh insert evicts the oldest insertion;
+/// * capacity 0 disables storage entirely (lookups still count).
 #[derive(Debug, Clone)]
-pub struct GenCache<V, G, P = AnyPolicy>
-where
-    G: Copy + Eq,
-    P: EvictionPolicy,
-{
+pub struct GenCache<V, G: Copy + Eq> {
     capacity: usize,
     map: HashMap<u64, Slot<V, G>>,
-    policy: P,
-    admission: Option<AdmissionFilter>,
+    /// Insertion age → key, oldest first. Ages come from one monotone
+    /// counter, so the victim choice is a pure function of the operation
+    /// history — two caches fed the same operations evict identically.
+    queue: BTreeMap<u64, u64>,
+    seq: u64,
     stats: CacheStats,
 }
 
-impl<V, G: Copy + Eq> GenCache<V, G, AnyPolicy> {
-    /// A cache of at most `capacity` entries under the given policy
-    /// (0 disables caching), without admission filtering.
-    pub fn new(capacity: usize, policy: CachePolicy) -> GenCache<V, G, AnyPolicy> {
-        GenCache::with_eviction(capacity, policy.build(capacity))
-    }
-}
-
-impl<V, G: Copy + Eq, P: EvictionPolicy> GenCache<V, G, P> {
-    /// A cache over caller-supplied eviction bookkeeping (the pluggable
-    /// entry point; `P` may be a custom [`EvictionPolicy`]).
-    pub fn with_eviction(capacity: usize, policy: P) -> GenCache<V, G, P> {
+impl<V, G: Copy + Eq> GenCache<V, G> {
+    /// A cache of at most `capacity` entries (0 disables caching).
+    pub fn new(capacity: usize) -> GenCache<V, G> {
         GenCache {
             capacity,
             map: HashMap::with_capacity(capacity.min(1 << 16)),
-            policy,
-            admission: None,
+            queue: BTreeMap::new(),
+            seq: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Adds (or removes) the one-hit-wonder admission filter, sized to
-    /// this cache's capacity.
-    #[must_use]
-    pub fn with_admission(mut self, enabled: bool) -> GenCache<V, G, P> {
-        self.admission = enabled.then(|| AdmissionFilter::new(self.capacity.saturating_mul(4)));
-        self
     }
 
     /// Looks the key up at `stamp`. A generation mismatch counts as a
@@ -178,48 +151,40 @@ impl<V, G: Copy + Eq, P: EvictionPolicy> GenCache<V, G, P> {
         stamp: G,
         covers: impl FnOnce(&V) -> bool,
     ) -> Option<&V> {
-        // Split borrows (and go through the entry API) so the hot hit
-        // path probes the map exactly once.
-        let GenCache {
-            map,
-            policy,
-            stats,
-            ..
-        } = self;
-        stats.lookups += 1;
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(slot) => {
+        // Go through the entry API so the hot hit path probes the map
+        // exactly once.
+        self.stats.lookups += 1;
+        match self.map.entry(key) {
+            Entry::Occupied(slot) => {
                 if slot.get().stamp == stamp {
                     if covers(&slot.get().value) {
-                        stats.hits += 1;
-                        policy.on_hit(key);
+                        self.stats.hits += 1;
                         Some(&slot.into_mut().value)
                     } else {
-                        stats.misses += 1;
-                        stats.uncovered += 1;
+                        self.stats.misses += 1;
+                        self.stats.uncovered += 1;
                         None
                     }
                 } else {
                     // Invalidated by a mutation. Generations only grow, so
                     // the entry can never hit again — drop it now, which
                     // also re-ages the recompute that follows (the refresh
-                    // enters as a brand-new insert under every policy).
-                    stats.misses += 1;
-                    stats.stale += 1;
-                    slot.remove();
-                    policy.on_remove(key);
+                    // enters as a brand-new insert).
+                    self.stats.misses += 1;
+                    self.stats.stale += 1;
+                    self.queue.remove(&slot.remove().age);
                     None
                 }
             }
-            std::collections::hash_map::Entry::Vacant(_) => {
-                stats.misses += 1;
+            Entry::Vacant(_) => {
+                self.stats.misses += 1;
                 None
             }
         }
     }
 
-    /// The resident value at `stamp` without touching statistics or
-    /// recency (for merge decisions before an insert).
+    /// The resident value at `stamp` without touching statistics (for
+    /// merge decisions before an insert).
     pub fn peek(&self, key: u64, stamp: G) -> Option<&V> {
         self.map
             .get(&key)
@@ -228,71 +193,44 @@ impl<V, G: Copy + Eq, P: EvictionPolicy> GenCache<V, G, P> {
     }
 
     /// Stores `value` computed at `stamp`. Overwrites in place when the
-    /// key is resident (whatever its old stamp); otherwise the key passes
-    /// admission (if configured), the policy evicts down to capacity, and
-    /// the entry enters fresh.
+    /// key is resident (whatever its old stamp); otherwise the oldest
+    /// insertions are evicted down to capacity and the entry enters fresh.
     pub fn insert(&mut self, key: u64, stamp: G, value: V) {
         if self.capacity == 0 {
             return;
         }
+        self.stats.insertions += 1;
         if let Some(slot) = self.map.get_mut(&key) {
             slot.stamp = stamp;
             slot.value = value;
-            self.stats.insertions += 1;
-            self.policy.on_update(key);
-            self.debug_check();
             return;
         }
-        if let Some(filter) = &mut self.admission {
-            if !filter.admit(key) {
-                self.stats.rejected += 1;
-                return;
-            }
-        }
         while self.map.len() >= self.capacity {
-            let Some(victim) = self.policy.victim() else {
+            let Some((_, victim)) = self.queue.pop_first() else {
                 break;
             };
             self.map.remove(&victim);
             self.stats.evictions += 1;
         }
-        self.map.insert(key, Slot { stamp, value });
-        self.stats.insertions += 1;
-        self.policy.on_insert(key);
+        self.seq += 1;
+        let age = self.seq;
+        self.map.insert(key, Slot { stamp, value, age });
+        self.queue.insert(age, key);
         self.debug_check();
-    }
-
-    /// Records a *sighting* of `key` with the admission filter without
-    /// storing anything — the doorkeeper learns the key repeated.
-    ///
-    /// A batching caller that **coalesces** duplicate lookups (several
-    /// requests for one fingerprint served by a single computation)
-    /// should call this once per coalesced duplicate: the repeats are
-    /// real evidence the key is not a one-hit wonder, and without the
-    /// note the filter would see only the single insert that follows and
-    /// bounce it. No-op without an admission filter.
-    pub fn note_sighting(&mut self, key: u64) {
-        if let Some(filter) = &mut self.admission {
-            let _ = filter.admit(key);
-        }
     }
 
     /// Drops one key (e.g. a targeted invalidation), returning its value.
     pub fn remove(&mut self, key: u64) -> Option<V> {
         let slot = self.map.remove(&key)?;
-        self.policy.on_remove(key);
+        self.queue.remove(&slot.age);
         self.debug_check();
         Some(slot.value)
     }
 
-    /// Drops every entry (statistics survive; the admission filter
-    /// forgets its sightings).
+    /// Drops every entry (statistics survive).
     pub fn clear(&mut self) {
         self.map.clear();
-        self.policy.clear();
-        if let Some(filter) = &mut self.admission {
-            filter.clear();
-        }
+        self.queue.clear();
     }
 
     /// Live entries.
@@ -315,17 +253,12 @@ impl<V, G: Copy + Eq, P: EvictionPolicy> GenCache<V, G, P> {
         self.stats
     }
 
-    /// The policy bookkeeping (e.g. to inspect a custom policy).
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
-    /// Resident set and policy bookkeeping must never drift apart.
+    /// Resident set and eviction queue must never drift apart.
     fn debug_check(&self) {
         debug_assert_eq!(
             self.map.len(),
-            self.policy.tracked(),
-            "policy bookkeeping desynced from the resident set"
+            self.queue.len(),
+            "eviction queue desynced from the resident set"
         );
     }
 }
@@ -334,22 +267,20 @@ impl<V, G: Copy + Eq, P: EvictionPolicy> GenCache<V, G, P> {
 mod tests {
     use super::*;
 
-    fn cache(capacity: usize, policy: CachePolicy) -> GenCache<u32, u64> {
-        GenCache::new(capacity, policy)
+    fn cache(capacity: usize) -> GenCache<u32, u64> {
+        GenCache::new(capacity)
     }
 
     #[test]
     fn hit_requires_matching_stamp_and_stale_drops() {
-        for policy in CachePolicy::ALL {
-            let mut c = cache(8, policy);
-            c.insert(42, 0, 1);
-            assert_eq!(c.lookup(42, 0), Some(&1), "{policy}");
-            assert_eq!(c.lookup(42, 1), None, "{policy}");
-            assert!(c.is_empty(), "{policy}: stale entries are dropped");
-            let s = c.stats();
-            assert_eq!((s.hits, s.misses, s.stale), (1, 1, 1), "{policy}");
-            assert_eq!(s.lookups, s.hits + s.misses, "{policy}");
-        }
+        let mut c = cache(8);
+        c.insert(42, 0, 1);
+        assert_eq!(c.lookup(42, 0), Some(&1));
+        assert_eq!(c.lookup(42, 1), None);
+        assert!(c.is_empty(), "stale entries are dropped");
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.stale), (1, 1, 1));
+        assert_eq!(s.lookups, s.hits + s.misses);
     }
 
     #[test]
@@ -358,7 +289,7 @@ mod tests {
         // kept its original insertion age and could be evicted as the
         // oldest resident right after being recomputed. Unified
         // semantics: the stale drop makes the refresh a fresh insert.
-        let mut c = cache(2, CachePolicy::Fifo);
+        let mut c = cache(2);
         c.insert(1, 0, 10);
         c.insert(2, 0, 20);
         assert_eq!(c.lookup(1, 1), None, "stale");
@@ -372,7 +303,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_storage_but_counts_lookups() {
-        let mut c = cache(0, CachePolicy::Lru);
+        let mut c = cache(0);
         c.insert(1, 0, 1);
         assert!(c.is_empty());
         assert_eq!(c.lookup(1, 0), None);
@@ -381,51 +312,8 @@ mod tests {
     }
 
     #[test]
-    fn admission_keeps_one_hit_wonders_out() {
-        let mut c = cache(4, CachePolicy::TwoQ).with_admission(true);
-        c.insert(1, 0, 1);
-        assert!(c.is_empty(), "first sighting is only remembered");
-        assert_eq!(c.stats().rejected, 1);
-        c.insert(1, 0, 1);
-        assert_eq!(c.len(), 1, "second sighting is admitted");
-        // Resident keys bypass the filter entirely.
-        c.insert(1, 1, 2);
-        assert_eq!(c.lookup(1, 1), Some(&2));
-    }
-
-    #[test]
-    fn admission_remembers_across_invalidation() {
-        // A stale drop removes the entry but not its doorkeeper slot, so
-        // the recompute after a mutation is admitted immediately — the
-        // filter punishes one-hit wonders, not generation bumps.
-        let mut c = cache(4, CachePolicy::Lru).with_admission(true);
-        c.insert(7, 0, 1);
-        c.insert(7, 0, 1);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.lookup(7, 1), None, "stale drop");
-        c.insert(7, 1, 2);
-        assert_eq!(c.lookup(7, 1), Some(&2), "readmitted without a bounce");
-    }
-
-    #[test]
-    fn noted_sighting_earns_admission() {
-        // A coalesced within-batch duplicate is a sighting: after one
-        // note, the single insert that follows must be admitted.
-        let mut c = cache(4, CachePolicy::Lru).with_admission(true);
-        c.note_sighting(9);
-        c.insert(9, 0, 1);
-        assert_eq!(c.lookup(9, 0), Some(&1), "noted key admitted first insert");
-        assert_eq!(c.stats().rejected, 0);
-        // Without a filter the note is a no-op.
-        let mut plain = cache(4, CachePolicy::Lru);
-        plain.note_sighting(9);
-        plain.insert(9, 0, 1);
-        assert_eq!(plain.lookup(9, 0), Some(&1));
-    }
-
-    #[test]
     fn uncovered_miss_keeps_the_entry() {
-        let mut c = cache(4, CachePolicy::Lru);
+        let mut c = cache(4);
         c.insert(5, 0, 3);
         assert_eq!(c.lookup_if(5, 0, |&v| v > 10), None);
         let s = c.stats();
@@ -436,7 +324,7 @@ mod tests {
 
     #[test]
     fn peek_and_remove_do_not_touch_lookup_stats() {
-        let mut c = cache(4, CachePolicy::Fifo);
+        let mut c = cache(4);
         c.insert(1, 0, 9);
         assert_eq!(c.peek(1, 0), Some(&9));
         assert_eq!(c.peek(1, 1), None);
@@ -446,28 +334,56 @@ mod tests {
     }
 
     #[test]
-    fn eviction_respects_capacity_for_every_policy() {
-        for policy in CachePolicy::ALL {
-            let mut c = cache(3, policy);
-            for key in 0..10 {
-                c.insert(key, 0, u32::try_from(key).unwrap());
-                assert!(c.len() <= 3, "{policy}");
-            }
-            assert_eq!(c.len(), 3, "{policy}");
-            assert_eq!(c.stats().evictions, 7, "{policy}");
+    fn eviction_respects_capacity() {
+        let mut c = cache(3);
+        for key in 0..10 {
+            c.insert(key, 0, u32::try_from(key).unwrap());
+            assert!(c.len() <= 3);
         }
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.stats().evictions, 7);
+    }
+
+    #[test]
+    fn fifo_victims_in_insertion_order_despite_hits() {
+        let mut c = cache(3);
+        for key in [1, 2, 3] {
+            c.insert(key, 0, 0);
+        }
+        assert_eq!(c.lookup(1, 0), Some(&0));
+        c.insert(1, 0, 7); // overwrite in place: keeps the original age
+        c.insert(4, 0, 0);
+        assert_eq!(c.peek(1, 0), None, "FIFO ignores hits and overwrites");
+        c.insert(5, 0, 0);
+        assert_eq!(c.peek(2, 0), None);
+        assert_eq!(c.len(), 3);
+    }
+
+    #[test]
+    fn removal_forgets_keys() {
+        // A removed key must leave the eviction queue too: it neither
+        // counts toward capacity nor comes back as a phantom victim.
+        let mut c = cache(2);
+        c.insert(1, 0, 0);
+        c.insert(2, 0, 0);
+        assert_eq!(c.remove(2), Some(0));
+        c.insert(3, 0, 0);
+        assert_eq!((c.len(), c.stats().evictions), (2, 0), "room was freed");
+        c.insert(4, 0, 0);
+        assert_eq!(c.peek(1, 0), None, "the oldest survivor goes first");
+        assert_eq!(c.peek(3, 0), Some(&0));
+        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn clear_resets_entries_but_not_stats() {
-        let mut c = cache(4, CachePolicy::TwoQ).with_admission(true);
-        c.insert(1, 0, 1);
+        let mut c = cache(4);
         c.insert(1, 0, 1);
         c.lookup(1, 0);
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.stats().hits, 1);
-        c.insert(1, 0, 1);
-        assert!(c.is_empty(), "admission filter was cleared too");
+        c.insert(2, 0, 2);
+        assert_eq!(c.len(), 1, "a cleared cache stores again");
     }
 }

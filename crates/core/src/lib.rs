@@ -130,9 +130,9 @@ pub use qos::QosClass;
 pub use request::{Constraint, Request, RequestBuilder};
 pub use token::{BypassToken, TokenCache, TokenStats};
 
-// The generalized cache layer behind `TokenCache` (and the service-level
-// retrieval cache), re-exported so policy knobs are nameable from here.
-pub use rqfa_cache::{CachePolicy, CacheStats};
+// The counter block of the generalized cache layer behind `TokenCache`
+// (and the service-level retrieval cache).
+pub use rqfa_cache::CacheStats;
 
 // Re-export the numeric type users see in all fixed-point results.
 pub use rqfa_fixed::Q15;

@@ -10,11 +10,10 @@
 //! [`TokenCache`] is a thin typed facade over
 //! [`rqfa_cache::GenCache`] — the same generalized store that backs the
 //! service layer's retrieval cache — instantiated with
-//! [`Generation`] stamps and [`BypassToken`] values. Eviction defaults to
-//! FIFO (the historical behaviour) but any [`CachePolicy`] can be chosen;
+//! [`Generation`] stamps and [`BypassToken`] values. Eviction is FIFO;
 //! the normative semantics live in `docs/caching.md`.
 
-use rqfa_cache::{CachePolicy, GenCache};
+use rqfa_cache::GenCache;
 use rqfa_fixed::Q15;
 
 use crate::casebase::CaseBase;
@@ -66,7 +65,7 @@ impl TokenStats {
     }
 }
 
-/// Fixed-capacity cache of bypass tokens (FIFO eviction by default).
+/// Fixed-capacity cache of bypass tokens (FIFO eviction).
 ///
 /// ```
 /// use rqfa_core::{paper, BypassToken, FixedEngine, TokenCache};
@@ -92,17 +91,12 @@ pub struct TokenCache {
 }
 
 impl TokenCache {
-    /// Creates a FIFO cache holding at most `capacity` tokens (minimum 1).
+    /// Creates a cache holding at most `capacity` tokens (minimum 1 — a
+    /// bypass-token cache that cannot hold a token would silently
+    /// disable the §3 optimisation).
     pub fn new(capacity: usize) -> TokenCache {
-        TokenCache::with_policy(capacity, CachePolicy::Fifo)
-    }
-
-    /// Creates a cache with an explicit eviction policy (minimum
-    /// capacity 1 — a bypass-token cache that cannot hold a token would
-    /// silently disable the §3 optimisation).
-    pub fn with_policy(capacity: usize, policy: CachePolicy) -> TokenCache {
         TokenCache {
-            inner: GenCache::new(capacity.max(1), policy),
+            inner: GenCache::new(capacity.max(1)),
         }
     }
 
@@ -219,27 +213,6 @@ mod tests {
         // The newest two survive.
         assert!(cache.lookup(&requests[4], &cb).is_some());
         assert!(cache.lookup(&requests[0], &cb).is_none());
-    }
-
-    #[test]
-    fn lru_policy_keeps_the_re_referenced_token() {
-        let cb = paper::table1_case_base();
-        let mut cache = TokenCache::with_policy(2, CachePolicy::Lru);
-        let requests: Vec<Request> = (38..=40u16)
-            .map(|rate| {
-                Request::builder(paper::FIR_EQUALIZER)
-                    .constraint(paper::ATTR_RATE, rate)
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        cache.store(&requests[0], &cb, &best_for(&cb, &requests[0]));
-        cache.store(&requests[1], &cb, &best_for(&cb, &requests[1]));
-        // Touch the older token, then overflow: LRU evicts requests[1].
-        assert!(cache.lookup(&requests[0], &cb).is_some());
-        cache.store(&requests[2], &cb, &best_for(&cb, &requests[2]));
-        assert!(cache.lookup(&requests[0], &cb).is_some());
-        assert!(cache.lookup(&requests[1], &cb).is_none());
     }
 
     #[test]

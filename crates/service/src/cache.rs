@@ -16,16 +16,12 @@
 //! lookups bit-identically to a recompute (`rank` sorts then truncates, so
 //! smaller requests are exact prefixes — see `rqfa_core::nbest::rank`).
 //!
-//! Eviction defaults to FIFO — the exact-compat baseline: the service's
-//! hit pattern is dominated by *bursts* of identical requests (the
-//! bypass-token traffic of §3), which FIFO serves with zero per-hit
-//! bookkeeping. Under zipf-skewed popularity, [`CachePolicy::Lru`] and
-//! especially [`CachePolicy::TwoQ`] (+ admission) keep the hot set
-//! resident against the one-hit-wonder tail — `service_throughput`
-//! reports the A/B. The normative semantics table lives in
-//! `docs/caching.md`.
+//! Eviction is FIFO: the service's hit pattern is dominated by *bursts*
+//! of identical requests (the bypass-token traffic of §3), which FIFO
+//! serves with zero per-hit bookkeeping. The normative semantics table
+//! lives in `docs/caching.md`.
 
-use rqfa_cache::{CachePolicy, CacheStats, GenCache, RankedEntry};
+use rqfa_cache::{CacheStats, GenCache, RankedEntry};
 use rqfa_core::{Generation, NBest, OpCounts, Retrieval, Scored};
 use rqfa_fixed::Q15;
 
@@ -50,17 +46,10 @@ pub struct RetrievalCache {
 }
 
 impl RetrievalCache {
-    /// A FIFO cache holding at most `capacity` results (0 disables
-    /// caching) — the historical configuration.
+    /// A cache holding at most `capacity` results (0 disables caching).
     pub fn new(capacity: usize) -> RetrievalCache {
-        RetrievalCache::with_policy(capacity, CachePolicy::Fifo, false)
-    }
-
-    /// A cache with an explicit eviction policy and optional
-    /// one-hit-wonder admission filtering.
-    pub fn with_policy(capacity: usize, policy: CachePolicy, admission: bool) -> RetrievalCache {
         RetrievalCache {
-            inner: GenCache::new(capacity, policy).with_admission(admission),
+            inner: GenCache::new(capacity),
         }
     }
 
@@ -160,15 +149,6 @@ impl RetrievalCache {
             }
         }
         self.inner.insert(fingerprint, generation, entry);
-    }
-
-    /// Records that `fingerprint` repeated inside one dispatch batch
-    /// (a coalesced duplicate served off the leader's computation): the
-    /// admission filter counts the repeat as a sighting, so the leader's
-    /// insert is not bounced as a one-hit wonder. No-op without an
-    /// admission filter.
-    pub fn note_repeat(&mut self, fingerprint: u64) {
-        self.inner.note_sighting(fingerprint);
     }
 
     /// Live entries.

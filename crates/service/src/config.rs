@@ -2,41 +2,29 @@
 //! [`AllocationService`](crate::AllocationService), its builders and
 //! its validation.
 
-use rqfa_cache::CachePolicy;
-use rqfa_core::{KernelPath, QosClass};
+use rqfa_core::QosClass;
 use rqfa_persist::PersistPolicy;
 use rqfa_telemetry::{monotonic, SharedClock};
 
 use crate::error::ServiceError;
-use crate::sched::{ArbiterMode, SchedMode, WeightedArbiter};
 #[cfg(doc)]
-use crate::{AllocationService, ClassSnapshot, ManualClock, Outcome};
+use crate::{AllocationService, ClassSnapshot, ManualClock, Outcome, WeightedArbiter};
 
 /// Configuration of an [`AllocationService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Number of shards / worker threads (min 1).
     pub shards: usize,
-    /// Maximum jobs dispatched per scheduling round of one worker.
+    /// Maximum jobs dispatched per scheduling round of one worker
+    /// (min 1).
     pub batch_size: usize,
-    /// Per-shard queue bound across classes. Admission limits step with
-    /// urgency: LOW is refused at `1×` this bound, MEDIUM at `2×`, HIGH
-    /// at `4×`; CRITICAL is always admitted.
+    /// Per-shard queue bound across classes (min 1). Admission limits
+    /// step with urgency: LOW is refused at `1×` this bound, MEDIUM at
+    /// `2×`, HIGH at `4×`; CRITICAL is always admitted.
     pub queue_capacity: usize,
     /// Per-shard result-cache capacity in entries (0 disables caching).
+    /// Eviction is FIFO (see `docs/caching.md`).
     pub cache_capacity: usize,
-    /// Eviction policy of the per-shard result cache. FIFO (the
-    /// historical default) has zero per-hit bookkeeping and serves the
-    /// bursty repeat traffic of §3 well; LRU and 2Q keep a zipf-skewed
-    /// hot set resident (see `docs/caching.md` and the
-    /// `service_throughput` policy A/B).
-    pub cache_policy: CachePolicy,
-    /// Whether the per-shard cache runs a one-hit-wonder admission
-    /// filter: a fingerprint must be sighted twice before its result is
-    /// cached at all (the first sighting is only remembered, even while
-    /// the cache has free room). Off by default (the historical
-    /// behaviour).
-    pub cache_admission: bool,
     /// Per-class queueing-delay budget in µs, indexed by
     /// [`QosClass::index`]. The budget defines a sheddable job's
     /// *effective deadline* (submit time + budget) unless the request
@@ -47,28 +35,13 @@ pub struct ServiceConfig {
     /// entirely (never shed, but a served-late CRITICAL request counts as
     /// a [`missed deadline`](ClassSnapshot::missed_deadline)).
     pub deadline_budget_us: [Option<u64>; QosClass::COUNT],
-    /// How jobs are ordered within a class lane: earliest-deadline-first
-    /// (default) or strict arrival order (the A/B baseline).
-    pub scheduling: SchedMode,
-    /// Which arbitration policy decides the next lane each batch slot is
-    /// drawn from: strict priority, credit WRR with bounded slack
-    /// promotion (default), dynamic priority under measured urgency
-    /// margins, or sliding-window fair-share bandwidth regulation. See
-    /// [`ArbiterMode`] and `docs/scheduling.md`.
-    pub arbiter_mode: ArbiterMode,
     /// A lane head within this many µs of its effective deadline is
     /// *urgent*: the scheduler may serve it ahead of the weighted order
-    /// (bounded by [`ServiceConfig::promotions_per_round`]). `0` promotes
-    /// only already-overdue heads, which is usually too late — size it
-    /// around one batch's service time. Ignored in FIFO mode.
+    /// (bounded by [`WeightedArbiter::DEFAULT_PROMOTIONS`] out-of-credit
+    /// promotions per round). `0` promotes only heads due this very
+    /// tick, which is usually too late — size it around one batch's
+    /// service time.
     pub promotion_margin_us: u64,
-    /// How many times per scheduling round an urgent, out-of-credit lane
-    /// may be served anyway. Bounds priority inversion: CRITICAL's share
-    /// never drops below `weight / (Σ weights + promotions_per_round)`.
-    pub promotions_per_round: u32,
-    /// Weighted-round-robin credit per class, indexed by
-    /// [`QosClass::index`].
-    pub class_weights: [u32; QosClass::COUNT],
     /// Durable shards checkpoint (snapshot + WAL compaction) after this
     /// many acknowledged mutations; `0` checkpoints only on
     /// [`AllocationService::checkpoint`]. Ignored by ephemeral services.
@@ -103,12 +76,6 @@ pub struct ServiceConfig {
     /// queues — and burning remote retry budgets — while a node is
     /// down (see `docs/distribution.md`).
     pub predictive_shed: bool,
-    /// Kernel path of the per-shard plane engines:
-    /// [`KernelPath::Auto`] (default) runtime-detects the wide SIMD
-    /// kernel, [`KernelPath::ForceScalar`] pins the scalar loops. Either
-    /// way results are bit-identical; this is a performance/debugging
-    /// knob (the CI fallback lane forces scalar).
-    pub kernel_path: KernelPath,
 }
 
 impl Default for ServiceConfig {
@@ -118,27 +85,21 @@ impl Default for ServiceConfig {
             batch_size: 32,
             queue_capacity: 4096,
             cache_capacity: 1 << 16,
-            cache_policy: CachePolicy::Fifo,
-            cache_admission: false,
             deadline_budget_us: [None; QosClass::COUNT],
-            scheduling: SchedMode::Edf,
-            arbiter_mode: ArbiterMode::WeightedRoundRobin,
             promotion_margin_us: 0,
-            promotions_per_round: WeightedArbiter::DEFAULT_PROMOTIONS,
-            class_weights: QosClass::ALL.map(QosClass::weight),
             snapshot_every: PersistPolicy::default().snapshot_every,
             clock: monotonic(),
             trace_capacity: 0,
             predictive_shed: false,
-            kernel_path: KernelPath::default(),
         }
     }
 }
 
 impl ServiceConfig {
-    /// Sets the shard count. The value is stored as given — a zero shard
-    /// count is rejected at service construction with
-    /// [`ServiceError::Config`], never silently clamped.
+    /// Sets the shard count. Like every sizing knob the value is stored
+    /// as given — a zero `shards`, `batch_size` or `queue_capacity` is
+    /// rejected at service construction with [`ServiceError::Config`],
+    /// never silently clamped.
     pub fn with_shards(mut self, shards: usize) -> ServiceConfig {
         self.shards = shards;
         self
@@ -146,13 +107,13 @@ impl ServiceConfig {
 
     /// Sets the dispatch batch size.
     pub fn with_batch_size(mut self, batch_size: usize) -> ServiceConfig {
-        self.batch_size = batch_size.max(1);
+        self.batch_size = batch_size;
         self
     }
 
     /// Sets the per-shard queue bound.
     pub fn with_queue_capacity(mut self, capacity: usize) -> ServiceConfig {
-        self.queue_capacity = capacity.max(1);
+        self.queue_capacity = capacity;
         self
     }
 
@@ -162,45 +123,15 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the per-shard cache eviction policy.
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> ServiceConfig {
-        self.cache_policy = policy;
-        self
-    }
-
-    /// Enables/disables the one-hit-wonder admission filter.
-    pub fn with_cache_admission(mut self, admission: bool) -> ServiceConfig {
-        self.cache_admission = admission;
-        self
-    }
-
     /// Sets one class's queueing-delay budget.
     pub fn with_deadline_budget_us(mut self, class: QosClass, budget_us: u64) -> ServiceConfig {
         self.deadline_budget_us[class.index()] = Some(budget_us);
         self
     }
 
-    /// Sets the within-lane scheduling mode (EDF vs FIFO baseline).
-    pub fn with_scheduling(mut self, mode: SchedMode) -> ServiceConfig {
-        self.scheduling = mode;
-        self
-    }
-
-    /// Selects the cross-lane arbitration policy (see [`ArbiterMode`]).
-    pub fn with_arbiter_mode(mut self, mode: ArbiterMode) -> ServiceConfig {
-        self.arbiter_mode = mode;
-        self
-    }
-
     /// Sets the slack margin (µs) under which a lane head is promoted.
     pub fn with_promotion_margin_us(mut self, margin_us: u64) -> ServiceConfig {
         self.promotion_margin_us = margin_us;
-        self
-    }
-
-    /// Sets the per-round bound on out-of-credit promotions.
-    pub fn with_promotions_per_round(mut self, per_round: u32) -> ServiceConfig {
-        self.promotions_per_round = per_round;
         self
     }
 
@@ -230,21 +161,19 @@ impl ServiceConfig {
         self.predictive_shed = on;
         self
     }
-
-    /// Pins the plane-kernel path of every shard worker (see
-    /// [`ServiceConfig::kernel_path`]).
-    pub fn with_kernel_path(mut self, path: KernelPath) -> ServiceConfig {
-        self.kernel_path = path;
-        self
-    }
 }
 
 /// Validates a configuration before any shard state is built or touched.
 pub(crate) fn validate_config(config: &ServiceConfig) -> Result<(), ServiceError> {
+    let reject = |what: &str| Err(ServiceError::Config(format!("{what} must be at least 1")));
     if config.shards == 0 {
-        return Err(ServiceError::Config(
-            "shards must be at least 1 (routing is type_id % shards)".into(),
-        ));
+        return reject("shards (routing is type_id % shards)");
+    }
+    if config.batch_size == 0 {
+        return reject("batch_size (an empty batch serves nothing)");
+    }
+    if config.queue_capacity == 0 {
+        return reject("queue_capacity (it is LOW's admission limit)");
     }
     Ok(())
 }

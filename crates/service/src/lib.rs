@@ -22,11 +22,9 @@
 //!   model lives in `docs/scheduling.md`.
 //! * **Result caching** ([`cache`]): retrievals are memoized by request
 //!   fingerprint and stamped with the case-base generation counter; any
-//!   retain/revise/evict invalidates the shard's cache wholesale. The
-//!   eviction policy is a QoS knob ([`ServiceConfig::cache_policy`]:
-//!   FIFO, LRU, or 2Q, plus an optional one-hit-wonder admission
-//!   filter), backed by the workspace-wide `rqfa-cache` store — the
-//!   normative model lives in `docs/caching.md`.
+//!   retain/revise/evict invalidates the shard's cache wholesale.
+//!   Eviction is FIFO, backed by the workspace-wide `rqfa-cache` store —
+//!   the normative model lives in `docs/caching.md`.
 //! * **Metrics** ([`metrics`]): per-class p50/p99 latency, hit rate and
 //!   shed counts from lock-free counters, with batch-granular snapshot
 //!   consistency and a [`MetricSource`]
@@ -86,9 +84,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rqfa_core::{CaseBase, CaseMutation, CoreError, ImplVariant, QosClass, Request, Scored, TypeId};
-
-// The kernel-path knob is part of the service configuration surface.
-pub use rqfa_core::KernelPath;
 use rqfa_fixed::Q15;
 use rqfa_persist::{PersistError, RecoveryReport};
 use rqfa_telemetry::{MetricSource, Registry};
@@ -97,11 +92,11 @@ use config::validate_config;
 pub use config::ServiceConfig;
 pub use error::ServiceError;
 pub use metrics::{ClassSnapshot, MetricsSnapshot, ServiceMetrics};
-pub use rqfa_cache::{CachePolicy, CacheStats};
+pub use rqfa_cache::CacheStats;
 pub use rqfa_telemetry::{
     Clock, ManualClock, MonotonicClock, RequestTimeline, SharedClock, StageBreakdown, TraceDump,
 };
-pub use sched::{ArbiterMode, Pick, SchedMode, ServiceTimeEstimator, WeightedArbiter};
+pub use sched::{Pick, ServiceTimeEstimator, WeightedArbiter};
 
 /// How one request ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -844,6 +839,25 @@ mod tests {
             panic!("zero shards must be rejected")
         };
         assert!(matches!(err, ServiceError::Config(_)), "{err}");
+        // The other two sizing knobs follow the same rule, whether the
+        // zero arrives through the builder or a struct literal: stored
+        // verbatim, refused at construction, clamped nowhere.
+        assert_eq!(ServiceConfig::default().with_batch_size(0).batch_size, 0);
+        assert_eq!(ServiceConfig::default().with_queue_capacity(0).queue_capacity, 0);
+        for (what, config) in [
+            ("batch_size", ServiceConfig::default().with_batch_size(0)),
+            ("batch_size", ServiceConfig { batch_size: 0, ..ServiceConfig::default() }),
+            ("queue_capacity", ServiceConfig::default().with_queue_capacity(0)),
+            ("queue_capacity", ServiceConfig { queue_capacity: 0, ..ServiceConfig::default() }),
+        ] {
+            match AllocationService::new(&paper::table1_case_base(), &config) {
+                Err(ServiceError::Config(message)) => {
+                    assert!(message.contains(what), "{message} should name {what}");
+                }
+                Err(other) => panic!("zero {what}: expected a Config error, got {other}"),
+                Ok(_) => panic!("zero {what} must be rejected"),
+            }
+        }
         // The durable constructor validates before touching the disk.
         let dir = std::env::temp_dir().join(format!("rqfa-zero-shards-{}", std::process::id()));
         let Err(err) = AllocationService::durable_create(

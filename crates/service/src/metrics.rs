@@ -26,7 +26,7 @@ use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rqfa_core::{OpCounts, QosClass};
-use rqfa_telemetry::{ratio, Gauge, MetricSource, Sample};
+use rqfa_telemetry::{ratio, MetricSource, Sample};
 
 /// The shared power-of-two latency histogram (µs). Bucket 0 holds
 /// exactly 0 µs and reports 0 — not 1 — as its quantile upper bound.
@@ -63,8 +63,7 @@ pub struct ClassMetrics {
     /// ahead of the weighted round-robin order.
     pub promoted: AtomicU64,
     /// Arbiter grants: every batch slot drawn from this class's lane,
-    /// whatever the [`ArbiterMode`](crate::ArbiterMode). The measured
-    /// *served share* — what FAIR_SHARE regulates — is this class's
+    /// promoted or not. The measured *served share* is this class's
     /// picks over the total across classes
     /// ([`ClassSnapshot::served_share`]).
     pub picks: AtomicU64,
@@ -162,10 +161,6 @@ pub struct ServiceMetrics {
     pub batched_requests: AtomicU64,
     /// Kernel effort aggregated over every scored batch.
     pub ops: OpsMetrics,
-    /// The urgency margin (µs) the scheduler last arbitrated with —
-    /// fixed in WRR, measured (2 × EWMA batch service time) under
-    /// DYNAMIC_PRIORITY. Last-writer-wins across shards.
-    pub sched_margin_us: Gauge,
     /// The batch-commit gate (see the module docs).
     gate: Mutex<()>,
 }
@@ -222,7 +217,6 @@ impl ServiceMetrics {
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
             ops: self.ops.snapshot(),
-            sched_margin_us: self.sched_margin_us.get(),
         }
     }
 }
@@ -289,8 +283,8 @@ impl ClassSnapshot {
     }
 
     /// This class's measured share of all arbiter grants, in `[0, 1]`
-    /// (`picks / total_picks`) — the quantity FAIR_SHARE regulates
-    /// toward `weight / Σ weights`.
+    /// (`picks / total_picks`); under saturation the arbiter holds it
+    /// near `weight / Σ weights`.
     pub fn served_share(&self, total_picks: u64) -> f64 {
         ratio(self.picks, total_picks)
     }
@@ -307,9 +301,6 @@ pub struct MetricsSnapshot {
     pub batched_requests: u64,
     /// Kernel effort aggregated over every scored batch.
     pub ops: OpCounts,
-    /// The scheduler's urgency margin at snapshot time, µs (see
-    /// [`ServiceMetrics::sched_margin_us`]).
-    pub sched_margin_us: u64,
 }
 
 impl MetricsSnapshot {
@@ -341,7 +332,7 @@ impl MetricsSnapshot {
     /// Flattens the snapshot into registry samples: per-class counters
     /// under `<class>/`, service-wide batch and kernel-effort counters at
     /// the top level. These are exactly the names the `service_trace`
-    /// trajectory (`BENCH_9.json`) publishes.
+    /// trajectory (`BENCH_14.json`) publishes.
     pub fn collect(&self, out: &mut Vec<Sample>) {
         let total_picks = self.picks();
         for c in &self.classes {
@@ -369,7 +360,6 @@ impl MetricsSnapshot {
         out.push(Sample::count("batches", self.batches));
         out.push(Sample::count("batched_requests", self.batched_requests));
         out.push(Sample::new("mean_batch_len", "ratio", self.mean_batch_len()));
-        out.push(Sample::us("sched/margin_us", self.sched_margin_us));
         out.push(Sample::count("ops/search_steps", self.ops.search_steps));
         out.push(Sample::count("ops/distances", self.ops.distances));
         out.push(Sample::count("ops/multiplies", self.ops.multiplies));

@@ -7,18 +7,17 @@
 //!
 //! ## Lane ordering
 //!
-//! Each lane is an ordered map keyed by `(sort key, sequence)`. In
-//! [`SchedMode::Edf`] the sort key is the job's *effective deadline*
-//! (its explicit per-request deadline, else enqueue time + class
-//! budget); a job with no deadline at all carries an explicit
-//! no-deadline sentinel that orders **after every tick**, so *any*
-//! explicit deadline — however far in the future — sorts ahead of the
-//! deadline-free backlog, and deadline-free jobs keep arrival order
-//! among themselves. The lane head is therefore always the job closest
-//! to missing — earliest-deadline-first. In [`SchedMode::Fifo`] the sort
-//! key is the enqueue time, reproducing strict arrival order. The
-//! monotonic sequence breaks ties deterministically, so two runs over the
-//! same trace dispatch — and shed — identically.
+//! Each lane is an ordered map keyed by `(sort key, sequence)`. The sort
+//! key is the job's *effective deadline* (its explicit per-request
+//! deadline, else enqueue time + class budget); a job with no deadline
+//! at all carries an explicit no-deadline sentinel that orders **after
+//! every tick**, so *any* explicit deadline — however far in the future
+//! — sorts ahead of the deadline-free backlog, and deadline-free jobs
+//! keep arrival order among themselves. The lane head is therefore
+//! always the job closest to missing — earliest-deadline-first; with no
+//! deadlines in play at all that is exactly arrival order. The monotonic
+//! sequence breaks ties deterministically, so two runs over the same
+//! trace dispatch — and shed — identically.
 //!
 //! ## Overload policy
 //!
@@ -32,8 +31,8 @@
 //! schedule room to lose) and the newcomer admitted; otherwise the
 //! newcomer — itself the largest-slack job — bounces. With no deadlines
 //! in play the newcomer always has the largest key, so this degrades to
-//! the classic refuse-the-arrival policy (and `Fifo` mode keeps it
-//! exactly). On top of admission control, effective deadlines shed
+//! the classic refuse-the-arrival policy. On top of admission control,
+//! effective deadlines shed
 //! HIGH/MEDIUM/LOW at *dispatch* once they have expired — work that can
 //! still meet its deadline is never refused by the budget.
 
@@ -45,7 +44,7 @@ use rqfa_core::{QosClass, Request};
 use rqfa_telemetry::{EventKind, FlightRecorder};
 
 use crate::metrics::ServiceMetrics;
-use crate::sched::{ArbiterMode, SchedMode, ServiceTimeEstimator, WeightedArbiter};
+use crate::sched::{ServiceTimeEstimator, WeightedArbiter};
 use crate::{Job, Outcome, Reply, ServiceConfig};
 
 /// A lane's sort key: explicit ticks order chronologically, and the
@@ -54,10 +53,9 @@ use crate::{Job, Outcome, Reply, ServiceConfig};
 /// sorts ahead of the deadline-free backlog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SortKey {
-    /// Order by this clock tick (µs): the effective deadline (EDF) or
-    /// the enqueue time (FIFO).
+    /// Order by this clock tick (µs): the effective deadline.
     At(u64),
-    /// EDF job with no deadline at all: behind every deadlined job, in
+    /// A job with no deadline at all: behind every deadlined job, in
     /// arrival order among themselves (via the tie-breaking sequence).
     NoDeadline,
 }
@@ -134,9 +132,8 @@ pub struct ClassQueue {
     pub(crate) metrics: Arc<ServiceMetrics>,
     /// The shard's flight recorder (`None` = tracing off).
     pub(crate) recorder: Option<Arc<FlightRecorder>>,
-    /// Batch-service-time estimator: written by the shard's driver,
-    /// read here to size the [`ArbiterMode::DynamicPriority`] margin, to
-    /// stop a batch fill that would make a picked job late, and to
+    /// Service-time estimator: written by the shard's driver, read here
+    /// to stop a batch fill that would make a picked job late and to
     /// predict doomed arrivals. Cold (no samples) it changes nothing.
     estimator: ServiceTimeEstimator,
 }
@@ -152,9 +149,7 @@ impl ClassQueue {
         ClassQueue {
             inner: Mutex::new(Inner {
                 lanes: Default::default(),
-                arbiter: WeightedArbiter::with_weights(config.class_weights)
-                    .with_promotions(config.promotions_per_round)
-                    .with_mode(config.arbiter_mode),
+                arbiter: WeightedArbiter::new(),
                 len: 0,
                 seq: 0,
                 shutdown: false,
@@ -254,14 +249,6 @@ impl ClassQueue {
         (completes > deadline).then(|| completes - deadline)
     }
 
-    /// The lane sort key of a job under this queue's mode.
-    fn sort_key(&self, job: &Job) -> SortKey {
-        match self.config.scheduling {
-            SchedMode::Fifo => SortKey::At(job.enqueued_at),
-            SchedMode::Edf => job.deadline.map_or(SortKey::NoDeadline, SortKey::At),
-        }
-    }
-
     /// Enqueues a job. See [`Admission`] for the outcomes; the class's
     /// admission limit is LOW: 1× capacity, MEDIUM: 2×, HIGH: 4×,
     /// CRITICAL: unlimited.
@@ -277,19 +264,19 @@ impl ClassQueue {
             drop(inner);
             return Admission::Doomed { job, late_us };
         }
-        let capacity = self.config.queue_capacity.max(1);
+        let capacity = self.config.queue_capacity;
         let limit = match job.class {
             QosClass::Critical => usize::MAX,
             QosClass::High => capacity.saturating_mul(4),
             QosClass::Medium => capacity.saturating_mul(2),
             QosClass::Low => capacity,
         };
-        let key = (self.sort_key(&job), inner.seq);
+        let key = (job.deadline.map_or(SortKey::NoDeadline, SortKey::At), inner.seq);
         inner.seq += 1;
         if inner.len >= limit {
             // Shed by largest slack: the lane's last key is its
             // largest-slack resident. Strict `<` keeps the no-deadline
-            // (and Fifo) case on the classic refuse-the-arrival policy.
+            // case on the classic refuse-the-arrival policy.
             let lane = &mut inner.lanes[job.class.index()];
             if job.class.sheddable() {
                 if let Some((&last_key, _)) = lane.last_key_value() {
@@ -325,16 +312,9 @@ impl ClassQueue {
             }
             inner = self.available.wait(inner).expect("queue poisoned");
         }
-        // DYNAMIC_PRIORITY sizes the urgency margin from measurement
-        // (the configured margin while the estimator is cold); every
-        // other mode keeps the configured fixed margin. The estimator is
-        // written only by this shard's driver — the thread running this
-        // very loop — so both reads are stable across the whole fill.
-        let margin_us = match inner.arbiter.mode() {
-            ArbiterMode::DynamicPriority => self.estimator.margin_us(self.config.promotion_margin_us),
-            _ => self.config.promotion_margin_us,
-        };
-        self.metrics.sched_margin_us.set(margin_us);
+        // The estimator is written only by this shard's driver — the
+        // thread running this very loop — so the read is stable across
+        // the whole fill.
         let per_job_us = self.estimator.per_job_us();
         // Tightest effective deadline among jobs already picked — the
         // deadline-aware composition bound.
@@ -346,7 +326,7 @@ impl ClassQueue {
             // long batch. A frozen manual clock returns the same tick
             // each read, so deterministic replays are unaffected.
             let now = self.config.clock.now_us();
-            if self.config.scheduling == SchedMode::Edf && per_job_us > 0 {
+            if per_job_us > 0 {
                 if let Some(tight) = tightest {
                     // Stop filling when the estimator says one more pick
                     // would turn an already-picked job from meeting its
@@ -360,14 +340,9 @@ impl ClassQueue {
                     }
                 }
             }
-            let Some(pick) = ({
-                let backlogged = inner.backlogged();
-                let urgent = match self.config.scheduling {
-                    SchedMode::Edf => inner.urgent(now, margin_us),
-                    SchedMode::Fifo => [false; QosClass::COUNT],
-                };
-                inner.arbiter.pick_urgent(backlogged, urgent)
-            }) else {
+            let backlogged = inner.backlogged();
+            let urgent = inner.urgent(now, self.config.promotion_margin_us);
+            let Some(pick) = inner.arbiter.pick_urgent(backlogged, urgent) else {
                 break;
             };
             let (_, job) = inner.lanes[pick.class.index()]
@@ -380,10 +355,8 @@ impl ClassQueue {
             }
             let promoted = u64::from(pick.promoted);
             self.trace(now, job.id, job.class, EventKind::Scheduled, promoted);
-            if self.config.scheduling == SchedMode::Edf {
-                if let Some(deadline) = job.deadline {
-                    tightest = Some(tightest.map_or(deadline, |t| t.min(deadline)));
-                }
+            if let Some(deadline) = job.deadline {
+                tightest = Some(tightest.map_or(deadline, |t| t.min(deadline)));
             }
             inner.len -= 1;
             batch.push(job);
@@ -462,10 +435,6 @@ mod tests {
         build(&config(capacity))
     }
 
-    fn queue_mode(capacity: usize, mode: SchedMode) -> ClassQueue {
-        build(&config(capacity).with_scheduling(mode))
-    }
-
     fn push_ok(q: &ClassQueue, job: Job) {
         assert!(matches!(q.push(job), Admission::Admitted));
     }
@@ -503,16 +472,6 @@ mod tests {
         push_ok(&q, job(4, QosClass::High));
         let order: Vec<u64> = q.pop_batch(8).unwrap().iter().map(|j| j.id).collect();
         assert_eq!(order, [1, 3, 2, 0, 4], "earliest deadline first");
-    }
-
-    #[test]
-    fn fifo_mode_ignores_deadlines() {
-        let q = queue_mode(64, SchedMode::Fifo);
-        for (id, us) in [(0, 40_000u64), (1, 10_000), (2, 30_000), (3, 20_000)] {
-            push_ok(&q, deadline_job(id, QosClass::High, 0, us));
-        }
-        let order: Vec<u64> = q.pop_batch(8).unwrap().iter().map(|j| j.id).collect();
-        assert_eq!(order, [0, 1, 2, 3], "strict arrival order");
     }
 
     #[test]
@@ -629,40 +588,35 @@ mod tests {
     fn sort_order_matches_the_documented_contract_under_mixed_traces() {
         // Property: over random mixes of no-deadline / near-deadline /
         // far-deadline jobs (far: beyond the old 1-year horizon), one
-        // lane's pop order equals the documented total order in both
-        // modes — EDF: explicit deadlines ascending then deadline-free
-        // in arrival order, ties by sequence; FIFO: strict arrival
-        // order, deadlines ignored.
+        // lane's pop order equals the documented total order: explicit
+        // deadlines ascending then deadline-free in arrival order, ties
+        // by sequence.
         let year_us = 365u64 * 24 * 3600 * 1_000_000;
         for seed in 0..8u64 {
-            for mode in [SchedMode::Edf, SchedMode::Fifo] {
-                let mut state = seed ^ 0xEDF0;
-                let q = queue_mode(1024, mode);
-                // (id, absolute deadline tick, if any); arrival ticks
-                // strictly increase with id.
-                let mut jobs: Vec<(u64, Option<u64>)> = Vec::new();
-                for id in 0..64u64 {
-                    let deadline = match splitmix(&mut state) % 3 {
-                        0 => None,
-                        1 => Some(id + splitmix(&mut state) % 100_000),
-                        _ => Some(id + year_us + splitmix(&mut state) % year_us),
-                    };
-                    push_ok(&q, testkit::job(id, QosClass::High, request(), id, deadline).0);
-                    jobs.push((id, deadline));
-                }
-                let mut expected: Vec<u64> = jobs.iter().map(|&(id, _)| id).collect();
-                if mode == SchedMode::Edf {
-                    // Push order == sequence order, so (deadline-free
-                    // last, deadline ascending, id) is the contract.
-                    expected.sort_by_key(|&id| {
-                        let (_, deadline) = jobs[usize::try_from(id).unwrap()];
-                        (deadline.is_none(), deadline.unwrap_or(0), id)
-                    });
-                }
-                let order: Vec<u64> =
-                    q.pop_batch(jobs.len()).unwrap().iter().map(|j| j.id).collect();
-                assert_eq!(order, expected, "mode {mode:?}, seed {seed}");
+            let mut state = seed ^ 0xEDF0;
+            let q = queue(1024);
+            // (id, absolute deadline tick, if any); arrival ticks
+            // strictly increase with id.
+            let mut jobs: Vec<(u64, Option<u64>)> = Vec::new();
+            for id in 0..64u64 {
+                let deadline = match splitmix(&mut state) % 3 {
+                    0 => None,
+                    1 => Some(id + splitmix(&mut state) % 100_000),
+                    _ => Some(id + year_us + splitmix(&mut state) % year_us),
+                };
+                push_ok(&q, testkit::job(id, QosClass::High, request(), id, deadline).0);
+                jobs.push((id, deadline));
             }
+            // Push order == sequence order, so (deadline-free last,
+            // deadline ascending, id) is the contract.
+            let mut expected: Vec<u64> = jobs.iter().map(|&(id, _)| id).collect();
+            expected.sort_by_key(|&id| {
+                let (_, deadline) = jobs[usize::try_from(id).unwrap()];
+                (deadline.is_none(), deadline.unwrap_or(0), id)
+            });
+            let order: Vec<u64> =
+                q.pop_batch(jobs.len()).unwrap().iter().map(|j| j.id).collect();
+            assert_eq!(order, expected, "seed {seed}");
         }
     }
 

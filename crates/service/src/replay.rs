@@ -36,6 +36,7 @@ use std::sync::Arc;
 use rqfa_core::{CaseBase, QosClass, Request};
 use rqfa_telemetry::{FlightRecorder, ManualClock, TraceDump};
 
+use crate::config::validate_config;
 use crate::metrics::ServiceMetrics;
 use crate::shard::{self, ShardCore, ShardStore};
 use crate::{MetricsSnapshot, Reply, ServiceConfig};
@@ -111,7 +112,13 @@ impl TraceDriver {
     /// `config.clock` is ignored — the driver owns a private
     /// [`ManualClock`]; `config.trace_capacity` of 0 is raised to a
     /// default so the replay always yields a trace.
+    ///
+    /// # Panics
+    ///
+    /// On a configuration [`AllocationService::new`](crate::AllocationService::new)
+    /// would reject (a zero `shards`, `batch_size` or `queue_capacity`).
     pub fn new(case_base: &CaseBase, config: &ServiceConfig, cost: CostModel) -> TraceDriver {
+        validate_config(config).expect("valid service config");
         let mut config = config.clone();
         if config.trace_capacity == 0 {
             config.trace_capacity = 1 << 16;
@@ -202,8 +209,8 @@ impl TraceDriver {
                 // The live driver feeds the estimator the clock time it
                 // measured around the step; here the cost model *is* the
                 // truth, so the estimator sees exactly what the event
-                // loop charges — the adaptive modes replay
-                // bit-identically.
+                // loop charges — estimator-bounded batch fill and
+                // predictive shedding replay bit-identically.
                 shard.core.queue.estimator().observe(batch_us, served);
                 shard.free_at_us = t + batch_us;
             }
@@ -250,27 +257,6 @@ mod tests {
         assert_eq!(a.replies, b.replies);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.trace.events.len(), b.trace.events.len());
-    }
-
-    #[test]
-    fn every_arbiter_mode_replays_bit_identically() {
-        // The adaptive modes close their feedback loop through the
-        // estimator; fed from the cost model it is as deterministic as
-        // the event loop itself, so replays stay bit-identical.
-        let cb = paper::table1_case_base();
-        for mode in crate::sched::ArbiterMode::ALL {
-            let config = ServiceConfig::default()
-                .with_shards(2)
-                .with_batch_size(4)
-                .with_arbiter_mode(mode);
-            let driver = TraceDriver::new(&cb, &config, CostModel::default());
-            let trace = arrivals(96, 20);
-            let a = driver.run(&trace);
-            let b = driver.run(&trace);
-            assert_eq!(a.replies, b.replies, "{mode:?}");
-            assert_eq!(a.metrics, b.metrics, "{mode:?}");
-            assert_eq!(a.trace.events.len(), b.trace.events.len(), "{mode:?}");
-        }
     }
 
     #[test]

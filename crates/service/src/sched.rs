@@ -1,59 +1,30 @@
-//! QoS scheduling policy: a mode-selectable arbitration layer over the
-//! four class lanes, plus the measured service-time estimator that
-//! closes the control loop.
+//! QoS scheduling policy: the arbiter over the four class lanes, plus
+//! the measured service-time estimator that closes the control loop.
 //!
 //! The shard worker asks the scheduler which class to serve next each
-//! time it moves one job into a dispatch batch. The arbiter runs in one
-//! of four [`ArbiterMode`]s — the AXI4 QoS arbiter vocabulary mapped
-//! onto software (the full model, with its invariants, is spelled out in
+//! time it moves one job into a dispatch batch. The arbiter is credit
+//! **weighted round-robin with bounded slack promotion** — the software
+//! analogue of an AXI interconnect's weighted QoS arbiter (the full
+//! model, with its invariants, is spelled out in
 //! [`docs/scheduling.md`](https://github.com/rqfa/rqfa/blob/main/docs/scheduling.md)):
 //!
-//! * **STRICT_PRIORITY** — the most urgent backlogged class always wins.
-//!   No credits, no fairness: LOW starves under a CRITICAL flood. Kept
-//!   as the baseline the other modes are judged against.
-//! * **WEIGHTED_ROUND_ROBIN** (default) — the software analogue of an
-//!   AXI interconnect's weighted arbiter: each class holds a credit
-//!   counter refilled to [`QosClass::weight`]; picking a job costs one
-//!   credit; the most urgent class with both work and credit wins; when
-//!   every backlogged class is out of credit, all counters refill (a new
-//!   *round*). LOW traffic therefore keeps forward progress (no
-//!   starvation) while CRITICAL gets an 8:4:2:1 share under saturation.
-//!   Composes with **bounded slack promotion**: the queue flags a lane
-//!   *urgent* when its head job's remaining slack (deadline − now) has
-//!   shrunk to the promotion margin. An urgent lane may be served ahead
-//!   of the weighted order: if it still has credit the promotion merely
-//!   reorders work inside the round (free — round totals are unchanged);
-//!   if it is out of credit it consumes one of `promotions_per_round`
-//!   tokens. The token bound is the anti-starvation guarantee: a round
-//!   can grow by at most `promotions_per_round` extra picks, so
-//!   CRITICAL's share never drops below
-//!   `weight / (Σ weights + promotions_per_round)` no matter how many
-//!   lower-class deadlines are about to burst.
-//! * **DYNAMIC_PRIORITY** — weighted round-robin credits and tokens, but
-//!   a lane's *effective* priority rises while its head stays inside the
-//!   urgency margin (one boost level per arbitration while urgent, up to
-//!   [`WeightedArbiter::BOOST_MAX`]) and decays by half each time the
-//!   lane is served. Effective priority orders *both* paths of the
-//!   credit engine: among urgent lanes the highest effective priority
-//!   takes the promotion, so a LOW lane whose deadline keeps shrinking
-//!   can out-rank an urgent HIGH lane that was just served — and among
-//!   creditable lanes it decides who spends the next credit, so a
-//!   boosted lane's own per-round share is served *early* in the round,
-//!   while its heads are still rescuable, instead of at its fixed
-//!   class-order position. The urgency margin itself is
-//!   *measured*, not configured: the queue sizes it from the per-shard
-//!   [`ServiceTimeEstimator`] ([`ServiceTimeEstimator::margin_us`]) that
-//!   the worker feeds with real batch service times. Credits and tokens
-//!   are unchanged, so the WRR anti-starvation bound still holds.
-//! * **FAIR_SHARE** — per-class bandwidth regulation under measurement:
-//!   the arbiter keeps a sliding window of the last
-//!   [`WeightedArbiter::FAIR_SHARE_WINDOW`] *served* picks and grants the
-//!   backlogged class with the largest deficit between its target share
-//!   (its weight over the weight sum) and its measured share of that
-//!   window. Because the window slides, an idle class's deficit is
-//!   bounded by `target × window` — it cannot bank unbounded credit and
-//!   then monopolize the fabric on return. Urgency flags are ignored:
-//!   this mode trades deadline reactivity for share stability.
+//! * **Credits.** Each class holds a credit counter refilled to
+//!   [`QosClass::weight`]; picking a job costs one credit; the most
+//!   urgent class with both work and credit wins; when every backlogged
+//!   class is out of credit, all counters refill (a new *round*). LOW
+//!   traffic therefore keeps forward progress (no starvation) while
+//!   CRITICAL gets an 8:4:2:1 share under saturation.
+//! * **Bounded slack promotion.** The queue flags a lane *urgent* when
+//!   its head job's remaining slack (deadline − now) has shrunk to the
+//!   promotion margin. An urgent lane may be served ahead of the weighted
+//!   order: if it still has credit the promotion merely reorders work
+//!   inside the round (free — round totals are unchanged); if it is out
+//!   of credit it consumes one of the round's
+//!   [`WeightedArbiter::DEFAULT_PROMOTIONS`] tokens. The token bound is
+//!   the anti-starvation guarantee: a round can grow by at most that
+//!   many extra picks, so CRITICAL's share never drops below
+//!   `weight / (Σ weights + tokens)` no matter how many lower-class
+//!   deadlines are about to burst.
 //!
 //! Within a lane, ordering is the queue's business
 //! ([earliest-deadline-first](crate::queue::ClassQueue)); the arbiter
@@ -62,63 +33,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rqfa_core::QosClass;
-
-/// How a per-shard queue orders jobs *within* one class lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// Earliest-deadline-first: the lane job with the nearest effective
-    /// deadline dispatches first; jobs without a deadline keep arrival
-    /// order behind every deadlined job inside a one-year horizon. With
-    /// only per-class budgets (no per-request deadlines) this degrades
-    /// to exactly FIFO, so it is the safe default.
-    #[default]
-    Edf,
-    /// Strict arrival order — the pre-EDF behaviour, kept as the
-    /// baseline for A/B benches (`service_throughput`). Disables slack
-    /// promotion, slack-ordered displacement and deadline-aware batch
-    /// composition too.
-    Fifo,
-}
-
-/// Which arbitration policy decides the next lane to serve — the AXI4
-/// QoS arbiter vocabulary (see the module docs for the full semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArbiterMode {
-    /// The most urgent backlogged class always wins. Starvation-prone by
-    /// design; the baseline the regulated modes are judged against.
-    StrictPriority,
-    /// Credit-based weighted round-robin with bounded slack promotion
-    /// (the historical behaviour and the default).
-    #[default]
-    WeightedRoundRobin,
-    /// WRR credits plus urgency-accumulated priority boosts, with the
-    /// urgency margin sized from the measured batch service time.
-    DynamicPriority,
-    /// Sliding-window served-share regulation toward the weight targets;
-    /// deficit carry-over bounded by the window length.
-    FairShare,
-}
-
-impl ArbiterMode {
-    /// Every mode, in declaration order — the A/B sweep order the
-    /// benches use.
-    pub const ALL: [ArbiterMode; 4] = [
-        ArbiterMode::StrictPriority,
-        ArbiterMode::WeightedRoundRobin,
-        ArbiterMode::DynamicPriority,
-        ArbiterMode::FairShare,
-    ];
-
-    /// Stable lower-snake-case label (metric prefixes, CLI output).
-    pub fn label(self) -> &'static str {
-        match self {
-            ArbiterMode::StrictPriority => "strict_priority",
-            ArbiterMode::WeightedRoundRobin => "weighted_round_robin",
-            ArbiterMode::DynamicPriority => "dynamic_priority",
-            ArbiterMode::FairShare => "fair_share",
-        }
-    }
-}
 
 /// One scheduling decision of [`WeightedArbiter::pick_urgent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,20 +44,17 @@ pub struct Pick {
     pub promoted: bool,
 }
 
-/// Per-shard EWMA estimator of batch service time, fed by the worker
-/// with *measured* durations (or by the replay driver with cost-model
-/// durations) and read by the scheduler to size urgency margins and
-/// stop batch fill before a picked job is made late.
+/// Per-shard EWMA estimator of per-job service time, fed by the worker
+/// with *measured* batch durations (or by the replay driver with
+/// cost-model durations) and read by the scheduler to stop batch fill
+/// before a picked job is made late and to predict doomed arrivals.
 ///
 /// Single writer (the shard's worker), many readers; state is plain
 /// relaxed atomics in ×16 fixed point, so readers never block the worker
 /// and a torn read is impossible (each field is one word). Cold (no
-/// samples yet) the estimator reports 0 and the scheduler falls back to
-/// its configured margins.
+/// samples yet) the estimator reports 0 and changes nothing.
 #[derive(Debug, Default)]
 pub struct ServiceTimeEstimator {
-    /// EWMA of one batch's service time, µs × 16.
-    batch_q4: AtomicU64,
     /// EWMA of per-job marginal service time, µs × 16.
     per_job_q4: AtomicU64,
     /// Batches observed.
@@ -166,25 +77,14 @@ impl ServiceTimeEstimator {
         if jobs == 0 {
             return;
         }
-        let batch_sample = batch_us << 4;
-        let per_job_sample = (batch_us / jobs as u64) << 4;
+        let sample = (batch_us / jobs as u64) << 4;
         if self.samples.fetch_add(1, Ordering::Relaxed) == 0 {
-            self.batch_q4.store(batch_sample, Ordering::Relaxed);
-            self.per_job_q4.store(per_job_sample, Ordering::Relaxed);
+            self.per_job_q4.store(sample, Ordering::Relaxed);
             return;
         }
-        let ewma = |cell: &AtomicU64, sample: u64| {
-            let old = cell.load(Ordering::Relaxed);
-            let new = old + (sample >> Self::ALPHA_SHIFT) - (old >> Self::ALPHA_SHIFT);
-            cell.store(new, Ordering::Relaxed);
-        };
-        ewma(&self.batch_q4, batch_sample);
-        ewma(&self.per_job_q4, per_job_sample);
-    }
-
-    /// Smoothed service time of one batch, µs (0 while cold).
-    pub fn batch_service_us(&self) -> u64 {
-        self.batch_q4.load(Ordering::Relaxed) >> 4
+        let old = self.per_job_q4.load(Ordering::Relaxed);
+        let new = old + (sample >> Self::ALPHA_SHIFT) - (old >> Self::ALPHA_SHIFT);
+        self.per_job_q4.store(new, Ordering::Relaxed);
     }
 
     /// Smoothed marginal service time of one job, µs (0 while cold).
@@ -196,101 +96,28 @@ impl ServiceTimeEstimator {
     pub fn samples(&self) -> u64 {
         self.samples.load(Ordering::Relaxed)
     }
-
-    /// The measured urgency margin: twice the smoothed batch service
-    /// time (a lane head typically waits out about one in-flight batch
-    /// before its lane is arbitrated again, doubled for headroom), or
-    /// `fallback_us` while the estimator is cold.
-    pub fn margin_us(&self, fallback_us: u64) -> u64 {
-        if self.samples() == 0 {
-            fallback_us
-        } else {
-            self.batch_service_us().saturating_mul(2)
-        }
-    }
 }
 
-/// Mode-selectable arbiter over the four QoS classes. Despite the
-/// historical name it hosts all four [`ArbiterMode`]s; credit-based
-/// weighted round-robin with a bounded per-round budget of
-/// deadline-slack promotions remains the default.
+/// Credit-based weighted round-robin arbiter over the four QoS classes,
+/// with a bounded per-round budget of deadline-slack promotions.
 #[derive(Debug, Clone)]
 pub struct WeightedArbiter {
-    mode: ArbiterMode,
     credits: [u32; QosClass::COUNT],
-    weights: [u32; QosClass::COUNT],
-    promotions_per_round: u32,
     promotions_left: u32,
-    /// DYNAMIC_PRIORITY: per-class urgency boost levels.
-    boosts: [u32; QosClass::COUNT],
-    /// FAIR_SHARE: ring of the last `window_len` served classes.
-    window: [u8; WeightedArbiter::FAIR_SHARE_WINDOW],
-    window_head: usize,
-    window_len: usize,
-    /// FAIR_SHARE: per-class pick counts inside the window.
-    window_counts: [u32; QosClass::COUNT],
 }
 
 impl WeightedArbiter {
-    /// An arbiter with the default 8:4:2:1 class weights and the default
-    /// promotion budget ([`WeightedArbiter::DEFAULT_PROMOTIONS`]).
-    pub fn new() -> WeightedArbiter {
-        WeightedArbiter::with_weights(QosClass::ALL.map(QosClass::weight))
-    }
-
-    /// Default out-of-credit promotions allowed per scheduling round.
+    /// Out-of-credit promotions allowed per scheduling round.
     pub const DEFAULT_PROMOTIONS: u32 = 2;
 
-    /// FAIR_SHARE: how many *served* picks the sliding share window
-    /// remembers. Also the deficit bound: an idle class can bank at most
-    /// `target share × window` picks of catch-up before its history
-    /// slides out.
-    pub const FAIR_SHARE_WINDOW: usize = 64;
-
-    /// DYNAMIC_PRIORITY: ceiling on a lane's accumulated urgency boost
-    /// (effective priority = class priority + boost, so LOW at the
-    /// ceiling out-ranks any unboosted class).
-    pub const BOOST_MAX: u32 = 8;
-
-    /// An arbiter with explicit per-class weights (each clamped to ≥ 1,
-    /// indexed by [`QosClass::index`]).
-    pub fn with_weights(weights: [u32; QosClass::COUNT]) -> WeightedArbiter {
-        let weights = weights.map(|w| w.max(1));
+    /// An arbiter at the start of a round: every class holds its
+    /// [`QosClass::weight`] in credits (8:4:2:1) and the promotion
+    /// budget is full.
+    pub fn new() -> WeightedArbiter {
         WeightedArbiter {
-            mode: ArbiterMode::default(),
-            credits: weights,
-            weights,
-            promotions_per_round: WeightedArbiter::DEFAULT_PROMOTIONS,
+            credits: QosClass::ALL.map(QosClass::weight),
             promotions_left: WeightedArbiter::DEFAULT_PROMOTIONS,
-            boosts: [0; QosClass::COUNT],
-            window: [0; WeightedArbiter::FAIR_SHARE_WINDOW],
-            window_head: 0,
-            window_len: 0,
-            window_counts: [0; QosClass::COUNT],
         }
-    }
-
-    /// Sets the promotion budget: how many times per round an urgent,
-    /// out-of-credit lane may be served anyway. `0` disables token
-    /// promotions entirely (credit-covered reordering still applies).
-    /// Bounds DYNAMIC_PRIORITY identically — boosts reorder, credits and
-    /// tokens still pay.
-    pub fn with_promotions(mut self, per_round: u32) -> WeightedArbiter {
-        self.promotions_per_round = per_round;
-        self.promotions_left = per_round;
-        self
-    }
-
-    /// Selects the arbitration policy (default
-    /// [`ArbiterMode::WeightedRoundRobin`]).
-    pub fn with_mode(mut self, mode: ArbiterMode) -> WeightedArbiter {
-        self.mode = mode;
-        self
-    }
-
-    /// The arbitration policy in effect.
-    pub fn mode(&self) -> ArbiterMode {
-        self.mode
     }
 
     /// Picks the class to serve next given which classes have queued work.
@@ -306,9 +133,12 @@ impl WeightedArbiter {
     ///
     /// `backlogged[i]` says lane `i` has queued work; `urgent[i]` says
     /// its *head* job is within the promotion margin of missing its
-    /// deadline. How the two inputs combine depends on the
-    /// [`ArbiterMode`] (see the module docs). Returns `None` when no
-    /// lane has work.
+    /// deadline. The most urgent backlogged class with credit wins,
+    /// unless a different backlogged lane is urgent: that lane is served
+    /// instead — on its own credit if it has one (reordering inside the
+    /// round, totals unchanged), else on one of the round's promotion
+    /// tokens (an extra pick, bounded per round), else not at all.
+    /// Returns `None` when no lane has work.
     pub fn pick_urgent(
         &mut self,
         backlogged: [bool; QosClass::COUNT],
@@ -317,161 +147,39 @@ impl WeightedArbiter {
         if !backlogged.iter().any(|&b| b) {
             return None;
         }
-        let pick = match self.mode {
-            ArbiterMode::StrictPriority => self.pick_strict(backlogged),
-            ArbiterMode::WeightedRoundRobin => self.pick_weighted(backlogged, urgent, false),
-            ArbiterMode::DynamicPriority => {
-                // Boost accrues once per arbitration while a backlogged
-                // lane's head stays urgent; service decays it below.
-                for c in QosClass::ALL {
-                    if backlogged[c.index()] && urgent[c.index()] {
-                        let b = &mut self.boosts[c.index()];
-                        *b = (*b + 1).min(WeightedArbiter::BOOST_MAX);
-                    }
-                }
-                let pick = self.pick_weighted(backlogged, urgent, true);
-                self.boosts[pick.class.index()] /= 2;
-                pick
-            }
-            ArbiterMode::FairShare => self.pick_fair(backlogged),
+        let creditable = |credits: &[u32; QosClass::COUNT]| {
+            QosClass::ALL
+                .into_iter()
+                .find(|c| backlogged[c.index()] && credits[c.index()] > 0)
         };
-        Some(pick)
-    }
-
-    /// STRICT_PRIORITY: the most urgent backlogged class, always.
-    fn pick_strict(&mut self, backlogged: [bool; QosClass::COUNT]) -> Pick {
-        let class = QosClass::ALL
+        let normal = creditable(&self.credits).unwrap_or_else(|| {
+            // Refill = new round (also restores the promotion budget).
+            *self = WeightedArbiter::new();
+            creditable(&self.credits).expect("a backlogged lane has credit after a refill")
+        });
+        let urgent_lane = QosClass::ALL
             .into_iter()
-            .find(|c| backlogged[c.index()])
-            .expect("caller checked a lane is backlogged");
-        Pick {
-            class,
-            promoted: false,
-        }
-    }
-
-    /// The backlogged lane with the highest *effective* priority (class
-    /// priority + accumulated boost) among those passing `eligible`.
-    /// Strict `>` keeps ties on the more urgent class (`ALL` iterates
-    /// most urgent first).
-    fn best_boosted(&self, eligible: [bool; QosClass::COUNT]) -> Option<QosClass> {
-        let mut best: Option<(u32, QosClass)> = None;
-        for c in QosClass::ALL {
-            if eligible[c.index()] {
-                let base = (QosClass::COUNT - 1 - c.index()) as u32;
-                let effective = base + self.boosts[c.index()];
-                if best.is_none_or(|(b, _)| effective > b) {
-                    best = Some((effective, c));
-                }
+            .find(|c| backlogged[c.index()] && urgent[c.index()]);
+        if let Some(u) = urgent_lane.filter(|&u| u != normal) {
+            if self.credits[u.index()] > 0 {
+                // Credit-covered promotion: reorders inside the round
+                // without changing its totals.
+                self.credits[u.index()] -= 1;
+                return Some(Pick { class: u, promoted: true });
             }
-        }
-        best.map(|(_, c)| c)
-    }
-
-    /// The credit engine shared by WEIGHTED_ROUND_ROBIN and
-    /// DYNAMIC_PRIORITY. `boosted` selects how lanes are ordered: by
-    /// class order (WRR) or by effective priority (class priority +
-    /// accumulated boost) — for the winning urgent lane *and* for which
-    /// creditable lane spends the next credit, so a long-urgent lane's
-    /// own credits are spent early in the round, while its heads are
-    /// still rescuable, instead of at its fixed class-order position.
-    /// Credits and promotion tokens are identical either way — ordering
-    /// inside a round moves, per-round totals do not — so both modes
-    /// share one anti-starvation bound.
-    fn pick_weighted(
-        &mut self,
-        backlogged: [bool; QosClass::COUNT],
-        urgent: [bool; QosClass::COUNT],
-        boosted: bool,
-    ) -> Pick {
-        // Refill = new round (also restores the promotion budget).
-        while !QosClass::ALL
-            .iter()
-            .any(|c| backlogged[c.index()] && self.credits[c.index()] > 0)
-        {
-            self.credits = self.weights;
-            self.promotions_left = self.promotions_per_round;
-        }
-        let mut creditable = [false; QosClass::COUNT];
-        for c in QosClass::ALL {
-            creditable[c.index()] = backlogged[c.index()] && self.credits[c.index()] > 0;
-        }
-        let normal = if boosted {
-            self.best_boosted(creditable)
-        } else {
-            QosClass::ALL.into_iter().find(|c| creditable[c.index()])
-        }
-        .expect("refill loop guarantees a creditable lane");
-        let mut urgent_backlogged = [false; QosClass::COUNT];
-        for c in QosClass::ALL {
-            urgent_backlogged[c.index()] = backlogged[c.index()] && urgent[c.index()];
-        }
-        let urgent_lane = if boosted {
-            self.best_boosted(urgent_backlogged)
-        } else {
-            QosClass::ALL.into_iter().find(|c| urgent_backlogged[c.index()])
-        };
-        if let Some(u) = urgent_lane {
-            if u != normal {
-                if self.credits[u.index()] > 0 {
-                    // Credit-covered promotion: reorders inside the round
-                    // without changing its totals.
-                    self.credits[u.index()] -= 1;
-                    return Pick { class: u, promoted: true };
-                }
-                if self.promotions_left > 0 {
-                    // Token promotion: an extra pick beyond the lane's
-                    // weight, bounded per round.
-                    self.promotions_left -= 1;
-                    return Pick { class: u, promoted: true };
-                }
-                // Budget exhausted: fall through to the weighted order.
+            if self.promotions_left > 0 {
+                // Token promotion: an extra pick beyond the lane's
+                // weight, bounded per round.
+                self.promotions_left -= 1;
+                return Some(Pick { class: u, promoted: true });
             }
+            // Budget exhausted: fall through to the weighted order.
         }
         self.credits[normal.index()] -= 1;
-        Pick {
+        Some(Pick {
             class: normal,
             promoted: false,
-        }
-    }
-
-    /// FAIR_SHARE: grant the backlogged class with the largest deficit
-    /// between its target share (weight / Σ weights) and its measured
-    /// share of the sliding served-pick window, then record the grant in
-    /// the window. Compared cross-multiplied so no division happens on
-    /// the pick path; ties go to the more urgent class.
-    fn pick_fair(&mut self, backlogged: [bool; QosClass::COUNT]) -> Pick {
-        let total_weight: u64 = self.weights.iter().map(|&w| u64::from(w)).sum();
-        let window = WeightedArbiter::FAIR_SHARE_WINDOW as u64;
-        let mut best: Option<(i64, QosClass)> = None;
-        for c in QosClass::ALL {
-            if !backlogged[c.index()] {
-                continue;
-            }
-            // deficit = target·window − measured·total, in units of
-            // picks × Σ weights (both terms ≤ 2^38 for u32 weights).
-            let target = u64::from(self.weights[c.index()]) * window;
-            let measured = u64::from(self.window_counts[c.index()]) * total_weight;
-            let deficit = target as i64 - measured as i64;
-            if best.is_none_or(|(b, _)| deficit > b) {
-                best = Some((deficit, c));
-            }
-        }
-        let (_, class) = best.expect("caller checked a lane is backlogged");
-        // Slide the window: the oldest pick's count makes room.
-        if self.window_len == WeightedArbiter::FAIR_SHARE_WINDOW {
-            let oldest = self.window[self.window_head] as usize;
-            self.window_counts[oldest] -= 1;
-        } else {
-            self.window_len += 1;
-        }
-        self.window[self.window_head] = class.index() as u8;
-        self.window_head = (self.window_head + 1) % WeightedArbiter::FAIR_SHARE_WINDOW;
-        self.window_counts[class.index()] += 1;
-        Pick {
-            class,
-            promoted: false,
-        }
+        })
     }
 }
 
@@ -526,40 +234,31 @@ mod tests {
     }
 
     #[test]
-    fn custom_weights_apply() {
-        let mut arb = WeightedArbiter::with_weights([1, 1, 1, 1]);
-        let mut counts = [0u32; 4];
-        for _ in 0..400 {
-            counts[arb.pick([true; 4]).unwrap().index()] += 1;
-        }
-        assert_eq!(counts, [100; 4]);
-    }
-
-    #[test]
     fn urgent_lane_with_credit_jumps_the_weighted_order_for_free() {
-        // CRITICAL and LOW backlogged; LOW urgent; token budget zero so
+        // CRITICAL and LOW backlogged; LOW urgent for one pick only, so
         // only the credit-covered mechanism is in play. LOW's single
         // credit serves it *first* instead of ninth, but the round still
-        // totals 8 + 1.
-        let mut arb = WeightedArbiter::new().with_promotions(0);
+        // totals 8 + 1 and no promotion token is spent.
+        let mut arb = WeightedArbiter::new();
         let backlogged = [true, false, false, true];
-        let urgent = [false, false, false, true];
-        let first = arb.pick_urgent(backlogged, urgent).unwrap();
+        let first = arb
+            .pick_urgent(backlogged, [false, false, false, true])
+            .unwrap();
         assert_eq!(first, Pick { class: QosClass::Low, promoted: true });
-        let mut counts = [0u32; 4];
         for _ in 0..8 {
-            let p = arb.pick_urgent(backlogged, urgent).unwrap();
-            counts[p.class.index()] += 1;
-            assert!(!p.promoted, "LOW spent its credit and has no tokens");
+            assert_eq!(arb.pick(backlogged), Some(QosClass::Critical));
         }
-        assert_eq!(counts, [8, 0, 0, 0], "round totals unchanged");
+        assert_eq!(arb.promotions_left, WeightedArbiter::DEFAULT_PROMOTIONS);
+        // The ninth pick finds no creditable lane: a new round begins.
+        assert_eq!(arb.pick(backlogged), Some(QosClass::Critical));
+        assert_eq!(arb.credits, [7, 4, 2, 1], "round totals unchanged");
     }
 
     #[test]
     fn token_promotions_are_bounded_per_round() {
         // MEDIUM permanently urgent against a CRITICAL flood: each round
         // is 8 CRITICAL + 2 MEDIUM credits + at most 2 MEDIUM tokens.
-        let mut arb = WeightedArbiter::new().with_promotions(2);
+        let mut arb = WeightedArbiter::new();
         let backlogged = [true, false, true, false];
         let urgent = [false, false, true, false];
         let mut counts = [0u32; 4];
@@ -576,19 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_promotion_budget_restores_plain_wrr_totals() {
-        let mut arb = WeightedArbiter::new().with_promotions(0);
-        let backlogged = [true, false, true, false];
-        let urgent = [false, false, true, false];
-        let mut counts = [0u32; 4];
-        for _ in 0..1000 {
-            counts[arb.pick_urgent(backlogged, urgent).unwrap().class.index()] += 1;
-        }
-        // 1000 picks = 100 rounds of (8 + 2): shares exactly as unpromoted.
-        assert_eq!(counts, [800, 0, 200, 0]);
-    }
-
-    #[test]
     fn most_urgent_class_wins_among_urgent_lanes() {
         let mut arb = WeightedArbiter::new();
         // HIGH and LOW both urgent: HIGH (more urgent class) is served.
@@ -600,141 +286,13 @@ mod tests {
     }
 
     #[test]
-    fn strict_priority_starves_low_under_a_critical_flood() {
-        let mut arb = WeightedArbiter::new().with_mode(ArbiterMode::StrictPriority);
-        let crit_and_low = [true, false, false, true];
-        for _ in 0..200 {
-            assert_eq!(arb.pick(crit_and_low), Some(QosClass::Critical));
-        }
-        // Urgency does not override strict order either.
-        let p = arb
-            .pick_urgent(crit_and_low, [false, false, false, true])
-            .unwrap();
-        assert_eq!(p.class, QosClass::Critical);
-        assert!(!p.promoted);
-    }
-
-    #[test]
-    fn fair_share_converges_to_weight_targets_under_saturation() {
-        let mut arb = WeightedArbiter::new().with_mode(ArbiterMode::FairShare);
-        let mut counts = [0u64; 4];
-        const PICKS: u64 = 1500;
-        for _ in 0..PICKS {
-            counts[arb.pick([true; 4]).unwrap().index()] += 1;
-        }
-        // Targets 8:4:2:1 of 1500 = [800, 400, 200, 100]; the sliding
-        // window holds each class within one window of its target.
-        let targets = [800i64, 400, 200, 100];
-        for (i, &target) in targets.iter().enumerate() {
-            let got = counts[i] as i64;
-            assert!(
-                (got - target).abs() <= WeightedArbiter::FAIR_SHARE_WINDOW as i64,
-                "class {i}: {got} vs target {target}"
-            );
-        }
-    }
-
-    #[test]
-    fn fair_share_deficit_carry_over_is_bounded_by_the_window() {
-        // CRITICAL idles while LOW is served far beyond one window, then
-        // returns: its catch-up burst must be bounded by target × window
-        // (≈ 8/15 × 64 = 34), not by the total time it sat idle.
-        let mut arb = WeightedArbiter::new().with_mode(ArbiterMode::FairShare);
-        for _ in 0..10 * WeightedArbiter::FAIR_SHARE_WINDOW {
-            assert_eq!(arb.pick([false, false, false, true]), Some(QosClass::Low));
-        }
-        let mut burst = 0u32;
-        while arb.pick([true, false, false, true]) == Some(QosClass::Critical) {
-            burst += 1;
-            assert!(burst < 64, "catch-up burst must terminate inside one window");
-        }
-        // The burst overshoots CRITICAL's steady window share (≈ 34)
-        // because LOW's idle-time surplus must drain too, but it can
-        // never exceed the window itself.
-        assert!(
-            (34..64).contains(&burst),
-            "burst {burst} should be bounded by one window"
-        );
-    }
-
-    #[test]
-    fn fair_share_ignores_urgency_flags() {
-        let mut arb = WeightedArbiter::new().with_mode(ArbiterMode::FairShare);
-        let backlogged = [true, false, false, true];
-        let urgent = [false, false, false, true];
-        let mut promoted = 0u32;
-        for _ in 0..100 {
-            promoted += u32::from(arb.pick_urgent(backlogged, urgent).unwrap().promoted);
-        }
-        assert_eq!(promoted, 0, "FAIR_SHARE never reports promotions");
-    }
-
-    #[test]
-    fn dynamic_priority_boost_lets_low_outrank_a_fresher_urgent_high() {
-        // Both HIGH and LOW urgent. Under plain WRR, HIGH (more urgent
-        // class) wins the urgent tie every single pick. Under
-        // DYNAMIC_PRIORITY, serving HIGH decays its boost while LOW's
-        // keeps accruing, so LOW must be granted well before HIGH has
-        // drained — the boost ladder out-ranks static class order.
-        let mut arb = WeightedArbiter::new().with_mode(ArbiterMode::DynamicPriority);
-        let backlogged = [false, true, false, true];
-        let urgent = [false, true, false, true];
-        let mut first_low = None;
-        for i in 0..20 {
-            let p = arb.pick_urgent(backlogged, urgent).unwrap();
-            if p.class == QosClass::Low {
-                first_low = Some(i);
-                break;
-            }
-        }
-        let first_low = first_low.expect("LOW must be served inside 20 picks");
-        // LOW (base 0) passes HIGH (base 2, halved each service) after a
-        // couple of boost levels; with weights 4:1 plain WRR would also
-        // eventually serve LOW, but only after HIGH's 4 credits drain.
-        assert!(first_low <= 3, "boost should grant LOW by pick 3, got {first_low}");
-    }
-
-    #[test]
-    fn dynamic_priority_keeps_the_wrr_share_bound() {
-        // CRITICAL flood with MEDIUM permanently urgent — the same
-        // adversarial pattern as the WRR token test. Boosts change *who*
-        // among urgent lanes wins, never how many extra picks a round
-        // can grow by, so CRITICAL's floor is identical: 8/(8+2+2).
-        let mut arb = WeightedArbiter::new()
-            .with_mode(ArbiterMode::DynamicPriority)
-            .with_promotions(2);
-        let backlogged = [true, false, true, false];
-        let urgent = [false, false, true, false];
-        let mut counts = [0u64; 4];
-        for _ in 0..1200 {
-            counts[arb.pick_urgent(backlogged, urgent).unwrap().class.index()] += 1;
-        }
-        assert_eq!(
-            counts,
-            [800, 0, 400, 0],
-            "the token bound caps urgent picks exactly as in WRR"
-        );
-    }
-
-    #[test]
-    fn dynamic_priority_without_urgency_is_plain_wrr() {
-        let mut wrr = WeightedArbiter::new();
-        let mut dyn_ = WeightedArbiter::new().with_mode(ArbiterMode::DynamicPriority);
-        for _ in 0..300 {
-            assert_eq!(wrr.pick([true; 4]), dyn_.pick([true; 4]));
-        }
-    }
-
-    #[test]
-    fn estimator_tracks_a_steady_signal_and_sizes_the_margin() {
+    fn estimator_tracks_a_steady_signal() {
         let est = ServiceTimeEstimator::new();
-        assert_eq!(est.margin_us(1234), 1234, "cold estimator falls back");
+        assert_eq!(est.per_job_us(), 0, "cold estimator reports 0");
         for _ in 0..64 {
             est.observe(400, 8);
         }
-        assert_eq!(est.batch_service_us(), 400, "EWMA locks onto a constant");
-        assert_eq!(est.per_job_us(), 50);
-        assert_eq!(est.margin_us(1234), 800, "margin = 2 × batch EWMA");
+        assert_eq!(est.per_job_us(), 50, "EWMA locks onto a constant");
         assert_eq!(est.samples(), 64);
     }
 
@@ -745,10 +303,10 @@ mod tests {
         for _ in 0..64 {
             est.observe(900, 1);
         }
-        let batch = est.batch_service_us();
+        let per_job = est.per_job_us();
         assert!(
-            (850..=900).contains(&batch),
-            "EWMA {batch} should have converged near 900"
+            (850..=900).contains(&per_job),
+            "EWMA {per_job} should have converged near 900"
         );
         est.observe(0, 0);
         assert_eq!(est.samples(), 65, "zero-job batches are ignored");

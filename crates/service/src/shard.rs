@@ -438,12 +438,8 @@ impl ShardCore {
             queue: Arc::new(ClassQueue::new(config, metrics, recorder)),
             store: Arc::new(Mutex::new(store)),
             ctx: WorkerContext {
-                engine: PlaneEngine::with_kernel(config.kernel_path),
-                cache: RetrievalCache::with_policy(
-                    config.cache_capacity,
-                    config.cache_policy,
-                    config.cache_admission,
-                ),
+                engine: PlaneEngine::new(),
+                cache: RetrievalCache::new(config.cache_capacity),
                 results: Vec::new(),
                 seen: HashMap::new(),
                 followers: Vec::new(),
@@ -456,7 +452,7 @@ impl ShardCore {
     /// it. `None` once the queue is shut down and drained — the
     /// driver's signal to stop.
     pub(crate) fn step(&mut self) -> Option<StepReport> {
-        let batch = self.queue.pop_batch(self.queue.config.batch_size.max(1))?;
+        let batch = self.queue.pop_batch(self.queue.config.batch_size)?;
         Some(self.run(batch))
     }
 
@@ -563,10 +559,8 @@ impl BatchStamp<'_> {
 /// The first miss becomes the *leader* (counted as one cache miss); every
 /// later duplicate becomes a *follower* that skips the cache probe and
 /// the engine entirely and is served a copy of the leader's result,
-/// counted — and flagged in its reply — as a cache hit. The admission
-/// filter is told about each coalesced repeat
-/// ([`RetrievalCache::note_repeat`]) so the leader's insert is not
-/// bounced as a one-hit wonder. Normative semantics: `docs/retrieval.md`.
+/// counted — and flagged in its reply — as a cache hit. Normative
+/// semantics: `docs/retrieval.md`.
 fn process_batch(
     batch: Vec<Job>,
     store: &ShardStore,
@@ -598,7 +592,6 @@ fn process_batch(
         let fingerprint = job.request.fingerprint();
         if let Some(&leader) = ctx.seen.get(&fingerprint) {
             // Within-batch duplicate: one computation will serve it.
-            ctx.cache.note_repeat(fingerprint);
             ctx.followers.push((leader, job));
             continue;
         }
@@ -704,7 +697,7 @@ pub struct BatchHarness {
 
 impl BatchHarness {
     /// A harness over an ephemeral copy of `case_base`: the shard core
-    /// `config` describes (cache, kernel path, clock, flight recorder),
+    /// `config` describes (cache, clock, flight recorder),
     /// driven by hand.
     pub fn new(case_base: &CaseBase, config: &ServiceConfig) -> BatchHarness {
         let store = ShardStore::Ephemeral(case_base.clone());
@@ -733,11 +726,6 @@ impl BatchHarness {
     /// The result cache's counter set.
     pub fn cache_stats(&self) -> rqfa_cache::CacheStats {
         self.core.ctx.cache.cache_stats()
-    }
-
-    /// Live result-cache entries.
-    pub fn cache_len(&self) -> usize {
-        self.core.ctx.cache.len()
     }
 
     /// Plane (re)compilations performed by the worker's engine.

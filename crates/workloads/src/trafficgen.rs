@@ -42,8 +42,8 @@ pub enum Popularity {
     /// Zipf-ranked popularity over a fixed pool of `universe` distinct
     /// requests: payload *i* (0-based rank) is drawn with weight
     /// `(i + 1)^-exponent`. A small hot head plus a long one-hit-wonder
-    /// tail — the skew where reuse-aware eviction (LRU/2Q + admission)
-    /// beats FIFO.
+    /// tail — the skew under which a cache much smaller than the
+    /// universe churns.
     Zipf {
         /// Number of distinct request payloads in the pool.
         universe: usize,
@@ -92,8 +92,8 @@ impl<'a> TrafficGen<'a> {
     /// [`TrafficGen::new`], but payloads come from a fixed 2048-request
     /// pool under rank-weighted zipf popularity (exponent 1.1) — a hot
     /// head every class keeps re-requesting and a long tail of one-hit
-    /// wonders. This is the trace the cache-policy A/B in
-    /// `service_throughput` runs on.
+    /// wonders. `retrieval_kernel` and the wall-clock benchmark's hot
+    /// workloads run on it.
     pub fn zipf_skewed(case_base: &'a CaseBase) -> TrafficGen<'a> {
         TrafficGen::new(case_base).popularity(Popularity::Zipf {
             universe: 2048,
@@ -106,11 +106,10 @@ impl<'a> TrafficGen<'a> {
     /// deadline skew of [`TrafficGen::deadline_skewed`], and arrival
     /// rates pushed well past the service rate so **every class stays
     /// backlogged** for essentially the whole stream. Under saturation
-    /// the arbiter — not the arrival process — decides who is served,
-    /// which is exactly the regime where the four
-    /// `ArbiterMode`s separate measurably: this is the trace the
-    /// arbiter-mode A/B in `service_trace` and `service_throughput`
-    /// replays. CRITICAL stays deadline-free, as in
+    /// the arbiter — not the arrival process — decides who is served:
+    /// this is the trace behind the `modes/*` rows of `BENCH_9.json`,
+    /// the four-arbiter A/B that left WRR as the one arbiter. CRITICAL
+    /// stays deadline-free, as in
     /// [`TrafficGen::deadline_skewed`].
     pub fn saturating_skewed(case_base: &'a CaseBase) -> TrafficGen<'a> {
         TrafficGen::zipf_skewed(case_base)

@@ -3,13 +3,13 @@
 //! A brute-force **reference model** re-implements the normative cache
 //! semantics (`docs/caching.md`) with none of the production data
 //! structures: entries live in a flat `Vec`, victims are found by linear
-//! scans, recency is an explicit age field. Seeded random operation
+//! scans, insertion age is an explicit field. Seeded random operation
 //! traces — lookup / coverage-gated lookup / insert / mutate-generation /
 //! remove — drive the real
 //! [`GenCache`] and the model in lockstep and demand bit-identical
 //! observable behaviour (returned values, resident count, and the full
-//! statistics block) after *every* operation, for every eviction policy,
-//! with and without the admission filter.
+//! statistics block) after *every* operation, at capacities 0 (storage
+//! disabled, lookups still count), 1 and 16.
 //!
 //! On top of the generic differential core:
 //!
@@ -25,12 +25,12 @@
 //! * **n-best subsumption** — a cached top-k ranking answers best-of and
 //!   top-j (j ≤ k) lookups bit-identically to an engine recompute, and
 //!   one generation bump invalidates every view of the entry atomically.
-//! * **Answer invariance** — no policy ever changes *what* the service
+//! * **Answer invariance** — caching never changes *what* the service
 //!   answers, only how often it answers from cache.
 
 use std::collections::{HashMap, VecDeque};
 
-use rqfa::cache::{CachePolicy, GenCache};
+use rqfa::cache::GenCache;
 use rqfa::core::{
     CaseMutation, FixedEngine, Generation, ImplId, OpCounts, QosClass, Retrieval, Scored,
 };
@@ -49,21 +49,14 @@ const KEY_UNIVERSE: u64 = 64;
 // The reference model
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Probation,
-    Protected,
-}
-
 #[derive(Debug, Clone)]
 struct ModelEntry {
     key: u64,
     stamp: u64,
     value: u64,
-    /// Policy age: insertion order (FIFO), last use (LRU), or segment
-    /// position (2Q). Assigned from one monotone counter.
+    /// Insertion age, assigned from one monotone counter; overwrites
+    /// keep it, so the minimum is always the oldest insertion.
     age: u64,
-    tier: Tier,
 }
 
 /// Observable counters, mirroring `rqfa_cache::CacheStats` field by field.
@@ -75,95 +68,29 @@ struct ModelStats {
     stale: u64,
     uncovered: u64,
     insertions: u64,
-    rejected: u64,
     evictions: u64,
 }
 
 /// Brute-force executable specification of the cache semantics.
 struct ModelCache {
     capacity: usize,
-    policy: CachePolicy,
-    protected_cap: usize,
     seq: u64,
     entries: Vec<ModelEntry>,
-    /// Direct-mapped doorkeeper, same sizing rule as `AdmissionFilter`:
-    /// `(4 × capacity).clamp(16, 2^20)` rounded up to a power of two.
-    admission: Option<Vec<u64>>,
     stats: ModelStats,
 }
 
-/// SplitMix64 finalizer — the slot-spreading function the admission
-/// filter specifies.
-fn mix(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl ModelCache {
-    fn new(capacity: usize, policy: CachePolicy, admission: bool) -> ModelCache {
+    fn new(capacity: usize) -> ModelCache {
         ModelCache {
             capacity,
-            policy,
-            protected_cap: capacity.saturating_mul(3) / 4,
             seq: 0,
             entries: Vec::new(),
-            admission: admission
-                .then(|| vec![0; capacity.saturating_mul(4).clamp(16, 1 << 20).next_power_of_two()]),
             stats: ModelStats::default(),
         }
     }
 
     fn position(&self, key: u64) -> Option<usize> {
         self.entries.iter().position(|e| e.key == key)
-    }
-
-    fn next_age(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    /// The policy's reaction to a use of a resident key.
-    fn touch(&mut self, index: usize) {
-        match self.policy {
-            CachePolicy::Fifo => {}
-            CachePolicy::Lru => {
-                let age = self.next_age();
-                self.entries[index].age = age;
-            }
-            CachePolicy::TwoQ => match self.entries[index].tier {
-                Tier::Probation => {
-                    let age = self.next_age();
-                    self.entries[index].tier = Tier::Protected;
-                    self.entries[index].age = age;
-                    // Protected overflow demotes its LRU to probation MRU.
-                    while self
-                        .entries
-                        .iter()
-                        .filter(|e| e.tier == Tier::Protected)
-                        .count()
-                        > self.protected_cap
-                    {
-                        let demote = self
-                            .entries
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, e)| e.tier == Tier::Protected)
-                            .min_by_key(|(_, e)| e.age)
-                            .map(|(i, _)| i)
-                            .expect("non-empty protected segment");
-                        let age = self.next_age();
-                        self.entries[demote].tier = Tier::Probation;
-                        self.entries[demote].age = age;
-                    }
-                }
-                Tier::Protected => {
-                    let age = self.next_age();
-                    self.entries[index].age = age;
-                }
-            },
-        }
     }
 
     fn lookup(&mut self, key: u64, stamp: u64) -> Option<u64> {
@@ -176,11 +103,9 @@ impl ModelCache {
             Some(index) if self.entries[index].stamp == stamp => {
                 if covers(self.entries[index].value) {
                     self.stats.hits += 1;
-                    self.touch(index);
                     Some(self.entries[index].value)
                 } else {
-                    // Uncovered: a miss that leaves the entry resident
-                    // (and does not touch the policy).
+                    // Uncovered: a miss that leaves the entry resident.
                     self.stats.misses += 1;
                     self.stats.uncovered += 1;
                     None
@@ -204,58 +129,31 @@ impl ModelCache {
         if self.capacity == 0 {
             return;
         }
+        self.stats.insertions += 1;
         if let Some(index) = self.position(key) {
+            // Overwrite in place: the insertion age stays.
             self.entries[index].stamp = stamp;
             self.entries[index].value = value;
-            self.stats.insertions += 1;
-            // Overwrite = use, except FIFO keeps the insertion age.
-            self.touch(index);
             return;
         }
-        if let Some(slots) = &mut self.admission {
-            let index = usize::try_from(mix(key) & (slots.len() as u64 - 1)).unwrap();
-            if slots[index] != key {
-                slots[index] = key;
-                self.stats.rejected += 1;
-                return;
-            }
-        }
         while self.entries.len() >= self.capacity {
-            let victim = match self.policy {
-                CachePolicy::Fifo | CachePolicy::Lru => self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.age)
-                    .map(|(i, _)| i),
-                CachePolicy::TwoQ => self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.tier == Tier::Probation)
-                    .min_by_key(|(_, e)| e.age)
-                    .map(|(i, _)| i)
-                    .or_else(|| {
-                        self.entries
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, e)| e.age)
-                            .map(|(i, _)| i)
-                    }),
-            };
-            let Some(victim) = victim else { break };
-            self.entries.remove(victim);
+            let oldest = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.age)
+                .map(|(i, _)| i)
+                .expect("capacity > 0, so a full cache has entries");
+            self.entries.remove(oldest);
             self.stats.evictions += 1;
         }
-        let age = self.next_age();
+        self.seq += 1;
         self.entries.push(ModelEntry {
             key,
             stamp,
             value,
-            age,
-            tier: Tier::Probation,
+            age: self.seq,
         });
-        self.stats.insertions += 1;
     }
 
     fn remove(&mut self, key: u64) -> Option<u64> {
@@ -274,10 +172,10 @@ impl ModelCache {
 
 /// One seeded trace through the real cache and the model, asserting
 /// identical observable behaviour after every operation.
-fn drive_trace(policy: CachePolicy, admission: bool, seed: u64) -> ModelStats {
-    let label = format!("policy={policy} admission={admission} seed={seed}");
-    let mut real: GenCache<u64, u64> = GenCache::new(CAPACITY, policy).with_admission(admission);
-    let mut model = ModelCache::new(CAPACITY, policy, admission);
+fn drive_trace(capacity: usize, seed: u64) -> ModelStats {
+    let label = format!("capacity={capacity} seed={seed}");
+    let mut real: GenCache<u64, u64> = GenCache::new(capacity);
+    let mut model = ModelCache::new(capacity);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1FF_CACE);
     let mut generation: u64 = 0;
     let mut next_value: u64 = 0;
@@ -325,8 +223,8 @@ fn drive_trace(policy: CachePolicy, admission: bool, seed: u64) -> ModelStats {
             "{label} step {step}: lookup counters"
         );
         assert_eq!(
-            (s.insertions, s.rejected, s.evictions),
-            (m.insertions, m.rejected, m.evictions),
+            (s.insertions, s.evictions),
+            (m.insertions, m.evictions),
             "{label} step {step}: store counters"
         );
         // The metrics invariants, re-checked continuously.
@@ -337,28 +235,32 @@ fn drive_trace(policy: CachePolicy, admission: bool, seed: u64) -> ModelStats {
 }
 
 #[test]
-fn every_policy_matches_the_reference_model_on_seeded_traces() {
-    for policy in CachePolicy::ALL {
-        for admission in [false, true] {
-            let mut exercised = ModelStats::default();
-            for seed in 0..SEEDS {
-                let s = drive_trace(policy, admission, seed);
-                exercised.hits += s.hits;
-                exercised.stale += s.stale;
-                exercised.uncovered += s.uncovered;
-                exercised.evictions += s.evictions;
-                exercised.rejected += s.rejected;
-            }
-            // The traces must actually stress every mechanism they claim
-            // to verify.
-            assert!(exercised.hits > 1_000, "{policy}: traces barely hit");
-            assert!(exercised.stale > 100, "{policy}: staleness not exercised");
-            assert!(exercised.uncovered > 100, "{policy}: coverage not exercised");
-            assert!(exercised.evictions > 500, "{policy}: eviction not exercised");
-            if admission {
-                assert!(exercised.rejected > 500, "{policy}: admission not exercised");
-            }
+fn the_cache_matches_the_reference_model_on_seeded_traces() {
+    for capacity in [0, 1, CAPACITY] {
+        let mut exercised = ModelStats::default();
+        for seed in 0..SEEDS {
+            let s = drive_trace(capacity, seed);
+            exercised.lookups += s.lookups;
+            exercised.hits += s.hits;
+            exercised.stale += s.stale;
+            exercised.uncovered += s.uncovered;
+            exercised.insertions += s.insertions;
+            exercised.evictions += s.evictions;
         }
+        // The traces must actually stress every mechanism they claim to
+        // verify at this capacity.
+        assert!(exercised.lookups > 40_000, "capacity {capacity}: lookups not counted");
+        if capacity == 0 {
+            // Storage disabled: every lookup is a plain miss, nothing is
+            // ever stored, and the counters say exactly that.
+            assert_eq!(exercised.hits + exercised.insertions + exercised.evictions, 0);
+            assert_eq!(exercised.stale + exercised.uncovered, 0);
+            continue;
+        }
+        assert!(exercised.hits > 500, "capacity {capacity}: traces barely hit");
+        assert!(exercised.stale > 50, "capacity {capacity}: staleness not exercised");
+        assert!(exercised.uncovered > 20, "capacity {capacity}: coverage not exercised");
+        assert!(exercised.evictions > 500, "capacity {capacity}: eviction not exercised");
     }
 }
 
@@ -625,11 +527,11 @@ fn cached_n_best_answers_best_of_and_smaller_n_bit_identically_to_recompute() {
 }
 
 // ---------------------------------------------------------------------------
-// Policies change hit rates, never answers
+// Caching changes hit rates, never answers
 // ---------------------------------------------------------------------------
 
 #[test]
-fn no_policy_changes_what_the_service_answers() {
+fn caching_never_changes_what_the_service_answers() {
     let case_base = CaseGen::new(8, 6, 5, 8).seed(0xCAFE).build();
     let requests = RequestGen::new(&case_base)
         .seed(0xAB)
@@ -637,36 +539,33 @@ fn no_policy_changes_what_the_service_answers() {
         .repeat_fraction(0.5)
         .generate();
     let engine = FixedEngine::new();
-    for policy in CachePolicy::ALL {
-        for admission in [false, true] {
-            let service = AllocationService::new(
-                &case_base,
-                &ServiceConfig::default()
-                    .with_shards(2)
-                    // Tiny cache: plenty of evictions and re-computes.
-                    .with_cache_capacity(8)
-                    .with_cache_policy(policy)
-                    .with_cache_admission(admission),
-            ).expect("valid service config");
-            let tickets: Vec<_> = requests
-                .iter()
-                .map(|r| service.submit(r.clone(), QosClass::Medium))
-                .collect();
-            for (request, ticket) in requests.iter().zip(tickets) {
-                let reply = ticket.wait().unwrap();
-                let direct = engine.retrieve(&case_base, request).unwrap();
-                match reply.outcome {
-                    Outcome::Allocated { best, .. } => {
-                        assert_eq!(
-                            best,
-                            direct.best.unwrap(),
-                            "{policy} admission={admission}: answer changed"
-                        );
-                    }
-                    other => panic!("{policy}: unexpected outcome {other:?}"),
+    // Storage disabled, a tiny cache (plenty of evictions and
+    // re-computes) and one every distinct request fits in.
+    for cache_capacity in [0, 8, 1024] {
+        let service = AllocationService::new(
+            &case_base,
+            &ServiceConfig::default()
+                .with_shards(2)
+                .with_cache_capacity(cache_capacity),
+        ).expect("valid service config");
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|r| service.submit(r.clone(), QosClass::Medium))
+            .collect();
+        for (request, ticket) in requests.iter().zip(tickets) {
+            let reply = ticket.wait().unwrap();
+            let direct = engine.retrieve(&case_base, request).unwrap();
+            match reply.outcome {
+                Outcome::Allocated { best, .. } => {
+                    assert_eq!(
+                        best,
+                        direct.best.unwrap(),
+                        "cache capacity {cache_capacity}: answer changed"
+                    );
                 }
+                other => panic!("cache capacity {cache_capacity}: unexpected outcome {other:?}"),
             }
-            service.shutdown();
         }
+        service.shutdown();
     }
 }

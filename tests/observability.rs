@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use rqfa::core::QosClass;
 use rqfa::service::replay::{CostModel, TraceArrival, TraceDriver};
-use rqfa::service::{AllocationService, SchedMode, ServiceConfig, SharedClock, Ticket};
+use rqfa::service::{AllocationService, ServiceConfig, SharedClock, Ticket};
 use rqfa::telemetry::{ManualClock, Registry};
 use rqfa::workloads::{CaseGen, RequestGen, TrafficGen};
 
@@ -86,7 +86,6 @@ fn replay_timeline_breakdowns_sum_to_reply_latencies() {
         .with_shards(2)
         .with_batch_size(4)
         .with_queue_capacity(64)
-        .with_scheduling(SchedMode::Edf)
         .with_trace_capacity(1 << 17);
     let driver = TraceDriver::new(&case_base, &config, CostModel::default());
     let report = driver.run(&arrivals);

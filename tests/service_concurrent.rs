@@ -10,14 +10,12 @@
 //! 3. **QoS protection** — under deliberate overload with a tiny queue,
 //!    CRITICAL requests are never shed while LOW traffic is.
 //! 4. **Deadline-aware scheduling** (see `docs/scheduling.md`) — on a
-//!    deadline-skewed trace EDF dispatch meets every HIGH budget where
-//!    the FIFO baseline provably misses; slack promotion is bounded so
-//!    CRITICAL keeps its weighted share; overload shedding displaces by
-//!    largest slack first and is bit-deterministic across runs.
-//! 5. **Adaptive arbitration** — on seeded saturating traces FAIR_SHARE
-//!    converges to the 8:4:2:1 weight-target served shares and
-//!    DYNAMIC_PRIORITY preserves the CRITICAL anti-starvation floor,
-//!    under EDF and FIFO ordering alike.
+//!    deadline-skewed trace whose arrival order is the exact reverse of
+//!    its deadline order, EDF dispatch meets every HIGH budget; slack
+//!    promotion is bounded so CRITICAL keeps its weighted share, at the
+//!    arbiter and through the queue on seeded saturating traces;
+//!    overload shedding displaces by largest slack first and is
+//!    bit-deterministic across runs.
 //!
 //! The scheduling properties drive the queue/arbiter directly through
 //! `rqfa::service::testkit` with *virtual* time (one dispatch slot = one
@@ -31,8 +29,8 @@ use rqfa::core::{
 };
 use rqfa::service::queue::{Admission, ClassQueue};
 use rqfa::service::{
-    testkit, AllocationService, ArbiterMode, ManualClock, Outcome, Reply, SchedMode,
-    ServiceConfig, ServiceMetrics, Ticket, WeightedArbiter,
+    testkit, AllocationService, ManualClock, Outcome, Reply, ServiceConfig, ServiceMetrics,
+    Ticket, WeightedArbiter,
 };
 use rqfa::workloads::{CaseGen, RequestGen};
 use std::sync::Arc;
@@ -215,13 +213,9 @@ fn probe_request() -> Request {
     paper::table1_request().unwrap()
 }
 
-/// Builds a queue in the given mode with the default 8:4:2:1 arbiter.
-fn sched_queue(capacity: usize, mode: SchedMode) -> ClassQueue {
-    sched_queue_from(
-        ServiceConfig::default()
-            .with_queue_capacity(capacity)
-            .with_scheduling(mode),
-    )
+/// Builds a queue of the given capacity, everything else default.
+fn sched_queue(capacity: usize) -> ClassQueue {
+    sched_queue_from(ServiceConfig::default().with_queue_capacity(capacity))
 }
 
 /// Builds the queue `config` describes on a frozen manual clock at tick
@@ -234,63 +228,51 @@ fn sched_queue_from(config: ServiceConfig) -> ClassQueue {
     )
 }
 
-/// 5a. The EDF-vs-FIFO property: on one deadline-skewed mixed-load trace,
+/// 5a. The EDF property: on one deadline-skewed mixed-load trace whose
+///     HIGH arrival order is the exact reverse of its deadline order,
 ///     dispatched with a virtual service time of one slot = 1 ms, EDF
-///     meets *every* HIGH deadline while the FIFO baseline provably
-///     misses at least one. Same jobs, same arbiter, same admission —
-///     only the within-lane order differs.
+///     meets *every* HIGH deadline — by dispatching HIGH in deadline
+///     order, the reverse of arrival order (arrival order would serve
+///     the tightest-deadline job last and miss it).
 #[test]
 fn edf_meets_high_budgets_where_fifo_misses() {
     const SLOT_US: u64 = 1_000;
     const HIGHS: u64 = 30;
-    let run = |mode: SchedMode| -> Vec<(u64, bool)> {
-        let q = sched_queue(1024, mode);
-        let base = 0;
-        // HIGH deadlines are *reverse-skewed*: the latest arrival has the
-        // tightest deadline (50 − id ms), so arrival order and deadline
-        // order are exactly opposed. MEDIUM load interleaves via the
-        // 4:2 weighted share with effectively unconstrained deadlines.
-        for id in 0..HIGHS {
-            let deadline = base + SLOT_US * (50 - id);
-            let (job, _rx) = testkit::job(id, QosClass::High, probe_request(), base, Some(deadline));
-            assert!(matches!(q.push(job), Admission::Admitted));
-        }
-        for id in HIGHS..HIGHS + 20 {
-            let deadline = base + SLOT_US * 500;
-            let (job, _rx) =
-                testkit::job(id, QosClass::Medium, probe_request(), base, Some(deadline));
-            assert!(matches!(q.push(job), Admission::Admitted));
-        }
-        // Dispatch everything; job at global position p completes at
-        // virtual time (p + 1) slots.
-        let order = q.pop_batch(usize::MAX).unwrap();
-        assert_eq!(order.len() as u64, HIGHS + 20);
-        order
-            .iter()
-            .enumerate()
-            .filter(|(_, job)| job.class() == QosClass::High)
-            .map(|(position, job)| {
-                let completion = base + SLOT_US * (position as u64 + 1);
-                (job.id(), completion <= job.deadline().unwrap())
-            })
-            .collect()
-    };
-
-    let edf = run(SchedMode::Edf);
-    let fifo = run(SchedMode::Fifo);
+    let q = sched_queue(1024);
+    let base = 0;
+    // HIGH deadlines are *reverse-skewed*: the latest arrival has the
+    // tightest deadline (50 − id ms), so arrival order and deadline
+    // order are exactly opposed. MEDIUM load interleaves via the
+    // 4:2 weighted share with effectively unconstrained deadlines.
+    for id in 0..HIGHS {
+        let deadline = base + SLOT_US * (50 - id);
+        let (job, _rx) = testkit::job(id, QosClass::High, probe_request(), base, Some(deadline));
+        assert!(matches!(q.push(job), Admission::Admitted));
+    }
+    for id in HIGHS..HIGHS + 20 {
+        let deadline = base + SLOT_US * 500;
+        let (job, _rx) = testkit::job(id, QosClass::Medium, probe_request(), base, Some(deadline));
+        assert!(matches!(q.push(job), Admission::Admitted));
+    }
+    // Dispatch everything; job at global position p completes at
+    // virtual time (p + 1) slots.
+    let order = q.pop_batch(usize::MAX).unwrap();
+    assert_eq!(order.len() as u64, HIGHS + 20);
+    let edf: Vec<(u64, bool)> = order
+        .iter()
+        .enumerate()
+        .filter(|(_, job)| job.class() == QosClass::High)
+        .map(|(position, job)| {
+            let completion = base + SLOT_US * (position as u64 + 1);
+            (job.id(), completion <= job.deadline().unwrap())
+        })
+        .collect();
     assert_eq!(edf.len() as u64, HIGHS);
     assert!(
         edf.iter().all(|&(_, met)| met),
         "EDF must meet every HIGH deadline on this trace: {edf:?}"
     );
-    let fifo_misses = fifo.iter().filter(|&&(_, met)| !met).count();
-    assert!(
-        fifo_misses > 0,
-        "the FIFO baseline must miss on the same trace (it serves the \
-         tightest-deadline HIGH job last)"
-    );
-    // And FIFO dispatches HIGH in arrival order while EDF reverses it.
-    assert!(fifo.windows(2).all(|w| w[0].0 < w[1].0));
+    // And EDF dispatches HIGH in the reverse of arrival order.
     assert!(edf.windows(2).all(|w| w[0].0 > w[1].0));
 }
 
@@ -299,7 +281,7 @@ fn edf_meets_high_budgets_where_fifo_misses() {
 ///     round — promotions are bounded, not a bypass.
 #[test]
 fn promotion_is_bounded_so_critical_keeps_its_share() {
-    let mut arb = WeightedArbiter::new().with_promotions(2);
+    let mut arb = WeightedArbiter::new();
     let backlogged = [true, false, true, false]; // CRITICAL + MEDIUM
     let urgent = [false, false, true, false]; // MEDIUM about to miss
     let mut counts = [0u64; 4];
@@ -323,7 +305,7 @@ fn promotion_is_bounded_so_critical_keeps_its_share() {
 #[test]
 fn shed_order_is_largest_slack_first_and_deterministic() {
     let run = || {
-        let q = sched_queue(4, SchedMode::Edf);
+        let q = sched_queue(4);
         let base = 0;
         let mut log: Vec<String> = Vec::new();
         let push = |id: u64, deadline_ms: u64, log: &mut Vec<String>| {
@@ -379,20 +361,8 @@ fn shed_order_is_largest_slack_first_and_deterministic() {
     assert_eq!((log, order), (log2, order2), "shed order is deterministic");
 }
 
-/// Builds a queue combining a scheduling mode with an arbiter mode; the
-/// 1 s urgency margin makes every deadlined lane head count as urgent.
-fn sched_queue_arbiter(capacity: usize, mode: SchedMode, arbiter: ArbiterMode) -> ClassQueue {
-    sched_queue_from(
-        ServiceConfig::default()
-            .with_queue_capacity(capacity)
-            .with_scheduling(mode)
-            .with_arbiter_mode(arbiter)
-            .with_promotion_margin_us(1_000_000),
-    )
-}
-
 /// Tiny deterministic generator (splitmix64) for the seeded property
-/// tests below.
+/// test below.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -401,117 +371,60 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// 5e. FAIR_SHARE property: over seeded saturating traces — every class
-///     backlogged for the whole run, randomized batch sizes, deadlines on
-///     a seeded half of the jobs — the served pick counts converge to the
-///     8:4:2:1 weight targets within one regulation window, under EDF and
-///     FIFO ordering alike (the regulator measures *served* share and
-///     ignores urgency, so lane order cannot skew it).
+/// 5e. Slack promotion through the queue: with MEDIUM and LOW lane heads
+///     *permanently* urgent (tight deadlines against a 1 s margin) the
+///     promotion token budget still bounds the bypass. Over seeded
+///     saturating traces with randomized batch sizes CRITICAL keeps at
+///     least its documented weight / (Σ weights + tokens) floor of every
+///     pick stream, and the urgent classes keep at least their own
+///     credit share of the token-extended round.
 #[test]
-fn fair_share_served_shares_converge_on_saturating_traces() {
-    const PICKS: u64 = 1_500;
-    let targets = [800i64, 400, 200, 100]; // PICKS × weight / Σ weights
-    for mode in [SchedMode::Edf, SchedMode::Fifo] {
-        for seed in 0..4u64 {
-            let mut state = seed ^ 0xFA1E;
-            let q = sched_queue_arbiter(8_192, mode, ArbiterMode::FairShare);
-            let base = 0;
-            let mut id = 0u64;
-            // Enough of every class that no lane drains before the last
-            // pick (targets + one full window of slack each).
-            for (class, count) in [
-                (QosClass::Critical, 900u64),
-                (QosClass::High, 500),
-                (QosClass::Medium, 300),
-                (QosClass::Low, 200),
-            ] {
-                for _ in 0..count {
-                    let deadline = splitmix(&mut state)
-                        .is_multiple_of(2)
-                        .then(|| base + 1 + splitmix(&mut state) % 50_000);
-                    let (job, _rx) = testkit::job(id, class, probe_request(), base, deadline);
-                    assert!(matches!(q.push(job), Admission::Admitted));
-                    id += 1;
-                }
-            }
-            let mut counts = [0i64; 4];
-            let mut served = 0u64;
-            while served < PICKS {
-                let want = (1 + splitmix(&mut state) % 64).min(PICKS - served) as usize;
-                let batch = q.pop_batch(want).unwrap();
-                assert_eq!(batch.len(), want, "a saturated queue fills every batch");
-                for job in &batch {
-                    counts[job.class().index()] += 1;
-                }
-                served += want as u64;
-            }
-            for (class, (&count, &target)) in
-                QosClass::ALL.iter().zip(counts.iter().zip(&targets))
-            {
-                assert!(
-                    (count - target).abs() <= 64,
-                    "mode {mode:?} seed {seed}: {class} served {count}, target {target}"
-                );
-            }
-        }
-    }
-}
-
-/// 5f. DYNAMIC_PRIORITY property: with MEDIUM and LOW lane heads
-///     *permanently* urgent (tight deadlines against a 1 s margin),
-///     boosts let them outrank the fixed class order — but the promotion
-///     token budget still bounds the bypass. Over seeded saturating
-///     traces CRITICAL keeps at least its documented
-///     weight / (Σ weights + tokens) floor of every pick stream, and the
-///     urgent classes keep at least their own credit share of the
-///     token-extended round. Under FIFO ordering urgency vanishes and
-///     the same bounds hold as plain WRR shares.
-#[test]
-fn dynamic_priority_preserves_the_critical_floor_on_saturating_traces() {
+fn slack_promotion_preserves_the_critical_floor_on_saturating_traces() {
     const PICKS: u64 = 1_700; // 100 rounds of 15 credits + 2 tokens
-    for mode in [SchedMode::Edf, SchedMode::Fifo] {
-        for seed in 0..4u64 {
-            let mut state = seed ^ 0xD1A0;
-            let q = sched_queue_arbiter(8_192, mode, ArbiterMode::DynamicPriority);
-            let base = 0;
-            let mut id = 0u64;
-            for (class, count, urgent) in [
-                (QosClass::Critical, 1_000u64, false),
-                (QosClass::High, 700, false),
-                (QosClass::Medium, 500, true),
-                (QosClass::Low, 400, true),
-            ] {
-                for _ in 0..count {
-                    let deadline = urgent.then_some(base + 1);
-                    let (job, _rx) = testkit::job(id, class, probe_request(), base, deadline);
-                    assert!(matches!(q.push(job), Admission::Admitted));
-                    id += 1;
-                }
+    for seed in 0..4u64 {
+        let mut state = seed ^ 0xD1A0;
+        let q = sched_queue_from(
+            ServiceConfig::default()
+                .with_queue_capacity(8_192)
+                .with_promotion_margin_us(1_000_000),
+        );
+        let base = 0;
+        let mut id = 0u64;
+        for (class, count, urgent) in [
+            (QosClass::Critical, 1_000u64, false),
+            (QosClass::High, 700, false),
+            (QosClass::Medium, 500, true),
+            (QosClass::Low, 400, true),
+        ] {
+            for _ in 0..count {
+                let deadline = urgent.then_some(base + 1);
+                let (job, _rx) = testkit::job(id, class, probe_request(), base, deadline);
+                assert!(matches!(q.push(job), Admission::Admitted));
+                id += 1;
             }
-            let mut counts = [0u64; 4];
-            let mut served = 0u64;
-            while served < PICKS {
-                let want = (1 + splitmix(&mut state) % 32).min(PICKS - served) as usize;
-                let batch = q.pop_batch(want).unwrap();
-                assert_eq!(batch.len(), want, "a saturated queue fills every batch");
-                for job in &batch {
-                    counts[job.class().index()] += 1;
-                }
-                served += want as u64;
-            }
-            // Anti-starvation floor: 8 of every (15 credits + 2 tokens).
-            assert!(
-                counts[QosClass::Critical.index()] * 17 >= PICKS * 8,
-                "mode {mode:?} seed {seed}: CRITICAL starved, counts {counts:?}"
-            );
-            // The urgent classes keep at least their 3-credit share of the
-            // token-extended round (boosts and tokens only ever add).
-            assert!(
-                (counts[QosClass::Medium.index()] + counts[QosClass::Low.index()]) * 17
-                    >= PICKS * 3,
-                "mode {mode:?} seed {seed}: urgent classes lost share, counts {counts:?}"
-            );
         }
+        let mut counts = [0u64; 4];
+        let mut served = 0u64;
+        while served < PICKS {
+            let want = (1 + splitmix(&mut state) % 32).min(PICKS - served) as usize;
+            let batch = q.pop_batch(want).unwrap();
+            assert_eq!(batch.len(), want, "a saturated queue fills every batch");
+            for job in &batch {
+                counts[job.class().index()] += 1;
+            }
+            served += want as u64;
+        }
+        // Anti-starvation floor: 8 of every (15 credits + 2 tokens).
+        assert!(
+            counts[QosClass::Critical.index()] * 17 >= PICKS * 8,
+            "seed {seed}: CRITICAL starved, counts {counts:?}"
+        );
+        // The urgent classes keep at least their 3-credit share of the
+        // token-extended round (tokens only ever add).
+        assert!(
+            (counts[QosClass::Medium.index()] + counts[QosClass::Low.index()]) * 17 >= PICKS * 3,
+            "seed {seed}: urgent classes lost share, counts {counts:?}"
+        );
     }
 }
 
@@ -736,95 +649,78 @@ fn repeated_kill_recover_cycles_stay_equivalent() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// 5. Cache metrics invariants, end to end and per eviction policy (see
-///    `docs/caching.md`): every dispatched request probes the shard cache
-///    exactly once, so after a drained shutdown
-///    `cache_hits + cache_misses == completed + failed` holds per class;
-///    stale detections are a subset of misses (a stale result is *never*
-///    served); and the per-class hit counters agree with the `cached`
-///    flags observed on the replies themselves.
+/// 5. Cache metrics invariants, end to end (see `docs/caching.md`):
+///    every dispatched request probes the shard cache exactly once, so
+///    after a drained shutdown `cache_hits + cache_misses == completed +
+///    failed` holds per class; stale detections are a subset of misses
+///    (a stale result is *never* served); and the per-class hit counters
+///    agree with the `cached` flags observed on the replies themselves.
 #[test]
-fn cache_metrics_invariants_hold_end_to_end_for_every_policy() {
-    use rqfa::service::CachePolicy;
-
+fn cache_metrics_invariants_hold_end_to_end() {
     let case_base = CaseGen::new(9, 6, 5, 8).seed(0x77).build();
     let requests = RequestGen::new(&case_base)
         .seed(0x99)
         .count(300)
         .repeat_fraction(0.5)
         .generate();
-    for policy in CachePolicy::ALL {
-        for admission in [false, true] {
-            let label = format!("policy={policy} admission={admission}");
-            let service = AllocationService::new(
-                &case_base,
-                &ServiceConfig::default()
-                    .with_shards(3)
-                    .with_cache_capacity(64)
-                    .with_cache_policy(policy)
-                    .with_cache_admission(admission),
-            ).expect("valid service config");
-            let mut cached_replies = [0u64; 4];
-            let classes = [
-                QosClass::Critical,
-                QosClass::High,
-                QosClass::Medium,
-                QosClass::Low,
-            ];
-            let mut replay = |service: &AllocationService| {
-                let tickets: Vec<Ticket> = requests
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| service.submit(r.clone(), classes[i % classes.len()]))
-                    .collect();
-                for ticket in tickets {
-                    let reply = ticket.wait().expect("answered");
-                    if let Outcome::Allocated { cached: true, .. } = reply.outcome {
-                        cached_replies[reply.class.index()] += 1;
-                    }
-                }
-            };
-            // Phase 1 populates the caches; the mutations bump every
-            // shard's generation; phase 2 turns the resident entries into
-            // stale detections.
-            replay(&service);
-            for ty in case_base.function_types() {
-                service
-                    .evict_variant(ty.id(), ty.variants()[0].id())
-                    .expect("evict");
+    let service = AllocationService::new(
+        &case_base,
+        &ServiceConfig::default().with_shards(3).with_cache_capacity(64),
+    ).expect("valid service config");
+    let mut cached_replies = [0u64; 4];
+    let classes = [
+        QosClass::Critical,
+        QosClass::High,
+        QosClass::Medium,
+        QosClass::Low,
+    ];
+    let mut replay = |service: &AllocationService| {
+        let tickets: Vec<Ticket> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| service.submit(r.clone(), classes[i % classes.len()]))
+            .collect();
+        for ticket in tickets {
+            let reply = ticket.wait().expect("answered");
+            if let Outcome::Allocated { cached: true, .. } = reply.outcome {
+                cached_replies[reply.class.index()] += 1;
             }
-            replay(&service);
-            let snap = service.shutdown();
-            let mut total_stale = 0;
-            for class in QosClass::ALL {
-                let c = snap.class(class);
-                assert_eq!(
-                    c.cache_hits + c.cache_misses,
-                    c.completed + c.failed,
-                    "{label} {class}: every dispatched request probes once"
-                );
-                assert_eq!(c.cache_lookups(), c.cache_hits + c.cache_misses, "{label}");
-                assert!(
-                    c.cache_stale <= c.cache_misses,
-                    "{label} {class}: stale must be counted as misses"
-                );
-                assert_eq!(
-                    c.cache_hits,
-                    cached_replies[class.index()],
-                    "{label} {class}: metrics disagree with observed replies"
-                );
-                assert_eq!(c.failed, 0, "{label} {class}");
-                assert_eq!(c.completed + c.shed(), c.submitted, "{label} {class}");
-            }
-            for class in QosClass::ALL {
-                total_stale += snap.class(class).cache_stale;
-            }
-            assert!(
-                total_stale > 0,
-                "{label}: the mutation must surface as stale detections"
-            );
         }
+    };
+    // Phase 1 populates the caches; the mutations bump every shard's
+    // generation; phase 2 turns the resident entries into stale
+    // detections.
+    replay(&service);
+    for ty in case_base.function_types() {
+        service
+            .evict_variant(ty.id(), ty.variants()[0].id())
+            .expect("evict");
     }
+    replay(&service);
+    let snap = service.shutdown();
+    let mut total_stale = 0;
+    for class in QosClass::ALL {
+        let c = snap.class(class);
+        assert_eq!(
+            c.cache_hits + c.cache_misses,
+            c.completed + c.failed,
+            "{class}: every dispatched request probes once"
+        );
+        assert_eq!(c.cache_lookups(), c.cache_hits + c.cache_misses);
+        assert!(
+            c.cache_stale <= c.cache_misses,
+            "{class}: stale must be counted as misses"
+        );
+        assert_eq!(
+            c.cache_hits,
+            cached_replies[class.index()],
+            "{class}: metrics disagree with observed replies"
+        );
+        assert_eq!(c.failed, 0, "{class}");
+        assert_eq!(c.completed + c.shed(), c.submitted, "{class}");
+        total_stale += c.cache_stale;
+    }
+    assert!(total_stale > 0, "the mutation must surface as stale detections");
 }
 
 /// 6. Within-batch duplicate coalescing (`docs/retrieval.md`): identical
@@ -897,45 +793,7 @@ fn within_batch_duplicates_coalesce_to_one_evaluation() {
     assert_eq!(harness.cache_stats().insertions, 2);
 }
 
-/// 6b. Coalescing × admission: the coalesced repeats count as sightings,
-///     so a duplicate-heavy fingerprint earns cache residence from its
-///     very first batch, while a one-hit wonder is still bounced.
-#[test]
-fn coalesced_repeats_earn_cache_admission() {
-    let case_base = paper::table1_case_base();
-    let config = ServiceConfig::default().with_cache_admission(true);
-    let mut harness = testkit::BatchHarness::new(&case_base, &config);
-    let fir = paper::table1_request().unwrap();
-    let fft = Request::builder(paper::FFT_1D)
-        .constraint(AttrId::new(1).unwrap(), 16)
-        .build()
-        .unwrap();
-    // One batch: fir three times (duplicate-heavy), fft once (singleton).
-    let mut jobs = Vec::new();
-    let mut receivers = Vec::new();
-    for (i, request) in [&fir, &fft, &fir, &fir].iter().enumerate() {
-        let (job, rx) = testkit::job(i as u64, QosClass::High, (*request).clone(), 0, None);
-        jobs.push(job);
-        receivers.push(rx);
-    }
-    harness.run_batch(jobs);
-    assert_eq!(
-        harness.cache_len(),
-        1,
-        "repeated fingerprint is admitted, the singleton is bounced"
-    );
-    assert_eq!(harness.cache_stats().rejected, 1, "fft bounced once");
-    // The resident entry serves the next batch.
-    let (job, rx) = testkit::job(9, QosClass::High, fir.clone(), 0, None);
-    harness.run_batch(vec![job]);
-    match rx.try_recv().expect("replied").outcome {
-        Outcome::Allocated { cached, .. } => assert!(cached),
-        other => panic!("unexpected outcome: {other:?}"),
-    }
-    drop(receivers);
-}
-
-/// 6c. Coalescing after a mutation: the leader takes the stale detection,
+/// 6b. Coalescing after a mutation: the leader takes the stale detection,
 ///     the plane engine recompiles once, and followers receive the
 ///     *post-mutation* result — a coalesced reply can never resurrect a
 ///     stale cached answer.
@@ -982,7 +840,7 @@ fn coalescing_respects_generation_invalidation() {
     }
 }
 
-/// 6d. A failed leader fails its followers identically, and the per-class
+/// 6c. A failed leader fails its followers identically, and the per-class
 ///     cache counters keep summing to the served total (the invariant of
 ///     §5 above) even on the error path.
 #[test]
@@ -1020,7 +878,7 @@ fn failed_leader_fans_failure_to_followers() {
     );
 }
 
-/// 6e. Live end-to-end: a duplicate-heavy closed loop through real worker
+/// 6d. Live end-to-end: a duplicate-heavy closed loop through real worker
 ///     threads with the result cache **disabled** — every `cached` reply
 ///     flag and every counted hit can only come from within-batch
 ///     coalescing. Batch composition is timing-dependent, so the test
