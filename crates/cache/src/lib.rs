@@ -1,4 +1,4 @@
-//! # rqfa-cache — one generation-invalidated result cache
+//! # rqfa-cache — one stamp-invalidated result cache
 //!
 //! The paper's §3 *bypass tokens* are a fingerprint-keyed result cache:
 //! remember what a retrieval answered, reuse it while the case base is
@@ -11,8 +11,10 @@
 //! The pieces, each usable on its own:
 //!
 //! * [`GenCache`] — the store: keyed by a `u64` fingerprint, stamped with
-//!   a generic *generation* (`G: Copy + Eq`, instantiated with
-//!   `rqfa_core::Generation` by both facades). A lookup hits only when the
+//!   a generic *generation* (`G: Copy + Eq`; both facades instantiate it
+//!   with `rqfa_core::Generation` and pass the stamp of the request's
+//!   function type — the generation of that type's last mutation — so a
+//!   mutation invalidates one type's entries). A lookup hits only when the
 //!   stamp matches; a mismatch is a *stale* miss that drops the entry on
 //!   the spot, so the recompute that follows re-inserts it with a fresh
 //!   age (the historical FIFO cache kept the old age — see
@@ -166,8 +168,9 @@ impl<V, G: Copy + Eq> GenCache<V, G> {
                         None
                     }
                 } else {
-                    // Invalidated by a mutation. Generations only grow, so
-                    // the entry can never hit again — drop it now, which
+                    // Invalidated by a mutation. A stamp never returns to a
+                    // value it left, so the entry can never hit again —
+                    // drop it now, which
                     // also re-ages the recompute that follows (the refresh
                     // enters as a brand-new insert).
                     self.stats.misses += 1;

@@ -96,8 +96,14 @@ impl fmt::Display for FunctionType {
 ///
 /// Mutation happens through [`CaseBase::retain_variant`] and related methods
 /// (the *retain* step of the CBR cycle, a paper future-work item); every
-/// mutation bumps a generation counter so caches such as the bypass-token
-/// store (§3) can detect staleness.
+/// mutation bumps a generation counter and stamps the one function type it
+/// touched with the new value ([`CaseBase::type_stamp`]), so caches such as
+/// the bypass-token store (§3) drop exactly the results of that type.
+///
+/// Equality compares *content* (bounds, tree, generation). The type stamps
+/// are coherence metadata: two bases that reached the same content by
+/// different histories (a recovered base and the oracle it mirrors) are
+/// equal.
 ///
 /// ```
 /// use rqfa_core::paper;
@@ -107,12 +113,25 @@ impl fmt::Display for FunctionType {
 /// let fir = cb.function_type(paper::FIR_EQUALIZER).unwrap();
 /// assert_eq!(fir.variant_count(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CaseBase {
     bounds: BoundsTable,
     types: Vec<FunctionType>,
     generation: Generation,
+    /// The generation at which each type was last mutated, aligned with
+    /// `types`. Never above `generation`.
+    type_stamps: Vec<Generation>,
 }
+
+impl PartialEq for CaseBase {
+    fn eq(&self, other: &CaseBase) -> bool {
+        self.bounds == other.bounds
+            && self.types == other.types
+            && self.generation == other.generation
+    }
+}
+
+impl Eq for CaseBase {}
 
 impl CaseBase {
     /// Creates a case base from a bounds table and function types.
@@ -145,10 +164,12 @@ impl CaseBase {
                 }
             }
         }
+        let type_stamps = vec![Generation::GENESIS; types.len()];
         Ok(CaseBase {
             bounds,
             types,
             generation: Generation::GENESIS,
+            type_stamps,
         })
     }
 
@@ -162,12 +183,17 @@ impl CaseBase {
         &self.types
     }
 
-    /// Looks up a function type.
-    pub fn function_type(&self, id: TypeId) -> Option<&FunctionType> {
+    /// Position of function type `id` in the sorted `types` (and in
+    /// `type_stamps`).
+    fn type_index(&self, id: TypeId) -> Result<usize, CoreError> {
         self.types
             .binary_search_by_key(&id, FunctionType::id)
-            .ok()
-            .map(|idx| &self.types[idx])
+            .map_err(|_| CoreError::UnknownType { type_id: id })
+    }
+
+    /// Looks up a function type.
+    pub fn function_type(&self, id: TypeId) -> Option<&FunctionType> {
+        self.type_index(id).ok().map(|idx| &self.types[idx])
     }
 
     /// Looks up a function type, failing with [`CoreError::UnknownType`].
@@ -176,8 +202,7 @@ impl CaseBase {
     ///
     /// Returns [`CoreError::UnknownType`] when absent.
     pub fn require_type(&self, id: TypeId) -> Result<&FunctionType, CoreError> {
-        self.function_type(id)
-            .ok_or(CoreError::UnknownType { type_id: id })
+        self.type_index(id).map(|idx| &self.types[idx])
     }
 
     /// Number of function types.
@@ -190,11 +215,31 @@ impl CaseBase {
         self.types.iter().map(FunctionType::variant_count).sum()
     }
 
-    /// Monotone counter incremented on every mutation; used by caches to
-    /// detect stale retrieval results and by the persistence layer to
-    /// stamp write-ahead-log records.
+    /// Monotone counter incremented on every mutation; used by the
+    /// persistence layer to stamp write-ahead-log records, by replication
+    /// to deduplicate and fence, and as the source of the per-type stamps
+    /// that validate cached results ([`CaseBase::type_stamp`]).
     pub fn generation(&self) -> Generation {
         self.generation
+    }
+
+    /// The generation at which function type `id` was last mutated
+    /// ([`Generation::GENESIS`] if never on this instance's history);
+    /// `None` for a type the case base does not hold.
+    ///
+    /// This is the stamp every retrieval-result cache and compiled type
+    /// plane is validated against. Retrieval reads only the requested
+    /// type's subtree and the bounds table, and no mutation changes the
+    /// bounds table, so while a type's stamp stands still a cached result
+    /// for that type is bit-identical to a recompute — whatever happened
+    /// to the other types (`docs/caching.md`).
+    pub fn type_stamp(&self, id: TypeId) -> Option<Generation> {
+        self.type_index(id).ok().map(|idx| self.type_stamps[idx])
+    }
+
+    /// Every type's stamp, aligned with [`CaseBase::function_types`].
+    pub fn type_stamps(&self) -> &[Generation] {
+        &self.type_stamps
     }
 
     /// Overwrites the generation counter.
@@ -206,8 +251,25 @@ impl CaseBase {
     /// it). Anything else should let mutations advance the counter — a
     /// generation that moves backwards while caches are alive would
     /// resurrect stale entries.
+    ///
+    /// Type stamps above the restored value are pulled down to it. A
+    /// rollback leaves the touched types' *content* as it was at
+    /// `generation`, so that stamp is exact for them; left above the
+    /// counter, a stamp would be issued a second time — for different
+    /// content — once real mutations advance the counter past it.
     pub fn restore_generation(&mut self, generation: Generation) {
         self.generation = generation;
+        for stamp in &mut self.type_stamps {
+            *stamp = (*stamp).min(generation);
+        }
+    }
+
+    /// Advances the generation for a mutation of `types[idx]` and stamps
+    /// that type with it — the one place a mutation becomes visible to
+    /// caches, logs and replicas.
+    fn bump(&mut self, idx: usize) {
+        self.generation = self.generation.next();
+        self.type_stamps[idx] = self.generation;
     }
 
     /// Applies a [`CaseMutation`] and returns its inverse.
@@ -236,7 +298,10 @@ impl CaseBase {
                 let old = self
                     .require_type(*type_id)?
                     .variant(variant.id())
-                    .ok_or(CoreError::UnknownType { type_id: *type_id })?
+                    .ok_or(CoreError::UnknownImpl {
+                        type_id: *type_id,
+                        impl_id: variant.id(),
+                    })?
                     .clone();
                 self.revise_variant(*type_id, variant.clone())?;
                 Ok(CaseMutation::Revise {
@@ -258,10 +323,11 @@ impl CaseBase {
     /// their inverses in order. If any mutation is rejected, the ones
     /// already applied are rolled back (inverses in reverse order) and
     /// the generation counter is rewound — the case base is left
-    /// bit-identical to before the call. This is the single rollback
-    /// primitive both the service's ephemeral shards and the
-    /// persistence layer's group commit build on, so the
-    /// "memory never runs ahead of the log" contract has exactly one
+    /// bit-identical to before the call, with no type stamp above the
+    /// rewound counter ([`CaseBase::restore_generation`]). This is the
+    /// single rollback primitive both the service's ephemeral shards and
+    /// the persistence layer's group commit build on, so the "memory
+    /// never runs ahead of the log" contract has exactly one
     /// implementation.
     ///
     /// # Errors
@@ -306,10 +372,7 @@ impl CaseBase {
         for binding in variant.attrs() {
             self.bounds.check_value(binding.attr, binding.value)?;
         }
-        let idx = self
-            .types
-            .binary_search_by_key(&type_id, FunctionType::id)
-            .map_err(|_| CoreError::UnknownType { type_id })?;
+        let idx = self.type_index(type_id)?;
         let ty = &mut self.types[idx];
         match ty
             .variants
@@ -321,7 +384,7 @@ impl CaseBase {
             }),
             Err(pos) => {
                 ty.variants.insert(pos, variant);
-                self.generation = self.generation.next();
+                self.bump(idx);
                 Ok(())
             }
         }
@@ -335,6 +398,7 @@ impl CaseBase {
     /// # Errors
     ///
     /// * [`CoreError::UnknownType`] if the type does not exist.
+    /// * [`CoreError::UnknownImpl`] if the type holds no such variant.
     /// * [`CoreError::EmptyType`] if removal would leave the type empty —
     ///   a case base must keep at least one realization per declared type.
     pub fn evict_variant(
@@ -342,20 +406,17 @@ impl CaseBase {
         type_id: TypeId,
         impl_id: ImplId,
     ) -> Result<ImplVariant, CoreError> {
-        let idx = self
-            .types
-            .binary_search_by_key(&type_id, FunctionType::id)
-            .map_err(|_| CoreError::UnknownType { type_id })?;
+        let idx = self.type_index(type_id)?;
         let ty = &mut self.types[idx];
         let pos = ty
             .variants
             .binary_search_by_key(&impl_id, ImplVariant::id)
-            .map_err(|_| CoreError::UnknownType { type_id })?;
+            .map_err(|_| CoreError::UnknownImpl { type_id, impl_id })?;
         if ty.variants.len() == 1 {
             return Err(CoreError::EmptyType { type_id });
         }
         let removed = ty.variants.remove(pos);
-        self.generation = self.generation.next();
+        self.bump(idx);
         Ok(removed)
     }
 
@@ -364,8 +425,9 @@ impl CaseBase {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CaseBase::retain_variant`]; the variant must
-    /// already exist.
+    /// [`CoreError::UnknownType`] and the attribute errors as in
+    /// [`CaseBase::retain_variant`]; [`CoreError::UnknownImpl`] if the
+    /// type holds no variant with the revised id.
     pub fn revise_variant(
         &mut self,
         type_id: TypeId,
@@ -374,17 +436,17 @@ impl CaseBase {
         for binding in revised.attrs() {
             self.bounds.check_value(binding.attr, binding.value)?;
         }
-        let idx = self
-            .types
-            .binary_search_by_key(&type_id, FunctionType::id)
-            .map_err(|_| CoreError::UnknownType { type_id })?;
+        let idx = self.type_index(type_id)?;
         let ty = &mut self.types[idx];
         let pos = ty
             .variants
             .binary_search_by_key(&revised.id(), ImplVariant::id)
-            .map_err(|_| CoreError::UnknownType { type_id })?;
+            .map_err(|_| CoreError::UnknownImpl {
+                type_id,
+                impl_id: revised.id(),
+            })?;
         ty.variants[pos] = revised;
-        self.generation = self.generation.next();
+        self.bump(idx);
         Ok(())
     }
 }
@@ -417,6 +479,20 @@ mod tests {
         let ty = FunctionType::new(TypeId::new(1).unwrap(), "f", vec![variant(1, 16), variant(2, 8)])
             .unwrap();
         CaseBase::new(bounds(), vec![ty]).unwrap()
+    }
+
+    fn tid(raw: u16) -> TypeId {
+        TypeId::new(raw).unwrap()
+    }
+
+    /// Three types, two variants each.
+    fn three_types() -> CaseBase {
+        let types = (1..=3)
+            .map(|raw| {
+                FunctionType::new(tid(raw), "f", vec![variant(1, 16), variant(2, 8)]).unwrap()
+            })
+            .collect();
+        CaseBase::new(bounds(), types).unwrap()
     }
 
     #[test]
@@ -482,6 +558,101 @@ mod tests {
             cb.evict_variant(TypeId::new(1).unwrap(), ImplId::new(1).unwrap()),
             Err(CoreError::EmptyType { .. })
         ));
+    }
+
+    #[test]
+    fn a_missing_variant_is_not_a_missing_type() {
+        let mut cb = case_base();
+        let absent = ImplId::new(7).unwrap();
+        let unknown_impl = CoreError::UnknownImpl {
+            type_id: tid(1),
+            impl_id: absent,
+        };
+        assert_eq!(cb.evict_variant(tid(1), absent), Err(unknown_impl.clone()));
+        assert_eq!(cb.revise_variant(tid(1), variant(7, 4)), Err(unknown_impl.clone()));
+        let revise = CaseMutation::Revise {
+            type_id: tid(1),
+            variant: variant(7, 4),
+        };
+        assert_eq!(cb.apply_mutation(&revise), Err(unknown_impl));
+        // A missing *type* still says so.
+        let unknown_type = CoreError::UnknownType { type_id: tid(9) };
+        assert_eq!(cb.evict_variant(tid(9), absent), Err(unknown_type.clone()));
+        assert_eq!(cb.revise_variant(tid(9), variant(1, 4)), Err(unknown_type));
+        assert_eq!(cb.generation(), Generation::GENESIS, "rejections change nothing");
+    }
+
+    #[test]
+    fn a_mutation_stamps_only_its_own_type() {
+        let mut cb = three_types();
+        assert_eq!(cb.type_stamps(), [Generation::GENESIS; 3]);
+        cb.retain_variant(tid(2), variant(5, 4)).unwrap();
+        cb.revise_variant(tid(3), variant(1, 2)).unwrap();
+        cb.evict_variant(tid(2), ImplId::new(1).unwrap()).unwrap();
+        assert_eq!(cb.generation().raw(), 3);
+        assert_eq!(cb.type_stamp(tid(1)), Some(Generation::GENESIS));
+        assert_eq!(cb.type_stamp(tid(2)), Some(Generation::from_raw(3)));
+        assert_eq!(cb.type_stamp(tid(3)), Some(Generation::from_raw(2)));
+        assert_eq!(cb.type_stamp(tid(9)), None);
+    }
+
+    #[test]
+    fn stamps_are_not_content() {
+        // Same content and generation, reached by different histories.
+        let mut a = three_types();
+        let mut b = three_types();
+        a.revise_variant(tid(1), variant(1, 3)).unwrap();
+        b.revise_variant(tid(2), variant(1, 3)).unwrap();
+        a.revise_variant(tid(2), variant(1, 3)).unwrap();
+        b.revise_variant(tid(1), variant(1, 3)).unwrap();
+        assert_ne!(a.type_stamps(), b.type_stamps());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_rolled_back_batch_leaves_no_stamp_to_be_reissued() {
+        use rqfa_cache::GenCache;
+
+        let mut cb = three_types();
+        cb.revise_variant(tid(1), variant(1, 3)).unwrap(); // g1
+        let before = cb.clone();
+        // Touches type 2 twice, then fails: rolled back through g2..g5.
+        let batch = [
+            CaseMutation::Retain {
+                type_id: tid(2),
+                variant: variant(5, 4),
+            },
+            CaseMutation::Revise {
+                type_id: tid(2),
+                variant: variant(5, 9),
+            },
+            CaseMutation::Evict {
+                type_id: tid(3),
+                impl_id: ImplId::new(7).unwrap(),
+            },
+        ];
+        assert!(cb.apply_mutations_atomic(&batch).is_err());
+        assert_eq!(cb, before);
+        assert!(cb.type_stamps().iter().all(|&s| s <= cb.generation()));
+        assert_eq!(cb.type_stamp(tid(1)), before.type_stamp(tid(1)), "untouched");
+
+        // A reader caches a type-2 result now, at the post-rollback stamp.
+        let mut cache: GenCache<u16, Generation> = GenCache::new(4);
+        cache.insert(42, cb.type_stamp(tid(2)).unwrap(), 2);
+        // Real mutations of other types walk the counter up to the last
+        // value the rolled-back batch had burnt on type 2 (g5) ...
+        cb.revise_variant(tid(1), variant(1, 5)).unwrap(); // g2
+        cb.revise_variant(tid(3), variant(1, 5)).unwrap(); // g3
+        cb.revise_variant(tid(1), variant(1, 6)).unwrap(); // g4
+        assert_eq!(cache.lookup(42, cb.type_stamp(tid(2)).unwrap()), Some(&2));
+        // ... and the one that lands on it changes type 2 for real.
+        cb.retain_variant(tid(2), variant(6, 1)).unwrap(); // g5
+        assert_eq!(cb.generation().raw(), 5);
+        assert_eq!(
+            cache.lookup(42, cb.type_stamp(tid(2)).unwrap()),
+            None,
+            "the entry predates the mutation and must not hit"
+        );
     }
 
     #[test]

@@ -56,6 +56,14 @@ pub enum CoreError {
         /// The requested type.
         type_id: TypeId,
     },
+    /// A mutation named an implementation variant its (existing) function
+    /// type does not hold.
+    UnknownImpl {
+        /// The function type that was searched.
+        type_id: TypeId,
+        /// The absent variant.
+        impl_id: ImplId,
+    },
     /// A request carried no constraining attributes.
     EmptyRequest,
     /// A function type was declared with no implementation variants.
@@ -94,6 +102,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::UnknownType { type_id } => {
                 write!(f, "function type {type_id} not present in the case base")
+            }
+            CoreError::UnknownImpl { type_id, impl_id } => {
+                write!(f, "function type {type_id} holds no implementation {impl_id}")
             }
             CoreError::EmptyRequest => write!(f, "request carries no constraining attributes"),
             CoreError::EmptyType { type_id } => {

@@ -1,14 +1,20 @@
 //! The case-base generation counter as a first-class type.
 //!
 //! Every mutation of a [`CaseBase`](crate::CaseBase) (retain / revise /
-//! evict) advances the generation by exactly one. Three subsystems key off
-//! that counter and must agree on its meaning:
+//! evict) advances the generation by exactly one, and records the new
+//! value as the **stamp** of the one function type it touched
+//! ([`CaseBase::type_stamp`](crate::CaseBase::type_stamp)). The subsystems
+//! that key off the counter must agree on its meaning:
 //!
-//! * the bypass-token cache ([`crate::TokenCache`], §3 of the paper),
-//! * the service-layer retrieval result cache
-//!   (`rqfa_service::cache::RetrievalCache`),
-//! * the persistence write-ahead log (`rqfa-persist`), which stamps every
-//!   logged mutation record with the generation it produced.
+//! * the persistence write-ahead log (`rqfa-persist`) stamps every logged
+//!   mutation record with the generation it produced; replication
+//!   deduplicates and fences by it;
+//! * the bypass-token cache ([`crate::TokenCache`], §3 of the paper), the
+//!   service-layer retrieval result cache
+//!   (`rqfa_service::cache::RetrievalCache`) and the compiled type planes
+//!   ([`crate::PlaneEngine`]) are validated against the requested type's
+//!   stamp, so a mutation costs the cached results and the compiled plane
+//!   of one type, not of the whole base.
 //!
 //! Using one shared newtype instead of bare `u64`s makes it a type error
 //! to mix the generation stamp of one subsystem with an unrelated counter,

@@ -35,9 +35,10 @@
 //! variants write rankings and batch results into caller-owned buffers.
 //!
 //! [`PlaneEngine`] is the drop-in facade: it owns a plane + scratch pair,
-//! recompiles the plane whenever the case base's [`Generation`] stamp
-//! moves, and mirrors the [`FixedEngine`](crate::FixedEngine) entry
-//! points. Path selection is a construction-time knob ([`KernelPath`]):
+//! recompiles a type plane whenever that type's stamp
+//! ([`CaseBase::type_stamp`]) moves, and mirrors the
+//! [`FixedEngine`](crate::FixedEngine) entry points. Path selection is a
+//! construction-time knob ([`KernelPath`]):
 //! [`KernelPath::Auto`] resolves to the widest detected path,
 //! [`KernelPath::ForceScalar`] pins the scalar loops (the benchmark A/B
 //! and the fallback-honesty CI lane use this). The cost model of the
@@ -455,11 +456,15 @@ fn score_top1(
 /// The compiled-plane retrieval engine: a [`RetrievalPlane`] cache plus a
 /// [`Scratch`] arena behind the familiar [`FixedEngine`](crate::FixedEngine) entry points.
 ///
-/// The facade is bound to **one** case base instance (a shard's store):
-/// it validates freshness purely by the [`Generation`] stamp, recompiling
-/// the plane whenever the stamp moves. Results are bit-identical to the
-/// naive engine — scores, winner/tie selection, n-best order and error
-/// values — on **every** kernel path; only [`OpCounts::search_steps`]
+/// The facade is bound to **one case base lineage** (a shard's store and
+/// the states its mutations take it through): it validates freshness
+/// purely by stamps — the base generation says whether anything moved,
+/// the type stamps say what — and recompiles only the type planes whose
+/// stamp moved. Handed a base of another lineage it cannot tell equal
+/// stamps over different content apart; only a differing set of type ids
+/// is noticed, and answered with a full compile. Results are
+/// bit-identical to the naive engine — scores, winner/tie selection,
+/// n-best order and error values — on **every** kernel path; only [`OpCounts::search_steps`]
 /// follows the plane cost model (see `docs/retrieval.md`).
 ///
 /// ```
@@ -483,6 +488,7 @@ pub struct PlaneEngine {
     plane: Option<RetrievalPlane>,
     scratch: Scratch,
     recompiles: u64,
+    types_recompiled: u64,
     active: ActivePath,
 }
 
@@ -506,6 +512,7 @@ impl PlaneEngine {
             plane: None,
             scratch: Scratch::new(),
             recompiles: 0,
+            types_recompiled: 0,
             active: ActivePath::resolve(path),
         }
     }
@@ -516,16 +523,20 @@ impl PlaneEngine {
         self.active.name()
     }
 
-    /// Ensures the plane matches `case_base`'s generation, recompiling if
-    /// it moved (or was never compiled).
+    /// Ensures the plane is current with `case_base`: compiled in full at
+    /// first use, and after that one type plane per moved type stamp.
     fn ensure(&mut self, case_base: &CaseBase) {
-        let fresh = self
-            .plane
-            .as_ref()
-            .is_some_and(|p| p.generation() == case_base.generation());
-        if !fresh {
-            self.plane = Some(RetrievalPlane::compile(case_base));
+        let compiled = match &mut self.plane {
+            Some(plane) if plane.generation() == case_base.generation() => return,
+            Some(plane) => plane.refresh(case_base),
+            None => {
+                let plane = self.plane.insert(RetrievalPlane::compile(case_base));
+                plane.type_planes().len()
+            }
+        };
+        if compiled > 0 {
             self.recompiles += 1;
+            self.types_recompiled += compiled as u64;
         }
     }
 
@@ -535,10 +546,16 @@ impl PlaneEngine {
         self.plane.as_ref().expect("just ensured")
     }
 
-    /// How many times the plane was (re)compiled — once at first use,
-    /// once per observed generation change after.
+    /// How many times the plane was brought up to date — once at first
+    /// use, once per observed generation change after.
     pub fn recompiles(&self) -> u64 {
         self.recompiles
+    }
+
+    /// How many type planes those updates compiled — every type at first
+    /// use, then one per type whose stamp had moved.
+    pub fn types_recompiled(&self) -> u64 {
+        self.types_recompiled
     }
 
     /// Scratch-buffer growth events (see [`Scratch::grows`]).
@@ -546,7 +563,8 @@ impl PlaneEngine {
         self.scratch.grows()
     }
 
-    /// The generation of the currently compiled plane, if any.
+    /// The case-base generation the compiled plane is current with, if
+    /// any.
     pub fn compiled_generation(&self) -> Option<Generation> {
         self.plane.as_ref().map(RetrievalPlane::generation)
     }
@@ -916,6 +934,44 @@ mod tests {
         assert_eq!(fast.recompiles(), 2, "mutation invalidates the plane");
         assert_eq!(after.evaluated, 2);
         assert_eq!(fast.compiled_generation(), Some(cb.generation()));
+    }
+
+    #[test]
+    fn a_mutation_recompiles_only_its_own_type_plane() {
+        let mut cb = paper::table1_case_base();
+        let fir = paper::table1_request().unwrap();
+        let mut fast = PlaneEngine::new();
+        fast.retrieve(&cb, &fir).unwrap();
+        assert_eq!(fast.types_recompiled(), cb.type_count() as u64);
+        let fft_before = fast.plane(&cb).type_plane(paper::FFT_1D).unwrap().clone();
+        cb.evict_variant(paper::FIR_EQUALIZER, paper::IMPL_GP).unwrap();
+        let after = fast.retrieve(&cb, &fir).unwrap();
+        assert_eq!(after.best, FixedEngine::new().retrieve(&cb, &fir).unwrap().best);
+        assert_eq!(fast.recompiles(), 2);
+        assert_eq!(
+            fast.types_recompiled(),
+            cb.type_count() as u64 + 1,
+            "the FFT plane is reused, not rebuilt"
+        );
+        assert_eq!(fast.plane(&cb).type_plane(paper::FFT_1D).unwrap(), &fft_before);
+    }
+
+    #[test]
+    fn a_base_with_other_types_is_compiled_in_full() {
+        // One engine serves one lineage; a base that cannot be a later
+        // state of the compiled one (its type ids differ) must not be
+        // patched type by type.
+        let request = paper::table1_request().unwrap();
+        let mut fast = PlaneEngine::new();
+        fast.retrieve(&paper::table1_case_base(), &request).unwrap();
+        let mut other = wide_case_base(1);
+        other
+            .evict_variant(TypeId::new(1).unwrap(), ImplId::new(1).unwrap())
+            .unwrap();
+        let wide = wide_request(&mut 3);
+        let naive = FixedEngine::new().retrieve(&other, &wide).unwrap();
+        assert_eq!(fast.retrieve(&other, &wide).unwrap().best, naive.best);
+        assert_eq!(fast.plane(&other).type_planes().len(), 1);
     }
 
     #[test]

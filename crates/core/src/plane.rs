@@ -1,5 +1,5 @@
 //! The compiled **retrieval plane**: a columnar (structure-of-arrays)
-//! image of the case base, rebuilt once per case-base generation.
+//! image of the case base, kept current one function type at a time.
 //!
 //! The paper's hardware unit owes its speed to *precompiled memory
 //! layout*: the implementation tree is serialized at design time into
@@ -11,8 +11,8 @@
 //! attribute list.
 //!
 //! A [`RetrievalPlane`] is the software analogue of the design-time
-//! tool flow, applied at run time and invalidated by the case base's
-//! [`Generation`] stamp:
+//! tool flow, applied at run time and invalidated per function type by
+//! the case base's type stamps ([`CaseBase::type_stamp`]):
 //!
 //! * per function type, one **contiguous `u16` column per attribute**
 //!   across all variants ([`AttrColumn`]), with a presence **bitmap** for
@@ -29,7 +29,9 @@
 //!
 //! The plane stores *copies* of the `u16` payloads (a few bytes per
 //! attribute binding), never references — it stays valid while the case
-//! base mutates and is simply recompiled when the generation moves on.
+//! base mutates, and a mutation costs the recompile of the one type plane
+//! whose stamp it moved; the reciprocal table images the bounds table,
+//! which no mutation changes.
 //! The scoring kernels that run over a plane live in [`crate::kernel`];
 //! the normative hot-path model is `docs/retrieval.md`.
 
@@ -219,7 +221,9 @@ impl TypePlane {
     }
 }
 
-/// The compiled retrieval plane of a whole case base at one generation.
+/// The compiled retrieval plane of a whole case base: one [`TypePlane`]
+/// per function type, each remembered with the type stamp it was
+/// compiled at.
 ///
 /// ```
 /// use rqfa_core::{paper, plane::RetrievalPlane};
@@ -238,6 +242,8 @@ pub struct RetrievalPlane {
     recips: Vec<(AttrId, Q15)>,
     /// One plane per function type, sorted by [`TypeId`].
     types: Vec<TypePlane>,
+    /// The type stamp each plane was compiled at, aligned with `types`.
+    stamps: Vec<Generation>,
 }
 
 impl RetrievalPlane {
@@ -251,13 +257,39 @@ impl RetrievalPlane {
                 .iter()
                 .map(TypePlane::compile)
                 .collect(),
+            stamps: case_base.type_stamps().to_vec(),
         }
     }
 
-    /// The generation this plane was compiled at. A case base whose
-    /// generation differs has mutated since; the plane must be recompiled
-    /// before serving it (the [`crate::kernel::PlaneEngine`] facade does
-    /// this automatically).
+    /// Brings a plane compiled from an earlier state of `case_base` up to
+    /// its current one, recompiling exactly the type planes whose stamp
+    /// moved, and returns how many that was. A base with a different set
+    /// of type ids is not a later state of the compiled one (mutations
+    /// never add or remove a type): the whole plane is compiled afresh.
+    pub(crate) fn refresh(&mut self, case_base: &CaseBase) -> usize {
+        let types = case_base.function_types();
+        let same_types = types.len() == self.types.len()
+            && types.iter().zip(&self.types).all(|(ty, plane)| ty.id() == plane.type_id);
+        if !same_types {
+            *self = RetrievalPlane::compile(case_base);
+            return self.types.len();
+        }
+        let mut recompiled = 0;
+        for (index, &stamp) in case_base.type_stamps().iter().enumerate() {
+            if self.stamps[index] != stamp {
+                self.types[index] = TypePlane::compile(&types[index]);
+                self.stamps[index] = stamp;
+                recompiled += 1;
+            }
+        }
+        self.generation = case_base.generation();
+        recompiled
+    }
+
+    /// The case-base generation this plane is current with. A case base
+    /// whose generation differs has mutated since; the type planes whose
+    /// stamp moved must be recompiled before serving it (the
+    /// [`crate::kernel::PlaneEngine`] facade does this automatically).
     pub fn generation(&self) -> Generation {
         self.generation
     }

@@ -4,8 +4,11 @@
 //! the function and its allocated resources has to be done."
 //!
 //! A token caches the outcome of one retrieval, keyed by the request
-//! fingerprint. Tokens are invalidated by case-base mutation (generation
-//! mismatch) so a self-learning system never reuses stale selections.
+//! fingerprint and stamped with the requested function type's stamp
+//! ([`CaseBase::type_stamp`]). A mutation of that type moves the stamp and
+//! kills the token, so a self-learning system never reuses a stale
+//! selection; mutations of other types leave it valid, because they
+//! cannot change what the retrieval would answer.
 //!
 //! [`TokenCache`] is a thin typed facade over
 //! [`rqfa_cache::GenCache`] — the same generalized store that backs the
@@ -33,7 +36,7 @@ pub struct BypassToken {
     pub impl_id: ImplId,
     /// The similarity achieved at selection time.
     pub similarity: Q15,
-    /// Case-base generation the selection was computed against.
+    /// The stamp of `type_id` the selection was computed at.
     pub generation: Generation,
 }
 
@@ -44,7 +47,7 @@ pub struct TokenStats {
     pub hits: u64,
     /// Lookups that missed (absent or stale).
     pub misses: u64,
-    /// Tokens dropped because they were stale (generation mismatch).
+    /// Tokens dropped because they were stale (type stamp mismatch).
     pub invalidations: u64,
     /// Tokens evicted by the capacity policy.
     pub evictions: u64,
@@ -101,25 +104,31 @@ impl TokenCache {
     }
 
     /// Looks up a token for `request`, validating it against the current
-    /// case-base generation. Stale tokens are dropped and counted.
+    /// stamp of the requested type. Stale tokens are dropped and counted.
     pub fn lookup(&mut self, request: &Request, case_base: &CaseBase) -> Option<BypassToken> {
-        self.inner
-            .lookup(request.fingerprint(), case_base.generation())
-            .copied()
+        // A type the base does not hold has no token: `store` refuses it.
+        let stamp = case_base
+            .type_stamp(request.type_id())
+            .unwrap_or(Generation::GENESIS);
+        self.inner.lookup(request.fingerprint(), stamp).copied()
     }
 
-    /// Stores the outcome of a retrieval as a token.
+    /// Stores the outcome of a retrieval as a token. A request for a type
+    /// `case_base` does not hold has no retrieval outcome and is ignored.
     pub fn store(&mut self, request: &Request, case_base: &CaseBase, best: &Scored<Q15>) {
+        let Some(stamp) = case_base.type_stamp(request.type_id()) else {
+            return;
+        };
         let fp = request.fingerprint();
         self.inner.insert(
             fp,
-            case_base.generation(),
+            stamp,
             BypassToken {
                 fingerprint: fp,
                 type_id: request.type_id(),
                 impl_id: best.impl_id,
                 similarity: best.similarity,
-                generation: case_base.generation(),
+                generation: stamp,
             },
         );
     }
@@ -180,17 +189,53 @@ mod tests {
         let request = paper::table1_request().unwrap();
         let mut cache = TokenCache::new(4);
         cache.store(&request, &cb, &best_for(&cb, &request));
-        // Retain a new variant: generation bumps, token must die.
-        let extra = crate::implvariant::ImplVariant::new(
+        // Retain a new variant: the type's stamp moves, token must die.
+        cb.retain_variant(paper::FIR_EQUALIZER, extra_variant()).unwrap();
+        assert!(cache.lookup(&request, &cb).is_none());
+        assert_eq!(cache.stats().invalidations, 1);
+        assert!(cache.is_empty());
+    }
+
+    fn extra_variant() -> crate::implvariant::ImplVariant {
+        crate::implvariant::ImplVariant::new(
             ImplId::new(9).unwrap(),
             crate::implvariant::ExecutionTarget::Fpga,
             vec![crate::attribute::AttrBinding::new(paper::ATTR_BITWIDTH, 12)],
         )
-        .unwrap();
-        cb.retain_variant(paper::FIR_EQUALIZER, extra).unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn a_token_survives_mutations_of_other_types_only() {
+        let mut cb = paper::table1_case_base();
+        let request = paper::table1_request().unwrap();
+        assert_eq!(request.type_id(), paper::FIR_EQUALIZER);
+        let mut cache = TokenCache::new(4);
+        cache.store(&request, &cb, &best_for(&cb, &request));
+        // A retain into the FFT type cannot change a FIR retrieval.
+        cb.retain_variant(paper::FFT_1D, extra_variant()).unwrap();
+        let token = cache.lookup(&request, &cb).expect("token of the untouched type");
+        assert_eq!(token.impl_id, best_for(&cb, &request).impl_id);
+        assert_eq!(cache.stats().invalidations, 0);
+        // A retain into the FIR type can, and kills it.
+        cb.retain_variant(paper::FIR_EQUALIZER, extra_variant()).unwrap();
         assert!(cache.lookup(&request, &cb).is_none());
         assert_eq!(cache.stats().invalidations, 1);
+    }
+
+    #[test]
+    fn unknown_types_hold_no_token() {
+        let cb = paper::table1_case_base();
+        let request = Request::builder(TypeId::new(99).unwrap())
+            .constraint(paper::ATTR_RATE, 40)
+            .build()
+            .unwrap();
+        let mut cache = TokenCache::new(4);
+        let fir = paper::table1_request().unwrap();
+        cache.store(&request, &cb, &best_for(&cb, &fir));
         assert!(cache.is_empty());
+        assert!(cache.lookup(&request, &cb).is_none());
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

@@ -322,6 +322,9 @@ fn error_words(error: &CoreError) -> Result<(u16, [u16; 4]), NetError> {
         CoreError::EmptyType { type_id } => (9, [type_id.raw(), 0, 0, 0]),
         CoreError::InvalidWeights => (10, [0; 4]),
         CoreError::EmptyCaseBase => (11, [0; 4]),
+        CoreError::UnknownImpl { type_id, impl_id } => {
+            (12, [type_id.raw(), impl_id.raw(), 0, 0])
+        }
         // Non_exhaustive source enum: refuse unknown future variants.
         _ => return Err(NetError::Malformed("unencodable core error")),
     })
@@ -330,12 +333,13 @@ fn error_words(error: &CoreError) -> Result<(u16, [u16; 4]), NetError> {
 fn words_error(code: u16, args: [u16; 4]) -> Result<CoreError, NetError> {
     let type_id = |raw: u16| TypeId::new(raw).map_err(NetError::Core);
     let attr_id = |raw: u16| AttrId::new(raw).map_err(NetError::Core);
+    let impl_id = |raw: u16| ImplId::new(raw).map_err(NetError::Core);
     Ok(match code {
         1 => CoreError::ReservedId { raw: args[0] },
         2 => CoreError::DuplicateType { id: type_id(args[0])? },
         3 => CoreError::DuplicateImpl {
             type_id: type_id(args[0])?,
-            impl_id: ImplId::new(args[1]).map_err(NetError::Core)?,
+            impl_id: impl_id(args[1])?,
         },
         4 => CoreError::DuplicateAttr { attr: attr_id(args[0])? },
         5 => CoreError::ValueOutOfBounds {
@@ -350,6 +354,10 @@ fn words_error(code: u16, args: [u16; 4]) -> Result<CoreError, NetError> {
         9 => CoreError::EmptyType { type_id: type_id(args[0])? },
         10 => CoreError::InvalidWeights,
         11 => CoreError::EmptyCaseBase,
+        12 => CoreError::UnknownImpl {
+            type_id: type_id(args[0])?,
+            impl_id: impl_id(args[1])?,
+        },
         _ => return Err(NetError::Malformed("unknown error code")),
     })
 }
@@ -715,9 +723,13 @@ mod tests {
             },
             1 => WireOutcome::ShedQueueFull,
             2 => WireOutcome::ShedDeadline,
-            3 => WireOutcome::Failed(match rng.below(4) {
+            3 => WireOutcome::Failed(match rng.below(5) {
                 0 => CoreError::UnknownType {
                     type_id: TypeId::new(7).unwrap(),
+                },
+                4 => CoreError::UnknownImpl {
+                    type_id: TypeId::new(1 + rng.below(40) as u16).unwrap(),
+                    impl_id: ImplId::new(1 + rng.below(100) as u16).unwrap(),
                 },
                 1 => CoreError::ValueOutOfBounds {
                     attr: AttrId::new(3).unwrap(),
@@ -827,6 +839,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every `CoreError` variant survives the reply hop losslessly — the
+    /// mutation path's `UnknownImpl` (code 12) next to the type-level
+    /// `UnknownType` (code 7) it used to be reported as.
+    #[test]
+    fn every_core_error_round_trips() {
+        let type_id = TypeId::new(7).unwrap();
+        let impl_id = ImplId::new(9).unwrap();
+        let attr = AttrId::new(3).unwrap();
+        let errors = [
+            CoreError::ReservedId { raw: 0xFFFF },
+            CoreError::DuplicateType { id: type_id },
+            CoreError::DuplicateImpl { type_id, impl_id },
+            CoreError::DuplicateAttr { attr },
+            CoreError::ValueOutOfBounds {
+                attr,
+                value: 40,
+                lower: 1,
+                upper: 9,
+            },
+            CoreError::UndeclaredAttr { attr },
+            CoreError::UnknownType { type_id },
+            CoreError::EmptyRequest,
+            CoreError::EmptyType { type_id },
+            CoreError::InvalidWeights,
+            CoreError::EmptyCaseBase,
+            CoreError::UnknownImpl { type_id, impl_id },
+        ];
+        for (index, error) in errors.into_iter().enumerate() {
+            let (code, args) = error_words(&error).unwrap();
+            assert_eq!(usize::from(code), index + 1, "codes are dense and stable");
+            assert_eq!(words_error(code, args).unwrap(), error);
+            let message = Message::Reply(WireReply {
+                id: 1,
+                class: QosClass::Low,
+                outcome: WireOutcome::Failed(error),
+                latency_us: 0,
+            });
+            let bytes = encode_message(&message).unwrap();
+            assert_eq!(decode_message(&decode_frame(&bytes).unwrap()).unwrap(), message);
+        }
+        assert!(words_error(13, [0; 4]).is_err());
     }
 
     /// Satellite: every truncated prefix and every single-byte

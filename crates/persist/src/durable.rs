@@ -679,8 +679,12 @@ mod tests {
     use rqfa_core::{paper, AttrBinding, ExecutionTarget, FixedEngine, ImplId, ImplVariant};
 
     fn retain(id: u16, bits: u16) -> CaseMutation {
+        retain_into(paper::FIR_EQUALIZER, id, bits)
+    }
+
+    fn retain_into(type_id: rqfa_core::TypeId, id: u16, bits: u16) -> CaseMutation {
         CaseMutation::Retain {
-            type_id: paper::FIR_EQUALIZER,
+            type_id,
             variant: ImplVariant::new(
                 ImplId::new(id).unwrap(),
                 ExecutionTarget::Fpga,
@@ -815,29 +819,51 @@ mod tests {
         }
     }
 
+    fn flaky_durable() -> DurableCaseBase<FlakyStore> {
+        let stores = StoreSet::in_memory().map(|inner| FlakyStore {
+            inner,
+            fail_next_append: false,
+        });
+        DurableCaseBase::create(&paper::table1_case_base(), stores, PersistPolicy::manual())
+            .unwrap()
+    }
+
+    #[test]
+    fn a_failed_append_leaves_no_type_stamp_to_be_reissued() {
+        // The rollback of a failed append runs the inverse through the
+        // counter (retain g2, evict g3) before rewinding it to g1. A FIR
+        // stamp left at g3 would be handed out again — for different
+        // content — by the real FIR mutation that later lands on g3, and
+        // a result cached in between would hit across it.
+        let mut durable = flaky_durable();
+        durable.apply(&retain(10, 9)).unwrap(); // g1
+        durable.wal.store_mut().fail_next_append = true;
+        assert!(durable.apply(&retain(11, 10)).is_err());
+        let base = durable.case_base();
+        assert_eq!(base.generation(), Generation::from_raw(1));
+        assert!(base.type_stamps().iter().all(|&s| s <= base.generation()));
+        let cached_at = base.type_stamp(paper::FIR_EQUALIZER).unwrap();
+
+        durable.apply(&retain_into(paper::FFT_1D, 20, 9)).unwrap(); // g2
+        let base = durable.case_base();
+        assert_eq!(base.type_stamp(paper::FIR_EQUALIZER), Some(cached_at), "FIR untouched");
+        durable.apply(&retain(12, 11)).unwrap(); // g3: FIR changes for real
+        let base = durable.case_base();
+        assert_eq!(base.generation(), Generation::from_raw(3));
+        assert_ne!(
+            base.type_stamp(paper::FIR_EQUALIZER),
+            Some(cached_at),
+            "a result cached before the mutation must not validate after it"
+        );
+    }
+
     #[test]
     fn transient_append_failure_does_not_bury_later_appends() {
         // Regression: a failed append used to leave its torn bytes in
         // the live log; the *next successful* append then landed behind
         // garbage and was invisible to replay — an acknowledged mutation
         // silently lost without any crash.
-        let stores = StoreSet {
-            wal: FlakyStore {
-                inner: MemStore::new(),
-                fail_next_append: false,
-            },
-            snap_a: FlakyStore {
-                inner: MemStore::new(),
-                fail_next_append: false,
-            },
-            snap_b: FlakyStore {
-                inner: MemStore::new(),
-                fail_next_append: false,
-            },
-        };
-        let mut durable =
-            DurableCaseBase::create(&paper::table1_case_base(), stores, PersistPolicy::manual())
-                .unwrap();
+        let mut durable = flaky_durable();
         durable.apply(&retain(10, 9)).unwrap();
 
         // Inject one transient failure, losing mutation 11 (unacked)…

@@ -1,13 +1,17 @@
-//! Retrieval result cache with generation-based invalidation.
+//! Retrieval result cache with type-stamp invalidation.
 //!
 //! Keyed by [`Request::fingerprint`](rqfa_core::Request::fingerprint) — the
 //! same canonical digest the paper's bypass tokens use (§3) — and stamped
-//! with the owning shard's case-base generation counter. Any mutation of
-//! the case base (retain/revise/evict) bumps the generation, which makes
-//! every cached result stale at once without walking the map: a stale hit
-//! is detected on lookup, reported as a miss, dropped on the spot, and
-//! re-inserted fresh by the recompute that follows (so a refreshed entry
-//! is the cache's *newest*, not a resurrection of its original age).
+//! by the caller with the stamp of the request's function type
+//! ([`CaseBase::type_stamp`](rqfa_core::CaseBase::type_stamp): the
+//! generation at which that type was last mutated). A mutation of the case
+//! base (retain/revise/evict) moves the stamp of the one type it touches,
+//! which makes every cached result *of that type* stale at once without
+//! walking the map, and leaves the other types' results valid — retrieval
+//! reads nothing a foreign mutation changes. A stale hit is detected on
+//! lookup, reported as a miss, dropped on the spot, and re-inserted fresh
+//! by the recompute that follows (so a refreshed entry is the cache's
+//! *newest*, not a resurrection of its original age).
 //!
 //! [`RetrievalCache`] is a typed facade over [`rqfa_cache::GenCache`] —
 //! the same generalized store behind `rqfa_core::TokenCache` — holding
@@ -54,8 +58,9 @@ impl RetrievalCache {
     }
 
     /// Looks up the best-of result for `fingerprint` computed at
-    /// `generation`. A hit from an older generation counts as stale and
-    /// is discarded.
+    /// `generation` — the current stamp of the request's function type. A
+    /// resident entry with another stamp counts as stale and is
+    /// discarded.
     pub fn lookup(&mut self, fingerprint: u64, generation: Generation) -> Option<Retrieval<Q15>> {
         match self.lookup_outcome(fingerprint, generation) {
             CacheLookup::Hit(retrieval) => Some(retrieval),
@@ -98,7 +103,8 @@ impl RetrievalCache {
             })
     }
 
-    /// Stores a best-of retrieval computed at `generation` (a ranking of
+    /// Stores a best-of retrieval computed at `generation`, the stamp of
+    /// the request's function type (a ranking of
     /// size 1 — later best-of lookups hit it; larger n-best lookups
     /// recompute and widen the entry).
     pub fn insert(&mut self, fingerprint: u64, generation: Generation, result: &Retrieval<Q15>) {
@@ -136,7 +142,7 @@ impl RetrievalCache {
     }
 
     /// Keep-the-wider-entry merge: never let a narrow result clobber a
-    /// same-generation entry that already answers more.
+    /// same-stamp entry that already answers more.
     fn insert_entry(
         &mut self,
         fingerprint: u64,

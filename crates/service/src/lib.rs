@@ -21,8 +21,9 @@
 //!   first** under overload — CRITICAL is never shed, ever. The full
 //!   model lives in `docs/scheduling.md`.
 //! * **Result caching** ([`cache`]): retrievals are memoized by request
-//!   fingerprint and stamped with the case-base generation counter; any
-//!   retain/revise/evict invalidates the shard's cache wholesale.
+//!   fingerprint and stamped with the request's function-type stamp; a
+//!   retain/revise/evict invalidates the cached results of the one type
+//!   it touches.
 //!   Eviction is FIFO, backed by the workspace-wide `rqfa-cache` store —
 //!   the normative model lives in `docs/caching.md`.
 //! * **Metrics** ([`metrics`]): per-class p50/p99 latency, hit rate and
@@ -234,7 +235,8 @@ impl Ticket {
 /// See the [crate docs](crate) for the architecture. The service owns a
 /// private copy of the case base (split into shard slices); run-time
 /// learning flows through [`AllocationService::retain_variant`] and
-/// friends, which mutate the owning shard and invalidate its cache.
+/// friends, which mutate the owning shard and invalidate the cached
+/// results of the function type they touch.
 pub struct AllocationService {
     shards: Vec<shard::Shard>,
     metrics: Arc<ServiceMetrics>,
@@ -510,7 +512,8 @@ impl AllocationService {
     }
 
     /// *Retain* step routed to the owning shard; bumps that shard's
-    /// generation counter, invalidating its cached results.
+    /// generation counter and moves `type_id`'s stamp to it, invalidating
+    /// the cached results of that type only.
     ///
     /// # Errors
     ///

@@ -55,7 +55,7 @@ pub struct ClassMetrics {
     /// at every (gate-consistent) snapshot.
     pub cache_misses: AtomicU64,
     /// The subset of `cache_misses` that invalidated a stale entry
-    /// (generation mismatch) — stale results are *never* served.
+    /// (type stamp mismatch) — stale results are *never* served.
     pub cache_stale: AtomicU64,
     /// Requests that failed retrieval (e.g. unknown function type).
     pub failed: AtomicU64,
@@ -246,7 +246,7 @@ pub struct ClassSnapshot {
     pub cache_hits: u64,
     /// Dispatched requests the cache missed (cold, stale, or uncovered).
     pub cache_misses: u64,
-    /// Misses that invalidated a stale entry (generation mismatch).
+    /// Misses that invalidated a stale entry (type stamp mismatch).
     pub cache_stale: u64,
     /// Failed retrievals.
     pub failed: u64,

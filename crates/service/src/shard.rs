@@ -13,8 +13,12 @@
 //! answers (the integration suite asserts this).
 //!
 //! Mutations (retain/revise/evict) lock the owning shard's case base
-//! directly; the bumped generation counter invalidates that shard's cache
-//! on the workers' next lookup. A *durable* shard additionally owns a
+//! directly. Each moves the stamp of the one function type it touches
+//! (`CaseBase::type_stamp`); the worker looks cached results up and
+//! inserts them at the *request's type* stamp, so the next lookups drop
+//! that type's cached results — each once, as `stale` — and keep every
+//! other type's, and the plane engine recompiles that one type plane.
+//! A *durable* shard additionally owns a
 //! [`DurableCaseBase`] — its write-ahead log is appended under the same
 //! lock before the mutation is acknowledged, so the log can never run
 //! behind the state the workers serve from.
@@ -120,10 +124,21 @@ impl ShardStore {
         }
     }
 
-    /// The generation the cache stamps results with.
+    /// The generation of the served case base: what replication, fencing
+    /// and `shard_generation` report. Cached results are *not* validated
+    /// against it — see [`ShardStore::type_stamp`].
     pub(crate) fn generation(&self) -> Generation {
         self.case_base()
             .map_or(Generation::GENESIS, CaseBase::generation)
+    }
+
+    /// The stamp the cache validates and stamps results of `type_id`
+    /// with. A type this shard does not hold has no results to validate —
+    /// its retrievals fail before any insert — so any constant serves.
+    pub(crate) fn type_stamp(&self, type_id: TypeId) -> Generation {
+        self.case_base()
+            .and_then(|cb| cb.type_stamp(type_id))
+            .unwrap_or(Generation::GENESIS)
     }
 
     /// Applies a mutation, returning its inverse (durably for a durable
@@ -483,8 +498,9 @@ impl Drop for ShardCore {
 }
 
 /// The reusable per-worker state of the retrieval hot path: the compiled
-/// plane engine (scratch arena + plane, recompiled on generation change),
-/// the shard's result cache, and the batch-local coalescing buffers.
+/// plane engine (scratch arena + plane, one type plane recompiled per
+/// moved type stamp), the shard's result cache, and the batch-local
+/// coalescing buffers.
 ///
 /// Everything here is sized by the first few batches and reused after, so
 /// the steady-state engine path allocates nothing per request (the
@@ -502,10 +518,11 @@ struct WorkerContext {
     deltas: BatchDeltas,
 }
 
-/// One batch's stamp: the single clock read that every event, deadline
-/// check and reply latency of the batch shares (which keeps a
-/// manual-clock replay exactly reproducible), plus where the batch's
-/// events and latency samples go.
+/// One clock read shared by the events, deadline checks and reply
+/// latencies it stamps (which keeps a manual-clock replay exactly
+/// reproducible), plus where those events and latency samples go. A batch
+/// takes two: one at dispatch, for shedding and cache hits, and one after
+/// the kernel call, for everything the kernel answered.
 struct BatchStamp<'a> {
     now: u64,
     queue: &'a ClassQueue,
@@ -516,7 +533,7 @@ impl BatchStamp<'_> {
         self.queue.trace(self.now, job.id, job.class, kind, arg);
     }
 
-    /// Answers `job`, its latency judged at the batch stamp.
+    /// Answers `job`, its latency judged at this stamp.
     fn reply(&self, job: Job, outcome: Outcome) {
         let latency_us = self.now.saturating_sub(job.enqueued_at);
         job.reply(outcome, latency_us, &self.queue.metrics);
@@ -574,12 +591,12 @@ fn process_batch(
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
     let now = queue.config.clock.now_us();
     let stamp = BatchStamp { now, queue };
-    let generation = store.generation();
 
     // Pass 1: deadline shedding, cache lookups, duplicate coalescing.
-    // Leaders keep their pass-1 fingerprint so the insert in pass 2 does
-    // not re-hash the constraint list.
-    let mut pending: Vec<(u64, Job)> = Vec::with_capacity(batch.len());
+    // Leaders keep their pass-1 fingerprint and type stamp (the store
+    // stays locked, so it cannot move) so the insert in pass 2 neither
+    // re-hashes the constraint list nor searches the type again.
+    let mut pending: Vec<(u64, Generation, Job)> = Vec::with_capacity(batch.len());
     ctx.seen.clear();
     for job in batch {
         stamp.record(&job, EventKind::Dispatched, 0);
@@ -595,7 +612,8 @@ fn process_batch(
             ctx.followers.push((leader, job));
             continue;
         }
-        match ctx.cache.lookup_outcome(fingerprint, generation) {
+        let type_stamp = store.type_stamp(job.request.type_id());
+        match ctx.cache.lookup_outcome(fingerprint, type_stamp) {
             CacheLookup::Hit(hit) => {
                 stamp.record(&job, EventKind::CacheHit, 0);
                 stamp.finish(job, hit, true, &mut ctx.deltas);
@@ -613,7 +631,7 @@ fn process_batch(
             }
         }
         ctx.seen.insert(fingerprint, pending.len());
-        pending.push((fingerprint, job));
+        pending.push((fingerprint, type_stamp, job));
     }
 
     // Pass 2: one batched plane-kernel call for every leader.
@@ -631,7 +649,7 @@ fn process_batch(
                 let type_id = job.request.type_id();
                 stamp.fail(job, CoreError::UnknownType { type_id }, &mut ctx.deltas);
             }
-            for (_, job) in pending {
+            for (_, _, job) in pending {
                 let type_id = job.request.type_id();
                 stamp.fail(job, CoreError::UnknownType { type_id }, &mut ctx.deltas);
             }
@@ -639,11 +657,14 @@ fn process_batch(
         };
         {
             let requests: Vec<&rqfa_core::Request> =
-                pending.iter().map(|(_, j)| &j.request).collect();
+                pending.iter().map(|(_, _, j)| &j.request).collect();
             ctx.engine
                 .retrieve_batch_into(case_base, &requests, &mut ctx.results);
         }
-        let generation = case_base.generation();
+        // The kernel ran: what it answered is stamped after it, so the
+        // `Scored` checkpoint and the reported latency carry its cost.
+        let now = queue.config.clock.now_us();
+        let stamp = BatchStamp { now, queue };
         for result in ctx.results.iter().flatten() {
             ctx.deltas.add_ops(&result.ops);
         }
@@ -665,11 +686,13 @@ fn process_batch(
                 }
             }
         }
-        for ((fingerprint, job), result) in pending.into_iter().zip(ctx.results.drain(..)) {
+        for ((fingerprint, type_stamp, job), result) in
+            pending.into_iter().zip(ctx.results.drain(..))
+        {
             match result {
                 Ok(retrieval) => {
                     stamp.record(&job, EventKind::Scored, retrieval.evaluated as u64);
-                    ctx.cache.insert(fingerprint, generation, &retrieval);
+                    ctx.cache.insert(fingerprint, type_stamp, &retrieval);
                     stamp.finish(job, retrieval, false, &mut ctx.deltas);
                 }
                 Err(error) => stamp.fail(job, error, &mut ctx.deltas),
@@ -712,8 +735,9 @@ impl BatchHarness {
         self.core.run(batch);
     }
 
-    /// Applies a mutation to the underlying store (bumps the generation,
-    /// so the next batch invalidates the cache and recompiles the plane).
+    /// Applies a mutation to the underlying store (moves the mutated
+    /// type's stamp, so the next batch drops that type's cached results
+    /// and recompiles its type plane).
     pub fn apply(&mut self, mutation: &CaseMutation) -> Result<CaseMutation, ServiceError> {
         self.core.store.lock().expect("store poisoned").apply(mutation)
     }
@@ -731,6 +755,11 @@ impl BatchHarness {
     /// Plane (re)compilations performed by the worker's engine.
     pub fn engine_recompiles(&self) -> u64 {
         self.core.ctx.engine.recompiles()
+    }
+
+    /// Type planes those (re)compilations compiled.
+    pub fn engine_types_recompiled(&self) -> u64 {
+        self.core.ctx.engine.types_recompiled()
     }
 }
 
@@ -760,10 +789,17 @@ mod tests {
 
     #[test]
     fn partition_covers_every_type_exactly_once() {
-        let cb = paper::table1_case_base();
+        // A source with history: slices inherit its generation, and their
+        // type stamps start at or below it.
+        let mut cb = paper::table1_case_base();
+        cb.evict_variant(paper::FIR_EQUALIZER, paper::IMPL_GP).unwrap();
         for shards in 1..=4 {
             let slices = partition(&cb, shards);
             assert_eq!(slices.len(), shards);
+            for slice in slices.iter().flatten() {
+                assert_eq!(slice.generation(), cb.generation());
+                assert!(slice.type_stamps().iter().all(|&s| s <= slice.generation()));
+            }
             let total: usize = slices
                 .iter()
                 .flatten()

@@ -24,7 +24,8 @@
 //!   regression pins that divergence.
 //! * **n-best subsumption** — a cached top-k ranking answers best-of and
 //!   top-j (j ≤ k) lookups bit-identically to an engine recompute, and
-//!   one generation bump invalidates every view of the entry atomically.
+//!   a mutation of the entry's function type invalidates every view of it
+//!   atomically — while the entries of every other type keep answering.
 //! * **Answer invariance** — caching never changes *what* the service
 //!   answers, only how often it answers from cache.
 
@@ -452,14 +453,16 @@ fn cached_n_best_answers_best_of_and_smaller_n_bit_identically_to_recompute() {
     assert!(requests.len() > 40, "workload collapsed to {}", requests.len());
     let mut cache = RetrievalCache::new(1024);
     let mut rng = SmallRng::seed_from_u64(0xBE57);
-    let mut cached_fingerprints = Vec::new();
+    let mut cached = Vec::new();
     for (index, request) in requests.iter().enumerate() {
         let fingerprint = request.fingerprint();
-        let generation = case_base.generation();
+        // Entries live at their *type's* stamp, as the shard worker
+        // stores them.
+        let generation = case_base.type_stamp(request.type_id()).unwrap();
         let k = rng.gen_range(1..=6usize);
         let nbest = engine.retrieve_n_best(&case_base, request, k).unwrap();
         cache.insert_n_best(fingerprint, generation, k, &nbest);
-        cached_fingerprints.push(fingerprint);
+        cached.push((request, k));
 
         // Best-of: bit-identical to the single-result engine (the rank
         // tie-break guarantees rank(…, 1)[0] == retrieve().best).
@@ -495,7 +498,9 @@ fn cached_n_best_answers_best_of_and_smaller_n_bit_identically_to_recompute() {
         }
     }
 
-    // One mutation invalidates *every view* of every entry atomically.
+    // One mutation invalidates *every view* of every entry of its type
+    // atomically — one stale drop per entry, whichever view asks first —
+    // and leaves every other type's entries answering as before.
     let victim_type = case_base.function_types()[0].id();
     let victim_impl = case_base.function_types()[0].variants()[0].id();
     let stale_before = cache.cache_stats().stale;
@@ -505,23 +510,43 @@ fn cached_n_best_answers_best_of_and_smaller_n_bit_identically_to_recompute() {
             impl_id: victim_impl,
         })
         .unwrap();
-    let generation = case_base.generation();
-    for fingerprint in &cached_fingerprints {
-        assert!(cache.lookup_n_best(*fingerprint, generation, 1).is_none());
-        assert!(cache.lookup(*fingerprint, generation).is_none());
+    let mut victims = 0u64;
+    for (index, &(request, k)) in cached.iter().enumerate() {
+        let fingerprint = request.fingerprint();
+        let stamp = case_base.type_stamp(request.type_id()).unwrap();
+        if request.type_id() == victim_type {
+            victims += 1;
+            assert!(cache.lookup_n_best(fingerprint, stamp, 1).is_none());
+            assert!(cache.lookup(fingerprint, stamp).is_none());
+        } else {
+            let direct = engine.retrieve_n_best(&case_base, request, k).unwrap();
+            let served = cache
+                .lookup_n_best(fingerprint, stamp, k)
+                .expect("another type's mutation must not cost this entry");
+            assert_eq!(served.ranked, direct.ranked, "request {index}");
+            let best = cache.lookup(fingerprint, stamp).expect("best-of view too");
+            assert_eq!(Some(&best.best.unwrap()), direct.ranked.first());
+        }
     }
-    assert!(
-        cache.cache_stats().stale > stale_before,
-        "the bump must surface as stale drops, not silent cold misses"
+    assert!(victims > 0 && victims < cached.len() as u64, "both sides exercised");
+    assert_eq!(
+        cache.cache_stats().stale - stale_before,
+        victims,
+        "one stale drop per entry of the mutated type, none elsewhere"
     );
 
     // And recomputes against the mutated case base re-populate correctly.
-    for (index, request) in requests.iter().enumerate().take(10) {
+    let stamp = case_base.type_stamp(victim_type).unwrap();
+    for (index, request) in requests
+        .iter()
+        .filter(|r| r.type_id() == victim_type)
+        .enumerate()
+    {
         let fingerprint = request.fingerprint();
         let nbest = engine.retrieve_n_best(&case_base, request, 4).unwrap();
-        cache.insert_n_best(fingerprint, generation, 4, &nbest);
+        cache.insert_n_best(fingerprint, stamp, 4, &nbest);
         let direct = engine.retrieve(&case_base, request).unwrap();
-        let served = cache.lookup(fingerprint, generation).unwrap();
+        let served = cache.lookup(fingerprint, stamp).unwrap();
         assert_eq!(served.best, direct.best, "post-mutation request {index}");
     }
 }

@@ -466,6 +466,7 @@ fn replication_converges_through_kills_mid_snapshot_and_mid_tail() {
     // (the generator's scratch copy replayed the same stream).
     let replica = follower.promote().expect("promotable");
     assert_eq!(replica.generation(), leader.shard_generation(0));
+    assert!(replica.type_stamps().iter().all(|&s| s <= replica.generation()));
     let replica_image = encode_case_base(&replica).expect("replica image");
     let leader_image = encode_case_base(mutations.case_base()).expect("leader image");
     assert_eq!(
@@ -568,6 +569,9 @@ fn leader_kill_failover_promotes_the_follower() {
     // same node id. Its generation counter resumes where the leader's
     // stopped — the oracle never notices the handoff.
     let replica = follower.promote().expect("promotable");
+    // The stamps the promoted node's cache will validate against start at
+    // or below the counter that issues the next one.
+    assert!(replica.type_stamps().iter().all(|&s| s <= replica.generation()));
     let promoted = Arc::new(
         AllocationService::new(&replica, &node_config(&clock)).expect("promoted node"),
     );

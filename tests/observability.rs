@@ -122,6 +122,78 @@ fn replay_timeline_breakdowns_sum_to_reply_latencies() {
     );
 }
 
+/// A clock that moves one µs per read: every clock read on the request
+/// path becomes visible as a distinct tick, whatever the thread timing.
+#[derive(Debug, Default)]
+struct TickingClock(std::sync::atomic::AtomicU64);
+
+impl rqfa::telemetry::Clock for TickingClock {
+    fn now_us(&self) -> u64 {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst)
+    }
+}
+
+/// 2b. The kernel has a stage of its own. The worker stamps a batch twice
+///     — at pickup and after the kernel call — so a computed reply's
+///     timeline shows `service_us > 0` and its latency includes the kernel,
+///     a store hit answers at the pickup stamp with `service_us == 0`, and
+///     either way the stages still sum to the reported latency.
+#[test]
+fn live_timelines_carry_the_kernel_stage() {
+    let case_base = CaseGen::new(6, 8, 6, 8).seed(0x0B60).build();
+    let mut seen = std::collections::HashSet::new();
+    let requests: Vec<_> = RequestGen::new(&case_base)
+        .seed(0x0B61)
+        .count(64)
+        .repeat_fraction(0.0)
+        .generate()
+        .into_iter()
+        .filter(|r| seen.insert(r.fingerprint()))
+        .collect();
+    let clock: SharedClock = Arc::new(TickingClock::default());
+    let service = AllocationService::new(
+        &case_base,
+        &ServiceConfig::default()
+            .with_clock(clock)
+            .with_trace_capacity(1 << 14),
+    )
+    .expect("valid service config");
+    // Two passes, each drained before the next: computed, then cached.
+    let mut replies = Vec::new();
+    for _ in 0..2 {
+        let tickets: Vec<Ticket> = requests
+            .iter()
+            .map(|r| service.submit(r.clone(), QosClass::High))
+            .collect();
+        replies.extend(tickets.into_iter().map(|t| t.wait().expect("answered")));
+    }
+    let trace = service.drain_trace();
+    assert_eq!(trace.dropped, 0);
+    let timelines = trace.timelines();
+    let (mut computed, mut cached) = (0, 0);
+    for reply in &replies {
+        let timeline = timelines
+            .iter()
+            .find(|t| t.request_id == reply.id)
+            .expect("every reply has a timeline");
+        let breakdown = timeline.breakdown().expect("terminal timeline");
+        assert_eq!(breakdown.total_us(), reply.latency_us, "request {}", reply.id);
+        match reply.outcome {
+            rqfa::service::Outcome::Allocated { cached: false, .. } => {
+                assert!(breakdown.service_us > 0, "request {}: {breakdown:?}", reply.id);
+                computed += 1;
+            }
+            rqfa::service::Outcome::Allocated { cached: true, .. } => {
+                assert_eq!(breakdown.service_us, 0, "request {}: {breakdown:?}", reply.id);
+                cached += 1;
+            }
+            ref other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+    assert_eq!((computed, cached), (requests.len(), requests.len()));
+    service.shutdown();
+}
+
 /// 3. The batch-atomic commit gate: sample snapshots continuously while
 ///    four submitter threads drive the service, and require the cache/outcome
 ///    identity to hold in every single sample.

@@ -131,6 +131,12 @@ fn assert_bit_identical(recovered: &CaseBase, oracle: &CaseBase, requests: &[Req
         oracle.generation(),
         "{ctx}: recovered generation must equal the oracle's"
     );
+    // However it was rebuilt (snapshot, replay, torn tail): no type stamp
+    // runs ahead of the counter that will issue the next one.
+    assert!(
+        recovered.type_stamps().iter().all(|&s| s <= recovered.generation()),
+        "{ctx}: a recovered type stamp exceeds the generation"
+    );
 }
 
 /// Crash 1: torn WAL tail. Truncate the log at **every byte offset** and

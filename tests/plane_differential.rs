@@ -22,9 +22,10 @@
 //!   see `docs/retrieval.md`), which is asserted exactly too.
 //!
 //! Mutations (retain / revise / evict through `CaseBase::apply_mutation`)
-//! land mid-stream, so the harness also proves the generation-stamped
-//! invalidation: the plane engine recompiles exactly once per observed
-//! generation change and never serves a stale plane.
+//! land mid-stream, so the harness also proves the stamp-driven
+//! invalidation: the plane engine brings its plane up to date once per
+//! observed generation change, recompiles one type plane per mutated type
+//! and never serves a stale plane.
 
 use rqfa::core::{
     AttrBinding, CaseBase, CaseMutation, FixedEngine, ImplId, ImplVariant, KernelPath,
@@ -273,6 +274,15 @@ fn plane_kernel_is_bit_identical_to_the_naive_engine() {
             plane.recompiles()
         );
         assert!(plane.recompiles() >= 2, "mutations must force recompiles");
+        // Type-scoped: every type once at first use, then at most one
+        // type plane per mutation — never the whole base again.
+        let types = cb.type_count() as u64;
+        assert!(
+            plane.types_recompiled() <= mutations + types,
+            "seed {seed}: {} type planes compiled for {mutations} mutations over {types} types",
+            plane.types_recompiled()
+        );
+        assert!(plane.types_recompiled() > types, "mutations must recompile type planes");
     }
 }
 

@@ -557,29 +557,51 @@ fn killed_durable_shards_recover_equivalent_to_unkilled_oracle() {
 
     // Every retrieval of the recovered service matches the single-engine
     // oracle bit for bit — including requests that hit mutated variants.
+    // Three passes over distinct requests: cold after recovery; again, now
+    // from the recovered shards' caches; and after one more mutation, which
+    // the recovered type stamps must scope to its own type — that type's
+    // entries recompute once, every other type's keep answering cached.
     let engine = FixedEngine::new();
-    let requests = RequestGen::new(&case_base).seed(0x22).count(300).generate();
-    let tickets: Vec<Ticket> = requests
-        .iter()
-        .map(|r| recovered.submit(r.clone(), QosClass::High))
+    let mut seen = std::collections::HashSet::new();
+    let requests: Vec<Request> = RequestGen::new(&case_base)
+        .seed(0x22)
+        .count(300)
+        .generate()
+        .into_iter()
+        .filter(|r| seen.insert(r.fingerprint()))
         .collect();
-    for (request, ticket) in requests.iter().zip(tickets) {
-        let reply = ticket.wait().expect("recovered service answers");
-        let expected = engine
-            .retrieve(&oracle, request)
-            .expect("oracle accepts generated requests")
-            .best
-            .expect("non-empty case base");
-        match reply.outcome {
-            Outcome::Allocated { best, .. } => {
-                assert_eq!(best.impl_id, expected.impl_id, "winner differs for {request}");
-                assert_eq!(
-                    best.similarity, expected.similarity,
-                    "similarity bits differ for {request}"
-                );
-                assert_eq!(best.target, expected.target, "target differs for {request}");
-            }
-            other => panic!("unexpected outcome {other:?}"),
+    let learned = case_base.function_types()[2].id();
+    for pass in 0..3 {
+        if pass == 2 {
+            let mutation = CaseMutation::Evict {
+                type_id: learned,
+                impl_id: case_base.function_type(learned).unwrap().variants()[0].id(),
+            };
+            recovered.apply_mutation(&mutation).expect("recovered service learns");
+            oracle.apply_mutation(&mutation).expect("oracle applies");
+        }
+        let tickets: Vec<Ticket> = requests
+            .iter()
+            .map(|r| recovered.submit(r.clone(), QosClass::High))
+            .collect();
+        for (request, ticket) in requests.iter().zip(tickets) {
+            let reply = ticket.wait().expect("recovered service answers");
+            let expected = engine
+                .retrieve(&oracle, request)
+                .expect("oracle accepts generated requests");
+            assert_eq!(
+                reply.outcome,
+                Outcome::Allocated {
+                    best: expected.best.expect("non-empty case base"),
+                    evaluated: expected.evaluated,
+                    cached: match pass {
+                        0 => false,
+                        1 => true,
+                        _ => request.type_id() != learned,
+                    },
+                },
+                "pass {pass}: {request}"
+            );
         }
     }
     recovered.shutdown();
