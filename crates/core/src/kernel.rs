@@ -47,6 +47,8 @@
 //! path; `search_steps` counts per-constraint column resolutions instead
 //! of attribute-list walk steps).
 
+use core::borrow::Borrow;
+
 use rqfa_fixed::Q15;
 
 use crate::casebase::CaseBase;
@@ -598,23 +600,26 @@ impl PlaneEngine {
     /// to `BLOCK` (4) requests per column pass — the software analogue of
     /// the hardware streaming a same-function burst over a parked
     /// level-0 pointer, now serving several requests per sweep.
-    pub fn retrieve_batch_into(
+    /// `requests` is anything that lends out a [`Request`] per item, so
+    /// a caller's own batch records need no side vector of references.
+    pub fn retrieve_batch_into<R: Borrow<Request>>(
         &mut self,
         case_base: &CaseBase,
-        requests: &[&Request],
+        requests: &[R],
         out: &mut Vec<Result<Retrieval<Q15>, CoreError>>,
     ) {
+        let at = |i: u32| -> &Request { requests[i as usize].borrow() };
         self.ensure(case_base);
         // Group indices by type id (stable: ties keep input order) using
         // the scratch index buffer.
         self.scratch.reset_order(requests.len());
         let order = &mut self.scratch.order;
         order.extend(0..u32::try_from(requests.len()).expect("batch fits u32"));
-        order.sort_unstable_by_key(|&i| (requests[i as usize].type_id(), i));
+        order.sort_unstable_by_key(|&i| (at(i).type_id(), i));
         out.clear();
         out.extend(requests.iter().map(|r| {
             Err(CoreError::UnknownType {
-                type_id: r.type_id(),
+                type_id: r.borrow().type_id(),
             })
         }));
         let plane = self.plane.as_ref().expect("just ensured");
@@ -623,11 +628,10 @@ impl PlaneEngine {
         let order = std::mem::take(&mut self.scratch.order);
         let mut cursor = 0usize;
         while cursor < order.len() {
-            let first = order[cursor] as usize;
-            let type_id = requests[first].type_id();
+            let type_id = at(order[cursor]).type_id();
             let group_end = order[cursor..]
                 .iter()
-                .position(|&i| requests[i as usize].type_id() != type_id)
+                .position(|&i| at(i).type_id() != type_id)
                 .map_or(order.len(), |offset| cursor + offset);
             // One type resolution per same-type group; the group streams
             // through in register blocks.
@@ -643,7 +647,7 @@ impl PlaneEngine {
                     self.scratch.plan.clear();
                     self.scratch.reset_rows(stride * chunk.len());
                     for (row, &index) in chunk.iter().enumerate() {
-                        let request = requests[index as usize];
+                        let request = at(index);
                         let mut ops = OpCounts::default();
                         match resolve(plane, ty, request, &mut self.scratch, &mut ops) {
                             Ok(()) => {

@@ -20,6 +20,13 @@
 //!   and urgency-tiered admission limits that shed by **largest slack
 //!   first** under overload — CRITICAL is never shed, ever. The full
 //!   model lives in `docs/scheduling.md`.
+//! * **One hand-over per batch, not per request** ([`Ticket`],
+//!   [`queue`]): a ticket is a one-shot reply slot — one small
+//!   allocation shared with its job, no channel — whose filler wakes only
+//!   a waiter that parked on it; the worker wakes the clients a batch
+//!   released together, cache hits before the kernel call; a submit
+//!   signals the worker's condvar only when it finds the worker parked.
+//!   `docs/scheduling.md` §7 is normative.
 //! * **Result caching** ([`cache`]): retrievals are memoized by request
 //!   fingerprint and stamped with the request's function-type stamp; a
 //!   retain/revise/evict invalidates the cached results of the one type
@@ -77,10 +84,10 @@ pub mod remote;
 pub mod replay;
 pub mod sched;
 pub mod shard;
+mod ticket;
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,6 +105,7 @@ pub use rqfa_telemetry::{
     Clock, ManualClock, MonotonicClock, RequestTimeline, SharedClock, StageBreakdown, TraceDump,
 };
 pub use sched::{Pick, ServiceTimeEstimator, WeightedArbiter};
+pub use ticket::Ticket;
 
 /// How one request ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,7 +181,8 @@ pub struct Job {
     /// deadline, else submit time + class budget, else none (sorts
     /// behind every deadlined job).
     pub(crate) deadline: Option<u64>,
-    pub(crate) reply_tx: mpsc::Sender<Reply>,
+    /// The job's half of the reply slot it shares with its [`Ticket`].
+    pub(crate) filler: ticket::Filler,
 }
 
 impl Job {
@@ -190,43 +199,6 @@ impl Job {
     /// The job's effective deadline, if any, as a clock tick in µs.
     pub fn deadline(&self) -> Option<u64> {
         self.deadline
-    }
-}
-
-/// A handle to one in-flight request.
-#[derive(Debug)]
-pub struct Ticket {
-    id: u64,
-    class: QosClass,
-    rx: mpsc::Receiver<Reply>,
-}
-
-impl Ticket {
-    /// The request id (matches [`Reply::id`]).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The request's QoS class.
-    pub fn class(&self) -> QosClass {
-        self.class
-    }
-
-    /// Blocks until the reply arrives. `None` only if the service was torn
-    /// down without answering (worker panic) — a drained shutdown replies
-    /// to everything first.
-    pub fn wait(self) -> Option<Reply> {
-        self.rx.recv().ok()
-    }
-
-    /// Non-blocking poll.
-    pub fn try_wait(&self) -> Option<Reply> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Blocks up to `timeout` for the reply.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Reply> {
-        self.rx.recv_timeout(timeout).ok()
     }
 }
 
@@ -429,11 +401,9 @@ impl AllocationService {
         deadline_us: Option<u64>,
     ) -> Ticket {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let rx = self
-            .shard_for(request.type_id())
+        self.shard_for(request.type_id())
             .queue
-            .admit(id, request, class, deadline_us);
-        Ticket { id, class, rx }
+            .admit(id, request, class, deadline_us)
     }
 
     /// Seeds shard `shard`'s measured service-time estimator with one
@@ -657,15 +627,15 @@ pub mod testkit {
     pub use crate::shard::BatchHarness;
 
     /// Builds a job with an explicit enqueue tick and effective deadline
-    /// (both clock µs), plus the receiver its reply (if any) arrives on.
+    /// (both clock µs), plus the ticket its reply (if any) arrives on.
     pub fn job(
         id: u64,
         class: QosClass,
         request: Request,
         enqueued_at: u64,
         deadline: Option<u64>,
-    ) -> (Job, mpsc::Receiver<Reply>) {
-        let (reply_tx, rx) = mpsc::channel();
+    ) -> (Job, Ticket) {
+        let (filler, ticket) = ticket::reply_slot(id, class);
         (
             Job {
                 id,
@@ -673,9 +643,9 @@ pub mod testkit {
                 request,
                 enqueued_at,
                 deadline,
-                reply_tx,
+                filler,
             },
-            rx,
+            ticket,
         )
     }
 }

@@ -161,6 +161,12 @@ pub struct ServiceMetrics {
     pub batched_requests: AtomicU64,
     /// Kernel effort aggregated over every scored batch.
     pub ops: OpsMetrics,
+    /// Times a shard worker found its queue empty and parked.
+    pub worker_parks: AtomicU64,
+    /// Wakes submitters issued to parked workers: at most one per park
+    /// (`worker_wakes <= worker_parks` at every snapshot), whatever the
+    /// number of submits in between.
+    pub worker_wakes: AtomicU64,
     /// The batch-commit gate (see the module docs).
     gate: Mutex<()>,
 }
@@ -212,18 +218,30 @@ impl ServiceMetrics {
                 p99_us: m.latency.quantile(0.99),
             }
         });
+        // A wake is counted (Release) after the park it answers, so
+        // reading wakes first (Acquire) sees every park they answered:
+        // `worker_wakes <= worker_parks` in every snapshot.
+        let worker_wakes = self.worker_wakes.load(Ordering::Acquire);
+        let worker_parks = self.worker_parks.load(Ordering::Relaxed);
         MetricsSnapshot {
             classes,
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
             ops: self.ops.snapshot(),
+            worker_parks,
+            worker_wakes,
         }
     }
 }
 
 impl MetricSource for ServiceMetrics {
+    /// The snapshot's samples plus the two hand-over counters, which
+    /// only a live, threaded service moves.
     fn collect(&self, out: &mut Vec<Sample>) {
-        self.snapshot().collect(out);
+        let snapshot = self.snapshot();
+        snapshot.collect(out);
+        out.push(Sample::count("queue/worker_parks", snapshot.worker_parks));
+        out.push(Sample::count("queue/worker_wakes", snapshot.worker_wakes));
     }
 }
 
@@ -301,6 +319,10 @@ pub struct MetricsSnapshot {
     pub batched_requests: u64,
     /// Kernel effort aggregated over every scored batch.
     pub ops: OpCounts,
+    /// Times a shard worker parked on an empty queue.
+    pub worker_parks: u64,
+    /// Wakes issued to parked workers (never more than `worker_parks`).
+    pub worker_wakes: u64,
 }
 
 impl MetricsSnapshot {
@@ -332,7 +354,9 @@ impl MetricsSnapshot {
     /// Flattens the snapshot into registry samples: per-class counters
     /// under `<class>/`, service-wide batch and kernel-effort counters at
     /// the top level. These are exactly the names the `service_trace`
-    /// trajectory (`BENCH_14.json`) publishes.
+    /// trajectory (`BENCH_14.json`) publishes — a replay has no worker
+    /// thread to park, so the hand-over counters are published by the
+    /// live [`ServiceMetrics`] source only.
     pub fn collect(&self, out: &mut Vec<Sample>) {
         let total_picks = self.picks();
         for c in &self.classes {

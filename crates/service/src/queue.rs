@@ -1,9 +1,11 @@
 //! The per-shard batching request queue with deadline-aware lanes.
 //!
 //! One [`ClassQueue`] feeds each shard worker: four class-indexed lanes
-//! behind one mutex, a condvar to park the worker when idle, and the
-//! [`WeightedArbiter`] deciding which lane
-//! each batch slot is drawn from.
+//! behind one mutex, the [`WeightedArbiter`] deciding which lane each
+//! batch slot is drawn from, and a condvar the worker parks on when the
+//! lanes are empty — signalled once per park, by the one submitter that
+//! finds the worker parked, never once per submit (see *Waking the
+//! worker* below).
 //!
 //! ## Lane ordering
 //!
@@ -35,17 +37,30 @@
 //! effective deadlines shed
 //! HIGH/MEDIUM/LOW at *dispatch* once they have expired — work that can
 //! still meet its deadline is never refused by the budget.
+//!
+//! ## Waking the worker
+//!
+//! A condvar signal is a system call whether or not anybody sleeps, so
+//! it may not be paid per request. The worker publishes `parked` under
+//! the mutex before it waits; a push that finds the flag set clears it
+//! and, after unlocking, issues the one wake that park is owed. Pushes
+//! that find it clear — the worker is running, or already woken and not
+//! yet scheduled — signal nobody. `parked` implies an empty queue
+//! whenever the mutex is free, so no wake-up is lost; the proof sketch
+//! is in `docs/scheduling.md` ("Hand-over protocol"), and
+//! `worker_parks` / `worker_wakes` count both sides.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use rqfa_core::{QosClass, Request};
 use rqfa_telemetry::{EventKind, FlightRecorder};
 
 use crate::metrics::ServiceMetrics;
 use crate::sched::{ServiceTimeEstimator, WeightedArbiter};
-use crate::{Job, Outcome, Reply, ServiceConfig};
+use crate::ticket::{self, Ticket};
+use crate::{Job, Outcome, ServiceConfig};
 
 /// A lane's sort key: explicit ticks order chronologically, and the
 /// no-deadline sentinel orders after **every** tick (the derived `Ord`
@@ -89,6 +104,10 @@ struct Inner {
     len: usize,
     seq: u64,
     shutdown: bool,
+    /// The worker is waiting on `available` (or about to) and has not
+    /// been signalled since. Set by the worker, cleared by whoever takes
+    /// on the wake; implies `len == 0` whenever the mutex is free.
+    parked: bool,
 }
 
 impl Inner {
@@ -153,6 +172,7 @@ impl ClassQueue {
                 len: 0,
                 seq: 0,
                 shutdown: false,
+                parked: false,
             }),
             available: Condvar::new(),
             config: config.clone(),
@@ -180,17 +200,17 @@ impl ClassQueue {
     /// sheddable class, else none — saturating, so an absurdly far
     /// deadline stays in the future instead of wrapping into the past),
     /// pushes it, and answers whatever admission sheds on the spot. The
-    /// reply, immediate or the worker's, arrives on the returned receiver.
+    /// reply, immediate or the worker's, arrives on the returned ticket.
     pub fn admit(
         &self,
         id: u64,
         request: Request,
         class: QosClass,
         deadline_us: Option<u64>,
-    ) -> mpsc::Receiver<Reply> {
+    ) -> Ticket {
         let metrics = &*self.metrics;
         metrics.class(class).submitted.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, rx) = mpsc::channel();
+        let (filler, ticket) = ticket::reply_slot(id, class);
         let now = self.config.clock.now_us();
         let record = |id, class, kind, arg| self.trace(now, id, class, kind, arg);
         record(id, class, EventKind::Submitted, 0);
@@ -201,7 +221,7 @@ impl ClassQueue {
             request,
             enqueued_at: now,
             deadline: deadline_us.or(budget).map(|d| now.saturating_add(d)),
-            reply_tx,
+            filler,
         };
         match self.push(job) {
             Admission::Admitted => record(id, class, EventKind::Admitted, 0),
@@ -213,39 +233,43 @@ impl ClassQueue {
                 let shed = &metrics.class(victim.class).shed_queue_full;
                 shed.fetch_add(1, Ordering::Relaxed);
                 let waited_us = now.saturating_sub(victim.enqueued_at);
-                victim.reply(Outcome::ShedQueueFull, waited_us, metrics);
+                // The victim's submitter may already be parked on it.
+                if let Some(waiter) = victim.reply(Outcome::ShedQueueFull, waited_us, metrics) {
+                    waiter.unpark();
+                }
             }
             Admission::Refused(job) => {
                 record(id, class, EventKind::Refused, 0);
                 record(id, class, EventKind::ShedQueueFull, 0);
                 let shed = &metrics.class(class).shed_queue_full;
                 shed.fetch_add(1, Ordering::Relaxed);
-                job.reply(Outcome::ShedQueueFull, 0, metrics);
+                answer_unseen(job, Outcome::ShedQueueFull, metrics);
             }
             Admission::Doomed { job, late_us } => {
                 record(id, class, EventKind::Refused, 0);
                 record(id, class, EventKind::ShedPredicted, late_us);
                 let shed = &metrics.class(class).shed_predicted;
                 shed.fetch_add(1, Ordering::Relaxed);
-                job.reply(Outcome::ShedPredicted { late_us }, 0, metrics);
+                answer_unseen(job, Outcome::ShedPredicted { late_us }, metrics);
             }
         }
-        rx
+        ticket
     }
 
-    /// Predicted lateness (µs) of a deadlined sheddable job arriving
-    /// now, from the warm estimator's per-job rate over the current
-    /// backlog: with `n` jobs already queued the newcomer completes
-    /// after roughly `(n + 1) × per_job_us`. `None` = viable (or not
-    /// predictable: predictive shedding off, cold estimator, CRITICAL,
-    /// or no deadline).
+    /// Predicted lateness (µs) of a deadlined sheddable job, from the
+    /// warm estimator's per-job rate over the current backlog: with `n`
+    /// jobs already queued the newcomer completes roughly
+    /// `(n + 1) × per_job_us` after its arrival stamp — the same stamp
+    /// its deadline was formed from, so the verdict never mixes two
+    /// "now"s. `None` = viable (or not predictable: predictive shedding
+    /// off, cold estimator, CRITICAL, or no deadline).
     fn predicted_lateness(&self, job: &Job, queued: usize) -> Option<u64> {
         if !self.config.predictive_shed || !job.class.sheddable() || self.estimator.samples() == 0 {
             return None;
         }
         let deadline = job.deadline?;
         let predicted_us = self.estimator.per_job_us().checked_mul(queued as u64 + 1)?;
-        let completes = self.config.clock.now_us().saturating_add(predicted_us);
+        let completes = job.enqueued_at.saturating_add(predicted_us);
         (completes > deadline).then(|| completes - deadline)
     }
 
@@ -283,8 +307,9 @@ impl ClassQueue {
                     if key.0 < last_key.0 {
                         let (_, victim) = lane.pop_last().expect("lane non-empty");
                         lane.insert(key, job);
-                        drop(inner);
-                        self.available.notify_one();
+                        // One in, one out: the queue was and stays
+                        // non-empty, so nobody is parked on it.
+                        debug_assert!(!inner.parked, "parked worker beside a full lane");
                         return Admission::Displaced(victim);
                     }
                 }
@@ -293,22 +318,47 @@ impl ClassQueue {
         }
         inner.lanes[job.class.index()].insert(key, job);
         inner.len += 1;
+        // Whoever finds the worker parked takes on its wake; everybody
+        // else's push is over here.
+        let wake = std::mem::take(&mut inner.parked);
         drop(inner);
-        self.available.notify_one();
+        if wake {
+            self.wake_worker();
+        }
         Admission::Admitted
     }
 
-    /// Pops the next batch of up to `max` jobs, blocking while the queue
-    /// is empty. Returns `None` once the queue is shut down *and* drained,
-    /// which is the worker's signal to exit.
-    pub fn pop_batch(&self, max: usize) -> Option<Vec<Job>> {
+    /// The one wake a worker's park is owed — the only condvar signal on
+    /// the request path (CI greps for a second one). Called after
+    /// unlocking, by the submitter that cleared `parked`.
+    fn wake_worker(&self) {
+        // Release: pairs with the snapshot's Acquire read, which must see
+        // the park (counted under the mutex this caller just held) too.
+        self.metrics.worker_wakes.fetch_add(1, Ordering::Release);
+        self.available.notify_one();
+    }
+
+    /// Pops the next batch of up to `max` jobs into `batch` (cleared
+    /// first, so the driver's buffer is reused), blocking while the queue
+    /// is empty. Returns `false` once the queue is shut down *and*
+    /// drained, which is the worker's signal to exit.
+    #[must_use = "`false` means shut down and drained"]
+    pub fn pop_batch(&self, max: usize, batch: &mut Vec<Job>) -> bool {
+        batch.clear();
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
             if inner.len > 0 {
                 break;
             }
             if inner.shutdown {
-                return None;
+                return false;
+            }
+            // Published under the lock: the next push sees it and wakes
+            // us. A spurious return finds it still set and is not a new
+            // park.
+            if !inner.parked {
+                inner.parked = true;
+                self.metrics.worker_parks.fetch_add(1, Ordering::Relaxed);
             }
             inner = self.available.wait(inner).expect("queue poisoned");
         }
@@ -319,7 +369,6 @@ impl ClassQueue {
         // Tightest effective deadline among jobs already picked — the
         // deadline-aware composition bound.
         let mut tightest: Option<u64> = None;
-        let mut batch = Vec::with_capacity(max.min(inner.len));
         while batch.len() < max {
             // Re-stamp every pick: under a real clock the urgency flags
             // and `Scheduled` trace stamps must not go stale across a
@@ -361,7 +410,7 @@ impl ClassQueue {
             inner.len -= 1;
             batch.push(job);
         }
-        Some(batch)
+        true
     }
 
     /// Jobs currently queued.
@@ -375,16 +424,17 @@ impl ClassQueue {
     }
 
     /// Initiates shutdown: new pushes are refused, blocked workers wake,
-    /// and `pop_batch` drains the backlog before returning `None`.
+    /// and `pop_batch` drains the backlog before returning `false`.
     pub fn shutdown(&self) {
         self.inner.lock().expect("queue poisoned").shutdown = true;
+        // Off the request path: signalled whether or not anyone parks.
         self.available.notify_all();
     }
 
     /// Tears the queue down *without* draining: new pushes are refused
-    /// and the backlog is dropped unanswered, which disconnects every
-    /// queued job's reply channel — a waiting [`Ticket`](crate::Ticket)
-    /// wakes with `None`. A no-op after a drained shutdown.
+    /// and the backlog is dropped unanswered, which abandons every
+    /// queued job's reply slot — a waiting [`Ticket`] wakes with `None`.
+    /// A no-op after a drained shutdown.
     pub(crate) fn abort(&self) {
         // Runs from a `Drop`, possibly mid-unwind: never panic here.
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -395,6 +445,13 @@ impl ClassQueue {
         drop(backlog);
         self.available.notify_all();
     }
+}
+
+/// Answers a job refused at the door. Its ticket has not been handed to
+/// the submitter yet, so no waiter can be parked on it.
+fn answer_unseen(job: Job, outcome: Outcome, metrics: &ServiceMetrics) {
+    let waiter = job.reply(outcome, 0, metrics);
+    debug_assert!(waiter.is_none(), "a waiter on a ticket nobody holds");
 }
 
 #[cfg(test)]
@@ -435,6 +492,11 @@ mod tests {
         build(&config(capacity))
     }
 
+    fn pop(q: &ClassQueue, max: usize) -> Option<Vec<Job>> {
+        let mut batch = Vec::new();
+        q.pop_batch(max, &mut batch).then_some(batch)
+    }
+
     fn push_ok(q: &ClassQueue, job: Job) {
         assert!(matches!(q.push(job), Admission::Admitted));
     }
@@ -449,7 +511,7 @@ mod tests {
         for id in 4..8 {
             push_ok(&q, job(id, QosClass::Critical));
         }
-        let batch = q.pop_batch(8).unwrap();
+        let batch = pop(&q, 8).unwrap();
         assert_eq!(batch.len(), 8);
         // Critical jobs dominate the front of the batch.
         assert_eq!(batch[0].class, QosClass::Critical);
@@ -470,7 +532,7 @@ mod tests {
             push_ok(&q, deadline_job(id, QosClass::High, 0, us));
         }
         push_ok(&q, job(4, QosClass::High));
-        let order: Vec<u64> = q.pop_batch(8).unwrap().iter().map(|j| j.id).collect();
+        let order: Vec<u64> = pop(&q, 8).unwrap().iter().map(|j| j.id).collect();
         assert_eq!(order, [1, 3, 2, 0, 4], "earliest deadline first");
     }
 
@@ -522,7 +584,7 @@ mod tests {
             other => panic!("expected refusal, got {other:?}"),
         }
         assert_eq!(q.len(), 3);
-        let order: Vec<u64> = q.pop_batch(8).unwrap().iter().map(|j| j.id).collect();
+        let order: Vec<u64> = pop(&q, 8).unwrap().iter().map(|j| j.id).collect();
         assert_eq!(order, [3, 1, 2], "survivors dispatch EDF");
     }
 
@@ -544,7 +606,7 @@ mod tests {
             }
             other => panic!("expected displacement, got {other:?}"),
         }
-        let order: Vec<u64> = q.pop_batch(8).unwrap().iter().map(|j| j.id).collect();
+        let order: Vec<u64> = pop(&q, 8).unwrap().iter().map(|j| j.id).collect();
         assert_eq!(order, [2, 1], "far deadline dispatches before none");
     }
 
@@ -564,13 +626,13 @@ mod tests {
         let mut receivers = vec![q.admit(0, request(), QosClass::Low, None)];
         receivers.extend((1..19).map(|id| q.admit(id, request(), QosClass::Low, Some(u64::MAX))));
         receivers.push(q.admit(19, request(), QosClass::Low, Some(10_000)));
-        let batch = q.pop_batch(32).unwrap();
+        let batch = pop(&q, 32).unwrap();
         let order: Vec<u64> = batch.iter().map(|j| j.id).collect();
         let expected: Vec<u64> = std::iter::once(19).chain(1..19).chain([0]).collect();
         assert_eq!(order, expected, "near, then saturated-far, then none");
         assert_eq!(batch[1].deadline, Some(u64::MAX));
-        for rx in receivers {
-            assert!(rx.try_recv().is_err(), "admitted, not shed at the door");
+        for ticket in receivers {
+            assert!(ticket.try_wait().is_none(), "admitted, not shed at the door");
         }
     }
 
@@ -615,7 +677,7 @@ mod tests {
                 (deadline.is_none(), deadline.unwrap_or(0), id)
             });
             let order: Vec<u64> =
-                q.pop_batch(jobs.len()).unwrap().iter().map(|j| j.id).collect();
+                pop(&q, jobs.len()).unwrap().iter().map(|j| j.id).collect();
             assert_eq!(order, expected, "seed {seed}");
         }
     }
@@ -645,7 +707,7 @@ mod tests {
         for id in 0..4 {
             push_ok(&q, job(id, QosClass::High));
         }
-        assert_eq!(q.pop_batch(4).unwrap().len(), 4);
+        assert_eq!(pop(&q, 4).unwrap().len(), 4);
         let stamps: Vec<u64> = recorder
             .drain()
             .events
@@ -683,7 +745,7 @@ mod tests {
             push_ok(&q, job(id, QosClass::Critical));
         }
         clock.advance_us(200); // LOW's head is now 100 µs past its deadline
-        let first = q.pop_batch(1).unwrap();
+        let first = pop(&q, 1).unwrap();
         assert_eq!(first[0].class, QosClass::Critical, "expired head attracts no promotion");
         assert_eq!(metrics.class(QosClass::Low).promoted.load(Ordering::Relaxed), 0);
         // Control: the same shape with a still-viable head inside the
@@ -693,7 +755,7 @@ mod tests {
         for id in 11..14 {
             push_ok(&q2, job(id, QosClass::Critical));
         }
-        let next = q2.pop_batch(1).unwrap();
+        let next = pop(&q2, 1).unwrap();
         assert_eq!(next[0].id, 10, "viable head inside the margin jumps the order");
         assert_eq!(metrics2.class(QosClass::Low).promoted.load(Ordering::Relaxed), 1);
     }
@@ -709,7 +771,7 @@ mod tests {
         for id in 1..8 {
             push_ok(&q, job(id, QosClass::High));
         }
-        let batch = q.pop_batch(8).unwrap();
+        let batch = pop(&q, 8).unwrap();
         assert_eq!(batch.len(), 2, "fill stops before an estimated miss");
         assert_eq!(batch[0].id, 0);
         assert_eq!(q.len(), 6);
@@ -726,7 +788,7 @@ mod tests {
         for id in 1..8 {
             push_ok(&q, job(id, QosClass::High));
         }
-        assert_eq!(q.pop_batch(8).unwrap().len(), 8);
+        assert_eq!(pop(&q, 8).unwrap().len(), 8);
     }
 
     #[test]
@@ -777,7 +839,7 @@ mod tests {
         for id in 0..10 {
             push_ok(&q, job(id, QosClass::Medium));
         }
-        assert_eq!(q.pop_batch(4).unwrap().len(), 4);
+        assert_eq!(pop(&q, 4).unwrap().len(), 4);
         assert_eq!(q.len(), 6);
     }
 
@@ -787,8 +849,8 @@ mod tests {
         push_ok(&q, job(0, QosClass::Low));
         q.shutdown();
         assert!(matches!(q.push(job(1, QosClass::Critical)), Admission::Refused(_)));
-        assert_eq!(q.pop_batch(8).unwrap().len(), 1);
-        assert!(q.pop_batch(8).is_none());
+        assert_eq!(pop(&q, 8).unwrap().len(), 1);
+        assert!(pop(&q, 8).is_none());
     }
 
     #[test]
@@ -796,23 +858,61 @@ mod tests {
         let q = queue(64);
         let queued = q.admit(0, request(), QosClass::Critical, None);
         q.abort();
-        assert_eq!(
-            queued.try_recv(),
-            Err(mpsc::TryRecvError::Disconnected),
+        assert!(
+            queued.is_abandoned(),
             "a stranded job's ticket must wake with nothing, not hang"
         );
+        assert_eq!(queued.wait(), None);
         let late = q.admit(1, request(), QosClass::Critical, None);
-        assert_eq!(late.try_recv().unwrap().outcome, Outcome::ShedQueueFull);
-        assert!(q.pop_batch(8).is_none(), "nothing left to serve");
+        assert_eq!(late.try_wait().unwrap().outcome, Outcome::ShedQueueFull);
+        assert!(pop(&q, 8).is_none(), "nothing left to serve");
     }
 
     #[test]
     fn blocked_pop_wakes_on_push() {
-        let q = Arc::new(queue(8));
+        // One wake per park, not per push: the push that finds the worker
+        // parked signals it; the rest of the burst — whether or not the
+        // worker has got to run yet — signals nobody.
+        let metrics = Arc::new(ServiceMetrics::default());
+        let q = Arc::new(ClassQueue::new(&config(8), Arc::clone(&metrics), None));
         let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.pop_batch(1).map(|b| b.len()));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        push_ok(&q, job(0, QosClass::High));
+        let handle = std::thread::spawn(move || pop(&q2, 1).map(|b| b.len()));
+        while metrics.worker_parks.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        for id in 0..5 {
+            push_ok(&q, job(id, QosClass::High));
+        }
         assert_eq!(handle.join().unwrap(), Some(1));
+        assert_eq!(metrics.worker_wakes.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.worker_parks.load(Ordering::Relaxed), 1);
+        // A backlogged queue parks nobody and is owed no wake.
+        assert_eq!(pop(&q, 8).unwrap().len(), 4);
+        assert_eq!(metrics.worker_parks.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_doomed_verdict_is_judged_at_the_arrival_stamp() {
+        // Regression: the prediction used to re-read the clock, so under
+        // an advancing clock `late_us` was computed against a later "now"
+        // than the job's own deadline. One stamp serves both: with the
+        // arrival stamped at t, `late_us` is exactly
+        // `(t + (queued + 1) × per_job) − (t + deadline)`.
+        let clock = Arc::new(TickingClock::default());
+        let q = build(
+            &config(64)
+                .with_predictive_shed(true)
+                .with_clock(Arc::clone(&clock) as SharedClock),
+        );
+        q.estimator().observe(100, 1);
+        for id in 0..5 {
+            push_ok(&q, job(id, QosClass::Low));
+        }
+        let reply = q
+            .admit(10, request(), QosClass::Low, Some(300))
+            .try_wait()
+            .expect("refused at the door");
+        assert_eq!(reply.outcome, Outcome::ShedPredicted { late_us: 6 * 100 - 300 });
+        assert_eq!(clock.0.load(Ordering::SeqCst), 10, "one clock read per admission");
     }
 }

@@ -30,7 +30,6 @@
 //! `service_trace` in `rqfa-bench` replays its workload twice and asserts
 //! exactly that before writing a BENCH artifact.
 
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use rqfa_core::{CaseBase, QosClass, Request};
@@ -39,7 +38,7 @@ use rqfa_telemetry::{FlightRecorder, ManualClock, TraceDump};
 use crate::config::validate_config;
 use crate::metrics::ServiceMetrics;
 use crate::shard::{self, ShardCore, ShardStore};
-use crate::{MetricsSnapshot, Reply, ServiceConfig};
+use crate::{MetricsSnapshot, Reply, ServiceConfig, Ticket};
 
 /// Deterministic service-time model of one dispatched batch.
 #[derive(Debug, Clone, Copy)]
@@ -159,7 +158,7 @@ impl TraceDriver {
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
         order.sort_by_key(|&i| arrivals[i].at_us);
 
-        let mut receivers: Vec<mpsc::Receiver<Reply>> = Vec::with_capacity(arrivals.len());
+        let mut tickets: Vec<Ticket> = Vec::with_capacity(arrivals.len());
         let mut next = 0usize; // index into `order`
         loop {
             // The next event: an arrival, or a backlogged shard freeing up.
@@ -185,7 +184,7 @@ impl TraceDriver {
                     break;
                 }
                 let owner = shard::route(arrival.request.type_id(), shards.len());
-                receivers.push(shards[owner].core.queue.admit(
+                tickets.push(shards[owner].core.queue.admit(
                     i as u64,
                     arrival.request.clone(),
                     arrival.class,
@@ -216,9 +215,9 @@ impl TraceDriver {
             }
         }
 
-        let mut replies: Vec<Reply> = receivers
+        let mut replies: Vec<Reply> = tickets
             .into_iter()
-            .map(|rx| rx.try_recv().expect("drained replay answers every job"))
+            .map(|ticket| ticket.try_wait().expect("drained replay answers every job"))
             .collect();
         replies.sort_by_key(|r| r.id);
         TraceReport {

@@ -33,12 +33,15 @@
 //! retrievals; automatic checkpoints triggered by the mutation cadence
 //! simply skip a beat when one is already in flight.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
-use rqfa_core::{CaseBase, CaseMutation, CoreError, Generation, PlaneEngine, Retrieval, TypeId};
+use rqfa_core::{
+    CaseBase, CaseMutation, CoreError, Generation, PlaneEngine, Request, Retrieval, TypeId,
+};
 use rqfa_fixed::Q15;
 use rqfa_persist::{DurableCaseBase, FileStore, PendingCheckpoint, PersistError, WrittenCheckpoint};
 use rqfa_telemetry::{EventKind, FlightRecorder};
@@ -47,6 +50,7 @@ use crate::cache::{CacheLookup, RetrievalCache};
 use crate::error::ServiceError;
 use crate::metrics::{BatchDeltas, ServiceMetrics};
 use crate::queue::ClassQueue;
+use crate::ticket::Waiters;
 use crate::{Job, Outcome, Reply, ServiceConfig};
 
 /// Routes a function type to its owning shard — the service's placement
@@ -455,10 +459,13 @@ impl ShardCore {
             ctx: WorkerContext {
                 engine: PlaneEngine::new(),
                 cache: RetrievalCache::new(config.cache_capacity),
+                batch: Vec::new(),
+                leaders: Vec::new(),
                 results: Vec::new(),
                 seen: HashMap::new(),
                 followers: Vec::new(),
                 deltas: BatchDeltas::default(),
+                waiters: Waiters::default(),
             },
         }
     }
@@ -467,16 +474,18 @@ impl ShardCore {
     /// it. `None` once the queue is shut down and drained — the
     /// driver's signal to stop.
     pub(crate) fn step(&mut self) -> Option<StepReport> {
-        let batch = self.queue.pop_batch(self.queue.config.batch_size)?;
-        Some(self.run(batch))
+        let max = self.queue.config.batch_size;
+        self.queue
+            .pop_batch(max, &mut self.ctx.batch)
+            .then(|| self.run())
     }
 
-    /// Runs one batch against the (locked) store.
-    pub(crate) fn run(&mut self, batch: Vec<Job>) -> StepReport {
-        let served = batch.len();
+    /// Runs the batch in `ctx.batch` against the (locked) store.
+    fn run(&mut self) -> StepReport {
+        let served = self.ctx.batch.len();
         let started = self.queue.config.clock.now_us();
         let store = self.store.lock().expect("store poisoned");
-        process_batch(batch, &store, &self.queue, &mut self.ctx);
+        process_batch(&store, &self.queue, &mut self.ctx);
         drop(store);
         StepReport {
             served,
@@ -503,29 +512,57 @@ impl Drop for ShardCore {
 /// coalescing buffers.
 ///
 /// Everything here is sized by the first few batches and reused after, so
-/// the steady-state engine path allocates nothing per request (the
-/// per-batch job vectors from the queue are the only churn).
+/// the steady-state worker allocates nothing per request or per batch
+/// (`tests/zero_alloc.rs` holds the whole request path to its budget).
 struct WorkerContext {
     engine: PlaneEngine,
     cache: RetrievalCache,
+    /// The batch being run: filled by `ClassQueue::pop_batch` (or the
+    /// harness), drained by `process_batch`.
+    batch: Vec<Job>,
+    /// The current batch's cache misses, one per distinct fingerprint:
+    /// what the kernel scores.
+    leaders: Vec<Leader>,
     /// Engine results of the current batch's leaders, reused.
     results: Vec<Result<Retrieval<Q15>, CoreError>>,
-    /// Batch-local map: fingerprint → leader index in `pending`.
+    /// Batch-local map: fingerprint → leader index in `leaders`.
     seen: HashMap<u64, usize>,
     /// Coalesced within-batch duplicates: `(leader index, job)`.
     followers: Vec<(usize, Job)>,
     /// The current batch's outcome deltas, committed batch-atomically.
     deltas: BatchDeltas,
+    /// Waiters the replies so far released, not yet woken.
+    waiters: Waiters,
+}
+
+/// A job the kernel has to score. It keeps its pass-1 fingerprint and
+/// type stamp (the store stays locked, so the stamp cannot move), so the
+/// insert in pass 2 neither re-hashes the constraint list nor searches
+/// the type again.
+struct Leader {
+    fingerprint: u64,
+    type_stamp: Generation,
+    job: Job,
+}
+
+/// Lets the kernel's batch call read the requests where they lie.
+impl Borrow<Request> for Leader {
+    fn borrow(&self) -> &Request {
+        &self.job.request
+    }
 }
 
 /// One clock read shared by the events, deadline checks and reply
 /// latencies it stamps (which keeps a manual-clock replay exactly
-/// reproducible), plus where those events and latency samples go. A batch
-/// takes two: one at dispatch, for shedding and cache hits, and one after
-/// the kernel call, for everything the kernel answered.
+/// reproducible), plus where those events, latency samples and released
+/// waiters go. A batch takes two: one at dispatch, for shedding and cache
+/// hits, and one after the kernel call, for everything the kernel
+/// answered; the waiters of each are woken together when it is done —
+/// one hand-over per batch pass, not one per reply.
 struct BatchStamp<'a> {
     now: u64,
     queue: &'a ClassQueue,
+    waiters: &'a mut Waiters,
 }
 
 impl BatchStamp<'_> {
@@ -533,21 +570,29 @@ impl BatchStamp<'_> {
         self.queue.trace(self.now, job.id, job.class, kind, arg);
     }
 
-    /// Answers `job`, its latency judged at this stamp.
-    fn reply(&self, job: Job, outcome: Outcome) {
+    /// Answers `job`, its latency judged at this stamp. A waiter the
+    /// reply releases is woken with the rest of the stamp's.
+    fn reply(&mut self, job: Job, outcome: Outcome) {
         let latency_us = self.now.saturating_sub(job.enqueued_at);
-        job.reply(outcome, latency_us, &self.queue.metrics);
+        self.waiters
+            .extend(job.reply(outcome, latency_us, &self.queue.metrics));
     }
 
     /// Answers `job` as failed.
-    fn fail(&self, job: Job, error: CoreError, deltas: &mut BatchDeltas) {
+    fn fail(&mut self, job: Job, error: CoreError, deltas: &mut BatchDeltas) {
         deltas.class(job.class).failed += 1;
         self.record(&job, EventKind::Failed, 0);
         self.reply(job, Outcome::Failed(error));
     }
 
     /// Completes `job` with a retrieval result.
-    fn finish(&self, job: Job, retrieval: Retrieval<Q15>, cached: bool, deltas: &mut BatchDeltas) {
+    fn finish(
+        &mut self,
+        job: Job,
+        retrieval: Retrieval<Q15>,
+        cached: bool,
+        deltas: &mut BatchDeltas,
+    ) {
         // Served, but late? CRITICAL is never shed, so an expired deadline
         // surfaces here as a miss instead.
         if job.deadline.is_some_and(|d| self.now > d) {
@@ -578,27 +623,19 @@ impl BatchStamp<'_> {
 /// the engine entirely and is served a copy of the leader's result,
 /// counted — and flagged in its reply — as a cache hit. Normative
 /// semantics: `docs/retrieval.md`.
-fn process_batch(
-    batch: Vec<Job>,
-    store: &ShardStore,
-    queue: &ClassQueue,
-    ctx: &mut WorkerContext,
-) {
+fn process_batch(store: &ShardStore, queue: &ClassQueue, ctx: &mut WorkerContext) {
     let metrics = &*queue.metrics;
     metrics.batches.fetch_add(1, Ordering::Relaxed);
     metrics
         .batched_requests
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        .fetch_add(ctx.batch.len() as u64, Ordering::Relaxed);
     let now = queue.config.clock.now_us();
-    let stamp = BatchStamp { now, queue };
+    let waiters = &mut ctx.waiters;
+    let mut stamp = BatchStamp { now, queue, waiters };
 
     // Pass 1: deadline shedding, cache lookups, duplicate coalescing.
-    // Leaders keep their pass-1 fingerprint and type stamp (the store
-    // stays locked, so it cannot move) so the insert in pass 2 neither
-    // re-hashes the constraint list nor searches the type again.
-    let mut pending: Vec<(u64, Generation, Job)> = Vec::with_capacity(batch.len());
     ctx.seen.clear();
-    for job in batch {
+    for job in ctx.batch.drain(..) {
         stamp.record(&job, EventKind::Dispatched, 0);
         if job.class.sheddable() && job.deadline.is_some_and(|d| stamp.now > d) {
             ctx.deltas.class(job.class).shed_deadline += 1;
@@ -630,41 +667,42 @@ fn process_batch(
                 }
             }
         }
-        ctx.seen.insert(fingerprint, pending.len());
-        pending.push((fingerprint, type_stamp, job));
+        ctx.seen.insert(fingerprint, ctx.leaders.len());
+        ctx.leaders.push(Leader { fingerprint, type_stamp, job });
     }
+    // Sheds and cache hits are answered: their waiters go now, not after
+    // a kernel call they never needed.
+    ctx.waiters.wake();
 
     // Pass 2: one batched plane-kernel call for every leader.
     'serve: {
-        if pending.is_empty() {
+        if ctx.leaders.is_empty() {
             debug_assert!(ctx.followers.is_empty(), "followers imply a leader");
             break 'serve;
         }
+        let waiters = &mut ctx.waiters;
         let Some(case_base) = store.case_base() else {
             // Empty shard: no type routes here, so the type is unknown
             // (a follower's probe-that-never-was counts as a miss, as
             // below).
+            let mut stamp = BatchStamp { now, queue, waiters };
             for (_, job) in ctx.followers.drain(..) {
                 ctx.deltas.class(job.class).cache_misses += 1;
                 let type_id = job.request.type_id();
                 stamp.fail(job, CoreError::UnknownType { type_id }, &mut ctx.deltas);
             }
-            for (_, _, job) in pending {
+            for Leader { job, .. } in ctx.leaders.drain(..) {
                 let type_id = job.request.type_id();
                 stamp.fail(job, CoreError::UnknownType { type_id }, &mut ctx.deltas);
             }
             break 'serve;
         };
-        {
-            let requests: Vec<&rqfa_core::Request> =
-                pending.iter().map(|(_, _, j)| &j.request).collect();
-            ctx.engine
-                .retrieve_batch_into(case_base, &requests, &mut ctx.results);
-        }
+        ctx.engine
+            .retrieve_batch_into(case_base, &ctx.leaders, &mut ctx.results);
         // The kernel ran: what it answered is stamped after it, so the
         // `Scored` checkpoint and the reported latency carry its cost.
         let now = queue.config.clock.now_us();
-        let stamp = BatchStamp { now, queue };
+        let mut stamp = BatchStamp { now, queue, waiters };
         for result in ctx.results.iter().flatten() {
             ctx.deltas.add_ops(&result.ops);
         }
@@ -686,9 +724,8 @@ fn process_batch(
                 }
             }
         }
-        for ((fingerprint, type_stamp, job), result) in
-            pending.into_iter().zip(ctx.results.drain(..))
-        {
+        for (leader, result) in ctx.leaders.drain(..).zip(ctx.results.drain(..)) {
+            let Leader { fingerprint, type_stamp, job } = leader;
             match result {
                 Ok(retrieval) => {
                     stamp.record(&job, EventKind::Scored, retrieval.evaluated as u64);
@@ -699,6 +736,8 @@ fn process_batch(
             }
         }
     }
+    // Whatever the kernel (or the empty shard) answered is in its slot.
+    ctx.waiters.wake();
     // One commit per batch: a concurrent snapshot sees either none or all
     // of this batch's outcome counters (the snapshot-consistency
     // invariant the observability suite samples under load).
@@ -732,7 +771,8 @@ impl BatchHarness {
 
     /// Processes `batch` exactly as one worker dispatch round would.
     pub fn run_batch(&mut self, batch: Vec<Job>) {
-        self.core.run(batch);
+        self.core.ctx.batch = batch;
+        self.core.run();
     }
 
     /// Applies a mutation to the underlying store (moves the mutated
@@ -764,21 +804,28 @@ impl BatchHarness {
 }
 
 impl Job {
-    /// Sends the reply and records the latency sample. Shed replies stay
-    /// out of the histogram — a near-zero "latency" for dropped work
-    /// would drown the p50/p99 of the traffic actually served. A send
-    /// error means the caller dropped its ticket — the result is simply
-    /// discarded.
-    pub(crate) fn reply(self, outcome: Outcome, latency_us: u64, metrics: &ServiceMetrics) {
+    /// Fills the job's reply slot and records the latency sample. Shed
+    /// replies stay out of the histogram — a near-zero "latency" for
+    /// dropped work would drown the p50/p99 of the traffic actually
+    /// served. If the caller dropped its ticket the result is simply
+    /// discarded. Returns the waiter parked on the ticket, for the caller
+    /// to unpark.
+    #[must_use = "the registered waiter is parked until it is unparked"]
+    pub(crate) fn reply(
+        self,
+        outcome: Outcome,
+        latency_us: u64,
+        metrics: &ServiceMetrics,
+    ) -> Option<Thread> {
         if !outcome.is_shed() {
             metrics.class(self.class).latency.record(latency_us);
         }
-        let _ = self.reply_tx.send(Reply {
+        self.filler.fill(Reply {
             id: self.id,
             class: self.class,
             outcome,
             latency_us,
-        });
+        })
     }
 }
 

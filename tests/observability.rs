@@ -196,7 +196,8 @@ fn live_timelines_carry_the_kernel_stage() {
 
 /// 3. The batch-atomic commit gate: sample snapshots continuously while
 ///    four submitter threads drive the service, and require the cache/outcome
-///    identity to hold in every single sample.
+///    identity — and the hand-over's `wakes <= parks` — to hold in every
+///    single sample.
 #[test]
 fn snapshots_are_consistent_at_every_sample_point() {
     let case_base = CaseGen::new(10, 10, 6, 8).seed(0x0B60).build();
@@ -246,6 +247,12 @@ fn snapshots_are_consistent_at_every_sample_point() {
                 "{class} snapshot #{samples}: outcomes never outrun submissions"
             );
         }
+        assert!(
+            snap.worker_wakes <= snap.worker_parks,
+            "snapshot #{samples}: {} wakes for {} parks — a park is woken at most once",
+            snap.worker_wakes,
+            snap.worker_parks
+        );
         samples += 1;
         if snap.completed() == expected {
             break;

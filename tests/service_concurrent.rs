@@ -29,8 +29,8 @@ use rqfa::core::{
 };
 use rqfa::service::queue::{Admission, ClassQueue};
 use rqfa::service::{
-    testkit, AllocationService, ManualClock, Outcome, Reply, ServiceConfig, ServiceMetrics,
-    Ticket, WeightedArbiter,
+    testkit, AllocationService, Job, ManualClock, Outcome, Reply, ServiceConfig,
+    ServiceMetrics, Ticket, WeightedArbiter,
 };
 use rqfa::workloads::{CaseGen, RequestGen};
 use std::sync::Arc;
@@ -228,6 +228,14 @@ fn sched_queue_from(config: ServiceConfig) -> ClassQueue {
     )
 }
 
+/// Drains up to `max` queued jobs as one batch (the queue is never empty
+/// or shut down where the tests below call this).
+fn pop_batch(q: &ClassQueue, max: usize) -> Vec<Job> {
+    let mut batch = Vec::new();
+    assert!(q.pop_batch(max, &mut batch), "queue shut down");
+    batch
+}
+
 /// 5a. The EDF property: on one deadline-skewed mixed-load trace whose
 ///     HIGH arrival order is the exact reverse of its deadline order,
 ///     dispatched with a virtual service time of one slot = 1 ms, EDF
@@ -256,7 +264,7 @@ fn edf_meets_high_budgets_where_fifo_misses() {
     }
     // Dispatch everything; job at global position p completes at
     // virtual time (p + 1) slots.
-    let order = q.pop_batch(usize::MAX).unwrap();
+    let order = pop_batch(&q, usize::MAX);
     assert_eq!(order.len() as u64, HIGHS + 20);
     let edf: Vec<(u64, bool)> = order
         .iter()
@@ -335,11 +343,9 @@ fn shed_order_is_largest_slack_first_and_deterministic() {
         push(4, 10, &mut log);
         push(5, 30, &mut log);
         push(6, 90, &mut log);
-        let order: Vec<u64> = q
-            .pop_batch(usize::MAX)
-            .unwrap()
+        let order: Vec<u64> = pop_batch(&q, usize::MAX)
             .iter()
-            .map(rqfa::service::Job::id)
+            .map(Job::id)
             .collect();
         (log, order)
     };
@@ -407,7 +413,7 @@ fn slack_promotion_preserves_the_critical_floor_on_saturating_traces() {
         let mut served = 0u64;
         while served < PICKS {
             let want = (1 + splitmix(&mut state) % 32).min(PICKS - served) as usize;
-            let batch = q.pop_batch(want).unwrap();
+            let batch = pop_batch(&q, want);
             assert_eq!(batch.len(), want, "a saturated queue fills every batch");
             for job in &batch {
                 counts[job.class().index()] += 1;
@@ -787,7 +793,7 @@ fn within_batch_duplicates_coalesce_to_one_evaluation() {
     let engine = FixedEngine::new();
     let mut cached_flags = Vec::new();
     for (rx, request) in receivers.iter().zip(pattern) {
-        let reply = rx.try_recv().expect("batch replies synchronously");
+        let reply = rx.try_wait().expect("batch replies synchronously");
         match reply.outcome {
             Outcome::Allocated {
                 best,
@@ -808,7 +814,7 @@ fn within_batch_duplicates_coalesce_to_one_evaluation() {
     // new evaluation, no new insertions.
     let (job, rx) = testkit::job(9, QosClass::Medium, fir.clone(), 0, None);
     harness.run_batch(vec![job]);
-    match rx.try_recv().expect("replied").outcome {
+    match rx.try_wait().expect("replied").outcome {
         Outcome::Allocated { cached, .. } => assert!(cached, "resident entry hits"),
         other => panic!("unexpected outcome: {other:?}"),
     }
@@ -826,7 +832,7 @@ fn coalescing_respects_generation_invalidation() {
     let fir = paper::table1_request().unwrap();
     let (job, rx) = testkit::job(0, QosClass::Medium, fir.clone(), 0, None);
     harness.run_batch(vec![job]);
-    assert!(rx.try_recv().is_ok());
+    assert!(rx.try_wait().is_some());
     assert_eq!(harness.engine_recompiles(), 1);
 
     // Mutate: the generation moves, cache entry + plane both go stale.
@@ -852,7 +858,7 @@ fn coalescing_respects_generation_invalidation() {
     assert_eq!(class.cache_misses, 2, "first batch + post-mutation leader");
     assert_eq!(class.cache_hits, 2, "followers of the post-mutation leader");
     for rx in &receivers {
-        match rx.try_recv().expect("replied").outcome {
+        match rx.try_wait().expect("replied").outcome {
             Outcome::Allocated { best, evaluated, .. } => {
                 assert_eq!(evaluated, 2, "post-mutation case base has 2 variants");
                 assert_ne!(best.impl_id, paper::IMPL_GP, "evicted variant cannot win");
@@ -882,7 +888,7 @@ fn failed_leader_fans_failure_to_followers() {
     }
     harness.run_batch(jobs);
     for rx in &receivers {
-        match rx.try_recv().expect("replied").outcome {
+        match rx.try_wait().expect("replied").outcome {
             Outcome::Failed(rqfa::core::CoreError::UnknownType { type_id }) => {
                 assert_eq!(type_id.raw(), 57);
             }
@@ -945,4 +951,142 @@ fn live_coalescing_keeps_replies_and_metrics_consistent() {
         class.cache_hits + class.cache_misses,
         class.completed + class.failed
     );
+}
+
+/// 7a. The hand-over under stress: two clients, 100 k requests each,
+///     collecting through every door a ticket has — `try_wait` polling,
+///     blocking `wait`, short `wait_timeout`s — against one live shard.
+///     Every ticket resolves with the reference engine's bits. A lost
+///     wake-up would show as a hang, so the whole run is bounded and
+///     fails loudly instead.
+#[test]
+fn every_ticket_resolves_bit_identically_through_every_wait_path() {
+    const CLIENTS: usize = 2;
+    const PER_CLIENT: usize = 100_000;
+    const IN_FLIGHT: usize = 16;
+    const BOUND: Duration = Duration::from_secs(300);
+
+    let case_base = CaseGen::new(6, 8, 6, 8).seed(0x7A11).build();
+    let pool = RequestGen::new(&case_base)
+        .seed(0x7A12)
+        .count(256)
+        .repeat_fraction(0.0)
+        .generate();
+    let engine = FixedEngine::new();
+    let expected: Vec<_> = pool
+        .iter()
+        .map(|r| engine.retrieve(&case_base, r).unwrap().best)
+        .collect();
+    let (pool, expected) = (Arc::new(pool), Arc::new(expected));
+    let service = Arc::new(
+        AllocationService::new(&case_base, &ServiceConfig::default()).expect("valid service config"),
+    );
+
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|client| {
+            let (service, pool, expected) =
+                (Arc::clone(&service), Arc::clone(&pool), Arc::clone(&expected));
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                let check = |slot: usize, reply: Option<Reply>| match reply {
+                    Some(Reply { outcome: Outcome::Allocated { best, .. }, .. }) => {
+                        assert_eq!(Some(best), expected[slot], "request {slot}");
+                    }
+                    other => panic!("request {slot} did not resolve: {other:?}"),
+                };
+                let mut window: std::collections::VecDeque<(usize, Ticket)> =
+                    std::collections::VecDeque::with_capacity(IN_FLIGHT);
+                for i in 0..PER_CLIENT + IN_FLIGHT {
+                    if i >= IN_FLIGHT {
+                        let (slot, ticket) = window.pop_front().expect("window is full");
+                        let reply = match i % 3 {
+                            0 => ticket.wait(),
+                            1 => loop {
+                                if let Some(reply) = ticket.try_wait() {
+                                    break Some(reply);
+                                }
+                                std::thread::yield_now();
+                            },
+                            _ => loop {
+                                if let Some(reply) = ticket.wait_timeout(Duration::from_micros(20)) {
+                                    break Some(reply);
+                                }
+                            },
+                        };
+                        check(slot, reply);
+                    }
+                    if i < PER_CLIENT {
+                        let slot = (i * (client + 1)) % pool.len();
+                        let class = QosClass::ALL[i % QosClass::COUNT];
+                        window.push_back((slot, service.submit(pool[slot].clone(), class)));
+                    }
+                }
+                done_tx.send(()).expect("main thread is waiting");
+            })
+        })
+        .collect();
+    for _ in 0..CLIENTS {
+        done.recv_timeout(BOUND)
+            .expect("a client hung or died: a reply or its wake-up was lost");
+    }
+    for client in clients {
+        client.join().unwrap();
+    }
+    let snap = Arc::into_inner(service).expect("clients joined").shutdown();
+    assert_eq!(snap.completed(), (CLIENTS * PER_CLIENT) as u64);
+    assert_eq!(snap.shed(), 0);
+    assert!(snap.worker_wakes <= snap.worker_parks, "{snap:?}");
+}
+
+/// 7b. The books under a submitter that never blocks and drops every
+///     ticket at once, beside the worker it keeps waking: every submit
+///     is accounted for exactly once per class, CRITICAL is never shed,
+///     and a park is woken at most once. (Bookkeeping only — no drain
+///     rate is asserted.)
+#[test]
+fn a_never_blocking_submitter_that_drops_its_tickets_keeps_the_books() {
+    const SUBMITS: usize = 150_000;
+    let case_base = CaseGen::new(6, 8, 6, 8).seed(0x7B11).build();
+    let pool = RequestGen::new(&case_base)
+        .seed(0x7B12)
+        .count(64)
+        .repeat_fraction(0.0)
+        .generate();
+    let service = AllocationService::new(
+        &case_base,
+        &ServiceConfig::default().with_queue_capacity(256),
+    )
+    .expect("valid service config");
+    for i in 0..SUBMITS {
+        // 1 CRITICAL : 3 HIGH : 6 MEDIUM : 10 LOW, every fourth with a
+        // deadline (some too tight to meet), all tickets dropped unread.
+        let class = match i % 20 {
+            0 => QosClass::Critical,
+            1..=3 => QosClass::High,
+            4..=9 => QosClass::Medium,
+            _ => QosClass::Low,
+        };
+        let request = pool[i % pool.len()].clone();
+        if i % 4 == 0 {
+            let deadline = Duration::from_micros(1 + (i % 7) as u64 * 500);
+            drop(service.submit_with_deadline(request, class, deadline));
+        } else {
+            drop(service.submit(request, class));
+        }
+    }
+    let snap = service.shutdown();
+    let mut submitted = 0;
+    for class in QosClass::ALL {
+        let c = snap.class(class);
+        assert_eq!(
+            c.completed + c.failed + c.shed(),
+            c.submitted,
+            "{class}: every submit ends exactly once"
+        );
+        submitted += c.submitted;
+    }
+    assert_eq!(submitted, SUBMITS as u64);
+    assert_eq!(snap.class(QosClass::Critical).shed(), 0);
+    assert!(snap.worker_wakes <= snap.worker_parks, "{snap:?}");
 }

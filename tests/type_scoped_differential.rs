@@ -46,7 +46,7 @@ struct Harness {
 
 impl Driver for Harness {
     fn serve(&mut self, round: &[(Request, QosClass)]) -> Vec<Reply> {
-        let (jobs, receivers): (Vec<_>, Vec<_>) = round
+        let (jobs, tickets): (Vec<_>, Vec<_>) = round
             .iter()
             .map(|(request, class)| {
                 self.next_id += 1;
@@ -54,9 +54,9 @@ impl Driver for Harness {
             })
             .unzip();
         self.harness.run_batch(jobs);
-        receivers
+        tickets
             .into_iter()
-            .map(|rx| rx.try_recv().expect("a run batch answers every job"))
+            .map(|ticket| ticket.try_wait().expect("a run batch answers every job"))
             .collect()
     }
 

@@ -131,6 +131,52 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         "flight-recorder record + manual clock must not allocate"
     );
 
+    // Measured window: the whole request path of a live service — submit,
+    // admission, EDF lane, batch pop, cache hit, reply, ticket wake — in
+    // the shape `local_hot` drives it: 32 tickets in flight, every
+    // request a cache hit, requests cloned outside the window. The one
+    // allocation a request causes is its reply slot (measured: 1.000 per
+    // request; 8 jobs per lane never split a B-tree node). The budget
+    // leaves less slack than one allocation per two full batches, so a
+    // per-batch `Vec::with_capacity` trips it as surely as a per-request
+    // channel does. Before the slot, this window measured 2.2–2.6: a
+    // channel counter and a 31-slot message block per ticket, and three
+    // vectors per batch.
+    {
+        use rqfa::core::QosClass;
+        use rqfa::service::{AllocationService, ServiceConfig, Ticket};
+        const IN_FLIGHT: usize = 32;
+        const REQUESTS: usize = 4096;
+        let service = AllocationService::new(&case_base, &ServiceConfig::default())
+            .expect("valid service config");
+        let mut tickets: Vec<Ticket> = Vec::with_capacity(IN_FLIGHT);
+        let mut drive = |requests: Vec<Request>| {
+            let mut requests = requests.into_iter().enumerate().peekable();
+            while requests.peek().is_some() {
+                for (i, request) in requests.by_ref().take(IN_FLIGHT) {
+                    tickets.push(service.submit(request, QosClass::ALL[i % QosClass::COUNT]));
+                }
+                for ticket in tickets.drain(..) {
+                    std::hint::black_box(ticket.wait().expect("answered"));
+                }
+            }
+        };
+        let stream = |n: usize| -> Vec<Request> { pool.iter().cycle().take(n).cloned().collect() };
+        // Warm-up: fills the cache, sizes the worker's buffers and the
+        // lanes' nodes, creates this thread's handle.
+        drive(stream(4 * pool.len()));
+        let measured = stream(REQUESTS);
+        let before = allocations();
+        drive(measured);
+        let allocated = allocations() - before;
+        assert!(
+            allocated <= (REQUESTS + REQUESTS / (2 * IN_FLIGHT)) as u64,
+            "the service request path allocated {allocated} times for {REQUESTS} requests \
+             (budget: the reply slot)"
+        );
+        service.shutdown();
+    }
+
     // Contrast: the naive engine allocates on every request (this is the
     // cost the plane removes — if this ever goes to zero the harness
     // window itself is broken).
