@@ -25,6 +25,11 @@
 //!    `ForceScalar` engine, so the wide (SIMD) margin over the scalar
 //!    streaming kernel is measured directly. On hosts without the CPU
 //!    feature both engines resolve to scalar and the ratio is ≈ 1.
+//! 7. **Scan group** — the zipf trace's 24-variant types are two
+//!    lane-steps long, so it times the per-request fixed cost and cannot
+//!    see a streaming kernel. `scan/*` repeats sections 1, 2, 3 and 6 on
+//!    the benchmark's `local_scan` shape: 16 types × 512 variants and
+//!    20 000 non-repeating requests, verified bit-for-bit first.
 //!
 //! `--scalar` pins *every* plane engine in the run (including the
 //! verification pass) to the scalar kernel — the CI fallback lane runs
@@ -39,7 +44,7 @@ use rqfa_bench::json::BenchReport;
 use rqfa_core::{CaseBase, FixedEngine, KernelPath, PlaneEngine, QosClass, Request};
 use rqfa_service::testkit::{job, BatchHarness};
 use rqfa_service::ServiceConfig;
-use rqfa_workloads::{Popularity, TrafficGen};
+use rqfa_workloads::{CaseGen, Popularity, RequestGen, TrafficGen};
 
 const TRIALS: usize = 3;
 const BATCH: usize = 32;
@@ -53,7 +58,7 @@ fn main() {
         KernelPath::Auto
     };
     println!("E14. Compiled retrieval plane vs naive scan\n");
-    let case_base = rqfa_workloads::CaseGen::new(24, 24, 8, 10).seed(0xE14).build();
+    let case_base = CaseGen::new(24, 24, 8, 10).seed(0xE14).build();
     println!(
         "case base: {} types × ~{} variants (total {}), {} attr types",
         case_base.type_count(),
@@ -78,23 +83,14 @@ fn main() {
 
     // ── single-request throughput ─────────────────────────────────────
     let naive_engine = FixedEngine::new();
-    let naive_single = best_rate(zipf.len(), || {
-        for request in &zipf {
-            std::hint::black_box(naive_engine.retrieve(&case_base, request).unwrap());
-        }
-    });
+    let naive_single = naive_single_rate(&case_base, &zipf);
     let mut plane_engine = PlaneEngine::with_kernel(kernel);
-    plane_engine.retrieve(&case_base, &zipf[0]).unwrap(); // compile once
     println!(
         "kernel path: {} (wide available on this host: {})\n",
         plane_engine.kernel_path(),
         rqfa_core::wide_kernel_available()
     );
-    let plane_single = best_rate(zipf.len(), || {
-        for request in &zipf {
-            std::hint::black_box(plane_engine.retrieve(&case_base, request).unwrap());
-        }
-    });
+    let plane_single = plane_single_rate(&mut plane_engine, &case_base, &zipf);
     print_pair("single request", naive_single, plane_single);
     report.push("zipf/naive_single", "req_per_sec", naive_single);
     report.push("zipf/plane_single", "req_per_sec", plane_single);
@@ -107,13 +103,7 @@ fn main() {
             std::hint::black_box(naive_engine.retrieve_batch(&case_base, batch));
         }
     });
-    let mut out = Vec::new();
-    let plane_batch = best_rate(zipf.len(), || {
-        for batch in &batches {
-            plane_engine.retrieve_batch_into(&case_base, batch, &mut out);
-            std::hint::black_box(out.len());
-        }
-    });
+    let plane_batch = plane_batch_rate(&mut plane_engine, &case_base, &zipf);
     print_pair(&format!("batch {BATCH}"), naive_batch, plane_batch);
     report.push("zipf/naive_batch32", "req_per_sec", naive_batch);
     report.push("zipf/plane_batch32", "req_per_sec", plane_batch);
@@ -156,12 +146,7 @@ fn main() {
 
     // ── kernel-path A/B (wide vs forced-scalar streaming) ─────────────
     let mut scalar_engine = PlaneEngine::with_kernel(KernelPath::ForceScalar);
-    scalar_engine.retrieve(&case_base, &zipf[0]).unwrap(); // compile once
-    let scalar_single = best_rate(zipf.len(), || {
-        for request in &zipf {
-            std::hint::black_box(scalar_engine.retrieve(&case_base, request).unwrap());
-        }
-    });
+    let scalar_single = plane_single_rate(&mut scalar_engine, &case_base, &zipf);
     println!(
         "\nkernel A/B      scalar {scalar_single:>11.0} req/s   {:>6} {plane_single:>11.0} req/s   ({}×)",
         plane_engine.kernel_path(),
@@ -174,6 +159,43 @@ fn main() {
     );
     report.push("kernel/scalar_single", "req_per_sec", scalar_single);
     report.push("kernel/wide_over_scalar", "ratio", plane_single / scalar_single);
+
+    // ── scan group (long type planes: the streaming kernel's trace) ───
+    let scan_base = CaseGen::new(16, 512, 10, 10).seed(0xE17).build();
+    let scan: Vec<Request> = RequestGen::new(&scan_base)
+        .seed(0xE171)
+        .count(20_000)
+        .repeat_fraction(0.0)
+        .generate();
+    println!(
+        "\nscan base: {} types × {} variants, {} non-repeating requests",
+        scan_base.type_count(),
+        scan_base.variant_count() / scan_base.type_count(),
+        scan.len()
+    );
+    verify(&scan_base, &scan, kernel);
+    // Fresh engines: one engine serves one case-base lineage.
+    let mut scan_engine = PlaneEngine::with_kernel(kernel);
+    let scan_naive = naive_single_rate(&scan_base, &scan);
+    let scan_single = plane_single_rate(&mut scan_engine, &scan_base, &scan);
+    let scan_batch = plane_batch_rate(&mut scan_engine, &scan_base, &scan);
+    let scan_scalar = plane_single_rate(
+        &mut PlaneEngine::with_kernel(KernelPath::ForceScalar),
+        &scan_base,
+        &scan,
+    );
+    print_pair("scan single", scan_naive, scan_single);
+    print_pair(&format!("scan batch {BATCH}"), scan_naive, scan_batch);
+    println!(
+        "scan kernel A/B scalar {scan_scalar:>11.0} req/s   {:>6} {scan_single:>11.0} req/s   ({}×)",
+        plane_engine.kernel_path(),
+        fmt_ratio(scan_single / scan_scalar)
+    );
+    report.push("scan/naive_single", "req_per_sec", scan_naive);
+    report.push("scan/plane_single", "req_per_sec", scan_single);
+    report.push("scan/plane_batch32", "req_per_sec", scan_batch);
+    report.push("scan/scalar_single", "req_per_sec", scan_scalar);
+    report.push("scan/wide_over_scalar", "ratio", scan_single / scan_scalar);
 
     // Acceptance. The zipf margin is deliberately generous (≥ 1×: the
     // plane must never be slower) so CI noise cannot flake the lane; the
@@ -254,6 +276,41 @@ fn coalescing_ab(case_base: &CaseBase) -> (f64, f64) {
         }
     };
     (hit_rate(1), hit_rate(BATCH))
+}
+
+/// `FixedEngine::retrieve` over `trace`, one request per call.
+fn naive_single_rate(case_base: &CaseBase, trace: &[Request]) -> f64 {
+    let naive = FixedEngine::new();
+    best_rate(trace.len(), || {
+        for request in trace {
+            std::hint::black_box(naive.retrieve(case_base, request).unwrap());
+        }
+    })
+}
+
+/// `PlaneEngine::retrieve` over `trace`, one request per call (the plane
+/// is compiled before the clock starts).
+fn plane_single_rate(engine: &mut PlaneEngine, case_base: &CaseBase, trace: &[Request]) -> f64 {
+    engine.retrieve(case_base, &trace[0]).unwrap();
+    best_rate(trace.len(), || {
+        for request in trace {
+            std::hint::black_box(engine.retrieve(case_base, request).unwrap());
+        }
+    })
+}
+
+/// `PlaneEngine::retrieve_batch_into` over `trace` in batches of `BATCH`
+/// (the service's dispatch shape).
+fn plane_batch_rate(engine: &mut PlaneEngine, case_base: &CaseBase, trace: &[Request]) -> f64 {
+    let batches: Vec<Vec<&Request>> = trace.chunks(BATCH).map(|c| c.iter().collect()).collect();
+    let mut out = Vec::new();
+    engine.retrieve_batch_into(case_base, &batches[0], &mut out);
+    best_rate(trace.len(), || {
+        for batch in &batches {
+            engine.retrieve_batch_into(case_base, batch, &mut out);
+            std::hint::black_box(out.len());
+        }
+    })
 }
 
 fn best_rate(requests: usize, mut body: impl FnMut()) -> f64 {

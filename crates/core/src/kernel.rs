@@ -1,38 +1,41 @@
 //! Zero-allocation scoring kernels over a compiled [`RetrievalPlane`].
 //!
-//! The kernels score **column-major**: the outer loop walks maximal
-//! same-column runs of a per-block *plan*, the inner loop streams one
-//! contiguous [`AttrColumn`] accumulating into
-//! per-variant `u32` rows held in a reusable [`Scratch`] arena. Because
-//! the UQ1.15 accumulator of the naive engine is a plain `u32` sum of
-//! per-constraint terms, clamped **once** at the end, *any* accumulation
-//! order produces **bit-identical** scores to
-//! [`FixedEngine::score_all`](crate::FixedEngine::score_all)'s
-//! variant-outer order — the workspace differential harness
-//! (`tests/plane_differential.rs`) proves it over seeded random case
-//! bases, request streams and mid-stream mutations, with the wide and
-//! scalar paths held to the same contract.
+//! One request is scored by **one pass over its type plane**: its
+//! constraints are resolved into a *plan* (column, requested value,
+//! reciprocal + saturation distance, weight — everything the inner loops
+//! need, free of request lifetimes), and the plan is streamed through the
+//! paper's 16-bit datapath (fig. 7): abs-diff, scale, complement,
+//! weight, accumulate, clamp, compare against the best so far. Scores
+//! are UQ1.15 words in a `u16`; the accumulator **saturates** instead of
+//! widening, which is exact because the only reader clamps to `0x8000`
+//! anyway (`min(min(Σ, 0xFFFF), 0x8000) = min(Σ, 0x8000)`). Every
+//! per-term operation is the shared `rqfa_fixed` code or an exact
+//! transliteration of it, and the saturating sum of non-negative terms
+//! does not depend on their order, so the scores are **bit-identical** to
+//! [`FixedEngine::score_all`](crate::FixedEngine::score_all) — the
+//! workspace differential harness (`tests/plane_differential.rs`) proves
+//! it over seeded random case bases, request streams and mid-stream
+//! mutations, with the wide and scalar paths held to the same contract.
 //!
-//! Two levels of parallelism ride on that order-insensitivity:
+//! Two paths run that datapath, selected once per engine:
 //!
-//! * **Wide lanes** — on hosts with the feature (runtime-detected, never
-//!   compiled in on foreign targets beyond the `std::arch` gate), the
-//!   `wide` submodule streams columns 8 variants per lane-step with AVX2
-//!   `u32` lanes replicating the scalar UQ1.15 datapath exactly. Columns
-//!   are physically padded to [`COLUMN_PAD`](crate::plane::COLUMN_PAD)
-//!   rows so tails need no masking; padded lanes either read *absent*
-//!   (sparse) or accumulate into padded rows no reduction ever reads
-//!   (dense).
-//! * **Register blocking** — the batch path scores up to `BLOCK` (4)
-//!   same-type requests per column pass: each (hot, cache-resident)
-//!   column load is amortized across every request in the block, the
-//!   software analogue of the paper's hardware scoring several parked
-//!   requests per case-memory sweep.
+//! * **Wide** — on hosts with AVX2 (runtime-detected, never compiled in
+//!   on foreign targets beyond the `std::arch` gate), the `wide`
+//!   submodule runs sixteen copies of the datapath side by side, one
+//!   256-bit register of `u16` lanes per step, with the accumulator and
+//!   the best-comparator in registers: the fused top-1 writes no score
+//!   row and makes no second pass. The n-best and full-vector entry
+//!   points run the same function with a second sink that stores the
+//!   clamped row.
+//! * **Scalar** — always compiled: one column at a time into the
+//!   [`Scratch`] row, then one clamp-and-compare pass over it.
 //!
 //! Steady-state calls allocate nothing: every intermediate lives in the
-//! caller-owned [`Scratch`] (sized on first use, reused after), the fused
-//! top-1 reduction never materializes a score vector, and the `*_into`
-//! variants write rankings and batch results into caller-owned buffers.
+//! caller-owned [`Scratch`] (sized on first use, reused after), and the
+//! `*_into` variants write rankings and batch results into caller-owned
+//! buffers. A batch is a loop over its requests through the function a
+//! single request takes; scoring several requests per column pass was
+//! measured and removed (`docs/retrieval.md`, "Request axis").
 //!
 //! [`PlaneEngine`] is the drop-in facade: it owns a plane + scratch pair,
 //! recompiles a type plane whenever that type's stamp
@@ -48,6 +51,7 @@
 //! of attribute-list walk steps).
 
 use core::borrow::Borrow;
+use core::cmp::Reverse;
 
 use rqfa_fixed::Q15;
 
@@ -62,14 +66,6 @@ use crate::similarity::local_q15;
 
 #[cfg(target_arch = "x86_64")]
 mod wide;
-
-/// Sentinel for a constraint whose attribute no variant of the type binds
-/// (it contributes `s_i = 0` to every variant).
-const NO_COLUMN: u32 = u32::MAX;
-
-/// Rows per register block on the batch path: each same-type leader group
-/// is scored in blocks of up to this many requests per column pass.
-const BLOCK: usize = 4;
 
 /// Kernel path selection for [`PlaneEngine::with_kernel`].
 ///
@@ -133,36 +129,23 @@ pub fn wide_kernel_available() -> bool {
     }
 }
 
-/// One pre-resolved request constraint: the request shape's constants,
-/// looked up once per request instead of once per variant.
-#[derive(Debug, Clone, Copy)]
-struct ResolvedConstraint {
-    /// Requested value in domain units.
-    value: u16,
-    /// UQ1.15 weight word from the request list.
-    weight: Q15,
-    /// Pre-resolved `1/(1 + d_max)` from the plane's reciprocal table.
-    recip: Q15,
-    /// Column index within the [`TypePlane`], or [`NO_COLUMN`].
-    column: u32,
-}
-
-/// One planned (request-row × column) streaming step of a register
-/// block: everything the inner loops need, free of request lifetimes.
-/// Whole-column misses ([`NO_COLUMN`]) never enter a plan — they touch
-/// no accumulator.
+/// One planned constraint: the request shape's constants for one column,
+/// looked up once per request instead of once per variant. A constraint
+/// on an attribute no variant of the type binds (`s_i = 0` everywhere)
+/// is charged but never planned — it moves no accumulator.
 #[derive(Debug, Clone, Copy)]
 struct PlanEntry {
     /// Column index within the [`TypePlane`].
     column: u32,
-    /// Accumulator row of this entry's request within the block.
-    row: u32,
     /// Requested value in domain units.
     value: u16,
-    /// UQ1.15 weight word from the request list.
-    weight: Q15,
+    /// The distance at which `d · recip` saturates
+    /// ([`saturation_distance`](crate::plane::saturation_distance)).
+    d_cap: u16,
     /// Pre-resolved `1/(1 + d_max)`.
     recip: Q15,
+    /// UQ1.15 weight word from the request list.
+    weight: Q15,
 }
 
 /// Reusable scratch arena of the scoring kernels.
@@ -173,14 +156,14 @@ struct PlanEntry {
 /// counting-allocator test both verify this).
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// Per-variant UQ1.15 accumulators (`Σ raw(s_i·w_i)`, clamped late);
-    /// on the batch path, [`BLOCK`] rows of padded stride.
-    acc: Vec<u32>,
-    /// Pre-resolved constraints of the request being scored.
-    resolved: Vec<ResolvedConstraint>,
-    /// The block plan: planned streaming steps, sorted by (column, row).
+    /// One UQ1.15 score per variant slot (the wide path stores whole
+    /// lane-steps, so its row is padded): the scalar path's saturating
+    /// accumulators, and on either path the clamped scores the ranking
+    /// and full-vector entry points read.
+    row: Vec<u16>,
+    /// The planned constraints of the request being scored.
     plan: Vec<PlanEntry>,
-    /// Index buffer for ranking (top-k) and batch grouping.
+    /// Index buffer for ranking (top-k).
     order: Vec<u32>,
     /// Buffer reallocation events (capacity growth), for scratch-reuse
     /// assertions.
@@ -199,36 +182,28 @@ impl Scratch {
     pub fn grows(&self) -> u64 {
         self.grows
     }
-
-    /// Clears `acc` to `n` zeroed rows, tracking capacity growth.
-    fn reset_rows(&mut self, n: usize) {
-        if self.acc.capacity() < n {
-            self.grows += 1;
-        }
-        self.acc.clear();
-        self.acc.resize(n, 0);
-    }
-
-    /// Clears `resolved`, tracking capacity growth.
-    fn reset_constraints(&mut self, n: usize) {
-        if self.resolved.capacity() < n {
-            self.grows += 1;
-        }
-        self.resolved.clear();
-    }
-
-    /// Clears `order`, tracking capacity growth.
-    fn reset_order(&mut self, n: usize) {
-        if self.order.capacity() < n {
-            self.grows += 1;
-        }
-        self.order.clear();
-    }
 }
 
-/// Resolves the request's constraints against the plane: reciprocal from
-/// the flat table, column index by binary search. One `search_steps` per
-/// constraint — the whole per-request "setup" the compiled plane leaves.
+/// Clears `buffer` ahead of `n` pushes, tracking capacity growth.
+fn reset<T>(buffer: &mut Vec<T>, n: usize, grows: &mut u64) {
+    if buffer.capacity() < n {
+        *grows += 1;
+    }
+    buffer.clear();
+}
+
+/// Resets `row` to `n` zeroed slots, tracking capacity growth.
+fn zeroed<'r>(row: &'r mut Vec<u16>, n: usize, grows: &mut u64) -> &'r mut [u16] {
+    reset(row, n, grows);
+    row.resize(n, 0);
+    row
+}
+
+/// Resolves the request's constraints against the plane — scale
+/// constants from the flat table, column index by binary search — into
+/// the scratch plan, charging the modeled datapath cost of each. One
+/// `search_steps` per constraint: the whole per-request "setup" the
+/// compiled plane leaves.
 ///
 /// Errors mirror the naive path: the **first** constraint (in attribute
 /// order) whose attribute has no bounds entry fails with
@@ -240,41 +215,43 @@ fn resolve(
     scratch: &mut Scratch,
     ops: &mut OpCounts,
 ) -> Result<(), CoreError> {
-    scratch.reset_constraints(request.constraints().len());
+    let Scratch { plan, grows, .. } = scratch;
+    reset(plan, request.constraints().len(), grows);
     for c in request.constraints() {
-        let recip = plane
-            .recip(c.attr)
+        let (recip, d_cap) = plane
+            .scale(c.attr)
             .ok_or(CoreError::UndeclaredAttr { attr: c.attr })?;
         ops.search_steps += 1;
-        let column = match ty.column_index(c.attr) {
-            Some(index) => u32::try_from(index).expect("u16-id attr space"),
-            None => NO_COLUMN,
-        };
-        scratch.resolved.push(ResolvedConstraint {
-            value: c.value,
-            weight: c.weight_q15,
-            recip,
-            column,
-        });
+        let column = ty.column_index(c.attr);
+        charge(ty, column.map(|index| &ty.columns()[index]), ops);
+        if let Some(index) = column {
+            plan.push(PlanEntry {
+                column: u32::try_from(index).expect("u16-id attr space"),
+                value: c.value,
+                d_cap,
+                recip,
+                weight: c.weight_q15,
+            });
+        }
     }
     Ok(())
 }
 
-/// Charges the modeled per-column cost of one resolved constraint. The
-/// model is analytic and **path-independent**: wide lanes, register
-/// blocking and the scalar loops all perform the same modeled datapath
-/// arithmetic, so the counters stay bit-identical to the naive engine
-/// no matter how lanes are packed (see `docs/retrieval.md`).
-fn charge(ty: &TypePlane, rc: &ResolvedConstraint, ops: &mut OpCounts) {
+/// Charges the modeled cost of one constraint over its column (`None`:
+/// no variant binds the attribute). The model is analytic and
+/// **path-independent**: the wide lanes and the scalar loops perform the
+/// same modeled datapath arithmetic, so the counters stay bit-identical
+/// to the naive engine no matter how lanes are packed (see
+/// `docs/retrieval.md`).
+fn charge(ty: &TypePlane, column: Option<&AttrColumn>, ops: &mut OpCounts) {
     let rows = ty.variant_count() as u64;
-    if rc.column == NO_COLUMN {
+    let Some(column) = column else {
         // s_i = 0 for every variant: the accumulator is unchanged, only
         // the s_i·w_i multiply/accumulate cost is paid.
         ops.multiplies += rows;
         ops.additions += rows;
         return;
-    }
-    let column = &ty.columns()[rc.column as usize];
+    };
     if column.is_dense() {
         ops.distances += rows;
         ops.multiplies += 2 * rows;
@@ -287,43 +264,19 @@ fn charge(ty: &TypePlane, rc: &ResolvedConstraint, ops: &mut OpCounts) {
     }
 }
 
-/// Appends the resolved constraints (minus whole-column misses) to the
-/// block plan, tagged with the request's accumulator `row`.
-fn plan_row(scratch: &mut Scratch, row: u32) {
-    let Scratch {
-        resolved,
-        plan,
-        grows,
-        ..
-    } = scratch;
-    let needed = plan.len() + resolved.len();
-    if plan.capacity() < needed {
-        *grows += 1;
-    }
-    plan.extend(
-        resolved
-            .iter()
-            .filter(|rc| rc.column != NO_COLUMN)
-            .map(|rc| PlanEntry {
-                column: rc.column,
-                row,
-                value: rc.value,
-                weight: rc.weight,
-                recip: rc.recip,
-            }),
-    );
-}
-
-/// Scalar streaming of one planned constraint over its column into one
-/// accumulator row (`acc.len() == stride ≥ variant_count`): the exact
-/// per-slot arithmetic of the naive engine. Missing bindings (sparse
-/// holes) contribute `s_i = 0` exactly as the naive engine's failed
-/// `resumable_find` does.
-fn stream_scalar(column: &AttrColumn, entry: &PlanEntry, acc: &mut [u32]) {
+/// Scalar streaming of one planned constraint over its column into the
+/// accumulator row: the exact per-slot arithmetic of the naive engine.
+/// Missing bindings (sparse holes) contribute `s_i = 0` exactly as the
+/// naive engine's failed `resumable_find` does.
+fn stream_scalar(column: &AttrColumn, entry: &PlanEntry, row: &mut [u16]) {
+    let term = |case: u16| {
+        local_q15(entry.value, case, entry.recip)
+            .mul_trunc(entry.weight)
+            .raw()
+    };
     if column.is_dense() {
-        for (slot, &value) in acc.iter_mut().zip(column.values()) {
-            let si = local_q15(entry.value, value, entry.recip);
-            *slot += u32::from(si.mul_trunc(entry.weight).raw());
+        for (slot, &case) in row.iter_mut().zip(column.values()) {
+            *slot = slot.saturating_add(term(case));
         }
     } else {
         let values = column.values();
@@ -332,124 +285,91 @@ fn stream_scalar(column: &AttrColumn, entry: &PlanEntry, acc: &mut [u32]) {
             while bits != 0 {
                 let index = word_index * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let si = local_q15(entry.value, values[index], entry.recip);
-                acc[index] += u32::from(si.mul_trunc(entry.weight).raw());
+                row[index] = row[index].saturating_add(term(values[index]));
             }
         }
     }
 }
 
-/// Streams a `(column, row)`-sorted block plan: the outer loop walks
-/// maximal same-column runs, the inner loops revisit the (hot) column
-/// once per planned row — register blocking that amortizes each column
-/// load across every request in the block. Dispatches each run to the
-/// engine's resolved path.
+/// Streams the scratch plan through the engine's datapath and returns
+/// the first-achieving-max `(index, raw similarity)` — strict-`>` update
+/// over tree order, the naive engine's winner rule. With `keep_row`,
+/// `scratch.row[..variant_count]` holds every clamped score on return
+/// (the scalar path always leaves it; the wide top-1 writes no row).
 #[allow(unsafe_code)] // the one dispatch into the runtime-detected wide path
-fn accumulate_block(
-    ty: &TypePlane,
-    plan: &[PlanEntry],
-    acc: &mut [u32],
-    stride: usize,
-    path: ActivePath,
-) {
-    let mut start = 0usize;
-    while start < plan.len() {
-        let column_index = plan[start].column;
-        let end = plan[start..]
-            .iter()
-            .position(|e| e.column != column_index)
-            .map_or(plan.len(), |offset| start + offset);
-        let column = &ty.columns()[column_index as usize];
-        let run = &plan[start..end];
-        match path {
-            ActivePath::Scalar => {
-                for entry in run {
-                    let base = entry.row as usize * stride;
-                    stream_scalar(column, entry, &mut acc[base..base + stride]);
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] // `keep_row`
+fn stream(ty: &TypePlane, scratch: &mut Scratch, keep_row: bool, path: ActivePath) -> (usize, u16) {
+    let Scratch {
+        row, plan, grows, ..
+    } = scratch;
+    match path {
+        ActivePath::Scalar => {
+            let row = zeroed(row, ty.variant_count(), grows);
+            for entry in plan.iter() {
+                stream_scalar(&ty.columns()[entry.column as usize], entry, row);
+            }
+            // Final clamp, identical to the naive engine: Σ(s_i·w_i) ≤
+            // Σ w_i = 0x8000, saturated defensively anyway.
+            let mut best = (0, 0);
+            for (index, slot) in row.iter_mut().enumerate() {
+                *slot = (*slot).min(Q15::ONE.raw());
+                if *slot > best.1 {
+                    best = (index, *slot);
                 }
             }
-            #[cfg(target_arch = "x86_64")]
-            ActivePath::Avx2 => {
-                // SAFETY: `ActivePath::Avx2` is only constructed after
-                // `wide::available()` observed AVX2 at runtime, and the
-                // callers size `acc` to `(max row + 1) × stride` with
-                // `stride == ty.padded_len()` — exactly the bounds
-                // `wide::stream_avx2` documents.
-                unsafe { wide::stream_avx2(column, run, acc, stride) };
-            }
+            best
         }
-        start = end;
+        #[cfg(target_arch = "x86_64")]
+        ActivePath::Avx2 => {
+            let row = keep_row.then(|| zeroed(row, ty.padded_len(), grows));
+            // SAFETY: `ActivePath::Avx2` is only constructed after
+            // `wide::available()` observed AVX2 at runtime.
+            unsafe { wide::stream(ty, plan, row) }
+        }
     }
 }
 
-/// Resolves, plans and accumulates one request into row 0 of the scratch
-/// accumulators (padded stride). On return `scratch.acc[..variant_count]`
-/// holds the unclamped sums and `ops` carries resolution + datapath cost.
-fn score_request(
-    plane: &RetrievalPlane,
-    ty: &TypePlane,
+/// Scores one request against the type plane it addresses: resolves and
+/// charges its constraints, charges the comparator — one comparison per
+/// variant, whichever sink runs — and streams the plan. Returns the type
+/// plane, the [`stream`] result (see there for `keep_row`) and the cost.
+fn score<'p>(
+    plane: &'p RetrievalPlane,
     request: &Request,
     scratch: &mut Scratch,
+    keep_row: bool,
     path: ActivePath,
-    ops: &mut OpCounts,
-) -> Result<(), CoreError> {
-    resolve(plane, ty, request, scratch, ops)?;
-    for rc in &scratch.resolved {
-        charge(ty, rc, ops);
-    }
-    scratch.plan.clear();
-    plan_row(scratch, 0);
-    let stride = ty.padded_len();
-    scratch.reset_rows(stride);
-    let Scratch { acc, plan, .. } = scratch;
-    plan.sort_unstable_by_key(|e| (e.column, e.row));
-    accumulate_block(ty, plan, acc, stride, path);
-    Ok(())
+) -> Result<(&'p TypePlane, (usize, u16), OpCounts), CoreError> {
+    let type_id = request.type_id();
+    let ty = plane
+        .type_plane(type_id)
+        .ok_or(CoreError::UnknownType { type_id })?;
+    let mut ops = OpCounts::default();
+    resolve(plane, ty, request, scratch, &mut ops)?;
+    ops.comparisons += ty.variant_count() as u64;
+    Ok((ty, stream(ty, scratch, keep_row, path), ops))
 }
 
-/// Final clamp of one accumulator slot, identical to the naive engine:
-/// `Σ(s_i·w_i) ≤ Σ w_i = 0x8000`, saturated defensively anyway.
-#[inline]
-fn clamp(acc: u32) -> Q15 {
-    #[allow(clippy::cast_possible_truncation)]
-    Q15::saturating_from_raw(acc.min(u32::from(Q15::ONE.raw())) as u16)
-}
-
-/// Fused top-1 reduction over one **unpadded** accumulator row
-/// (`acc.len() == variant_count`): clamp + first-achieving-max
-/// (strict-`>` update) in one pass, never materializing a score vector.
-fn reduce_top1(ty: &TypePlane, acc: &[u32], ops: &mut OpCounts) -> Option<Scored<Q15>> {
-    let mut best: Option<(usize, Q15)> = None;
-    for (index, &sum) in acc.iter().enumerate() {
-        let similarity = clamp(sum);
-        ops.comparisons += 1;
-        match best {
-            None => best = Some((index, similarity)),
-            Some((_, b)) if similarity > b => best = Some((index, similarity)),
-            _ => {}
-        }
-    }
-    best.map(|(index, similarity)| Scored {
+/// Variant `index` of the type with its clamped score.
+fn scored(ty: &TypePlane, index: usize, raw: u16) -> Scored<Q15> {
+    Scored {
         impl_id: ty.impl_ids()[index],
         target: ty.targets()[index],
-        similarity,
-    })
+        similarity: Q15::saturating_from_raw(raw),
+    }
 }
 
-/// Scores one request against one type plane and fuses the top-1
-/// reduction.
+/// Scores one request with the fused top-1 reduction.
 fn score_top1(
     plane: &RetrievalPlane,
-    ty: &TypePlane,
     request: &Request,
     scratch: &mut Scratch,
     path: ActivePath,
 ) -> Result<Retrieval<Q15>, CoreError> {
-    let mut ops = OpCounts::default();
-    score_request(plane, ty, request, scratch, path, &mut ops)?;
-    let best = reduce_top1(ty, &scratch.acc[..ty.variant_count()], &mut ops);
+    let (ty, (index, raw), ops) = score(plane, request, scratch, false, path)?;
     Ok(Retrieval {
-        best,
+        // A function type — and so its plane — is never empty.
+        best: Some(scored(ty, index, raw)),
         evaluated: ty.variant_count(),
         ops,
     })
@@ -585,21 +505,13 @@ impl PlaneEngine {
     ) -> Result<Retrieval<Q15>, CoreError> {
         self.ensure(case_base);
         let plane = self.plane.as_ref().expect("just ensured");
-        let ty = plane
-            .type_plane(request.type_id())
-            .ok_or(CoreError::UnknownType {
-                type_id: request.type_id(),
-            })?;
-        score_top1(plane, ty, request, &mut self.scratch, self.active)
+        score_top1(plane, request, &mut self.scratch, self.active)
     }
 
     /// Plane-kernel equivalent of [`FixedEngine::retrieve_batch`](crate::FixedEngine::retrieve_batch),
     /// writing per-item results into the caller-owned `out` (cleared
-    /// first, answers in input order). The batch is grouped by function
-    /// type, and each same-type group is scored in register blocks of up
-    /// to `BLOCK` (4) requests per column pass — the software analogue of
-    /// the hardware streaming a same-function burst over a parked
-    /// level-0 pointer, now serving several requests per sweep.
+    /// first, answers in input order): the plane is validated once, then
+    /// every request takes the path [`PlaneEngine::retrieve`] takes.
     /// `requests` is anything that lends out a [`Request`] per item, so
     /// a caller's own batch records need no side vector of references.
     pub fn retrieve_batch_into<R: Borrow<Request>>(
@@ -608,86 +520,14 @@ impl PlaneEngine {
         requests: &[R],
         out: &mut Vec<Result<Retrieval<Q15>, CoreError>>,
     ) {
-        let at = |i: u32| -> &Request { requests[i as usize].borrow() };
         self.ensure(case_base);
-        // Group indices by type id (stable: ties keep input order) using
-        // the scratch index buffer.
-        self.scratch.reset_order(requests.len());
-        let order = &mut self.scratch.order;
-        order.extend(0..u32::try_from(requests.len()).expect("batch fits u32"));
-        order.sort_unstable_by_key(|&i| (at(i).type_id(), i));
-        out.clear();
-        out.extend(requests.iter().map(|r| {
-            Err(CoreError::UnknownType {
-                type_id: r.borrow().type_id(),
-            })
-        }));
         let plane = self.plane.as_ref().expect("just ensured");
-        // Temporarily move the order buffer out so `scratch` can be
-        // borrowed mutably by the per-block kernels.
-        let order = std::mem::take(&mut self.scratch.order);
-        let mut cursor = 0usize;
-        while cursor < order.len() {
-            let type_id = at(order[cursor]).type_id();
-            let group_end = order[cursor..]
+        out.clear();
+        out.extend(
+            requests
                 .iter()
-                .position(|&i| at(i).type_id() != type_id)
-                .map_or(order.len(), |offset| cursor + offset);
-            // One type resolution per same-type group; the group streams
-            // through in register blocks.
-            if let Some(ty) = plane.type_plane(type_id) {
-                let stride = ty.padded_len();
-                let variants = ty.variant_count();
-                for chunk in order[cursor..group_end].chunks(BLOCK) {
-                    // Plan the whole block: per-request resolution +
-                    // analytic cost, then one streaming pass serves
-                    // every planned row.
-                    let mut ops_block = [OpCounts::default(); BLOCK];
-                    let mut planned = [false; BLOCK];
-                    self.scratch.plan.clear();
-                    self.scratch.reset_rows(stride * chunk.len());
-                    for (row, &index) in chunk.iter().enumerate() {
-                        let request = at(index);
-                        let mut ops = OpCounts::default();
-                        match resolve(plane, ty, request, &mut self.scratch, &mut ops) {
-                            Ok(()) => {
-                                for rc in &self.scratch.resolved {
-                                    charge(ty, rc, &mut ops);
-                                }
-                                plan_row(
-                                    &mut self.scratch,
-                                    u32::try_from(row).expect("block row fits u32"),
-                                );
-                                ops_block[row] = ops;
-                                planned[row] = true;
-                            }
-                            Err(error) => out[index as usize] = Err(error),
-                        }
-                    }
-                    {
-                        let Scratch { acc, plan, .. } = &mut self.scratch;
-                        plan.sort_unstable_by_key(|e| (e.column, e.row));
-                        accumulate_block(ty, plan, acc, stride, self.active);
-                    }
-                    for (row, &index) in chunk.iter().enumerate() {
-                        if !planned[row] {
-                            continue;
-                        }
-                        let mut ops = ops_block[row];
-                        let base = row * stride;
-                        let best =
-                            reduce_top1(ty, &self.scratch.acc[base..base + variants], &mut ops);
-                        out[index as usize] = Ok(Retrieval {
-                            best,
-                            evaluated: variants,
-                            ops,
-                        });
-                    }
-                }
-            }
-            cursor = group_end;
-        }
-        self.scratch.order = order;
+                .map(|request| score_top1(plane, request.borrow(), &mut self.scratch, self.active)),
+        );
     }
 
     /// Allocating convenience wrapper over
@@ -719,39 +559,23 @@ impl PlaneEngine {
     ) -> Result<(usize, OpCounts), CoreError> {
         self.ensure(case_base);
         let plane = self.plane.as_ref().expect("just ensured");
-        let ty = plane
-            .type_plane(request.type_id())
-            .ok_or(CoreError::UnknownType {
-                type_id: request.type_id(),
-            })?;
-        let mut ops = OpCounts::default();
-        score_request(plane, ty, request, &mut self.scratch, self.active, &mut ops)?;
+        let (ty, _, ops) = score(plane, request, &mut self.scratch, true, self.active)?;
         let variants = ty.variant_count();
-        // Clamp in place, then rank indices: descending similarity with
-        // ascending-index tie-break — exactly `nbest::rank`. Padded
-        // accumulator rows stay untouched and unread.
-        for acc in &mut self.scratch.acc[..variants] {
-            *acc = u32::from(clamp(*acc).raw());
-        }
-        ops.comparisons += variants as u64;
-        self.scratch.reset_order(variants);
-        self.scratch
-            .order
-            .extend(0..u32::try_from(variants).expect("u16-id variant space"));
-        let acc = &self.scratch.acc;
-        self.scratch
-            .order
-            .sort_unstable_by_key(|&i| (std::cmp::Reverse(acc[i as usize]), i));
+        // Rank indices over the clamped row: descending similarity with
+        // ascending-index tie-break — exactly `nbest::rank`.
+        let Scratch {
+            row, order, grows, ..
+        } = &mut self.scratch;
+        reset(order, variants, grows);
+        order.extend(0..u32::try_from(variants).expect("u16-id variant space"));
+        order.sort_unstable_by_key(|&i| (Reverse(row[i as usize]), i));
         ranked.clear();
-        ranked.extend(self.scratch.order.iter().take(n).map(|&i| {
-            let index = i as usize;
-            Scored {
-                impl_id: ty.impl_ids()[index],
-                target: ty.targets()[index],
-                #[allow(clippy::cast_possible_truncation)]
-                similarity: Q15::saturating_from_raw(acc[index] as u16),
-            }
-        }));
+        ranked.extend(
+            order
+                .iter()
+                .take(n)
+                .map(|&i| scored(ty, i as usize, row[i as usize])),
+        );
         Ok((variants, ops))
     }
 
@@ -791,32 +615,18 @@ impl PlaneEngine {
     ) -> Result<(Vec<Scored<Q15>>, OpCounts), CoreError> {
         self.ensure(case_base);
         let plane = self.plane.as_ref().expect("just ensured");
-        let ty = plane
-            .type_plane(request.type_id())
-            .ok_or(CoreError::UnknownType {
-                type_id: request.type_id(),
-            })?;
-        let mut ops = OpCounts::default();
-        score_request(plane, ty, request, &mut self.scratch, self.active, &mut ops)?;
-        ops.comparisons += ty.variant_count() as u64;
-        let scores = self.scratch.acc[..ty.variant_count()]
+        let (ty, _, ops) = score(plane, request, &mut self.scratch, true, self.active)?;
+        let scores = self.scratch.row[..ty.variant_count()]
             .iter()
             .enumerate()
-            .map(|(index, &acc)| Scored {
-                impl_id: ty.impl_ids()[index],
-                target: ty.targets()[index],
-                similarity: clamp(acc),
-            })
+            .map(|(index, &raw)| scored(ty, index, raw))
             .collect();
         Ok((scores, ops))
     }
 
     /// Plane-kernel equivalent of [`FixedEngine::score_batch`](crate::FixedEngine::score_batch): full
-    /// score vectors in input order. Each request resolves its type
-    /// plane independently (a binary search over the compiled plane —
-    /// there is no per-group state left to amortize on the
-    /// full-vector path; the fused top-1 batch path is
-    /// [`PlaneEngine::retrieve_batch_into`]).
+    /// score vectors in input order, each request through
+    /// [`PlaneEngine::score_all`].
     pub fn score_batch(&mut self, case_base: &CaseBase, requests: &[&Request]) -> Vec<ScoreResult> {
         requests
             .iter()
@@ -1021,8 +831,9 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// A case base wide enough to span several 8-lane steps (37 variants
-    /// > 2 × 16-row pads) with a mix of dense and sparse columns.
+    /// A case base wide enough to span several lane-steps and end in a
+    /// padded one (37 variants = 2 × 16 + 5) with a mix of dense and
+    /// sparse columns.
     fn wide_case_base(seed: u64) -> CaseBase {
         let mut state = seed;
         let attrs: Vec<AttrId> = (1..=4).map(|id| AttrId::new(id).unwrap()).collect();
@@ -1105,10 +916,9 @@ mod tests {
     }
 
     #[test]
-    fn blocked_batch_matches_single_requests() {
-        // Ten same-type requests exercise multi-chunk register blocking
-        // (ceil(10 / BLOCK) = 3 blocks); results and per-request ops
-        // must equal the one-at-a-time path on both engines.
+    fn batch_matches_single_requests() {
+        // A batch is a loop over the single-request path: results and
+        // per-request ops must equal it on both engines.
         let cb = wide_case_base(0x0B10_C4ED);
         let mut state = 99u64;
         let pool: Vec<Request> = (0..10).map(|_| wide_request(&mut state)).collect();

@@ -1,51 +1,71 @@
-//! The AVX2 wide kernel: 8 variants per lane-step, one column load
-//! shared across a register-blocked run of planned requests.
+//! The AVX2 wide kernel: the paper's 16-bit retrieval datapath (fig. 7)
+//! sixteen times side by side, fused with its best-comparator.
 //!
-//! Bit-identity with the scalar loops is by construction, not by
-//! tolerance: each `u32` lane replicates the scalar UQ1.15 datapath
-//! exactly —
+//! One 256-bit register holds 16 `u16` lanes — 16 variants per
+//! lane-step. A step loops over the request's planned constraints with
+//! the similarity accumulator **in a register**, clamps it, and hands the
+//! 16 scores to the per-lane best-comparator (`best`, `best_step`): the
+//! type plane is walked once, no accumulator row is written and no second
+//! pass finds the winner. Each lane runs the scalar UQ1.15 datapath
+//! exactly, on `epu16` operations only (proofs: `docs/retrieval.md`,
+//! "Variant axis"):
 //!
 //! ```text
-//! d    = |case − request|                (u16 domain distance)
-//! sat  = min(d · recip, 0x8000)          (saturating scale_int)
-//! s_i  = 0x8000 − sat                    (complement)
-//! term = (s_i · weight) >> 15            (mul_trunc)
-//! acc += term                            (u32, clamped once at the end)
+//! d    = max(c, v) − min(c, v)                        |case − request|
+//! sat  = min(mullo(min(d, d_cap), recip), 0x8000)     scale_int(d)
+//! s_i  = 0x8000 − sat                                 complement
+//! term = mulhi(s_i, 2w)        (s_i itself at w = 1.0) mul_trunc
+//! acc  = adds_epu16(acc, term & present)              saturating Σ
 //! ```
 //!
-//! Every intermediate fits comfortably in 31 bits (`d ≤ 0xFFFF`,
-//! `recip, weight ≤ 0x8000`), so 32-bit unsigned `min`/`mullo` and a
-//! logical shift are exact, and the final `u32` addition commutes — any
-//! lane packing yields byte-equal accumulators.
+//! `d_cap = ⌈0x8000 / recip⌉` comes from the plane's reciprocal table:
+//! clamping `d` to it keeps the product inside 16 bits and saturates
+//! exactly where `Q15::scale_int` does. `(s_i · w) >> 15` is the high
+//! half of `s_i · 2w`, one `vpmulhuw`. (Recombining `mulhi` and `mullo`
+//! of `s_i · w` is as exact and needs no special weight, but LLVM folds
+//! the recombining shift into the multiply, loses `vpmulhuw` and emits
+//! two widened `vpmulld` per step — the instruction this kernel exists
+//! to avoid.) The final clamp `min(acc, 0x8000)` equals the scalar
+//! path's clamp of the `u16`-saturated sum.
 //!
 //! Columns are physically padded to [`COLUMN_PAD`](crate::plane::COLUMN_PAD)
-//! rows (a multiple of the 8-lane step), so the streaming loop needs no
-//! tail handling: on sparse columns padded lanes read *absent* from the
-//! presence bitmap and contribute an exact 0; on dense columns padded
-//! lanes accumulate garbage only into padded accumulator slots that no
-//! reduction ever reads (reductions slice `[..variant_count]`).
+//! = 16 rows, so every step is one whole load. Padded lanes of the last
+//! step are **masked to score 0** before the comparator sees them: a
+//! dense column's padding holds value 0 and would otherwise score like a
+//! real variant bound to 0.
 //!
 //! This is the only module in the crate allowed to use `unsafe` (the
-//! crate root carries `deny(unsafe_code)`): unsafety is confined to
-//! calling `#[target_feature(enable = "avx2")]` code after runtime
-//! detection ([`available`]) and to unaligned vector loads/stores whose
-//! bounds the padding invariant and the caller contract below guarantee.
+//! crate root carries `deny(unsafe_code)`). Inside
+//! `#[target_feature(enable = "avx2")]` functions the arithmetic
+//! intrinsics are safe calls; what is left is the 256-bit load, which
+//! takes a `&[u16; 16]`, and the one runtime-detected dispatch into
+//! [`stream`] in the parent module.
 
 #![allow(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::arch::x86_64::{
-    _mm256_add_epi32, _mm256_and_si256, _mm256_cmpeq_epi32, _mm256_cvtepu16_epi32,
-    _mm256_loadu_si256, _mm256_max_epu32, _mm256_min_epu32, _mm256_mullo_epi32,
-    _mm256_set1_epi32, _mm256_setr_epi32, _mm256_srli_epi32, _mm256_storeu_si256,
-    _mm256_sub_epi32, _mm_loadu_si128,
+    __m256i, _mm256_adds_epu16, _mm256_and_si256, _mm256_blendv_epi8, _mm256_cmpeq_epi16,
+    _mm256_cmpgt_epi16, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_max_epu16,
+    _mm256_min_epu16, _mm256_mulhi_epu16, _mm256_mullo_epi16, _mm256_set1_epi16, _mm256_setr_epi16,
+    _mm256_setzero_si256, _mm256_sub_epi16,
 };
 
-use super::PlanEntry;
-use crate::plane::AttrColumn;
+use rqfa_fixed::Q15;
 
-/// Variants per lane-step: 8 × `u32` accumulator lanes in one 256-bit
-/// register.
-const LANES: usize = 8;
+use super::PlanEntry;
+use crate::plane::TypePlane;
+
+/// Variants per lane-step: 16 × `u16` lanes in one 256-bit register.
+const LANES: usize = 16;
+
+/// Lane-steps per unrolled block: four independent accumulators hide the
+/// multiplier latency, and each constraint's constants are broadcast once
+/// per block instead of once per step.
+const UNROLL: usize = 4;
+
+/// UQ1.15 `1.0`, `0x8000`.
+const ONE: u16 = Q15::ONE.raw();
 
 /// Runtime feature probe. Called once per [`PlaneEngine`](super::PlaneEngine)
 /// construction, never in the hot loop.
@@ -53,68 +73,377 @@ pub(super) fn available() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
-/// Streams one same-column run of a block plan over the column's padded
-/// values, accumulating into each entry's accumulator row.
-///
-/// # Safety
-///
-/// * AVX2 must have been runtime-detected (`available()` returned true).
-/// * `stride == column.padded_values().len()` (the type plane's padded
-///   row stride), and `acc.len() ≥ (max run row + 1) × stride`, so every
-///   8-lane load/store below stays in bounds.
-#[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+/// Broadcasts one `u16` to every lane.
+#[inline]
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn stream_avx2(
-    column: &AttrColumn,
-    run: &[PlanEntry],
-    acc: &mut [u32],
-    stride: usize,
-) {
-    let values = column.padded_values();
-    debug_assert_eq!(values.len(), stride, "stride is the padded row length");
-    debug_assert_eq!(values.len() % LANES, 0, "columns pad to whole lane-steps");
-    let one = _mm256_set1_epi32(0x8000);
-    let lane_bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-    let dense = column.is_dense();
-    let words = column.present_words();
-    for step in 0..values.len() / LANES {
-        let base = step * LANES;
-        // 8 × u16 case values, zero-extended to u32 lanes. In bounds:
-        // base + LANES ≤ values.len() by the padding invariant.
-        let cases = _mm256_cvtepu16_epi32(_mm_loadu_si128(values.as_ptr().add(base).cast()));
-        // Presence mask of these 8 lanes (None ⇒ dense ⇒ all present).
-        // LANES divides 64, so the byte never straddles a bitmap word;
-        // padded lanes read absent and contribute an exact 0, like the
-        // scalar bit-iteration never visiting them.
-        let mask = if dense {
-            None
-        } else {
-            let byte = ((words[base / 64] >> (base % 64)) & 0xFF) as i32;
-            let spread = _mm256_and_si256(_mm256_set1_epi32(byte), lane_bits);
-            Some(_mm256_cmpeq_epi32(spread, lane_bits))
-        };
-        for entry in run {
-            let request = _mm256_set1_epi32(i32::from(entry.value));
-            let d = _mm256_sub_epi32(
-                _mm256_max_epu32(cases, request),
-                _mm256_min_epu32(cases, request),
-            );
-            let sat = _mm256_min_epu32(
-                _mm256_mullo_epi32(d, _mm256_set1_epi32(i32::from(entry.recip.raw()))),
-                one,
-            );
-            let si = _mm256_sub_epi32(one, sat);
-            let mut term = _mm256_srli_epi32::<15>(_mm256_mullo_epi32(
-                si,
-                _mm256_set1_epi32(i32::from(entry.weight.raw())),
-            ));
-            if let Some(mask) = mask {
-                term = _mm256_and_si256(term, mask);
+fn splat(word: u16) -> __m256i {
+    _mm256_set1_epi16(word.cast_signed())
+}
+
+/// Loads one lane-step.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load(lanes: &[u16; LANES]) -> __m256i {
+    // SAFETY: `lanes` is 32 readable bytes, and `loadu` asks no alignment.
+    unsafe { _mm256_loadu_si256(lanes.as_ptr().cast()) }
+}
+
+/// The 16 lanes of a register, lane 0 first.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn lanes(v: __m256i) -> [u16; LANES] {
+    let quads = [
+        _mm256_extract_epi64::<0>(v),
+        _mm256_extract_epi64::<1>(v),
+        _mm256_extract_epi64::<2>(v),
+        _mm256_extract_epi64::<3>(v),
+    ];
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    core::array::from_fn(|lane| (quads[lane / 4] >> (16 * (lane % 4))) as u16)
+}
+
+/// The per-lane local similarity `s_i = 1 − scale_int(|case − value|)`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn local(cases: __m256i, entry: &PlanEntry) -> __m256i {
+    let (value, one) = (splat(entry.value), splat(ONE));
+    let d = _mm256_sub_epi16(
+        _mm256_max_epu16(cases, value),
+        _mm256_min_epu16(cases, value),
+    );
+    let capped = _mm256_min_epu16(d, splat(entry.d_cap));
+    let sat = _mm256_min_epu16(_mm256_mullo_epi16(capped, splat(entry.recip.raw())), one);
+    _mm256_sub_epi16(one, sat)
+}
+
+/// All-ones in the lanes whose bit is set in `bits` (lane 0 = bit 0).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn spread(bits: u16) -> __m256i {
+    #[rustfmt::skip]
+    let lane_bit = _mm256_setr_epi16(
+        1, 2, 4, 8, 0x10, 0x20, 0x40, 0x80, 0x100, 0x200, 0x400, 0x800, 0x1000, 0x2000, 0x4000,
+        i16::MIN,
+    );
+    _mm256_cmpeq_epi16(_mm256_and_si256(splat(bits), lane_bit), lane_bit)
+}
+
+/// One constraint's terms `mul_trunc(s_i, weight)` over `N` lane-steps.
+///
+/// `(s_i · w) >> 15 = (s_i · 2w) >> 16`, the high half of a 16 × 16
+/// product. The one weight whose double does not fit 16 bits is 1.0, and
+/// `s_i · 1.0` is `s_i`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn terms<const N: usize>(steps: &[[u16; LANES]; N], entry: &PlanEntry) -> [__m256i; N] {
+    match entry.weight.raw().checked_mul(2) {
+        Some(doubled) => steps
+            .each_ref()
+            .map(|cases| _mm256_mulhi_epu16(local(load(cases), entry), splat(doubled))),
+        None => steps.each_ref().map(|cases| local(load(cases), entry)),
+    }
+}
+
+/// The clamped scores of lane-steps `first .. first + N`: every planned
+/// constraint's terms accumulated in registers, absent bindings adding 0.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn score_steps<const N: usize>(ty: &TypePlane, plan: &[PlanEntry], first: usize) -> [__m256i; N] {
+    let mut acc = [_mm256_setzero_si256(); N];
+    for entry in plan {
+        let column = &ty.columns()[entry.column as usize];
+        debug_assert_eq!(column.padded_values().len(), ty.padded_len());
+        let (steps, rest) = column.padded_values().as_chunks::<LANES>();
+        debug_assert!(rest.is_empty(), "columns pad to whole lane-steps");
+        let steps = steps[first..first + N].try_into().expect("N lane-steps");
+        // Terms before the dense/sparse branch, not inside its arms: the
+        // compiler selects `vpmulhuw` only while the multiply sits in one
+        // basic block with the widening of both operands.
+        let terms = terms::<N>(steps, entry);
+        if column.is_dense() {
+            for (acc, term) in acc.iter_mut().zip(terms) {
+                *acc = _mm256_adds_epu16(*acc, term);
             }
-            // In bounds: row × stride + base + LANES ≤ acc.len() by the
-            // caller contract.
-            let slot = acc.as_mut_ptr().add(entry.row as usize * stride + base);
-            _mm256_storeu_si256(slot.cast(), _mm256_add_epi32(_mm256_loadu_si256(slot.cast()), term));
+        } else {
+            let words = column.present_words();
+            for (offset, (acc, term)) in acc.iter_mut().zip(terms).enumerate() {
+                // LANES divides 64: a step never straddles a bitmap word.
+                let base = (first + offset) * LANES;
+                #[allow(clippy::cast_possible_truncation)]
+                let present = spread((words[base / 64] >> (base % 64)) as u16);
+                *acc = _mm256_adds_epu16(*acc, _mm256_and_si256(term, present));
+            }
         }
+    }
+    acc.map(|sum| _mm256_min_epu16(sum, splat(ONE)))
+}
+
+/// Streams one type plane through the datapath, 16 variants per step,
+/// and returns the first-achieving-max `(index, similarity)` — the
+/// variant the scalar path's strict-`>` scan over the clamped row picks.
+/// With `row` (`padded_len` slots), the clamped scores are stored too
+/// (padded slots read 0): the sink of the n-best and full-vector paths.
+///
+/// Each lane keeps the best score it has seen and the step it first saw
+/// it at; the global winner is the largest lane value, ties to the
+/// smallest `step · 16 + lane`. A lane that holds the global maximum
+/// holds its first occurrence within that lane, so the smallest such
+/// index is the first occurrence overall.
+#[target_feature(enable = "avx2")]
+pub(super) fn stream(
+    ty: &TypePlane,
+    plan: &[PlanEntry],
+    mut row: Option<&mut [u16]>,
+) -> (usize, u16) {
+    let variants = ty.variant_count();
+    debug_assert_eq!(ty.padded_len() % LANES, 0, "planes pad to whole lane-steps");
+    let mut best = _mm256_setzero_si256();
+    let mut best_step = _mm256_setzero_si256();
+    let mut sink = |step: usize, score: __m256i| {
+        #[allow(clippy::cast_possible_truncation)] // ≤ 2¹⁶ variants: step < 2¹²
+        let here = splat(step as u16);
+        let not_above = _mm256_cmpeq_epi16(_mm256_max_epu16(best, score), best);
+        best_step = _mm256_blendv_epi8(here, best_step, not_above);
+        best = _mm256_max_epu16(best, score);
+        if let Some(row) = row.as_deref_mut() {
+            row[step * LANES..][..LANES].copy_from_slice(&lanes(score));
+        }
+    };
+    // Whole blocks of steps whose 16 lanes are all real variants.
+    let blocks = variants / (LANES * UNROLL);
+    for block in 0..blocks {
+        let scores = score_steps::<UNROLL>(ty, plan, block * UNROLL);
+        for (offset, score) in scores.into_iter().enumerate() {
+            sink(block * UNROLL + offset, score);
+        }
+    }
+    // The ≤ 4 steps left, the last of which may end in padding.
+    let lane_index = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    for step in blocks * UNROLL..ty.padded_len() / LANES {
+        let [score] = score_steps::<1>(ty, plan, step);
+        #[allow(clippy::cast_possible_truncation)]
+        let real = splat((variants - step * LANES).min(LANES) as u16);
+        sink(
+            step,
+            _mm256_and_si256(score, _mm256_cmpgt_epi16(real, lane_index)),
+        );
+    }
+    let (best, best_step) = (lanes(best), lanes(best_step));
+    (0..LANES)
+        .map(|lane| (usize::from(best_step[lane]) * LANES + lane, best[lane]))
+        .reduce(|a, b| {
+            if b.1 > a.1 || (b.1 == a.1 && b.0 < a.0) {
+                b
+            } else {
+                a
+            }
+        })
+        .expect("LANES > 0")
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+
+    use rqfa_fixed::{local_similarity, recip_plus_one};
+
+    use super::*;
+    use crate::attribute::{AttrBinding, AttrDecl};
+    use crate::bounds::BoundsTable;
+    use crate::casebase::{CaseBase, FunctionType};
+    use crate::ids::{AttrId, ImplId, TypeId};
+    use crate::implvariant::{ExecutionTarget, ImplVariant};
+    use crate::plane::{saturation_distance, RetrievalPlane};
+
+    /// One lane of [`local`] in plain `u16` arithmetic: `wrapping_mul` is
+    /// `mullo`.
+    fn model_local(case: u16, entry: &PlanEntry) -> u16 {
+        let d = case.max(entry.value) - case.min(entry.value);
+        ONE - d.min(entry.d_cap).wrapping_mul(entry.recip.raw()).min(ONE)
+    }
+
+    /// One lane of [`terms`]: the high half of the widened product is
+    /// `mulhi`.
+    fn model_term(case: u16, entry: &PlanEntry) -> u16 {
+        let si = model_local(case, entry);
+        match entry.weight.raw().checked_mul(2) {
+            #[allow(clippy::cast_possible_truncation)]
+            Some(doubled) => ((u32::from(si) * u32::from(doubled)) >> 16) as u16,
+            None => si,
+        }
+    }
+
+    /// What the shared fixed-point code computes for the same inputs.
+    fn fixed_term(case: u16, entry: &PlanEntry) -> u16 {
+        local_similarity(case.abs_diff(entry.value), entry.recip)
+            .mul_trunc(entry.weight)
+            .raw()
+    }
+
+    fn entry(value: u16, recip: Q15, weight: u16) -> PlanEntry {
+        PlanEntry {
+            column: 0,
+            value,
+            d_cap: saturation_distance(recip),
+            recip,
+            weight: Q15::new(weight).unwrap(),
+        }
+    }
+
+    /// Test-only entry into the real vector code: one constraint's terms
+    /// for 16 case values.
+    #[target_feature(enable = "avx2")]
+    fn vector_terms(cases: &[u16; LANES], entry: &PlanEntry) -> [u16; LANES] {
+        let [term] = terms::<1>(core::array::from_ref(cases), entry);
+        lanes(term)
+    }
+
+    /// Runs `check(cases, entry)` over the exhaustive input families of
+    /// the datapath, 16 case values at a time:
+    ///
+    /// * `scale_int`: every `d ∈ 0..=0xFFFF` (so `d_cap − 1`, `d_cap`,
+    ///   `d_cap + 1` of every reciprocal), from either side of the
+    ///   requested value, at weight 1.0 (`term = s_i`);
+    /// * `mul_trunc`: every `s_i ∈ 0..=0x8000` (reciprocal 1 makes
+    ///   `s_i = 0x8000 − d`) under each weight.
+    fn for_every_input(mut check: impl FnMut(&[u16; LANES], &PlanEntry)) {
+        let recips = [0, 1, 2, 3, 0x4000, 0x7FFF, 0x8000]
+            .map(|raw| Q15::new(raw).unwrap())
+            .into_iter()
+            .chain([0, 1, 8, 36, 255, 65534].map(recip_plus_one));
+        for recip in recips {
+            for base in (0..=u16::MAX).step_by(LANES) {
+                let rising: [u16; LANES] = core::array::from_fn(|lane| base + lane as u16);
+                check(&rising, &entry(0, recip, ONE));
+                check(&rising.map(|d| u16::MAX - d), &entry(u16::MAX, recip, ONE));
+            }
+        }
+        for weight in [0, 1, 0x2AAB, 0x4000, 0x7FFF, 0x8000] {
+            for base in (0..=ONE).step_by(LANES) {
+                // The step past 0x8000 re-checks saturated distances.
+                let cases: [u16; LANES] = core::array::from_fn(|lane| base + lane as u16);
+                check(&cases, &entry(0, Q15::new(1).unwrap(), weight));
+            }
+        }
+    }
+
+    #[test]
+    fn lane_model_matches_the_fixed_point_code_on_every_input() {
+        for_every_input(|cases, entry| {
+            for &case in cases {
+                assert_eq!(
+                    model_term(case, entry),
+                    fixed_term(case, entry),
+                    "case {case:#x}, {entry:?}"
+                );
+            }
+        });
+    }
+
+    /// Whether the vector half of a test can run here. A host without
+    /// AVX2 says so on stderr (around the harness's output capture): the
+    /// skip must not read as a pass.
+    fn vector_half_runs(test: &str) -> bool {
+        if !available() {
+            writeln!(std::io::stderr(), "SKIPPED {test}: no AVX2 on this host").unwrap();
+        }
+        available()
+    }
+
+    #[test]
+    fn vector_lanes_match_the_model_on_every_input() {
+        if !vector_half_runs("vector_lanes_match_the_model_on_every_input") {
+            return;
+        }
+        for_every_input(|cases, entry| {
+            // SAFETY: AVX2 was detected just above.
+            let vector = unsafe { vector_terms(cases, entry) };
+            assert_eq!(
+                vector,
+                cases.map(|case| model_term(case, entry)),
+                "{entry:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn the_accumulator_saturates_exactly_where_the_wide_sum_clamps() {
+        // 40 variants bound to 0, 100, 200, … on one dense attribute with
+        // `d_max = 3900`: requests for 0 see `s_i` fall from 1.0 in steps.
+        // Plans of un-normalised weights put the term sums of different
+        // variants below 0x8000, between 0x8000 and 0xFFFF, and above
+        // 0xFFFF within one pass.
+        let attr = AttrId::new(1).unwrap();
+        let bounds =
+            BoundsTable::from_decls([AttrDecl::new(attr, "synthetic", 0, 3900).unwrap()]).unwrap();
+        let variants = (0..40u16)
+            .map(|i| {
+                let bindings = vec![AttrBinding::new(attr, i * 100)];
+                ImplVariant::new(ImplId::new(i + 1).unwrap(), ExecutionTarget::Dsp, bindings)
+                    .unwrap()
+            })
+            .collect();
+        let type_id = TypeId::new(1).unwrap();
+        let cb = CaseBase::new(
+            bounds,
+            vec![FunctionType::new(type_id, "synthetic", variants).unwrap()],
+        )
+        .unwrap();
+        let plane = RetrievalPlane::compile(&cb);
+        let ty = plane.type_plane(type_id).unwrap();
+        let (recip, _) = plane.scale(attr).unwrap();
+        let (mut between, mut above) = (false, false);
+        let vector =
+            vector_half_runs("the_accumulator_saturates_exactly_where_the_wide_sum_clamps");
+        for weights in [
+            vec![0x4000, 0x3FFF],
+            vec![0x8000, 0x0001],
+            vec![0x8000, 0x7FFF],
+            vec![0x8000, 0x8000],
+            vec![0x8000, 0x8000, 0x8000],
+            vec![0x7FFF; 5],
+        ] {
+            let plan: Vec<PlanEntry> = weights.iter().map(|&w| entry(0, recip, w)).collect();
+            let wide_sums: Vec<u32> = ty.columns()[0]
+                .values()
+                .iter()
+                .map(|&case| plan.iter().map(|e| u32::from(fixed_term(case, e))).sum())
+                .collect();
+            assert!(wide_sums.iter().any(|&sum| sum < 0x8000), "{weights:x?}");
+            between |= wide_sums.iter().any(|&sum| sum > 0x8000 && sum <= 0xFFFF);
+            above |= wide_sums.iter().any(|&sum| sum > 0xFFFF);
+            let clamped: Vec<u16> = wide_sums
+                .iter()
+                .map(|&sum| sum.min(0x8000) as u16)
+                .collect();
+            // The model: a saturating `u16` accumulator, clamped last.
+            let model: Vec<u16> = ty.columns()[0]
+                .values()
+                .iter()
+                .map(|&case| {
+                    plan.iter()
+                        .fold(0u16, |acc, e| acc.saturating_add(model_term(case, e)))
+                        .min(ONE)
+                })
+                .collect();
+            assert_eq!(model, clamped, "{weights:x?}");
+            if !vector {
+                continue;
+            }
+            let mut row = vec![0xAAAA; ty.padded_len()];
+            // SAFETY: AVX2 was detected just above.
+            let (index, best) = unsafe { stream(ty, &plan, Some(&mut row)) };
+            assert_eq!(row[..40], clamped[..], "{weights:x?}");
+            assert!(
+                row[40..].iter().all(|&slot| slot == 0),
+                "padded lanes score 0"
+            );
+            let first_max = clamped.iter().position(|&s| s == best).unwrap();
+            assert_eq!((index, best), (first_max, *clamped.iter().max().unwrap()));
+        }
+        assert!(
+            between && above,
+            "sums on both sides of 0xFFFF were exercised"
+        );
     }
 }

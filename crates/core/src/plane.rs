@@ -20,9 +20,11 @@
 //!   touches one cache-friendly column instead of walking every
 //!   variant's attribute list;
 //! * a flat, sorted **reciprocal table** (`attr → 1/(1+d_max)` in
-//!   UQ1.15), pre-resolved from the bounds table so a request shape
-//!   resolves its constants with binary searches over a dense slice
-//!   instead of `BTreeMap` pointer chasing;
+//!   UQ1.15, plus the distance `d_cap` at which `d · recip` saturates —
+//!   the constant that lets the wide kernel multiply in 16 bits),
+//!   pre-resolved from the bounds table so a request shape resolves its
+//!   constants with binary searches over a dense slice instead of
+//!   `BTreeMap` pointer chasing;
 //! * variant identity columns (`ImplId`, [`ExecutionTarget`]) in tree
 //!   order, so winner selection and ranking keep the exact decision
 //!   semantics of the naive engines.
@@ -44,10 +46,11 @@ use rqfa_fixed::Q15;
 
 /// Columns are physically padded to a multiple of this many variant
 /// slots (zero-valued, absent in the presence bitmap), so the wide
-/// kernel path can stream whole lane-steps with no tail branch: tail
-/// lanes land in padded accumulator slots that no reduction ever reads.
-/// A multiple of 16 keeps any power-of-two lane width up to 16 exact,
-/// and divides 64, so the presence bitmap's word count is unchanged.
+/// kernel path can load whole lane-steps: 16 is its lane width (one
+/// 256-bit register of `u16` lanes). The padded lanes of the last step
+/// are masked out of the winner selection by the kernel, not by the
+/// layout. 16 divides 64, so a lane-step never straddles a presence
+/// bitmap word and the bitmap's word count is unchanged.
 pub const COLUMN_PAD: usize = 16;
 
 /// Rounds a variant count up to the padded column length (a multiple of
@@ -93,7 +96,7 @@ impl AttrColumn {
     /// The physically padded values: [`AttrColumn::values`] followed by
     /// zero-valued padding up to a multiple of [`COLUMN_PAD`]. The wide
     /// kernel streams this slice in whole lane-steps; padded slots are
-    /// absent from the presence bitmap and must never reach a reduction.
+    /// absent from the presence bitmap and must never win a reduction.
     pub fn padded_values(&self) -> &[u16] {
         &self.values
     }
@@ -237,9 +240,9 @@ impl TypePlane {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetrievalPlane {
     generation: Generation,
-    /// `(attr, 1/(1+d_max))` for every declared attribute, sorted by id —
-    /// the pre-resolved supplemental list.
-    recips: Vec<(AttrId, Q15)>,
+    /// `(attr, 1/(1+d_max), d_cap)` for every declared attribute, sorted
+    /// by id — the pre-resolved supplemental list.
+    recips: Vec<(AttrId, Q15, u16)>,
     /// One plane per function type, sorted by [`TypeId`].
     types: Vec<TypePlane>,
     /// The type stamp each plane was compiled at, aligned with `types`.
@@ -311,10 +314,16 @@ impl RetrievalPlane {
     /// attribute — bit-identical to
     /// [`crate::BoundsEntry::recip`](crate::BoundsEntry).
     pub fn recip(&self, attr: AttrId) -> Option<Q15> {
+        self.scale(attr).map(|(recip, _)| recip)
+    }
+
+    /// The reciprocal of a declared attribute together with its
+    /// saturation distance ([`saturation_distance`]).
+    pub(crate) fn scale(&self, attr: AttrId) -> Option<(Q15, u16)> {
         self.recips
-            .binary_search_by_key(&attr, |&(a, _)| a)
+            .binary_search_by_key(&attr, |&(a, _, _)| a)
             .ok()
-            .map(|idx| self.recips[idx].1)
+            .map(|idx| (self.recips[idx].1, self.recips[idx].2))
     }
 
     /// Number of declared attributes in the reciprocal table.
@@ -323,15 +332,28 @@ impl RetrievalPlane {
     }
 }
 
+/// The smallest distance at which `d · recip` saturates:
+/// `d_cap = ⌈0x8000 / recip⌉`, so `d ≥ d_cap ⇔ d · recip ≥ 0x8000`. A
+/// kernel that clamps `d` to `d_cap` first can form the product in 16
+/// bits (`d_cap · recip < 0x8000 + recip ≤ 0x10000`) and still saturate
+/// exactly where [`Q15::scale_int`] does. A zero reciprocal never
+/// saturates; its cap is the largest distance there is.
+pub(crate) fn saturation_distance(recip: Q15) -> u16 {
+    match recip.raw() {
+        0 => u16::MAX,
+        raw => Q15::ONE.raw().div_ceil(raw),
+    }
+}
+
 /// Flattens the bounds table into the sorted reciprocal slice.
-fn compile_recips(bounds: &BoundsTable) -> Vec<(AttrId, Q15)> {
+fn compile_recips(bounds: &BoundsTable) -> Vec<(AttrId, Q15, u16)> {
     bounds
         .iter()
         .map(|decl| {
             let entry = bounds
                 .entry(decl.id())
                 .expect("iterated declarations resolve");
-            (decl.id(), entry.recip)
+            (decl.id(), entry.recip, saturation_distance(entry.recip))
         })
         .collect()
 }
@@ -393,6 +415,21 @@ mod tests {
             assert_eq!(plane.recip(decl.id()), Some(entry.recip));
         }
         assert_eq!(plane.recip(AttrId::new(999).unwrap()), None);
+    }
+
+    #[test]
+    fn saturation_distance_is_where_scale_int_saturates() {
+        for raw in (0..=0x8000u16).step_by(7).chain([1, 2, 3, 0x7FFF, 0x8000]) {
+            let recip = Q15::new(raw).unwrap();
+            let d_cap = saturation_distance(recip);
+            if raw == 0 {
+                assert_eq!(d_cap, u16::MAX);
+                continue;
+            }
+            assert_eq!(recip.scale_int(d_cap), Q15::ONE, "recip {raw:#x}");
+            assert!(u32::from(d_cap) * u32::from(raw) <= 0xFFFF, "16-bit product");
+            assert!(u32::from(d_cap - 1) * u32::from(raw) < 0x8000, "recip {raw:#x}");
+        }
     }
 
     #[test]

@@ -203,10 +203,15 @@ impl NodeServer {
                     let fence = Arc::clone(&accept_fence);
                     let handle =
                         std::thread::spawn(move || serve_connection(&service, stream, &flag, &fence));
-                    accept_threads
+                    let mut threads = accept_threads
                         .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(handle);
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    // Reap the connections that have ended since the last
+                    // accept: every retry of a `RemoteShard` reconnects,
+                    // so a list that only `shutdown` drains grows for the
+                    // life of the node.
+                    threads.retain(|thread| !thread.is_finished());
+                    threads.push(handle);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(1));
@@ -1157,6 +1162,55 @@ mod tests {
             request: paper::table1_request().unwrap(),
         });
         assert_eq!(after, Err(RetryPolicy::loopback().attempts));
+        if let Some(service) = Arc::into_inner(service) {
+            service.shutdown();
+        }
+    }
+
+    #[test]
+    fn node_server_reaps_finished_connection_threads() {
+        let service = Arc::new(
+            AllocationService::new(
+                &paper::table1_case_base(),
+                &crate::ServiceConfig::default().with_shards(1),
+            )
+            .expect("valid service config"),
+        );
+        let server = NodeServer::spawn(Arc::clone(&service)).unwrap();
+        let threads = Arc::clone(&server.conn_threads);
+        let connect = || {
+            let remote = RemoteShard::tcp(
+                server.addr(),
+                Duration::from_millis(500),
+                RetryPolicy::loopback(),
+            );
+            remote.call_heartbeat(1).expect("the node answers");
+            remote
+        };
+        for _ in 0..64 {
+            drop(connect());
+            // The node sees the close as EOF and its connection thread
+            // returns; wait for that (bounded), so the next accept finds
+            // it finished whatever the scheduler does.
+            let ended = (0..10_000).any(|_| {
+                let ended = threads.lock().unwrap().iter().all(JoinHandle::is_finished);
+                if !ended {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                ended
+            });
+            assert!(ended, "connection thread never ended");
+        }
+        let open = connect();
+        let held = threads.lock().unwrap().len();
+        assert!(held <= 2, "{held} handles held after 65 connections");
+        // Shutdown still joins what is left, the live connection included.
+        server.shutdown();
+        assert!(threads.lock().unwrap().is_empty());
+        assert!(
+            open.call_heartbeat(1).is_err(),
+            "a joined node answers nothing"
+        );
         if let Some(service) = Arc::into_inner(service) {
             service.shutdown();
         }

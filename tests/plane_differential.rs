@@ -26,11 +26,18 @@
 //! invalidation: the plane engine brings its plane up to date once per
 //! observed generation change, recompiles one type plane per mutated type
 //! and never serves a stale plane.
+//!
+//! A second, hand-shaped family aims at what a 16-lane fused kernel can
+//! get wrong and a random stream rarely hits: variant counts around the
+//! lane and unroll boundaries, padded tail lanes that would win if they
+//! were read, ties across lanes and steps, presence bitmaps that change
+//! mid-step, empty and very long plans.
 
 use rqfa::core::{
-    AttrBinding, CaseBase, CaseMutation, FixedEngine, ImplId, ImplVariant, KernelPath,
-    PlaneEngine, Request, TypeId,
+    AttrBinding, AttrDecl, AttrId, BoundsTable, CaseBase, CaseMutation, ExecutionTarget,
+    FixedEngine, FunctionType, ImplId, ImplVariant, KernelPath, PlaneEngine, Request, TypeId,
 };
+use rqfa::memlist::{decode_request, RequestImage, END_MARKER};
 use rqfa::workloads::rng::SmallRng;
 use rqfa::workloads::{CaseGen, RequestGen};
 
@@ -313,4 +320,231 @@ fn scratch_arena_stops_growing_after_warmup() {
         warm,
         "steady state must not grow the scratch arena"
     );
+}
+
+/// Declared attributes of the hand-shaped bases: 1 and 2 dense and far
+/// from 0, 3 and 4 sparse, 5 ..= 44 dense filler for long plans, the
+/// last one bound by no variant.
+const EDGE_ATTRS: u16 = 45;
+const EDGE_TYPE: u16 = 1;
+const OTHER_TYPE: u16 = 2;
+
+fn attr(raw: u16) -> AttrId {
+    AttrId::new(raw).unwrap()
+}
+
+/// A base whose type [`EDGE_TYPE`] has `variants` variants bound as
+/// `value_of(variant index, attribute)` says, plus a small second type
+/// for mutations that must leave the first type's plane alone.
+fn edge_base(variants: usize, value_of: impl Fn(usize, u16) -> Option<u16>) -> CaseBase {
+    let bounds = BoundsTable::from_decls(
+        (1..=EDGE_ATTRS).map(|raw| AttrDecl::new(attr(raw), "edge", 0, 1000).unwrap()),
+    )
+    .unwrap();
+    let variant = |index: usize, bindings| {
+        let id = ImplId::new(u16::try_from(index + 1).unwrap()).unwrap();
+        ImplVariant::new(id, ExecutionTarget::Dsp, bindings).unwrap()
+    };
+    let edge = (0..variants)
+        .map(|index| {
+            let bindings = (1..=EDGE_ATTRS)
+                .filter_map(|raw| Some(AttrBinding::new(attr(raw), value_of(index, raw)?)))
+                .collect();
+            variant(index, bindings)
+        })
+        .collect();
+    let other = (0..3)
+        .map(|index| variant(index, vec![AttrBinding::new(attr(1), 10 * index as u16)]))
+        .collect();
+    CaseBase::new(
+        bounds,
+        vec![
+            FunctionType::new(TypeId::new(EDGE_TYPE).unwrap(), "edge", edge).unwrap(),
+            FunctionType::new(TypeId::new(OTHER_TYPE).unwrap(), "other", other).unwrap(),
+        ],
+    )
+    .unwrap()
+}
+
+fn edge_request(constraints: &[(u16, u16, f64)]) -> Request {
+    constraints
+        .iter()
+        .fold(
+            Request::builder(TypeId::new(EDGE_TYPE).unwrap()),
+            |builder, &(raw, value, weight)| builder.weighted_constraint(attr(raw), value, weight),
+        )
+        .build()
+        .unwrap()
+}
+
+/// Batch answers of the auto, pinned-scalar and naive engines, slot for
+/// slot (ops included between the two plane paths).
+fn check_batch(cb: &CaseBase, plane: &mut PlaneEngine, scalar: &mut PlaneEngine, pool: &[Request]) {
+    let batch: Vec<&Request> = pool.iter().collect();
+    let naive = FixedEngine::new().retrieve_batch(cb, &batch);
+    let fast = plane.retrieve_batch(cb, &batch);
+    let slow = scalar.retrieve_batch(cb, &batch);
+    assert_eq!((naive.len(), slow.len()), (fast.len(), fast.len()));
+    for ((n, p), s) in naive.iter().zip(&fast).zip(&slow) {
+        let (n, p, s) = (
+            n.as_ref().unwrap(),
+            p.as_ref().unwrap(),
+            s.as_ref().unwrap(),
+        );
+        assert_eq!((n.best, n.evaluated), (p.best, p.evaluated));
+        assert_eq!((p.best, p.evaluated, p.ops), (s.best, s.evaluated, s.ops));
+    }
+}
+
+#[test]
+fn lane_tail_and_plan_edge_cases_are_bit_identical() {
+    for variants in [1usize, 15, 16, 17, 31, 32, 33, 63, 64, 65, 512, 1000] {
+        let mut rng = SmallRng::seed_from_u64(0xED6E ^ variants as u64);
+        let noise: Vec<u16> = (0..variants * usize::from(EDGE_ATTRS))
+            .map(|_| rng.gen_range(0..=1000u16))
+            .collect();
+        let mut cb = edge_base(variants, |index, raw| {
+            let random = noise[index * usize::from(EDGE_ATTRS) + usize::from(raw - 1)];
+            match raw {
+                // Dense, every real value far from the padding's 0.
+                1 | 2 => Some(500 + random / 2),
+                // Sparse: presence flips every 11 and every 5 variants,
+                // so it changes inside lane-steps and bitmap words.
+                3 => ((index / 11) % 2 == 0).then_some(random),
+                4 => (index % 5 != 0 && index != variants - 1).then_some(random),
+                EDGE_ATTRS => None,
+                _ => Some(random),
+            }
+        });
+        let everything: Vec<(u16, u16, f64)> = (1..=EDGE_ATTRS)
+            .map(|raw| (raw, rng.gen_range(0..=1000u16), f64::from(1 + raw % 7)))
+            .collect();
+        // Weight words as they can arrive off the wire: each a valid
+        // UQ1.15 word, their sum well above 0x8000. (The decoder rebuilds
+        // through the normalizing builder; un-normalized plans are the
+        // kernel unit tests' business.)
+        let heavy = decode_request(
+            &RequestImage::from_words(vec![
+                EDGE_TYPE, 1, 600, 0x8000, 3, 300, 0x8000, 4, 900, 0x6000, END_MARKER,
+            ])
+            .unwrap(),
+        )
+        .unwrap();
+        let mut pool = vec![
+            // Padding would win if read: padded slots hold value 0.
+            edge_request(&[(1, 0, 1.0), (2, 0, 1.0)]),
+            // An empty plan: the one constraint has no column.
+            edge_request(&[(EDGE_ATTRS, 7, 1.0)]),
+            // One planned constraint: dense (weight 1.0), then sparse.
+            edge_request(&[(2, 777, 1.0)]),
+            edge_request(&[(3, 500, 1.0)]),
+            // A zero weight word next to a full one.
+            edge_request(&[(1, 640, 0.0), (4, 500, 1.0)]),
+            // Far more constraints than lanes, unroll factor or registers.
+            edge_request(&everything),
+            heavy,
+        ];
+        for _ in 0..24 {
+            let anchor = rng.gen_range(1..=EDGE_ATTRS);
+            let mut picked = Vec::new();
+            for raw in 1..=EDGE_ATTRS {
+                if raw == anchor || rng.gen_bool(0.2) {
+                    picked.push((
+                        raw,
+                        rng.gen_range(0..=1000u16),
+                        rng.gen_range(1..=9u32).into(),
+                    ));
+                }
+            }
+            pool.push(edge_request(&picked));
+        }
+
+        let mut plane = PlaneEngine::new();
+        let mut scalar = PlaneEngine::with_kernel(KernelPath::ForceScalar);
+        let check_pool = |cb: &CaseBase, plane: &mut PlaneEngine, scalar: &mut PlaneEngine| {
+            for request in &pool {
+                for n in [0, 1, 4, variants + 1] {
+                    check_request(cb, plane, scalar, request, n);
+                }
+            }
+            check_batch(cb, plane, scalar, &pool);
+        };
+        check_pool(&cb, &mut plane, &mut scalar);
+
+        // A mutation between two batches recompiles one type plane; the
+        // scale constants image the bounds table and do not move.
+        let recips: Vec<_> = (1..=EDGE_ATTRS)
+            .map(|raw| plane.plane(&cb).recip(attr(raw)))
+            .collect();
+        let compiled = plane.types_recompiled();
+        cb.apply_mutation(&CaseMutation::Evict {
+            type_id: TypeId::new(OTHER_TYPE).unwrap(),
+            impl_id: ImplId::new(2).unwrap(),
+        })
+        .unwrap();
+        check_pool(&cb, &mut plane, &mut scalar);
+        assert_eq!(
+            plane.types_recompiled(),
+            compiled + 1,
+            "{variants} variants"
+        );
+        // … and one that moves this type's tail: the winner-to-be lands
+        // in a new last lane.
+        let last = ImplId::new(u16::try_from(variants + 1).unwrap()).unwrap();
+        cb.apply_mutation(&CaseMutation::Retain {
+            type_id: TypeId::new(EDGE_TYPE).unwrap(),
+            variant: ImplVariant::new(
+                last,
+                ExecutionTarget::Fpga,
+                vec![AttrBinding::new(attr(1), 0), AttrBinding::new(attr(2), 0)],
+            )
+            .unwrap(),
+        })
+        .unwrap();
+        check_pool(&cb, &mut plane, &mut scalar);
+        assert_eq!(plane.types_recompiled(), compiled + 2);
+        let tail_winner = plane.retrieve(&cb, &pool[0]).unwrap().best.unwrap();
+        assert_eq!(
+            (tail_winner.impl_id, tail_winner.similarity.raw()),
+            (last, 0x8000)
+        );
+        let after: Vec<_> = (1..=EDGE_ATTRS)
+            .map(|raw| plane.plane(&cb).recip(attr(raw)))
+            .collect();
+        assert_eq!(recips, after);
+    }
+}
+
+#[test]
+fn ties_resolve_to_the_first_variant_across_lanes_and_steps() {
+    let exact = edge_request(&[(1, 700, 1.0), (2, 700, 3.0)]);
+    let winner = |cb: &CaseBase| {
+        let mut plane = PlaneEngine::new();
+        let mut scalar = PlaneEngine::with_kernel(KernelPath::ForceScalar);
+        for n in [1, 5, 64] {
+            check_request(cb, &mut plane, &mut scalar, &exact, n);
+        }
+        plane.retrieve(cb, &exact).unwrap().best.unwrap()
+    };
+    for variants in [1usize, 16, 17, 40, 64, 100] {
+        // Every variant ties: the first one wins.
+        let all_tie = edge_base(variants, |_, raw| (raw <= 2).then_some(650));
+        assert_eq!(winner(&all_tie).impl_id, ImplId::new(1).unwrap());
+        // The only maximum sits in the last real lane of the tail.
+        let last_wins = edge_base(variants, |index, raw| {
+            (raw <= 2).then_some(if index == variants - 1 { 700 } else { 100 })
+        });
+        let best = winner(&last_wins);
+        assert_eq!(usize::from(best.impl_id.raw()), variants);
+        assert_eq!(best.similarity.raw(), 0x8000);
+    }
+    // Equal maxima in lane 3 of step 0, lanes 0 and 3 of step 1, lane 3
+    // of step 2: within a lane the earlier step wins, across lanes the
+    // smaller index does. Then the same with index 3 out of the race.
+    for (maxima, first) in [([3usize, 16, 19, 35], 3usize), ([99, 16, 19, 35], 16)] {
+        let tied = edge_base(40, |index, raw| {
+            (raw <= 2).then_some(if maxima.contains(&index) { 700 } else { 400 })
+        });
+        assert_eq!(usize::from(winner(&tied).impl_id.raw()), first + 1);
+    }
 }
