@@ -16,16 +16,20 @@
 //!   function type — the generation of that type's last mutation — so a
 //!   mutation invalidates one type's entries). A lookup hits only when the
 //!   stamp matches; a mismatch is a *stale* miss that drops the entry on
-//!   the spot, so the recompute that follows re-inserts it with a fresh
-//!   age (the historical FIFO cache kept the old age — see
+//!   the spot, so the recompute that follows re-inserts it as the newest
+//!   entry (the historical FIFO cache kept the old position — see
 //!   `docs/caching.md` for why that was a bug). At capacity the oldest
 //!   *insertion* is evicted — FIFO: hits and overwrites do no
 //!   bookkeeping at all.
 //! * [`RankedEntry`] — cross-request n-best subsumption: a cached top-*k*
 //!   ranking answers later best-of and top-*j* (`j ≤ k`) lookups exactly.
+//! * [`DigestState`] — the hasher for maps keyed by a fingerprint: one
+//!   seeded multiply, because the key is a digest already.
 //!
-//! Everything is deterministic — no clocks, no randomness — so a
-//! brute-force model can (and does, in the workspace test
+//! Observable behaviour is a pure function of the operation history — no
+//! clocks, and the one random value, the index's hash seed, decides only
+//! where an entry sits, never which one is evicted — so a brute-force
+//! model can (and does, in the workspace test
 //! `tests/cache_differential.rs`) replay arbitrary operation traces and
 //! demand bit-identical observable behaviour.
 //!
@@ -45,12 +49,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod digest;
 mod ranked;
 
+pub use digest::DigestState;
 pub use ranked::RankedEntry;
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Cumulative observable counters of one [`GenCache`].
 ///
@@ -90,13 +95,19 @@ impl CacheStats {
     }
 }
 
-/// One resident entry: the value, the generation it was computed at, and
-/// its insertion age (its key in the eviction queue).
+/// "No slot": the end of the insertion-order list and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot. A live slot is a node of the insertion-order list; a
+/// free one holds no value and links to the next free slot by `next`.
 #[derive(Debug, Clone)]
 struct Slot<V, G> {
+    key: u64,
+    prev: u32,
+    next: u32,
+    /// The generation `value` was computed at.
     stamp: G,
-    value: V,
-    age: u64,
+    value: Option<V>,
 }
 
 /// Fingerprint-keyed, generation-invalidated, FIFO-evicted store.
@@ -109,31 +120,43 @@ struct Slot<V, G> {
 /// * a lookup hits iff the key is resident **and** its stamp equals the
 ///   lookup stamp (and the optional coverage predicate holds);
 /// * a stale entry is removed at detection, so its eventual re-insert is
-///   a *fresh* insert with a fresh age;
+///   a *fresh* insert, the newest in the eviction order;
 /// * an insert over a resident key overwrites in place and keeps the
-///   original insertion age;
+///   original place in the eviction order;
 /// * at capacity a fresh insert evicts the oldest insertion;
 /// * capacity 0 disables storage entirely (lookups still count).
+///
+/// Entries live in one slab, threaded into a list in insertion order
+/// (the victim is its head); one index maps fingerprint → slot. Every
+/// operation is O(1), and a store writes into a slot: nothing is
+/// allocated per entry unless `V` itself does.
 #[derive(Debug, Clone)]
 pub struct GenCache<V, G: Copy + Eq> {
     capacity: usize,
-    map: HashMap<u64, Slot<V, G>>,
-    /// Insertion age → key, oldest first. Ages come from one monotone
-    /// counter, so the victim choice is a pure function of the operation
-    /// history — two caches fed the same operations evict identically.
-    queue: BTreeMap<u64, u64>,
-    seq: u64,
+    slots: Vec<Slot<V, G>>,
+    /// Fingerprint → slot. Probed, never iterated: victims come from the
+    /// list, so the hash seed cannot reach observable behaviour — two
+    /// caches fed the same operations evict identically.
+    index: HashMap<u64, u32, DigestState>,
+    /// The oldest and the newest insertion, and the first free slot.
+    head: u32,
+    tail: u32,
+    free: u32,
     stats: CacheStats,
 }
 
 impl<V, G: Copy + Eq> GenCache<V, G> {
     /// A cache of at most `capacity` entries (0 disables caching).
     pub fn new(capacity: usize) -> GenCache<V, G> {
+        // Reserved, not touched: a large cache costs pages as it fills.
+        let reserve = capacity.min(1 << 16);
         GenCache {
-            capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 16)),
-            queue: BTreeMap::new(),
-            seq: 0,
+            capacity: capacity.min(NIL as usize), // slot numbers are `u32`
+            slots: Vec::with_capacity(reserve),
+            index: HashMap::with_capacity_and_hasher(reserve, DigestState::default()),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
             stats: CacheStats::default(),
         }
     }
@@ -153,97 +176,122 @@ impl<V, G: Copy + Eq> GenCache<V, G> {
         stamp: G,
         covers: impl FnOnce(&V) -> bool,
     ) -> Option<&V> {
-        // Go through the entry API so the hot hit path probes the map
-        // exactly once.
         self.stats.lookups += 1;
-        match self.map.entry(key) {
-            Entry::Occupied(slot) => {
-                if slot.get().stamp == stamp {
-                    if covers(&slot.get().value) {
-                        self.stats.hits += 1;
-                        Some(&slot.into_mut().value)
-                    } else {
-                        self.stats.misses += 1;
-                        self.stats.uncovered += 1;
-                        None
-                    }
-                } else {
-                    // Invalidated by a mutation. A stamp never returns to a
-                    // value it left, so the entry can never hit again —
-                    // drop it now, which
-                    // also re-ages the recompute that follows (the refresh
-                    // enters as a brand-new insert).
-                    self.stats.misses += 1;
-                    self.stats.stale += 1;
-                    self.queue.remove(&slot.remove().age);
-                    None
-                }
-            }
-            Entry::Vacant(_) => {
-                self.stats.misses += 1;
-                None
-            }
+        let Some(&at) = self.index.get(&key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        if self.slots[at as usize].stamp != stamp {
+            // Invalidated by a mutation. A stamp never returns to a value
+            // it left, so the entry can never hit again — drop it now,
+            // which also re-ages the recompute that follows (the refresh
+            // enters as a brand-new insert).
+            self.stats.stale += 1;
+            self.stats.misses += 1;
+            self.remove(key);
+            return None;
         }
+        let value = self.slots[at as usize].value.as_ref().filter(|value| covers(value));
+        if value.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.uncovered += 1;
+            self.stats.misses += 1;
+        }
+        value
     }
 
-    /// The resident value at `stamp` without touching statistics (for
-    /// merge decisions before an insert).
+    /// The resident value at `stamp` without touching statistics.
     pub fn peek(&self, key: u64, stamp: G) -> Option<&V> {
-        self.map
-            .get(&key)
-            .filter(|slot| slot.stamp == stamp)
-            .map(|slot| &slot.value)
+        let slot = &self.slots[*self.index.get(&key)? as usize];
+        slot.value.as_ref().filter(|_| slot.stamp == stamp)
     }
 
     /// Stores `value` computed at `stamp`. Overwrites in place when the
     /// key is resident (whatever its old stamp); otherwise the oldest
-    /// insertions are evicted down to capacity and the entry enters fresh.
+    /// insertion is evicted at capacity and the entry enters fresh.
     pub fn insert(&mut self, key: u64, stamp: G, value: V) {
+        self.insert_if(key, stamp, value, |_| true);
+    }
+
+    /// Like [`GenCache::insert`], but a resident value *of the same
+    /// stamp* is shown to `replace` first; if that refuses, the store
+    /// stays as it was and nothing is counted. (A merge rule such as
+    /// keep-the-wider-entry costs no probe of its own this way.)
+    pub fn insert_if(&mut self, key: u64, stamp: G, value: V, replace: impl FnOnce(&V) -> bool) {
         if self.capacity == 0 {
             return;
         }
-        self.stats.insertions += 1;
-        if let Some(slot) = self.map.get_mut(&key) {
-            slot.stamp = stamp;
-            slot.value = value;
+        if let Some(&at) = self.index.get(&key) {
+            let slot = &mut self.slots[at as usize];
+            if slot.stamp != stamp || slot.value.as_ref().is_none_or(replace) {
+                self.stats.insertions += 1;
+                (slot.stamp, slot.value) = (stamp, Some(value));
+            }
             return;
         }
-        while self.map.len() >= self.capacity {
-            let Some((_, victim)) = self.queue.pop_first() else {
-                break;
-            };
-            self.map.remove(&victim);
+        self.stats.insertions += 1;
+        if self.index.len() >= self.capacity {
             self.stats.evictions += 1;
+            self.remove(self.slots[self.head as usize].key);
         }
-        self.seq += 1;
-        let age = self.seq;
-        self.map.insert(key, Slot { stamp, value, age });
-        self.queue.insert(age, key);
+        let slot = Slot {
+            key,
+            prev: self.tail,
+            next: NIL,
+            stamp,
+            value: Some(value),
+        };
+        let mut at = self.free;
+        if at == NIL {
+            at = self.slots.len() as u32; // below the capacity, which is at most `NIL`
+            self.slots.push(slot);
+        } else {
+            self.free = std::mem::replace(&mut self.slots[at as usize], slot).next;
+        }
+        match self.tail {
+            NIL => self.head = at,
+            tail => self.slots[tail as usize].next = at,
+        }
+        self.tail = at;
+        self.index.insert(key, at);
         self.debug_check();
     }
 
-    /// Drops one key (e.g. a targeted invalidation), returning its value.
+    /// Drops one key (e.g. a targeted invalidation), returning its value:
+    /// its slot leaves the index and the list for the free list.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        let slot = self.map.remove(&key)?;
-        self.queue.remove(&slot.age);
+        let at = self.index.remove(&key)?;
+        let slot = &mut self.slots[at as usize];
+        let (prev, next, value) = (slot.prev, slot.next, slot.value.take());
+        slot.next = std::mem::replace(&mut self.free, at);
+        match prev {
+            NIL => self.head = next,
+            prev => self.slots[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.slots[next as usize].prev = prev,
+        }
         self.debug_check();
-        Some(slot.value)
+        value
     }
 
     /// Drops every entry (statistics survive).
     pub fn clear(&mut self) {
-        self.map.clear();
-        self.queue.clear();
+        self.index.clear();
+        self.slots.clear();
+        (self.head, self.tail, self.free) = (NIL, NIL, NIL);
     }
 
     /// Live entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// The configured capacity bound.
@@ -256,13 +304,29 @@ impl<V, G: Copy + Eq> GenCache<V, G> {
         self.stats
     }
 
-    /// Resident set and eviction queue must never drift apart.
+    /// Slab, list and index must describe one resident set: debug builds
+    /// walk all three after every change of structure.
     fn debug_check(&self) {
-        debug_assert_eq!(
-            self.map.len(),
-            self.queue.len(),
-            "eviction queue desynced from the resident set"
-        );
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let (mut at, mut prev, mut live, mut free) = (self.head, NIL, 0, 0);
+        while at != NIL {
+            let slot = &self.slots[at as usize];
+            assert!(slot.value.is_some(), "slot {at} is listed but free");
+            assert_eq!(slot.prev, prev, "slot {at} does not link back");
+            assert_eq!(self.index.get(&slot.key), Some(&at), "slot {at} is not indexed by its key");
+            (prev, at, live) = (at, slot.next, live + 1);
+        }
+        assert_eq!(prev, self.tail, "the list does not end at its tail");
+        at = self.free;
+        while at != NIL {
+            assert!(self.slots[at as usize].value.is_none(), "slot {at} is free but live");
+            (at, free) = (self.slots[at as usize].next, free + 1);
+        }
+        assert_eq!(live, self.index.len(), "list and index differ in length");
+        assert_eq!(live + free, self.slots.len(), "a slot is neither listed nor free");
+        assert!(self.slots.len() <= self.capacity, "the slab outgrew the capacity");
     }
 }
 
@@ -334,6 +398,35 @@ mod tests {
         assert_eq!(c.remove(1), Some(9));
         assert_eq!(c.remove(1), None);
         assert_eq!(c.stats().lookups, 0);
+    }
+
+    #[test]
+    fn insert_if_asks_a_same_stamp_resident_and_nobody_else() {
+        let mut c = cache(4);
+        c.insert_if(1, 0, 10, |_| unreachable!("nothing resident"));
+        c.insert_if(1, 0, 11, |&old| old > 10);
+        assert_eq!((c.peek(1, 0), c.stats().insertions), (Some(&10), 1), "refused: untouched");
+        c.insert_if(1, 0, 12, |&old| old == 10);
+        assert_eq!((c.peek(1, 0), c.stats().insertions), (Some(&12), 2));
+        c.insert_if(1, 1, 13, |_| unreachable!("another stamp is overwritten unasked"));
+        assert_eq!((c.peek(1, 1), c.len()), (Some(&13), 1));
+    }
+
+    #[test]
+    fn freed_slots_are_recycled_and_the_slab_stays_within_capacity() {
+        let mut c = cache(4);
+        for round in 0..50u64 {
+            for key in 0..6 {
+                c.insert(round * 6 + key, round, 0);
+            }
+            // A removal from the middle of the list and a stale drop at
+            // its head, so the free list holds slots out of slab order.
+            c.remove(round * 6 + 4);
+            assert_eq!(c.lookup(round * 6 + 2, round + 1), None);
+            assert_eq!(c.len(), 2);
+        }
+        assert_eq!(c.slots.len(), 4, "grown to capacity once, then recycled");
+        assert_eq!(c.stats().evictions, 2 + 49 * 4);
     }
 
     #[test]

@@ -17,7 +17,13 @@
 /// A cached ranking: the top-`requested` of `evaluated` candidates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankedEntry<T> {
-    ranked: Vec<T>,
+    /// A ranking of at most one element — every best-of result — inline:
+    /// the entry owns no heap block and a hit reads its answer from the
+    /// entry itself.
+    head: Option<T>,
+    /// A longer ranking, whole (`head` is `None`), so that
+    /// [`RankedEntry::ranked`] is one slice either way.
+    long: Vec<T>,
     requested: usize,
     evaluated: usize,
 }
@@ -26,15 +32,31 @@ impl<T> RankedEntry<T> {
     /// Wraps the top-`requested` ranking of `evaluated` candidates.
     /// `ranked` must be the unfiltered prefix, i.e.
     /// `ranked.len() == min(requested, evaluated)`.
-    pub fn new(ranked: Vec<T>, requested: usize, evaluated: usize) -> RankedEntry<T> {
+    pub fn new(mut ranked: Vec<T>, requested: usize, evaluated: usize) -> RankedEntry<T> {
         debug_assert_eq!(
             ranked.len(),
             requested.min(evaluated),
             "ranked list must be the unfiltered top-requested prefix"
         );
+        let head = if ranked.len() > 1 { None } else { ranked.pop() };
+        // A vector emptied into `head` is dropped, not kept for its block.
+        let long = if head.is_none() { ranked } else { Vec::new() };
         RankedEntry {
-            ranked,
+            head,
+            long,
             requested,
+            evaluated,
+        }
+    }
+
+    /// The best-of result of a scan over `evaluated` candidates (a
+    /// ranking of size 1), built without touching the heap.
+    pub fn best_of(best: Option<T>, evaluated: usize) -> RankedEntry<T> {
+        debug_assert_eq!(best.is_some(), evaluated > 0, "a scan of anything has a winner");
+        RankedEntry {
+            head: best,
+            long: Vec::new(),
+            requested: 1,
             evaluated,
         }
     }
@@ -52,17 +74,21 @@ impl<T> RankedEntry<T> {
 
     /// The top-`n` prefix. Only exact when [`RankedEntry::covers`]`(n)`.
     pub fn prefix(&self, n: usize) -> &[T] {
-        &self.ranked[..self.ranked.len().min(n)]
+        let ranked = self.ranked();
+        &ranked[..ranked.len().min(n)]
     }
 
     /// The single best candidate (a best-of lookup is `prefix(1)`).
     pub fn best(&self) -> Option<&T> {
-        self.ranked.first()
+        self.ranked().first()
     }
 
     /// The full stored ranking.
     pub fn ranked(&self) -> &[T] {
-        &self.ranked
+        match &self.head {
+            Some(_) => self.head.as_slice(),
+            None => &self.long,
+        }
     }
 
     /// The request size this entry was computed for.
@@ -116,5 +142,20 @@ mod tests {
         assert!(e.is_complete());
         assert!(e.covers(3));
         assert_eq!(e.best(), None);
+    }
+
+    #[test]
+    fn a_ranking_of_at_most_one_is_inline_and_reads_like_a_list() {
+        let e = RankedEntry::best_of(Some(7), 9);
+        assert_eq!(e, RankedEntry::new(vec![7], 1, 9));
+        assert_eq!((e.best(), e.ranked(), e.prefix(5)), (Some(&7), &[7][..], &[7][..]));
+        assert!(e.covers(1) && !e.covers(2));
+        // No heap block either way in, and none for the empty ranking.
+        assert_eq!(e.long.capacity(), 0);
+        assert_eq!(RankedEntry::new(vec![7], 1, 9).long.capacity(), 0);
+        assert_eq!(RankedEntry::<u32>::best_of(None, 0), RankedEntry::new(vec![], 1, 0));
+        // A longer ranking stays one slice.
+        let wide = RankedEntry::new(vec![3, 2], 2, 9);
+        assert_eq!((wide.best(), wide.ranked(), wide.prefix(1)), (Some(&3), &[3, 2][..], &[3][..]));
     }
 }

@@ -21,16 +21,28 @@ use crate::error::NetError;
 use crate::frame::{decode_frame, FRAME_MAGIC, HEADER_WORDS, MAX_PAYLOAD_WORDS, TRAILER_WORDS};
 use crate::wire::{decode_message, encode_message, Message};
 
+/// Bytes of a frame header.
+const HEADER_BYTES: usize = HEADER_WORDS * 2;
+
 /// A message-framed connection over any byte stream.
 #[derive(Debug)]
 pub struct FrameConn<S> {
     stream: S,
+    /// The frame being received, of which `filled` bytes have arrived.
+    /// It lives here, not in `recv`, so a read timeout inside a frame
+    /// loses nothing (and no frame costs a buffer of its own).
+    frame: Vec<u8>,
+    filled: usize,
 }
 
 impl<S: Read + Write> FrameConn<S> {
     /// Wraps a stream.
     pub fn new(stream: S) -> FrameConn<S> {
-        FrameConn { stream }
+        FrameConn {
+            stream,
+            frame: Vec::new(),
+            filled: 0,
+        }
     }
 
     /// The wrapped stream.
@@ -64,29 +76,46 @@ impl<S: Read + Write> FrameConn<S> {
     ///
     /// # Errors
     ///
-    /// [`NetError::Timeout`] when the socket's read timeout elapses,
-    /// [`NetError::Truncated`] when the peer closes mid-frame, and the
-    /// frame/wire decode errors for damaged bytes.
+    /// [`NetError::Timeout`] when the socket's read timeout elapses —
+    /// whatever part of a frame had arrived is kept, so calling again
+    /// resumes where the read stopped; [`NetError::Truncated`] when the
+    /// peer closes mid-frame, and the frame/wire decode errors for
+    /// damaged bytes.
     pub fn recv(&mut self) -> Result<(Message, usize), NetError> {
-        let mut header = [0u8; HEADER_WORDS * 2];
-        self.stream.read_exact(&mut header)?;
-        let magic = u16::from_le_bytes([header[0], header[1]]);
+        self.fill(HEADER_BYTES)?;
+        let magic = u16::from_le_bytes([self.frame[0], self.frame[1]]);
         if magic != FRAME_MAGIC {
             // The stream is desynchronized — there is no way to find the
             // next boundary, so the connection is unusable from here on.
             return Err(NetError::BadMagic { found: magic });
         }
-        let len = usize::from(u16::from_le_bytes([header[4], header[5]]));
+        let len = usize::from(u16::from_le_bytes([self.frame[4], self.frame[5]]));
         if len > MAX_PAYLOAD_WORDS {
             return Err(NetError::PayloadTooLarge { words: len });
         }
-        let mut rest = vec![0u8; (len + TRAILER_WORDS) * 2];
-        self.stream.read_exact(&mut rest)?;
-        let mut bytes = Vec::with_capacity(header.len() + rest.len());
-        bytes.extend_from_slice(&header);
-        bytes.extend_from_slice(&rest);
-        let message = decode_message(&decode_frame(&bytes)?)?;
-        Ok((message, bytes.len()))
+        let bytes = HEADER_BYTES + (len + TRAILER_WORDS) * 2;
+        self.fill(bytes)?;
+        // Whatever the decoders say, this frame's bytes are consumed.
+        self.filled = 0;
+        let message = decode_message(&decode_frame(&self.frame[..bytes])?)?;
+        Ok((message, bytes))
+    }
+
+    /// Reads until the first `upto` bytes of the current frame are here:
+    /// one `read` when the stream has them, as `read_exact` would.
+    fn fill(&mut self, upto: usize) -> Result<(), NetError> {
+        if self.frame.len() < upto {
+            self.frame.resize(upto, 0);
+        }
+        while self.filled < upto {
+            match self.stream.read(&mut self.frame[self.filled..upto]) {
+                Ok(0) => return Err(NetError::Truncated),
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -285,6 +314,78 @@ mod tests {
         };
         let mut torn = FrameConn::new(cut);
         assert!(matches!(torn.recv(), Err(NetError::Truncated)));
+    }
+
+    /// A socket that has every byte of `bytes` ready, except that the
+    /// read reaching offset `timeout_at` stops there and the next one
+    /// times out, once. Counts the `read` calls made.
+    struct Trickle {
+        bytes: Cursor<Vec<u8>>,
+        timeout_at: Option<usize>,
+        reads: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let at = usize::try_from(self.bytes.position()).unwrap();
+            match self.timeout_at {
+                Some(stop) if stop == at => {
+                    self.timeout_at = None;
+                    Err(std::io::ErrorKind::TimedOut.into())
+                }
+                Some(stop) if (at..at + out.len()).contains(&stop) => {
+                    self.bytes.read(&mut out[..stop - at])
+                }
+                _ => self.bytes.read(out),
+            }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            unreachable!("receive-only")
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn recv_resumes_after_a_timeout_at_every_byte_offset() {
+        // The node polls with a 25 ms read timeout; a frame that trickles
+        // in across one used to lose the bytes already read, and the next
+        // call parsed the frame's tail as a header.
+        let first = Message::TailAck(TailAck { generation: 7 });
+        let second = Message::TailAck(TailAck { generation: 8 });
+        let mut bytes = encode_message(&first).unwrap();
+        let frame = bytes.len();
+        bytes.extend(encode_message(&second).unwrap());
+        // Offset 0 is an idle poll and `HEADER_BYTES` the gap between
+        // header and body; the others split the header or the body.
+        for timeout_at in (0..frame).map(Some).chain([None]) {
+            let mut conn = FrameConn::new(Trickle {
+                bytes: Cursor::new(bytes.clone()),
+                timeout_at,
+                reads: 0,
+            });
+            if timeout_at.is_some() {
+                assert!(matches!(conn.recv(), Err(NetError::Timeout)), "{timeout_at:?}");
+            }
+            assert_eq!(conn.recv().unwrap(), (first.clone(), frame), "{timeout_at:?}");
+            assert_eq!(conn.recv().unwrap(), (second.clone(), frame), "{timeout_at:?}");
+            // Header and body, one `read` each, as with `read_exact`; a
+            // timeout adds itself and the second half of the read it split.
+            let reads = conn.get_ref().reads;
+            let expected = match timeout_at {
+                None => 4,
+                // On a boundary between reads there is nothing to split.
+                Some(at) if at == 0 || at == HEADER_BYTES => 5,
+                Some(_) => 6,
+            };
+            assert_eq!(reads, expected, "{timeout_at:?}");
+        }
     }
 
     #[test]

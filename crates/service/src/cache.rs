@@ -111,11 +111,7 @@ impl RetrievalCache {
         self.insert_entry(
             fingerprint,
             generation,
-            RankedEntry::new(
-                result.best.into_iter().collect(),
-                1,
-                result.evaluated,
-            ),
+            RankedEntry::best_of(result.best, result.evaluated),
         );
     }
 
@@ -149,12 +145,8 @@ impl RetrievalCache {
         generation: Generation,
         entry: RankedEntry<Scored<Q15>>,
     ) {
-        if let Some(existing) = self.inner.peek(fingerprint, generation) {
-            if existing.coverage() >= entry.coverage() {
-                return;
-            }
-        }
-        self.inner.insert(fingerprint, generation, entry);
+        let coverage = entry.coverage();
+        self.inner.insert_if(fingerprint, generation, entry, |old| old.coverage() < coverage);
     }
 
     /// Live entries.

@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 
+use rqfa_cache::DigestState;
 use rqfa_core::{
     CaseBase, CaseMutation, CoreError, Generation, PlaneEngine, Request, Retrieval, TypeId,
 };
@@ -462,7 +463,7 @@ impl ShardCore {
                 batch: Vec::new(),
                 leaders: Vec::new(),
                 results: Vec::new(),
-                seen: HashMap::new(),
+                seen: HashMap::default(),
                 followers: Vec::new(),
                 deltas: BatchDeltas::default(),
                 waiters: Waiters::default(),
@@ -525,8 +526,9 @@ struct WorkerContext {
     leaders: Vec<Leader>,
     /// Engine results of the current batch's leaders, reused.
     results: Vec<Result<Retrieval<Q15>, CoreError>>,
-    /// Batch-local map: fingerprint → leader index in `leaders`.
-    seen: HashMap<u64, usize>,
+    /// Batch-local map: fingerprint → leader index in `leaders` (hashed
+    /// like the cache's index: the key is a digest already).
+    seen: HashMap<u64, usize, DigestState>,
     /// Coalesced within-batch duplicates: `(leader index, job)`.
     followers: Vec<(usize, Job)>,
     /// The current batch's outcome deltas, committed batch-atomically.

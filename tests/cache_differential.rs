@@ -9,7 +9,11 @@
 //! [`GenCache`] and the model in lockstep and demand bit-identical
 //! observable behaviour (returned values, resident count, and the full
 //! statistics block) after *every* operation, at capacities 0 (storage
-//! disabled, lookups still count), 1 and 16.
+//! disabled, lookups still count), 1 and 16 over 64 keys, and 256 over
+//! 1024 keys. Halfway through each trace the real cache is cloned, and
+//! the clone replays the rest in lockstep with the original. In a debug
+//! build the store additionally re-checks its own structure (slab, list,
+//! index) after every change.
 //!
 //! On top of the generic differential core:
 //!
@@ -171,49 +175,95 @@ impl ModelCache {
 // The differential core
 // ---------------------------------------------------------------------------
 
+/// One operation of a trace.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// A lookup at the current generation — the only stamp a real caller
+    /// ever has in hand.
+    Lookup,
+    /// A coverage-gated lookup (the n-best subsumption shape): a fresh
+    /// entry failing the predicate is an *uncovered* miss that stays
+    /// resident.
+    LookupIfOdd,
+    /// An insert with a distinguishable payload, so a divergence in
+    /// *which* entry survives shows up as a value mismatch.
+    Insert(u64),
+    /// Targeted invalidation.
+    Remove,
+}
+
+fn odd(value: u64) -> bool {
+    !value.is_multiple_of(2)
+}
+
+impl Op {
+    fn on_real(self, cache: &mut GenCache<u64, u64>, key: u64, generation: u64) -> Option<u64> {
+        match self {
+            Op::Lookup => cache.lookup(key, generation).copied(),
+            Op::LookupIfOdd => cache.lookup_if(key, generation, |&v| odd(v)).copied(),
+            Op::Insert(value) => {
+                cache.insert(key, generation, value);
+                None
+            }
+            Op::Remove => cache.remove(key),
+        }
+    }
+
+    fn on_model(self, cache: &mut ModelCache, key: u64, generation: u64) -> Option<u64> {
+        match self {
+            Op::Lookup => cache.lookup(key, generation),
+            Op::LookupIfOdd => cache.lookup_if(key, generation, odd),
+            Op::Insert(value) => {
+                cache.insert(key, generation, value);
+                None
+            }
+            Op::Remove => cache.remove(key),
+        }
+    }
+}
+
 /// One seeded trace through the real cache and the model, asserting
-/// identical observable behaviour after every operation.
-fn drive_trace(capacity: usize, seed: u64) -> ModelStats {
-    let label = format!("capacity={capacity} seed={seed}");
+/// identical observable behaviour after every operation. Halfway through,
+/// the real cache is cloned, and the clone has to replay the rest of the
+/// trace exactly as the original does.
+fn drive_trace(capacity: usize, universe: u64, seed: u64) -> ModelStats {
+    let label = format!("capacity={capacity} universe={universe} seed={seed}");
     let mut real: GenCache<u64, u64> = GenCache::new(capacity);
+    let mut clone: Option<GenCache<u64, u64>> = None;
     let mut model = ModelCache::new(capacity);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1FF_CACE);
     let mut generation: u64 = 0;
     let mut next_value: u64 = 0;
     for step in 0..OPS_PER_TRACE {
-        let key = rng.gen_range(0..KEY_UNIVERSE);
-        match rng.gen_range(0..100u32) {
-            // Lookups at the current generation — the only stamp a real
-            // caller ever has in hand.
-            0..=39 => {
-                let want = model.lookup(key, generation);
-                let got = real.lookup(key, generation).copied();
-                assert_eq!(got, want, "{label} step {step}: lookup({key})");
-            }
-            // Coverage-gated lookups (the n-best subsumption shape): a
-            // fresh entry failing the predicate is an *uncovered* miss
-            // that stays resident.
-            40..=44 => {
-                let covers = |v: u64| !v.is_multiple_of(2);
-                let want = model.lookup_if(key, generation, covers);
-                let got = real.lookup_if(key, generation, |&v| covers(v)).copied();
-                assert_eq!(got, want, "{label} step {step}: lookup_if({key})");
-            }
-            // Inserts with distinguishable payloads, so a divergence in
-            // *which* entry survives shows up as a value mismatch.
+        if step == OPS_PER_TRACE / 2 {
+            clone = Some(real.clone());
+        }
+        let key = rng.gen_range(0..universe);
+        let op = match rng.gen_range(0..100u32) {
+            0..=39 => Op::Lookup,
+            40..=44 => Op::LookupIfOdd,
             45..=84 => {
                 next_value += 1;
-                real.insert(key, generation, next_value);
-                model.insert(key, generation, next_value);
+                Op::Insert(next_value)
             }
             // Case-base mutation: every resident entry goes stale at once.
-            85..=89 => generation += 1,
-            // Targeted invalidation.
-            _ => {
-                let want = model.remove(key);
-                let got = real.remove(key);
-                assert_eq!(got, want, "{label} step {step}: remove({key})");
+            85..=89 => {
+                generation += 1;
+                continue;
             }
+            _ => Op::Remove,
+        };
+        let want = op.on_model(&mut model, key, generation);
+        let got = op.on_real(&mut real, key, generation);
+        assert_eq!(got, want, "{label} step {step}: {op:?} on key {key}");
+        if let Some(clone) = &mut clone {
+            let cloned = op.on_real(clone, key, generation);
+            assert_eq!(cloned, got, "{label} step {step}: the clone answers {op:?} differently");
+            assert_eq!(
+                (clone.len(), clone.stats()),
+                (real.len(), real.stats()),
+                "{label} step {step}: the clone drifted"
+            );
         }
         assert_eq!(real.len(), model.len(), "{label} step {step}: len");
         let s = real.stats();
@@ -237,10 +287,13 @@ fn drive_trace(capacity: usize, seed: u64) -> ModelStats {
 
 #[test]
 fn the_cache_matches_the_reference_model_on_seeded_traces() {
-    for capacity in [0, 1, CAPACITY] {
+    // The last shape is what the slab store adds over a map: a list long
+    // enough that stale drops and removals leave from its middle, and
+    // slots that are freed and recycled out of slab order.
+    for (capacity, universe) in [(0, 64), (1, 64), (CAPACITY, KEY_UNIVERSE), (256, 1024)] {
         let mut exercised = ModelStats::default();
         for seed in 0..SEEDS {
-            let s = drive_trace(capacity, seed);
+            let s = drive_trace(capacity, universe, seed);
             exercised.lookups += s.lookups;
             exercised.hits += s.hits;
             exercised.stale += s.stale;
@@ -258,10 +311,16 @@ fn the_cache_matches_the_reference_model_on_seeded_traces() {
             assert_eq!(exercised.stale + exercised.uncovered, 0);
             continue;
         }
-        assert!(exercised.hits > 500, "capacity {capacity}: traces barely hit");
-        assert!(exercised.stale > 50, "capacity {capacity}: staleness not exercised");
-        assert!(exercised.uncovered > 20, "capacity {capacity}: coverage not exercised");
-        assert!(exercised.evictions > 500, "capacity {capacity}: eviction not exercised");
+        // In the sparse shape a key is rarely looked up within the ≈ 20
+        // operations its generation lasts, so it hits less; it is held to
+        // the drops and evictions it is there for instead.
+        let sparse = universe > KEY_UNIVERSE;
+        let (hits, uncovered, stale, evictions) =
+            if sparse { (250, 10, 5000, 5000) } else { (500, 20, 50, 500) };
+        assert!(exercised.hits > hits, "capacity {capacity}: traces barely hit");
+        assert!(exercised.stale > stale, "capacity {capacity}: staleness not exercised");
+        assert!(exercised.uncovered > uncovered, "capacity {capacity}: coverage not exercised");
+        assert!(exercised.evictions > evictions, "capacity {capacity}: eviction not exercised");
     }
 }
 

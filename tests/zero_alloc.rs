@@ -131,50 +131,82 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         "flight-recorder record + manual clock must not allocate"
     );
 
-    // Measured window: the whole request path of a live service — submit,
-    // admission, EDF lane, batch pop, cache hit, reply, ticket wake — in
-    // the shape `local_hot` drives it: 32 tickets in flight, every
-    // request a cache hit, requests cloned outside the window. The one
+    // Measured windows: the whole request path of a live service — submit,
+    // admission, EDF lane, batch pop, cache probe, reply, ticket wake — 32
+    // tickets in flight, requests cloned outside the window. The one
     // allocation a request causes is its reply slot (measured: 1.000 per
     // request; 8 jobs per lane never split a B-tree node). The budget
     // leaves less slack than one allocation per two full batches, so a
     // per-batch `Vec::with_capacity` trips it as surely as a per-request
-    // channel does. Before the slot, this window measured 2.2–2.6: a
-    // channel counter and a 31-slot message block per ticket, and three
-    // vectors per batch.
+    // channel does.
     {
         use rqfa::core::QosClass;
-        use rqfa::service::{AllocationService, ServiceConfig, Ticket};
+        use rqfa::service::{AllocationService, Outcome, ServiceConfig, Ticket};
         const IN_FLIGHT: usize = 32;
         const REQUESTS: usize = 4096;
-        let service = AllocationService::new(&case_base, &ServiceConfig::default())
-            .expect("valid service config");
-        let mut tickets: Vec<Ticket> = Vec::with_capacity(IN_FLIGHT);
-        let mut drive = |requests: Vec<Request>| {
-            let mut requests = requests.into_iter().enumerate().peekable();
-            while requests.peek().is_some() {
-                for (i, request) in requests.by_ref().take(IN_FLIGHT) {
-                    tickets.push(service.submit(request, QosClass::ALL[i % QosClass::COUNT]));
+        // Serves `pool`, cycled: four times round as warm-up (fills the
+        // cache, sizes the worker's buffers and the lanes' nodes, creates
+        // this thread's handle), then `REQUESTS` measured. Returns how
+        // many of those were answered from the cache.
+        let window = |config: ServiceConfig, pool: &[Request], what: &str| -> usize {
+            let service = AllocationService::new(&case_base, &config).expect("valid config");
+            let mut tickets: Vec<Ticket> = Vec::with_capacity(IN_FLIGHT);
+            let mut drive = |requests: Vec<Request>| -> usize {
+                let mut cached_replies = 0;
+                let mut requests = requests.into_iter().enumerate().peekable();
+                while requests.peek().is_some() {
+                    for (i, request) in requests.by_ref().take(IN_FLIGHT) {
+                        tickets.push(service.submit(request, QosClass::ALL[i % QosClass::COUNT]));
+                    }
+                    for ticket in tickets.drain(..) {
+                        let reply = std::hint::black_box(ticket.wait().expect("answered"));
+                        if matches!(reply.outcome, Outcome::Allocated { cached: true, .. }) {
+                            cached_replies += 1;
+                        }
+                    }
                 }
-                for ticket in tickets.drain(..) {
-                    std::hint::black_box(ticket.wait().expect("answered"));
-                }
-            }
+                cached_replies
+            };
+            let stream = |n: usize| -> Vec<Request> { pool.iter().cycle().take(n).cloned().collect() };
+            drive(stream(4 * pool.len()));
+            let measured = stream(REQUESTS);
+            let before = allocations();
+            let cached_replies = drive(measured);
+            let allocated = allocations() - before;
+            assert!(
+                allocated <= (REQUESTS + REQUESTS / (2 * IN_FLIGHT)) as u64,
+                "{what}: the service request path allocated {allocated} times for \
+                 {REQUESTS} requests (budget: the reply slot)"
+            );
+            service.shutdown();
+            cached_replies
         };
-        let stream = |n: usize| -> Vec<Request> { pool.iter().cycle().take(n).cloned().collect() };
-        // Warm-up: fills the cache, sizes the worker's buffers and the
-        // lanes' nodes, creates this thread's handle.
-        drive(stream(4 * pool.len()));
-        let measured = stream(REQUESTS);
-        let before = allocations();
-        drive(measured);
-        let allocated = allocations() - before;
-        assert!(
-            allocated <= (REQUESTS + REQUESTS / (2 * IN_FLIGHT)) as u64,
-            "the service request path allocated {allocated} times for {REQUESTS} requests \
-             (budget: the reply slot)"
-        );
-        service.shutdown();
+
+        // The shape `local_hot` drives: every request a cache hit. Before
+        // the reply slot this window measured 2.2–2.6: a channel counter
+        // and a 31-slot message block per ticket, three vectors per batch.
+        let hits = window(ServiceConfig::default(), &pool, "hit window");
+        assert_eq!(hits, REQUESTS, "the hit window must hit");
+
+        // The shape `local_scan` drives: 1024 distinct requests cycled
+        // past a 256-entry cache, so every request misses, runs the
+        // kernel, and its insert evicts. Before the slab store this window
+        // measured 2.163: a ranking vector per entry, built on insert and
+        // freed on eviction, and the eviction queue's tree nodes.
+        let mut seen = std::collections::HashSet::new();
+        let distinct: Vec<Request> = RequestGen::new(&case_base)
+            .seed(0xA110C + 2)
+            .count(2048)
+            .repeat_fraction(0.0)
+            .generate()
+            .into_iter()
+            .filter(|r| seen.insert(r.fingerprint()))
+            .take(1024)
+            .collect();
+        assert_eq!(distinct.len(), 1024, "workload collapsed");
+        let config = ServiceConfig::default().with_cache_capacity(256);
+        let hits = window(config, &distinct, "miss window");
+        assert_eq!(hits, 0, "the miss window must miss");
     }
 
     // Contrast: the naive engine allocates on every request (this is the
