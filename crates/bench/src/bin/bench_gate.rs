@@ -3,17 +3,16 @@
 //! Two modes:
 //!
 //! * `bench_gate <baseline.json> <fresh.json>` — compares a fresh bench
-//!   run against a committed baseline under the unit-aware tolerance
-//!   policy of `rqfa_bench::gate` (tight ±25% band for deterministic
-//!   metrics, a 0.4× floor for wall-clock throughput). Exit 1 on any
-//!   violation, with one line per failing metric.
+//!   run against a committed baseline under the tolerance policy of
+//!   `rqfa_bench::gate` (one tight ±25% band, both directions, every
+//!   unit). Exit 1 on any violation, with one line per failing metric.
 //! * `bench_gate --validate <file.json>...` — schema-validates each file
 //!   (the committed `BENCH_*.json` trajectory) without comparing. Exit 1
 //!   on the first malformed file.
 
 use std::process::ExitCode;
 
-use rqfa_bench::gate::{compare, GateConfig};
+use rqfa_bench::gate::compare;
 use rqfa_bench::json::validate_report;
 
 fn load(path: &str) -> Result<rqfa_bench::json::BenchReport, String> {
@@ -60,7 +59,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let verdict = compare(&baseline, &fresh, &GateConfig::default());
+            let verdict = compare(&baseline, &fresh);
             if verdict.passed() {
                 println!(
                     "gate passed: {} metrics within tolerance ({baseline_path} vs {fresh_path})",

@@ -9,8 +9,9 @@
 //! deterministic) are emitted as an `rqfa-bench/v1` report.
 
 use rqfa_bench::json::BenchReport;
+use rqfa_bench::mahalanobis::MahalanobisEngine;
 use rqfa_bench::workload;
-use rqfa_core::{FloatEngine, MahalanobisEngine};
+use rqfa_core::FloatEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let json_path = rqfa_bench::json_path_from_args();

@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "note: the paper's stated layout (2 words per attribute entry + \n\
          terminators) needs ~6.9 kB; the ~4.5 kB figure matches the packed\n\
-         single-word attribute encoding the §5 outlook describes. See\n\
-         EXPERIMENTS.md E3 for the discrepancy analysis."
+         single-word attribute encoding the §5 outlook describes (both\n\
+         breakdowns above)."
     );
     Ok(())
 }

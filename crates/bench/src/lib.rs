@@ -1,6 +1,6 @@
 //! # rqfa-bench — experiment harness
 //!
-//! One binary per paper artifact (see DESIGN.md §4 and EXPERIMENTS.md):
+//! One binary per paper artifact (see this crate's `README.md`):
 //!
 //! | Binary | Artifact |
 //! |--------|----------|
@@ -16,20 +16,21 @@
 //! | `fixed_vs_float`    | §4.2 — fixed/float ranking agreement |
 //! | `rsoc_scenario`     | fig. 1 — allocation-manager metrics |
 //!
-//! Criterion benches (`cargo bench -p rqfa-bench`) time the hot paths:
-//! retrieval engines, the hardware simulator, image encoding and the
-//! run-time system.
-//!
-//! Two binaries serve the perf trajectory rather than a paper artifact:
-//! `service_trace` (the deterministic-replay QoS trajectory behind the
-//! committed `BENCH_<pr>.json` files) and `bench_gate` (the CI regression
-//! gate over those reports, policy in [`gate`]).
+//! Four binaries serve the perf trajectory rather than a paper artifact:
+//! `service_trace` and `distributed_trace` (the deterministic-replay
+//! trajectories behind the committed `BENCH_<pr>.json` gates),
+//! `bench_gate` (the CI regression gate over those reports, policy in
+//! [`gate`]) and `retrieval_kernel` (the kernel microbench, the only
+//! file here that reads the wall clock). Live serving-stack numbers are
+//! `benchmark/`'s. [`mahalanobis`] is the §2.2 baseline
+//! `mahalanobis_ablation` measures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gate;
 pub mod json;
+pub mod mahalanobis;
 
 use rqfa_core::{CaseBase, Request};
 use rqfa_workloads::{CaseGen, RequestGen};

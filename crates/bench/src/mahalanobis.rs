@@ -11,11 +11,7 @@
 //! sets versus the operation count of building, inverting and applying the
 //! covariance matrix (experiment E10).
 
-use crate::casebase::CaseBase;
-use crate::engine::{OpCounts, Scored};
-use crate::error::CoreError;
-use crate::ids::AttrId;
-use crate::request::Request;
+use rqfa_core::{AttrId, CaseBase, CoreError, OpCounts, Request, Scored};
 
 /// Ridge added to the covariance diagonal for numerical stability (and to
 /// handle degenerate libraries where an attribute is constant).
@@ -197,8 +193,7 @@ fn invert(matrix: &[Vec<f64>], ops: &mut OpCounts) -> Option<Vec<Vec<f64>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::FloatEngine;
-    use crate::paper;
+    use rqfa_core::{paper, FloatEngine, TypeId};
 
     #[test]
     fn ranks_table1_like_manhattan() {
@@ -269,7 +264,7 @@ mod tests {
     #[test]
     fn unknown_type_errors() {
         let cb = paper::table1_case_base();
-        let request = Request::builder(crate::ids::TypeId::new(77).unwrap())
+        let request = Request::builder(TypeId::new(77).unwrap())
             .constraint(paper::ATTR_BITWIDTH, 8)
             .build()
             .unwrap();

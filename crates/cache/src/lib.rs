@@ -3,7 +3,7 @@
 //! The paper's §3 *bypass tokens* are a fingerprint-keyed result cache:
 //! remember what a retrieval answered, reuse it while the case base is
 //! unchanged. Two subsystems of this workspace grew that idea
-//! independently — `rqfa_core::TokenCache` and
+//! independently — `rqfa_rsoc::TokenCache` and
 //! `rqfa_service::cache::RetrievalCache` — and both are now thin typed
 //! facades over this crate, so invalidation and eviction semantics cannot
 //! diverge again.

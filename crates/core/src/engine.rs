@@ -4,8 +4,7 @@
 //! unit so their results can be compared bit-for-bit:
 //!
 //! * [`FloatEngine`] — `f64` arithmetic, the golden reference (plays the
-//!   role of the paper's Matlab model). Supports alternative amalgamation
-//!   functions for ablation studies.
+//!   role of the paper's Matlab model).
 //! * [`FixedEngine`] — UQ1.15 arithmetic with the identical operation order
 //!   as the simulated datapath (`rqfa-hwsim`) and the soft-core program
 //!   (`rqfa-softcore`). This engine defines the reference bit pattern.
@@ -23,7 +22,6 @@ use core::fmt;
 
 use rqfa_fixed::Q15;
 
-use crate::amalgamation::Amalgamation;
 use crate::casebase::CaseBase;
 use crate::error::CoreError;
 use crate::ids::ImplId;
@@ -134,24 +132,13 @@ fn resumable_find(
 /// # Ok::<(), rqfa_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FloatEngine {
-    amalgamation: Amalgamation,
-}
+pub struct FloatEngine;
 
 impl FloatEngine {
-    /// Creates the engine with the paper's weighted-sum amalgamation.
+    /// Creates the engine. Amalgamation is the paper's weighted sum
+    /// (equation (2)), as in the hardware unit.
     pub fn new() -> FloatEngine {
-        FloatEngine::default()
-    }
-
-    /// Creates an engine with an alternative amalgamation function.
-    pub fn with_amalgamation(amalgamation: Amalgamation) -> FloatEngine {
-        FloatEngine { amalgamation }
-    }
-
-    /// The configured amalgamation function.
-    pub fn amalgamation(&self) -> Amalgamation {
-        self.amalgamation
+        FloatEngine
     }
 
     /// Scores every variant of the requested type, in tree order.
@@ -175,9 +162,9 @@ impl FloatEngine {
         }
         let mut ops = OpCounts::default();
         let mut scores = Vec::with_capacity(ty.variant_count());
-        let mut parts = Vec::with_capacity(request.constraints().len());
         for variant in ty.variants() {
-            parts.clear();
+            // Equation (2): S = Σ w_i · s_i, accumulated in constraint order.
+            let mut similarity = 0.0f64;
             let mut cursor = 0usize;
             for (c, &dm) in request.constraints().iter().zip(&d_max) {
                 let s = match resumable_find(variant.attrs(), &mut cursor, c.attr, &mut ops.search_steps)
@@ -192,9 +179,8 @@ impl FloatEngine {
                 };
                 ops.multiplies += 1; // s_i · w_i
                 ops.additions += 1; // accumulate
-                parts.push((s, c.weight));
+                similarity += s * c.weight;
             }
-            let similarity = self.amalgamation.combine(&parts);
             ops.comparisons += 1;
             scores.push(Scored {
                 impl_id: variant.id(),

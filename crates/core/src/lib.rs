@@ -62,9 +62,10 @@
 //! * [`casebase`] — the implementation tree with retain/revise/evict
 //!   mutations (CBR retain step).
 //! * [`request`] — weighted, possibly incomplete QoS requests.
-//! * [`similarity`], [`amalgamation`] — equations (1) and (2).
+//! * [`similarity`] — equation (1), the local similarity.
 //! * [`engine`] — the float reference and the bit-exact fixed-point
-//!   retrieval engines, with operation counting.
+//!   retrieval engines (equation (2), the weighted-sum amalgamation),
+//!   with operation counting.
 //! * [`plane`], [`kernel`] — the compiled columnar retrieval plane and
 //!   its zero-allocation scoring kernels ([`PlaneEngine`]), bit-identical
 //!   to [`engine`] (normative model: `docs/retrieval.md`).
@@ -74,9 +75,6 @@
 //! * [`placement`] — the type → shard function and the [`Placement`]
 //!   seam that lets shards live on remote nodes (normative model:
 //!   `docs/distribution.md`).
-//! * [`token`] — bypass tokens for repeated calls (§3).
-//! * [`cycle`] — the full retrieve/reuse/revise/retain loop (fig. 2).
-//! * [`mahalanobis`] — the rejected statistical baseline of §2.2.
 //! * [`paper`] — ready-made fixtures reproducing fig. 3 / Table 1.
 
 // `deny`, not `forbid`: the one scoped exception is `kernel::wide`, the
@@ -86,19 +84,15 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod amalgamation;
 pub mod attribute;
 pub mod bounds;
 pub mod casebase;
-pub mod cycle;
 pub mod engine;
-pub mod explain;
 mod error;
 pub mod generation;
 pub mod ids;
 pub mod implvariant;
 pub mod kernel;
-pub mod mahalanobis;
 pub mod mutation;
 pub mod nbest;
 pub mod plane;
@@ -107,32 +101,22 @@ pub mod placement;
 pub mod qos;
 pub mod request;
 pub mod similarity;
-pub mod token;
 
-pub use amalgamation::Amalgamation;
 pub use attribute::{AttrBinding, AttrDecl};
 pub use bounds::{BoundsEntry, BoundsTable};
 pub use casebase::{CaseBase, FunctionType};
-pub use cycle::{CbrCycle, CycleOutcome, LearnAction, LearnPolicy};
 pub use engine::{FixedEngine, FloatEngine, OpCounts, Retrieval, ScoreResult, Scored};
-pub use explain::{Explanation, ExplainRow};
 pub use error::CoreError;
 pub use generation::Generation;
 pub use ids::{AttrId, ImplId, TypeId, RESERVED_ID};
 pub use implvariant::{ExecutionTarget, Footprint, ImplVariant};
 pub use kernel::{wide_kernel_available, KernelPath, PlaneEngine, Scratch};
-pub use mahalanobis::{MahalanobisEngine, MahalanobisRetrieval};
 pub use mutation::CaseMutation;
 pub use nbest::NBest;
 pub use placement::{shard_index, ModuloPlacement, NodeId, NodeMap, Placement, ShardSite};
 pub use plane::RetrievalPlane;
 pub use qos::QosClass;
 pub use request::{Constraint, Request, RequestBuilder};
-pub use token::{BypassToken, TokenCache, TokenStats};
-
-// The counter block of the generalized cache layer behind `TokenCache`
-// (and the service-level retrieval cache).
-pub use rqfa_cache::CacheStats;
 
 // Re-export the numeric type users see in all fixed-point results.
 pub use rqfa_fixed::Q15;

@@ -17,7 +17,8 @@
 //! "about 4.5 kB" can be compared against an explicit breakdown (the
 //! stated layout actually needs ~7 kB with 2-word attribute entries — the
 //! compact single-word encoding lands at ~4.2 kB, suggesting the authors
-//! budgeted a packed representation; see EXPERIMENTS.md).
+//! budgeted a packed representation; `rqfa-bench`'s `table3_memory`
+//! prints both breakdowns).
 
 use core::fmt;
 

@@ -160,11 +160,10 @@ impl ImageBuilder {
 
     /// Current write position (the address the next word will get).
     ///
-    /// # Panics
-    ///
-    /// Never panics; the length is checked on [`ImageBuilder::finish`].
+    /// Never panics. Past the 16-bit address space the value wraps; such
+    /// an image never leaves the builder, because
+    /// [`ImageBuilder::finish`] checks the length and refuses it.
     pub fn cursor(&self) -> u16 {
-        debug_assert!(self.words.len() <= usize::from(u16::MAX));
         self.words.len() as u16
     }
 

@@ -8,15 +8,11 @@
 //! the *measured* QoS attributes back, and the cycle decides whether to
 //! revise the stored case or retain a brand-new one.
 
-use rqfa_fixed::Q15;
+use rqfa_core::{
+    AttrBinding, CaseBase, CoreError, ExecutionTarget, FixedEngine, Footprint, FunctionType,
+    ImplId, ImplVariant, Request, Scored, Q15,
+};
 
-use crate::attribute::AttrBinding;
-use crate::casebase::CaseBase;
-use crate::engine::{FixedEngine, Scored};
-use crate::error::CoreError;
-use crate::ids::ImplId;
-use crate::implvariant::{ExecutionTarget, Footprint, ImplVariant};
-use crate::request::Request;
 use crate::token::TokenCache;
 
 /// What the cycle did with the feedback of one solved problem.
@@ -77,7 +73,8 @@ impl Default for LearnPolicy {
 /// Orchestrates retrieve/reuse/revise/retain against a mutable case base.
 ///
 /// ```
-/// use rqfa_core::{paper, CbrCycle};
+/// use rqfa_core::paper;
+/// use rqfa_rsoc::CbrCycle;
 ///
 /// let mut cb = paper::table1_case_base();
 /// let mut cycle = CbrCycle::new(16);
@@ -266,7 +263,7 @@ impl CbrCycle {
 
 /// Smallest unused implementation id in the type (learned cases grow the id
 /// space upward).
-fn next_free_impl_id(ty: &crate::casebase::FunctionType) -> Result<ImplId, CoreError> {
+fn next_free_impl_id(ty: &FunctionType) -> Result<ImplId, CoreError> {
     let max_raw = ty
         .variants()
         .iter()
@@ -279,7 +276,7 @@ fn next_free_impl_id(ty: &crate::casebase::FunctionType) -> Result<ImplId, CoreE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper;
+    use rqfa_core::paper;
 
     #[test]
     fn confirmed_when_measurement_matches() {

@@ -4,17 +4,15 @@
 //!
 //! After a task completes, the local run-time controller reports the QoS
 //! attributes the implementation *actually* achieved. The learner feeds
-//! them through the CBR revise/retain policy of [`rqfa_core::cycle`]:
+//! them through the CBR revise/retain policy of [`CbrCycle`]:
 //! deviating measurements revise the stored case, novel operating points
 //! are retained as new cases. Case-base mutations bump the generation
 //! counter, so the allocation manager's bypass tokens invalidate
 //! automatically.
 
-use rqfa_core::{
-    AttrBinding, CaseBase, CbrCycle, CycleOutcome, ExecutionTarget, Footprint, LearnAction,
-    LearnPolicy, Request, Scored, Q15,
-};
+use rqfa_core::{AttrBinding, CaseBase, ExecutionTarget, Footprint, Request, Scored, Q15};
 
+use crate::cycle::{CbrCycle, CycleOutcome, LearnAction, LearnPolicy};
 use crate::error::RsocError;
 
 /// Statistics of the learning layer.
@@ -80,9 +78,6 @@ impl Learner {
             LearnAction::Revised { .. } => self.stats.revised += 1,
             LearnAction::Retained { .. } => self.stats.retained += 1,
             LearnAction::Discarded => self.stats.discarded += 1,
-            // `LearnAction` is #[non_exhaustive]; future variants count as
-            // processed reports only.
-            _ => {}
         }
         Ok(action)
     }

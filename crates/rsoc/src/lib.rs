@@ -10,6 +10,11 @@
 //! reconfigures devices — with bypass tokens for repeated calls and
 //! relaxed-constraint retries after rejection (§3).
 //!
+//! The crate also owns the two paper-facing pieces only this layer
+//! holds: [`TokenCache`] (§3's bypass tokens, the manager's repeat-call
+//! shortcut) and [`CbrCycle`] (fig. 2's retrieve → reuse → revise →
+//! retain loop behind [`Learner`]).
+//!
 //! ```
 //! use rqfa_core::paper;
 //! use rqfa_rsoc::{ArrivalSpec, AppId, Device, DeviceId, SimTime, SystemBuilder};
@@ -33,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cycle;
 mod device;
 mod error;
 mod learning;
@@ -42,7 +48,9 @@ mod repository;
 mod system;
 mod task;
 mod time;
+mod token;
 
+pub use cycle::{CbrCycle, CycleOutcome, LearnAction, LearnPolicy};
 pub use device::{Device, DeviceId};
 pub use error::RsocError;
 pub use learning::{LearnStats, Learner};
@@ -52,6 +60,7 @@ pub use repository::Repository;
 pub use system::{AllocPolicy, ArrivalSpec, Decision, RejectReason, System, SystemBuilder};
 pub use task::{AppId, Task, TaskId, TaskState};
 pub use time::SimTime;
+pub use token::{BypassToken, TokenCache, TokenStats};
 
 #[cfg(all(test, feature = "proptests"))]
 mod proptests;

@@ -13,7 +13,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use rqfa_core::{
-    CaseBase, ExecutionTarget, FixedEngine, Footprint, ImplId, Request, Scored, TokenCache, Q15,
+    CaseBase, ExecutionTarget, FixedEngine, Footprint, ImplId, Request, Scored, Q15,
 };
 
 use crate::device::{Device, DeviceId};
@@ -23,6 +23,7 @@ use crate::power::EnergyMeter;
 use crate::repository::Repository;
 use crate::task::{AppId, Task, TaskId, TaskState};
 use crate::time::SimTime;
+use crate::token::TokenCache;
 
 /// Allocation-manager policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -255,12 +256,6 @@ impl System {
     /// The case base (for learning-layer inspection).
     pub fn case_base(&self) -> &CaseBase {
         &self.case_base
-    }
-
-    /// Mutable case base access for the learning layer. Mutations bump the
-    /// generation counter, invalidating bypass tokens automatically.
-    pub fn case_base_mut(&mut self) -> &mut CaseBase {
-        &mut self.case_base
     }
 
     /// All tasks ever created.

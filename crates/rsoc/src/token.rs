@@ -17,13 +17,7 @@
 //! the normative semantics live in `docs/caching.md`.
 
 use rqfa_cache::GenCache;
-use rqfa_fixed::Q15;
-
-use crate::casebase::CaseBase;
-use crate::engine::Scored;
-use crate::generation::Generation;
-use crate::ids::{ImplId, TypeId};
-use crate::request::Request;
+use rqfa_core::{CaseBase, Generation, ImplId, Request, Scored, TypeId, Q15};
 
 /// A cached retrieval outcome for one exact request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +65,8 @@ impl TokenStats {
 /// Fixed-capacity cache of bypass tokens (FIFO eviction).
 ///
 /// ```
-/// use rqfa_core::{paper, BypassToken, FixedEngine, TokenCache};
+/// use rqfa_core::{paper, FixedEngine};
+/// use rqfa_rsoc::TokenCache;
 ///
 /// let cb = paper::table1_case_base();
 /// let request = paper::table1_request()?;
@@ -163,8 +158,7 @@ impl TokenCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::FixedEngine;
-    use crate::paper;
+    use rqfa_core::{paper, AttrBinding, ExecutionTarget, FixedEngine, ImplVariant};
 
     fn best_for(cb: &CaseBase, request: &Request) -> Scored<Q15> {
         FixedEngine::new().retrieve(cb, request).unwrap().best.unwrap()
@@ -196,11 +190,11 @@ mod tests {
         assert!(cache.is_empty());
     }
 
-    fn extra_variant() -> crate::implvariant::ImplVariant {
-        crate::implvariant::ImplVariant::new(
+    fn extra_variant() -> ImplVariant {
+        ImplVariant::new(
             ImplId::new(9).unwrap(),
-            crate::implvariant::ExecutionTarget::Fpga,
-            vec![crate::attribute::AttrBinding::new(paper::ATTR_BITWIDTH, 12)],
+            ExecutionTarget::Fpga,
+            vec![AttrBinding::new(paper::ATTR_BITWIDTH, 12)],
         )
         .unwrap()
     }

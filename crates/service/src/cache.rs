@@ -14,7 +14,7 @@
 //! *newest*, not a resurrection of its original age).
 //!
 //! [`RetrievalCache`] is a typed facade over [`rqfa_cache::GenCache`] —
-//! the same generalized store behind `rqfa_core::TokenCache` — holding
+//! the same generalized store behind `rqfa_rsoc::TokenCache` — holding
 //! [`RankedEntry`] values, which buys **n-best subsumption** for free: a
 //! cached top-*k* ranking answers later best-of and top-*j* (`j ≤ k`)
 //! lookups bit-identically to a recompute (`rank` sorts then truncates, so

@@ -6,7 +6,9 @@
 use std::path::Path;
 
 use rqfa_core::CaseBase;
-use rqfa_persist::{DurableCaseBase, FileStore, PersistPolicy, RecoveryReport, Store, StoreSet};
+use rqfa_persist::{
+    encode_snapshot, DurableCaseBase, FileStore, PersistPolicy, RecoveryReport, Store, StoreSet,
+};
 
 use crate::error::ServiceError;
 use crate::shard::{partition, ShardStore};
@@ -18,11 +20,20 @@ const MANIFEST_FILE: &str = "MANIFEST";
 
 /// Discards any previous durable state in `dir`, then seeds one durable
 /// store per non-empty slice of `case_base` and writes the manifest.
+/// A `case_base` that cannot be made durable is refused before `dir` is
+/// touched.
 pub(crate) fn create(
     case_base: &CaseBase,
     dir: &Path,
     shards: usize,
 ) -> Result<Vec<ShardStore>, ServiceError> {
+    // Validate before destroying anything: a slice whose genesis snapshot
+    // does not encode (the image outgrows the 16-bit address space) must
+    // fail while the previous state in `dir` is still recoverable.
+    let slices = partition(case_base, shards);
+    for slice in slices.iter().flatten() {
+        encode_snapshot(slice)?;
+    }
     // Discard previous durable state up front: a stale `shard-<i>`
     // directory from an older layout would otherwise resurrect on
     // the next recover (e.g. a shard whose slice is empty now writes
@@ -43,7 +54,6 @@ pub(crate) fn create(
     // the store lock); the inner durable case base must never
     // auto-checkpoint under the lock.
     let policy = PersistPolicy::manual();
-    let slices = partition(case_base, shards);
     let mut stores = Vec::with_capacity(slices.len());
     for (index, slice) in slices.into_iter().enumerate() {
         match slice {

@@ -437,50 +437,6 @@ impl AllocationService {
         self.shard_for(mutation.type_id()).apply(mutation)
     }
 
-    /// Applies a batch of mutations with **group commit**: the batch is
-    /// split by owning shard (relative order preserved — mutations of
-    /// one function type always target one shard) and each shard's group
-    /// becomes a single write-ahead append, i.e. one fsync per shard per
-    /// call instead of one per mutation. Returns the inverse mutations
-    /// in input order.
-    ///
-    /// Atomicity is **per shard**: a shard's group applies all-or-nothing,
-    /// but a failure in one shard does not roll back groups already
-    /// committed on other shards — the error reports the first failing
-    /// shard and every prior shard's group stays acknowledged (each was
-    /// already durable).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AllocationService::apply_mutation`].
-    pub fn apply_mutations(
-        &self,
-        mutations: &[CaseMutation],
-    ) -> Result<Vec<CaseMutation>, ServiceError> {
-        // Group by shard, remembering each mutation's input slot.
-        let mut groups: Vec<(Vec<usize>, Vec<CaseMutation>)> =
-            (0..self.shards.len()).map(|_| Default::default()).collect();
-        for (slot, mutation) in mutations.iter().enumerate() {
-            let shard = shard::route(mutation.type_id(), self.shards.len());
-            groups[shard].0.push(slot);
-            groups[shard].1.push(mutation.clone());
-        }
-        let mut inverses: Vec<Option<CaseMutation>> = vec![None; mutations.len()];
-        for (shard, (slots, group)) in self.shards.iter().zip(groups) {
-            if group.is_empty() {
-                continue;
-            }
-            let group_inverses = shard.apply_batch(&group)?;
-            for (slot, inverse) in slots.into_iter().zip(group_inverses) {
-                inverses[slot] = Some(inverse);
-            }
-        }
-        Ok(inverses
-            .into_iter()
-            .map(|inv| inv.expect("every mutation was grouped exactly once"))
-            .collect())
-    }
-
     /// *Retain* step routed to the owning shard; bumps that shard's
     /// generation counter and moves `type_id`'s stamp to it, invalidating
     /// the cached results of that type only.

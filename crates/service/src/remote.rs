@@ -152,8 +152,6 @@ pub fn outcome_from_wire(outcome: WireOutcome) -> Outcome {
 pub struct NodeServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// Highest mutation epoch this node has ever seen (the fence).
-    fence: Arc<AtomicU64>,
     accept_thread: Option<JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -187,10 +185,10 @@ impl NodeServer {
             .set_nonblocking(true)
             .map_err(|e| ServiceError::Remote(format!("arm nonblocking accept: {e}")))?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let fence = Arc::new(AtomicU64::new(epoch));
+        // Highest mutation epoch this node has ever seen (the fence).
+        let accept_fence = Arc::new(AtomicU64::new(epoch));
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
         let accept_flag = Arc::clone(&shutdown);
-        let accept_fence = Arc::clone(&fence);
         let accept_threads = Arc::clone(&conn_threads);
         let accept_thread = std::thread::spawn(move || loop {
             if accept_flag.load(Ordering::Acquire) {
@@ -222,7 +220,6 @@ impl NodeServer {
         Ok(NodeServer {
             addr,
             shutdown,
-            fence,
             accept_thread: Some(accept_thread),
             conn_threads,
         })
@@ -231,11 +228,6 @@ impl NodeServer {
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The highest mutation epoch this node has seen (the fence).
-    pub fn fence_epoch(&self) -> u64 {
-        self.fence.load(Ordering::Acquire)
     }
 
     /// Kills the node: stops accepting, unwinds every connection thread

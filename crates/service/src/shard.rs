@@ -158,29 +158,6 @@ impl ShardStore {
         }
     }
 
-    /// Applies a whole batch of mutations, returning their inverses in
-    /// order. All-or-nothing in memory; on a durable shard the batch is
-    /// one group-committed WAL append (a single fsync).
-    pub(crate) fn apply_batch(
-        &mut self,
-        mutations: &[CaseMutation],
-    ) -> Result<Vec<CaseMutation>, ServiceError> {
-        let Some(first) = mutations.first() else {
-            return Ok(Vec::new());
-        };
-        match self {
-            ShardStore::Empty => Err(ServiceError::Core(CoreError::UnknownType {
-                type_id: first.type_id(),
-            })),
-            ShardStore::Ephemeral(cb) => cb
-                .apply_mutations_atomic(mutations)
-                .map_err(ServiceError::Core),
-            ShardStore::Durable(durable) => {
-                durable.apply_batch(mutations).map_err(ServiceError::from)
-            }
-        }
-    }
-
     /// Phase 1 of a checkpoint: checks the stale snapshot slot out with a
     /// clone of the state. `None` for shards with nothing to checkpoint.
     pub(crate) fn checkpoint_begin(
@@ -271,23 +248,8 @@ impl Shard {
     /// the inverse mutation, then runs the auto-checkpoint cadence.
     pub(crate) fn apply(&self, mutation: &CaseMutation) -> Result<CaseMutation, ServiceError> {
         let inverse = self.store.lock().expect("store poisoned").apply(mutation)?;
-        self.after_acknowledged(1);
+        self.after_acknowledged();
         Ok(inverse)
-    }
-
-    /// Applies a batch (one group commit on a durable shard) and runs the
-    /// auto-checkpoint cadence.
-    pub(crate) fn apply_batch(
-        &self,
-        mutations: &[CaseMutation],
-    ) -> Result<Vec<CaseMutation>, ServiceError> {
-        let inverses = self
-            .store
-            .lock()
-            .expect("store poisoned")
-            .apply_batch(mutations)?;
-        self.after_acknowledged(inverses.len() as u64);
-        Ok(inverses)
     }
 
     /// Bumps the checkpoint debt and, when the cadence is due, runs an
@@ -296,11 +258,11 @@ impl Shard {
     /// automatic checkpoint parks its error for
     /// [`Shard::take_checkpoint_error`] instead of failing the apply —
     /// the mutation itself is already durable in the WAL.
-    fn after_acknowledged(&self, count: u64) {
-        if self.snapshot_every == 0 || count == 0 {
+    fn after_acknowledged(&self) {
+        if self.snapshot_every == 0 {
             return;
         }
-        let due = self.since_checkpoint.fetch_add(count, Ordering::Relaxed) + count;
+        let due = self.since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
         if due < self.snapshot_every {
             return;
         }

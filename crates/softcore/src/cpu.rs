@@ -80,11 +80,6 @@ impl Cpu {
         &self.mem
     }
 
-    /// Mutable access to the data memory (for loading images).
-    pub fn mem_mut(&mut self) -> &mut DataMemory {
-        &mut self.mem
-    }
-
     /// Whether the program has executed `halt`.
     pub fn is_halted(&self) -> bool {
         self.halted

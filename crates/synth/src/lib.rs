@@ -15,8 +15,8 @@
 //!
 //! Two library constants (`packing`, `generated_control_levels`) are
 //! calibrated against the paper's single published data point; everything
-//! else follows from the structure of the netlist. See DESIGN.md §2 for
-//! the substitution rationale.
+//! else follows from the structure of the netlist. See
+//! `src/library.rs` for the substitution rationale.
 //!
 //! ```
 //! use rqfa_synth::synthesize_retrieval_unit;

@@ -1,6 +1,6 @@
 //! The Virtex-II technology library.
 //!
-//! **Substitution note (DESIGN.md §2):** the paper synthesized with Xilinx
+//! **Substitution note:** the paper synthesized with Xilinx
 //! ISE 6.2 onto an XC2V3000-4. We cannot run ISE; this library carries
 //! per-primitive area/delay characterizations in the spirit of the
 //! Virtex-II data sheet (LUT4 + carry-chain slices, dedicated MULT18X18

@@ -6,10 +6,9 @@
 //!
 //! Run with: `cargo run --example self_learning`
 
-use rqfa::core::{
-    paper, AttrBinding, CbrCycle, ExecutionTarget, Footprint, LearnAction, LearnPolicy, Request,
-};
+use rqfa::core::{paper, AttrBinding, ExecutionTarget, Footprint, Request};
 use rqfa::fixed::Q15;
+use rqfa::rsoc::{CbrCycle, LearnAction, LearnPolicy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut case_base = paper::table1_case_base();

@@ -12,14 +12,14 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`cache`] | `rqfa-cache` | generation-invalidated result cache: FIFO eviction, n-best subsumption |
-//! | [`core`] | `rqfa-core` | case base, similarity (eqs. 1–2), retrieval engines, n-best, bypass tokens, CBR cycle |
+//! | [`core`] | `rqfa-core` | case base, similarity (eqs. 1–2), retrieval engines, n-best, CBR mutations |
 //! | [`fixed`] | `rqfa-fixed` | UQ1.15 fixed-point arithmetic |
 //! | [`memlist`] | `rqfa-memlist` | 16-bit word memory images (figs. 4–5), validation, compaction |
 //! | [`persist`] | `rqfa-persist` | durable case bases: CRC-guarded write-ahead log, memlist-image snapshots, crash recovery |
 //! | [`hwsim`] | `rqfa-hwsim` | cycle-level retrieval-unit simulator (figs. 6–7) |
 //! | [`softcore`] | `rqfa-softcore` | sc32 soft-core simulator, assembler, retrieval routines |
 //! | [`synth`] | `rqfa-synth` | netlist area/timing estimator (Table 2) |
-//! | [`rsoc`] | `rqfa-rsoc` | run-time system simulator (fig. 1): allocation manager, devices, negotiation |
+//! | [`rsoc`] | `rqfa-rsoc` | run-time system simulator (fig. 1): allocation manager, devices, negotiation, bypass tokens (§3), CBR cycle (fig. 2) |
 //! | [`service`] | `rqfa-service` | sharded, batched, deadline-aware QoS allocation service (EDF queues, weighted scheduler, cache, metrics) |
 //! | [`telemetry`] | `rqfa-telemetry` | observability plane: injectable clocks, flight-recorder tracing, unified metrics registry |
 //! | [`workloads`] | `rqfa-workloads` | deterministic generators, the fig. 1 scenario, open-loop QoS traffic |
@@ -37,7 +37,7 @@
 //! ```
 //!
 //! See `examples/` for end-to-end walkthroughs and `crates/bench` for the
-//! table/figure reproduction harness (EXPERIMENTS.md).
+//! table/figure reproduction harness (`crates/bench/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,10 +3,9 @@
 //! tokens and generation-based invalidation in the loop.
 
 use rqfa::core::{
-    paper, AttrBinding, CbrCycle, ExecutionTarget, FixedEngine, Footprint, LearnAction,
-    LearnPolicy, Request, Q15,
+    paper, AttrBinding, ExecutionTarget, FixedEngine, Footprint, Request, Q15,
 };
-use rqfa::rsoc::Learner;
+use rqfa::rsoc::{CbrCycle, LearnAction, LearnPolicy, Learner};
 use rqfa::workloads::{CaseGen, RequestGen};
 
 #[test]

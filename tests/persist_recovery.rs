@@ -19,9 +19,10 @@ use rqfa::core::{
     AttrBinding, AttrId, CaseBase, CaseMutation, ExecutionTarget, FixedEngine, ImplId, ImplVariant,
     Request,
 };
+use rqfa::memlist::MemError;
 use rqfa::persist::{
-    encode_frame, write_snapshot, DurableCaseBase, FailingStore, MemStore, PersistPolicy,
-    StampedMutation, StoreSet,
+    encode_frame, encode_snapshot, write_snapshot, DurableCaseBase, FailingStore, MemStore,
+    PersistError, PersistPolicy, StampedMutation, StoreSet,
 };
 use rqfa::workloads::rng::SmallRng;
 use rqfa::workloads::{CaseGen, RequestGen};
@@ -435,6 +436,18 @@ fn torn_group_commit_window_recovers_the_acknowledged_prefix() {
             &format!("torn flush window, cut {cut}"),
         );
     }
+}
+
+/// A case base that outgrows the snapshot image's 16-bit address space
+/// (`local_scan`'s 8192 variants) is an error in every build profile,
+/// never a panic: no input may take a node down.
+#[test]
+fn oversize_case_base_is_refused_not_panicked_on() {
+    let too_large = CaseGen::new(16, 512, 8, 10).seed(1).build();
+    assert!(matches!(
+        encode_snapshot(&too_large),
+        Err(PersistError::Mem(MemError::ImageTooLarge { .. }))
+    ));
 }
 
 /// Sanity for the harness itself: the script and frame encoding are

@@ -27,9 +27,11 @@ use rqfa::core::{
     paper, AttrBinding, AttrId, CaseMutation, ExecutionTarget, FixedEngine, ImplId, ImplVariant,
     QosClass, Request,
 };
+use rqfa::memlist::MemError;
+use rqfa::persist::PersistError;
 use rqfa::service::queue::{Admission, ClassQueue};
 use rqfa::service::{
-    testkit, AllocationService, Job, ManualClock, Outcome, Reply, ServiceConfig,
+    testkit, AllocationService, Job, ManualClock, Outcome, Reply, ServiceConfig, ServiceError,
     ServiceMetrics, Ticket, WeightedArbiter,
 };
 use rqfa::workloads::{CaseGen, RequestGen};
@@ -674,6 +676,44 @@ fn repeated_kill_recover_cycles_stay_equivalent() {
         }
     }
     service.shutdown();
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// 4c. A `durable_create` that cannot succeed destroys nothing: the
+///     8192-variant base does not fit one snapshot image, and the refusal
+///     must come before the directory's previous state — here one
+///     acknowledged mutation past genesis — is purged.
+#[test]
+fn failed_durable_create_leaves_the_old_state_recoverable() {
+    let dir = std::env::temp_dir().join(format!(
+        "rqfa-durable-create-refused-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServiceConfig::default().with_shards(1);
+
+    let service = AllocationService::durable_create(&paper::table1_case_base(), &dir, &config)
+        .expect("create");
+    service
+        .evict_variant(paper::FIR_EQUALIZER, paper::IMPL_GP)
+        .expect("acknowledged");
+    drop(service);
+
+    let too_large = CaseGen::new(16, 512, 8, 10).seed(1).build();
+    let refused = AllocationService::durable_create(&too_large, &dir, &config);
+    assert!(
+        matches!(
+            refused,
+            Err(ServiceError::Persist(PersistError::Mem(MemError::ImageTooLarge { .. })))
+        ),
+        "{:?}",
+        refused.err()
+    );
+
+    let (recovered, reports) = AllocationService::durable_recover(&dir, &config).expect("recover");
+    let replayed: usize = reports.iter().flatten().map(|r| r.replayed).sum();
+    assert_eq!(replayed, 1, "the acknowledged mutation survives the refused create");
+    recovered.shutdown();
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
