@@ -5,7 +5,12 @@
 //! in-memory pipe, a [`crate::FaultyStream`] wrapper) into a
 //! message-at-a-time channel. A send is **one** `write_all` of the whole
 //! frame, so byte-level fault injectors observe frame boundaries; a
-//! receive reassembles exactly one frame and rejects anything damaged.
+//! receive hands out exactly one frame and rejects anything damaged, but
+//! *reads ahead*: each `read` takes whatever the stream has, and what
+//! lies behind the frame handed out — the head of the next frame, or
+//! several whole ones — waits in the connection's buffer for the next
+//! receive. A frame costs one `read`, not one for its header and one for
+//! its body.
 //!
 //! The transport never hangs and never spins: socket timeouts bound
 //! every read ([`connect_loopback`] arms them), and [`RetryPolicy`]
@@ -24,14 +29,19 @@ use crate::wire::{decode_message, encode_message, Message};
 /// Bytes of a frame header.
 const HEADER_BYTES: usize = HEADER_WORDS * 2;
 
+/// The least a `read` is offered: several of the 46–81-byte frames the
+/// request path exchanges. A larger frame grows the buffer to its size.
+const READ_AHEAD_BYTES: usize = 512;
+
 /// A message-framed connection over any byte stream.
 #[derive(Debug)]
 pub struct FrameConn<S> {
     stream: S,
-    /// The frame being received, of which `filled` bytes have arrived.
-    /// It lives here, not in `recv`, so a read timeout inside a frame
-    /// loses nothing (and no frame costs a buffer of its own).
-    frame: Vec<u8>,
+    /// Bytes read and not yet handed out: `buffer[..filled]`, the frame
+    /// being received at the front. They live here, not in `recv`, so a
+    /// read timeout inside a frame loses nothing (and no frame costs a
+    /// buffer of its own).
+    buffer: Vec<u8>,
     filled: usize,
 }
 
@@ -40,7 +50,7 @@ impl<S: Read + Write> FrameConn<S> {
     pub fn new(stream: S) -> FrameConn<S> {
         FrameConn {
             stream,
-            frame: Vec::new(),
+            buffer: Vec::new(),
             filled: 0,
         }
     }
@@ -48,11 +58,6 @@ impl<S: Read + Write> FrameConn<S> {
     /// The wrapped stream.
     pub fn get_ref(&self) -> &S {
         &self.stream
-    }
-
-    /// Unwraps the stream.
-    pub fn into_inner(self) -> S {
-        self.stream
     }
 
     /// Sends one message as a single frame write.
@@ -72,50 +77,68 @@ impl<S: Read + Write> FrameConn<S> {
 
     /// Receives exactly one message, or fails cleanly.
     ///
-    /// Returns the decoded message and the frame's size in bytes.
+    /// Returns the decoded message and the frame's size in bytes. Reads
+    /// only if the buffer does not already hold a whole frame.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] when the socket's read timeout elapses —
-    /// whatever part of a frame had arrived is kept, so calling again
-    /// resumes where the read stopped; [`NetError::Truncated`] when the
-    /// peer closes mid-frame, and the frame/wire decode errors for
-    /// damaged bytes.
+    /// whatever had arrived is kept, so calling again resumes where the
+    /// read stopped; [`NetError::Truncated`] when the peer closes
+    /// mid-frame, and the frame/wire decode errors for damaged bytes.
+    /// After any error but a timeout the stream is desynchronized —
+    /// there is no way to find the next boundary — and the connection is
+    /// unusable.
     pub fn recv(&mut self) -> Result<(Message, usize), NetError> {
-        self.fill(HEADER_BYTES)?;
-        let magic = u16::from_le_bytes([self.frame[0], self.frame[1]]);
+        let bytes = loop {
+            match self.frame_bytes()? {
+                Some(bytes) if bytes <= self.filled => break bytes,
+                wanted => self.read_ahead(wanted.unwrap_or(HEADER_BYTES))?,
+            }
+        };
+        let decoded = decode_frame(&self.buffer[..bytes]).and_then(|frame| decode_message(&frame));
+        // Whatever the decoders say, this frame's bytes are consumed;
+        // the surplus moves to the front.
+        self.buffer.copy_within(bytes..self.filled, 0);
+        self.filled -= bytes;
+        Ok((decoded?, bytes))
+    }
+
+    /// The size of the frame at the front of the buffer, once its header
+    /// is there to say.
+    fn frame_bytes(&self) -> Result<Option<usize>, NetError> {
+        let Some(header) = self.buffer[..self.filled].first_chunk::<HEADER_BYTES>() else {
+            return Ok(None);
+        };
+        let magic = u16::from_le_bytes([header[0], header[1]]);
         if magic != FRAME_MAGIC {
-            // The stream is desynchronized — there is no way to find the
-            // next boundary, so the connection is unusable from here on.
             return Err(NetError::BadMagic { found: magic });
         }
-        let len = usize::from(u16::from_le_bytes([self.frame[4], self.frame[5]]));
+        let len = usize::from(u16::from_le_bytes([header[4], header[5]]));
         if len > MAX_PAYLOAD_WORDS {
             return Err(NetError::PayloadTooLarge { words: len });
         }
-        let bytes = HEADER_BYTES + (len + TRAILER_WORDS) * 2;
-        self.fill(bytes)?;
-        // Whatever the decoders say, this frame's bytes are consumed.
-        self.filled = 0;
-        let message = decode_message(&decode_frame(&self.frame[..bytes])?)?;
-        Ok((message, bytes))
+        Ok(Some(HEADER_BYTES + (len + TRAILER_WORDS) * 2))
     }
 
-    /// Reads until the first `upto` bytes of the current frame are here:
-    /// one `read` when the stream has them, as `read_exact` would.
-    fn fill(&mut self, upto: usize) -> Result<(), NetError> {
-        if self.frame.len() < upto {
-            self.frame.resize(upto, 0);
+    /// One `read` of whatever the stream has, into a buffer with room
+    /// for at least `wanted` bytes in all.
+    fn read_ahead(&mut self, wanted: usize) -> Result<(), NetError> {
+        let room = wanted.max(READ_AHEAD_BYTES);
+        if self.buffer.len() < room {
+            self.buffer.resize(room, 0);
         }
-        while self.filled < upto {
-            match self.stream.read(&mut self.frame[self.filled..upto]) {
+        loop {
+            match self.stream.read(&mut self.buffer[self.filled..]) {
                 Ok(0) => return Err(NetError::Truncated),
-                Ok(n) => self.filled += n,
+                Ok(n) => {
+                    self.filled += n;
+                    return Ok(());
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        Ok(())
     }
 }
 
@@ -352,40 +375,139 @@ mod tests {
         }
     }
 
+    fn ack(generation: u64) -> Message {
+        Message::TailAck(TailAck { generation })
+    }
+
     #[test]
     fn recv_resumes_after_a_timeout_at_every_byte_offset() {
         // The node polls with a 25 ms read timeout; a frame that trickles
         // in across one used to lose the bytes already read, and the next
         // call parsed the frame's tail as a header.
-        let first = Message::TailAck(TailAck { generation: 7 });
-        let second = Message::TailAck(TailAck { generation: 8 });
-        let mut bytes = encode_message(&first).unwrap();
+        let mut bytes = encode_message(&ack(7)).unwrap();
         let frame = bytes.len();
-        bytes.extend(encode_message(&second).unwrap());
-        // Offset 0 is an idle poll and `HEADER_BYTES` the gap between
-        // header and body; the others split the header or the body.
-        for timeout_at in (0..frame).map(Some).chain([None]) {
+        bytes.extend(encode_message(&ack(8)).unwrap());
+        // Offset 0 is an idle poll and `frame` the gap between the two
+        // frames; the others split a header or a body, of the first
+        // frame or of the one read ahead.
+        for timeout_at in (0..bytes.len()).map(Some).chain([None]) {
             let mut conn = FrameConn::new(Trickle {
                 bytes: Cursor::new(bytes.clone()),
                 timeout_at,
                 reads: 0,
             });
-            if timeout_at.is_some() {
-                assert!(matches!(conn.recv(), Err(NetError::Timeout)), "{timeout_at:?}");
+            let mut timeouts = 0;
+            for generation in [7, 8] {
+                let received = loop {
+                    match conn.recv() {
+                        Err(NetError::Timeout) => timeouts += 1,
+                        other => break other.unwrap(),
+                    }
+                };
+                assert_eq!(received, (ack(generation), frame), "{timeout_at:?}");
             }
-            assert_eq!(conn.recv().unwrap(), (first.clone(), frame), "{timeout_at:?}");
-            assert_eq!(conn.recv().unwrap(), (second.clone(), frame), "{timeout_at:?}");
-            // Header and body, one `read` each, as with `read_exact`; a
-            // timeout adds itself and the second half of the read it split.
-            let reads = conn.get_ref().reads;
+            assert_eq!(timeouts, usize::from(timeout_at.is_some()), "{timeout_at:?}");
+            // Two ready frames are one `read`; a timeout adds itself and
+            // the second half of the read it split.
             let expected = match timeout_at {
-                None => 4,
-                // On a boundary between reads there is nothing to split.
-                Some(at) if at == 0 || at == HEADER_BYTES => 5,
-                Some(_) => 6,
+                None => 1,
+                // Before the first byte there is nothing to split.
+                Some(0) => 2,
+                Some(_) => 3,
             };
-            assert_eq!(reads, expected, "{timeout_at:?}");
+            assert_eq!(conn.get_ref().reads, expected, "{timeout_at:?}");
         }
+    }
+
+    /// A socket that delivers `bytes` in reads of the given sizes.
+    struct Chunks {
+        bytes: Cursor<Vec<u8>>,
+        sizes: std::vec::IntoIter<usize>,
+    }
+
+    impl Read for Chunks {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let size = self.sizes.next().expect("no read beyond the scripted ones");
+            assert!(size <= out.len(), "the buffer takes what the socket has");
+            self.bytes.read(&mut out[..size])
+        }
+    }
+
+    impl Write for Chunks {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            unreachable!("receive-only")
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn chunked(messages: &[Message], sizes: Vec<usize>) -> FrameConn<Chunks> {
+        let bytes: Vec<u8> = messages
+            .iter()
+            .flat_map(|message| encode_message(message).unwrap())
+            .collect();
+        assert_eq!(sizes.iter().sum::<usize>(), bytes.len());
+        FrameConn::new(Chunks {
+            bytes: Cursor::new(bytes),
+            sizes: sizes.into_iter(),
+        })
+    }
+
+    #[test]
+    fn a_frame_and_a_half_in_one_read_keeps_the_half_for_the_next() {
+        let frame = encode_message(&ack(1)).unwrap().len();
+        for half in 1..frame {
+            let mut conn = chunked(&[ack(1), ack(2)], vec![frame + half, frame - half]);
+            assert_eq!(conn.recv().unwrap(), (ack(1), frame), "{half}");
+            assert_eq!(conn.recv().unwrap(), (ack(2), frame), "{half}");
+        }
+    }
+
+    #[test]
+    fn three_frames_in_one_read_cost_one_read() {
+        // Frames of different sizes, so a surplus moved to the wrong
+        // place could not decode.
+        let messages = [
+            ack(1),
+            Message::Heartbeat(crate::wire::Heartbeat {
+                node: 3,
+                epoch: 4,
+                generation: 5,
+            }),
+            ack(2),
+        ];
+        let total = messages
+            .iter()
+            .map(|message| encode_message(message).unwrap().len())
+            .sum();
+        let mut conn = chunked(&messages, vec![total]);
+        for message in &messages {
+            assert_eq!(&conn.recv().unwrap().0, message);
+        }
+        // Drained: the next receive reads again, and finds the peer gone.
+        conn.stream.sizes = vec![0].into_iter();
+        assert!(matches!(conn.recv(), Err(NetError::Truncated)));
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_read_ahead_grows_the_buffer() {
+        let big = Message::SnapshotChunk(crate::wire::SnapshotChunk {
+            offset_words: 0,
+            words: vec![0xA5A5; READ_AHEAD_BYTES],
+        });
+        let bytes = encode_message(&big).unwrap().len();
+        assert!(bytes > 2 * READ_AHEAD_BYTES);
+        let small = encode_message(&ack(9)).unwrap().len();
+        // The header arrives in a first, full read; the buffer then has
+        // room for the rest of the frame it announces.
+        let mut conn = chunked(
+            &[big.clone(), ack(9)],
+            vec![READ_AHEAD_BYTES, bytes - READ_AHEAD_BYTES, small],
+        );
+        assert_eq!(conn.recv().unwrap(), (big, bytes));
+        assert_eq!(conn.recv().unwrap(), (ack(9), small));
     }
 
     #[test]

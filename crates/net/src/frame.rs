@@ -75,26 +75,21 @@ pub(crate) fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u16>, NetError> {
 ///
 /// [`NetError::PayloadTooLarge`] past [`MAX_PAYLOAD_WORDS`].
 pub fn encode_frame(kind: u16, payload: &[u16]) -> Result<Vec<u8>, NetError> {
-    if payload.len() > MAX_PAYLOAD_WORDS {
+    let Ok(len) = u16::try_from(payload.len()) else {
         return Err(NetError::PayloadTooLarge {
             words: payload.len(),
         });
+    };
+    // The bytes are written once, where they are sent from.
+    let mut bytes = Vec::with_capacity((HEADER_WORDS + payload.len() + TRAILER_WORDS) * 2);
+    for word in [FRAME_MAGIC, kind, len].iter().chain(payload) {
+        bytes.extend_from_slice(&word.to_le_bytes());
     }
-    #[allow(clippy::cast_possible_truncation)]
-    let len = payload.len() as u16;
-    let mut words = Vec::with_capacity(HEADER_WORDS + payload.len() + TRAILER_WORDS);
-    words.push(FRAME_MAGIC);
-    words.push(kind);
-    words.push(len);
-    words.extend_from_slice(payload);
-    // CRC over everything after the magic: kind, len, payload.
-    let crc = crc32(&words_to_bytes(&words[1..]));
-    #[allow(clippy::cast_possible_truncation)]
-    {
-        words.push(crc as u16);
-        words.push((crc >> 16) as u16);
-    }
-    Ok(words_to_bytes(&words))
+    // CRC over everything after the magic: kind, len, payload. Low word
+    // first, each word little-endian: the CRC's own little-endian bytes.
+    let crc = crc32(&bytes[2..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    Ok(bytes)
 }
 
 /// Decodes a byte buffer holding **exactly one** frame. Any deviation —
@@ -111,27 +106,28 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, NetError> {
     if bytes.len() < min_bytes || !bytes.len().is_multiple_of(2) {
         return Err(NetError::Truncated);
     }
-    let words = bytes_to_words(bytes)?;
-    if words[0] != FRAME_MAGIC {
-        return Err(NetError::BadMagic { found: words[0] });
+    let word = |at: usize| u16::from_le_bytes([bytes[2 * at], bytes[2 * at + 1]]);
+    if word(0) != FRAME_MAGIC {
+        return Err(NetError::BadMagic { found: word(0) });
     }
-    let len = usize::from(words[2]);
-    if words.len() != HEADER_WORDS + len + TRAILER_WORDS {
+    let len = usize::from(word(2));
+    if bytes.len() != (HEADER_WORDS + len + TRAILER_WORDS) * 2 {
         // A length field disagreeing with the buffer is a tear (or a
         // flipped length bit — either way the CRC words are not where
         // the header claims).
         return Err(NetError::Truncated);
     }
-    let body = &words[1..HEADER_WORDS + len];
-    let expected = crc32(&words_to_bytes(body));
-    let found =
-        u32::from(words[HEADER_WORDS + len]) | (u32::from(words[HEADER_WORDS + len + 1]) << 16);
+    // The received bytes are checked where they lie; only the payload
+    // is copied out.
+    let (body, trailer) = bytes.split_at((HEADER_WORDS + len) * 2);
+    let expected = crc32(&body[2..]);
+    let found = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
     if expected != found {
         return Err(NetError::BadCrc { expected, found });
     }
     Ok(Frame {
-        kind: words[1],
-        payload: words[HEADER_WORDS..HEADER_WORDS + len].to_vec(),
+        kind: word(1),
+        payload: bytes_to_words(&body[HEADER_WORDS * 2..])?,
     })
 }
 

@@ -25,8 +25,10 @@
 //!   allocation shared with its job, no channel — whose filler wakes only
 //!   a waiter that parked on it; the worker wakes the clients a batch
 //!   released together, cache hits before the kernel call; a submit
-//!   signals the worker's condvar only when it finds the worker parked.
-//!   `docs/scheduling.md` §7 is normative.
+//!   signals the worker's condvar only when it finds the worker parked;
+//!   a caller that blocks at once (a node's connection thread, a cluster
+//!   client's local site) runs an idle shard's batch itself and wakes
+//!   nobody. `docs/scheduling.md` §7 is normative.
 //! * **Result caching** ([`cache`]): retrievals are memoized by request
 //!   fingerprint and stamped with the request's function-type stamp; a
 //!   retain/revise/evict invalidates the cached results of the one type
@@ -127,12 +129,15 @@ pub enum Outcome {
     ShedDeadline,
     /// Retrieval failed (e.g. unknown function type).
     Failed(CoreError),
-    /// The owning shard lives on a remote node that stayed unreachable
-    /// through the transport's bounded retry budget (see
-    /// [`remote`]). Produced client-side — a dead node degrades the
-    /// requests routed to it into this explicit outcome, never a hang.
+    /// The owning shard's site cannot answer: a remote node that stayed
+    /// unreachable through the transport's bounded retry budget, or a
+    /// local shard whose worker died (see [`remote`]). Produced
+    /// client-side — a dead site degrades the requests routed to it into
+    /// this explicit outcome, never a hang or a panic.
     Unavailable {
-        /// Connection/send attempts made before giving up.
+        /// Connection/send attempts made before giving up. 0: none was
+        /// made — an open circuit breaker failed the call fast, or the
+        /// dead shard was local.
         attempts: u32,
     },
     /// Shed at admission by *prediction*: the measured service rate
@@ -404,6 +409,23 @@ impl AllocationService {
         self.shard_for(request.type_id())
             .queue
             .admit(id, request, class, deadline_us)
+    }
+
+    /// The blocking submit: what `submit_us(..).wait()` returns, for a
+    /// caller that has nothing to do until the reply — a node's
+    /// connection thread, a cluster client's local site. When the owning
+    /// shard is idle the calling thread runs its own batch instead of
+    /// waking the worker and sleeping until it is woken back
+    /// ([`shard::Shard::call`]). `None` if the shard is dead.
+    pub(crate) fn call_us(
+        &self,
+        request: Request,
+        class: QosClass,
+        deadline_us: Option<u64>,
+    ) -> Option<Reply> {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.shard_for(request.type_id())
+            .call(id, request, class, deadline_us)
     }
 
     /// Seeds shard `shard`'s measured service-time estimator with one

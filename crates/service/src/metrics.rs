@@ -167,6 +167,11 @@ pub struct ServiceMetrics {
     /// (`worker_wakes <= worker_parks` at every snapshot), whatever the
     /// number of submits in between.
     pub worker_wakes: AtomicU64,
+    /// Batches a blocking caller ran itself because it found the shard
+    /// idle (`docs/scheduling.md` §7.4); the shard workers ran the other
+    /// `batches - inline_runs` (`inline_runs <= batches` at every
+    /// snapshot).
+    pub inline_runs: AtomicU64,
     /// The batch-commit gate (see the module docs).
     gate: Mutex<()>,
 }
@@ -223,6 +228,8 @@ impl ServiceMetrics {
         // `worker_wakes <= worker_parks` in every snapshot.
         let worker_wakes = self.worker_wakes.load(Ordering::Acquire);
         let worker_parks = self.worker_parks.load(Ordering::Relaxed);
+        // Likewise an inline run is counted (Release) after its batch.
+        let inline_runs = self.inline_runs.load(Ordering::Acquire);
         MetricsSnapshot {
             classes,
             batches: self.batches.load(Ordering::Relaxed),
@@ -230,18 +237,20 @@ impl ServiceMetrics {
             ops: self.ops.snapshot(),
             worker_parks,
             worker_wakes,
+            inline_runs,
         }
     }
 }
 
 impl MetricSource for ServiceMetrics {
-    /// The snapshot's samples plus the two hand-over counters, which
+    /// The snapshot's samples plus the three hand-over counters, which
     /// only a live, threaded service moves.
     fn collect(&self, out: &mut Vec<Sample>) {
         let snapshot = self.snapshot();
         snapshot.collect(out);
         out.push(Sample::count("queue/worker_parks", snapshot.worker_parks));
         out.push(Sample::count("queue/worker_wakes", snapshot.worker_wakes));
+        out.push(Sample::count("queue/inline_runs", snapshot.inline_runs));
     }
 }
 
@@ -323,6 +332,9 @@ pub struct MetricsSnapshot {
     pub worker_parks: u64,
     /// Wakes issued to parked workers (never more than `worker_parks`).
     pub worker_wakes: u64,
+    /// Batches run by a blocking caller instead of a shard worker (never
+    /// more than `batches`).
+    pub inline_runs: u64,
 }
 
 impl MetricsSnapshot {
@@ -419,8 +431,9 @@ impl fmt::Display for MetricsSnapshot {
         }
         writeln!(
             f,
-            "batches: {} (mean occupancy {:.1}, kernel ops {})",
+            "batches: {} ({} run by their blocking caller; mean occupancy {:.1}, kernel ops {})",
             self.batches,
+            self.inline_runs,
             self.mean_batch_len(),
             self.ops.arithmetic(),
         )

@@ -49,6 +49,12 @@
 //! whenever the mutex is free, so no wake-up is lost; the proof sketch
 //! is in `docs/scheduling.md` ("Hand-over protocol"), and
 //! `worker_parks` / `worker_wakes` count both sides.
+//!
+//! One push leaves the flag alone: that of a blocking caller who holds
+//! the shard's worker context and takes its job straight back, in the
+//! push's own critical section, to run it itself
+//! (`ClassQueue::admit_with`, `docs/scheduling.md` §7.4). The queue
+//! is empty again before the mutex is free, so the implication stands.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -208,6 +214,24 @@ impl ClassQueue {
         class: QosClass,
         deadline_us: Option<u64>,
     ) -> Ticket {
+        self.admit_with(id, request, class, deadline_us, None)
+    }
+
+    /// [`ClassQueue::admit`], optionally by a blocking caller that holds
+    /// the shard's worker context and offers (`drive`) to run the batch
+    /// itself: when the push finds the worker parked, the job comes
+    /// straight back in the offered batch (`docs/scheduling.md` §7.4) and
+    /// the caller owes it a run; otherwise the batch stays empty and the
+    /// job is queued, or shed, as any other.
+    pub(crate) fn admit_with(
+        &self,
+        id: u64,
+        request: Request,
+        class: QosClass,
+        deadline_us: Option<u64>,
+        drive: Option<&mut Vec<Job>>,
+    ) -> Ticket {
+        debug_assert!(drive.as_ref().is_none_or(|batch| batch.is_empty()));
         let metrics = &*self.metrics;
         metrics.class(class).submitted.fetch_add(1, Ordering::Relaxed);
         let (filler, ticket) = ticket::reply_slot(id, class);
@@ -223,11 +247,10 @@ impl ClassQueue {
             deadline: deadline_us.or(budget).map(|d| now.saturating_add(d)),
             filler,
         };
-        match self.push(job) {
-            Admission::Admitted => record(id, class, EventKind::Admitted, 0),
+        match self.push_with(job, drive) {
+            Admission::Admitted => {}
             Admission::Displaced(victim) => {
                 // The newcomer took the largest-slack resident's slot.
-                record(id, class, EventKind::Admitted, 0);
                 record(victim.id, victim.class, EventKind::Displaced, id);
                 record(victim.id, victim.class, EventKind::ShedQueueFull, 0);
                 let shed = &metrics.class(victim.class).shed_queue_full;
@@ -275,8 +298,21 @@ impl ClassQueue {
 
     /// Enqueues a job. See [`Admission`] for the outcomes; the class's
     /// admission limit is LOW: 1× capacity, MEDIUM: 2×, HIGH: 4×,
-    /// CRITICAL: unlimited.
+    /// CRITICAL: unlimited. A queued job's `Admitted` event is recorded
+    /// here, under the mutex, so it precedes in record order whatever the
+    /// job's driver records once it can see the job.
     pub fn push(&self, job: Job) -> Admission {
+        self.push_with(job, None)
+    }
+
+    /// [`ClassQueue::push`], offering to drive: a caller that passes its
+    /// batch and whose insert finds the worker parked — so its job is the
+    /// only one queued — gets the job back through the very fill loop
+    /// [`ClassQueue::pop_batch`] runs, in the same critical section.
+    /// `parked` stays set and no wake is issued: the queue is empty again
+    /// before the mutex is free, as the wake protocol requires of a
+    /// parked worker's queue.
+    fn push_with(&self, job: Job, drive: Option<&mut Vec<Job>>) -> Admission {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.shutdown {
             return Admission::Refused(job);
@@ -297,6 +333,9 @@ impl ClassQueue {
         };
         let key = (job.deadline.map_or(SortKey::NoDeadline, SortKey::At), inner.seq);
         inner.seq += 1;
+        let admitted = |job: &Job| {
+            self.trace(job.enqueued_at, job.id, job.class, EventKind::Admitted, 0);
+        };
         if inner.len >= limit {
             // Shed by largest slack: the lane's last key is its
             // largest-slack resident. Strict `<` keeps the no-deadline
@@ -306,6 +345,7 @@ impl ClassQueue {
                 if let Some((&last_key, _)) = lane.last_key_value() {
                     if key.0 < last_key.0 {
                         let (_, victim) = lane.pop_last().expect("lane non-empty");
+                        admitted(&job);
                         lane.insert(key, job);
                         // One in, one out: the queue was and stays
                         // non-empty, so nobody is parked on it.
@@ -316,8 +356,16 @@ impl ClassQueue {
             }
             return Admission::Refused(job);
         }
+        admitted(&job);
         inner.lanes[job.class.index()].insert(key, job);
         inner.len += 1;
+        if inner.parked {
+            if let Some(batch) = drive {
+                self.fill(&mut inner, self.config.batch_size, batch);
+                debug_assert!(inner.len == 0, "a parked worker's queue held one job");
+                return Admission::Admitted;
+            }
+        }
         // Whoever finds the worker parked takes on its wake; everybody
         // else's push is over here.
         let wake = std::mem::take(&mut inner.parked);
@@ -362,9 +410,18 @@ impl ClassQueue {
             }
             inner = self.available.wait(inner).expect("queue poisoned");
         }
-        // The estimator is written only by this shard's driver — the
-        // thread running this very loop — so the read is stable across
-        // the whole fill.
+        self.fill(&mut inner, max, batch);
+        true
+    }
+
+    /// The one fill loop: moves jobs from the lanes into `batch` until it
+    /// holds `max`, the lanes are empty, or the estimator says one more
+    /// pick would make an already-picked job late. Called with the queue
+    /// mutex held, by whoever is about to run the batch: the worker from
+    /// [`ClassQueue::pop_batch`], a blocking caller from its own push.
+    fn fill(&self, inner: &mut Inner, max: usize, batch: &mut Vec<Job>) {
+        // Read once: the whole fill judges by one estimate, whichever
+        // driver feeds the estimator meanwhile.
         let per_job_us = self.estimator.per_job_us();
         // Tightest effective deadline among jobs already picked — the
         // deadline-aware composition bound.
@@ -410,7 +467,6 @@ impl ClassQueue {
             inner.len -= 1;
             batch.push(job);
         }
-        true
     }
 
     /// Jobs currently queued.
@@ -888,6 +944,40 @@ mod tests {
         assert_eq!(metrics.worker_parks.load(Ordering::Relaxed), 1);
         // A backlogged queue parks nobody and is owed no wake.
         assert_eq!(pop(&q, 8).unwrap().len(), 4);
+        assert_eq!(metrics.worker_parks.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_driving_push_takes_its_job_back_only_from_a_parked_worker() {
+        let metrics = Arc::new(ServiceMetrics::default());
+        let q = Arc::new(ClassQueue::new(&config(8), Arc::clone(&metrics), None));
+        let mut batch = Vec::new();
+        // Nobody is parked: an offer to drive changes nothing, whether
+        // the queue is empty or a job is already waiting.
+        for queued in 0..2 {
+            let ticket = q.admit_with(queued, request(), QosClass::High, None, Some(&mut batch));
+            assert!(batch.is_empty() && ticket.try_wait().is_none());
+            assert_eq!(q.len(), queued as usize + 1);
+        }
+        assert_eq!(pop(&q, 8).unwrap().len(), 2);
+
+        let q2 = Arc::clone(&q);
+        let worker = std::thread::spawn(move || pop(&q2, 8).map(|b| b[0].id));
+        while metrics.worker_parks.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        // Parked: the job comes straight back, picked by the same fill
+        // loop, the queue is empty again and the worker sleeps on.
+        let ticket = q.admit_with(2, request(), QosClass::Low, None, Some(&mut batch));
+        assert_eq!(batch.len(), 1);
+        assert_eq!((batch[0].id, ticket.id()), (2, 2));
+        assert_eq!(metrics.class(QosClass::Low).picks.load(Ordering::Relaxed), 1);
+        assert!(q.is_empty());
+        assert_eq!(metrics.worker_wakes.load(Ordering::Relaxed), 0);
+        // `parked` is still set: the next ordinary push owes the wake.
+        push_ok(&q, job(3, QosClass::High));
+        assert_eq!(worker.join().unwrap(), Some(3));
+        assert_eq!(metrics.worker_wakes.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.worker_parks.load(Ordering::Relaxed), 1);
     }
 

@@ -261,7 +261,13 @@ impl Drop for NodeServer {
 }
 
 /// One connection's serve loop: strictly request → reply, closing on any
-/// protocol violation or transport damage (the client reconnects).
+/// protocol violation or transport damage (the client reconnects). A
+/// submit is a blocking call ([`AllocationService::call_us`]): this
+/// thread has nothing to do until the reply, so when the owning shard is
+/// idle it runs the batch itself instead of handing a batch of one to
+/// the shard worker and sleeping until it is handed back
+/// (`docs/scheduling.md` §7.4). Frames a pipelining peer sent ahead wait
+/// in the connection's read buffer.
 fn serve_connection(
     service: &AllocationService,
     stream: TcpStream,
@@ -291,8 +297,10 @@ fn serve_connection(
         match message {
             Message::Submit(submit) => {
                 let id = submit.id;
-                let ticket = service.submit_us(submit.request, submit.class, submit.deadline_us);
-                let Some(reply) = ticket.wait() else { return };
+                let reply = service.call_us(submit.request, submit.class, submit.deadline_us);
+                // A dead shard answers nothing: close, as on transport
+                // damage, and leave the rest to the client's retry.
+                let Some(reply) = reply else { return };
                 let Ok(outcome) = outcome_to_wire(&reply.outcome) else {
                     return;
                 };
@@ -701,7 +709,11 @@ impl ClusterClient {
     }
 
     /// Submits a request, blocking until its reply (remote hops resolve
-    /// within the bounded retry budget, so this never hangs).
+    /// within the bounded retry budget, so this never hangs). A site
+    /// that cannot answer degrades the request to
+    /// [`Outcome::Unavailable`], wherever the site is: a remote node that
+    /// stayed unreachable reports the attempts it cost, a local shard
+    /// whose worker died — as a breaker's fast-fail — `attempts: 0`.
     ///
     /// # Panics
     ///
@@ -736,12 +748,20 @@ impl ClusterClient {
                     .local
                     .as_ref()
                     .expect("placement routed to a local site but no local service is attached");
-                let ticket = service.submit_us(request, class, deadline_us);
-                let mut reply = ticket.wait().expect("local service answered");
-                // The local service numbers its own requests; the cluster
-                // reply carries the *cluster* id.
-                reply.id = id;
-                reply
+                match service.call_us(request, class, deadline_us) {
+                    // The local service numbers its own requests; the
+                    // cluster reply carries the *cluster* id.
+                    Some(reply) => Reply { id, ..reply },
+                    // The local shard's worker is dead. No transport
+                    // stands between caller and shard, so no attempt was
+                    // made: 0, as for a breaker's fast-fail.
+                    None => Reply {
+                        id,
+                        class,
+                        outcome: Outcome::Unavailable { attempts: 0 },
+                        latency_us: 0,
+                    },
+                }
             }
             ShardSite::Remote { node, .. } => {
                 // Clone the Arc out of the lock before the (blocking)
@@ -1157,6 +1177,35 @@ mod tests {
         if let Some(service) = Arc::into_inner(service) {
             service.shutdown();
         }
+    }
+
+    #[test]
+    fn a_dead_local_shard_degrades_the_cluster_caller_instead_of_panicking() {
+        // Regression: the local arm ended in `.expect("local service
+        // answered")`, so a worker that died (here: of the store lock a
+        // mutator poisoned) took the calling thread with it, where the
+        // remote arm degrades the same condition to `Unavailable`.
+        let service = Arc::new(
+            AllocationService::new(&paper::table1_case_base(), &crate::ServiceConfig::default())
+                .expect("valid service config"),
+        );
+        let store = Arc::clone(&service.shards[0].store);
+        let poisoner = std::thread::spawn(move || {
+            let _held = store.lock().unwrap();
+            panic!("mutator dies holding the store lock (expected by this test)");
+        });
+        assert!(poisoner.join().is_err());
+
+        let placement = rqfa_core::ModuloPlacement::new(1);
+        let client = ClusterClient::new(Box::new(placement), Some(Arc::clone(&service)));
+        let request = paper::table1_request().unwrap();
+        let reply = client.submit(request.clone(), QosClass::High);
+        assert_eq!((reply.id, reply.class), (0, QosClass::High));
+        assert_eq!(reply.outcome, Outcome::Unavailable { attempts: 0 });
+        // The shard's queue is shut from here on: later calls are refused
+        // at its door, and still nobody panics.
+        let reply = client.submit(request, QosClass::Critical);
+        assert_eq!((reply.id, reply.outcome), (1, Outcome::ShedQueueFull));
     }
 
     #[test]

@@ -37,7 +37,7 @@ use rqfa_telemetry::{FlightRecorder, ManualClock, TraceDump};
 
 use crate::config::validate_config;
 use crate::metrics::ServiceMetrics;
-use crate::shard::{self, ShardCore, ShardStore};
+use crate::shard::{self, ShardCore, ShardStore, Timing};
 use crate::{MetricsSnapshot, Reply, ServiceConfig, Ticket};
 
 /// Deterministic service-time model of one dispatched batch.
@@ -201,9 +201,8 @@ impl TraceDriver {
                 }
                 let served = shard
                     .core
-                    .step()
-                    .expect("backlogged queue yields a batch")
-                    .served;
+                    .step(Timing::Modelled)
+                    .expect("backlogged queue yields a batch");
                 let batch_us = self.cost.batch_us(served);
                 // The live driver feeds the estimator the clock time it
                 // measured around the step; here the cost model *is* the

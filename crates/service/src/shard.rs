@@ -6,7 +6,9 @@
 //! [`RetrievalCache`], a [`ClassQueue`] and a [`PlaneEngine`], built by
 //! one constructor and run through one path — `ClassQueue::admit` in,
 //! `ShardCore::step` out. The live service drives it from a worker
-//! thread, the replay from its event loop, the [`BatchHarness`] by hand.
+//! thread — and, for a blocking call into an idle shard, from the
+//! caller's own (`Shard::call`) — the replay from its event loop, the
+//! [`BatchHarness`] by hand.
 //! Because retrieval only ever touches the requested type's subtree, a
 //! shard answers exactly as the single big engine would over the merged
 //! case base — sharding changes *where* a request runs, never *what* it
@@ -41,7 +43,8 @@ use std::thread::{JoinHandle, Thread};
 
 use rqfa_cache::DigestState;
 use rqfa_core::{
-    CaseBase, CaseMutation, CoreError, Generation, PlaneEngine, Request, Retrieval, TypeId,
+    CaseBase, CaseMutation, CoreError, Generation, PlaneEngine, QosClass, Request, Retrieval,
+    TypeId,
 };
 use rqfa_fixed::Q15;
 use rqfa_persist::{DurableCaseBase, FileStore, PendingCheckpoint, PersistError, WrittenCheckpoint};
@@ -187,6 +190,9 @@ impl ShardStore {
 pub(crate) struct Shard {
     pub(crate) queue: Arc<ClassQueue>,
     pub(crate) store: Arc<Mutex<ShardStore>>,
+    /// The worker context, shared with the worker so that a blocking
+    /// caller can run its own batch ([`Shard::call`]).
+    context: Arc<Mutex<WorkerContext>>,
     /// Serializes checkpoints against each other (never against the
     /// store lock — retrievals keep flowing during checkpoint I/O).
     checkpoint_lock: Mutex<()>,
@@ -223,25 +229,72 @@ impl Shard {
         let mut core = ShardCore::new(store, config, metrics, None);
         let queue = Arc::clone(&core.queue);
         let store = Arc::clone(&core.store);
+        let context = Arc::clone(&core.context);
         let worker = std::thread::Builder::new()
             .name(format!("rqfa-shard-{index}"))
             .spawn(move || {
                 // `core` is dropped when this thread exits — by return or
                 // by panic — which tears the queue down (see its `Drop`).
-                while let Some(report) = core.step() {
-                    core.queue.estimator().observe(report.elapsed_us, report.served);
-                }
+                while core.step(Timing::Measured).is_some() {}
             })
             .expect("spawn shard worker");
         Shard {
             queue,
             store,
+            context,
             checkpoint_lock: Mutex::new(()),
             since_checkpoint: AtomicU64::new(0),
             snapshot_every,
             checkpoint_error: Mutex::new(None),
             worker: Some(worker),
         }
+    }
+
+    /// A blocking submit — what `admit(..).wait()` returns — by a fourth
+    /// driver of the shard core: when the shard is idle the caller runs
+    /// its own batch instead of handing a batch of one to the worker and
+    /// sleeping until it is handed back (`docs/scheduling.md` §7.4).
+    ///
+    /// `None` as from [`Ticket::wait`](crate::Ticket::wait): the shard's
+    /// worker is dead, or this call found the store lock poisoned — in
+    /// which case it shuts the queue as a dying worker does and answers
+    /// `None`; it never panics the caller's thread.
+    pub(crate) fn call(
+        &self,
+        id: u64,
+        request: Request,
+        class: QosClass,
+        deadline_us: Option<u64>,
+    ) -> Option<Reply> {
+        // Held: a batch is running, so this job queues behind it like any
+        // other. Poisoned: a driver died mid-batch; the worker finds out
+        // on its next step and takes the queue down with it.
+        let Ok(mut context) = self.context.try_lock() else {
+            return self.queue.admit(id, request, class, deadline_us).wait();
+        };
+        // In this driver's hands, not in the shared context, while it
+        // holds jobs: unwinding drops them here, where their slots are
+        // abandoned, instead of stranding them where nobody looks.
+        let mut flight = std::mem::take(&mut context.idle_flight);
+        let drive = Some(&mut flight.batch);
+        let ticket = self.queue.admit_with(id, request, class, deadline_us, drive);
+        if !flight.batch.is_empty() {
+            let timing = Timing::Measured;
+            if run(&self.queue, &self.store, &mut context, &mut flight, timing).is_some() {
+                // Release: pairs with the snapshot's Acquire read, which
+                // must see the batch (counted by the run) too.
+                let inline_runs = &self.queue.metrics.inline_runs;
+                inline_runs.fetch_add(1, Ordering::Release);
+            } else {
+                // Store poisoned: go as a dying worker goes. The dropped
+                // job abandons its slot, the queue is shut.
+                flight.batch.clear();
+                self.queue.abort();
+            }
+        }
+        context.idle_flight = flight;
+        drop(context);
+        ticket.wait()
     }
 
     /// Applies a mutation to this shard's store under its lock, returning
@@ -375,30 +428,36 @@ impl Drop for Shard {
     }
 }
 
-/// What one [`ShardCore::step`] did.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StepReport {
-    /// Jobs in the processed batch.
-    pub(crate) served: usize,
-    /// Clock µs from before the store lock was taken to after the last
-    /// reply was sent.
-    pub(crate) elapsed_us: u64,
+/// Whether a driver's batch durations are real. The live drivers (the
+/// worker loop, a blocking caller) feed theirs to the scheduler's
+/// estimator — inside the context's critical section, so the estimator
+/// has one writer at a time. The replay charges its cost model instead
+/// and the harness nothing: under their frozen clocks every measurement
+/// would read 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Timing {
+    Measured,
+    Modelled,
 }
 
 /// One shard's whole request path, driver-agnostic: the front half
 /// ([`ClassQueue::admit`] on [`ShardCore::queue`]) turns requests into
 /// queued jobs, the worker half ([`ShardCore::step`]) turns queued jobs
-/// into replies. The live service steps it from a thread loop, the
+/// into replies. The live service steps it from a thread loop (and runs
+/// an idle shard's batch from a blocking caller, [`Shard::call`]), the
 /// deterministic replay from its discrete-event loop, and the
 /// [`BatchHarness`] hands [`ShardCore::run`] caller-built batches — one
-/// constructor, one execution path, three drivers.
+/// constructor, one execution path, four drivers.
 pub(crate) struct ShardCore {
     /// The front half; also holds what both halves share — the
     /// configuration (with its clock), the metrics block and the flight
     /// recorder.
     pub(crate) queue: Arc<ClassQueue>,
     pub(crate) store: Arc<Mutex<ShardStore>>,
-    ctx: WorkerContext,
+    /// Engine, cache and scratch: locked per batch by whoever runs it.
+    context: Arc<Mutex<WorkerContext>>,
+    /// The batch in this driver's hands.
+    flight: InFlight,
 }
 
 impl ShardCore {
@@ -419,42 +478,67 @@ impl ShardCore {
         ShardCore {
             queue: Arc::new(ClassQueue::new(config, metrics, recorder)),
             store: Arc::new(Mutex::new(store)),
-            ctx: WorkerContext {
+            context: Arc::new(Mutex::new(WorkerContext {
                 engine: PlaneEngine::new(),
                 cache: RetrievalCache::new(config.cache_capacity),
-                batch: Vec::new(),
-                leaders: Vec::new(),
                 results: Vec::new(),
                 seen: HashMap::default(),
-                followers: Vec::new(),
                 deltas: BatchDeltas::default(),
-                waiters: Waiters::default(),
-            },
+                idle_flight: InFlight::default(),
+            })),
+            flight: InFlight::default(),
         }
     }
 
     /// Pops the next batch (blocking while the queue is empty) and runs
-    /// it. `None` once the queue is shut down and drained — the
-    /// driver's signal to stop.
-    pub(crate) fn step(&mut self) -> Option<StepReport> {
+    /// it, returning the number of jobs it held. `None` once the queue is
+    /// shut down and drained — the driver's signal to stop.
+    pub(crate) fn step(&mut self, timing: Timing) -> Option<usize> {
         let max = self.queue.config.batch_size;
+        // The queue mutex is free again before the context is waited
+        // for: a blocking caller holds the context while it pushes.
         self.queue
-            .pop_batch(max, &mut self.ctx.batch)
-            .then(|| self.run())
+            .pop_batch(max, &mut self.flight.batch)
+            .then(|| self.run(timing))
     }
 
-    /// Runs the batch in `ctx.batch` against the (locked) store.
-    fn run(&mut self) -> StepReport {
-        let served = self.ctx.batch.len();
-        let started = self.queue.config.clock.now_us();
-        let store = self.store.lock().expect("store poisoned");
-        process_batch(&store, &self.queue, &mut self.ctx);
-        drop(store);
-        StepReport {
-            served,
-            elapsed_us: self.queue.config.clock.now_us().saturating_sub(started),
-        }
+    /// Runs the batch in this driver's hands.
+    ///
+    /// # Panics
+    ///
+    /// On a poisoned context or store lock: a driver or a mutator died
+    /// holding it. The batch is dropped with the panicking driver, so its
+    /// tickets wake with `None` (see the `Drop` below).
+    fn run(&mut self, timing: Timing) -> usize {
+        let mut context = self.context.lock().expect("context poisoned");
+        run(&self.queue, &self.store, &mut context, &mut self.flight, timing)
+            .expect("store poisoned")
     }
+}
+
+/// Runs the batch in `flight` against the (locked) store — the one
+/// execution path of every driver — and returns the number of jobs it
+/// held. `None`, with the batch still in `flight`, if the store lock is
+/// poisoned.
+fn run(
+    queue: &ClassQueue,
+    store: &Mutex<ShardStore>,
+    context: &mut WorkerContext,
+    flight: &mut InFlight,
+    timing: Timing,
+) -> Option<usize> {
+    let served = flight.batch.len();
+    // Timed from before the store lock is taken to after the last reply
+    // is sent.
+    let started = queue.config.clock.now_us();
+    let store = store.lock().ok()?;
+    process_batch(&store, queue, context, flight);
+    drop(store);
+    if timing == Timing::Measured {
+        let elapsed_us = queue.config.clock.now_us().saturating_sub(started);
+        queue.estimator().observe(elapsed_us, served);
+    }
+    Some(served)
 }
 
 /// Dropping the core — the worker half — leaves nobody to serve the
@@ -469,10 +553,11 @@ impl Drop for ShardCore {
     }
 }
 
-/// The reusable per-worker state of the retrieval hot path: the compiled
+/// The reusable per-shard state of the retrieval hot path: the compiled
 /// plane engine (scratch arena + plane, one type plane recompiled per
 /// moved type stamp), the shard's result cache, and the batch-local
-/// coalescing buffers.
+/// buffers that hold no job. One mutex guards it; whoever runs a batch
+/// holds it for the length of the batch.
 ///
 /// Everything here is sized by the first few batches and reused after, so
 /// the steady-state worker allocates nothing per request or per batch
@@ -480,21 +565,34 @@ impl Drop for ShardCore {
 struct WorkerContext {
     engine: PlaneEngine,
     cache: RetrievalCache,
-    /// The batch being run: filled by `ClassQueue::pop_batch` (or the
-    /// harness), drained by `process_batch`.
-    batch: Vec<Job>,
-    /// The current batch's cache misses, one per distinct fingerprint:
-    /// what the kernel scores.
-    leaders: Vec<Leader>,
     /// Engine results of the current batch's leaders, reused.
     results: Vec<Result<Retrieval<Q15>, CoreError>>,
     /// Batch-local map: fingerprint → leader index in `leaders` (hashed
     /// like the cache's index: the key is a digest already).
     seen: HashMap<u64, usize, DigestState>,
-    /// Coalesced within-batch duplicates: `(leader index, job)`.
-    followers: Vec<(usize, Job)>,
     /// The current batch's outcome deltas, committed batch-atomically.
     deltas: BatchDeltas,
+    /// Buffers for a blocking caller to take into its own hands while it
+    /// drives ([`Shard::call`]); empty whenever the context is unlocked.
+    idle_flight: InFlight,
+}
+
+/// What one driver has in flight: every buffer that holds a job or a
+/// released waiter while a batch runs. A driver keeps it in its own
+/// hands, never in the shared [`WorkerContext`], so a driver that unwinds
+/// mid-batch drops exactly these — the jobs' reply slots are abandoned
+/// and the collected waiters woken (their `Drop`s) — and nothing is left
+/// behind in state that outlives it.
+#[derive(Default)]
+struct InFlight {
+    /// The batch being run: filled by the queue's fill loop (or the
+    /// harness), drained by `process_batch`.
+    batch: Vec<Job>,
+    /// The current batch's cache misses, one per distinct fingerprint:
+    /// what the kernel scores.
+    leaders: Vec<Leader>,
+    /// Coalesced within-batch duplicates: `(leader index, job)`.
+    followers: Vec<(usize, Job)>,
     /// Waiters the replies so far released, not yet woken.
     waiters: Waiters,
 }
@@ -587,19 +685,24 @@ impl BatchStamp<'_> {
 /// the engine entirely and is served a copy of the leader's result,
 /// counted — and flagged in its reply — as a cache hit. Normative
 /// semantics: `docs/retrieval.md`.
-fn process_batch(store: &ShardStore, queue: &ClassQueue, ctx: &mut WorkerContext) {
+fn process_batch(
+    store: &ShardStore,
+    queue: &ClassQueue,
+    ctx: &mut WorkerContext,
+    flight: &mut InFlight,
+) {
     let metrics = &*queue.metrics;
     metrics.batches.fetch_add(1, Ordering::Relaxed);
     metrics
         .batched_requests
-        .fetch_add(ctx.batch.len() as u64, Ordering::Relaxed);
+        .fetch_add(flight.batch.len() as u64, Ordering::Relaxed);
     let now = queue.config.clock.now_us();
-    let waiters = &mut ctx.waiters;
+    let waiters = &mut flight.waiters;
     let mut stamp = BatchStamp { now, queue, waiters };
 
     // Pass 1: deadline shedding, cache lookups, duplicate coalescing.
     ctx.seen.clear();
-    for job in ctx.batch.drain(..) {
+    for job in flight.batch.drain(..) {
         stamp.record(&job, EventKind::Dispatched, 0);
         if job.class.sheddable() && job.deadline.is_some_and(|d| stamp.now > d) {
             ctx.deltas.class(job.class).shed_deadline += 1;
@@ -610,7 +713,7 @@ fn process_batch(store: &ShardStore, queue: &ClassQueue, ctx: &mut WorkerContext
         let fingerprint = job.request.fingerprint();
         if let Some(&leader) = ctx.seen.get(&fingerprint) {
             // Within-batch duplicate: one computation will serve it.
-            ctx.followers.push((leader, job));
+            flight.followers.push((leader, job));
             continue;
         }
         let type_stamp = store.type_stamp(job.request.type_id());
@@ -631,38 +734,38 @@ fn process_batch(store: &ShardStore, queue: &ClassQueue, ctx: &mut WorkerContext
                 }
             }
         }
-        ctx.seen.insert(fingerprint, ctx.leaders.len());
-        ctx.leaders.push(Leader { fingerprint, type_stamp, job });
+        ctx.seen.insert(fingerprint, flight.leaders.len());
+        flight.leaders.push(Leader { fingerprint, type_stamp, job });
     }
     // Sheds and cache hits are answered: their waiters go now, not after
     // a kernel call they never needed.
-    ctx.waiters.wake();
+    flight.waiters.wake();
 
     // Pass 2: one batched plane-kernel call for every leader.
     'serve: {
-        if ctx.leaders.is_empty() {
-            debug_assert!(ctx.followers.is_empty(), "followers imply a leader");
+        if flight.leaders.is_empty() {
+            debug_assert!(flight.followers.is_empty(), "followers imply a leader");
             break 'serve;
         }
-        let waiters = &mut ctx.waiters;
+        let waiters = &mut flight.waiters;
         let Some(case_base) = store.case_base() else {
             // Empty shard: no type routes here, so the type is unknown
             // (a follower's probe-that-never-was counts as a miss, as
             // below).
             let mut stamp = BatchStamp { now, queue, waiters };
-            for (_, job) in ctx.followers.drain(..) {
+            for (_, job) in flight.followers.drain(..) {
                 ctx.deltas.class(job.class).cache_misses += 1;
                 let type_id = job.request.type_id();
                 stamp.fail(job, CoreError::UnknownType { type_id }, &mut ctx.deltas);
             }
-            for Leader { job, .. } in ctx.leaders.drain(..) {
+            for Leader { job, .. } in flight.leaders.drain(..) {
                 let type_id = job.request.type_id();
                 stamp.fail(job, CoreError::UnknownType { type_id }, &mut ctx.deltas);
             }
             break 'serve;
         };
         ctx.engine
-            .retrieve_batch_into(case_base, &ctx.leaders, &mut ctx.results);
+            .retrieve_batch_into(case_base, &flight.leaders, &mut ctx.results);
         // The kernel ran: what it answered is stamped after it, so the
         // `Scored` checkpoint and the reported latency carry its cost.
         let now = queue.config.clock.now_us();
@@ -672,7 +775,7 @@ fn process_batch(store: &ShardStore, queue: &ClassQueue, ctx: &mut WorkerContext
         }
         // Followers first (they read the leaders' results), counted as
         // cache hits — the coalesced "1 miss + N−1 hits" account.
-        for (leader, job) in ctx.followers.drain(..) {
+        for (leader, job) in flight.followers.drain(..) {
             match &ctx.results[leader] {
                 Ok(retrieval) => {
                     stamp.record(&job, EventKind::CacheHit, 1);
@@ -688,7 +791,7 @@ fn process_batch(store: &ShardStore, queue: &ClassQueue, ctx: &mut WorkerContext
                 }
             }
         }
-        for (leader, result) in ctx.leaders.drain(..).zip(ctx.results.drain(..)) {
+        for (leader, result) in flight.leaders.drain(..).zip(ctx.results.drain(..)) {
             let Leader { fingerprint, type_stamp, job } = leader;
             match result {
                 Ok(retrieval) => {
@@ -701,7 +804,7 @@ fn process_batch(store: &ShardStore, queue: &ClassQueue, ctx: &mut WorkerContext
         }
     }
     // Whatever the kernel (or the empty shard) answered is in its slot.
-    ctx.waiters.wake();
+    flight.waiters.wake();
     // One commit per batch: a concurrent snapshot sees either none or all
     // of this batch's outcome counters (the snapshot-consistency
     // invariant the observability suite samples under load).
@@ -735,8 +838,8 @@ impl BatchHarness {
 
     /// Processes `batch` exactly as one worker dispatch round would.
     pub fn run_batch(&mut self, batch: Vec<Job>) {
-        self.core.ctx.batch = batch;
-        self.core.run();
+        self.core.flight.batch = batch;
+        self.core.run(Timing::Modelled);
     }
 
     /// Applies a mutation to the underlying store (moves the mutated
@@ -746,6 +849,10 @@ impl BatchHarness {
         self.core.store.lock().expect("store poisoned").apply(mutation)
     }
 
+    fn context(&self) -> std::sync::MutexGuard<'_, WorkerContext> {
+        self.core.context.lock().expect("context poisoned")
+    }
+
     /// Metrics accumulated by the processed batches.
     pub fn metrics(&self) -> crate::MetricsSnapshot {
         self.core.queue.metrics.snapshot()
@@ -753,17 +860,17 @@ impl BatchHarness {
 
     /// The result cache's counter set.
     pub fn cache_stats(&self) -> rqfa_cache::CacheStats {
-        self.core.ctx.cache.cache_stats()
+        self.context().cache.cache_stats()
     }
 
     /// Plane (re)compilations performed by the worker's engine.
     pub fn engine_recompiles(&self) -> u64 {
-        self.core.ctx.engine.recompiles()
+        self.context().engine.recompiles()
     }
 
     /// Type planes those (re)compilations compiled.
     pub fn engine_types_recompiled(&self) -> u64 {
-        self.core.ctx.engine.types_recompiled()
+        self.context().engine.types_recompiled()
     }
 }
 
@@ -886,5 +993,140 @@ mod tests {
         assert!(worker.join().is_err(), "the worker died of the poisoned lock");
         let late = service.submit(request, QosClass::High);
         assert_eq!(late.try_wait().map(|r| r.outcome), Some(Outcome::ShedQueueFull));
+    }
+
+    use crate::{AllocationService, Outcome};
+    use rqfa_telemetry::ManualClock;
+
+    /// A one-shard service on a frozen manual clock, tracing on, whose
+    /// worker has provably parked on its empty queue.
+    fn parked_service(config: ServiceConfig) -> AllocationService {
+        let config = config
+            .with_clock(Arc::new(ManualClock::new()))
+            .with_trace_capacity(64);
+        let service = AllocationService::new(&paper::table1_case_base(), &config)
+            .expect("valid service config");
+        while service.metrics.worker_parks.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        service
+    }
+
+    fn event_kinds(service: &AllocationService) -> Vec<Vec<EventKind>> {
+        let timelines = service.drain_trace().timelines();
+        timelines
+            .iter()
+            .map(|timeline| timeline.events.iter().map(|event| event.kind).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_blocking_call_into_an_idle_shard_runs_its_own_batch() {
+        let request = paper::table1_request().unwrap();
+        let inline = parked_service(ServiceConfig::default());
+        let twin = parked_service(ServiceConfig::default());
+        let called = inline.call_us(request.clone(), QosClass::High, None);
+        let waited = twin.submit(request.clone(), QosClass::High).wait();
+        assert!(matches!(
+            called,
+            Some(Reply { outcome: Outcome::Allocated { cached: false, .. }, .. })
+        ));
+        assert_eq!(called, waited, "field for field what submit(..).wait() returns");
+
+        // The caller ran the batch; the worker slept through it.
+        let snap = inline.metrics();
+        assert_eq!((snap.inline_runs, snap.batches, snap.batched_requests), (1, 1, 1));
+        assert_eq!((snap.worker_parks, snap.worker_wakes), (1, 0));
+        assert_eq!(snap.class(QosClass::High).picks, 1, "through the arbiter");
+        assert_eq!(inline.pending(), 0);
+        let snap = twin.metrics();
+        assert_eq!((snap.inline_runs, snap.batches, snap.worker_wakes), (0, 1, 1));
+
+        // Not a second request path: event for event the queued timeline.
+        let ladder = [[
+            EventKind::Submitted,
+            EventKind::Admitted,
+            EventKind::Scheduled,
+            EventKind::Dispatched,
+            EventKind::CacheMiss,
+            EventKind::Scored,
+            EventKind::Replied,
+        ]];
+        assert_eq!(event_kinds(&inline), ladder);
+        assert_eq!(event_kinds(&twin), ladder);
+
+        // The worker is still parked, so the next call drives again —
+        // against the same cache the worker would have used.
+        let again = inline.call_us(request, QosClass::Low, None).unwrap();
+        assert!(matches!(again.outcome, Outcome::Allocated { cached: true, .. }));
+        let snap = inline.shutdown();
+        assert_eq!((snap.inline_runs, snap.batches), (2, 2));
+        assert_eq!((snap.worker_parks, snap.worker_wakes), (1, 0));
+        assert_eq!(snap.completed(), 2);
+        twin.shutdown();
+    }
+
+    #[test]
+    fn a_blocking_call_into_a_busy_shard_queues_like_any_other() {
+        let service = parked_service(ServiceConfig::default());
+        let request = paper::table1_request().unwrap();
+        // A batch is running, as far as the caller can tell.
+        let running = service.shards[0].context.lock().unwrap();
+        let reply = std::thread::scope(|scope| {
+            let caller = scope.spawn(|| service.call_us(request, QosClass::High, None));
+            // The ordinary push woke the worker, which now waits for the
+            // context behind the "batch" ahead of it.
+            while service.metrics.worker_wakes.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            assert!(!caller.is_finished());
+            drop(running);
+            caller.join().unwrap()
+        });
+        assert!(matches!(reply, Some(Reply { outcome: Outcome::Allocated { .. }, .. })));
+        let snap = service.shutdown();
+        assert_eq!((snap.inline_runs, snap.batches, snap.worker_wakes), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_doomed_blocking_call_is_shed_at_the_door_and_runs_nothing() {
+        let service = parked_service(ServiceConfig::default().with_predictive_shed(true));
+        service.prime_service_estimate(0, 1_000, 1);
+        let request = paper::table1_request().unwrap();
+        let reply = service.call_us(request, QosClass::Low, Some(10)).unwrap();
+        assert_eq!(reply.outcome, Outcome::ShedPredicted { late_us: 990 });
+        assert_eq!(
+            event_kinds(&service),
+            [[EventKind::Submitted, EventKind::Refused, EventKind::ShedPredicted]]
+        );
+        let snap = service.shutdown();
+        assert_eq!((snap.inline_runs, snap.batches, snap.worker_wakes), (0, 0, 0));
+        assert_eq!(snap.class(QosClass::Low).shed_predicted, 1);
+    }
+
+    #[test]
+    fn a_blocking_call_on_a_poisoned_store_answers_none_and_shuts_the_shard() {
+        // The twin of `a_dead_worker_strands_no_ticket` for a batch the
+        // caller drives: the thread that happens to find the poisoned
+        // lock is a connection's or a client's, and must not die of it.
+        let mut service = parked_service(ServiceConfig::default());
+        let store = Arc::clone(&service.shards[0].store);
+        let poisoner = std::thread::spawn(move || {
+            let _held = store.lock().unwrap();
+            panic!("mutator dies holding the store lock (expected by this test)");
+        });
+        assert!(poisoner.join().is_err());
+
+        let request = paper::table1_request().unwrap();
+        assert_eq!(service.call_us(request.clone(), QosClass::High, None), None);
+        // The queue went down as behind a dead worker, and the worker —
+        // woken by the teardown, not by a job — left without a panic.
+        let worker = service.shards[0].worker.take().expect("live worker");
+        assert!(worker.join().is_ok());
+        let late = service.submit(request.clone(), QosClass::High);
+        assert_eq!(late.try_wait().map(|r| r.outcome), Some(Outcome::ShedQueueFull));
+        let late = service.call_us(request, QosClass::Critical, None);
+        assert_eq!(late.map(|r| r.outcome), Some(Outcome::ShedQueueFull));
+        assert_eq!(service.metrics().inline_runs, 0);
     }
 }

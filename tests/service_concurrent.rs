@@ -25,11 +25,12 @@ use std::time::Duration;
 
 use rqfa::core::{
     paper, AttrBinding, AttrId, CaseMutation, ExecutionTarget, FixedEngine, ImplId, ImplVariant,
-    QosClass, Request,
+    ModuloPlacement, QosClass, Request,
 };
 use rqfa::memlist::MemError;
 use rqfa::persist::PersistError;
 use rqfa::service::queue::{Admission, ClassQueue};
+use rqfa::service::remote::ClusterClient;
 use rqfa::service::{
     testkit, AllocationService, Job, ManualClock, Outcome, Reply, ServiceConfig, ServiceError,
     ServiceMetrics, Ticket, WeightedArbiter,
@@ -1130,3 +1131,104 @@ fn a_never_blocking_submitter_that_drops_its_tickets_keeps_the_books() {
     assert_eq!(snap.class(QosClass::Critical).shed(), 0);
     assert!(snap.worker_wakes <= snap.worker_parks, "{snap:?}");
 }
+
+/// 7c. Blocking callers beside a pipelining one: three threads that call
+///     and wait (each runs its own batch whenever it finds the shard
+///     idle, `docs/scheduling.md` §7.4) and one that keeps 32 tickets in
+///     flight and polls, on one shard. Every reply carries the reference
+///     engine's bits, every submit ends exactly once, a park is woken at
+///     most once, and both kinds of driver ran batches. Bounded, as 7a,
+///     against a lost wake-up.
+#[test]
+fn blocking_callers_and_a_pipelining_submitter_share_one_shard() {
+    const BLOCKING: usize = 3;
+    const PER_CLIENT: usize = 100_000;
+    const IN_FLIGHT: usize = 32;
+    const POOL: usize = 256;
+    const BOUND: Duration = Duration::from_secs(300);
+
+    let case_base = CaseGen::new(6, 8, 6, 8).seed(0x7C11).build();
+    let pool = RequestGen::new(&case_base)
+        .seed(0x7C12)
+        .count(POOL)
+        .repeat_fraction(0.0)
+        .generate();
+    let engine = FixedEngine::new();
+    let expected: Vec<_> = pool
+        .iter()
+        .map(|r| engine.retrieve(&case_base, r).unwrap().best)
+        .collect();
+    let (pool, expected) = (Arc::new(pool), Arc::new(expected));
+    let service = Arc::new(
+        AllocationService::new(&case_base, &ServiceConfig::default()).expect("valid service config"),
+    );
+    // The blocking entry point is crate-private; a cluster client whose
+    // every site is local is its public door.
+    let client = Arc::new(ClusterClient::new(
+        Box::new(ModuloPlacement::new(1)),
+        Some(Arc::clone(&service)),
+    ));
+
+    let check = |expected: &[Option<_>], slot: usize, reply: Option<Reply>| match reply {
+        Some(Reply { outcome: Outcome::Allocated { best, .. }, .. }) => {
+            assert_eq!(Some(best), expected[slot], "request {slot}");
+        }
+        other => panic!("request {slot} did not resolve: {other:?}"),
+    };
+    let slot_of = |client: usize, i: usize| (i * (client + 1)) % POOL;
+    let class_of = |i: usize| QosClass::ALL[i % QosClass::COUNT];
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let mut clients: Vec<_> = (0..BLOCKING)
+        .map(|caller| {
+            let (client, pool, expected) =
+                (Arc::clone(&client), Arc::clone(&pool), Arc::clone(&expected));
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                for i in 0..PER_CLIENT {
+                    let slot = slot_of(caller, i);
+                    let reply = client.submit(pool[slot].clone(), class_of(i));
+                    check(&expected, slot, Some(reply));
+                }
+                done_tx.send(()).expect("main thread is waiting");
+            })
+        })
+        .collect();
+    let (pipelined, pool, expected) = (Arc::clone(&service), Arc::clone(&pool), Arc::clone(&expected));
+    clients.push(std::thread::spawn(move || {
+        let mut window = std::collections::VecDeque::with_capacity(IN_FLIGHT);
+        for i in 0..PER_CLIENT + IN_FLIGHT {
+            if i >= IN_FLIGHT {
+                let (slot, ticket): (usize, Ticket) = window.pop_front().expect("full window");
+                let reply = loop {
+                    if let Some(reply) = ticket.try_wait() {
+                        break reply;
+                    }
+                    std::thread::yield_now();
+                };
+                check(&expected, slot, Some(reply));
+            }
+            if i < PER_CLIENT {
+                let slot = slot_of(BLOCKING, i);
+                window.push_back((slot, pipelined.submit(pool[slot].clone(), class_of(i))));
+            }
+        }
+        done_tx.send(()).expect("main thread is waiting");
+    }));
+    for _ in &clients {
+        done.recv_timeout(BOUND)
+            .expect("a client hung or died: a reply or its wake-up was lost");
+    }
+    for client in clients {
+        client.join().unwrap();
+    }
+    drop(client);
+    let snap = Arc::into_inner(service).expect("clients joined").shutdown();
+    for class in QosClass::ALL {
+        let c = snap.class(class);
+        assert_eq!(c.completed + c.failed + c.shed(), c.submitted, "{class}");
+    }
+    assert_eq!(snap.completed(), ((BLOCKING + 1) * PER_CLIENT) as u64);
+    assert!(snap.worker_wakes <= snap.worker_parks, "{snap:?}");
+    assert!(0 < snap.inline_runs && snap.inline_runs < snap.batches, "{snap:?}");
+}
+

@@ -207,6 +207,38 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         let config = ServiceConfig::default().with_cache_capacity(256);
         let hits = window(config, &distinct, "miss window");
         assert_eq!(hits, 0, "the miss window must miss");
+
+        // The shape `cluster_hot`'s nodes serve: one blocking call at a
+        // time into an idle shard, so the caller runs its own batch
+        // (`docs/scheduling.md` §7.4) — through a cluster client whose
+        // every site is local, the public door of that path. Still the
+        // reply slot and nothing else: the driver's buffers are taken out
+        // of the shard's context and put back, not built per call.
+        let service = std::sync::Arc::new(
+            AllocationService::new(&case_base, &ServiceConfig::default()).expect("valid config"),
+        );
+        let client = rqfa::service::remote::ClusterClient::new(
+            Box::new(rqfa::core::ModuloPlacement::new(1)),
+            Some(std::sync::Arc::clone(&service)),
+        );
+        let call = |requests: Vec<Request>| {
+            for (i, request) in requests.into_iter().enumerate() {
+                let reply = client.submit(request, QosClass::ALL[i % QosClass::COUNT]);
+                assert!(matches!(std::hint::black_box(reply.outcome), Outcome::Allocated { .. }));
+            }
+        };
+        call(pool.iter().cycle().take(4 * pool.len()).cloned().collect());
+        let measured: Vec<Request> = pool.iter().cycle().take(REQUESTS).cloned().collect();
+        let inline_before = service.metrics().inline_runs;
+        let before = allocations();
+        call(measured);
+        let allocated = allocations() - before;
+        assert!(
+            allocated <= (REQUESTS + REQUESTS / (2 * IN_FLIGHT)) as u64,
+            "blocking window: {allocated} allocations for {REQUESTS} calls (budget: the reply slot)"
+        );
+        let inline_runs = service.metrics().inline_runs - inline_before;
+        assert!(inline_runs > 0, "the blocking window must drive its own batches");
     }
 
     // Contrast: the naive engine allocates on every request (this is the
