@@ -9,17 +9,25 @@
 //!
 //! ## Lane ordering
 //!
-//! Each lane is an ordered map keyed by `(sort key, sequence)`. The sort
-//! key is the job's *effective deadline* (its explicit per-request
-//! deadline, else enqueue time + class budget); a job with no deadline
-//! at all carries an explicit no-deadline sentinel that orders **after
-//! every tick**, so *any* explicit deadline — however far in the future
-//! — sorts ahead of the deadline-free backlog, and deadline-free jobs
-//! keep arrival order among themselves. The lane head is therefore
+//! Each lane holds its jobs in one total order, `(sort key, sequence)`.
+//! The sort key is the job's *effective deadline* (its explicit
+//! per-request deadline, else enqueue time + class budget); a job with no
+//! deadline at all carries an explicit no-deadline sentinel that orders
+//! **after every tick**, so *any* explicit deadline — however far in the
+//! future — sorts ahead of the deadline-free backlog, and deadline-free
+//! jobs keep arrival order among themselves. The lane head is therefore
 //! always the job closest to missing — earliest-deadline-first; with no
 //! deadlines in play at all that is exactly arrival order. The monotonic
 //! sequence breaks ties deterministically, so two runs over the same
 //! trace dispatch — and shed — identically.
+//!
+//! Arrivals are near-sorted — with no deadline, or a class budget on a
+//! monotone clock, *exactly* sorted — so a lane is a sorted ring plus
+//! an ordered map ([`Lane`]): an arrival whose key is not below the
+//! ring's back is pushed there, one that sorts earlier (a per-request
+//! deadline tighter than its predecessors') goes to the map, and
+//! head, tail and both pops merge the two sorted parts. The order is the
+//! one above either way; only its price differs.
 //!
 //! ## Overload policy
 //!
@@ -50,13 +58,22 @@
 //! is in `docs/scheduling.md` ("Hand-over protocol"), and
 //! `worker_parks` / `worker_wakes` count both sides.
 //!
+//! Going to sleep is a system call too, and the instant after a batch is
+//! the worst one to pay it: the replies just filled are what releases
+//! the closed-loop clients that submit the next round. So a worker that
+//! finds the queue empty gives the CPU away **once**
+//! (`thread::yield_now`, mutex released, nothing published) and looks
+//! again before it parks.
+//!
 //! One push leaves the flag alone: that of a blocking caller who holds
 //! the shard's worker context and takes its job straight back, in the
 //! push's own critical section, to run it itself
 //! (`ClassQueue::admit_with`, `docs/scheduling.md` §7.4). The queue
 //! is empty again before the mutex is free, so the implication stands.
+//! A worker in its yield is as empty-handed as a parked one, so such a
+//! caller takes a lone job back from it too (`yielding`).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -104,8 +121,100 @@ pub enum Admission {
     },
 }
 
+/// A lane's total order: effective deadline, then arrival sequence.
+type Key = (SortKey, u64);
+
+/// One class lane: its jobs in [`Key`] order, as two sorted parts.
+///
+/// `ring` takes every arrival whose key is not below its back — all of
+/// them while deadlines are absent or formed from one class budget on a
+/// monotone clock — so the common insert is a `push_back` and the common
+/// pop a `pop_front`. `late` takes an arrival that sorts before the
+/// ring's back. Head, tail and both pops compare the two parts' ends, so
+/// callers see one ordered sequence with unique keys.
+#[derive(Default)]
+struct Lane {
+    ring: VecDeque<(Key, Job)>,
+    late: BTreeMap<Key, Job>,
+}
+
+impl Lane {
+    /// How many batches' worth of slots a drained ring keeps
+    /// ([`Lane::trim`]).
+    const KEEP_BATCHES: usize = 8;
+
+    fn insert(&mut self, key: Key, job: Job) {
+        if self.ring.back().is_some_and(|(back, _)| key < *back) {
+            self.late.insert(key, job);
+        } else {
+            self.ring.push_back((key, job));
+        }
+    }
+
+    /// Whether the lane's first job sits in the ring (else in `late`, or
+    /// nowhere).
+    fn head_in_ring(&self) -> bool {
+        match (self.ring.front(), self.late.first_key_value()) {
+            (Some((ring, _)), Some((late, _))) => ring < late,
+            (ring, _) => ring.is_some(),
+        }
+    }
+
+    /// Whether the lane's last job sits in the ring.
+    fn tail_in_ring(&self) -> bool {
+        match (self.ring.back(), self.late.last_key_value()) {
+            (Some((ring, _)), Some((late, _))) => ring > late,
+            (ring, _) => ring.is_some(),
+        }
+    }
+
+    /// The job closest to missing.
+    fn first(&self) -> Option<&Job> {
+        if self.head_in_ring() {
+            self.ring.front().map(|(_, job)| job)
+        } else {
+            self.late.first_key_value().map(|(_, job)| job)
+        }
+    }
+
+    fn pop_first(&mut self) -> Option<Job> {
+        if self.head_in_ring() {
+            self.ring.pop_front().map(|(_, job)| job)
+        } else {
+            self.late.pop_first().map(|(_, job)| job)
+        }
+    }
+
+    /// The key of the largest-slack resident.
+    fn last_key(&self) -> Option<Key> {
+        if self.tail_in_ring() {
+            self.ring.back().map(|&(key, _)| key)
+        } else {
+            self.late.last_key_value().map(|(&key, _)| key)
+        }
+    }
+
+    fn pop_last(&mut self) -> Option<Job> {
+        if self.tail_in_ring() {
+            self.ring.pop_back().map(|(_, job)| job)
+        } else {
+            self.late.pop_last().map(|(_, job)| job)
+        }
+    }
+
+    /// Gives the ring's memory back once a burst far beyond `keep` jobs
+    /// has drained (the map frees its nodes as it goes; CRITICAL has no
+    /// admission limit, so nothing else bounds what a burst leaves
+    /// behind). A lane that stays within `2 × keep` never reallocates.
+    fn trim(&mut self, keep: usize) {
+        if self.ring.len() <= keep && self.ring.capacity() > keep.saturating_mul(2) {
+            self.ring.shrink_to(keep);
+        }
+    }
+}
+
 struct Inner {
-    lanes: [BTreeMap<(SortKey, u64), Job>; QosClass::COUNT],
+    lanes: [Lane; QosClass::COUNT],
     arbiter: WeightedArbiter,
     len: usize,
     seq: u64,
@@ -114,32 +223,11 @@ struct Inner {
     /// been signalled since. Set by the worker, cleared by whoever takes
     /// on the wake; implies `len == 0` whenever the mutex is free.
     parked: bool,
-}
-
-impl Inner {
-    fn backlogged(&self) -> [bool; QosClass::COUNT] {
-        [
-            !self.lanes[0].is_empty(),
-            !self.lanes[1].is_empty(),
-            !self.lanes[2].is_empty(),
-            !self.lanes[3].is_empty(),
-        ]
-    }
-
-    /// Which lane heads are within `margin_us` of their effective
-    /// deadline *and still viable*. An already-expired head is
-    /// deliberately not urgent: promoting it spends rescue bandwidth on
-    /// a job that sheds at dispatch anyway — it drains at the lane's
-    /// weighted rate instead.
-    fn urgent(&self, now: u64, margin_us: u64) -> [bool; QosClass::COUNT] {
-        let mut urgent = [false; QosClass::COUNT];
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(deadline) = lane.first_key_value().and_then(|(_, head)| head.deadline) {
-                urgent[i] = now <= deadline && deadline - now <= margin_us;
-            }
-        }
-        urgent
-    }
+    /// The worker found the queue empty and is giving the CPU away once
+    /// before it parks (`pop_batch`). Nobody owes it a wake — it looks
+    /// again by itself — so only a driving push reads this: like a parked
+    /// worker, a yielding one holds nothing and wants nothing yet.
+    yielding: bool,
 }
 
 /// A bounded, class-aware, deadline-aware MPSC job queue feeding one
@@ -179,6 +267,7 @@ impl ClassQueue {
                 seq: 0,
                 shutdown: false,
                 parked: false,
+                yielding: false,
             }),
             available: Condvar::new(),
             config: config.clone(),
@@ -219,7 +308,8 @@ impl ClassQueue {
 
     /// [`ClassQueue::admit`], optionally by a blocking caller that holds
     /// the shard's worker context and offers (`drive`) to run the batch
-    /// itself: when the push finds the worker parked, the job comes
+    /// itself: when the push finds the worker parked (or yielding before
+    /// a park) and the queue otherwise empty, the job comes
     /// straight back in the offered batch (`docs/scheduling.md` §7.4) and
     /// the caller owes it a run; otherwise the batch stays empty and the
     /// job is queued, or shed, as any other.
@@ -306,12 +396,14 @@ impl ClassQueue {
     }
 
     /// [`ClassQueue::push`], offering to drive: a caller that passes its
-    /// batch and whose insert finds the worker parked — so its job is the
-    /// only one queued — gets the job back through the very fill loop
+    /// batch and whose insert finds the worker empty-handed — parked, or
+    /// in the one yield before a park — and its own job the only one
+    /// queued gets the job back through the very fill loop
     /// [`ClassQueue::pop_batch`] runs, in the same critical section.
-    /// `parked` stays set and no wake is issued: the queue is empty again
-    /// before the mutex is free, as the wake protocol requires of a
-    /// parked worker's queue.
+    /// `parked` stays as it was and no wake is issued: the queue is empty
+    /// again before the mutex is free, as the wake protocol requires of
+    /// a parked worker's queue and as a yielding worker expects to find
+    /// it.
     fn push_with(&self, job: Job, drive: Option<&mut Vec<Job>>) -> Admission {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.shutdown {
@@ -342,9 +434,9 @@ impl ClassQueue {
             // case on the classic refuse-the-arrival policy.
             let lane = &mut inner.lanes[job.class.index()];
             if job.class.sheddable() {
-                if let Some((&last_key, _)) = lane.last_key_value() {
+                if let Some(last_key) = lane.last_key() {
                     if key.0 < last_key.0 {
-                        let (_, victim) = lane.pop_last().expect("lane non-empty");
+                        let victim = lane.pop_last().expect("lane non-empty");
                         admitted(&job);
                         lane.insert(key, job);
                         // One in, one out: the queue was and stays
@@ -359,10 +451,13 @@ impl ClassQueue {
         admitted(&job);
         inner.lanes[job.class.index()].insert(key, job);
         inner.len += 1;
-        if inner.parked {
+        // Empty-handed — parked, or in the yield before it parks — beside
+        // a queue that holds this job alone (a parked worker's always
+        // does; a yielding one's may have taken ordinary pushes).
+        if (inner.parked || inner.yielding) && inner.len == 1 {
             if let Some(batch) = drive {
                 self.fill(&mut inner, self.config.batch_size, batch);
-                debug_assert!(inner.len == 0, "a parked worker's queue held one job");
+                debug_assert!(inner.len == 0, "the lone job came back");
                 return Admission::Admitted;
             }
         }
@@ -394,6 +489,21 @@ impl ClassQueue {
     pub fn pop_batch(&self, max: usize, batch: &mut Vec<Job>) -> bool {
         batch.clear();
         let mut inner = self.inner.lock().expect("queue poisoned");
+        if inner.len == 0 && !inner.shutdown {
+            // Empty right after a batch: the replies just filled are what
+            // lets the submitters run, so give them the CPU once before
+            // paying for a sleep and a wake. `parked` is untouched across
+            // the yield, so pushes signal nobody and the wake protocol
+            // starts, unchanged, at the re-check below; `yielding` only
+            // tells a blocking caller it may still run its own lone job
+            // (else one such caller would keep the worker from ever
+            // parking, and itself from ever driving).
+            inner.yielding = true;
+            drop(inner);
+            std::thread::yield_now();
+            inner = self.inner.lock().expect("queue poisoned");
+            inner.yielding = false;
+        }
         loop {
             if inner.len > 0 {
                 break;
@@ -423,49 +533,88 @@ impl ClassQueue {
         // Read once: the whole fill judges by one estimate, whichever
         // driver feeds the estimator meanwhile.
         let per_job_us = self.estimator.per_job_us();
+        let margin_us = self.config.promotion_margin_us;
         // Tightest effective deadline among jobs already picked — the
         // deadline-aware composition bound.
         let mut tightest: Option<u64> = None;
+        let mut picks = [0u64; QosClass::COUNT];
+        let mut promoted = [0u64; QosClass::COUNT];
         while batch.len() < max {
-            // Re-stamp every pick: under a real clock the urgency flags
-            // and `Scheduled` trace stamps must not go stale across a
-            // long batch. A frozen manual clock returns the same tick
-            // each read, so deterministic replays are unaffected.
-            let now = self.config.clock.now_us();
-            if per_job_us > 0 {
-                if let Some(tight) = tightest {
-                    // Stop filling when the estimator says one more pick
-                    // would turn an already-picked job from meeting its
-                    // deadline into missing it. An already-late batch
-                    // keeps filling — stopping cannot unmiss it.
-                    let len = batch.len() as u64;
-                    let finish = now.saturating_add(per_job_us.saturating_mul(len));
-                    let next = now.saturating_add(per_job_us.saturating_mul(len + 1));
-                    if finish <= tight && next > tight {
-                        break;
-                    }
+            // One walk of the four heads per pick: who has work, and
+            // whose head carries a deadline.
+            let mut backlogged = [false; QosClass::COUNT];
+            let mut head_deadline = [None; QosClass::COUNT];
+            for (i, lane) in inner.lanes.iter().enumerate() {
+                if let Some(head) = lane.first() {
+                    backlogged[i] = true;
+                    head_deadline[i] = head.deadline;
                 }
             }
-            let backlogged = inner.backlogged();
-            let urgent = inner.urgent(now, self.config.promotion_margin_us);
+            // The clock is read for this pick only if something consumes
+            // the value: a `Scheduled` stamp, a head's urgency, or the
+            // estimator's bound on a picked deadline. Whenever one does
+            // it is re-read every pick — under a real clock urgency and
+            // stamps must not go stale across a long batch (a frozen
+            // manual clock returns the same tick each read, so
+            // deterministic replays are unaffected). Unread, `now` is
+            // never looked at.
+            let bounded = per_job_us > 0 && tightest.is_some();
+            let deadlined = head_deadline.iter().any(Option::is_some);
+            let now = if self.recorder.is_some() || deadlined || bounded {
+                self.config.clock.now_us()
+            } else {
+                0
+            };
+            if let Some(tight) = tightest.filter(|_| bounded) {
+                // Stop filling when the estimator says one more pick
+                // would turn an already-picked job from meeting its
+                // deadline into missing it. An already-late batch keeps
+                // filling — stopping cannot unmiss it.
+                let len = batch.len() as u64;
+                let finish = now.saturating_add(per_job_us.saturating_mul(len));
+                let next = now.saturating_add(per_job_us.saturating_mul(len + 1));
+                if finish <= tight && next > tight {
+                    break;
+                }
+            }
+            // A head within the margin of its effective deadline *and
+            // still viable* is urgent. An already-expired head is
+            // deliberately not: promoting it spends rescue bandwidth on a
+            // job that sheds at dispatch anyway — it drains at the lane's
+            // weighted rate instead.
+            let urgent = head_deadline
+                .map(|head| head.is_some_and(|d| now <= d && d - now <= margin_us));
             let Some(pick) = inner.arbiter.pick_urgent(backlogged, urgent) else {
                 break;
             };
-            let (_, job) = inner.lanes[pick.class.index()]
+            let class = pick.class.index();
+            let job = inner.lanes[class]
                 .pop_first()
                 .expect("arbiter picked a backlogged lane");
-            let class_metrics = self.metrics.class(pick.class);
-            class_metrics.picks.fetch_add(1, Ordering::Relaxed);
-            if pick.promoted {
-                class_metrics.promoted.fetch_add(1, Ordering::Relaxed);
-            }
-            let promoted = u64::from(pick.promoted);
-            self.trace(now, job.id, job.class, EventKind::Scheduled, promoted);
+            let jumped = u64::from(pick.promoted);
+            picks[class] += 1;
+            promoted[class] += jumped;
+            self.trace(now, job.id, job.class, EventKind::Scheduled, jumped);
             if let Some(deadline) = job.deadline {
                 tightest = Some(tightest.map_or(deadline, |t| t.min(deadline)));
             }
             inner.len -= 1;
             batch.push(job);
+        }
+        // Per fill, not per pick: the counters, and the look at what a
+        // drained burst left allocated.
+        let keep = self.config.batch_size.saturating_mul(Lane::KEEP_BATCHES);
+        for class in QosClass::ALL {
+            let i = class.index();
+            if picks[i] == 0 {
+                continue;
+            }
+            let class_metrics = self.metrics.class(class);
+            class_metrics.picks.fetch_add(picks[i], Ordering::Relaxed);
+            if promoted[i] > 0 {
+                class_metrics.promoted.fetch_add(promoted[i], Ordering::Relaxed);
+            }
+            inner.lanes[i].trim(keep);
         }
     }
 
@@ -738,8 +887,98 @@ mod tests {
         }
     }
 
+    #[test]
+    fn lane_matches_an_ordered_map_over_seeded_operations() {
+        // Differential: `Lane` (sorted ring + late map) against the plain
+        // ordered map it replaced, operation for operation. Keys come in
+        // stretches of one regime each, so ring-only, map-only and mixed
+        // lanes all occur and hand over to one another.
+        let (mut saw_late, mut saw_both) = (false, false);
+        for seed in 0..16u64 {
+            let mut state = seed ^ 0x1A9E;
+            let mut lane = Lane::default();
+            let mut model: BTreeMap<Key, u64> = BTreeMap::new();
+            for step in 0..4096u64 {
+                let draw = splitmix(&mut state);
+                match draw % 8 {
+                    0..=3 => {
+                        let regime = (step / 256 + seed) % 6;
+                        let sort = match if regime == 5 { (draw >> 8) % 5 } else { regime } {
+                            0 => SortKey::NoDeadline,
+                            1 => SortKey::At(step), // in arrival order
+                            2 => SortKey::At((1 << 20) - step), // reversed
+                            3 => SortKey::At(7), // tied
+                            _ => SortKey::At(u64::MAX - (draw >> 16) % 4), // far future
+                        };
+                        // The sequence doubles as the job's id.
+                        let key = (sort, step);
+                        lane.insert(key, job(step, QosClass::High));
+                        model.insert(key, step);
+                    }
+                    4 | 5 => assert_eq!(
+                        lane.pop_first().map(|job| job.id),
+                        model.pop_first().map(|(_, id)| id),
+                        "pop_first, seed {seed} step {step}"
+                    ),
+                    6 => assert_eq!(
+                        lane.pop_last().map(|job| job.id),
+                        model.pop_last().map(|(_, id)| id),
+                        "pop_last, seed {seed} step {step}"
+                    ),
+                    _ => {}
+                }
+                assert_eq!(
+                    lane.first().map(|job| job.id),
+                    model.first_key_value().map(|(_, &id)| id),
+                    "first, seed {seed} step {step}"
+                );
+                assert_eq!(
+                    lane.last_key(),
+                    model.last_key_value().map(|(&key, _)| key),
+                    "last_key, seed {seed} step {step}"
+                );
+                saw_late |= !lane.late.is_empty();
+                saw_both |= !lane.late.is_empty() && !lane.ring.is_empty();
+            }
+            while let Some((_, id)) = model.pop_first() {
+                assert_eq!(lane.pop_first().map(|job| job.id), Some(id), "drain, seed {seed}");
+            }
+            assert!(lane.first().is_none() && lane.pop_last().is_none());
+        }
+        assert!(saw_late && saw_both, "the traces must reach both parts of a lane");
+    }
+
+    #[test]
+    fn a_drained_burst_gives_the_ring_back_and_a_steady_lane_keeps_it() {
+        let q = queue(64);
+        let keep = q.config.batch_size * Lane::KEEP_BATCHES;
+        let capacity = |q: &ClassQueue| q.inner.lock().unwrap().lanes[0].ring.capacity();
+        // CRITICAL has no admission limit: nothing else bounds the burst.
+        let burst = 8 * keep as u64;
+        for id in 0..burst {
+            push_ok(&q, job(id, QosClass::Critical));
+        }
+        assert!(capacity(&q) >= 8 * keep);
+        while !q.is_empty() {
+            assert!(!pop(&q, 32).unwrap().is_empty());
+        }
+        assert!(capacity(&q) <= 2 * keep, "a drained burst must not keep its ring");
+        // A lane that cycles within `2 × keep` is left alone.
+        for round in 0..4 {
+            for id in 0..2 * keep as u64 {
+                push_ok(&q, job(id, QosClass::Critical));
+            }
+            let grown = capacity(&q);
+            while !q.is_empty() {
+                assert!(!pop(&q, 32).unwrap().is_empty());
+            }
+            assert_eq!(capacity(&q), grown, "round {round}: steady state reallocates nothing");
+        }
+    }
+
     /// A clock that jumps forward 10 µs on every read — makes the
-    /// per-pick clock re-read in `pop_batch` observable.
+    /// per-pick clock re-read in `pop_batch` observable, and its reading
+    /// ÷ 10 counts the reads.
     #[derive(Debug, Default)]
     struct TickingClock(std::sync::atomic::AtomicU64);
 
@@ -775,6 +1014,50 @@ mod tests {
         for pair in stamps.windows(2) {
             assert!(pair[1] > pair[0], "each pick re-reads the clock: {stamps:?}");
         }
+    }
+
+    #[test]
+    fn fill_reads_the_clock_only_for_a_pick_that_consumes_it() {
+        let clock = Arc::new(TickingClock::default());
+        let reads = |clock: &TickingClock| clock.0.load(Ordering::SeqCst) / 10;
+        let on_clock = || config(64).with_clock(Arc::clone(&clock) as SharedClock);
+        // No recorder, no deadlined head, cold estimator: nobody reads.
+        let q = build(&on_clock());
+        for id in 0..8 {
+            push_ok(&q, job(id, QosClass::ALL[id as usize % QosClass::COUNT]));
+        }
+        assert_eq!(pop(&q, 8).unwrap().len(), 8);
+        assert_eq!(reads(&clock), 0, "eight picks nobody stamps or judges");
+        // A deadlined head is judged for urgency at its own pick; the
+        // deadline-free jobs behind it are not.
+        push_ok(&q, deadline_job(0, QosClass::High, 0, 1_000_000));
+        for id in 1..4 {
+            push_ok(&q, job(id, QosClass::High));
+        }
+        assert_eq!(pop(&q, 4).unwrap().len(), 4);
+        assert_eq!(reads(&clock), 1, "one deadlined head, one read");
+        // With a warm estimator the picked deadline bounds every later
+        // pick of the fill, so each of them reads.
+        q.estimator().observe(1, 1);
+        push_ok(&q, deadline_job(0, QosClass::High, 0, 1_000_000));
+        for id in 1..4 {
+            push_ok(&q, job(id, QosClass::High));
+        }
+        assert_eq!(pop(&q, 4).unwrap().len(), 4);
+        assert_eq!(reads(&clock), 1 + 4, "a bounded fill re-reads per pick");
+        // A recorder stamps every pick.
+        let recorder = Some(Arc::new(FlightRecorder::new(64)));
+        let traced = ClassQueue::new(&on_clock(), Arc::new(ServiceMetrics::default()), recorder);
+        for id in 0..4 {
+            push_ok(&traced, job(id, QosClass::High));
+        }
+        assert_eq!(pop(&traced, 4).unwrap().len(), 4);
+        assert_eq!(reads(&clock), 5 + 4, "a traced fill re-reads per pick");
+        // Admission: one read each, as ever.
+        for id in 0..3 {
+            let _ticket = q.admit(id, request(), QosClass::High, Some(1_000_000));
+        }
+        assert_eq!(reads(&clock), 9 + 3, "one clock read per admission");
     }
 
     /// A queue on a caller-driven manual clock with a 1 ms fixed
@@ -979,6 +1262,28 @@ mod tests {
         assert_eq!(worker.join().unwrap(), Some(3));
         assert_eq!(metrics.worker_wakes.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.worker_parks.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_driving_push_takes_a_lone_job_back_from_a_yielding_worker() {
+        // The yield sits between two lock acquisitions of `pop_batch`, so
+        // no test thread can be held inside it: the flag is set by hand.
+        let metrics = Arc::new(ServiceMetrics::default());
+        let q = ClassQueue::new(&config(8), Arc::clone(&metrics), None);
+        let mut batch = Vec::new();
+        q.inner.lock().unwrap().yielding = true;
+        // Alone in the queue: the job comes back, nobody is signalled.
+        let ticket = q.admit_with(0, request(), QosClass::High, None, Some(&mut batch));
+        assert_eq!((batch.len(), batch[0].id, ticket.id()), (1, 0, 0));
+        assert!(q.is_empty());
+        // Behind an ordinary push the yielding worker is about to find,
+        // it queues like any other.
+        batch.clear();
+        push_ok(&q, job(1, QosClass::High));
+        let _queued = q.admit_with(2, request(), QosClass::High, None, Some(&mut batch));
+        assert!(batch.is_empty());
+        assert_eq!(q.len(), 2);
+        assert_eq!(metrics.worker_wakes.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -133,29 +133,36 @@ fn steady_state_plane_retrieval_allocates_nothing() {
 
     // Measured windows: the whole request path of a live service — submit,
     // admission, EDF lane, batch pop, cache probe, reply, ticket wake — 32
-    // tickets in flight, requests cloned outside the window. The one
-    // allocation a request causes is its reply slot (measured: 1.000 per
-    // request; 8 jobs per lane never split a B-tree node). The budget
-    // leaves less slack than one allocation per two full batches, so a
-    // per-batch `Vec::with_capacity` trips it as surely as a per-request
-    // channel does.
+    // tickets in flight (`local_hot`'s depth) and 256 (`local_scan`'s),
+    // requests cloned outside the window. The one allocation a request
+    // causes is its reply slot (measured: 1.000 per request at either
+    // depth — a lane is a ring that keeps its slots, not a tree that
+    // splits and frees nodes). The budget leaves less slack than one
+    // allocation per two full rounds, so a per-batch
+    // `Vec::with_capacity` or a ring regrown per round trips it as
+    // surely as a per-request channel does.
     {
         use rqfa::core::QosClass;
         use rqfa::service::{AllocationService, Outcome, ServiceConfig, Ticket};
         const IN_FLIGHT: usize = 32;
+        const DEEP: usize = 256;
         const REQUESTS: usize = 4096;
         // Serves `pool`, cycled: four times round as warm-up (fills the
-        // cache, sizes the worker's buffers and the lanes' nodes, creates
+        // cache, sizes the worker's buffers and the lanes' rings, creates
         // this thread's handle), then `REQUESTS` measured. Returns how
         // many of those were answered from the cache.
-        let window = |config: ServiceConfig, pool: &[Request], what: &str| -> usize {
+        let window = |config: ServiceConfig,
+                      pool: &[Request],
+                      in_flight: usize,
+                      what: &str|
+         -> usize {
             let service = AllocationService::new(&case_base, &config).expect("valid config");
-            let mut tickets: Vec<Ticket> = Vec::with_capacity(IN_FLIGHT);
+            let mut tickets: Vec<Ticket> = Vec::with_capacity(in_flight);
             let mut drive = |requests: Vec<Request>| -> usize {
                 let mut cached_replies = 0;
                 let mut requests = requests.into_iter().enumerate().peekable();
                 while requests.peek().is_some() {
-                    for (i, request) in requests.by_ref().take(IN_FLIGHT) {
+                    for (i, request) in requests.by_ref().take(in_flight) {
                         tickets.push(service.submit(request, QosClass::ALL[i % QosClass::COUNT]));
                     }
                     for ticket in tickets.drain(..) {
@@ -174,7 +181,7 @@ fn steady_state_plane_retrieval_allocates_nothing() {
             let cached_replies = drive(measured);
             let allocated = allocations() - before;
             assert!(
-                allocated <= (REQUESTS + REQUESTS / (2 * IN_FLIGHT)) as u64,
+                allocated <= (REQUESTS + REQUESTS / (2 * in_flight)) as u64,
                 "{what}: the service request path allocated {allocated} times for \
                  {REQUESTS} requests (budget: the reply slot)"
             );
@@ -185,7 +192,7 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // The shape `local_hot` drives: every request a cache hit. Before
         // the reply slot this window measured 2.2–2.6: a channel counter
         // and a 31-slot message block per ticket, three vectors per batch.
-        let hits = window(ServiceConfig::default(), &pool, "hit window");
+        let hits = window(ServiceConfig::default(), &pool, IN_FLIGHT, "hit window");
         assert_eq!(hits, REQUESTS, "the hit window must hit");
 
         // The shape `local_scan` drives: 1024 distinct requests cycled
@@ -205,8 +212,12 @@ fn steady_state_plane_retrieval_allocates_nothing() {
             .collect();
         assert_eq!(distinct.len(), 1024, "workload collapsed");
         let config = ServiceConfig::default().with_cache_capacity(256);
-        let hits = window(config, &distinct, "miss window");
+        let hits = window(config.clone(), &distinct, IN_FLIGHT, "miss window");
         assert_eq!(hits, 0, "the miss window must miss");
+        // The same misses 256 deep: 64 jobs a lane, full batches, eight
+        // batches a round.
+        let hits = window(config, &distinct, DEEP, "deep miss window");
+        assert_eq!(hits, 0, "the deep miss window must miss");
 
         // The shape `cluster_hot`'s nodes serve: one blocking call at a
         // time into an idle shard, so the caller runs its own batch
