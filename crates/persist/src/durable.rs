@@ -41,11 +41,18 @@
 //!    other slot holds the previous good snapshot).
 //! 2. Replay WAL records in order, *skipping* stamps at or below the
 //!    snapshot generation (left behind by a crash between snapshot and
-//!    compaction) and *stopping* at a torn tail (left behind by a crash
-//!    mid-append).
+//!    compaction) and *stopping* at the first bytes that are no clean
+//!    frame: all zeros is the log's reserve and its clean end, anything
+//!    else a torn tail (left behind by a crash mid-append).
 //! 3. Each replayed stamp must be exactly `generation + 1` — anything
 //!    else is corruption beyond what a crash can produce and fails
 //!    recovery loudly ([`PersistError::GenerationGap`]).
+//! 4. Before the first new append, a log with a torn tail is rewritten
+//!    as its clean frames alone. Appends go in place, so a write can
+//!    tear by sector: a batch `[A, B]` can leave `B` whole behind a hole
+//!    where `A` was. Left there, `B` would follow the next append of
+//!    `A`'s length as a CRC-clean, correctly stamped frame that nobody
+//!    was ever acknowledged.
 //!
 //! A recovered case base answers retrievals bit-identically to one that
 //! never crashed (the workspace `tests/persist_recovery.rs` harness
@@ -200,8 +207,9 @@ pub struct DurableCaseBase<S> {
     since_checkpoint: u64,
     checkpoint_error: Option<PersistError>,
     /// Log length covering exactly the acknowledged records. A failed
-    /// append may tear bytes beyond it; those are truncated away before
-    /// any later append so acknowledged frames never land behind garbage.
+    /// append may tear bytes beyond it; the log is rewritten without
+    /// them before any later append, so acknowledged frames never land
+    /// behind — or in front of — what nobody was acknowledged.
     clean_wal_len: u64,
     /// Set when the post-failure truncation itself failed; the next
     /// apply retries the repair before touching the medium.
@@ -310,13 +318,17 @@ impl<S: Store> DurableCaseBase<S> {
             replayed += 1;
         }
 
-        // Make the medium clean before accepting new writes: a torn tail
-        // left in place would swallow every frame appended after it (the
-        // next recovery's scan stops at the garbage), silently losing
-        // acknowledged mutations. The atomic rewrite also drops records
-        // the snapshot already covers.
+        // Make the medium clean before accepting new writes: the next
+        // append lands in place right behind the clean frames, and a
+        // torn tail left there would either swallow it (the next scan
+        // stops at the garbage) or, where a whole frame survived behind
+        // a hole, be spliced back into the log by it. The atomic rewrite
+        // also drops records the snapshot already covers. A clean log is
+        // left as it is and the store told where it ends.
         if replay.torn_tail_bytes > 0 || skipped_older > 0 {
             wal.compact_through(snapshot.generation)?;
+        } else {
+            wal.mark_end(replay.clean_len as u64);
         }
 
         let report = RecoveryReport {
@@ -468,11 +480,15 @@ impl<S: Store> DurableCaseBase<S> {
             })
             .collect();
         debug_assert_eq!(stamp, self.case_base.generation());
+        let grows_before = self.wal.store().reserve_grows();
         let append_started = Instant::now();
         match self.wal.append_batch(&stamped) {
             Ok(batch_len) => {
                 self.clean_wal_len += batch_len;
                 self.stats.appends.incr();
+                self.stats
+                    .reserve_grows
+                    .add(self.wal.store().reserve_grows() - grows_before);
                 self.stats.appended_mutations.add(mutations.len() as u64);
                 self.stats
                     .append_us
@@ -596,7 +612,8 @@ impl<S: Store> DurableCaseBase<S> {
         Ok(())
     }
 
-    /// Current WAL size in bytes (observability / test hook).
+    /// Current WAL content in bytes — the frames, not the reserve a file
+    /// keeps behind them (observability / test hook).
     ///
     /// # Errors
     ///
@@ -793,6 +810,9 @@ mod tests {
     struct FlakyStore {
         inner: MemStore,
         fail_next_append: bool,
+        /// The failing append lands whole but is not counted as content —
+        /// what a file store's failed `fdatasync` leaves.
+        fail_after_landing: bool,
     }
 
     impl Store for FlakyStore {
@@ -802,8 +822,14 @@ mod tests {
         fn append(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
             if self.fail_next_append {
                 self.fail_next_append = false;
-                // Tear: half the frame reaches the medium, then error.
-                self.inner.append(&bytes[..bytes.len() / 2])?;
+                if self.fail_after_landing {
+                    let end = self.inner.len()?;
+                    self.inner.append(bytes)?;
+                    self.inner.mark_end(end);
+                } else {
+                    // Tear: half the frame reaches the medium, then error.
+                    self.inner.append(&bytes[..bytes.len() / 2])?;
+                }
                 return Err(PersistError::Io {
                     op: "append",
                     message: "transient".into(),
@@ -817,12 +843,16 @@ mod tests {
         fn len(&self) -> Result<u64, PersistError> {
             self.inner.len()
         }
+        fn mark_end(&mut self, len: u64) {
+            self.inner.mark_end(len);
+        }
     }
 
     fn flaky_durable() -> DurableCaseBase<FlakyStore> {
         let stores = StoreSet::in_memory().map(|inner| FlakyStore {
             inner,
             fail_next_append: false,
+            fail_after_landing: false,
         });
         DurableCaseBase::create(&paper::table1_case_base(), stores, PersistPolicy::manual())
             .unwrap()
@@ -886,6 +916,92 @@ mod tests {
             .unwrap();
         assert!(ty.variant(ImplId::new(12).unwrap()).is_some());
         assert!(ty.variant(ImplId::new(11).unwrap()).is_none());
+    }
+
+    #[test]
+    fn a_failed_in_place_append_is_scrubbed_though_the_length_never_moved() {
+        // A file store's append that fails in its flush has put the
+        // window [11, 12] on the medium without counting it as content.
+        // The repair must rewrite the log although it is no longer than
+        // the clean length: otherwise the retried 11 overwrites its own
+        // lost twin and 12 — never acknowledged — follows it again.
+        let mut durable = flaky_durable();
+        durable.apply(&retain(10, 9)).unwrap();
+        let store = durable.wal.store_mut();
+        store.fail_next_append = true;
+        store.fail_after_landing = true;
+        assert!(durable.apply_batch(&[retain(11, 10), retain(12, 11)]).is_err());
+        durable.apply(&retain(11, 10)).unwrap();
+
+        let mut media = durable.into_stores().map(|s| s.inner);
+        media.wal = MemStore::from_bytes(media.wal.into_bytes()); // reboot: end unknown
+        let (recovered, report) =
+            DurableCaseBase::recover(media, PersistPolicy::manual()).unwrap();
+        assert_eq!(report.replayed, 2, "10 and the retried 11, not the stray 12");
+        assert_eq!(report.torn_tail_bytes, 0);
+        assert_eq!(recovered.generation(), Generation::from_raw(2));
+    }
+
+    #[test]
+    fn file_log_recovers_and_continues_in_place_over_its_reserve() {
+        let dir = std::env::temp_dir().join(format!("rqfa-persist-durable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal_size = || std::fs::metadata(dir.join("wal.log")).unwrap().len();
+        let mut durable = DurableCaseBase::create(
+            &paper::table1_case_base(),
+            StoreSet::in_dir(&dir).unwrap(),
+            PersistPolicy::manual(),
+        )
+        .unwrap();
+        assert_eq!(wal_size(), 0, "create reserves nothing");
+        durable.apply(&retain(10, 9)).unwrap();
+        durable.apply(&retain(11, 10)).unwrap();
+        let allocated = wal_size();
+        let content = durable.wal_bytes().unwrap();
+        assert!(content < allocated, "wal_bytes counts frames, not the reserve");
+        assert_eq!(durable.stats().wal_bytes_since_checkpoint.get(), content);
+        assert_eq!(durable.stats().reserve_grows.get(), 1, "two appends, one growth");
+        drop(durable);
+
+        // Reopen: the end of the log is found by the scan, and the next
+        // append lands there — same file, same size, nothing rewritten.
+        let (mut recovered, report) =
+            DurableCaseBase::recover(StoreSet::in_dir(&dir).unwrap(), PersistPolicy::manual())
+                .unwrap();
+        assert_eq!((report.replayed, report.torn_tail_bytes), (2, 0));
+        assert_eq!(recovered.wal_bytes().unwrap(), content);
+        recovered.apply(&retain(12, 11)).unwrap();
+        assert_eq!(wal_size(), allocated);
+        assert_eq!(recovered.stats().reserve_grows.get(), 0);
+        assert_eq!(recovered.wal_tail(Generation::from_raw(2)).unwrap().len(), 1);
+        // A checkpoint rewrites the content only; the reserve regrows
+        // with the first append after it.
+        recovered.checkpoint().unwrap();
+        assert_eq!(wal_size(), 0);
+        recovered.apply(&retain(13, 12)).unwrap();
+        assert_eq!(wal_size(), allocated);
+        drop(recovered);
+
+        // A log as the previous format wrote it — frames, no zeros —
+        // recovers as it is.
+        let frames = Wal::new(crate::FileStore::new(dir.join("wal.log")))
+            .replay()
+            .unwrap();
+        let raw = std::fs::read(dir.join("wal.log")).unwrap();
+        std::fs::write(dir.join("wal.log"), &raw[..frames.clean_len]).unwrap();
+        let (mut old_format, report) =
+            DurableCaseBase::recover(StoreSet::in_dir(&dir).unwrap(), PersistPolicy::manual())
+                .unwrap();
+        assert_eq!((report.replayed, report.torn_tail_bytes), (1, 0));
+        old_format.apply(&retain(14, 13)).unwrap();
+        assert_eq!(wal_size(), allocated);
+        drop(old_format);
+        let (last, report) =
+            DurableCaseBase::recover(StoreSet::in_dir(&dir).unwrap(), PersistPolicy::manual())
+                .unwrap();
+        assert_eq!(report.replayed, 2);
+        assert_eq!(last.generation(), Generation::from_raw(5));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   [`recovery`](DurableCaseBase::recover) that restores exactly the
 //!   acknowledged prefix after any crash;
 //! * [`FailingStore`] — deterministic **crash injection**: a [`Store`]
-//!   decorator that tears a write at an exact byte offset, so the
-//!   workspace harness (`tests/persist_recovery.rs`) can prove recovery
-//!   across torn WAL tails, mid-snapshot crashes and
+//!   decorator that tears a write at an exact byte offset, or by any
+//!   subset of the sectors it touches, so the workspace harness
+//!   (`tests/persist_recovery.rs`) can prove recovery across torn WAL
+//!   tails, mid-snapshot crashes and
 //!   crash-between-snapshot-and-compaction, byte by byte.
 //!
 //! ## Quick start
@@ -75,7 +76,7 @@ pub use record::{decode_frame, encode_frame, parse_frame, FrameParse, StampedMut
 pub use snapshot::{
     decode_snapshot, encode_snapshot, read_snapshot, write_snapshot, Snapshot, SNAPSHOT_MAGIC,
 };
-pub use store::{FailingStore, FileStore, MemStore, Store};
+pub use store::{FailingStore, FileStore, MemStore, Store, SECTOR_BYTES};
 pub use wal::{Wal, WalReplay};
 
 #[cfg(test)]

@@ -13,6 +13,11 @@
 //!    mutation workload with random crash points recovers to a state
 //!    whose retrievals are bit-identical to an oracle that applied the
 //!    same acknowledged prefix in memory.
+//! 4. **Hostile bytes** — `parse_frame` and `Wal::replay` over arbitrary
+//!    bytes, over valid frames followed by zero, garbage and mixed
+//!    tails, over bit flips and lying length words: never a panic, a
+//!    clean length within the input, and nothing decoded that the bytes
+//!    present do not pay for.
 
 use rqfa_core::{
     AttrBinding, AttrId, CaseBase, CaseMutation, ExecutionTarget, FixedEngine, ImplId,
@@ -22,7 +27,7 @@ use rqfa_workloads::rng::SmallRng;
 use rqfa_workloads::{CaseGen, RequestGen};
 
 use crate::durable::{DurableCaseBase, PersistPolicy, StoreSet};
-use crate::record::{encode_frame, StampedMutation};
+use crate::record::{encode_frame, parse_frame, FrameParse, StampedMutation};
 use crate::store::{FailingStore, MemStore};
 use crate::wal::Wal;
 
@@ -235,5 +240,121 @@ fn random_crash_points_recover_the_acknowledged_prefix() {
             &requests,
             &format!("seed {seed}"),
         );
+    }
+}
+
+/// Replays `bytes` and checks what must hold of *any* input. Returns
+/// the clean length.
+fn replay_hostile(bytes: &[u8], context: &str) -> usize {
+    let replay = Wal::new(MemStore::from_bytes(bytes.to_vec())).replay().unwrap();
+    assert_eq!(replay.total_bytes, bytes.len(), "{context}");
+    assert!(replay.clean_len <= bytes.len(), "{context}: clean length past the input");
+    assert!(
+        replay.clean_len + replay.torn_tail_bytes <= bytes.len(),
+        "{context}: torn tail past the input"
+    );
+    assert_eq!(
+        replay.torn_tail_bytes > 0,
+        bytes[replay.clean_len..].iter().any(|&b| b != 0),
+        "{context}: only zeros are a clean remainder"
+    );
+    // Every record was paid for by its own bytes: re-encoded, the clean
+    // records are exactly as long as the clean prefix, so no length word
+    // made the decoder allocate beyond what is present.
+    let reencoded: usize = replay
+        .records
+        .iter()
+        .map(|record| encode_frame(record).unwrap().len())
+        .sum();
+    assert_eq!(reencoded, replay.clean_len, "{context}: records vs clean bytes");
+    replay.clean_len
+}
+
+#[test]
+fn hostile_bytes_never_panic_and_never_outgrow_the_input() {
+    for seed in 0..SEEDS {
+        let cb0 = seeded_case_base(seed);
+        let mut oracle = cb0.clone();
+        let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xB175) ^ 0xF022);
+        let mut frames: Vec<u8> = Vec::new();
+        let mut records = 0usize;
+        while records < 12 {
+            let mutation = random_mutation(&mut rng, &oracle);
+            if oracle.apply_mutation(&mutation).is_ok() {
+                let stamped = StampedMutation {
+                    generation: oracle.generation(),
+                    mutation,
+                };
+                frames.extend_from_slice(&encode_frame(&stamped).unwrap());
+                records += 1;
+            }
+        }
+        let garbage = |rng: &mut SmallRng, len: usize| -> Vec<u8> {
+            (0..len).map(|_| rng.gen_range(0..=255u16) as u8).collect()
+        };
+
+        // Arbitrary bytes, with and without a plausible magic in front.
+        for round in 0..32 {
+            let len = rng.gen_range(0..200usize);
+            let mut bytes = garbage(&mut rng, len);
+            if round % 2 == 0 && bytes.len() >= 2 {
+                bytes[..2].copy_from_slice(&crate::RECORD_MAGIC.to_le_bytes());
+            }
+            let _ = parse_frame(&bytes);
+            replay_hostile(&bytes, &format!("seed {seed}, garbage round {round}"));
+        }
+
+        // Valid frames followed by a zero, a garbage and a mixed tail:
+        // the frames all replay, whatever follows them.
+        let zero_len = rng.gen_range(0..600usize);
+        let junk_len = rng.gen_range(1..60usize);
+        let junk = garbage(&mut rng, junk_len);
+        let tails: [Vec<u8>; 4] = [
+            vec![0; zero_len],
+            junk.clone(),
+            [vec![0; zero_len], junk.clone()].concat(),
+            [junk, vec![0; zero_len]].concat(),
+        ];
+        for (shape, tail) in tails.iter().enumerate() {
+            let bytes = [frames.as_slice(), tail.as_slice()].concat();
+            let clean = replay_hostile(&bytes, &format!("seed {seed}, tail shape {shape}"));
+            // A junk tail may, once in 2^32, parse on; it never parses short.
+            assert!(clean >= frames.len(), "seed {seed}, tail shape {shape}: lost a clean frame");
+            if shape == 0 {
+                assert_eq!(clean, frames.len(), "seed {seed}: zeros parsed as a frame");
+            }
+        }
+
+        // Bit flips anywhere: the scan stops at or before the damage or
+        // steps over a frame the CRC still vouches for — never beyond
+        // the input.
+        for _ in 0..64 {
+            let mut bytes = frames.clone();
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1 << rng.gen_range(0..8u32);
+            let clean = replay_hostile(&bytes, &format!("seed {seed}, flip at {at}"));
+            assert!(clean <= at, "seed {seed}: a flipped frame at {at} replayed");
+        }
+
+        // Lying length words: every frame's payload-length field set to
+        // values that point far past the input. The parser must refuse
+        // before it reads — or allocates — what is not there.
+        let mut offset = 0;
+        while offset < frames.len() {
+            let FrameParse::Complete { consumed, .. } = parse_frame(&frames[offset..]) else {
+                panic!("seed {seed}: clean frame at {offset} did not parse");
+            };
+            for lie in [0u16, 1, 0x7FFF, 0xFFFE, 0xFFFF, rng.gen_range(0..=0xFFFFu16)] {
+                let mut bytes = frames.clone();
+                bytes[offset + 12..offset + 14].copy_from_slice(&lie.to_le_bytes());
+                if bytes == frames {
+                    continue;
+                }
+                assert_eq!(parse_frame(&bytes[offset..]), FrameParse::Torn);
+                let clean = replay_hostile(&bytes, &format!("seed {seed}, lie {lie:#x} at {offset}"));
+                assert_eq!(clean, offset, "seed {seed}: scan stops at the lying frame");
+            }
+            offset += consumed;
+        }
     }
 }

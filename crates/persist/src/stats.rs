@@ -20,6 +20,10 @@ pub struct PersistStats {
     pub appends: Counter,
     /// Mutations acknowledged across all appends.
     pub appended_mutations: Counter,
+    /// Appends that had to enlarge the log file: their flush committed a
+    /// new size (a filesystem journal commit), every other append's
+    /// flushed a data block and nothing else.
+    pub reserve_grows: Counter,
     /// Latency of one WAL append (µs) — the fsync cost on a file store.
     pub append_us: Histogram,
     /// Mutations per group-commit window (an `apply` records 1; a
@@ -46,6 +50,7 @@ impl MetricSource for PersistStats {
             "appended_mutations",
             self.appended_mutations.get(),
         ));
+        out.push(Sample::count("reserve_grows", self.reserve_grows.get()));
         out.push(Sample::us("fsync_p50", self.append_us.quantile(0.50)));
         out.push(Sample::us("fsync_p99", self.append_us.quantile(0.99)));
         out.push(Sample::ratio(
@@ -70,6 +75,7 @@ mod tests {
         let stats = PersistStats::default();
         stats.appends.add(2);
         stats.appended_mutations.add(6);
+        stats.reserve_grows.incr();
         stats.append_us.record(100);
         stats.flush_window.record(3);
         stats.wal_bytes_since_checkpoint.set(512);
@@ -83,6 +89,7 @@ mod tests {
                 .value
         };
         assert_eq!(value("appends"), 2.0);
+        assert_eq!(value("reserve_grows"), 1.0);
         assert_eq!(value("mean_flush_window"), 3.0);
         assert_eq!(value("wal_bytes_since_checkpoint"), 512.0);
     }

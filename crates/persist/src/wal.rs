@@ -7,6 +7,17 @@
 //! the tear on was never acknowledged to any caller — dropping it is
 //! correct, not lossy.
 //!
+//! Where the log ends is found by that scan, not stored anywhere. Behind
+//! the frames a medium may carry a reserve of zeros (see
+//! [`crate::FileStore`]); the frame magic is non-zero, so zeros never
+//! parse as a frame, and a remainder that is *all* zero is the clean
+//! end of the log, not a tear. Anything else behind the clean frames is
+//! a torn append — and because an in-place write tears by sector, not
+//! only by prefix, the remainder may hold a whole, CRC-clean frame
+//! behind a hole. The scan never reaches it; the owner must scrub it
+//! (rewrite the log) before appending again, or the next frame of the
+//! hole's length would splice it back into the log.
+//!
 //! Compaction (after a snapshot at generation `G`) atomically rewrites
 //! the log keeping only records stamped after `G`. Because the rewrite
 //! uses [`Store::replace`], a crash during compaction leaves the *old*
@@ -24,9 +35,12 @@ use crate::store::Store;
 pub struct WalReplay {
     /// The complete, CRC-clean records in log order.
     pub records: Vec<StampedMutation>,
-    /// Bytes after the last clean frame (0 for a cleanly closed log).
+    /// Offset just past the last clean frame — where the log ends.
+    pub clean_len: usize,
+    /// Bytes after the clean frames up to the last non-zero one: 0 for a
+    /// cleanly closed log, whether or not a zero reserve follows it.
     pub torn_tail_bytes: usize,
-    /// Total log size in bytes, torn tail included.
+    /// Bytes scanned: frames, torn tail and reserve.
     pub total_bytes: usize,
 }
 
@@ -71,9 +85,10 @@ impl<S: Store> Wal<S> {
     /// from. Returns the total bytes appended.
     ///
     /// Atomicity follows the [`Store`] append contract: a crash can leave
-    /// any byte *prefix* of the batch on the medium. Replay then recovers
-    /// the whole frames of that prefix — safe, because no record of the
-    /// batch was acknowledged to any caller before this method returned.
+    /// any sector subset of the batch on the medium. Replay then recovers
+    /// the whole frames up to the first damaged one — safe, because no
+    /// record of the batch was acknowledged to any caller before this
+    /// method returned — and reports whatever follows as a torn tail.
     ///
     /// # Errors
     ///
@@ -92,25 +107,31 @@ impl<S: Store> Wal<S> {
         Ok(batch.len() as u64)
     }
 
-    /// Atomically truncates the log to its first `len` bytes — the
-    /// repair after a torn append (the caller tracks the last clean
-    /// length). A no-op when the log is already that short.
+    /// Atomically rewrites the log as its first `len` bytes — the repair
+    /// after a failed append (the caller tracks the last clean length).
+    /// It rewrites even when the store reports no more than `len`: an
+    /// in-place append that failed may have left bytes behind the
+    /// content end that no length shows.
     ///
     /// # Errors
     ///
     /// Propagates store failures; on error the old content survives.
     pub fn truncate_to(&mut self, len: u64) -> Result<(), PersistError> {
         let mut bytes = self.store.read_all()?;
-        let keep = usize::try_from(len).unwrap_or(usize::MAX);
-        if bytes.len() <= keep {
-            return Ok(());
-        }
-        bytes.truncate(keep);
+        bytes.truncate(usize::try_from(len).unwrap_or(usize::MAX));
         self.store.replace(&bytes)
     }
 
-    /// Scans the whole log, returning every clean record and the size of
-    /// the torn tail, if any.
+    /// Tells the store where the log ends, as a scan of it found
+    /// ([`WalReplay::clean_len`]). Only for a log whose remainder is all
+    /// zero — the next append lands at `clean_len`, over the reserve.
+    pub fn mark_end(&mut self, clean_len: u64) {
+        self.store.mark_end(clean_len);
+    }
+
+    /// Scans the whole log, returning every clean record, where they
+    /// end, and the size of the torn tail, if any. Zeros behind the
+    /// clean frames are the medium's reserve, not a tear.
     ///
     /// # Errors
     ///
@@ -129,9 +150,14 @@ impl<S: Store> Wal<S> {
                 FrameParse::Torn => break,
             }
         }
+        let torn_tail_bytes = bytes[offset..]
+            .iter()
+            .rposition(|&byte| byte != 0)
+            .map_or(0, |last| last + 1);
         Ok(WalReplay {
             records,
-            torn_tail_bytes: bytes.len() - offset,
+            clean_len: offset,
+            torn_tail_bytes,
             total_bytes: bytes.len(),
         })
     }
@@ -181,7 +207,9 @@ impl<S: Store> Wal<S> {
     /// append. Returns the new log length.
     ///
     /// Unlike [`Wal::compact_through`] this never parses frames, so the
-    /// under-lock cost is one bounded read plus one atomic replace.
+    /// under-lock cost is one bounded read plus one atomic replace — of
+    /// the content only; the reserve behind it is neither read nor
+    /// rewritten.
     ///
     /// # Errors
     ///

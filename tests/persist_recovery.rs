@@ -10,10 +10,17 @@
 //! * snapshot + log + torn tail combined;
 //! * crash inside a **group-commit flush window** (batched appends), at
 //!   *every* byte offset — the acknowledged prefix is exactly the whole
-//!   batches, and recovery must never fall behind it.
+//!   batches, and recovery must never fall behind it;
+//! * an **in-place** append torn by *sector*: behind every acknowledged
+//!   prefix, every subset of the sectors one unacknowledged frame or
+//!   flush window touches, over a log that carries a zero reserve — and
+//!   the frame such a tear can leave whole behind a hole, which must be
+//!   scrubbed before the next append can splice it back in;
+//! * crash while an append **grows the reserve**: any prefix of the
+//!   zeros, with and without the frame.
 //!
-//! All crashes are injected deterministically (byte budgets / byte
-//! truncation), so the suite is timing-free and CI-stable.
+//! All crashes are injected deterministically (byte budgets, sector
+//! masks, byte truncation), so the suite is timing-free and CI-stable.
 
 use rqfa::core::{
     AttrBinding, AttrId, CaseBase, CaseMutation, ExecutionTarget, FixedEngine, ImplId, ImplVariant,
@@ -21,8 +28,9 @@ use rqfa::core::{
 };
 use rqfa::memlist::MemError;
 use rqfa::persist::{
-    encode_frame, encode_snapshot, write_snapshot, DurableCaseBase, FailingStore, MemStore,
-    PersistError, PersistPolicy, StampedMutation, StoreSet,
+    encode_frame, encode_snapshot, parse_frame, write_snapshot, DurableCaseBase, FailingStore,
+    FrameParse, MemStore, PersistError, PersistPolicy, RecoveryReport, StampedMutation, StoreSet,
+    SECTOR_BYTES,
 };
 use rqfa::workloads::rng::SmallRng;
 use rqfa::workloads::{CaseGen, RequestGen};
@@ -435,6 +443,225 @@ fn torn_group_commit_window_recovers_the_acknowledged_prefix() {
             &requests,
             &format!("torn flush window, cut {cut}"),
         );
+    }
+}
+
+/// Zeros behind the frames of a crafted log: more than any write below.
+const RESERVE: usize = 4096;
+
+/// The frames the script produces, in order (`frames[j]` carries the
+/// stamp of `oracles[j + 1]`).
+fn script_frames(script: &[CaseMutation], oracles: &[CaseBase]) -> Vec<Vec<u8>> {
+    script
+        .iter()
+        .zip(&oracles[1..])
+        .map(|(mutation, after)| {
+            encode_frame(&StampedMutation {
+                generation: after.generation(),
+                mutation: mutation.clone(),
+            })
+            .unwrap()
+        })
+        .collect()
+}
+
+/// Media as a machine finds them after a reboot: the genesis snapshot
+/// and a log of exactly these raw bytes, its end unknown.
+fn rebooted(cb0: &CaseBase, wal: Vec<u8>) -> StoreSet<MemStore> {
+    let mut stores = DurableCaseBase::create(cb0, StoreSet::in_memory(), PersistPolicy::manual())
+        .unwrap()
+        .into_stores();
+    stores.wal = MemStore::from_bytes(wal);
+    stores
+}
+
+/// Recovers from a log of `acked` frames and a zero reserve, then lets
+/// `write` fail on a store that tears its first write by the sector
+/// subset `landing`. Returns the raw log the crash leaves behind.
+fn crash_in_place(
+    cb0: &CaseBase,
+    acked: &[Vec<u8>],
+    landing: u64,
+    write: impl FnOnce(&mut DurableCaseBase<FailingStore<MemStore>>) -> Result<(), PersistError>,
+) -> Vec<u8> {
+    let mut log = acked.concat();
+    log.resize(log.len() + RESERVE, 0);
+    let media = rebooted(cb0, log);
+    let stores = StoreSet {
+        wal: FailingStore::tearing_sectors(media.wal, 0, landing),
+        snap_a: FailingStore::new(media.snap_a, u64::MAX),
+        snap_b: FailingStore::new(media.snap_b, u64::MAX),
+    };
+    let (mut durable, report) = DurableCaseBase::recover(stores, PersistPolicy::manual()).unwrap();
+    assert_eq!(report.replayed, acked.len());
+    assert_eq!(report.torn_tail_bytes, 0, "a zero reserve is not a torn tail");
+    let before = durable.case_base().clone();
+    assert!(matches!(write(&mut durable), Err(PersistError::Crashed { .. })));
+    assert_eq!(durable.case_base(), &before, "nothing acknowledged, memory rolled back");
+    durable.into_stores().wal.into_inner().into_bytes()
+}
+
+/// What the sector model says of a write of `frames` at offset `start`:
+/// how many leading frames land whole, and whether anything non-zero
+/// lands behind them.
+fn sector_model(frames: &[Vec<u8>], start: usize, landing: u64) -> (usize, bool) {
+    let first_sector = start as u64 / SECTOR_BYTES;
+    let lands = |at: usize| landing >> (at as u64 / SECTOR_BYTES - first_sector) & 1 == 1;
+    let mut at = start;
+    let mut whole = 0;
+    let mut counting = true;
+    let mut debris = false;
+    for frame in frames {
+        let landed: Vec<bool> = (at..at + frame.len()).map(lands).collect();
+        counting &= landed.iter().all(|&l| l);
+        if counting {
+            whole += 1;
+        } else {
+            debris |= landed.iter().zip(frame).any(|(&l, &byte)| l && byte != 0);
+        }
+        at += frame.len();
+    }
+    (whole, debris)
+}
+
+/// Sectors a write of `len` bytes at `start` touches.
+fn sectors_touched(start: usize, len: usize) -> u64 {
+    (start + len - 1) as u64 / SECTOR_BYTES - start as u64 / SECTOR_BYTES + 1
+}
+
+fn recover_raw(cb0: &CaseBase, log: Vec<u8>) -> (DurableCaseBase<MemStore>, RecoveryReport) {
+    DurableCaseBase::recover(rebooted(cb0, log), PersistPolicy::manual()).unwrap()
+}
+
+/// Crash 6: an in-place append torn by **sector subset**. Behind every
+/// acknowledged prefix, one unacknowledged frame and one unacknowledged
+/// flush window are written over the log's zero reserve, and every
+/// subset of the sectors the write touches lands. Recovery yields the
+/// acknowledged prefix plus exactly the leading frames that landed
+/// whole (for a single frame: nothing, unless all of it landed),
+/// bit-identical to the oracle, and calls the log torn exactly when
+/// something non-zero is left behind those.
+#[test]
+fn sector_subset_tears_recover_the_acknowledged_prefix() {
+    let cb0 = seed_case_base();
+    const WINDOW: usize = 24;
+    const ACKED: usize = 38;
+    let script = mutation_script(&cb0, ACKED + WINDOW, 8);
+    let oracles = oracle_states(&cb0, &script);
+    let requests = probe_requests(&cb0);
+    let frames = script_frames(&script, &oracles);
+    let window_len: usize = frames[ACKED..].iter().map(Vec::len).sum();
+    assert!(
+        frames[..ACKED].concat().len() > 2 * SECTOR_BYTES as usize
+            && window_len > SECTOR_BYTES as usize,
+        "the sweep crosses sector boundaries with single frames and with windows"
+    );
+
+    let mut straddling_frames = 0;
+    for acked in 0..=ACKED {
+        let start: usize = frames[..acked].iter().map(Vec::len).sum();
+        for window in [1, WINDOW] {
+            let unacked = &frames[acked..acked + window];
+            let len: usize = unacked.iter().map(Vec::len).sum();
+            let sectors = sectors_touched(start, len);
+            straddling_frames += usize::from(window == 1 && sectors > 1);
+            for landing in 0..1u64 << sectors {
+                let ctx = format!("{acked} acked, window {window}, sectors {landing:0b}");
+                let log = crash_in_place(&cb0, &frames[..acked], landing, |durable| {
+                    durable.apply_batch(&script[acked..acked + window]).map(drop)
+                });
+                let (whole, debris) = sector_model(unacked, start, landing);
+                if window == 1 && landing != (1 << sectors) - 1 {
+                    assert_eq!(whole, 0, "{ctx}: a frame missing a sector is no frame");
+                }
+                let (recovered, report) = recover_raw(&cb0, log);
+                assert_eq!(report.replayed, acked + whole, "{ctx}");
+                assert_eq!(report.torn_tail_bytes > 0, debris, "{ctx}: torn-tail flag");
+                assert_bit_identical(recovered.case_base(), &oracles[acked + whole], &requests, &ctx);
+            }
+        }
+    }
+    assert!(straddling_frames >= 2, "single frames straddled {straddling_frames} boundaries");
+}
+
+/// Crash 7, the regression the sector model exists for: a flush window
+/// `[A, B]` whose first sector never lands leaves `B` whole behind a
+/// hole where `A` began. Replay stops at the hole, so `B` is invisible —
+/// until the client retries `A`, which has the hole's length: unscrubbed,
+/// the log would then read `…, A, B`, and `B` was never acknowledged.
+#[test]
+fn a_whole_frame_behind_a_hole_is_scrubbed_before_the_next_append() {
+    let cb0 = seed_case_base();
+    let script = mutation_script(&cb0, 40, 9);
+    let oracles = oracle_states(&cb0, &script);
+    let requests = probe_requests(&cb0);
+    let frames = script_frames(&script, &oracles);
+    let boundary = |n: usize| frames[..n].iter().map(Vec::len).sum::<usize>();
+    // `A` is the first frame to straddle a sector boundary; `B` follows
+    // it inside the second sector.
+    let a = (0..frames.len())
+        .find(|&n| boundary(n + 1) > SECTOR_BYTES as usize)
+        .unwrap();
+    assert!(boundary(a) < SECTOR_BYTES as usize, "A straddles the boundary");
+
+    let log = crash_in_place(&cb0, &frames[..a], 0b10, |durable| {
+        durable.apply_batch(&script[a..a + 2]).map(drop)
+    });
+    assert!(
+        matches!(
+            parse_frame(&log[boundary(a + 1)..]),
+            FrameParse::Complete { record, .. } if record.generation == oracles[a + 2].generation()
+        ),
+        "the crash left B whole on the medium"
+    );
+    assert!(log[boundary(a)..SECTOR_BYTES as usize].iter().all(|&b| b == 0), "behind a hole");
+
+    let (mut recovered, report) = recover_raw(&cb0, log);
+    assert_eq!(report.replayed, a);
+    assert!(report.torn_tail_bytes > 0, "debris behind the clean frames is a torn tail");
+    assert_eq!(recovered.wal_bytes().unwrap() as usize, boundary(a));
+    // The client retries A alone; the machine dies again right after.
+    recovered.apply(&script[a]).unwrap();
+    let log = recovered.into_stores().wal.into_bytes();
+    let (again, report) = recover_raw(&cb0, log);
+    assert_eq!(report.replayed, a + 1, "exactly A: B was never acknowledged");
+    assert_eq!(report.torn_tail_bytes, 0);
+    assert_bit_identical(again.case_base(), &oracles[a + 1], &requests, "retry after scrub");
+}
+
+/// Crash 8: the append that finds no room carries a chunk of zeros
+/// behind its frame. The crash leaves any prefix of those zeros, with
+/// the frame or without it; either is a clean log, and the next append
+/// continues right behind the frames.
+#[test]
+fn a_crash_during_reserve_growth_leaves_a_clean_log() {
+    let cb0 = seed_case_base();
+    let script = mutation_script(&cb0, 8, 10);
+    let oracles = oracle_states(&cb0, &script);
+    let requests = probe_requests(&cb0);
+    let frames = script_frames(&script, &oracles);
+
+    for acked in [0usize, 1, 6] {
+        for with_frame in [false, true] {
+            for zeros in [0usize, 1, 2, 511, 512, 513, 4096, 8191, 8192] {
+                let ctx = format!("{acked} acked, frame {with_frame}, {zeros} zeros");
+                let landed = acked + usize::from(with_frame);
+                let mut log = frames[..landed].concat();
+                log.resize(log.len() + zeros, 0);
+                let (mut recovered, report) = recover_raw(&cb0, log);
+                assert_eq!(report.replayed, landed, "{ctx}");
+                assert_eq!(report.torn_tail_bytes, 0, "{ctx}: zeros are no torn tail");
+                assert_bit_identical(recovered.case_base(), &oracles[landed], &requests, &ctx);
+                // The log goes on in place, behind the frames.
+                recovered.apply(&script[landed]).unwrap();
+                let log = recovered.into_stores().wal.into_bytes();
+                let content = frames[..=landed].concat();
+                assert_eq!(log[..content.len()], content[..], "{ctx}");
+                let (again, report) = recover_raw(&cb0, log);
+                assert_eq!((report.replayed, report.torn_tail_bytes), (landed + 1, 0), "{ctx}");
+                assert_bit_identical(again.case_base(), &oracles[landed + 1], &requests, &ctx);
+            }
+        }
     }
 }
 

@@ -543,6 +543,20 @@ fn killed_durable_shards_recover_equivalent_to_unkilled_oracle() {
         oracle.apply_mutation(mutation).expect("oracle applies");
     }
 
+    // The registry carries every durable shard's write-path counters:
+    // one append per mutation, and only the first behind each log
+    // rewrite had to grow its file.
+    let registry = rqfa::telemetry::Registry::new();
+    service.register_metrics(&registry, "service");
+    let snapshot = registry.snapshot();
+    let over_shards = |name: &str| -> f64 {
+        let samples = snapshot.samples.iter().filter(|s| s.name.ends_with(name));
+        samples.map(|s| s.value).sum()
+    };
+    assert_eq!(over_shards("/persist/appends"), mutations.len() as f64);
+    let grows = over_shards("/persist/reserve_grows");
+    assert!((3.0..mutations.len() as f64).contains(&grows), "reserve_grows {grows}");
+
     // Serve (and cache) some traffic, then KILL: drop without checkpoint.
     let warmup = RequestGen::new(&case_base).seed(0x11).count(50).generate();
     for request in &warmup {
