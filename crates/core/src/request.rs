@@ -73,6 +73,50 @@ impl Request {
         }
     }
 
+    /// Builds a request from constraints that are already the request
+    /// list's normal form (fig. 4, left): `(attribute, value, UQ1.15
+    /// weight word)` strictly ascending by attribute, the weight words
+    /// summing to exactly `0x8000` — the shape every encoder emits, so
+    /// the shape every decoder meets. `None` for any other shape
+    /// (unsorted, duplicate, sum off, empty): the caller hands those to
+    /// [`Request::builder`], which normalizes or rejects them.
+    ///
+    /// The value equals the builder's, bit for bit, for the same parts
+    /// with `f64::from(word)` as relative weights: their sum is the
+    /// integer 32768, so each division `word / 32768` is exact, each
+    /// quantization floor is the word itself and no remainder is handed
+    /// out. One allocation: the constraint slice.
+    pub fn from_normalized<I>(type_id: TypeId, parts: I) -> Option<Request>
+    where
+        I: IntoIterator<Item = (AttrId, u16, u16)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let parts = parts.into_iter();
+        let one = Q15::ONE.raw();
+        let mut constraints = Vec::with_capacity(parts.len());
+        let mut sum = 0u32;
+        let mut ascending = true;
+        for (attr, value, word) in parts {
+            ascending &= constraints.last().is_none_or(|last: &Constraint| last.attr < attr);
+            sum = sum.saturating_add(u32::from(word));
+            constraints.push(Constraint {
+                attr,
+                value,
+                weight: f64::from(word) / f64::from(one),
+                weight_q15: Q15::saturating_from_raw(word),
+            });
+        }
+        if !ascending || sum != u32::from(one) {
+            return None;
+        }
+        let constraints = constraints.into_boxed_slice();
+        Some(Request {
+            type_id,
+            fingerprint: fingerprint_of(type_id, &constraints),
+            constraints,
+        })
+    }
+
     /// The requested function type (`IDType`).
     pub fn type_id(&self) -> TypeId {
         self.type_id
@@ -340,6 +384,87 @@ mod tests {
         // The words [type 1, attr 1, value 16, weight 0x8000], hashed as ever:
         // caches, the wire and the benchmark's input digest key on the value.
         assert_eq!(a.fingerprint(), 0x7b96_03e1_6e77_a56d);
+    }
+
+    /// What the builder makes of the same parts, the weight words taken
+    /// as relative weights — the route every decoder took before
+    /// [`Request::from_normalized`].
+    fn through_the_builder(type_id: TypeId, parts: &[(AttrId, u16, u16)]) -> Result<Request, CoreError> {
+        parts
+            .iter()
+            .fold(Request::builder(type_id), |builder, &(attr, value, word)| {
+                builder.weighted_constraint(attr, value, f64::from(word))
+            })
+            .build()
+    }
+
+    #[test]
+    fn normalized_parts_build_the_builders_request_bit_for_bit() {
+        // xorshift64*, as the other seeded sweeps of the workspace.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |bound: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound
+        };
+        for round in 0..2_000 {
+            let count = 1 + below(12) as usize;
+            // Cut points in [0, 0x8000], sorted: the gaps are weight words
+            // that sum to exactly one — zero words and a lone 0x8000 among
+            // them.
+            let mut cuts: Vec<u64> = (1..count).map(|_| below(0x8001)).collect();
+            cuts.sort_unstable();
+            cuts.push(0x8000);
+            let mut attr = 0;
+            let mut low = 0;
+            let parts: Vec<(AttrId, u16, u16)> = cuts
+                .iter()
+                .map(|&cut| {
+                    attr += 1 + below(5) as u16;
+                    let word = (cut - low) as u16;
+                    low = cut;
+                    (aid(attr), below(1 << 16) as u16, word)
+                })
+                .collect();
+            let type_id = tid(1 + below(60_000) as u16);
+            let fast = Request::from_normalized(type_id, parts.iter().copied())
+                .unwrap_or_else(|| panic!("round {round}: {parts:?} is normalized"));
+            let built = through_the_builder(type_id, &parts).unwrap();
+            assert_eq!(fast, built, "round {round}");
+            assert_eq!(fast.fingerprint(), built.fingerprint(), "round {round}");
+            for (a, b) in fast.constraints().iter().zip(built.constraints()) {
+                assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn parts_out_of_normal_form_are_left_to_the_builder() {
+        let half = 0x4000;
+        let shapes: [&[(AttrId, u16, u16)]; 6] = [
+            // Empty.
+            &[],
+            // Unsorted.
+            &[(aid(2), 0, half), (aid(1), 0, half)],
+            // Duplicate attribute.
+            &[(aid(1), 0, half), (aid(1), 1, half)],
+            // Sum one ulp short, one ulp over, and far over.
+            &[(aid(1), 0, half), (aid(2), 0, half - 1)],
+            &[(aid(1), 0, half), (aid(2), 0, half + 1)],
+            &[(aid(1), 0, 0xFFFF), (aid(2), 0, 0xFFFF), (aid(3), 0, 0x8002)],
+        ];
+        for parts in shapes {
+            assert_eq!(Request::from_normalized(tid(1), parts.iter().copied()), None, "{parts:?}");
+        }
+        // The builder still answers each of them as it always did.
+        assert_eq!(through_the_builder(tid(1), shapes[0]), Err(CoreError::EmptyRequest));
+        assert!(through_the_builder(tid(1), shapes[1]).is_ok());
+        assert!(matches!(
+            through_the_builder(tid(1), shapes[2]),
+            Err(CoreError::DuplicateAttr { .. })
+        ));
+        assert!(through_the_builder(tid(1), shapes[3]).is_ok());
     }
 
     #[test]

@@ -138,8 +138,9 @@ impl RequestImage {
     /// Wraps raw words (e.g. a request arriving off the wire — the word
     /// format doubles as the RPC payload encoding). Only the image-size
     /// bound is checked here; structural trust comes from
-    /// [`crate::decode::decode_request`] rebuilding the request through
-    /// the validating [`rqfa_core::Request`] builder, or from
+    /// [`crate::decode::decode_request`], which accepts a list in normal
+    /// form as it is and rebuilds any other through the validating
+    /// [`rqfa_core::Request`] builder, or from
     /// [`crate::validate::validate_request`].
     ///
     /// # Errors

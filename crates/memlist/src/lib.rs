@@ -45,7 +45,9 @@ mod validate;
 mod word;
 
 pub use compact::{encode_compact_case_base, is_compactible, CompactCaseBaseImage};
-pub use decode::{decode_case_base, decode_request, decode_supplemental, SupplementalEntry};
+pub use decode::{
+    decode_case_base, decode_request, decode_request_words, decode_supplemental, SupplementalEntry,
+};
 pub use encode::{encode_case_base, encode_request};
 pub use error::MemError;
 pub use layout::{CaseBaseImage, RequestImage, Section};
@@ -54,7 +56,7 @@ pub use report::{
     predicted_compact_words, predicted_request_words, predicted_words, MemoryReport,
 };
 pub use validate::{validate_case_base, validate_raw, validate_request, ValidationSummary};
-pub use word::{ImageBuilder, MemImage, SectionMap, END_MARKER};
+pub use word::{ImageBuilder, MemImage, SectionMap, Words, END_MARKER};
 
 #[cfg(all(test, feature = "proptests"))]
 mod proptests;

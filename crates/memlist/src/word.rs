@@ -15,6 +15,42 @@ use crate::error::MemError;
 /// The reserved list-terminator word (`Listen Ende` in fig. 4/5).
 pub const END_MARKER: u16 = 0xFFFF;
 
+/// A list of 16-bit words wherever it lies — a `[u16]` in memory, or the
+/// little-endian bytes of a frame still in a connection's receive buffer
+/// — so that a decoder is written once and copies nothing to run.
+pub trait Words {
+    /// Number of words.
+    fn len(&self) -> usize;
+
+    /// Whether the list holds no words.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The word at `at`, `None` outside the list.
+    fn get(&self, at: usize) -> Option<u16>;
+}
+
+impl<W: Words + ?Sized> Words for &W {
+    fn len(&self) -> usize {
+        W::len(self)
+    }
+
+    fn get(&self, at: usize) -> Option<u16> {
+        W::get(self, at)
+    }
+}
+
+impl Words for [u16] {
+    fn len(&self) -> usize {
+        <[u16]>::len(self)
+    }
+
+    fn get(&self, at: usize) -> Option<u16> {
+        <[u16]>::get(self, at).copied()
+    }
+}
+
 /// A linear block of 16-bit words with 16-bit word addressing.
 ///
 /// ```

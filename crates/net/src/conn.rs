@@ -12,6 +12,13 @@
 //! receive. A frame costs one `read`, not one for its header and one for
 //! its body.
 //!
+//! Both directions run the one codec of [`crate::wire`] where the bytes
+//! lie: a send writes header, fields and CRC straight into the
+//! connection's send buffer, a receive checks the frame in the read-ahead
+//! buffer and reads the message's fields from its little-endian bytes.
+//! Neither buffer is given back between frames, so a warm connection
+//! allocates only what the decoded message itself owns.
+//!
 //! The transport never hangs and never spins: socket timeouts bound
 //! every read ([`connect_loopback`] arms them), and [`RetryPolicy`]
 //! bounds reconnect attempts with doubling backoff. When the budget is
@@ -23,11 +30,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::error::NetError;
-use crate::frame::{decode_frame, FRAME_MAGIC, HEADER_WORDS, MAX_PAYLOAD_WORDS, TRAILER_WORDS};
-use crate::wire::{decode_message, encode_message, Message};
-
-/// Bytes of a frame header.
-const HEADER_BYTES: usize = HEADER_WORDS * 2;
+use crate::frame::{check_frame, FRAME_MAGIC, HEADER_BYTES, MAX_PAYLOAD_WORDS, TRAILER_WORDS};
+use crate::wire::{decode_payload, write_message, Message};
 
 /// The least a `read` is offered: several of the 46–81-byte frames the
 /// request path exchanges. A larger frame grows the buffer to its size.
@@ -43,6 +47,8 @@ pub struct FrameConn<S> {
     /// buffer of its own).
     buffer: Vec<u8>,
     filled: usize,
+    /// The frame being sent, written here and sent from here.
+    outgoing: Vec<u8>,
 }
 
 impl<S: Read + Write> FrameConn<S> {
@@ -52,6 +58,7 @@ impl<S: Read + Write> FrameConn<S> {
             stream,
             buffer: Vec::new(),
             filled: 0,
+            outgoing: Vec::new(),
         }
     }
 
@@ -66,13 +73,13 @@ impl<S: Read + Write> FrameConn<S> {
     ///
     /// Encoding failures and stream I/O errors.
     pub fn send(&mut self, message: &Message) -> Result<usize, NetError> {
-        let bytes = encode_message(message)?;
+        write_message(&mut self.outgoing, message)?;
         // One write call for the whole frame: fault injectors act on
         // frame boundaries, and a peer never sees a half-written header
         // interleaved with another thread's frame.
-        self.stream.write_all(&bytes)?;
+        self.stream.write_all(&self.outgoing)?;
         self.stream.flush()?;
-        Ok(bytes.len())
+        Ok(self.outgoing.len())
     }
 
     /// Receives exactly one message, or fails cleanly.
@@ -96,7 +103,8 @@ impl<S: Read + Write> FrameConn<S> {
                 wanted => self.read_ahead(wanted.unwrap_or(HEADER_BYTES))?,
             }
         };
-        let decoded = decode_frame(&self.buffer[..bytes]).and_then(|frame| decode_message(&frame));
+        let decoded = check_frame(&self.buffer[..bytes])
+            .and_then(|(kind, payload)| decode_payload(kind, payload));
         // Whatever the decoders say, this frame's bytes are consumed;
         // the surplus moves to the front.
         self.buffer.copy_within(bytes..self.filled, 0);
@@ -287,7 +295,8 @@ impl Default for RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::TailAck;
+    use crate::wire::tests::{random_messages, TestRng};
+    use crate::wire::{encode_message, TailAck};
     use std::io::Cursor;
 
     /// An in-memory duplex: everything written is readable back.
@@ -508,6 +517,187 @@ mod tests {
         );
         assert_eq!(conn.recv().unwrap(), (big, bytes));
         assert_eq!(conn.recv().unwrap(), (ack(9), small));
+    }
+
+    /// A socket that has `bytes` and then ends, delivering them in reads
+    /// of seeded sizes — a byte at a time up to several frames at once —
+    /// with a seeded share of the reads timing out first.
+    struct Hostile {
+        bytes: Cursor<Vec<u8>>,
+        rng: TestRng,
+        most: u64,
+    }
+
+    impl Read for Hostile {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            if self.rng.below(6) == 0 {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            let size = (1 + self.rng.below(self.most) as usize).min(out.len());
+            self.bytes.read(&mut out[..size])
+        }
+    }
+
+    impl Write for Hostile {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            unreachable!("receive-only")
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What a connection must hand out for `bytes`, receive by receive,
+    /// up to and including the error that ends the stream — by the
+    /// allocating entries over one frame at a time, with no buffer to get
+    /// wrong — and the largest frame any header along the way declares.
+    fn expected(bytes: &[u8]) -> (Vec<String>, usize) {
+        let mut results = Vec::new();
+        let mut declared = 0;
+        let mut rest = bytes;
+        let ended = |mut results: Vec<String>, declared, error: NetError| {
+            results.push(format!("{:?}", Err::<(Message, usize), _>(error)));
+            (results, declared)
+        };
+        loop {
+            let Some(header) = rest.first_chunk::<HEADER_BYTES>() else {
+                return ended(results, declared, NetError::Truncated);
+            };
+            let magic = u16::from_le_bytes([header[0], header[1]]);
+            if magic != FRAME_MAGIC {
+                return ended(results, declared, NetError::BadMagic { found: magic });
+            }
+            let len = usize::from(u16::from_le_bytes([header[4], header[5]]));
+            let frame = HEADER_BYTES + (len + TRAILER_WORDS) * 2;
+            declared = declared.max(frame);
+            if rest.len() < frame {
+                return ended(results, declared, NetError::Truncated);
+            }
+            let decoded = crate::frame::decode_frame(&rest[..frame])
+                .and_then(|frame| crate::wire::decode_message(&frame));
+            results.push(format!("{:?}", decoded.map(|message| (message, frame))));
+            rest = &rest[frame..];
+        }
+    }
+
+    /// Receives `bytes` through a hostile socket until the stream ends,
+    /// checking every receive against [`expected`] and the buffer against
+    /// the largest frame a header declared. Returns the results.
+    fn receive_hostile(bytes: &[u8], seed: u64, context: &str) -> Vec<String> {
+        let (expected, declared) = expected(bytes);
+        let mut rng = TestRng::new(seed);
+        let most = [1, 7, 64, 700][rng.below(4) as usize];
+        let mut conn = FrameConn::new(Hostile {
+            bytes: Cursor::new(bytes.to_vec()),
+            rng,
+            most,
+        });
+        for (step, want) in expected.iter().enumerate() {
+            let found = loop {
+                match conn.recv() {
+                    Err(NetError::Timeout) => {}
+                    other => break format!("{other:?}"),
+                }
+            };
+            assert_eq!(&found, want, "{context}, receive {step}");
+            assert!(
+                conn.buffer.len() <= declared.max(READ_AHEAD_BYTES),
+                "{context}, receive {step}: a buffer of {} bytes for frames of at most {declared}",
+                conn.buffer.len()
+            );
+        }
+        expected
+    }
+
+    #[test]
+    fn hostile_bytes_are_an_error_or_the_allocating_decoders_value_never_a_panic() {
+        for seed in 1..=24u64 {
+            let mut rng = TestRng::new(seed.wrapping_mul(0xB175) ^ 0xF022);
+            let messages: Vec<Message> = (0..3).flat_map(|_| random_messages(&mut rng)).collect();
+            let frames: Vec<Vec<u8>> = messages
+                .iter()
+                .map(|message| encode_message(message).unwrap())
+                .collect();
+            let stream = frames.concat();
+            let ok = |(message, frame): (&Message, &Vec<u8>)| {
+                format!("{:?}", Ok::<_, NetError>((message, frame.len())))
+            };
+
+            // Valid frames, whatever the reads make of them: a frame
+            // behind any number of frames still decodes, to what was sent.
+            let results = receive_hostile(&stream, rng.next(), &format!("seed {seed}, clean"));
+            let sent: Vec<String> = messages.iter().zip(&frames).map(ok).collect();
+            assert_eq!(results[..sent.len()], sent[..], "seed {seed}");
+            assert_eq!(results.len(), sent.len() + 1, "seed {seed}: then the stream ends");
+
+            // Arbitrary bytes, bare, behind a magic word, and behind a
+            // whole plausible header.
+            for round in 0..48 {
+                let mut bytes: Vec<u8> = (0..rng.below(300)).map(|_| rng.next() as u8).collect();
+                if round % 3 > 0 && bytes.len() >= HEADER_BYTES {
+                    bytes[..2].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+                }
+                if round % 3 == 2 && bytes.len() >= HEADER_BYTES {
+                    bytes[2..4].copy_from_slice(&(rng.below(12) as u16).to_le_bytes());
+                    bytes[4..6].copy_from_slice(&(rng.below(160) as u16).to_le_bytes());
+                }
+                receive_hostile(&bytes, rng.next(), &format!("seed {seed}, garbage {round}"));
+            }
+
+            // A bit flipped anywhere: the frames before it arrive, the
+            // frame it hit is an error — the CRC, or the header check —
+            // and never a different message.
+            for _ in 0..48 {
+                let mut bytes = stream.clone();
+                let at = rng.below(bytes.len() as u64) as usize;
+                bytes[at] ^= 1 << rng.below(8);
+                let results = receive_hostile(&bytes, rng.next(), &format!("seed {seed}, flip at {at}"));
+                let mut end = 0;
+                let hit = frames.iter().position(|frame| {
+                    end += frame.len();
+                    at < end
+                });
+                let hit = hit.expect("the flip is inside the stream");
+                assert_eq!(results[..hit], sent[..hit], "seed {seed}, flip at {at}");
+                assert!(results[hit].starts_with("Err("), "seed {seed}, flip at {at}: {}", results[hit]);
+            }
+
+            // Lying length words: each frame's length field set to values
+            // short of, past, and far past what follows.
+            let mut offset = 0;
+            for (index, frame) in frames.iter().enumerate() {
+                for lie in [0u16, 1, 0x7FFF, 0xFFFE, 0xFFFF, rng.below(1 << 16) as u16] {
+                    let mut bytes = stream.clone();
+                    bytes[offset + 4..offset + 6].copy_from_slice(&lie.to_le_bytes());
+                    if bytes == stream {
+                        continue;
+                    }
+                    let context = format!("seed {seed}, frame {index} claims {lie:#x} words");
+                    let results = receive_hostile(&bytes, rng.next(), &context);
+                    assert_eq!(results[..index], sent[..index], "{context}");
+                    assert!(results[index].starts_with("Err("), "{context}: {}", results[index]);
+                }
+                offset += frame.len();
+            }
+
+            // Every kind's payload cut short and run long inside a frame
+            // whose CRC vouches for it: the message decoder's call, and
+            // the frame behind it arrives whatever that was.
+            let follower = (&messages[7], &frames[7]);
+            for frame in &frames[..9] {
+                let whole = crate::frame::decode_frame(frame).unwrap();
+                let cut = rng.below(whole.payload.len() as u64 + 1) as usize;
+                let extra: Vec<u16> = (0..1 + rng.below(6)).map(|_| rng.next() as u16).collect();
+                for payload in [whole.payload[..cut].to_vec(), [&whole.payload[..], &extra[..]].concat()] {
+                    let mut bytes = crate::frame::encode_frame(whole.kind, &payload).unwrap();
+                    bytes.extend_from_slice(follower.1);
+                    let context = format!("seed {seed}, kind {} at {} words", whole.kind, payload.len());
+                    let results = receive_hostile(&bytes, rng.next(), &context);
+                    assert_eq!(results[1], ok(follower), "{context}");
+                }
+            }
+        }
     }
 
     #[test]

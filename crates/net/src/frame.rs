@@ -20,6 +20,9 @@
 //! `tests` sweep every truncated prefix and every single-byte corruption
 //! of valid frames.
 
+use std::borrow::Cow;
+
+use rqfa_memlist::Words;
 use rqfa_persist::crc32;
 
 use crate::error::NetError;
@@ -36,6 +39,9 @@ pub const TRAILER_WORDS: usize = 2;
 /// Maximum payload length in words (the 16-bit length field's range).
 pub const MAX_PAYLOAD_WORDS: usize = u16::MAX as usize;
 
+/// Header size in bytes.
+pub(crate) const HEADER_BYTES: usize = HEADER_WORDS * 2;
+
 /// One decoded transport frame: a message kind and its word payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -45,11 +51,90 @@ pub struct Frame {
     pub payload: Vec<u16>,
 }
 
+/// A word list as the little-endian bytes it travels as, read where they
+/// lie: the payload of a frame still in a connection's receive buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LeWords<'a>(&'a [u8]);
+
+impl<'a> LeWords<'a> {
+    /// # Errors
+    ///
+    /// [`NetError::Malformed`] on an odd byte count.
+    pub(crate) fn new(bytes: &'a [u8]) -> Result<LeWords<'a>, NetError> {
+        if !bytes.len().is_multiple_of(2) {
+            return Err(NetError::Malformed("odd byte count is not a word list"));
+        }
+        Ok(LeWords(bytes))
+    }
+}
+
+impl Words for LeWords<'_> {
+    fn len(&self) -> usize {
+        self.0.len() / 2
+    }
+
+    fn get(&self, at: usize) -> Option<u16> {
+        let pair = self.0.get(2 * at..2 * at + 2)?;
+        Some(u16::from_le_bytes([pair[0], pair[1]]))
+    }
+}
+
+/// Where a received payload's words lie: the `[u16]` of a decoded
+/// [`Frame`], or the bytes of a frame checked in place ([`LeWords`]). The
+/// message decoders are written once, over this.
+pub(crate) trait Payload<'a>: Words + Copy {
+    /// The words from `at` on (`at` ≤ the length).
+    fn tail(self, at: usize) -> Self;
+
+    /// The words copied out.
+    fn to_words(self) -> Vec<u16>;
+
+    /// The words as little-endian bytes — borrowed where that is what
+    /// they already are.
+    fn to_bytes(self) -> Cow<'a, [u8]>;
+}
+
+impl<'a> Payload<'a> for &'a [u16] {
+    fn tail(self, at: usize) -> &'a [u16] {
+        &self[at..]
+    }
+
+    fn to_words(self) -> Vec<u16> {
+        self.to_vec()
+    }
+
+    fn to_bytes(self) -> Cow<'a, [u8]> {
+        Cow::Owned(words_to_bytes(self))
+    }
+}
+
+impl<'a> Payload<'a> for LeWords<'a> {
+    fn tail(self, at: usize) -> LeWords<'a> {
+        LeWords(&self.0[2 * at..])
+    }
+
+    fn to_words(self) -> Vec<u16> {
+        self.0
+            .chunks_exact(2)
+            .map(|pair| u16::from_le_bytes([pair[0], pair[1]]))
+            .collect()
+    }
+
+    fn to_bytes(self) -> Cow<'a, [u8]> {
+        Cow::Borrowed(self.0)
+    }
+}
+
+/// Appends one word, little-endian.
+pub(crate) fn put_word(bytes: &mut Vec<u8>, word: u16) {
+    bytes.extend_from_slice(&word.to_le_bytes());
+}
+
 /// Serializes words as little-endian bytes.
 pub(crate) fn words_to_bytes(words: &[u16]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(words.len() * 2);
     for word in words {
-        bytes.extend_from_slice(&word.to_le_bytes());
+        put_word(&mut bytes, *word);
     }
     bytes
 }
@@ -60,13 +145,40 @@ pub(crate) fn words_to_bytes(words: &[u16]) -> Vec<u8> {
 ///
 /// [`NetError::Malformed`] on an odd byte count.
 pub(crate) fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u16>, NetError> {
-    if !bytes.len().is_multiple_of(2) {
-        return Err(NetError::Malformed("odd byte count is not a word list"));
-    }
-    Ok(bytes
-        .chunks_exact(2)
-        .map(|pair| u16::from_le_bytes([pair[0], pair[1]]))
-        .collect())
+    Ok(LeWords::new(bytes)?.to_words())
+}
+
+/// Writes one frame into `bytes`, replacing what was there: the header,
+/// whatever payload `fill` appends (whole words), the CRC trailer. The
+/// bytes are written once, where they are sent from — a connection's
+/// send buffer, or a vector of their own ([`encode_frame`]).
+///
+/// # Errors
+///
+/// What `fill` fails with, and [`NetError::PayloadTooLarge`] past
+/// [`MAX_PAYLOAD_WORDS`].
+pub(crate) fn write_frame(
+    bytes: &mut Vec<u8>,
+    kind: u16,
+    fill: impl FnOnce(&mut Vec<u8>) -> Result<(), NetError>,
+) -> Result<(), NetError> {
+    bytes.clear();
+    put_word(bytes, FRAME_MAGIC);
+    put_word(bytes, kind);
+    // The length is known once the payload lies behind it.
+    put_word(bytes, 0);
+    fill(bytes)?;
+    debug_assert!(bytes.len().is_multiple_of(2), "a payload is whole words");
+    let words = (bytes.len() - HEADER_BYTES) / 2;
+    let Ok(len) = u16::try_from(words) else {
+        return Err(NetError::PayloadTooLarge { words });
+    };
+    bytes[4..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    // CRC over everything after the magic: kind, len, payload. Low word
+    // first, each word little-endian: the CRC's own little-endian bytes.
+    let crc = crc32(&bytes[2..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// Encodes one frame as its on-wire bytes.
@@ -75,33 +187,23 @@ pub(crate) fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u16>, NetError> {
 ///
 /// [`NetError::PayloadTooLarge`] past [`MAX_PAYLOAD_WORDS`].
 pub fn encode_frame(kind: u16, payload: &[u16]) -> Result<Vec<u8>, NetError> {
-    let Ok(len) = u16::try_from(payload.len()) else {
-        return Err(NetError::PayloadTooLarge {
-            words: payload.len(),
-        });
-    };
-    // The bytes are written once, where they are sent from.
     let mut bytes = Vec::with_capacity((HEADER_WORDS + payload.len() + TRAILER_WORDS) * 2);
-    for word in [FRAME_MAGIC, kind, len].iter().chain(payload) {
-        bytes.extend_from_slice(&word.to_le_bytes());
-    }
-    // CRC over everything after the magic: kind, len, payload. Low word
-    // first, each word little-endian: the CRC's own little-endian bytes.
-    let crc = crc32(&bytes[2..]);
-    bytes.extend_from_slice(&crc.to_le_bytes());
+    write_frame(&mut bytes, kind, |bytes| {
+        payload.iter().for_each(|word| put_word(bytes, *word));
+        Ok(())
+    })?;
     Ok(bytes)
 }
 
-/// Decodes a byte buffer holding **exactly one** frame. Any deviation —
-/// too short, too long, wrong magic, CRC mismatch — is an error; a
-/// frame can never silently decode from a damaged buffer.
+/// Checks a byte buffer holding **exactly one** frame where it lies and
+/// hands out the kind and the payload, still in place. Any deviation —
+/// too short, too long, wrong magic, CRC mismatch — is an error; a frame
+/// can never silently decode from a damaged buffer.
 ///
 /// # Errors
 ///
-/// [`NetError::Truncated`] for short or odd-sized buffers (and buffers
-/// with trailing garbage, which can only be a framing tear),
-/// [`NetError::BadMagic`] / [`NetError::BadCrc`] for corruption.
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame, NetError> {
+/// As [`decode_frame`].
+pub(crate) fn check_frame(bytes: &[u8]) -> Result<(u16, LeWords<'_>), NetError> {
     let min_bytes = (HEADER_WORDS + TRAILER_WORDS) * 2;
     if bytes.len() < min_bytes || !bytes.len().is_multiple_of(2) {
         return Err(NetError::Truncated);
@@ -117,17 +219,29 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, NetError> {
         // the header claims).
         return Err(NetError::Truncated);
     }
-    // The received bytes are checked where they lie; only the payload
-    // is copied out.
     let (body, trailer) = bytes.split_at((HEADER_WORDS + len) * 2);
     let expected = crc32(&body[2..]);
     let found = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
     if expected != found {
         return Err(NetError::BadCrc { expected, found });
     }
+    Ok((word(1), LeWords::new(&body[HEADER_BYTES..])?))
+}
+
+/// Decodes a byte buffer holding **exactly one** frame. Any deviation —
+/// too short, too long, wrong magic, CRC mismatch — is an error; a
+/// frame can never silently decode from a damaged buffer.
+///
+/// # Errors
+///
+/// [`NetError::Truncated`] for short or odd-sized buffers (and buffers
+/// with trailing garbage, which can only be a framing tear),
+/// [`NetError::BadMagic`] / [`NetError::BadCrc`] for corruption.
+pub fn decode_frame(bytes: &[u8]) -> Result<Frame, NetError> {
+    let (kind, payload) = check_frame(bytes)?;
     Ok(Frame {
-        kind: word(1),
-        payload: bytes_to_words(&body[HEADER_WORDS * 2..])?,
+        kind,
+        payload: payload.to_words(),
     })
 }
 

@@ -4,9 +4,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rqfa_telemetry::{MetricSource, Sample};
 
-/// Net-plane counters: frames and bytes in each direction, plus the
-/// retry/timeout tallies that make a flaky link visible. All relaxed
-/// atomics — increments sit on the request path.
+/// Net-plane counters: frames and bytes in each direction, the
+/// retry/timeout tallies that make a flaky link visible, and the
+/// connections drawn — which read against the frames shows a client's
+/// connections being reused. All relaxed atomics — increments sit on the
+/// request path.
 #[derive(Debug, Default)]
 pub struct NetStats {
     /// Frames successfully written.
@@ -21,6 +23,10 @@ pub struct NetStats {
     pub retries: AtomicU64,
     /// Receive attempts that timed out.
     pub timeouts: AtomicU64,
+    /// Connections established (stream-factory draws that succeeded). A
+    /// client keeps its connections, so this tracks its concurrent
+    /// callers plus its retries — not its calls.
+    pub connects: AtomicU64,
 }
 
 impl NetStats {
@@ -50,6 +56,11 @@ impl NetStats {
     /// Records one receive timeout.
     pub fn on_timeout(&self) {
         self.timeouts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one established connection.
+    pub fn on_connect(&self) {
+        self.connects.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -84,6 +95,10 @@ impl MetricSource for NetStats {
             "timeouts",
             self.timeouts.load(Ordering::Relaxed),
         ));
+        out.push(Sample::count(
+            "connects",
+            self.connects.load(Ordering::Relaxed),
+        ));
     }
 }
 
@@ -92,16 +107,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn collects_all_six_counters() {
+    fn collects_all_seven_counters() {
         let stats = NetStats::new();
         stats.on_sent(64);
         stats.on_sent(16);
         stats.on_received(64);
         stats.on_retry();
         stats.on_timeout();
+        stats.on_connect();
         let mut out = Vec::new();
         stats.collect(&mut out);
-        assert_eq!(out.len(), 6);
+        assert_eq!(out.len(), 7);
         let get = |name: &str| {
             out.iter()
                 .find(|s| s.name == name)
@@ -113,5 +129,6 @@ mod tests {
         assert_eq!(get("frames_received"), 1.0);
         assert_eq!(get("retries"), 1.0);
         assert_eq!(get("timeouts"), 1.0);
+        assert_eq!(get("connects"), 1.0);
     }
 }

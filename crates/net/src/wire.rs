@@ -18,18 +18,30 @@
 //! Scalars wider than a word are little-endian word sequences (low word
 //! first). Decoding is strict: unknown kinds, short payloads, bad enum
 //! tags and domain-invalid values are all clean [`NetError`]s, and a
-//! decoded [`rqfa_core::Request`] is rebuilt through the validating
-//! request builder, so nothing structurally invalid crosses the wire
-//! into the service.
+//! [`rqfa_core::Request`] is decoded by `rqfa_memlist` — a list in the
+//! normal form every encoder emits becomes the request as it stands,
+//! any other goes through the validating request builder — so nothing
+//! structurally invalid crosses the wire into the service.
+//!
+//! **One codec.** Each kind's field order is written down twice, once
+//! per direction: `encode_payload` appends the fields as little-endian
+//! bytes to whatever buffer the frame is being written in, and
+//! `decode_payload` reads them from wherever the payload lies
+//! (`frame::Payload`). [`crate::FrameConn`] runs both in place — `send`
+//! into its send buffer, `recv` out of its read-ahead buffer — so in the
+//! steady state encoding allocates nothing, a decoded [`Submit`]
+//! allocates once (its constraints) and a decoded [`WireReply`] not at
+//! all. [`encode_message`] and [`decode_message`] are the same code over
+//! a vector of its own and a [`Frame`]'s words.
 
 use rqfa_core::{CaseMutation, CoreError, ExecutionTarget, Generation, QosClass, Request, Scored};
 use rqfa_core::{AttrId, ImplId, TypeId};
 use rqfa_fixed::Q15;
-use rqfa_memlist::{decode_request, encode_request, RequestImage};
+use rqfa_memlist::{decode_request_words, predicted_request_words, MemError, END_MARKER};
 use rqfa_persist::StampedMutation;
 
 use crate::error::NetError;
-use crate::frame::{bytes_to_words, encode_frame, words_to_bytes, Frame};
+use crate::frame::{put_word, write_frame, Frame, LeWords, Payload};
 
 /// Frame kind of a [`Submit`].
 pub const KIND_SUBMIT: u16 = 1;
@@ -198,35 +210,29 @@ pub enum Message {
     Heartbeat(Heartbeat),
 }
 
-/// Incremental little-endian word writer for scalars.
-fn push_u32(words: &mut Vec<u16>, value: u32) {
-    #[allow(clippy::cast_possible_truncation)]
-    {
-        words.push(value as u16);
-        words.push((value >> 16) as u16);
-    }
+/// Appends a scalar as its little-endian word sequence, low word first
+/// — which is the scalar's own little-endian bytes.
+fn put_u32(bytes: &mut Vec<u8>, value: u32) {
+    bytes.extend_from_slice(&value.to_le_bytes());
 }
 
-fn push_u64(words: &mut Vec<u16>, value: u64) {
-    #[allow(clippy::cast_possible_truncation)]
-    for shift in [0u32, 16, 32, 48] {
-        words.push((value >> shift) as u16);
-    }
+fn put_u64(bytes: &mut Vec<u8>, value: u64) {
+    bytes.extend_from_slice(&value.to_le_bytes());
 }
 
 /// Cursor over a received payload; every read is bounds-checked.
-struct WordReader<'a> {
-    words: &'a [u16],
+struct WordReader<P> {
+    words: P,
     pos: usize,
 }
 
-impl<'a> WordReader<'a> {
-    fn new(words: &'a [u16]) -> WordReader<'a> {
+impl<'a, P: Payload<'a>> WordReader<P> {
+    fn new(words: P) -> WordReader<P> {
         WordReader { words, pos: 0 }
     }
 
     fn u16(&mut self) -> Result<u16, NetError> {
-        let word = *self
+        let word = self
             .words
             .get(self.pos)
             .ok_or(NetError::Malformed("payload shorter than its layout"))?;
@@ -248,8 +254,8 @@ impl<'a> WordReader<'a> {
         Ok(value)
     }
 
-    fn rest(self) -> &'a [u16] {
-        &self.words[self.pos..]
+    fn rest(self) -> P {
+        self.words.tail(self.pos)
     }
 
     fn done(&self) -> Result<(), NetError> {
@@ -362,21 +368,21 @@ fn words_error(code: u16, args: [u16; 4]) -> Result<CoreError, NetError> {
     })
 }
 
-/// UTF-8 string → length-prefixed packed words (2 bytes per word).
-fn push_string(words: &mut Vec<u16>, text: &str) {
-    let bytes = text.as_bytes();
+/// UTF-8 string → length word, then the bytes two to a word (low byte
+/// first, so in order), zero-padded to a whole word.
+fn put_string(bytes: &mut Vec<u8>, text: &str) {
+    let text = text.as_bytes();
     // Wire strings are diagnostics; cap them at the length field's range.
-    let clipped = &bytes[..bytes.len().min(usize::from(u16::MAX))];
+    let clipped = &text[..text.len().min(usize::from(u16::MAX))];
     #[allow(clippy::cast_possible_truncation)]
-    words.push(clipped.len() as u16);
-    for pair in clipped.chunks(2) {
-        let lo = u16::from(pair[0]);
-        let hi = pair.get(1).map_or(0, |b| u16::from(*b));
-        words.push(lo | (hi << 8));
+    put_word(bytes, clipped.len() as u16);
+    bytes.extend_from_slice(clipped);
+    if !clipped.len().is_multiple_of(2) {
+        bytes.push(0);
     }
 }
 
-fn read_string(reader: &mut WordReader<'_>) -> Result<String, NetError> {
+fn read_string<'a, P: Payload<'a>>(reader: &mut WordReader<P>) -> Result<String, NetError> {
     let len = usize::from(reader.u16()?);
     let mut bytes = Vec::with_capacity(len);
     for _ in 0..len.div_ceil(2) {
@@ -388,41 +394,41 @@ fn read_string(reader: &mut WordReader<'_>) -> Result<String, NetError> {
     String::from_utf8(bytes).map_err(|_| NetError::Malformed("wire string is not UTF-8"))
 }
 
-fn outcome_words(outcome: &WireOutcome, words: &mut Vec<u16>) -> Result<(), NetError> {
+fn put_outcome(bytes: &mut Vec<u8>, outcome: &WireOutcome) -> Result<(), NetError> {
     match outcome {
         WireOutcome::Allocated {
             best,
             evaluated,
             cached,
         } => {
-            words.push(0);
-            words.push(best.impl_id.raw());
-            words.push(target_word(best.target)?);
-            words.push(best.similarity.raw());
-            push_u64(words, *evaluated);
-            words.push(u16::from(*cached));
+            put_word(bytes, 0);
+            put_word(bytes, best.impl_id.raw());
+            put_word(bytes, target_word(best.target)?);
+            put_word(bytes, best.similarity.raw());
+            put_u64(bytes, *evaluated);
+            put_word(bytes, u16::from(*cached));
         }
-        WireOutcome::ShedQueueFull => words.push(1),
-        WireOutcome::ShedDeadline => words.push(2),
+        WireOutcome::ShedQueueFull => put_word(bytes, 1),
+        WireOutcome::ShedDeadline => put_word(bytes, 2),
         WireOutcome::Failed(error) => {
-            words.push(3);
+            put_word(bytes, 3);
             let (code, args) = error_words(error)?;
-            words.push(code);
-            words.extend_from_slice(&args);
+            put_word(bytes, code);
+            args.iter().for_each(|arg| put_word(bytes, *arg));
         }
         WireOutcome::Unavailable { attempts } => {
-            words.push(4);
-            push_u32(words, *attempts);
+            put_word(bytes, 4);
+            put_u32(bytes, *attempts);
         }
         WireOutcome::ShedPredicted { late_us } => {
-            words.push(5);
-            push_u64(words, *late_us);
+            put_word(bytes, 5);
+            put_u64(bytes, *late_us);
         }
     }
     Ok(())
 }
 
-fn words_outcome(reader: &mut WordReader<'_>) -> Result<WireOutcome, NetError> {
+fn read_outcome<'a, P: Payload<'a>>(reader: &mut WordReader<P>) -> Result<WireOutcome, NetError> {
     Ok(match reader.u16()? {
         0 => {
             let impl_id = ImplId::new(reader.u16()?).map_err(NetError::Core)?;
@@ -461,117 +467,111 @@ fn words_outcome(reader: &mut WordReader<'_>) -> Result<WireOutcome, NetError> {
     })
 }
 
-/// A stamped mutation as its on-disk WAL frame, reinterpreted as words
-/// (frames are always an even number of bytes).
-fn mutation_words(stamped: &StampedMutation) -> Result<Vec<u16>, NetError> {
-    let bytes = rqfa_persist::encode_frame(stamped)?;
-    bytes_to_words(&bytes)
+/// Appends a request as its Req-MEM image, word for word what
+/// `rqfa_memlist::encode_request` builds: `[type id, (attr id, value,
+/// weight)*, 0xFFFF]`.
+fn put_request(bytes: &mut Vec<u8>, request: &Request) -> Result<(), NetError> {
+    let words = predicted_request_words(request.constraints().len());
+    if words > usize::from(u16::MAX) {
+        return Err(MemError::ImageTooLarge { words }.into());
+    }
+    put_word(bytes, request.type_id().raw());
+    for constraint in request.constraints() {
+        put_word(bytes, constraint.attr.raw());
+        put_word(bytes, constraint.value);
+        put_word(bytes, constraint.weight_q15.raw());
+    }
+    put_word(bytes, END_MARKER);
+    Ok(())
 }
 
-fn words_mutation(words: &[u16]) -> Result<StampedMutation, NetError> {
-    let bytes = words_to_bytes(words);
-    rqfa_persist::decode_frame(&bytes).map_err(NetError::Persist)
+/// Appends a stamped mutation as its on-disk WAL frame (frames are
+/// always an even number of bytes: whole words).
+fn put_mutation(bytes: &mut Vec<u8>, stamped: &StampedMutation) -> Result<(), NetError> {
+    let frame = rqfa_persist::encode_frame(stamped)?;
+    bytes.extend_from_slice(&LeWords::new(&frame)?.to_bytes());
+    Ok(())
 }
 
-/// Encodes one message as its complete on-wire frame bytes.
-///
-/// # Errors
-///
-/// Encoding failures of the embedded images/frames, and
-/// [`NetError::PayloadTooLarge`] for oversized payloads.
-pub fn encode_message(message: &Message) -> Result<Vec<u8>, NetError> {
-    let (kind, payload) = match message {
+fn read_mutation<'a, P: Payload<'a>>(words: P) -> Result<StampedMutation, NetError> {
+    rqfa_persist::decode_frame(&words.to_bytes()).map_err(NetError::Persist)
+}
+
+/// The frame kind a message travels as.
+fn kind_of(message: &Message) -> u16 {
+    match message {
+        Message::Submit(_) => KIND_SUBMIT,
+        Message::Reply(_) => KIND_REPLY,
+        Message::Mutate { .. } => KIND_MUTATE,
+        Message::MutateAck(_) => KIND_MUTATE_ACK,
+        Message::SnapshotChunk(_) => KIND_SNAPSHOT_CHUNK,
+        Message::SnapshotDone(_) => KIND_SNAPSHOT_DONE,
+        Message::TailFrame(_) => KIND_TAIL_FRAME,
+        Message::TailAck(_) => KIND_TAIL_ACK,
+        Message::Heartbeat(_) => KIND_HEARTBEAT,
+    }
+}
+
+/// Appends a message's payload: each kind's fields, in wire order.
+fn encode_payload(message: &Message, bytes: &mut Vec<u8>) -> Result<(), NetError> {
+    match message {
         Message::Submit(submit) => {
-            let mut words = Vec::new();
-            push_u64(&mut words, submit.id);
-            words.push(class_word(submit.class));
-            match submit.deadline_us {
-                Some(deadline) => {
-                    words.push(1);
-                    push_u64(&mut words, deadline);
-                }
-                None => {
-                    words.push(0);
-                    push_u64(&mut words, 0);
-                }
-            }
-            let image = encode_request(&submit.request)?;
-            words.extend_from_slice(image.image().words());
-            (KIND_SUBMIT, words)
+            put_u64(bytes, submit.id);
+            put_word(bytes, class_word(submit.class));
+            put_word(bytes, u16::from(submit.deadline_us.is_some()));
+            put_u64(bytes, submit.deadline_us.unwrap_or(0));
+            put_request(bytes, &submit.request)?;
         }
         Message::Reply(reply) => {
-            let mut words = Vec::new();
-            push_u64(&mut words, reply.id);
-            words.push(class_word(reply.class));
-            push_u64(&mut words, reply.latency_us);
-            outcome_words(&reply.outcome, &mut words)?;
-            (KIND_REPLY, words)
+            put_u64(bytes, reply.id);
+            put_word(bytes, class_word(reply.class));
+            put_u64(bytes, reply.latency_us);
+            put_outcome(bytes, &reply.outcome)?;
         }
         Message::Mutate { epoch, mutation } => {
             // The sender's epoch leads the payload; the mutation itself
             // still travels as a genesis-stamped WAL frame (the serving
             // shard assigns the real generation), byte-identical to how
             // it would land on disk.
+            put_u64(bytes, *epoch);
             let stamped = StampedMutation {
                 generation: Generation::GENESIS,
                 mutation: mutation.clone(),
             };
-            let mut words = Vec::new();
-            push_u64(&mut words, *epoch);
-            words.extend_from_slice(&mutation_words(&stamped)?);
-            (KIND_MUTATE, words)
+            put_mutation(bytes, &stamped)?;
         }
         Message::MutateAck(ack) => {
-            let mut words = Vec::new();
-            push_u64(&mut words, ack.generation);
-            match &ack.error {
-                None => words.push(0),
-                Some(text) => {
-                    words.push(1);
-                    push_string(&mut words, text);
-                }
+            put_u64(bytes, ack.generation);
+            put_word(bytes, u16::from(ack.error.is_some()));
+            if let Some(text) = &ack.error {
+                put_string(bytes, text);
             }
-            (KIND_MUTATE_ACK, words)
         }
         Message::SnapshotChunk(chunk) => {
-            let mut words = Vec::new();
-            push_u32(&mut words, chunk.offset_words);
-            words.extend_from_slice(&chunk.words);
-            (KIND_SNAPSHOT_CHUNK, words)
+            put_u32(bytes, chunk.offset_words);
+            bytes.reserve(chunk.words.len() * 2);
+            chunk.words.iter().for_each(|word| put_word(bytes, *word));
         }
         Message::SnapshotDone(done) => {
-            let mut words = Vec::new();
-            push_u64(&mut words, done.generation);
-            push_u32(&mut words, done.total_words);
-            (KIND_SNAPSHOT_DONE, words)
+            put_u64(bytes, done.generation);
+            put_u32(bytes, done.total_words);
         }
-        Message::TailFrame(stamped) => (KIND_TAIL_FRAME, mutation_words(stamped)?),
-        Message::TailAck(ack) => {
-            let mut words = Vec::new();
-            push_u64(&mut words, ack.generation);
-            (KIND_TAIL_ACK, words)
-        }
+        Message::TailFrame(stamped) => put_mutation(bytes, stamped)?,
+        Message::TailAck(ack) => put_u64(bytes, ack.generation),
         Message::Heartbeat(beat) => {
-            let mut words = Vec::new();
-            words.push(beat.node);
-            push_u64(&mut words, beat.epoch);
-            push_u64(&mut words, beat.generation);
-            (KIND_HEARTBEAT, words)
+            put_word(bytes, beat.node);
+            put_u64(bytes, beat.epoch);
+            put_u64(bytes, beat.generation);
         }
-    };
-    encode_frame(kind, &payload)
+    }
+    Ok(())
 }
 
-/// Decodes a transport frame into its message.
-///
-/// # Errors
-///
-/// [`NetError::Malformed`] for unknown kinds and layout violations;
-/// [`NetError::Core`] / [`NetError::Mem`] / [`NetError::Persist`] when
-/// an embedded payload fails domain validation.
-pub fn decode_message(frame: &Frame) -> Result<Message, NetError> {
-    let mut reader = WordReader::new(&frame.payload);
-    match frame.kind {
+/// Reads a message from a payload of kind `kind`, wherever it lies: each
+/// kind's fields, in wire order.
+pub(crate) fn decode_payload<'a, P: Payload<'a>>(kind: u16, payload: P) -> Result<Message, NetError> {
+    let mut reader = WordReader::new(payload);
+    match kind {
         KIND_SUBMIT => {
             let id = reader.u64()?;
             let class = word_class(reader.u16()?)?;
@@ -582,8 +582,7 @@ pub fn decode_message(frame: &Frame) -> Result<Message, NetError> {
                 1 => Some(deadline),
                 _ => return Err(NetError::Malformed("deadline flag out of range")),
             };
-            let image = RequestImage::from_words(reader.rest().to_vec())?;
-            let request = decode_request(&image)?;
+            let request = decode_request_words(&reader.rest())?;
             Ok(Message::Submit(Submit {
                 id,
                 class,
@@ -595,7 +594,7 @@ pub fn decode_message(frame: &Frame) -> Result<Message, NetError> {
             let id = reader.u64()?;
             let class = word_class(reader.u16()?)?;
             let latency_us = reader.u64()?;
-            let outcome = words_outcome(&mut reader)?;
+            let outcome = read_outcome(&mut reader)?;
             reader.done()?;
             Ok(Message::Reply(WireReply {
                 id,
@@ -606,7 +605,7 @@ pub fn decode_message(frame: &Frame) -> Result<Message, NetError> {
         }
         KIND_MUTATE => {
             let epoch = reader.u64()?;
-            let stamped = words_mutation(reader.rest())?;
+            let stamped = read_mutation(reader.rest())?;
             Ok(Message::Mutate {
                 epoch,
                 mutation: stamped.mutation,
@@ -626,7 +625,7 @@ pub fn decode_message(frame: &Frame) -> Result<Message, NetError> {
             let offset_words = reader.u32()?;
             Ok(Message::SnapshotChunk(SnapshotChunk {
                 offset_words,
-                words: reader.rest().to_vec(),
+                words: reader.rest().to_words(),
             }))
         }
         KIND_SNAPSHOT_DONE => {
@@ -638,7 +637,7 @@ pub fn decode_message(frame: &Frame) -> Result<Message, NetError> {
                 total_words,
             }))
         }
-        KIND_TAIL_FRAME => Ok(Message::TailFrame(words_mutation(&frame.payload)?)),
+        KIND_TAIL_FRAME => Ok(Message::TailFrame(read_mutation(reader.rest())?)),
         KIND_TAIL_ACK => {
             let generation = reader.u64()?;
             reader.done()?;
@@ -659,11 +658,45 @@ pub fn decode_message(frame: &Frame) -> Result<Message, NetError> {
     }
 }
 
+/// Writes one message as its complete frame into `bytes`, replacing
+/// what was there.
+pub(crate) fn write_message(bytes: &mut Vec<u8>, message: &Message) -> Result<(), NetError> {
+    write_frame(bytes, kind_of(message), |bytes| encode_payload(message, bytes))
+}
+
+/// The capacity a frame's own vector starts with: the frames of the
+/// request path (46–81 bytes) never regrow it.
+const FRAME_RESERVE: usize = 128;
+
+/// Encodes one message as its complete on-wire frame bytes.
+///
+/// # Errors
+///
+/// Encoding failures of the embedded images/frames, and
+/// [`NetError::PayloadTooLarge`] for oversized payloads.
+pub fn encode_message(message: &Message) -> Result<Vec<u8>, NetError> {
+    let mut bytes = Vec::with_capacity(FRAME_RESERVE);
+    write_message(&mut bytes, message)?;
+    Ok(bytes)
+}
+
+/// Decodes a transport frame into its message.
+///
+/// # Errors
+///
+/// [`NetError::Malformed`] for unknown kinds and layout violations;
+/// [`NetError::Core`] / [`NetError::Mem`] / [`NetError::Persist`] when
+/// an embedded payload fails domain validation.
+pub fn decode_message(frame: &Frame) -> Result<Message, NetError> {
+    decode_payload(frame.kind, &frame.payload[..])
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::frame::decode_frame;
+    use crate::frame::{decode_frame, words_to_bytes};
     use rqfa_core::paper;
+    use rqfa_memlist::{decode_request, encode_request};
     use rqfa_core::{AttrBinding, ImplVariant, Request};
 
     /// Deterministic xorshift64* for the seeded sweeps (no external RNG).
@@ -774,7 +807,7 @@ mod tests {
     }
 
     /// One of each RPC frame family, randomized by `rng`.
-    fn random_messages(rng: &mut TestRng) -> Vec<Message> {
+    pub(crate) fn random_messages(rng: &mut TestRng) -> Vec<Message> {
         vec![
             Message::Submit(Submit {
                 id: rng.next(),
@@ -907,6 +940,253 @@ mod tests {
                     decode_frame(&bad).is_err(),
                     "{message:?}: bit flip at byte {at} must be rejected"
                 );
+            }
+        }
+    }
+
+    // The frames of every message kind as the commit before the in-place
+    // codec emitted them (`encode_message`, then: a `Vec<u16>` image per
+    // message, copied into a frame). The wire did not change by a bit.
+    const SUBMIT: &[u8] = &[
+        0xf7, 0xcb, 0x01, 0x00, 0x15, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0xc4, 0x09, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x10, 0x00, 0xab, 0x2a, 0x03, 0x00,
+        0x01, 0x00, 0xab, 0x2a, 0x04, 0x00, 0x28, 0x00, 0xaa, 0x2a, 0xff, 0xff,
+        0x1c, 0x46, 0x21, 0xe5,
+    ];
+    const REPLY_ALLOCATED: &[u8] = &[
+        0xf7, 0xcb, 0x02, 0x00, 0x12, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03,
+        0x02, 0x01, 0x02, 0x00, 0xe2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x02, 0x00, 0x09, 0x01, 0xbc, 0x7a, 0x03, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x28, 0xb7, 0x0d, 0xba,
+    ];
+    const REPLY_SHED_QUEUE_FULL: &[u8] = &[
+        0xf7, 0xcb, 0x02, 0x00, 0x0a, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03,
+        0x02, 0x01, 0x02, 0x00, 0xe2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x17, 0xfc, 0xb1, 0xa2,
+    ];
+    const REPLY_SHED_DEADLINE: &[u8] = &[
+        0xf7, 0xcb, 0x02, 0x00, 0x0a, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03,
+        0x02, 0x01, 0x02, 0x00, 0xe2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x02, 0x00, 0xd4, 0xaf, 0x9c, 0x89,
+    ];
+    const REPLY_FAILED: &[u8] = &[
+        0xf7, 0xcb, 0x02, 0x00, 0x0f, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03,
+        0x02, 0x01, 0x02, 0x00, 0xe2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x05, 0x00, 0x03, 0x00, 0x28, 0x00, 0x01, 0x00, 0x09, 0x00,
+        0xd8, 0xc0, 0x1e, 0x1a,
+    ];
+    const REPLY_UNAVAILABLE: &[u8] = &[
+        0xf7, 0xcb, 0x02, 0x00, 0x0c, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03,
+        0x02, 0x01, 0x02, 0x00, 0xe2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x04, 0x00, 0x03, 0x00, 0x00, 0x00, 0x5f, 0x84, 0xf4, 0xe8,
+    ];
+    const REPLY_SHED_PREDICTED: &[u8] = &[
+        0xf7, 0xcb, 0x02, 0x00, 0x0e, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03,
+        0x02, 0x01, 0x02, 0x00, 0xe2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x05, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x71, 0xf0,
+        0x8d, 0xe7,
+    ];
+    const HEARTBEAT: &[u8] = &[
+        0xf7, 0xcb, 0x09, 0x00, 0x09, 0x00, 0x02, 0x00, 0x05, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x00, 0x00,
+        0x86, 0x7e, 0x7d, 0x5d,
+    ];
+    const MUTATE: &[u8] = &[
+        0xf7, 0xcb, 0x03, 0x00, 0x10, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x1c, 0xcb, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x03, 0x00, 0x02, 0x00, 0x03, 0x00, 0xff, 0xff, 0xb7, 0x6f,
+        0xf8, 0xe3, 0xdc, 0x25, 0xa0, 0x57,
+    ];
+    const MUTATE_ACK_OK: &[u8] = &[
+        0xf7, 0xcb, 0x04, 0x00, 0x05, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x06, 0xaa, 0xa1, 0xac,
+    ];
+    const MUTATE_ACK_ERROR: &[u8] = &[
+        0xf7, 0xcb, 0x04, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x07, 0x00, 0x66, 0x65, 0x6e, 0x63, 0x65, 0x64,
+        0x21, 0x00, 0x0e, 0x34, 0x72, 0xc8,
+    ];
+    const SNAPSHOT_CHUNK: &[u8] = &[
+        0xf7, 0xcb, 0x05, 0x00, 0x05, 0x00, 0x02, 0x00, 0x01, 0x00, 0xa5, 0xa5,
+        0x00, 0x00, 0xff, 0xff, 0x5d, 0x32, 0xd4, 0x4a,
+    ];
+    const SNAPSHOT_DONE: &[u8] = &[
+        0xf7, 0xcb, 0x06, 0x00, 0x06, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x04, 0x00, 0x03, 0x00, 0xec, 0x96, 0xa1, 0xe0,
+    ];
+    const TAIL_FRAME: &[u8] = &[
+        0xf7, 0xcb, 0x07, 0x00, 0x0c, 0x00, 0x1c, 0xcb, 0x2a, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x03, 0x00, 0x02, 0x00, 0x03, 0x00,
+        0xff, 0xff, 0x08, 0x12, 0x3b, 0xac, 0xb3, 0xdd, 0xcb, 0xce,
+    ];
+    const TAIL_ACK: &[u8] = &[
+        0xf7, 0xcb, 0x08, 0x00, 0x04, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x75, 0x6e, 0x84, 0x1c,
+    ];
+
+    /// Each golden frame with the message it carries.
+    fn golden_frames() -> Vec<(&'static [u8], Message)> {
+        let reply = |outcome| {
+            Message::Reply(WireReply {
+                id: 0x0102_0304_0506_0708,
+                class: QosClass::Medium,
+                outcome,
+                latency_us: 1_250,
+            })
+        };
+        let evict = CaseMutation::Evict {
+            type_id: TypeId::new(2).unwrap(),
+            impl_id: ImplId::new(3).unwrap(),
+        };
+        vec![
+            (
+                SUBMIT,
+                Message::Submit(Submit {
+                    id: 7,
+                    class: QosClass::High,
+                    deadline_us: Some(2_500),
+                    // Table 1's request as a decoder knows it: its real
+                    // weights are the weight words', not the thirds'.
+                    request: decode_request(
+                        &encode_request(&paper::table1_request().unwrap()).unwrap(),
+                    )
+                    .unwrap(),
+                }),
+            ),
+            (
+                REPLY_ALLOCATED,
+                reply(WireOutcome::Allocated {
+                    best: Scored {
+                        impl_id: ImplId::new(2).unwrap(),
+                        target: ExecutionTarget::Dedicated(9),
+                        similarity: Q15::saturating_from_raw(0x7ABC),
+                    },
+                    evaluated: 3,
+                    cached: true,
+                }),
+            ),
+            (REPLY_SHED_QUEUE_FULL, reply(WireOutcome::ShedQueueFull)),
+            (REPLY_SHED_DEADLINE, reply(WireOutcome::ShedDeadline)),
+            (
+                REPLY_FAILED,
+                reply(WireOutcome::Failed(CoreError::ValueOutOfBounds {
+                    attr: AttrId::new(3).unwrap(),
+                    value: 40,
+                    lower: 1,
+                    upper: 9,
+                })),
+            ),
+            (REPLY_UNAVAILABLE, reply(WireOutcome::Unavailable { attempts: 3 })),
+            (
+                REPLY_SHED_PREDICTED,
+                reply(WireOutcome::ShedPredicted {
+                    late_us: 0x1_0000_0001,
+                }),
+            ),
+            (
+                HEARTBEAT,
+                Message::Heartbeat(Heartbeat {
+                    node: 2,
+                    epoch: 5,
+                    generation: 0x0123_4567_89AB,
+                }),
+            ),
+            (
+                MUTATE,
+                Message::Mutate {
+                    epoch: 6,
+                    mutation: evict.clone(),
+                },
+            ),
+            (
+                MUTATE_ACK_OK,
+                Message::MutateAck(MutateAck {
+                    generation: 9,
+                    error: None,
+                }),
+            ),
+            (
+                MUTATE_ACK_ERROR,
+                Message::MutateAck(MutateAck {
+                    generation: 0,
+                    // An odd length: the last word is half padding.
+                    error: Some("fenced!".to_string()),
+                }),
+            ),
+            (
+                SNAPSHOT_CHUNK,
+                Message::SnapshotChunk(SnapshotChunk {
+                    offset_words: 0x0001_0002,
+                    words: vec![0xA5A5, 0, 0xFFFF],
+                }),
+            ),
+            (
+                SNAPSHOT_DONE,
+                Message::SnapshotDone(SnapshotDone {
+                    generation: 4,
+                    total_words: 0x0003_0004,
+                }),
+            ),
+            (
+                TAIL_FRAME,
+                Message::TailFrame(StampedMutation {
+                    generation: Generation::from_raw(42),
+                    mutation: evict,
+                }),
+            ),
+            (TAIL_ACK, Message::TailAck(TailAck { generation: 42 })),
+        ]
+    }
+
+    #[test]
+    fn every_message_kind_travels_as_its_golden_frame() {
+        use std::io::Cursor;
+        for (golden, message) in golden_frames() {
+            assert_eq!(encode_message(&message).unwrap(), golden, "{message:?}");
+            assert_eq!(decode_message(&decode_frame(golden).unwrap()).unwrap(), message);
+            // A connection emits the same bytes from its send buffer and
+            // reads the same message out of its receive buffer — warm
+            // buffers, that held another frame before, included.
+            let mut conn = crate::FrameConn::new(Cursor::new(Vec::new()));
+            for _ in 0..2 {
+                conn.send(&Message::TailAck(TailAck { generation: u64::MAX })).unwrap();
+                let at = conn.get_ref().get_ref().len();
+                assert_eq!(conn.send(&message).unwrap(), golden.len());
+                assert_eq!(&conn.get_ref().get_ref()[at..], golden, "{message:?}");
+            }
+            let mut conn = crate::FrameConn::new(Cursor::new([TAIL_ACK, golden, golden].concat()));
+            conn.recv().unwrap();
+            for _ in 0..2 {
+                assert_eq!(conn.recv().unwrap(), (message.clone(), golden.len()));
+            }
+        }
+    }
+
+    /// `rqfa_memlist::encode_request` is the independent oracle for the
+    /// request words a `Submit` writes in place.
+    #[test]
+    fn a_submit_carries_exactly_the_words_encode_request_builds() {
+        for seed in 1..=200u64 {
+            let mut rng = TestRng::new(seed * 0x9E37_79B9);
+            let request = random_request(&mut rng);
+            for send in [false, true] {
+                let message = Message::Submit(Submit {
+                    id: rng.next(),
+                    class: QosClass::ALL[rng.below(4) as usize],
+                    deadline_us: (rng.below(2) == 1).then(|| rng.below(1 << 40)),
+                    request: request.clone(),
+                });
+                let bytes = if send {
+                    let mut conn = crate::FrameConn::new(std::io::Cursor::new(Vec::new()));
+                    conn.send(&message).unwrap();
+                    conn.get_ref().get_ref().clone()
+                } else {
+                    encode_message(&message).unwrap()
+                };
+                let frame = decode_frame(&bytes).unwrap();
+                let image = encode_request(&request).unwrap();
+                assert_eq!(&frame.payload[10..], image.image().words(), "seed {seed}");
             }
         }
     }

@@ -7,11 +7,13 @@
 //! * [`NodeServer`] exposes one service over TCP — it answers
 //!   [`Message::Submit`] and [`Message::Mutate`] frames with the exact
 //!   replies the in-process API produces.
-//! * [`RemoteShard`] is the client of one node: a framed connection with
-//!   socket timeouts, a bounded [`RetryPolicy`] with doubling backoff,
-//!   lock-free [`NetStats`] counters and optional flight-recorder
-//!   events ([`EventKind::FrameSent`] … [`EventKind::FrameTimedOut`]).
-//!   A dead node degrades into [`Outcome::Unavailable`], never a hang.
+//! * [`RemoteShard`] is the client of one node: a stack of idle framed
+//!   connections with socket timeouts — a call takes one for its round
+//!   trip, so callers of one node wait for the node, never for each
+//!   other — a bounded [`RetryPolicy`] with doubling backoff, lock-free
+//!   [`NetStats`] counters and optional flight-recorder events
+//!   ([`EventKind::FrameSent`] … [`EventKind::FrameTimedOut`]). A dead or
+//!   babbling node degrades into [`Outcome::Unavailable`], never a hang.
 //! * [`ClusterClient`] is the front-end: it asks a
 //!   [`Placement`] where the owning shard of each
 //!   request lives and routes to the local service or the owning node.
@@ -50,7 +52,8 @@
 //!
 //! * **Submit** is read-only: a duplicated submit is simply answered
 //!   twice, and the client matches replies by id (stale replies for
-//!   earlier ids are skipped).
+//!   earlier ids are skipped — a bounded number per attempt, after which
+//!   the connection counts as desynchronised).
 //! * **Mutate** is not idempotent, so the server deduplicates: a mutate
 //!   frame byte-identical to the immediately preceding one on the same
 //!   connection is treated as a transport duplicate — it is neither
@@ -144,11 +147,21 @@ pub fn outcome_from_wire(outcome: WireOutcome) -> Outcome {
 // Server side
 // ---------------------------------------------------------------------------
 
+/// Connection threads a node runs at once. A connection accepted beyond
+/// them is closed at once: its client reads EOF and retries like after
+/// any other transport failure, by which time a thread may have ended.
+const MAX_CONNECTIONS: usize = 128;
+
+/// The acceptor's pause after an `accept` that failed for want of a
+/// resource (`EMFILE`, `ENOBUFS`) or because the peer was gone again
+/// (`ECONNABORTED`): conditions that pass, on a listener that stays good.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Serves one [`AllocationService`] over TCP loopback: every accepted
 /// connection gets its own thread answering [`Message::Submit`] and
-/// [`Message::Mutate`] frames. [`NodeServer::shutdown`] stops accepting,
-/// closes every connection and joins all threads — the harness's "kill a
-/// node" switch.
+/// [`Message::Mutate`] frames, up to [`MAX_CONNECTIONS`] of them.
+/// [`NodeServer::shutdown`] stops accepting, closes every connection and
+/// joins all threads — the harness's "kill a node" switch.
 pub struct NodeServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -196,11 +209,6 @@ impl NodeServer {
             }
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    let service = Arc::clone(&service);
-                    let flag = Arc::clone(&accept_flag);
-                    let fence = Arc::clone(&accept_fence);
-                    let handle =
-                        std::thread::spawn(move || serve_connection(&service, stream, &flag, &fence));
                     let mut threads = accept_threads
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -209,12 +217,25 @@ impl NodeServer {
                     // so a list that only `shutdown` drains grows for the
                     // life of the node.
                     threads.retain(|thread| !thread.is_finished());
-                    threads.push(handle);
+                    if threads.len() >= MAX_CONNECTIONS {
+                        // Dropping the stream closes it: EOF at the client.
+                        continue;
+                    }
+                    let service = Arc::clone(&service);
+                    let flag = Arc::clone(&accept_flag);
+                    let fence = Arc::clone(&accept_fence);
+                    threads.push(std::thread::spawn(move || {
+                        serve_connection(&service, stream, &flag, &fence);
+                    }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                Err(_) => break,
+                // Established connections go on whatever `accept` says,
+                // so the acceptor does too — a node that stopped accepting
+                // for good would look alive to every client it has and
+                // dead to every client it gets. `shutdown` ends the loop.
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         });
         Ok(NodeServer {
@@ -392,20 +413,47 @@ impl Tracer {
     }
 }
 
-/// The client of one remote node: a cached framed connection plus the
-/// retry loop that makes every call either answer or fail *boundedly*.
+/// One framed connection to the node.
+type Conn = FrameConn<Box<dyn RemoteStream>>;
+
+/// Idle connections a client keeps. What a burst of callers drew beyond
+/// them is closed as it comes back, so the burst leaves no more than
+/// these pinned — each is a thread on the node.
+const MAX_IDLE_CONNS: usize = 8;
+
+/// Well-formed frames of another id or kind a call skips per attempt
+/// (duplicates of earlier exchanges: at most one per injected fault, and
+/// drained by the next call) before it calls the connection
+/// desynchronised. Without the bound a peer sending such frames, one per
+/// read timeout, holds the caller for as long as it likes.
+const MAX_SKIPPED_FRAMES: usize = 16;
+
+/// The client of one remote node: a stack of idle framed connections
+/// plus the retry loop that makes every call either answer or fail
+/// *boundedly*.
 ///
-/// All transport failures follow one discipline: drop the connection,
-/// count the attempt, back off (doubling), reconnect through the stream
-/// factory and resend. When the [`RetryPolicy`] budget is exhausted the
-/// call returns the attempt count and the caller surfaces
-/// [`Outcome::Unavailable`] — the caller's liveness never depends on the
-/// node's.
+/// A call owns a connection for its round trip and holds no lock while
+/// it waits: its first attempt takes the connection returned last
+/// (the one whose buffers and socket are warm) or, none being idle,
+/// draws one from the stream factory; a call that succeeded puts its
+/// connection back, up to [`MAX_IDLE_CONNS`]. A single serial caller
+/// therefore draws one connection and keeps reusing it, and concurrent
+/// callers each wait for the node, not for one another — a heartbeat
+/// probe is not queued behind a submit that is burning its retry budget.
+///
+/// All transport failures follow one discipline: drop the connection —
+/// and the idle ones, which lead to the same peer — count the attempt,
+/// back off (doubling), reconnect through the stream factory and resend.
+/// When the [`RetryPolicy`] budget is exhausted the call returns the
+/// attempt count and the caller surfaces [`Outcome::Unavailable`] — the
+/// caller's liveness never depends on the node's.
 pub struct RemoteShard {
     factory: StreamFactory,
     policy: RetryPolicy,
     stats: Arc<NetStats>,
-    conn: Mutex<Option<FrameConn<Box<dyn RemoteStream>>>>,
+    /// The connections no call is using, most recently returned last.
+    /// Locked to pop and to push, never across I/O.
+    idle: Mutex<Vec<Conn>>,
     tracer: Option<Tracer>,
     /// Optional circuit breaker: when open, calls fail fast with
     /// attempt count 0 instead of burning the whole retry budget
@@ -420,7 +468,7 @@ impl RemoteShard {
             factory,
             policy,
             stats: Arc::new(NetStats::new()),
-            conn: Mutex::new(None),
+            idle: Mutex::new(Vec::new()),
             tracer: None,
             breaker: None,
         }
@@ -528,6 +576,14 @@ impl RemoteShard {
         )
     }
 
+    fn idle(&self) -> std::sync::MutexGuard<'_, Vec<Conn>> {
+        // A vector of connections is valid at every step of a push or a
+        // pop, so a poisoned lock still guards usable data.
+        self.idle
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// One request/response exchange under the retry discipline.
     fn call<T>(
         &self,
@@ -544,62 +600,43 @@ impl RemoteShard {
                 return Err(0);
             }
         }
-        let mut guard = self
-            .conn
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         for attempt in 0..self.policy.attempts {
             if attempt > 0 {
                 self.stats.on_retry();
                 self.record(trace_id, class, EventKind::FrameRetried, u64::from(attempt));
                 std::thread::sleep(self.policy.backoff(attempt));
             }
-            let mut conn = match guard.take() {
+            // A retry never trusts a kept connection: it follows a
+            // failure on this peer.
+            let kept = if attempt == 0 { self.idle().pop() } else { None };
+            let mut conn = match kept {
                 Some(conn) => conn,
                 None => match (self.factory)() {
-                    Ok(stream) => FrameConn::new(stream),
+                    Ok(stream) => {
+                        self.stats.on_connect();
+                        FrameConn::new(stream)
+                    }
                     Err(_) => continue,
                 },
             };
-            match conn.send(message) {
-                Ok(bytes) => {
-                    self.stats.on_sent(bytes);
-                    // `arg` is the frame's payload size in words (frame
-                    // minus 3 header and 2 trailer words).
-                    self.record(
-                        trace_id,
-                        class,
-                        EventKind::FrameSent,
-                        (bytes as u64 / 2).saturating_sub(5),
-                    );
+            match self.exchange(&mut conn, trace_id, class, message, &matcher) {
+                Ok(value) => {
+                    let mut idle = self.idle();
+                    if idle.len() < MAX_IDLE_CONNS {
+                        idle.push(conn);
+                    }
+                    drop(idle);
+                    if let Some(breaker) = &self.breaker {
+                        breaker.on_success();
+                    }
+                    return Ok(value);
                 }
                 Err(error) => {
                     self.note_failure(trace_id, class, attempt, &error);
-                    continue;
-                }
-            }
-            loop {
-                match conn.recv() {
-                    Ok((reply, bytes)) => {
-                        self.stats.on_received(bytes);
-                        self.record(
-                            trace_id,
-                            class,
-                            EventKind::FrameReceived,
-                            (bytes as u64 / 2).saturating_sub(5),
-                        );
-                        if let Some(value) = matcher(reply) {
-                            *guard = Some(conn);
-                            if let Some(breaker) = &self.breaker {
-                                breaker.on_success();
-                            }
-                            return Ok(value);
-                        }
-                    }
-                    Err(error) => {
-                        self.note_failure(trace_id, class, attempt, &error);
-                        break;
-                    }
+                    // The idle connections lead to the same peer: kept,
+                    // each would cost a later call a failed attempt and a
+                    // backoff to find that out.
+                    self.idle().clear();
                 }
             }
         }
@@ -609,6 +646,35 @@ impl RemoteShard {
             breaker.on_failure();
         }
         Err(self.policy.attempts)
+    }
+
+    /// One attempt on one connection: send, then receive until `matcher`
+    /// takes a frame. Any error condemns the connection.
+    fn exchange<T>(
+        &self,
+        conn: &mut Conn,
+        trace_id: u64,
+        class: QosClass,
+        message: &Message,
+        matcher: &impl Fn(Message) -> Option<T>,
+    ) -> Result<T, NetError> {
+        // `arg` of both events is the frame's payload size in words
+        // (frame minus 3 header and 2 trailer words).
+        let payload_words = |bytes: usize| (bytes as u64 / 2).saturating_sub(5);
+        let bytes = conn.send(message)?;
+        self.stats.on_sent(bytes);
+        self.record(trace_id, class, EventKind::FrameSent, payload_words(bytes));
+        for _ in 0..=MAX_SKIPPED_FRAMES {
+            let (reply, bytes) = conn.recv()?;
+            self.stats.on_received(bytes);
+            self.record(trace_id, class, EventKind::FrameReceived, payload_words(bytes));
+            if let Some(value) = matcher(reply) {
+                return Ok(value);
+            }
+        }
+        Err(NetError::Malformed(
+            "the peer keeps answering other calls: connection desynchronised",
+        ))
     }
 
     fn note_failure(&self, trace_id: u64, class: QosClass, attempt: u32, error: &NetError) {
@@ -1252,6 +1318,378 @@ mod tests {
             open.call_heartbeat(1).is_err(),
             "a joined node answers nothing"
         );
+        if let Some(service) = Arc::into_inner(service) {
+            service.shutdown();
+        }
+    }
+
+    /// The client's end of an in-memory connection: writes go to the
+    /// [`Peer`] frame by frame (a frame is one `write`), reads take what
+    /// the peer feeds — blocking until it does, and ending when the peer
+    /// is dropped.
+    struct Wire {
+        sent: std::sync::mpsc::Sender<Vec<u8>>,
+        feed: std::sync::mpsc::Receiver<Vec<u8>>,
+        pending: std::collections::VecDeque<u8>,
+    }
+
+    /// The test's end of a [`Wire`]: what the client sent, and the feed
+    /// for what it reads. Dropping it closes the connection.
+    struct Peer {
+        sent: std::sync::mpsc::Receiver<Vec<u8>>,
+        feed: std::sync::mpsc::Sender<Vec<u8>>,
+    }
+
+    impl Peer {
+        /// The next frame the client sends on this connection.
+        fn next(&self) -> Message {
+            let bytes = self
+                .sent
+                .recv_timeout(Duration::from_secs(20))
+                .expect("the client sends a frame");
+            rqfa_net::decode_message(&rqfa_net::decode_frame(&bytes).unwrap()).unwrap()
+        }
+
+        fn answer(&self, messages: &[Message]) {
+            let bytes: Vec<u8> = messages
+                .iter()
+                .flat_map(|message| rqfa_net::encode_message(message).unwrap())
+                .collect();
+            // A client that gave the connection up reads nothing more.
+            let _ = self.feed.send(bytes);
+        }
+
+        /// Whether the client has dropped its end.
+        fn closed(&self) -> bool {
+            self.feed.send(Vec::new()).is_err()
+        }
+    }
+
+    impl Read for Wire {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            while self.pending.is_empty() {
+                match self.feed.recv() {
+                    Ok(bytes) => self.pending.extend(bytes),
+                    Err(std::sync::mpsc::RecvError) => return Ok(0),
+                }
+            }
+            let n = out.len().min(self.pending.len());
+            for (slot, byte) in out.iter_mut().zip(self.pending.drain(..n)) {
+                *slot = byte;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Wire {
+        fn write(&mut self, frame: &[u8]) -> std::io::Result<usize> {
+            self.sent
+                .send(frame.to_vec())
+                .map_err(|_| std::io::Error::from(std::io::ErrorKind::BrokenPipe))?;
+            Ok(frame.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A client whose every factory draw is a fresh [`Wire`]; the peers
+    /// arrive on the returned channel in draw order.
+    fn wired(policy: RetryPolicy) -> (Arc<RemoteShard>, std::sync::mpsc::Receiver<Peer>) {
+        let (peers, drawn) = std::sync::mpsc::channel();
+        let peers = Mutex::new(peers);
+        let remote = RemoteShard::new(
+            Box::new(move || {
+                let (sent, sent_rx) = std::sync::mpsc::channel();
+                let (feed, feed_rx) = std::sync::mpsc::channel();
+                let peer = Peer { sent: sent_rx, feed };
+                peers.lock().unwrap().send(peer).expect("the test outlives its client");
+                Ok(Box::new(Wire {
+                    sent,
+                    feed: feed_rx,
+                    pending: std::collections::VecDeque::new(),
+                }) as Box<dyn RemoteStream>)
+            }),
+            policy,
+        );
+        (Arc::new(remote), drawn)
+    }
+
+    const ONCE: RetryPolicy = RetryPolicy {
+        attempts: 1,
+        base_backoff: Duration::from_micros(1),
+        jitter_seed: 0,
+    };
+
+    fn next_peer(drawn: &std::sync::mpsc::Receiver<Peer>) -> Peer {
+        drawn
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the client draws a connection")
+    }
+
+    fn echo(message: &Message) -> Message {
+        match message {
+            Message::Heartbeat(probe) => Message::Heartbeat(Heartbeat {
+                node: probe.node,
+                epoch: 1,
+                generation: 1,
+            }),
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+
+    fn paper_submit(id: u64) -> rqfa_net::Submit {
+        rqfa_net::Submit {
+            id,
+            class: QosClass::High,
+            deadline_us: None,
+            request: paper::table1_request().unwrap(),
+        }
+    }
+
+    fn shed(id: u64) -> Message {
+        Message::Reply(WireReply {
+            id,
+            class: QosClass::High,
+            outcome: WireOutcome::ShedDeadline,
+            latency_us: 0,
+        })
+    }
+
+    #[test]
+    fn a_serial_caller_draws_one_connection_for_a_thousand_calls() {
+        let service = Arc::new(
+            AllocationService::new(&paper::table1_case_base(), &crate::ServiceConfig::default())
+                .expect("valid service config"),
+        );
+        let server = NodeServer::spawn(Arc::clone(&service)).unwrap();
+        let addr = server.addr();
+        let draws = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&draws);
+        let remote = RemoteShard::new(
+            Box::new(move || {
+                counted.fetch_add(1, Ordering::SeqCst);
+                connect_loopback(addr, Duration::from_millis(500))
+                    .map(|stream| Box::new(stream) as Box<dyn RemoteStream>)
+            }),
+            RetryPolicy::loopback(),
+        );
+        for call in 0..1_000 {
+            if call % 2 == 0 {
+                remote.call_heartbeat(3).expect("the node answers");
+            } else {
+                remote.call_submit(paper_submit(call)).expect("the node answers");
+            }
+        }
+        assert_eq!(draws.load(Ordering::SeqCst), 1);
+        let stats = remote.stats();
+        assert_eq!(stats.connects.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 1_000);
+        assert_eq!(stats.retries.load(Ordering::Relaxed), 0);
+        assert_eq!(remote.idle().len(), 1);
+        server.shutdown();
+        if let Some(service) = Arc::into_inner(service) {
+            service.shutdown();
+        }
+    }
+
+    #[test]
+    fn two_callers_of_one_node_have_their_frames_in_flight_at_once() {
+        let (remote, drawn) = wired(ONCE);
+        let callers: Vec<_> = [1u16, 2]
+            .into_iter()
+            .map(|node| {
+                let remote = Arc::clone(&remote);
+                std::thread::spawn(move || remote.call_heartbeat(node))
+            })
+            .collect();
+        // Both frames are on their wires before either is answered: with
+        // one connection under a held lock the second was never sent.
+        let peers = [next_peer(&drawn), next_peer(&drawn)];
+        let probes: Vec<Message> = peers.iter().map(Peer::next).collect();
+        for (peer, probe) in peers.iter().zip(&probes) {
+            peer.answer(&[echo(probe)]);
+        }
+        let mut nodes: Vec<u16> = callers
+            .into_iter()
+            .map(|caller| caller.join().unwrap().expect("answered").node)
+            .collect();
+        nodes.sort_unstable();
+        assert_eq!(nodes, [1, 2]);
+        assert_eq!(remote.stats().connects.load(Ordering::Relaxed), 2);
+        assert_eq!(remote.idle().len(), 2, "both connections are kept");
+    }
+
+    #[test]
+    fn a_heartbeat_is_answered_while_a_submit_waits_on_the_same_node() {
+        let (remote, drawn) = wired(ONCE);
+        let submitter = {
+            let remote = Arc::clone(&remote);
+            std::thread::spawn(move || remote.call_submit(paper_submit(9)))
+        };
+        // The submit is in flight and its node says nothing.
+        let silent = next_peer(&drawn);
+        assert!(matches!(silent.next(), Message::Submit(_)));
+        // The supervisor's probe of the same node is a call of its own.
+        let prober = {
+            let remote = Arc::clone(&remote);
+            std::thread::spawn(move || remote.call_heartbeat(4))
+        };
+        let probed = next_peer(&drawn);
+        probed.answer(&[echo(&probed.next())]);
+        assert_eq!(prober.join().unwrap().expect("answered").node, 4);
+        assert!(!submitter.is_finished(), "the submit still waits");
+        // Released by the node closing: the budget of one attempt is spent.
+        drop(silent);
+        assert_eq!(submitter.join().unwrap(), Err(1));
+    }
+
+    #[test]
+    fn a_burst_of_callers_leaves_no_more_than_the_idle_bound_connected() {
+        const CALLERS: usize = 2 * MAX_IDLE_CONNS;
+        let (remote, drawn) = wired(ONCE);
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|node| {
+                let remote = Arc::clone(&remote);
+                std::thread::spawn(move || remote.call_heartbeat(node as u16))
+            })
+            .collect();
+        // Every caller's frame is in flight before any is answered, so
+        // each drew a connection of its own.
+        let peers: Vec<Peer> = (0..CALLERS).map(|_| next_peer(&drawn)).collect();
+        let probes: Vec<Message> = peers.iter().map(Peer::next).collect();
+        for (peer, probe) in peers.iter().zip(&probes) {
+            peer.answer(&[echo(probe)]);
+        }
+        for caller in callers {
+            caller.join().unwrap().expect("answered");
+        }
+        assert_eq!(remote.stats().connects.load(Ordering::Relaxed), CALLERS as u64);
+        assert_eq!(remote.idle().len(), MAX_IDLE_CONNS);
+        let closed = peers.iter().filter(|peer| peer.closed()).count();
+        assert_eq!(closed, CALLERS - MAX_IDLE_CONNS, "the surplus is closed, not leaked");
+    }
+
+    #[test]
+    fn a_failed_call_empties_the_stack_and_the_next_reconnects_once() {
+        let (remote, drawn) = wired(ONCE);
+        // Two connections, both idle.
+        let callers: Vec<_> = [1u16, 2]
+            .into_iter()
+            .map(|node| {
+                let remote = Arc::clone(&remote);
+                std::thread::spawn(move || remote.call_heartbeat(node))
+            })
+            .collect();
+        let peers = [next_peer(&drawn), next_peer(&drawn)];
+        let probes: Vec<Message> = peers.iter().map(Peer::next).collect();
+        for (peer, probe) in peers.iter().zip(&probes) {
+            peer.answer(&[echo(probe)]);
+        }
+        for caller in callers {
+            caller.join().unwrap().expect("answered");
+        }
+        assert_eq!(remote.idle().len(), 2);
+        // The node goes away. The next call fails on the connection it
+        // took — and takes the other one down with it, rather than leave
+        // it for a later call to fail on.
+        let [first, second] = peers;
+        drop(first);
+        drop(second);
+        assert_eq!(remote.call_heartbeat(3), Err(1));
+        assert!(remote.idle().is_empty());
+        assert!(drawn.try_recv().is_err(), "one attempt, on a kept connection");
+        // The node is back: one draw, kept again.
+        let caller = {
+            let remote = Arc::clone(&remote);
+            std::thread::spawn(move || remote.call_heartbeat(3))
+        };
+        let fresh = next_peer(&drawn);
+        fresh.answer(&[echo(&fresh.next())]);
+        caller.join().unwrap().expect("answered");
+        assert_eq!(remote.stats().connects.load(Ordering::Relaxed), 3);
+        assert_eq!(remote.idle().len(), 1);
+    }
+
+    #[test]
+    fn a_peer_that_keeps_answering_other_calls_is_dropped_after_a_bounded_skip() {
+        let policy = RetryPolicy {
+            attempts: 2,
+            ..ONCE
+        };
+        let (remote, drawn) = wired(policy);
+        let caller = {
+            let remote = Arc::clone(&remote);
+            std::thread::spawn(move || remote.call_submit(paper_submit(5)))
+        };
+        // Well-formed replies, none of them this call's, and more of them
+        // than any call will read: each attempt gives up on its
+        // connection, and the call on the node — it used to read on for
+        // as long as the peer kept sending.
+        let babble: Vec<Message> = (100..).map(shed).take(4 * MAX_SKIPPED_FRAMES).collect();
+        for _ in 0..policy.attempts {
+            let peer = next_peer(&drawn);
+            assert!(matches!(peer.next(), Message::Submit(_)));
+            peer.answer(&babble);
+        }
+        assert_eq!(caller.join().unwrap(), Err(policy.attempts));
+        let stats = remote.stats();
+        assert_eq!(
+            stats.frames_received.load(Ordering::Relaxed),
+            u64::from(policy.attempts) * (MAX_SKIPPED_FRAMES as u64 + 1)
+        );
+        assert_eq!(stats.timeouts.load(Ordering::Relaxed), 0);
+        assert!(remote.idle().is_empty());
+
+        // As many stale frames as the bound allows are still skipped.
+        let caller = {
+            let remote = Arc::clone(&remote);
+            std::thread::spawn(move || remote.call_submit(paper_submit(6)))
+        };
+        let peer = next_peer(&drawn);
+        assert!(matches!(peer.next(), Message::Submit(_)));
+        peer.answer(&babble[..MAX_SKIPPED_FRAMES]);
+        peer.answer(&[shed(6)]);
+        assert_eq!(caller.join().unwrap().expect("matched by id").id, 6);
+    }
+
+    #[test]
+    fn a_full_node_refuses_the_next_connection_and_serves_it_once_one_closes() {
+        let service = Arc::new(
+            AllocationService::new(&paper::table1_case_base(), &crate::ServiceConfig::default())
+                .expect("valid service config"),
+        );
+        let server = NodeServer::spawn(Arc::clone(&service)).unwrap();
+        let threads = Arc::clone(&server.conn_threads);
+        let connect = || RemoteShard::tcp(server.addr(), Duration::from_millis(2_000), ONCE);
+        let mut held: Vec<RemoteShard> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let remote = connect();
+                remote.call_heartbeat(1).expect("under the cap every connection is served");
+                remote
+            })
+            .collect();
+        // One over: accepted by the kernel, closed by the node. The client
+        // reads EOF — a transport failure like any other.
+        let refused = connect();
+        assert_eq!(refused.call_heartbeat(1), Err(1));
+        assert_eq!(refused.stats().timeouts.load(Ordering::Relaxed), 0, "EOF, not silence");
+        assert_eq!(threads.lock().unwrap().len(), MAX_CONNECTIONS);
+        // A connection closes; once its thread has ended the node has
+        // room, and the retry is served.
+        drop(held.pop());
+        let ended = (0..10_000).any(|_| {
+            let ended = threads.lock().unwrap().iter().any(JoinHandle::is_finished);
+            if !ended {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            ended
+        });
+        assert!(ended, "connection thread never ended");
+        refused.call_heartbeat(1).expect("served once there is room");
+        drop(held);
+        server.shutdown();
         if let Some(service) = Arc::into_inner(service) {
             service.shutdown();
         }

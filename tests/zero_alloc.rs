@@ -252,6 +252,101 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         assert!(inline_runs > 0, "the blocking window must drive its own batches");
     }
 
+    // Measured window: the wire. A warm `FrameConn` sends from its send
+    // buffer and decodes in its receive buffer, so a `Submit` + `Reply`
+    // round trip allocates exactly once — the decoded request's
+    // constraints — however many fields, words and CRCs it moves. Before
+    // the in-place codec this window measured two dozen: a `Vec<u16>`
+    // image per message, its copy into a frame, the payload copied out
+    // again and the request rebuilt through the builder's temporaries.
+    {
+        use rqfa::core::QosClass;
+        use rqfa::net::{FrameConn, Message, Submit, WireOutcome, WireReply};
+        use std::io::{Read, Write};
+
+        /// An in-memory duplex that keeps its storage: what is written is
+        /// read back, and a drained pipe starts over at the front.
+        #[derive(Default)]
+        struct Pipe {
+            bytes: Vec<u8>,
+            read: usize,
+        }
+
+        impl Write for Pipe {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                self.bytes.extend_from_slice(data);
+                Ok(data.len())
+            }
+
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        impl Read for Pipe {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = out.len().min(self.bytes.len() - self.read);
+                out[..n].copy_from_slice(&self.bytes[self.read..self.read + n]);
+                self.read += n;
+                if self.read == self.bytes.len() {
+                    self.bytes.clear();
+                    self.read = 0;
+                }
+                Ok(n)
+            }
+        }
+
+        let engine = rqfa::core::FixedEngine::new();
+        let exchanges: Vec<(Message, Message)> = pool
+            .iter()
+            .enumerate()
+            .map(|(id, request)| {
+                let class = QosClass::ALL[id % QosClass::COUNT];
+                let best = engine.retrieve(&case_base, request).unwrap().best.unwrap();
+                let submit = Message::Submit(Submit {
+                    id: id as u64,
+                    class,
+                    deadline_us: (id % 2 == 0).then_some(1_000),
+                    request: request.clone(),
+                });
+                let reply = Message::Reply(WireReply {
+                    id: id as u64,
+                    class,
+                    outcome: WireOutcome::Allocated {
+                        best,
+                        evaluated: 16,
+                        cached: id % 3 == 0,
+                    },
+                    latency_us: 40,
+                });
+                (submit, reply)
+            })
+            .collect();
+        let mut conn = FrameConn::new(Pipe::default());
+        let round_trips = |conn: &mut FrameConn<Pipe>| {
+            for (submit, reply) in &exchanges {
+                conn.send(submit).unwrap();
+                let (received, _) = conn.recv().unwrap();
+                let Message::Submit(received) = std::hint::black_box(received) else {
+                    panic!("a submit was sent");
+                };
+                let Message::Submit(sent) = submit else { unreachable!() };
+                assert_eq!(received.request.fingerprint(), sent.request.fingerprint());
+                conn.send(reply).unwrap();
+                let (received, _) = conn.recv().unwrap();
+                assert!(matches!(std::hint::black_box(received), Message::Reply(_)));
+            }
+        };
+        round_trips(&mut conn);
+        let before = allocations();
+        round_trips(&mut conn);
+        assert_eq!(
+            allocations() - before,
+            exchanges.len() as u64,
+            "a warm connection's Submit + Reply round trip allocates once: the request"
+        );
+    }
+
     // Contrast: the naive engine allocates on every request (this is the
     // cost the plane removes — if this ever goes to zero the harness
     // window itself is broken).
