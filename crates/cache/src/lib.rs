@@ -1,18 +1,17 @@
 //! # rqfa-cache — one stamp-invalidated result cache
 //!
-//! The paper's §3 *bypass tokens* are a fingerprint-keyed result cache:
-//! remember what a retrieval answered, reuse it while the case base is
-//! unchanged. Two subsystems of this workspace grew that idea
-//! independently — `rqfa_rsoc::TokenCache` and
-//! `rqfa_service::cache::RetrievalCache` — and both are now thin typed
-//! facades over this crate, so invalidation and eviction semantics cannot
-//! diverge again.
+//! The paper's §3 *bypass token* is "data on the previous selection":
+//! remember which variant a retrieval chose, reuse it while the case base
+//! is unchanged. Both allocation managers of this workspace keep exactly
+//! that — `rqfa_service::cache::RetrievalCache` on the serving path and
+//! the `rqfa-rsoc` manager and CBR cycle, which hold a [`GenCache`]
+//! directly — so invalidation and eviction semantics cannot diverge.
 //!
 //! The pieces, each usable on its own:
 //!
 //! * [`GenCache`] — the store: keyed by a `u64` fingerprint, stamped with
-//!   a generic *generation* (`G: Copy + Eq`; both facades instantiate it
-//!   with `rqfa_core::Generation` and pass the stamp of the request's
+//!   a generic *generation* (`G: Copy + Eq`; every holder instantiates it
+//!   with `rqfa_core::Generation` and passes the stamp of the request's
 //!   function type — the generation of that type's last mutation — so a
 //!   mutation invalidates one type's entries). A lookup hits only when the
 //!   stamp matches; a mismatch is a *stale* miss that drops the entry on
@@ -21,8 +20,6 @@
 //!   `docs/caching.md` for why that was a bug). At capacity the oldest
 //!   *insertion* is evicted — FIFO: hits and overwrites do no
 //!   bookkeeping at all.
-//! * [`RankedEntry`] — cross-request n-best subsumption: a cached top-*k*
-//!   ranking answers later best-of and top-*j* (`j ≤ k`) lookups exactly.
 //! * [`DigestState`] — the hasher for maps keyed by a fingerprint: one
 //!   seeded multiply, because the key is a digest already.
 //!
@@ -50,49 +47,30 @@
 #![warn(missing_docs)]
 
 mod digest;
-mod ranked;
 
 pub use digest::DigestState;
-pub use ranked::RankedEntry;
 
 use std::collections::HashMap;
 
 /// Cumulative observable counters of one [`GenCache`].
 ///
 /// Invariants (asserted by the differential harness):
-/// `hits + misses == lookups`, and `stale + uncovered <= misses` (both
-/// are miss subcategories).
+/// `hits + misses == lookups`, and `stale <= misses` (a miss
+/// subcategory).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served (hit or miss).
     pub lookups: u64,
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups not answered (absent, stale, or insufficient coverage).
+    /// Lookups not answered (absent or stale).
     pub misses: u64,
     /// Misses caused by a generation mismatch (entry dropped on the spot).
     pub stale: u64,
-    /// Misses where the entry was fresh but failed the caller's coverage
-    /// predicate (e.g. a top-5 lookup over a cached top-3).
-    pub uncovered: u64,
     /// Stores accepted (fresh inserts and in-place overwrites).
     pub insertions: u64,
     /// Entries displaced (oldest insertion first) to make room.
     pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Hit rate in `[0, 1]`; 0 with no lookups.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.hits as f64 / self.lookups as f64
-            }
-        }
-    }
 }
 
 /// "No slot": the end of the insertion-order list and of the free list.
@@ -115,10 +93,10 @@ struct Slot<V, G> {
 /// `V` is the cached value, `G` the generation stamp (any `Copy + Eq`
 /// type — the workspace uses `rqfa_core::Generation`).
 ///
-/// Semantics, normative for every facade (see `docs/caching.md`):
+/// Semantics, normative for every holder (see `docs/caching.md`):
 ///
 /// * a lookup hits iff the key is resident **and** its stamp equals the
-///   lookup stamp (and the optional coverage predicate holds);
+///   lookup stamp;
 /// * a stale entry is removed at detection, so its eventual re-insert is
 ///   a *fresh* insert, the newest in the eviction order;
 /// * an insert over a resident key overwrites in place and keeps the
@@ -164,18 +142,6 @@ impl<V, G: Copy + Eq> GenCache<V, G> {
     /// Looks the key up at `stamp`. A generation mismatch counts as a
     /// stale miss and drops the entry.
     pub fn lookup(&mut self, key: u64, stamp: G) -> Option<&V> {
-        self.lookup_if(key, stamp, |_| true)
-    }
-
-    /// Like [`GenCache::lookup`], but a fresh entry additionally has to
-    /// satisfy `covers` — a failing predicate is an *uncovered* miss that
-    /// leaves the entry resident (it still answers smaller requests).
-    pub fn lookup_if(
-        &mut self,
-        key: u64,
-        stamp: G,
-        covers: impl FnOnce(&V) -> bool,
-    ) -> Option<&V> {
         self.stats.lookups += 1;
         let Some(&at) = self.index.get(&key) else {
             self.stats.misses += 1;
@@ -191,18 +157,13 @@ impl<V, G: Copy + Eq> GenCache<V, G> {
             self.remove(key);
             return None;
         }
-        let value = self.slots[at as usize].value.as_ref().filter(|value| covers(value));
-        if value.is_some() {
-            self.stats.hits += 1;
-        } else {
-            self.stats.uncovered += 1;
-            self.stats.misses += 1;
-        }
-        value
+        self.stats.hits += 1;
+        self.slots[at as usize].value.as_ref()
     }
 
     /// The resident value at `stamp` without touching statistics.
-    pub fn peek(&self, key: u64, stamp: G) -> Option<&V> {
+    #[cfg(test)]
+    fn peek(&self, key: u64, stamp: G) -> Option<&V> {
         let slot = &self.slots[*self.index.get(&key)? as usize];
         slot.value.as_ref().filter(|_| slot.stamp == stamp)
     }
@@ -211,26 +172,15 @@ impl<V, G: Copy + Eq> GenCache<V, G> {
     /// key is resident (whatever its old stamp); otherwise the oldest
     /// insertion is evicted at capacity and the entry enters fresh.
     pub fn insert(&mut self, key: u64, stamp: G, value: V) {
-        self.insert_if(key, stamp, value, |_| true);
-    }
-
-    /// Like [`GenCache::insert`], but a resident value *of the same
-    /// stamp* is shown to `replace` first; if that refuses, the store
-    /// stays as it was and nothing is counted. (A merge rule such as
-    /// keep-the-wider-entry costs no probe of its own this way.)
-    pub fn insert_if(&mut self, key: u64, stamp: G, value: V, replace: impl FnOnce(&V) -> bool) {
         if self.capacity == 0 {
             return;
         }
+        self.stats.insertions += 1;
         if let Some(&at) = self.index.get(&key) {
             let slot = &mut self.slots[at as usize];
-            if slot.stamp != stamp || slot.value.as_ref().is_none_or(replace) {
-                self.stats.insertions += 1;
-                (slot.stamp, slot.value) = (stamp, Some(value));
-            }
+            (slot.stamp, slot.value) = (stamp, Some(value));
             return;
         }
-        self.stats.insertions += 1;
         if self.index.len() >= self.capacity {
             self.stats.evictions += 1;
             self.remove(self.slots[self.head as usize].key);
@@ -258,9 +208,9 @@ impl<V, G: Copy + Eq> GenCache<V, G> {
         self.debug_check();
     }
 
-    /// Drops one key (e.g. a targeted invalidation), returning its value:
-    /// its slot leaves the index and the list for the free list.
-    pub fn remove(&mut self, key: u64) -> Option<V> {
+    /// Drops one key, returning its value: its slot leaves the index and
+    /// the list for the free list.
+    fn remove(&mut self, key: u64) -> Option<V> {
         let at = self.index.remove(&key)?;
         let slot = &mut self.slots[at as usize];
         let (prev, next, value) = (slot.prev, slot.next, slot.value.take());
@@ -277,13 +227,6 @@ impl<V, G: Copy + Eq> GenCache<V, G> {
         value
     }
 
-    /// Drops every entry (statistics survive).
-    pub fn clear(&mut self) {
-        self.index.clear();
-        self.slots.clear();
-        (self.head, self.tail, self.free) = (NIL, NIL, NIL);
-    }
-
     /// Live entries.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -292,11 +235,6 @@ impl<V, G: Copy + Eq> GenCache<V, G> {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
-    }
-
-    /// The configured capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Cumulative counters.
@@ -379,17 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn uncovered_miss_keeps_the_entry() {
-        let mut c = cache(4);
-        c.insert(5, 0, 3);
-        assert_eq!(c.lookup_if(5, 0, |&v| v > 10), None);
-        let s = c.stats();
-        assert_eq!((s.misses, s.uncovered, s.stale), (1, 1, 0));
-        assert_eq!(c.len(), 1, "uncovered misses leave the entry resident");
-        assert_eq!(c.lookup_if(5, 0, |&v| v > 1), Some(&3));
-    }
-
-    #[test]
     fn peek_and_remove_do_not_touch_lookup_stats() {
         let mut c = cache(4);
         c.insert(1, 0, 9);
@@ -398,18 +325,6 @@ mod tests {
         assert_eq!(c.remove(1), Some(9));
         assert_eq!(c.remove(1), None);
         assert_eq!(c.stats().lookups, 0);
-    }
-
-    #[test]
-    fn insert_if_asks_a_same_stamp_resident_and_nobody_else() {
-        let mut c = cache(4);
-        c.insert_if(1, 0, 10, |_| unreachable!("nothing resident"));
-        c.insert_if(1, 0, 11, |&old| old > 10);
-        assert_eq!((c.peek(1, 0), c.stats().insertions), (Some(&10), 1), "refused: untouched");
-        c.insert_if(1, 0, 12, |&old| old == 10);
-        assert_eq!((c.peek(1, 0), c.stats().insertions), (Some(&12), 2));
-        c.insert_if(1, 1, 13, |_| unreachable!("another stamp is overwritten unasked"));
-        assert_eq!((c.peek(1, 1), c.len()), (Some(&13), 1));
     }
 
     #[test]
@@ -469,17 +384,5 @@ mod tests {
         assert_eq!(c.peek(1, 0), None, "the oldest survivor goes first");
         assert_eq!(c.peek(3, 0), Some(&0));
         assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn clear_resets_entries_but_not_stats() {
-        let mut c = cache(4);
-        c.insert(1, 0, 1);
-        c.lookup(1, 0);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats().hits, 1);
-        c.insert(2, 0, 2);
-        assert_eq!(c.len(), 1, "a cleared cache stores again");
     }
 }

@@ -9,8 +9,8 @@
 //! * the persistence write-ahead log (`rqfa-persist`) stamps every logged
 //!   mutation record with the generation it produced; replication
 //!   deduplicates and fences by it;
-//! * the bypass-token cache (`rqfa_rsoc::TokenCache`, §3 of the paper), the
-//!   service-layer retrieval result cache
+//! * the bypass tokens of `rqfa-rsoc`'s allocation manager and CBR cycle
+//!   (§3 of the paper), the service-layer retrieval result cache
 //!   (`rqfa_service::cache::RetrievalCache`) and the compiled type planes
 //!   ([`crate::PlaneEngine`]) are validated against the requested type's
 //!   stamp, so a mutation costs the cached results and the compiled plane

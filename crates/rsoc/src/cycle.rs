@@ -7,13 +7,20 @@
 //! [`CbrCycle`] retrieves a suggestion, the caller deploys it and reports
 //! the *measured* QoS attributes back, and the cycle decides whether to
 //! revise the stored case or retain a brand-new one.
+//!
+//! Repeated calls skip retrieval through §3's bypass tokens: "data on the
+//! previous selection which can be reused at repeated function calls".
+//! The cycle — and the allocation manager of `system.rs` — keeps that
+//! previous selection in a [`GenCache`] keyed by the request fingerprint
+//! at the stamp of the requested type ([`CaseBase::type_stamp`]), so a
+//! mutation of that type kills its tokens and leaves every other type's
+//! valid (`docs/caching.md`).
 
+use rqfa_cache::GenCache;
 use rqfa_core::{
     AttrBinding, CaseBase, CoreError, ExecutionTarget, FixedEngine, Footprint, FunctionType,
-    ImplId, ImplVariant, Request, Scored, Q15,
+    Generation, ImplId, ImplVariant, Request, Scored, Q15,
 };
-
-use crate::token::TokenCache;
 
 /// What the cycle did with the feedback of one solved problem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,17 +96,26 @@ impl Default for LearnPolicy {
 #[derive(Debug, Clone)]
 pub struct CbrCycle {
     engine: FixedEngine,
-    cache: TokenCache,
+    cache: GenCache<Scored<Q15>, Generation>,
     policy: LearnPolicy,
 }
 
+/// Where a request's bypass token lives: its fingerprint at the stamp of
+/// its type. A type `case_base` does not hold has no token — it is
+/// neither looked up nor stored.
+pub(crate) fn token_key(case_base: &CaseBase, request: &Request) -> Option<(u64, Generation)> {
+    let stamp = case_base.type_stamp(request.type_id())?;
+    Some((request.fingerprint(), stamp))
+}
+
 impl CbrCycle {
-    /// Creates a cycle with a bypass cache of the given capacity and the
-    /// default learning policy.
+    /// Creates a cycle that keeps the bypass tokens of up to
+    /// `cache_capacity` requests (0 disables bypass: every call
+    /// retrieves) and the default learning policy.
     pub fn new(cache_capacity: usize) -> CbrCycle {
         CbrCycle {
             engine: FixedEngine::new(),
-            cache: TokenCache::new(cache_capacity),
+            cache: GenCache::new(cache_capacity),
             policy: LearnPolicy::default(),
         }
     }
@@ -111,7 +127,7 @@ impl CbrCycle {
     }
 
     /// The bypass-token cache (for statistics inspection).
-    pub fn cache(&self) -> &TokenCache {
+    pub fn cache(&self) -> &GenCache<Scored<Q15>, Generation> {
         &self.cache
     }
 
@@ -126,24 +142,18 @@ impl CbrCycle {
         case_base: &CaseBase,
         request: &Request,
     ) -> Result<CycleOutcome, CoreError> {
-        if let Some(token) = self.cache.lookup(request, case_base) {
-            let ty = case_base.require_type(token.type_id)?;
-            if let Some(variant) = ty.variant(token.impl_id) {
-                return Ok(CycleOutcome {
-                    suggestion: Scored {
-                        impl_id: token.impl_id,
-                        target: variant.target(),
-                        similarity: token.similarity,
-                    },
-                    bypassed: true,
-                });
-            }
-            // Token survived generation check but the variant is gone —
-            // cannot happen through this API, but fall through defensively.
+        let key = token_key(case_base, request);
+        if let Some(&suggestion) = key.and_then(|(fp, stamp)| self.cache.lookup(fp, stamp)) {
+            return Ok(CycleOutcome {
+                suggestion,
+                bypassed: true,
+            });
         }
         let retrieval = self.engine.retrieve(case_base, request)?;
         let best = retrieval.best.ok_or(CoreError::EmptyCaseBase)?;
-        self.cache.store(request, case_base, &best);
+        if let Some((fp, stamp)) = key {
+            self.cache.insert(fp, stamp, best);
+        }
         Ok(CycleOutcome {
             suggestion: best,
             bypassed: false,
@@ -276,7 +286,7 @@ fn next_free_impl_id(ty: &FunctionType) -> Result<ImplId, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqfa_core::paper;
+    use rqfa_core::{paper, TypeId};
 
     #[test]
     fn confirmed_when_measurement_matches() {
@@ -439,5 +449,64 @@ mod tests {
         assert!(fir.variant(paper::IMPL_FPGA).is_some());
         assert!(fir.variant(paper::IMPL_DSP).is_some());
         assert!(fir.variant(paper::IMPL_GP).is_some());
+    }
+
+    fn extra_variant() -> ImplVariant {
+        ImplVariant::new(
+            ImplId::new(9).unwrap(),
+            ExecutionTarget::Fpga,
+            vec![AttrBinding::new(paper::ATTR_BITWIDTH, 12)],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_token_survives_mutations_of_other_types_only() {
+        let mut cb = paper::table1_case_base();
+        let request = paper::table1_request().unwrap();
+        assert_eq!(request.type_id(), paper::FIR_EQUALIZER);
+        let mut cycle = CbrCycle::new(4);
+        assert!(!cycle.retrieve(&cb, &request).unwrap().bypassed);
+        // A retain into the FFT type cannot change a FIR retrieval.
+        cb.retain_variant(paper::FFT_1D, extra_variant()).unwrap();
+        let kept = cycle.retrieve(&cb, &request).unwrap();
+        assert!(kept.bypassed, "token of the untouched type");
+        let direct = FixedEngine::new().retrieve(&cb, &request).unwrap().best;
+        assert_eq!(Some(kept.suggestion), direct);
+        assert_eq!(cycle.cache().stats().stale, 0);
+        // A retain into the FIR type can, and kills it; the recompute
+        // stores a fresh token that the next call bypasses on.
+        cb.retain_variant(paper::FIR_EQUALIZER, extra_variant()).unwrap();
+        assert!(!cycle.retrieve(&cb, &request).unwrap().bypassed);
+        assert_eq!(cycle.cache().stats().stale, 1);
+        assert!(cycle.retrieve(&cb, &request).unwrap().bypassed);
+    }
+
+    #[test]
+    fn unknown_types_hold_no_token() {
+        let cb = paper::table1_case_base();
+        let mut cycle = CbrCycle::new(4);
+        cycle.retrieve(&cb, &paper::table1_request().unwrap()).unwrap();
+        let unknown = Request::builder(TypeId::new(99).unwrap())
+            .constraint(paper::ATTR_RATE, 40)
+            .build()
+            .unwrap();
+        let before = (cycle.cache().len(), cycle.cache().stats());
+        assert!(matches!(
+            cycle.retrieve(&cb, &unknown),
+            Err(CoreError::UnknownType { .. })
+        ));
+        assert_eq!((cycle.cache().len(), cycle.cache().stats()), before);
+    }
+
+    #[test]
+    fn zero_capacity_disables_bypass() {
+        let cb = paper::table1_case_base();
+        let request = paper::table1_request().unwrap();
+        let mut cycle = CbrCycle::new(0);
+        for _ in 0..3 {
+            assert!(!cycle.retrieve(&cb, &request).unwrap().bypassed);
+        }
+        assert!(cycle.cache().is_empty());
     }
 }

@@ -10,10 +10,11 @@
 //! reconfigures devices — with bypass tokens for repeated calls and
 //! relaxed-constraint retries after rejection (§3).
 //!
-//! The crate also owns the two paper-facing pieces only this layer
-//! holds: [`TokenCache`] (§3's bypass tokens, the manager's repeat-call
-//! shortcut) and [`CbrCycle`] (fig. 2's retrieve → reuse → revise →
-//! retain loop behind [`Learner`]).
+//! The crate also owns fig. 2's retrieve → reuse → revise → retain loop,
+//! [`CbrCycle`], behind [`Learner`]. The manager ([`System`]) and the
+//! cycle each keep §3's bypass tokens — the previous selection of a
+//! repeated request — in an [`rqfa_cache::GenCache`] keyed by the request
+//! fingerprint at the stamp of its type.
 //!
 //! ```
 //! use rqfa_core::paper;
@@ -48,7 +49,6 @@ mod repository;
 mod system;
 mod task;
 mod time;
-mod token;
 
 pub use cycle::{CbrCycle, CycleOutcome, LearnAction, LearnPolicy};
 pub use device::{Device, DeviceId};
@@ -60,7 +60,6 @@ pub use repository::Repository;
 pub use system::{AllocPolicy, ArrivalSpec, Decision, RejectReason, System, SystemBuilder};
 pub use task::{AppId, Task, TaskId, TaskState};
 pub use time::SimTime;
-pub use token::{BypassToken, TokenCache, TokenStats};
 
 #[cfg(all(test, feature = "proptests"))]
 mod proptests;

@@ -12,10 +12,12 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
+use rqfa_cache::GenCache;
 use rqfa_core::{
-    CaseBase, ExecutionTarget, FixedEngine, Footprint, ImplId, Request, Scored, Q15,
+    CaseBase, ExecutionTarget, FixedEngine, Footprint, Generation, ImplId, Request, Scored, Q15,
 };
 
+use crate::cycle::token_key;
 use crate::device::{Device, DeviceId};
 use crate::error::RsocError;
 use crate::metrics::Metrics;
@@ -23,7 +25,6 @@ use crate::power::EnergyMeter;
 use crate::repository::Repository;
 use crate::task::{AppId, Task, TaskId, TaskState};
 use crate::time::SimTime;
-use crate::token::TokenCache;
 
 /// Allocation-manager policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,7 +37,8 @@ pub struct AllocPolicy {
     pub threshold: Q15,
     /// Allow preempting strictly lower-priority tasks.
     pub allow_preemption: bool,
-    /// Bypass-token cache capacity.
+    /// How many requests' bypass tokens the manager keeps (0 disables
+    /// bypass: every call retrieves).
     pub bypass_capacity: usize,
     /// Delay before a relaxed retry arrives, µs.
     pub retry_delay_us: u64,
@@ -198,7 +200,7 @@ impl SystemBuilder {
             repository: self.repository,
             policy: self.policy,
             engine: FixedEngine::new(),
-            cache: TokenCache::new(self.policy.bypass_capacity),
+            cache: GenCache::new(self.policy.bypass_capacity),
             clock: SimTime::ZERO,
             queue: BinaryHeap::new(),
             events: HashMap::new(),
@@ -219,7 +221,9 @@ pub struct System {
     repository: Repository,
     policy: AllocPolicy,
     engine: FixedEngine,
-    cache: TokenCache,
+    /// §3's bypass tokens: the placed selection per request fingerprint,
+    /// at the stamp of the request's type.
+    cache: GenCache<Scored<Q15>, Generation>,
     clock: SimTime,
     queue: BinaryHeap<Reverse<Queued>>,
     events: HashMap<u64, SysEvent>,
@@ -390,18 +394,12 @@ impl System {
         // Bypass-token shortcut (§3): repeated calls only need an
         // availability check on the previously selected variant. If that
         // variant is currently infeasible, fall through to full retrieval.
-        if let Some(token) = self.cache.lookup(&spec.request, &self.case_base) {
-            let ty = self.case_base.require_type(token.type_id)?;
-            if let Some(variant) = ty.variant(token.impl_id) {
-                let candidate = Scored {
-                    impl_id: token.impl_id,
-                    target: variant.target(),
-                    similarity: token.similarity,
-                };
-                if let Some(decision) = self.try_candidates(&spec, &[candidate], true)? {
-                    self.metrics.bypass_hits += 1;
-                    return Ok(decision);
-                }
+        let token = token_key(&self.case_base, &spec.request)
+            .and_then(|(fp, stamp)| self.cache.lookup(fp, stamp).copied());
+        if let Some(candidate) = token {
+            if let Some(decision) = self.try_candidates(&spec, &[candidate], true)? {
+                self.metrics.bypass_hits += 1;
+                return Ok(decision);
             }
         }
 
@@ -596,7 +594,9 @@ impl System {
             self.metrics.downgraded += 1;
         }
         // Remember the working selection for repeated calls (§3).
-        self.cache.store(&spec.request, &self.case_base, candidate);
+        if let Some((fp, stamp)) = token_key(&self.case_base, &spec.request) {
+            self.cache.insert(fp, stamp, *candidate);
+        }
 
         Ok(Decision::Accepted {
             task: id,

@@ -271,7 +271,7 @@ pub struct ClassSnapshot {
     pub shed_predicted: u64,
     /// Completions served from cache.
     pub cache_hits: u64,
-    /// Dispatched requests the cache missed (cold, stale, or uncovered).
+    /// Dispatched requests the cache missed (cold or stale).
     pub cache_misses: u64,
     /// Misses that invalidated a stale entry (type stamp mismatch).
     pub cache_stale: u64,

@@ -11,7 +11,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`cache`] | `rqfa-cache` | generation-invalidated result cache: FIFO eviction, n-best subsumption |
+//! | [`cache`] | `rqfa-cache` | generation-invalidated result cache: FIFO eviction, one best-of answer per request |
 //! | [`core`] | `rqfa-core` | case base, similarity (eqs. 1–2), retrieval engines, n-best, CBR mutations |
 //! | [`fixed`] | `rqfa-fixed` | UQ1.15 fixed-point arithmetic |
 //! | [`memlist`] | `rqfa-memlist` | 16-bit word memory images (figs. 4–5), validation, compaction |

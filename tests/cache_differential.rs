@@ -4,8 +4,7 @@
 //! semantics (`docs/caching.md`) with none of the production data
 //! structures: entries live in a flat `Vec`, victims are found by linear
 //! scans, insertion age is an explicit field. Seeded random operation
-//! traces — lookup / coverage-gated lookup / insert / mutate-generation /
-//! remove — drive the real
+//! traces — lookup / insert / mutate-generation — drive the real
 //! [`GenCache`] and the model in lockstep and demand bit-identical
 //! observable behaviour (returned values, resident count, and the full
 //! statistics block) after *every* operation, at capacities 0 (storage
@@ -17,30 +16,20 @@
 //!
 //! On top of the generic differential core:
 //!
-//! * **FIFO facade compatibility** — the service's `RetrievalCache` in
-//!   its default configuration replays mutation-free traces bit-
-//!   identically to a verbatim copy of the pre-refactor FIFO cache
-//!   (`LegacyFifoCache` below). With generation mutations the two differ
-//!   *by design* in exactly one way: the legacy cache let a refreshed
-//!   stale entry keep its original insertion age (so a just-recomputed
-//!   result could be the next eviction victim); the unified store drops
-//!   stale entries at detection and re-ages the refresh. A dedicated
-//!   regression pins that divergence.
-//! * **n-best subsumption** — a cached top-k ranking answers best-of and
-//!   top-j (j ≤ k) lookups bit-identically to an engine recompute, and
-//!   a mutation of the entry's function type invalidates every view of it
-//!   atomically — while the entries of every other type keep answering.
+//! * **The service facade** — `RetrievalCache` replays the same traces,
+//!   with and without generation moves, in lockstep with the same model:
+//!   every hit serves the `(best, evaluated)` pair the model holds, every
+//!   miss says whether it dropped a stale entry, and `cache_stats()`
+//!   equals the model's counters after every operation.
 //! * **Answer invariance** — caching never changes *what* the service
 //!   answers, only how often it answers from cache.
 
-use std::collections::{HashMap, VecDeque};
-
-use rqfa::cache::GenCache;
+use rqfa::cache::{CacheStats, GenCache};
 use rqfa::core::{
-    CaseMutation, FixedEngine, Generation, ImplId, OpCounts, QosClass, Retrieval, Scored,
+    ExecutionTarget, FixedEngine, Generation, ImplId, OpCounts, QosClass, Retrieval, Scored,
 };
 use rqfa::fixed::Q15;
-use rqfa::service::cache::RetrievalCache;
+use rqfa::service::cache::{CacheLookup, RetrievalCache};
 use rqfa::service::{AllocationService, Outcome, ServiceConfig};
 use rqfa::workloads::rng::SmallRng;
 use rqfa::workloads::{CaseGen, RequestGen};
@@ -64,24 +53,12 @@ struct ModelEntry {
     age: u64,
 }
 
-/// Observable counters, mirroring `rqfa_cache::CacheStats` field by field.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct ModelStats {
-    lookups: u64,
-    hits: u64,
-    misses: u64,
-    stale: u64,
-    uncovered: u64,
-    insertions: u64,
-    evictions: u64,
-}
-
 /// Brute-force executable specification of the cache semantics.
 struct ModelCache {
     capacity: usize,
     seq: u64,
     entries: Vec<ModelEntry>,
-    stats: ModelStats,
+    stats: CacheStats,
 }
 
 impl ModelCache {
@@ -90,7 +67,7 @@ impl ModelCache {
             capacity,
             seq: 0,
             entries: Vec::new(),
-            stats: ModelStats::default(),
+            stats: CacheStats::default(),
         }
     }
 
@@ -99,22 +76,11 @@ impl ModelCache {
     }
 
     fn lookup(&mut self, key: u64, stamp: u64) -> Option<u64> {
-        self.lookup_if(key, stamp, |_| true)
-    }
-
-    fn lookup_if(&mut self, key: u64, stamp: u64, covers: impl FnOnce(u64) -> bool) -> Option<u64> {
         self.stats.lookups += 1;
         match self.position(key) {
             Some(index) if self.entries[index].stamp == stamp => {
-                if covers(self.entries[index].value) {
-                    self.stats.hits += 1;
-                    Some(self.entries[index].value)
-                } else {
-                    // Uncovered: a miss that leaves the entry resident.
-                    self.stats.misses += 1;
-                    self.stats.uncovered += 1;
-                    None
-                }
+                self.stats.hits += 1;
+                Some(self.entries[index].value)
             }
             Some(index) => {
                 // Stale: dropped at detection, so the refresh re-ages.
@@ -161,18 +127,13 @@ impl ModelCache {
         });
     }
 
-    fn remove(&mut self, key: u64) -> Option<u64> {
-        let index = self.position(key)?;
-        Some(self.entries.remove(index).value)
-    }
-
     fn len(&self) -> usize {
         self.entries.len()
     }
 }
 
 // ---------------------------------------------------------------------------
-// The differential core
+// The seeded traces
 // ---------------------------------------------------------------------------
 
 /// One operation of a trace.
@@ -181,83 +142,86 @@ enum Op {
     /// A lookup at the current generation — the only stamp a real caller
     /// ever has in hand.
     Lookup,
-    /// A coverage-gated lookup (the n-best subsumption shape): a fresh
-    /// entry failing the predicate is an *uncovered* miss that stays
-    /// resident.
-    LookupIfOdd,
     /// An insert with a distinguishable payload, so a divergence in
     /// *which* entry survives shows up as a value mismatch.
     Insert(u64),
-    /// Targeted invalidation.
-    Remove,
+    /// Case-base mutation: every resident entry goes stale at once.
+    Mutate,
 }
 
-fn odd(value: u64) -> bool {
-    !value.is_multiple_of(2)
-}
-
-impl Op {
-    fn on_real(self, cache: &mut GenCache<u64, u64>, key: u64, generation: u64) -> Option<u64> {
-        match self {
-            Op::Lookup => cache.lookup(key, generation).copied(),
-            Op::LookupIfOdd => cache.lookup_if(key, generation, |&v| odd(v)).copied(),
-            Op::Insert(value) => {
-                cache.insert(key, generation, value);
-                None
+/// `(key, op)` pairs of one seeded trace. Without `mutations` the draws
+/// that would move the generation are lookups instead, so both shapes
+/// share every key and every insert payload.
+fn trace(universe: u64, seed: u64, mutations: bool) -> impl Iterator<Item = (u64, Op)> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1FF_CACE);
+    let mut next_value: u64 = 0;
+    (0..OPS_PER_TRACE).map(move |_| {
+        let key = rng.gen_range(0..universe);
+        let op = match rng.gen_range(0..100u32) {
+            0..=49 => Op::Lookup,
+            50..=94 => {
+                next_value += 1;
+                Op::Insert(next_value)
             }
-            Op::Remove => cache.remove(key),
-        }
-    }
+            _ if mutations => Op::Mutate,
+            _ => Op::Lookup,
+        };
+        (key, op)
+    })
+}
 
-    fn on_model(self, cache: &mut ModelCache, key: u64, generation: u64) -> Option<u64> {
-        match self {
-            Op::Lookup => cache.lookup(key, generation),
-            Op::LookupIfOdd => cache.lookup_if(key, generation, odd),
-            Op::Insert(value) => {
-                cache.insert(key, generation, value);
-                None
-            }
-            Op::Remove => cache.remove(key),
+/// The operations the generic core runs on the real store.
+fn on_store(cache: &mut GenCache<u64, u64>, key: u64, op: Op, generation: u64) -> Option<u64> {
+    match op {
+        Op::Lookup => cache.lookup(key, generation).copied(),
+        Op::Insert(value) => {
+            cache.insert(key, generation, value);
+            None
         }
+        Op::Mutate => unreachable!("the driver moves the generation"),
     }
 }
+
+/// Asserts the counters and their invariants after one operation.
+fn check_stats(label: &str, step: usize, got: CacheStats, want: CacheStats) {
+    assert_eq!(got, want, "{label} step {step}: counters");
+    assert_eq!(got.hits + got.misses, got.lookups, "{label}: hits+misses==lookups");
+    assert!(got.stale <= got.misses, "{label}: stale⊆misses");
+}
+
+// ---------------------------------------------------------------------------
+// The differential core
+// ---------------------------------------------------------------------------
 
 /// One seeded trace through the real cache and the model, asserting
 /// identical observable behaviour after every operation. Halfway through,
 /// the real cache is cloned, and the clone has to replay the rest of the
 /// trace exactly as the original does.
-fn drive_trace(capacity: usize, universe: u64, seed: u64) -> ModelStats {
+fn drive_trace(capacity: usize, universe: u64, seed: u64) -> CacheStats {
     let label = format!("capacity={capacity} universe={universe} seed={seed}");
     let mut real: GenCache<u64, u64> = GenCache::new(capacity);
     let mut clone: Option<GenCache<u64, u64>> = None;
     let mut model = ModelCache::new(capacity);
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1FF_CACE);
     let mut generation: u64 = 0;
-    let mut next_value: u64 = 0;
-    for step in 0..OPS_PER_TRACE {
+    for (step, (key, op)) in trace(universe, seed, true).enumerate() {
         if step == OPS_PER_TRACE / 2 {
             clone = Some(real.clone());
         }
-        let key = rng.gen_range(0..universe);
-        let op = match rng.gen_range(0..100u32) {
-            0..=39 => Op::Lookup,
-            40..=44 => Op::LookupIfOdd,
-            45..=84 => {
-                next_value += 1;
-                Op::Insert(next_value)
-            }
-            // Case-base mutation: every resident entry goes stale at once.
-            85..=89 => {
+        let want = match op {
+            Op::Mutate => {
                 generation += 1;
                 continue;
             }
-            _ => Op::Remove,
+            Op::Lookup => model.lookup(key, generation),
+            Op::Insert(value) => {
+                model.insert(key, generation, value);
+                None
+            }
         };
-        let want = op.on_model(&mut model, key, generation);
-        let got = op.on_real(&mut real, key, generation);
+        let got = on_store(&mut real, key, op, generation);
         assert_eq!(got, want, "{label} step {step}: {op:?} on key {key}");
         if let Some(clone) = &mut clone {
-            let cloned = op.on_real(clone, key, generation);
+            let cloned = on_store(clone, key, op, generation);
             assert_eq!(cloned, got, "{label} step {step}: the clone answers {op:?} differently");
             assert_eq!(
                 (clone.len(), clone.stats()),
@@ -266,21 +230,7 @@ fn drive_trace(capacity: usize, universe: u64, seed: u64) -> ModelStats {
             );
         }
         assert_eq!(real.len(), model.len(), "{label} step {step}: len");
-        let s = real.stats();
-        let m = model.stats;
-        assert_eq!(
-            (s.lookups, s.hits, s.misses, s.stale, s.uncovered),
-            (m.lookups, m.hits, m.misses, m.stale, m.uncovered),
-            "{label} step {step}: lookup counters"
-        );
-        assert_eq!(
-            (s.insertions, s.evictions),
-            (m.insertions, m.evictions),
-            "{label} step {step}: store counters"
-        );
-        // The metrics invariants, re-checked continuously.
-        assert_eq!(s.hits + s.misses, s.lookups, "{label}: hits+misses==lookups");
-        assert!(s.stale + s.uncovered <= s.misses, "{label}: stale⊆misses");
+        check_stats(&label, step, real.stats(), model.stats);
     }
     model.stats
 }
@@ -288,16 +238,15 @@ fn drive_trace(capacity: usize, universe: u64, seed: u64) -> ModelStats {
 #[test]
 fn the_cache_matches_the_reference_model_on_seeded_traces() {
     // The last shape is what the slab store adds over a map: a list long
-    // enough that stale drops and removals leave from its middle, and
-    // slots that are freed and recycled out of slab order.
+    // enough that stale drops leave from its middle, and slots that are
+    // freed and recycled out of slab order.
     for (capacity, universe) in [(0, 64), (1, 64), (CAPACITY, KEY_UNIVERSE), (256, 1024)] {
-        let mut exercised = ModelStats::default();
+        let mut exercised = CacheStats::default();
         for seed in 0..SEEDS {
             let s = drive_trace(capacity, universe, seed);
             exercised.lookups += s.lookups;
             exercised.hits += s.hits;
             exercised.stale += s.stale;
-            exercised.uncovered += s.uncovered;
             exercised.insertions += s.insertions;
             exercised.evictions += s.evictions;
         }
@@ -308,305 +257,90 @@ fn the_cache_matches_the_reference_model_on_seeded_traces() {
             // Storage disabled: every lookup is a plain miss, nothing is
             // ever stored, and the counters say exactly that.
             assert_eq!(exercised.hits + exercised.insertions + exercised.evictions, 0);
-            assert_eq!(exercised.stale + exercised.uncovered, 0);
+            assert_eq!(exercised.stale, 0);
             continue;
         }
         // In the sparse shape a key is rarely looked up within the ≈ 20
         // operations its generation lasts, so it hits less; it is held to
         // the drops and evictions it is there for instead.
         let sparse = universe > KEY_UNIVERSE;
-        let (hits, uncovered, stale, evictions) =
-            if sparse { (250, 10, 5000, 5000) } else { (500, 20, 50, 500) };
+        let (hits, stale, evictions) = if sparse { (250, 5000, 5000) } else { (500, 50, 500) };
         assert!(exercised.hits > hits, "capacity {capacity}: traces barely hit");
         assert!(exercised.stale > stale, "capacity {capacity}: staleness not exercised");
-        assert!(exercised.uncovered > uncovered, "capacity {capacity}: coverage not exercised");
         assert!(exercised.evictions > evictions, "capacity {capacity}: eviction not exercised");
     }
 }
 
 // ---------------------------------------------------------------------------
-// FIFO facade bit-compatibility with the pre-refactor RetrievalCache
+// The service facade against the same model
 // ---------------------------------------------------------------------------
 
-/// Verbatim re-implementation of the pre-refactor
-/// `rqfa_service::cache::RetrievalCache` (FIFO order deque, stale entries
-/// overwritten in place), kept here as the compatibility oracle.
-struct LegacyFifoCache {
-    capacity: usize,
-    map: HashMap<u64, (Generation, Option<Scored<Q15>>, usize)>,
-    order: VecDeque<u64>,
-    hits: u64,
-    misses: u64,
-    stale: u64,
-}
-
-impl LegacyFifoCache {
-    fn new(capacity: usize) -> LegacyFifoCache {
-        LegacyFifoCache {
-            capacity,
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
-            stale: 0,
-        }
-    }
-
-    fn lookup(&mut self, fingerprint: u64, generation: Generation) -> Option<Retrieval<Q15>> {
-        match self.map.get(&fingerprint) {
-            Some(&(stamp, best, evaluated)) if stamp == generation => {
-                self.hits += 1;
-                Some(Retrieval {
-                    best,
-                    evaluated,
-                    ops: OpCounts::default(),
-                })
-            }
-            Some(_) => {
-                self.stale += 1;
-                self.misses += 1;
-                None
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, fingerprint: u64, generation: Generation, result: &Retrieval<Q15>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if !self.map.contains_key(&fingerprint) {
-            while self.map.len() >= self.capacity {
-                match self.order.pop_front() {
-                    Some(old) => {
-                        self.map.remove(&old);
-                    }
-                    None => break,
-                }
-            }
-            self.order.push_back(fingerprint);
-        }
-        self.map
-            .insert(fingerprint, (generation, result.best, result.evaluated));
-    }
-}
-
-fn retrieval(raw_impl: u16, evaluated: usize) -> Retrieval<Q15> {
+/// The retrieval the model's value `value` stands for: `evaluated` is the
+/// value itself, so a served pair names the entry it came from.
+fn retrieval(value: u64) -> Retrieval<Q15> {
+    let best = (!value.is_multiple_of(5)).then(|| Scored {
+        impl_id: ImplId::new(u16::try_from(value % 4096).unwrap() + 1).unwrap(),
+        target: ExecutionTarget::Dsp,
+        similarity: Q15::ONE,
+    });
     Retrieval {
-        best: Some(Scored {
-            impl_id: ImplId::new(raw_impl).unwrap(),
-            target: rqfa::core::ExecutionTarget::Dsp,
-            similarity: Q15::ONE,
-        }),
-        evaluated,
+        best,
+        evaluated: usize::try_from(value).unwrap(),
         ops: OpCounts::default(),
     }
 }
 
-#[test]
-fn fifo_facade_is_bit_compatible_with_the_legacy_cache_without_mutations() {
-    // Without generation bumps the legacy in-place overwrite and the
-    // unified drop-and-reinsert are indistinguishable, so every
-    // observable — hit pattern, served values, counters, size — must
-    // match exactly, trace for trace.
-    let generation = Generation::GENESIS;
-    for seed in 0..SEEDS {
-        let mut facade = RetrievalCache::new(CAPACITY);
-        let mut legacy = LegacyFifoCache::new(CAPACITY);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x001E_6AC7);
-        for step in 0..OPS_PER_TRACE {
-            let fingerprint = rng.gen_range(0..KEY_UNIVERSE);
-            if rng.gen_bool(0.5) {
-                let got = facade.lookup(fingerprint, generation);
-                let want = legacy.lookup(fingerprint, generation);
-                match (&got, &want) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.best, b.best, "seed {seed} step {step}");
-                        assert_eq!(a.evaluated, b.evaluated, "seed {seed} step {step}");
-                    }
-                    (None, None) => {}
-                    other => panic!("seed {seed} step {step}: diverged: {other:?}"),
-                }
-            } else {
-                // Like the real worker, the recompute for a fingerprint at
-                // a fixed generation is a pure function of both — re-inserts
-                // carry the identical payload (which is also why the
-                // facade's keep-the-wider-entry merge may skip them).
-                let result = retrieval(
-                    u16::try_from(fingerprint).unwrap() % 4096 + 1,
-                    usize::try_from(fingerprint).unwrap() % 7 + 1,
-                );
-                facade.insert(fingerprint, generation, &result);
-                legacy.insert(fingerprint, generation, &result);
+/// One seeded trace through `RetrievalCache` and the model in lockstep.
+fn drive_facade(capacity: usize, seed: u64, mutations: bool) -> CacheStats {
+    let label = format!("facade capacity={capacity} seed={seed} mutations={mutations}");
+    let mut facade = RetrievalCache::new(capacity);
+    let mut model = ModelCache::new(capacity);
+    let mut generation: u64 = 0;
+    for (step, (key, op)) in trace(KEY_UNIVERSE, seed, mutations).enumerate() {
+        let stamp = Generation::from_raw(generation);
+        match op {
+            Op::Mutate => generation += 1,
+            Op::Lookup => {
+                let stale_before = model.stats.stale;
+                let want = match model.lookup(key, generation) {
+                    Some(value) => CacheLookup::Hit(retrieval(value)),
+                    None => CacheLookup::Miss {
+                        stale: model.stats.stale > stale_before,
+                    },
+                };
+                let got = facade.lookup_outcome(key, stamp);
+                assert_eq!(got, want, "{label} step {step}: lookup of key {key}");
             }
-            assert_eq!(facade.len(), legacy.map.len(), "seed {seed} step {step}");
-            assert_eq!(
-                facade.stats(),
-                (legacy.hits, legacy.misses, legacy.stale),
-                "seed {seed} step {step}"
-            );
+            Op::Insert(value) => {
+                model.insert(key, generation, value);
+                facade.insert(key, stamp, &retrieval(value));
+            }
         }
+        assert_eq!(facade.len(), model.len(), "{label} step {step}: len");
+        assert_eq!(facade.is_empty(), model.len() == 0, "{label} step {step}: is_empty");
+        check_stats(&label, step, facade.cache_stats(), model.stats);
     }
+    model.stats
 }
 
 #[test]
-fn refresh_re_aging_is_the_one_deliberate_divergence_from_legacy() {
-    // The satellite fix: the legacy cache kept a refreshed entry's
-    // original FIFO age, so the entry recomputed *last* was evicted
-    // *first*. Same operations, opposite survivors.
-    let g0 = Generation::GENESIS;
-    let g1 = g0.next();
-
-    // The shared script: fill a 2-entry cache, let a mutation land, have
-    // fingerprint 1 re-requested (stale miss + refresh), then force one
-    // eviction with a third fingerprint.
-    let mut facade = RetrievalCache::new(2);
-    facade.insert(1, g0, &retrieval(10, 1));
-    facade.insert(2, g0, &retrieval(20, 1));
-    assert!(facade.lookup(1, g1).is_none());
-    facade.insert(1, g1, &retrieval(11, 1));
-    facade.insert(3, g1, &retrieval(30, 1));
-
-    let mut legacy = LegacyFifoCache::new(2);
-    legacy.insert(1, g0, &retrieval(10, 1));
-    legacy.insert(2, g0, &retrieval(20, 1));
-    assert!(legacy.lookup(1, g1).is_none());
-    legacy.insert(1, g1, &retrieval(11, 1));
-    legacy.insert(3, g1, &retrieval(30, 1));
-    // Unified semantics: the refreshed 1 is the *newest* entry, so the
-    // eviction takes 2 (the oldest untouched resident).
-    assert!(facade.lookup(1, g1).is_some(), "refreshed entry must survive");
-    assert!(facade.lookup(3, g1).is_some());
-    assert!(facade.lookup(2, g1).is_none());
-    // Legacy semantics: the refresh kept 1's original insertion age, so
-    // 1 was evicted moments after being recomputed while the stale 2
-    // stayed resident — the bug this PR fixes (residency checked via the
-    // oracle's internals; a lookup of 2 would be masked by staleness).
-    assert!(!legacy.map.contains_key(&1), "legacy evicts the refresh");
-    assert!(legacy.map.contains_key(&2), "legacy keeps the stale resident");
-    assert!(legacy.map.contains_key(&3));
-}
-
-// ---------------------------------------------------------------------------
-// n-best subsumption vs engine recompute
-// ---------------------------------------------------------------------------
-
-#[test]
-fn cached_n_best_answers_best_of_and_smaller_n_bit_identically_to_recompute() {
-    let mut case_base = CaseGen::new(6, 8, 4, 6).seed(0x5B5).build();
-    let engine = FixedEngine::new();
-    // Distinct fingerprints only: the coverage bookkeeping below assumes
-    // one cached entry per request (a repeat would widen an older entry).
-    let mut seen = std::collections::HashSet::new();
-    let requests: Vec<_> = RequestGen::new(&case_base)
-        .seed(0x17)
-        .count(60)
-        .repeat_fraction(0.0)
-        .generate()
-        .into_iter()
-        .filter(|r| seen.insert(r.fingerprint()))
-        .collect();
-    assert!(requests.len() > 40, "workload collapsed to {}", requests.len());
-    let mut cache = RetrievalCache::new(1024);
-    let mut rng = SmallRng::seed_from_u64(0xBE57);
-    let mut cached = Vec::new();
-    for (index, request) in requests.iter().enumerate() {
-        let fingerprint = request.fingerprint();
-        // Entries live at their *type's* stamp, as the shard worker
-        // stores them.
-        let generation = case_base.type_stamp(request.type_id()).unwrap();
-        let k = rng.gen_range(1..=6usize);
-        let nbest = engine.retrieve_n_best(&case_base, request, k).unwrap();
-        cache.insert_n_best(fingerprint, generation, k, &nbest);
-        cached.push((request, k));
-
-        // Best-of: bit-identical to the single-result engine (the rank
-        // tie-break guarantees rank(…, 1)[0] == retrieve().best).
-        let direct = engine.retrieve(&case_base, request).unwrap();
-        let served = cache
-            .lookup(fingerprint, generation)
-            .expect("covered best-of must hit");
-        assert_eq!(served.best, direct.best, "request {index}");
-        assert_eq!(served.evaluated, direct.evaluated, "request {index}");
-
-        // Every j ≤ k: the exact prefix the engine would recompute.
-        for j in 0..=k {
-            let direct_j = engine.retrieve_n_best(&case_base, request, j).unwrap();
-            let served_j = cache
-                .lookup_n_best(fingerprint, generation, j)
-                .expect("j ≤ k is covered");
-            assert_eq!(served_j.ranked, direct_j.ranked, "request {index} j={j}");
-            assert_eq!(served_j.evaluated, direct_j.evaluated, "request {index} j={j}");
-        }
-
-        // j > k: answered only when the cached ranking is complete
-        // (k ≥ evaluated) — and then still bit-identically.
-        let beyond = k + 1;
-        match cache.lookup_n_best(fingerprint, generation, beyond) {
-            Some(served_beyond) => {
-                assert!(k >= direct.evaluated, "request {index}: incomplete entry over-served");
-                let direct_beyond = engine
-                    .retrieve_n_best(&case_base, request, beyond)
-                    .unwrap();
-                assert_eq!(served_beyond.ranked, direct_beyond.ranked);
+fn the_retrieval_cache_matches_the_reference_model_with_and_without_stamp_moves() {
+    for capacity in [0, 1, CAPACITY] {
+        for mutations in [false, true] {
+            let mut exercised = CacheStats::default();
+            for seed in 0..SEEDS {
+                let s = drive_facade(capacity, seed, mutations);
+                exercised.hits += s.hits;
+                exercised.stale += s.stale;
+                exercised.evictions += s.evictions;
             }
-            None => assert!(k < direct.evaluated, "request {index}: complete entry under-served"),
+            let shape = format!("capacity {capacity}, mutations {mutations}");
+            assert_eq!(exercised.stale > 0, mutations && capacity > 0, "{shape}: staleness");
+            if capacity > 0 {
+                assert!(exercised.hits > 500, "{shape}: traces barely hit");
+                assert!(exercised.evictions > 500, "{shape}: eviction not exercised");
+            }
         }
-    }
-
-    // One mutation invalidates *every view* of every entry of its type
-    // atomically — one stale drop per entry, whichever view asks first —
-    // and leaves every other type's entries answering as before.
-    let victim_type = case_base.function_types()[0].id();
-    let victim_impl = case_base.function_types()[0].variants()[0].id();
-    let stale_before = cache.cache_stats().stale;
-    case_base
-        .apply_mutation(&CaseMutation::Evict {
-            type_id: victim_type,
-            impl_id: victim_impl,
-        })
-        .unwrap();
-    let mut victims = 0u64;
-    for (index, &(request, k)) in cached.iter().enumerate() {
-        let fingerprint = request.fingerprint();
-        let stamp = case_base.type_stamp(request.type_id()).unwrap();
-        if request.type_id() == victim_type {
-            victims += 1;
-            assert!(cache.lookup_n_best(fingerprint, stamp, 1).is_none());
-            assert!(cache.lookup(fingerprint, stamp).is_none());
-        } else {
-            let direct = engine.retrieve_n_best(&case_base, request, k).unwrap();
-            let served = cache
-                .lookup_n_best(fingerprint, stamp, k)
-                .expect("another type's mutation must not cost this entry");
-            assert_eq!(served.ranked, direct.ranked, "request {index}");
-            let best = cache.lookup(fingerprint, stamp).expect("best-of view too");
-            assert_eq!(Some(&best.best.unwrap()), direct.ranked.first());
-        }
-    }
-    assert!(victims > 0 && victims < cached.len() as u64, "both sides exercised");
-    assert_eq!(
-        cache.cache_stats().stale - stale_before,
-        victims,
-        "one stale drop per entry of the mutated type, none elsewhere"
-    );
-
-    // And recomputes against the mutated case base re-populate correctly.
-    let stamp = case_base.type_stamp(victim_type).unwrap();
-    for (index, request) in requests
-        .iter()
-        .filter(|r| r.type_id() == victim_type)
-        .enumerate()
-    {
-        let fingerprint = request.fingerprint();
-        let nbest = engine.retrieve_n_best(&case_base, request, 4).unwrap();
-        cache.insert_n_best(fingerprint, stamp, 4, &nbest);
-        let direct = engine.retrieve(&case_base, request).unwrap();
-        let served = cache.lookup(fingerprint, stamp).unwrap();
-        assert_eq!(served.best, direct.best, "post-mutation request {index}");
     }
 }
 
