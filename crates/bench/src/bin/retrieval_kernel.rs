@@ -29,7 +29,11 @@
 //!    lane-steps long, so it times the per-request fixed cost and cannot
 //!    see a streaming kernel. `scan/*` repeats sections 1, 2, 3 and 6 on
 //!    the benchmark's `local_scan` shape: 16 types × 512 variants and
-//!    20 000 non-repeating requests, verified bit-for-bit first.
+//!    20 000 non-repeating requests, verified bit-for-bit first. It also
+//!    reports how many of a type's 32 lane-steps the top-1 walk scored
+//!    per request (`scan/steps_scored_per_req`) and the single-request
+//!    time (`scan/plane_single_ns_per_req`), on whichever path the run
+//!    pins.
 //!
 //! `--scalar` pins *every* plane engine in the run (including the
 //! verification pass) to the scalar kernel — the CI fallback lane runs
@@ -173,7 +177,7 @@ fn main() {
         scan_base.variant_count() / scan_base.type_count(),
         scan.len()
     );
-    verify(&scan_base, &scan, kernel);
+    let steps_per_req = verify(&scan_base, &scan, kernel);
     // Fresh engines: one engine serves one case-base lineage.
     let mut scan_engine = PlaneEngine::with_kernel(kernel);
     let scan_naive = naive_single_rate(&scan_base, &scan);
@@ -184,6 +188,7 @@ fn main() {
         &scan_base,
         &scan,
     );
+    let scan_ns = 1.0e9 / scan_single;
     print_pair("scan single", scan_naive, scan_single);
     print_pair(&format!("scan batch {BATCH}"), scan_naive, scan_batch);
     println!(
@@ -191,11 +196,20 @@ fn main() {
         plane_engine.kernel_path(),
         fmt_ratio(scan_single / scan_scalar)
     );
+    #[allow(clippy::cast_precision_loss)]
+    let steps_per_type = (scan_base.variant_count() / scan_base.type_count()).div_ceil(16) as f64;
+    println!(
+        "scan walk       {steps_per_req:.2} of {steps_per_type:.0} lane-steps scored per request, \
+         {scan_ns:.0} ns/request ({})",
+        scan_engine.kernel_path()
+    );
     report.push("scan/naive_single", "req_per_sec", scan_naive);
     report.push("scan/plane_single", "req_per_sec", scan_single);
     report.push("scan/plane_batch32", "req_per_sec", scan_batch);
     report.push("scan/scalar_single", "req_per_sec", scan_scalar);
     report.push("scan/wide_over_scalar", "ratio", scan_single / scan_scalar);
+    report.push("scan/steps_scored_per_req", "count", steps_per_req);
+    report.push("scan/plane_single_ns_per_req", "ns", scan_ns);
 
     // Acceptance. The zipf margin is deliberately generous (≥ 1×: the
     // plane must never be slower) so CI noise cannot flake the lane; the
@@ -225,8 +239,9 @@ fn main() {
 }
 
 /// Bit-identity check over the whole trace before any timing, on the
-/// same kernel path the timed sections will use.
-fn verify(case_base: &CaseBase, trace: &[Request], kernel: KernelPath) {
+/// same kernel path the timed sections will use. Returns the lane-steps
+/// the top-1 walk scored per request.
+fn verify(case_base: &CaseBase, trace: &[Request], kernel: KernelPath) -> f64 {
     let naive = FixedEngine::new();
     let mut plane = PlaneEngine::with_kernel(kernel);
     for (i, request) in trace.iter().enumerate() {
@@ -241,6 +256,10 @@ fn verify(case_base: &CaseBase, trace: &[Request], kernel: KernelPath) {
         }
     }
     println!("verification: plane ≡ naive over {} requests ✓\n", trace.len());
+    #[allow(clippy::cast_precision_loss)]
+    {
+        plane.steps_scored() as f64 / trace.len() as f64
+    }
 }
 
 /// Deterministic coalescing A/B: hit rate of the duplicate-heavy burst

@@ -1,34 +1,44 @@
 //! Zero-allocation scoring kernels over a compiled [`RetrievalPlane`].
 //!
-//! One request is scored by **one pass over its type plane**: its
-//! constraints are resolved into a *plan* (column, requested value,
-//! reciprocal + saturation distance, weight — everything the inner loops
-//! need, free of request lifetimes), and the plan is streamed through the
-//! paper's 16-bit datapath (fig. 7): abs-diff, scale, complement,
-//! weight, accumulate, clamp, compare against the best so far. Scores
-//! are UQ1.15 words in a `u16`; the accumulator **saturates** instead of
-//! widening, which is exact because the only reader clamps to `0x8000`
-//! anyway (`min(min(Σ, 0xFFFF), 0x8000) = min(Σ, 0x8000)`). Every
-//! per-term operation is the shared `rqfa_fixed` code or an exact
-//! transliteration of it, and the saturating sum of non-negative terms
-//! does not depend on their order, so the scores are **bit-identical** to
+//! A request's constraints are resolved into a *plan* (column, requested
+//! value, reciprocal + saturation distance, weight — everything the inner
+//! loops need, free of request lifetimes), and the plan is streamed
+//! through the paper's 16-bit datapath (fig. 7) one **lane-step** of 16
+//! variants at a time: abs-diff, scale, complement, weight, accumulate,
+//! clamp. Scores are UQ1.15 words in a `u16`; the accumulator
+//! **saturates** instead of widening, which is exact because the only
+//! reader clamps to `0x8000` anyway (`min(min(Σ, 0xFFFF), 0x8000) =
+//! min(Σ, 0x8000)`). Every per-term operation is the shared `rqfa_fixed`
+//! code or an exact transliteration of it, and the saturating sum of
+//! non-negative terms does not depend on their order, so the scores are
+//! **bit-identical** to
 //! [`FixedEngine::score_all`](crate::FixedEngine::score_all) — the
 //! workspace differential harness (`tests/plane_differential.rs`) proves
 //! it over seeded random case bases, request streams and mid-stream
 //! mutations, with the wide and scalar paths held to the same contract.
 //!
-//! Two paths run that datapath, selected once per engine:
+//! **Top-1 is an exact walk over a presorted copy**, not a pass over the
+//! whole type. The request's heaviest planned constraint is the *pivot*;
+//! the walk scores the lane-step of the type's copy presorted by the
+//! pivot ([`TypePlane`] keeps one per column) that holds the requested
+//! pivot value, then steps outward on either side. A side stops at the
+//! first step whose bound — the other planned weights plus the pivot's
+//! term at the distance from the requested value to the step's key range,
+//! clamped like the accumulator — is strictly below the best score so
+//! far. No score in a step exceeds its bound, and bounds do not rise
+//! along a side, so no skipped step holds the winner or ties it. The
+//! winner is the highest score, ties to the smallest tree index: the
+//! naive engine's first-achieving maximum. n-best and full score vectors
+//! score every step into a tree-order row instead.
+//!
+//! Two paths score a lane-step, selected once per engine:
 //!
 //! * **Wide** — on hosts with AVX2 (runtime-detected, never compiled in
 //!   on foreign targets beyond the `std::arch` gate), the `wide`
 //!   submodule runs sixteen copies of the datapath side by side, one
-//!   256-bit register of `u16` lanes per step, with the accumulator and
-//!   the best-comparator in registers: the fused top-1 writes no score
-//!   row and makes no second pass. The n-best and full-vector entry
-//!   points run the same function with a second sink that stores the
-//!   clamped row.
-//! * **Scalar** — always compiled: one column at a time into the
-//!   [`Scratch`] row, then one clamp-and-compare pass over it.
+//!   256-bit register of `u16` lanes per step, the accumulator in a
+//!   register.
+//! * **Scalar** — always compiled: the same step, lane by lane.
 //!
 //! Steady-state calls allocate nothing: every intermediate lives in the
 //! caller-owned [`Scratch`] (sized on first use, reused after), and the
@@ -48,7 +58,8 @@
 //! [`OpCounts`] it reports is documented in `docs/retrieval.md` and is
 //! **path-independent** (arithmetic counters are identical to the naive
 //! path; `search_steps` counts per-constraint column resolutions instead
-//! of attribute-list walk steps).
+//! of attribute-list walk steps). It is also independent of pruning:
+//! the counters model the paper's datapath, which scores every variant.
 
 use core::borrow::Borrow;
 use core::cmp::Reverse;
@@ -60,9 +71,8 @@ use crate::engine::{OpCounts, Retrieval, ScoreResult, Scored};
 use crate::error::CoreError;
 use crate::generation::Generation;
 use crate::nbest::NBest;
-use crate::plane::{AttrColumn, RetrievalPlane, TypePlane};
+use crate::plane::{AttrColumn, RetrievalPlane, SortedCopy, TypePlane, COLUMN_PAD};
 use crate::request::Request;
-use crate::similarity::local_q15;
 
 #[cfg(target_arch = "x86_64")]
 mod wide;
@@ -148,6 +158,9 @@ struct PlanEntry {
     weight: Q15,
 }
 
+/// Variants per lane-step: the unit both paths score.
+const LANES: usize = COLUMN_PAD;
+
 /// Reusable scratch arena of the scoring kernels.
 ///
 /// Own one per worker/thread and pass it to every kernel call: after the
@@ -156,10 +169,8 @@ struct PlanEntry {
 /// counting-allocator test both verify this).
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// One UQ1.15 score per variant slot (the wide path stores whole
-    /// lane-steps, so its row is padded): the scalar path's saturating
-    /// accumulators, and on either path the clamped scores the ranking
-    /// and full-vector entry points read.
+    /// One clamped UQ1.15 score per variant, in tree order: what the
+    /// ranking and full-vector entry points read.
     row: Vec<u16>,
     /// The planned constraints of the request being scored.
     plan: Vec<PlanEntry>,
@@ -168,6 +179,8 @@ pub struct Scratch {
     /// Buffer reallocation events (capacity growth), for scratch-reuse
     /// assertions.
     grows: u64,
+    /// Lane-steps the top-1 walk has scored.
+    steps_scored: u64,
 }
 
 impl Scratch {
@@ -264,82 +277,147 @@ fn charge(ty: &TypePlane, column: Option<&AttrColumn>, ops: &mut OpCounts) {
     }
 }
 
-/// Scalar streaming of one planned constraint over its column into the
-/// accumulator row: the exact per-slot arithmetic of the naive engine.
-/// Missing bindings (sparse holes) contribute `s_i = 0` exactly as the
-/// naive engine's failed `resumable_find` does.
-fn stream_scalar(column: &AttrColumn, entry: &PlanEntry, row: &mut [u16]) {
-    let term = |case: u16| {
-        local_q15(entry.value, case, entry.recip)
-            .mul_trunc(entry.weight)
-            .raw()
-    };
-    if column.is_dense() {
-        for (slot, &case) in row.iter_mut().zip(column.values()) {
-            *slot = slot.saturating_add(term(case));
-        }
-    } else {
-        let values = column.values();
-        for (word_index, &word) in column.present_words().iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let index = word_index * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                row[index] = row[index].saturating_add(term(values[index]));
+/// One term of the datapath: `mul_trunc(s(d), weight)` for a case at
+/// distance `d` from the requested value — the naive engine's arithmetic.
+fn term(entry: &PlanEntry, d: u16) -> u16 {
+    rqfa_fixed::local_similarity(d, entry.recip)
+        .mul_trunc(entry.weight)
+        .raw()
+}
+
+/// The scalar twin of `wide::score_step`: lane-step `step` of `copy`
+/// through the datapath one lane at a time. Lanes that do not bind a
+/// planned column add `s_i = 0` for it, exactly as the naive engine's
+/// failed `resumable_find` does, so padded rows score 0.
+fn score_step_scalar(copy: &SortedCopy<'_>, plan: &[PlanEntry], step: usize) -> [u16; LANES] {
+    let mut acc = [0u16; LANES];
+    for entry in plan {
+        let (cases, present) = copy.step(entry.column as usize, step);
+        for (lane, (sum, &case)) in acc.iter_mut().zip(cases).enumerate() {
+            if present >> lane & 1 == 1 {
+                *sum = sum.saturating_add(term(entry, case.abs_diff(entry.value)));
             }
         }
     }
+    // Final clamp, identical to the naive engine: Σ(s_i·w_i) ≤ Σ w_i =
+    // 0x8000, saturated defensively anyway.
+    acc.map(|sum| sum.min(Q15::ONE.raw()))
 }
 
-/// Streams the scratch plan through the engine's datapath and returns
-/// the first-achieving-max `(index, raw similarity)` — strict-`>` update
-/// over tree order, the naive engine's winner rule. With `keep_row`,
-/// `scratch.row[..variant_count]` holds every clamped score on return
-/// (the scalar path always leaves it; the wide top-1 writes no row).
+/// The 16 clamped scores of lane-step `step` of `copy`, on `path`.
 #[allow(unsafe_code)] // the one dispatch into the runtime-detected wide path
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] // `keep_row`
-fn stream(ty: &TypePlane, scratch: &mut Scratch, keep_row: bool, path: ActivePath) -> (usize, u16) {
+fn score_step(
+    path: ActivePath,
+    copy: &SortedCopy<'_>,
+    plan: &[PlanEntry],
+    step: usize,
+) -> [u16; LANES] {
+    match path {
+        ActivePath::Scalar => score_step_scalar(copy, plan, step),
+        // SAFETY: `ActivePath::Avx2` is only constructed after
+        // `wide::available()` observed AVX2 at runtime.
+        #[cfg(target_arch = "x86_64")]
+        ActivePath::Avx2 => unsafe { wide::score_step(copy, plan, step) },
+    }
+}
+
+/// The fused top-1: walks the copy presorted by the plan's heaviest
+/// entry (the pivot, the first of equals) outward from the step holding
+/// the requested pivot value, and returns `(tree index, raw similarity)`
+/// of the highest score, ties to the smallest tree index. Each side stops
+/// at the first step whose bound is strictly below the best score:
+/// `min(0x8000, Σ other weights + term(pivot, d))`, with `d` the distance
+/// from the requested value to the step's key range and term 0 for steps
+/// that bind no pivot. Adds the steps it scored to `steps_scored`.
+fn walk(
+    ty: &TypePlane,
+    plan: &[PlanEntry],
+    steps_scored: &mut u64,
+    path: ActivePath,
+) -> (usize, u16) {
+    let Some(pivot) = plan.iter().min_by_key(|entry| Reverse(entry.weight)) else {
+        // Nothing planned: every variant scores 0 and the first one wins.
+        return (0, 0);
+    };
+    let weight = |entry: &PlanEntry| u32::from(entry.weight.raw());
+    let rest = plan.iter().map(weight).sum::<u32>() - weight(pivot);
+    let copy = ty.sorted(pivot.column as usize);
+    let keys = copy.keys();
+    let bound = |step: usize| {
+        let pivot_term = keys.get(step).map_or(0, |&[first, last]| {
+            let d = first.saturating_sub(pivot.value).max(pivot.value.saturating_sub(last));
+            term(pivot, d)
+        });
+        (rest + u32::from(pivot_term)).min(u32::from(Q15::ONE.raw()))
+    };
+    // A lane's rank: its score above its complemented tree index, so the
+    // larger rank is the higher score, then the smaller index. Padded
+    // rows rank 0 and never win.
+    let best_of = |step: usize| {
+        let scores = score_step(path, &copy, plan, step);
+        scores
+            .iter()
+            .zip(copy.rows(step))
+            .map(|(&score, &row)| u32::from(score) << 16 | u32::from(!row))
+            .max()
+            .expect("LANES > 0")
+    };
+    // A pivot column exists only where some variant binds it: `keys` is
+    // never empty.
+    let start = keys
+        .partition_point(|&[_, last]| last < pivot.value)
+        .min(keys.len() - 1);
+    let mut best = best_of(start);
+    let mut scored = 1;
+    for step in (0..start).rev() {
+        if bound(step) < best >> 16 {
+            break;
+        }
+        best = best.max(best_of(step));
+        scored += 1;
+    }
+    for step in start + 1..copy.steps() {
+        if bound(step) < best >> 16 {
+            break;
+        }
+        best = best.max(best_of(step));
+        scored += 1;
+    }
+    *steps_scored += scored;
+    #[allow(clippy::cast_possible_truncation)] // the halves of a 32-bit rank
+    (usize::from(!(best as u16)), (best >> 16) as u16)
+}
+
+/// Scores every step of the type into `scratch.row`, in tree order: the
+/// sink of the n-best and full-vector entry points.
+fn score_row(ty: &TypePlane, scratch: &mut Scratch, path: ActivePath) {
     let Scratch {
         row, plan, grows, ..
     } = scratch;
-    match path {
-        ActivePath::Scalar => {
-            let row = zeroed(row, ty.variant_count(), grows);
-            for entry in plan.iter() {
-                stream_scalar(&ty.columns()[entry.column as usize], entry, row);
+    let row = zeroed(row, ty.variant_count(), grows);
+    // Nothing planned: every score is 0.
+    let Some(first) = plan.first() else { return };
+    let copy = ty.sorted(first.column as usize);
+    for step in 0..copy.steps() {
+        let scores = score_step(path, &copy, plan, step);
+        for (&score, &index) in scores.iter().zip(copy.rows(step)) {
+            // Padded rows have no slot.
+            if let Some(slot) = row.get_mut(usize::from(index)) {
+                *slot = score;
             }
-            // Final clamp, identical to the naive engine: Σ(s_i·w_i) ≤
-            // Σ w_i = 0x8000, saturated defensively anyway.
-            let mut best = (0, 0);
-            for (index, slot) in row.iter_mut().enumerate() {
-                *slot = (*slot).min(Q15::ONE.raw());
-                if *slot > best.1 {
-                    best = (index, *slot);
-                }
-            }
-            best
-        }
-        #[cfg(target_arch = "x86_64")]
-        ActivePath::Avx2 => {
-            let row = keep_row.then(|| zeroed(row, ty.padded_len(), grows));
-            // SAFETY: `ActivePath::Avx2` is only constructed after
-            // `wide::available()` observed AVX2 at runtime.
-            unsafe { wide::stream(ty, plan, row) }
         }
     }
 }
 
-/// Scores one request against the type plane it addresses: resolves and
-/// charges its constraints, charges the comparator — one comparison per
-/// variant, whichever sink runs — and streams the plan. Returns the type
-/// plane, the [`stream`] result (see there for `keep_row`) and the cost.
-fn score<'p>(
+/// Resolves one request against the type plane it addresses: resolves
+/// and charges its constraints into the scratch plan and charges the
+/// comparator — one comparison per variant, whichever sink runs. Returns
+/// the type plane and the cost.
+fn prepare<'p>(
     plane: &'p RetrievalPlane,
     request: &Request,
     scratch: &mut Scratch,
-    keep_row: bool,
-    path: ActivePath,
-) -> Result<(&'p TypePlane, (usize, u16), OpCounts), CoreError> {
+) -> Result<(&'p TypePlane, OpCounts), CoreError> {
     let type_id = request.type_id();
     let ty = plane
         .type_plane(type_id)
@@ -347,7 +425,7 @@ fn score<'p>(
     let mut ops = OpCounts::default();
     resolve(plane, ty, request, scratch, &mut ops)?;
     ops.comparisons += ty.variant_count() as u64;
-    Ok((ty, stream(ty, scratch, keep_row, path), ops))
+    Ok((ty, ops))
 }
 
 /// Variant `index` of the type with its clamped score.
@@ -359,14 +437,15 @@ fn scored(ty: &TypePlane, index: usize, raw: u16) -> Scored<Q15> {
     }
 }
 
-/// Scores one request with the fused top-1 reduction.
+/// Scores one request with the fused top-1 walk.
 fn score_top1(
     plane: &RetrievalPlane,
     request: &Request,
     scratch: &mut Scratch,
     path: ActivePath,
 ) -> Result<Retrieval<Q15>, CoreError> {
-    let (ty, (index, raw), ops) = score(plane, request, scratch, false, path)?;
+    let (ty, ops) = prepare(plane, request, scratch)?;
+    let (index, raw) = walk(ty, &scratch.plan, &mut scratch.steps_scored, path);
     Ok(Retrieval {
         // A function type — and so its plane — is never empty.
         best: Some(scored(ty, index, raw)),
@@ -480,6 +559,14 @@ impl PlaneEngine {
         self.types_recompiled
     }
 
+    /// How many lane-steps of [`COLUMN_PAD`] variants the top-1 walk of
+    /// [`PlaneEngine::retrieve`] and [`PlaneEngine::retrieve_batch_into`]
+    /// has scored. A full scan scores [`TypePlane::padded_len`] ÷ 16 per
+    /// request; the pruning pins compare against that.
+    pub fn steps_scored(&self) -> u64 {
+        self.scratch.steps_scored
+    }
+
     /// Scratch-buffer growth events (see [`Scratch::grows`]).
     pub fn scratch_grows(&self) -> u64 {
         self.scratch.grows()
@@ -559,7 +646,8 @@ impl PlaneEngine {
     ) -> Result<(usize, OpCounts), CoreError> {
         self.ensure(case_base);
         let plane = self.plane.as_ref().expect("just ensured");
-        let (ty, _, ops) = score(plane, request, &mut self.scratch, true, self.active)?;
+        let (ty, ops) = prepare(plane, request, &mut self.scratch)?;
+        score_row(ty, &mut self.scratch, self.active);
         let variants = ty.variant_count();
         // Rank indices over the clamped row: descending similarity with
         // ascending-index tie-break — exactly `nbest::rank`.
@@ -615,7 +703,8 @@ impl PlaneEngine {
     ) -> Result<(Vec<Scored<Q15>>, OpCounts), CoreError> {
         self.ensure(case_base);
         let plane = self.plane.as_ref().expect("just ensured");
-        let (ty, _, ops) = score(plane, request, &mut self.scratch, true, self.active)?;
+        let (ty, ops) = prepare(plane, request, &mut self.scratch)?;
+        score_row(ty, &mut self.scratch, self.active);
         let scores = self.scratch.row[..ty.variant_count()]
             .iter()
             .enumerate()

@@ -1,14 +1,13 @@
 //! The AVX2 wide kernel: the paper's 16-bit retrieval datapath (fig. 7)
-//! sixteen times side by side, fused with its best-comparator.
+//! sixteen times side by side.
 //!
-//! One 256-bit register holds 16 `u16` lanes — 16 variants per
-//! lane-step. A step loops over the request's planned constraints with
-//! the similarity accumulator **in a register**, clamps it, and hands the
-//! 16 scores to the per-lane best-comparator (`best`, `best_step`): the
-//! type plane is walked once, no accumulator row is written and no second
-//! pass finds the winner. Each lane runs the scalar UQ1.15 datapath
-//! exactly, on `epu16` operations only (proofs: `docs/retrieval.md`,
-//! "Variant axis"):
+//! One 256-bit register holds 16 `u16` lanes — the 16 rows of one
+//! lane-step of a presorted copy. A step loops over the request's planned
+//! constraints with the similarity accumulator **in a register** and
+//! clamps it; the top-1 walk and the score-row sink in the parent module
+//! decide which steps to score and what to do with the 16 scores. Each
+//! lane runs the scalar UQ1.15 datapath exactly, on `epu16` operations
+//! only (proofs: `docs/retrieval.md`, "Variant axis"):
 //!
 //! ```text
 //! d    = max(c, v) − min(c, v)                        |case − request|
@@ -28,41 +27,29 @@
 //! to avoid.) The final clamp `min(acc, 0x8000)` equals the scalar
 //! path's clamp of the `u16`-saturated sum.
 //!
-//! Columns are physically padded to [`COLUMN_PAD`](crate::plane::COLUMN_PAD)
-//! = 16 rows, so every step is one whole load. Padded lanes of the last
-//! step are **masked to score 0** before the comparator sees them: a
-//! dense column's padding holds value 0 and would otherwise score like a
-//! real variant bound to 0.
+//! A copy is padded to whole steps with rows that bind no column, so a
+//! padded lane's every term is masked to 0 and it scores 0.
 //!
 //! This is the only module in the crate allowed to use `unsafe` (the
 //! crate root carries `deny(unsafe_code)`). Inside
 //! `#[target_feature(enable = "avx2")]` functions the arithmetic
 //! intrinsics are safe calls; what is left is the 256-bit load, which
 //! takes a `&[u16; 16]`, and the one runtime-detected dispatch into
-//! [`stream`] in the parent module.
+//! [`score_step`] in the parent module.
 
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::arch::x86_64::{
-    __m256i, _mm256_adds_epu16, _mm256_and_si256, _mm256_blendv_epi8, _mm256_cmpeq_epi16,
-    _mm256_cmpgt_epi16, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_max_epu16,
-    _mm256_min_epu16, _mm256_mulhi_epu16, _mm256_mullo_epi16, _mm256_set1_epi16, _mm256_setr_epi16,
-    _mm256_setzero_si256, _mm256_sub_epi16,
+    __m256i, _mm256_adds_epu16, _mm256_and_si256, _mm256_cmpeq_epi16, _mm256_extract_epi64,
+    _mm256_loadu_si256, _mm256_max_epu16, _mm256_min_epu16, _mm256_mulhi_epu16, _mm256_mullo_epi16,
+    _mm256_set1_epi16, _mm256_setr_epi16, _mm256_setzero_si256, _mm256_sub_epi16,
 };
 
 use rqfa_fixed::Q15;
 
-use super::PlanEntry;
-use crate::plane::TypePlane;
-
-/// Variants per lane-step: 16 × `u16` lanes in one 256-bit register.
-const LANES: usize = 16;
-
-/// Lane-steps per unrolled block: four independent accumulators hide the
-/// multiplier latency, and each constraint's constants are broadcast once
-/// per block instead of once per step.
-const UNROLL: usize = 4;
+use super::{PlanEntry, LANES};
+use crate::plane::SortedCopy;
 
 /// UQ1.15 `1.0`, `0x8000`.
 const ONE: u16 = Q15::ONE.raw();
@@ -128,117 +115,41 @@ fn spread(bits: u16) -> __m256i {
     _mm256_cmpeq_epi16(_mm256_and_si256(splat(bits), lane_bit), lane_bit)
 }
 
-/// One constraint's terms `mul_trunc(s_i, weight)` over `N` lane-steps.
+/// One constraint's terms `mul_trunc(s_i, weight)` over one lane-step.
 ///
 /// `(s_i · w) >> 15 = (s_i · 2w) >> 16`, the high half of a 16 × 16
 /// product. The one weight whose double does not fit 16 bits is 1.0, and
 /// `s_i · 1.0` is `s_i`.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn terms<const N: usize>(steps: &[[u16; LANES]; N], entry: &PlanEntry) -> [__m256i; N] {
+fn term(cases: &[u16; LANES], entry: &PlanEntry) -> __m256i {
+    let si = local(load(cases), entry);
     match entry.weight.raw().checked_mul(2) {
-        Some(doubled) => steps
-            .each_ref()
-            .map(|cases| _mm256_mulhi_epu16(local(load(cases), entry), splat(doubled))),
-        None => steps.each_ref().map(|cases| local(load(cases), entry)),
+        Some(doubled) => _mm256_mulhi_epu16(si, splat(doubled)),
+        None => si,
     }
 }
 
-/// The clamped scores of lane-steps `first .. first + N`: every planned
-/// constraint's terms accumulated in registers, absent bindings adding 0.
-#[inline]
+/// The 16 clamped scores of lane-step `step` of `copy`: every planned
+/// constraint's terms accumulated in a register, lanes that do not bind
+/// a constraint's column adding 0 for it.
 #[target_feature(enable = "avx2")]
-fn score_steps<const N: usize>(ty: &TypePlane, plan: &[PlanEntry], first: usize) -> [__m256i; N] {
-    let mut acc = [_mm256_setzero_si256(); N];
+pub(super) fn score_step(copy: &SortedCopy<'_>, plan: &[PlanEntry], step: usize) -> [u16; LANES] {
+    let mut acc = _mm256_setzero_si256();
     for entry in plan {
-        let column = &ty.columns()[entry.column as usize];
-        debug_assert_eq!(column.padded_values().len(), ty.padded_len());
-        let (steps, rest) = column.padded_values().as_chunks::<LANES>();
-        debug_assert!(rest.is_empty(), "columns pad to whole lane-steps");
-        let steps = steps[first..first + N].try_into().expect("N lane-steps");
-        // Terms before the dense/sparse branch, not inside its arms: the
+        let (cases, present) = copy.step(entry.column as usize, step);
+        // The term before the presence branch, not inside its arms: the
         // compiler selects `vpmulhuw` only while the multiply sits in one
         // basic block with the widening of both operands.
-        let terms = terms::<N>(steps, entry);
-        if column.is_dense() {
-            for (acc, term) in acc.iter_mut().zip(terms) {
-                *acc = _mm256_adds_epu16(*acc, term);
-            }
+        let term = term(cases, entry);
+        let term = if present == u16::MAX {
+            term
         } else {
-            let words = column.present_words();
-            for (offset, (acc, term)) in acc.iter_mut().zip(terms).enumerate() {
-                // LANES divides 64: a step never straddles a bitmap word.
-                let base = (first + offset) * LANES;
-                #[allow(clippy::cast_possible_truncation)]
-                let present = spread((words[base / 64] >> (base % 64)) as u16);
-                *acc = _mm256_adds_epu16(*acc, _mm256_and_si256(term, present));
-            }
-        }
+            _mm256_and_si256(term, spread(present))
+        };
+        acc = _mm256_adds_epu16(acc, term);
     }
-    acc.map(|sum| _mm256_min_epu16(sum, splat(ONE)))
-}
-
-/// Streams one type plane through the datapath, 16 variants per step,
-/// and returns the first-achieving-max `(index, similarity)` — the
-/// variant the scalar path's strict-`>` scan over the clamped row picks.
-/// With `row` (`padded_len` slots), the clamped scores are stored too
-/// (padded slots read 0): the sink of the n-best and full-vector paths.
-///
-/// Each lane keeps the best score it has seen and the step it first saw
-/// it at; the global winner is the largest lane value, ties to the
-/// smallest `step · 16 + lane`. A lane that holds the global maximum
-/// holds its first occurrence within that lane, so the smallest such
-/// index is the first occurrence overall.
-#[target_feature(enable = "avx2")]
-pub(super) fn stream(
-    ty: &TypePlane,
-    plan: &[PlanEntry],
-    mut row: Option<&mut [u16]>,
-) -> (usize, u16) {
-    let variants = ty.variant_count();
-    debug_assert_eq!(ty.padded_len() % LANES, 0, "planes pad to whole lane-steps");
-    let mut best = _mm256_setzero_si256();
-    let mut best_step = _mm256_setzero_si256();
-    let mut sink = |step: usize, score: __m256i| {
-        #[allow(clippy::cast_possible_truncation)] // ≤ 2¹⁶ variants: step < 2¹²
-        let here = splat(step as u16);
-        let not_above = _mm256_cmpeq_epi16(_mm256_max_epu16(best, score), best);
-        best_step = _mm256_blendv_epi8(here, best_step, not_above);
-        best = _mm256_max_epu16(best, score);
-        if let Some(row) = row.as_deref_mut() {
-            row[step * LANES..][..LANES].copy_from_slice(&lanes(score));
-        }
-    };
-    // Whole blocks of steps whose 16 lanes are all real variants.
-    let blocks = variants / (LANES * UNROLL);
-    for block in 0..blocks {
-        let scores = score_steps::<UNROLL>(ty, plan, block * UNROLL);
-        for (offset, score) in scores.into_iter().enumerate() {
-            sink(block * UNROLL + offset, score);
-        }
-    }
-    // The ≤ 4 steps left, the last of which may end in padding.
-    let lane_index = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    for step in blocks * UNROLL..ty.padded_len() / LANES {
-        let [score] = score_steps::<1>(ty, plan, step);
-        #[allow(clippy::cast_possible_truncation)]
-        let real = splat((variants - step * LANES).min(LANES) as u16);
-        sink(
-            step,
-            _mm256_and_si256(score, _mm256_cmpgt_epi16(real, lane_index)),
-        );
-    }
-    let (best, best_step) = (lanes(best), lanes(best_step));
-    (0..LANES)
-        .map(|lane| (usize::from(best_step[lane]) * LANES + lane, best[lane]))
-        .reduce(|a, b| {
-            if b.1 > a.1 || (b.1 == a.1 && b.0 < a.0) {
-                b
-            } else {
-                a
-            }
-        })
-        .expect("LANES > 0")
+    lanes(_mm256_min_epu16(acc, splat(ONE)))
 }
 
 #[cfg(test)]
@@ -253,6 +164,7 @@ mod tests {
     use crate::casebase::{CaseBase, FunctionType};
     use crate::ids::{AttrId, ImplId, TypeId};
     use crate::implvariant::{ExecutionTarget, ImplVariant};
+    use crate::kernel::{walk, ActivePath};
     use crate::plane::{saturation_distance, RetrievalPlane};
 
     /// One lane of [`local`] in plain `u16` arithmetic: `wrapping_mul` is
@@ -294,8 +206,7 @@ mod tests {
     /// for 16 case values.
     #[target_feature(enable = "avx2")]
     fn vector_terms(cases: &[u16; LANES], entry: &PlanEntry) -> [u16; LANES] {
-        let [term] = terms::<1>(core::array::from_ref(cases), entry);
-        lanes(term)
+        lanes(term(cases, entry))
     }
 
     /// Runs `check(cases, entry)` over the exhaustive input families of
@@ -430,16 +341,24 @@ mod tests {
             if !vector {
                 continue;
             }
-            let mut row = vec![0xAAAA; ty.padded_len()];
-            // SAFETY: AVX2 was detected just above.
-            let (index, best) = unsafe { stream(ty, &plan, Some(&mut row)) };
-            assert_eq!(row[..40], clamped[..], "{weights:x?}");
-            assert!(
-                row[40..].iter().all(|&slot| slot == 0),
-                "padded lanes score 0"
-            );
-            let first_max = clamped.iter().position(|&s| s == best).unwrap();
-            assert_eq!((index, best), (first_max, *clamped.iter().max().unwrap()));
+            let copy = ty.sorted(0);
+            let mut row = vec![0xAAAA; ty.variant_count()];
+            for step in 0..copy.steps() {
+                // SAFETY: AVX2 was detected just above.
+                let scores = unsafe { score_step(&copy, &plan, step) };
+                for (&score, &index) in scores.iter().zip(copy.rows(step)) {
+                    match row.get_mut(usize::from(index)) {
+                        Some(slot) => *slot = score,
+                        None => assert_eq!(score, 0, "padded lanes score 0"),
+                    }
+                }
+            }
+            assert_eq!(row, clamped, "{weights:x?}");
+            // The walk over the same copy finds the first maximum.
+            let (index, best) = walk(ty, &plan, &mut 0, ActivePath::Avx2);
+            let max = *clamped.iter().max().unwrap();
+            let first_max = clamped.iter().position(|&s| s == max).unwrap();
+            assert_eq!((index, best), (first_max, max));
         }
         assert!(
             between && above,

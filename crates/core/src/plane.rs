@@ -16,9 +16,11 @@
 //!
 //! * per function type, one **contiguous `u16` column per attribute**
 //!   across all variants ([`AttrColumn`]), with a presence **bitmap** for
-//!   attributes not bound by every variant — scoring one constraint
-//!   touches one cache-friendly column instead of walking every
-//!   variant's attribute list;
+//!   attributes not bound by every variant;
+//! * per attribute column, one **presorted copy** of the whole type: every
+//!   column again, rows ordered by that column's value, laid out one
+//!   16-row lane-step after the other — the presorted lists the top-1
+//!   walk of [`crate::kernel`] starts from the request's value in;
 //! * a flat, sorted **reciprocal table** (`attr → 1/(1+d_max)` in
 //!   UQ1.15, plus the distance `d_cap` at which `d · recip` saturates —
 //!   the constant that lets the wide kernel multiply in 16 bits),
@@ -44,18 +46,15 @@ use crate::ids::{AttrId, ImplId, TypeId};
 use crate::implvariant::ExecutionTarget;
 use rqfa_fixed::Q15;
 
-/// Columns are physically padded to a multiple of this many variant
-/// slots (zero-valued, absent in the presence bitmap), so the wide
-/// kernel path can load whole lane-steps: 16 is its lane width (one
-/// 256-bit register of `u16` lanes). The padded lanes of the last step
-/// are masked out of the winner selection by the kernel, not by the
-/// layout. 16 divides 64, so a lane-step never straddles a presence
-/// bitmap word and the bitmap's word count is unchanged.
+/// The sorted copies are padded to a multiple of this many rows (value
+/// 0, bound by no column), so the kernels score whole lane-steps: 16 is
+/// the wide path's lane width (one 256-bit register of `u16` lanes) and
+/// the unit the top-1 walk scores or skips. A padded row binds nothing,
+/// so every term of it is masked to 0 and it never wins.
 pub const COLUMN_PAD: usize = 16;
 
-/// Rounds a variant count up to the padded column length (a multiple of
-/// [`COLUMN_PAD`]) — the physical row stride of padded columns and of
-/// the kernel's accumulator rows.
+/// Rounds a variant count up to a whole number of lane-steps (a multiple
+/// of [`COLUMN_PAD`]) — the row count of a padded sorted copy.
 pub const fn padded_rows(variants: usize) -> usize {
     variants.div_ceil(COLUMN_PAD) * COLUMN_PAD
 }
@@ -65,16 +64,11 @@ pub const fn padded_rows(variants: usize) -> usize {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttrColumn {
     attr: AttrId,
-    /// One value per variant, in tree (ascending `ImplId`) order,
-    /// physically padded with zeros to a multiple of [`COLUMN_PAD`];
-    /// slots of variants that do not bind this attribute hold `0` and
-    /// are masked out by the bitmap.
+    /// One value per variant, in tree (ascending `ImplId`) order; slots
+    /// of variants that do not bind this attribute hold `0` and are
+    /// masked out by the bitmap.
     values: Vec<u16>,
-    /// Logical length of `values` (the variant count).
-    len: usize,
-    /// Presence bitmap, 64 variants per word, LSB-first. Padded slots
-    /// read absent. The word count covers every padded slot, because
-    /// [`COLUMN_PAD`] divides 64.
+    /// Presence bitmap, 64 variants per word, LSB-first.
     present: Vec<u64>,
     /// Number of set bits in `present`.
     present_count: usize,
@@ -90,14 +84,6 @@ impl AttrColumn {
 
     /// The per-variant values in tree order (masked slots read `0`).
     pub fn values(&self) -> &[u16] {
-        &self.values[..self.len]
-    }
-
-    /// The physically padded values: [`AttrColumn::values`] followed by
-    /// zero-valued padding up to a multiple of [`COLUMN_PAD`]. The wide
-    /// kernel streams this slice in whole lane-steps; padded slots are
-    /// absent from the presence bitmap and must never win a reduction.
-    pub fn padded_values(&self) -> &[u16] {
         &self.values
     }
 
@@ -131,6 +117,8 @@ pub struct TypePlane {
     /// Columns sorted by ascending [`AttrId`] (the union of all variants'
     /// attributes).
     columns: Vec<AttrColumn>,
+    /// One copy of the plane presorted by each column.
+    sorted: SortedCopies,
 }
 
 impl TypePlane {
@@ -158,32 +146,38 @@ impl TypePlane {
             .into_iter()
             .map(|attr| AttrColumn {
                 attr,
-                values: vec![0; padded_rows(n)],
-                len: n,
+                values: vec![0; n],
                 present: vec![0; words],
                 present_count: 0,
                 dense: false,
             })
             .collect();
+        // The same bindings row-major, `(value, bound)` per cell: what a
+        // sorted copy gathers one row at a time.
+        let width = columns.len();
+        let mut image = vec![(0, false); n * width];
         for (index, variant) in variants.iter().enumerate() {
             for binding in variant.attrs() {
-                let column = columns
+                let pos = columns
                     .binary_search_by_key(&binding.attr, |c| c.attr)
-                    .map(|pos| &mut columns[pos])
                     .expect("column exists for every bound attribute");
+                let column = &mut columns[pos];
                 column.values[index] = binding.value;
                 column.present[index / 64] |= 1 << (index % 64);
                 column.present_count += 1;
+                image[index * width + pos] = (binding.value, true);
             }
         }
         for column in &mut columns {
             column.dense = column.present_count == n;
         }
+        let sorted = SortedCopies::compile(&columns, &image, n);
         TypePlane {
             type_id: ty.id(),
             impl_ids,
             targets,
             columns,
+            sorted,
         }
     }
 
@@ -197,8 +191,8 @@ impl TypePlane {
         self.impl_ids.len()
     }
 
-    /// The physical row stride of this plane's padded columns (the
-    /// variant count rounded up to a multiple of [`COLUMN_PAD`]).
+    /// The row count of this plane's sorted copies (the variant count
+    /// rounded up to a multiple of [`COLUMN_PAD`]).
     pub fn padded_len(&self) -> usize {
         padded_rows(self.impl_ids.len())
     }
@@ -221,6 +215,137 @@ impl TypePlane {
     /// Index of the column for `attr`, if any variant binds it.
     pub fn column_index(&self, attr: AttrId) -> Option<usize> {
         self.columns.binary_search_by_key(&attr, |c| c.attr).ok()
+    }
+
+    /// The copy of this plane presorted by column `pivot`.
+    pub(crate) fn sorted(&self, pivot: usize) -> SortedCopy<'_> {
+        let (width, steps) = (self.columns.len(), self.padded_len() / COLUMN_PAD);
+        let chunks = steps * width;
+        let bound_steps = self.columns[pivot].present_count.div_ceil(COLUMN_PAD);
+        SortedCopy {
+            width,
+            values: &self.sorted.values[pivot * chunks..][..chunks],
+            present: &self.sorted.present[pivot * chunks..][..chunks],
+            rows: &self.sorted.rows[pivot * steps..][..steps],
+            keys: &self.sorted.keys[pivot * steps..][..bound_steps],
+        }
+    }
+}
+
+/// Every presorted copy of one type plane, one per column, each in one
+/// buffer per field: copy `k` is the `k`-th run of `steps · width`
+/// chunks, `steps` rows and `steps` keys.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SortedCopies {
+    values: Vec<[u16; COLUMN_PAD]>,
+    present: Vec<u16>,
+    rows: Vec<[u16; COLUMN_PAD]>,
+    keys: Vec<[u16; 2]>,
+}
+
+impl SortedCopies {
+    /// Sorts the `n` rows of `columns` by each column in turn. `image`
+    /// holds row `r`'s `(value, bound)` of column `j` at `r · width + j`.
+    fn compile(columns: &[AttrColumn], image: &[(u16, bool)], n: usize) -> SortedCopies {
+        let (width, steps) = (columns.len(), n.div_ceil(COLUMN_PAD));
+        let chunks = steps * width;
+        let mut copies = SortedCopies {
+            values: vec![[0; COLUMN_PAD]; width * chunks],
+            present: vec![0; width * chunks],
+            rows: vec![[u16::MAX; COLUMN_PAD]; width * steps],
+            keys: vec![[0; 2]; width * steps],
+        };
+        let mut order = Vec::with_capacity(n);
+        for (k, pivot) in columns.iter().enumerate() {
+            // One packed key per row: (absent, value, tree index). A tree
+            // index fits 16 bits and is never `0xFFFF`, the padding mark:
+            // a type holds at most 65 535 variants, one per `ImplId` word.
+            order.clear();
+            order.extend((0..n).map(|index| {
+                let absent = u64::from(!pivot.is_present(index));
+                absent << 32 | u64::from(pivot.values[index]) << 16 | index as u64
+            }));
+            order.sort_unstable();
+            let values = &mut copies.values[k * chunks..][..chunks];
+            let present = &mut copies.present[k * chunks..][..chunks];
+            let rows = &mut copies.rows[k * steps..][..steps];
+            for (position, &key) in order.iter().enumerate() {
+                let row = u16::try_from(key & 0xFFFF).expect("masked to 16 bits");
+                let (step, lane) = (position / COLUMN_PAD, position % COLUMN_PAD);
+                rows[step][lane] = row;
+                let cells = &image[usize::from(row) * width..][..width];
+                let at = step * width..(step + 1) * width;
+                for ((chunk, mask), &(value, bound)) in values[at.clone()]
+                    .iter_mut()
+                    .zip(&mut present[at])
+                    .zip(cells)
+                {
+                    chunk[lane] = value;
+                    *mask |= u16::from(bound) << lane;
+                }
+            }
+            let keys = &mut copies.keys[k * steps..];
+            let bound = pivot.present_count;
+            for (step, key) in keys.iter_mut().take(bound.div_ceil(COLUMN_PAD)).enumerate() {
+                let first = step * COLUMN_PAD;
+                let last = (first + COLUMN_PAD).min(bound) - 1;
+                *key = [first, last].map(|position| {
+                    pivot.values[usize::from(rows[position / COLUMN_PAD][position % COLUMN_PAD])]
+                });
+            }
+        }
+        copies
+    }
+}
+
+/// A type plane presorted by one of its columns, the *pivot*: every
+/// column of the type, with the rows that bind the pivot first, by
+/// ascending pivot value, then the rows that do not; ties keep tree
+/// order. The copy is laid out step-major — a lane-step's 16 values of
+/// every column sit together — so scoring one step reads one contiguous
+/// block, and it is padded to whole steps with rows that bind nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SortedCopy<'p> {
+    /// Columns per step (the type's column count).
+    width: usize,
+    /// Lane-step `s` of column `j` is chunk `s · width + j`; unbound
+    /// slots and padded rows hold 0.
+    values: &'p [[u16; COLUMN_PAD]],
+    /// Which lanes of that chunk bind column `j` (lane `l` = bit `l`).
+    present: &'p [u16],
+    /// The tree index of each row, one chunk per step; `u16::MAX` for
+    /// padded rows.
+    rows: &'p [[u16; COLUMN_PAD]],
+    /// The `[first, last]` pivot value of each step that holds a row
+    /// binding the pivot, over those rows only. The steps past them bind
+    /// no pivot at all.
+    keys: &'p [[u16; 2]],
+}
+
+impl<'p> SortedCopy<'p> {
+    /// Number of lane-steps.
+    pub(crate) fn steps(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Lane-step `step` of column `column`: its 16 values and which of
+    /// them bind the column.
+    #[inline]
+    pub(crate) fn step(&self, column: usize, step: usize) -> (&'p [u16; COLUMN_PAD], u16) {
+        let chunk = step * self.width + column;
+        (&self.values[chunk], self.present[chunk])
+    }
+
+    /// The tree indices of lane-step `step`'s rows (`u16::MAX`: padding).
+    #[inline]
+    pub(crate) fn rows(&self, step: usize) -> &'p [u16; COLUMN_PAD] {
+        &self.rows[step]
+    }
+
+    /// The pivot key range of each step holding a row that binds the
+    /// pivot; every later step binds none.
+    pub(crate) fn keys(&self) -> &'p [[u16; 2]] {
+        self.keys
     }
 }
 
@@ -432,32 +557,87 @@ mod tests {
         }
     }
 
+    /// 37 variants (two whole lane-steps and five rows) over one dense
+    /// and two sparse attributes, values with repeats.
+    fn three_step_case_base() -> CaseBase {
+        use crate::attribute::{AttrBinding, AttrDecl};
+        use crate::implvariant::ImplVariant;
+        let attrs: Vec<AttrId> = (1..=3).map(|raw| AttrId::new(raw).unwrap()).collect();
+        let bounds = BoundsTable::from_decls(
+            attrs
+                .iter()
+                .map(|&attr| AttrDecl::new(attr, "synthetic", 0, 40).unwrap()),
+        )
+        .unwrap();
+        let variants = (0..37u16)
+            .map(|index| {
+                let bindings = attrs
+                    .iter()
+                    .zip(1u16..)
+                    .filter(|&(_, raw)| raw == 1 || (index + raw) % 3 != 0)
+                    .map(|(&attr, raw)| AttrBinding::new(attr, (index * 17 + raw * 5) % 13))
+                    .collect();
+                let id = ImplId::new(index + 1).unwrap();
+                ImplVariant::new(id, ExecutionTarget::Dsp, bindings).unwrap()
+            })
+            .collect();
+        let ty = FunctionType::new(TypeId::new(1).unwrap(), "synthetic", variants).unwrap();
+        CaseBase::new(bounds, vec![ty]).unwrap()
+    }
+
     #[test]
-    fn columns_are_padded_with_absent_zeros() {
+    fn sorted_copies_are_the_columns_in_pivot_order() {
         for cb in [
             paper::table1_case_base(),
             paper::tie_case_base(),
             paper::incomplete_attrs_case_base(),
+            three_step_case_base(),
         ] {
             let plane = RetrievalPlane::compile(&cb);
             for ty in plane.type_planes() {
                 let n = ty.variant_count();
                 assert_eq!(ty.padded_len() % COLUMN_PAD, 0);
                 assert!(ty.padded_len() >= n && ty.padded_len() < n + COLUMN_PAD);
-                for column in ty.columns() {
-                    assert_eq!(column.values().len(), n, "logical view is unpadded");
-                    assert_eq!(column.padded_values().len(), ty.padded_len());
-                    assert!(column.padded_values()[n..].iter().all(|&v| v == 0));
-                    // The bitmap covers every padded slot and marks all
-                    // of them absent.
-                    assert!(column.present_words().len() * 64 >= ty.padded_len());
-                    for index in n..ty.padded_len() {
-                        assert_eq!(
-                            (column.present_words()[index / 64] >> (index % 64)) & 1,
-                            0,
-                            "padded slots must be absent from the bitmap"
-                        );
+                for (k, pivot) in ty.columns().iter().enumerate() {
+                    let copy = ty.sorted(k);
+                    assert_eq!(copy.steps() * COLUMN_PAD, ty.padded_len());
+                    let order: Vec<u16> = (0..copy.steps()).flat_map(|s| *copy.rows(s)).collect();
+                    // Every variant once, by (absent, value, tree index),
+                    // then padding.
+                    let key = |&row: &u16| {
+                        let row = usize::from(row);
+                        (!pivot.is_present(row), pivot.values()[row], row)
+                    };
+                    assert!(order[..n].windows(2).all(|w| key(&w[0]) < key(&w[1])));
+                    assert!(order[n..].iter().all(|&row| row == u16::MAX));
+                    for (position, &row) in order.iter().enumerate() {
+                        let (step, lane) = (position / COLUMN_PAD, position % COLUMN_PAD);
+                        for (j, column) in ty.columns().iter().enumerate() {
+                            let (values, present) = copy.step(j, step);
+                            let bound = present >> lane & 1 == 1;
+                            if row == u16::MAX {
+                                assert_eq!(
+                                    (values[lane], bound),
+                                    (0, false),
+                                    "padding binds nothing"
+                                );
+                            } else {
+                                let row = usize::from(row);
+                                assert_eq!(values[lane], column.values()[row]);
+                                assert_eq!(bound, column.is_present(row));
+                            }
+                        }
                     }
+                    // One key range per step that binds the pivot.
+                    let bound: Vec<u16> = order[..pivot.present_count()]
+                        .iter()
+                        .map(|&row| pivot.values()[usize::from(row)])
+                        .collect();
+                    let keys: Vec<[u16; 2]> = bound
+                        .chunks(COLUMN_PAD)
+                        .map(|step| [step[0], step[step.len() - 1]])
+                        .collect();
+                    assert_eq!(copy.keys(), keys);
                 }
             }
         }

@@ -23,7 +23,7 @@
 //!
 //! Arrivals are near-sorted — with no deadline, or a class budget on a
 //! monotone clock, *exactly* sorted — so a lane is a sorted ring plus
-//! an ordered map ([`Lane`]): an arrival whose key is not below the
+//! an ordered map (the private `Lane`): an arrival whose key is not below the
 //! ring's back is pushed there, one that sorts earlier (a per-request
 //! deadline tighter than its predecessors') goes to the map, and
 //! head, tail and both pops merge the two sorted parts. The order is the

@@ -159,7 +159,7 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Serves one [`AllocationService`] over TCP loopback: every accepted
 /// connection gets its own thread answering [`Message::Submit`] and
-/// [`Message::Mutate`] frames, up to [`MAX_CONNECTIONS`] of them.
+/// [`Message::Mutate`] frames, up to 128 of them.
 /// [`NodeServer::shutdown`] stops accepting, closes every connection and
 /// joins all threads — the harness's "kill a node" switch.
 pub struct NodeServer {
@@ -436,7 +436,7 @@ const MAX_SKIPPED_FRAMES: usize = 16;
 /// it waits: its first attempt takes the connection returned last
 /// (the one whose buffers and socket are warm) or, none being idle,
 /// draws one from the stream factory; a call that succeeded puts its
-/// connection back, up to [`MAX_IDLE_CONNS`]. A single serial caller
+/// connection back, up to eight idle ones. A single serial caller
 /// therefore draws one connection and keeps reusing it, and concurrent
 /// callers each wait for the node, not for one another — a heartbeat
 /// probe is not queued behind a submit that is burning its retry budget.

@@ -548,3 +548,135 @@ fn ties_resolve_to_the_first_variant_across_lanes_and_steps() {
         assert_eq!(usize::from(winner(&tied).impl_id.raw()), first + 1);
     }
 }
+
+/// Winners, `evaluated` and lane-steps scored of one top-1 request on
+/// both kernel paths, after the full [`check_request`] comparison.
+fn walk_once(
+    cb: &CaseBase,
+    plane: &mut PlaneEngine,
+    scalar: &mut PlaneEngine,
+    request: &Request,
+) -> (ImplId, u16, u64) {
+    check_request(cb, plane, scalar, request, 3);
+    let (auto_before, scalar_before) = (plane.steps_scored(), scalar.steps_scored());
+    let best = plane.retrieve(cb, request).unwrap().best.unwrap();
+    scalar.retrieve(cb, request).unwrap();
+    let steps = plane.steps_scored() - auto_before;
+    assert_eq!(
+        scalar.steps_scored() - scalar_before,
+        steps,
+        "pruning is path-independent"
+    );
+    (best.impl_id, best.similarity.raw(), steps)
+}
+
+#[test]
+fn the_walk_is_exact_where_its_bound_is_tight_or_useless() {
+    let id = |index: usize| ImplId::new(u16::try_from(index + 1).unwrap()).unwrap();
+    for variants in [1usize, 16, 17, 37] {
+        let steps = variants.div_ceil(16) as u64;
+        // Fresh engines per base: one engine serves one lineage.
+        let run = |cb: &CaseBase, request: &Request| {
+            let mut plane = PlaneEngine::new();
+            let mut scalar = PlaneEngine::with_kernel(KernelPath::ForceScalar);
+            walk_once(cb, &mut plane, &mut scalar, request)
+        };
+        let mut rng = SmallRng::seed_from_u64(0x5041_4C4B ^ variants as u64);
+        let noise: Vec<u16> = (0..variants * 4)
+            .map(|_| rng.gen_range(0..=1000u16))
+            .collect();
+        let random = edge_base(variants, |index, raw| match raw {
+            1 | 2 | 4 => Some(noise[index * 4 + usize::from(raw - 1)]),
+            3 => (!index.is_multiple_of(3)).then_some(noise[index * 4 + 2]),
+            _ => None,
+        });
+        // Two constraints tie for the heaviest weight: the first is the
+        // pivot, and the other's full weight is in the bound.
+        run(
+            &random,
+            &edge_request(&[(1, 420, 2.0), (2, 610, 2.0), (4, 90, 1.0)]),
+        );
+        // One constraint: nothing but the pivot is in the bound.
+        run(&random, &edge_request(&[(2, 333, 1.0)]));
+        // The heaviest constraint binds no variant: it is charged, never
+        // planned, and the heaviest planned one is the pivot.
+        run(
+            &random,
+            &edge_request(&[(1, 700, 1.0), (3, 250, 2.0), (EDGE_ATTRS, 7, 5.0)]),
+        );
+
+        // A sparse pivot whose absent rows win: the rows that bind
+        // attribute 3 sit far from the request on both constraints, the
+        // rest come close on attribute 1, and the last variant matches
+        // it exactly. The absent rows fill the trailing steps in tree
+        // order, bounded by the other weight alone — which the last one
+        // reaches from the last step, so that step must be scored.
+        let last = variants - 1;
+        let absent = |index: usize| index.is_multiple_of(3) || index == last;
+        let absent_wins = edge_base(variants, |index, raw| match raw {
+            1 if index == last => Some(600),
+            1 => Some(if absent(index) { 580 } else { 0 }),
+            3 => (!absent(index)).then_some(950),
+            _ => None,
+        });
+        let (winner, _, _) = run(&absent_wins, &edge_request(&[(3, 100, 3.0), (1, 600, 1.0)]));
+        assert_eq!(winner, id(last), "{variants} variants");
+
+        // An exact tie whose tree-first half sits in a step the walk
+        // reaches second: index 0 is at 490 and sorts last in step 0,
+        // index 16 is at 510 and opens step 1, where the walk starts for
+        // a request of 500. Step 0's bound equals the best score.
+        let tie_later = edge_base(variants, |index, raw| match (raw, index) {
+            (1, 0) => Some(490),
+            (1, 16) => Some(510),
+            (1, _) if index < 16 => Some(100 + u16::try_from(index).unwrap()),
+            (1, _) => Some(900 + u16::try_from(index).unwrap()),
+            (2, _) => Some(300),
+            _ => None,
+        });
+        for request in [
+            edge_request(&[(1, 500, 1.0)]),
+            edge_request(&[(1, 500, 3.0), (2, 300, 1.0)]),
+        ] {
+            let (winner, _, _) = run(&tie_later, &request);
+            assert_eq!(winner, id(0), "{variants} variants");
+        }
+
+        // A request far from every variant, which all look alike: every
+        // step's bound is the best score, so nothing prunes, and the
+        // first variant wins the tie.
+        let alike = edge_base(variants, |_, raw| (raw <= 2).then_some(0));
+        let (winner, _, scored) = run(&alike, &edge_request(&[(1, 1000, 2.0), (2, 990, 1.0)]));
+        assert_eq!((winner, scored), (id(0), steps), "{variants} variants");
+    }
+}
+
+#[test]
+fn the_walk_scores_few_lane_steps_on_the_scan_shape() {
+    // `local_scan`'s shape: 16 types × 512 variants, 32 lane-steps each,
+    // under the benchmark's request generator. The walk scores about
+    // 10 % of them; a full scan scores all of them.
+    let cb = CaseGen::new(16, 512, 10, 10).seed(0x5CA7).build();
+    let pool = RequestGen::new(&cb)
+        .seed(0x5CA8)
+        .count(2048)
+        .repeat_fraction(0.0)
+        .generate();
+    let naive = FixedEngine::new();
+    let mut scored = Vec::new();
+    for path in [KernelPath::Auto, KernelPath::ForceScalar] {
+        let mut engine = PlaneEngine::with_kernel(path);
+        for request in &pool {
+            let fast = engine.retrieve(&cb, request).unwrap();
+            assert_eq!(fast.best, naive.retrieve(&cb, request).unwrap().best);
+        }
+        scored.push(engine.steps_scored());
+    }
+    assert_eq!(scored[0], scored[1], "pruning is path-independent");
+    let all = pool.len() as u64 * 32;
+    assert!(
+        scored[0] * 100 <= all * 15,
+        "the walk scored {} of {all} lane-steps",
+        scored[0]
+    );
+}

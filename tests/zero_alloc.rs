@@ -1,7 +1,8 @@
 //! The zero-allocation proof: a counting global allocator wraps the
 //! system allocator, and the steady-state plane-kernel hot path —
 //! `retrieve`, `retrieve_batch_into`, `retrieve_n_best_into` over a warm
-//! [`PlaneEngine`] — must perform **zero** heap allocations per request.
+//! [`PlaneEngine`], including the top-1 walk over a long type plane's
+//! sorted copies — must perform **zero** heap allocations per request.
 //!
 //! The file holds exactly one `#[test]` so no concurrent test can
 //! allocate while the counter window is open (integration-test files are
@@ -110,6 +111,47 @@ fn steady_state_plane_retrieval_allocates_nothing() {
             allocations(),
             before,
             "steady-state batch retrieval must not allocate ({path:?})"
+        );
+    }
+    // Measured window: the top-1 walk. The base above has 16 variants a
+    // type — one lane-step, nothing to walk. Here a type is 32 steps of
+    // sparse columns (6 of 10 attrs bound), so the walk starts inside a
+    // sorted copy, bounds its neighbours, and meets absent tails.
+    let long_base = CaseGen::new(4, 512, 6, 10).seed(0xA110D).build();
+    let long_pool = RequestGen::new(&long_base)
+        .seed(0xA110D + 1)
+        .count(256)
+        .repeat_fraction(0.0)
+        .generate();
+    let long_batches: Vec<Vec<&Request>> =
+        long_pool.chunks(32).map(|c| c.iter().collect()).collect();
+    for path in [KernelPath::Auto, KernelPath::ForceScalar] {
+        let mut engine = PlaneEngine::with_kernel(path);
+        for request in &long_pool {
+            engine.retrieve(&long_base, request).unwrap();
+        }
+        for batch in &long_batches {
+            engine.retrieve_batch_into(&long_base, batch, &mut out);
+        }
+        let (before, steps_before) = (allocations(), engine.steps_scored());
+        for _ in 0..4 {
+            for request in &long_pool {
+                std::hint::black_box(engine.retrieve(&long_base, request).unwrap());
+            }
+            for batch in &long_batches {
+                engine.retrieve_batch_into(&long_base, batch, &mut out);
+            }
+        }
+        assert_eq!(
+            allocations(),
+            before,
+            "the steady-state walk must not allocate ({path:?})"
+        );
+        let scored = engine.steps_scored() - steps_before;
+        let all = 4 * 2 * long_pool.len() as u64 * 32;
+        assert!(
+            scored > 0 && scored < all,
+            "the window must walk, and prune: {scored} of {all} lane-steps ({path:?})"
         );
     }
     // Measured window: the telemetry hot path. Enabling tracing must not
