@@ -4,9 +4,9 @@
 //! Sections:
 //!
 //! 1. **Verification pass** — before any timing, plane and naive answers
-//!    are compared bit-for-bit over the whole trace (winner, evaluated
-//!    count, and a sampled full score vector). A perf number for a wrong
-//!    kernel is worse than no number.
+//!    are compared bit-for-bit over the whole trace (winner and evaluated
+//!    count, every request). A perf number for a wrong kernel is worse
+//!    than no number.
 //! 2. **Single-request throughput** — `FixedEngine::retrieve` vs
 //!    `PlaneEngine::retrieve` over the zipf trace, best of `TRIALS`.
 //!    Acceptance (CI perf-smoke lane): plane ≥ naive. The committed
@@ -14,20 +14,18 @@
 //!    PR 5 time).
 //! 3. **Batch throughput** — `retrieve_batch` vs `retrieve_batch_into`
 //!    at batch 32 (the service's dispatch shape).
-//! 4. **n-best throughput** — `retrieve_n_best` vs the zero-alloc
-//!    `retrieve_n_best_into` at n = 4.
-//! 5. **Within-batch coalescing A/B** — the duplicate-heavy burst trace
+//! 4. **Within-batch coalescing A/B** — the duplicate-heavy burst trace
 //!    through the deterministic `BatchHarness` with the result cache
 //!    *disabled*, at dispatch batch 1 vs 32: every hit at batch 32 comes
 //!    from coalescing alone (batch 1 cannot coalesce, so its hit rate is
 //!    exactly 0). Hit counts are a pure function of the trace.
-//! 6. **Kernel-path A/B** — the same single-request sweep on a
+//! 5. **Kernel-path A/B** — the same single-request sweep on a
 //!    `ForceScalar` engine, so the wide (SIMD) margin over the scalar
 //!    streaming kernel is measured directly. On hosts without the CPU
 //!    feature both engines resolve to scalar and the ratio is ≈ 1.
-//! 7. **Scan group** — the zipf trace's 24-variant types are two
+//! 6. **Scan group** — the zipf trace's 24-variant types are two
 //!    lane-steps long, so it times the per-request fixed cost and cannot
-//!    see a streaming kernel. `scan/*` repeats sections 1, 2, 3 and 6 on
+//!    see a streaming kernel. `scan/*` repeats sections 1, 2, 3 and 5 on
 //!    the benchmark's `local_scan` shape: 16 types × 512 variants and
 //!    20 000 non-repeating requests, verified bit-for-bit first. It also
 //!    reports how many of a type's 32 lane-steps the top-1 walk scored
@@ -52,7 +50,6 @@ use rqfa_workloads::{CaseGen, Popularity, RequestGen, TrafficGen};
 
 const TRIALS: usize = 3;
 const BATCH: usize = 32;
-const NBEST: usize = 4;
 
 fn main() {
     let (json_path, flags) = rqfa_bench::args_with_flags(&["--scalar"]);
@@ -112,28 +109,6 @@ fn main() {
     report.push("zipf/naive_batch32", "req_per_sec", naive_batch);
     report.push("zipf/plane_batch32", "req_per_sec", plane_batch);
     report.push("zipf/speedup_batch32", "ratio", plane_batch / naive_batch);
-
-    // ── n-best throughput ─────────────────────────────────────────────
-    let naive_nbest = best_rate(zipf.len(), || {
-        for request in &zipf {
-            std::hint::black_box(
-                naive_engine.retrieve_n_best(&case_base, request, NBEST).unwrap(),
-            );
-        }
-    });
-    let mut ranked = Vec::new();
-    let plane_nbest = best_rate(zipf.len(), || {
-        for request in &zipf {
-            plane_engine
-                .retrieve_n_best_into(&case_base, request, NBEST, &mut ranked)
-                .unwrap();
-            std::hint::black_box(ranked.len());
-        }
-    });
-    print_pair(&format!("n-best {NBEST}"), naive_nbest, plane_nbest);
-    report.push("nbest4/naive", "req_per_sec", naive_nbest);
-    report.push("nbest4/plane", "req_per_sec", plane_nbest);
-    report.push("nbest4/speedup", "ratio", plane_nbest / naive_nbest);
 
     // ── within-batch coalescing A/B ───────────────────────────────────
     let (rate_b1, rate_b32) = coalescing_ab(&case_base);
@@ -249,11 +224,6 @@ fn verify(case_base: &CaseBase, trace: &[Request], kernel: KernelPath) -> f64 {
         let p = plane.retrieve(case_base, request).unwrap();
         assert_eq!(n.best, p.best, "winner diverged at request {i}");
         assert_eq!(n.evaluated, p.evaluated);
-        if i % 97 == 0 {
-            let (ns, _) = naive.score_all(case_base, request).unwrap();
-            let (ps, _) = plane.score_all(case_base, request).unwrap();
-            assert_eq!(ns, ps, "score vector diverged at request {i}");
-        }
     }
     println!("verification: plane ≡ naive over {} requests ✓\n", trace.len());
     #[allow(clippy::cast_precision_loss)]

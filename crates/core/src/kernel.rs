@@ -10,12 +10,14 @@
 //! reader clamps to `0x8000` anyway (`min(min(Σ, 0xFFFF), 0x8000) =
 //! min(Σ, 0x8000)`). Every per-term operation is the shared `rqfa_fixed`
 //! code or an exact transliteration of it, and the saturating sum of
-//! non-negative terms does not depend on their order, so the scores are
-//! **bit-identical** to
-//! [`FixedEngine::score_all`](crate::FixedEngine::score_all) — the
-//! workspace differential harness (`tests/plane_differential.rs`) proves
-//! it over seeded random case bases, request streams and mid-stream
-//! mutations, with the wide and scalar paths held to the same contract.
+//! non-negative terms does not depend on their order, so every score is
+//! **bit-identical** to the one
+//! [`FixedEngine::score_all`](crate::FixedEngine::score_all) computes,
+//! and the winner to [`FixedEngine::retrieve`](crate::FixedEngine::retrieve)'s
+//! — the workspace differential harness (`tests/plane_differential.rs`)
+//! proves it over seeded random case bases, request streams and
+//! mid-stream mutations, with the wide and scalar paths held to the same
+//! contract.
 //!
 //! **Top-1 is an exact walk over a presorted copy**, not a pass over the
 //! whole type. The request's heaviest planned constraint is the *pivot*;
@@ -28,8 +30,8 @@
 //! far. No score in a step exceeds its bound, and bounds do not rise
 //! along a side, so no skipped step holds the winner or ties it. The
 //! winner is the highest score, ties to the smallest tree index: the
-//! naive engine's first-achieving maximum. n-best and full score vectors
-//! score every step into a tree-order row instead.
+//! naive engine's first-achieving maximum. Top-1 is the plane's only
+//! sink: n-best and full score vectors are the naive engines' business.
 //!
 //! Two paths score a lane-step, selected once per engine:
 //!
@@ -42,15 +44,15 @@
 //!
 //! Steady-state calls allocate nothing: every intermediate lives in the
 //! caller-owned [`Scratch`] (sized on first use, reused after), and the
-//! `*_into` variants write rankings and batch results into caller-owned
-//! buffers. A batch is a loop over its requests through the function a
-//! single request takes; scoring several requests per column pass was
-//! measured and removed (`docs/retrieval.md`, "Request axis").
+//! batch entry point writes its results into a caller-owned buffer. A
+//! batch is a loop over its requests through the function a single
+//! request takes; scoring several requests per column pass was measured
+//! and removed (`docs/retrieval.md`, "Request axis").
 //!
 //! [`PlaneEngine`] is the drop-in facade: it owns a plane + scratch pair,
 //! recompiles a type plane whenever that type's stamp
-//! ([`CaseBase::type_stamp`]) moves, and mirrors the
-//! [`FixedEngine`](crate::FixedEngine) entry points. Path selection is a
+//! ([`CaseBase::type_stamp`]) moves, and mirrors the top-1 entry points
+//! of [`FixedEngine`](crate::FixedEngine). Path selection is a
 //! construction-time knob ([`KernelPath`]):
 //! [`KernelPath::Auto`] resolves to the widest detected path,
 //! [`KernelPath::ForceScalar`] pins the scalar loops (the benchmark A/B
@@ -67,11 +69,10 @@ use core::cmp::Reverse;
 use rqfa_fixed::Q15;
 
 use crate::casebase::CaseBase;
-use crate::engine::{OpCounts, Retrieval, ScoreResult, Scored};
+use crate::engine::{OpCounts, Retrieval, Scored};
 use crate::error::CoreError;
 use crate::generation::Generation;
-use crate::nbest::NBest;
-use crate::plane::{AttrColumn, RetrievalPlane, SortedCopy, TypePlane, COLUMN_PAD};
+use crate::plane::{RetrievalPlane, SortedCopy, TypePlane, COLUMN_PAD};
 use crate::request::Request;
 
 #[cfg(target_arch = "x86_64")]
@@ -169,13 +170,8 @@ const LANES: usize = COLUMN_PAD;
 /// counting-allocator test both verify this).
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// One clamped UQ1.15 score per variant, in tree order: what the
-    /// ranking and full-vector entry points read.
-    row: Vec<u16>,
     /// The planned constraints of the request being scored.
     plan: Vec<PlanEntry>,
-    /// Index buffer for ranking (top-k).
-    order: Vec<u32>,
     /// Buffer reallocation events (capacity growth), for scratch-reuse
     /// assertions.
     grows: u64,
@@ -205,13 +201,6 @@ fn reset<T>(buffer: &mut Vec<T>, n: usize, grows: &mut u64) {
     buffer.clear();
 }
 
-/// Resets `row` to `n` zeroed slots, tracking capacity growth.
-fn zeroed<'r>(row: &'r mut Vec<u16>, n: usize, grows: &mut u64) -> &'r mut [u16] {
-    reset(row, n, grows);
-    row.resize(n, 0);
-    row
-}
-
 /// Resolves the request's constraints against the plane — scale
 /// constants from the flat table, column index by binary search — into
 /// the scratch plan, charging the modeled datapath cost of each. One
@@ -236,7 +225,7 @@ fn resolve(
             .ok_or(CoreError::UndeclaredAttr { attr: c.attr })?;
         ops.search_steps += 1;
         let column = ty.column_index(c.attr);
-        charge(ty, column.map(|index| &ty.columns()[index]), ops);
+        charge(ty, column.map_or(0, |index| ty.columns()[index].1), ops);
         if let Some(index) = column {
             plan.push(PlanEntry {
                 column: u32::try_from(index).expect("u16-id attr space"),
@@ -250,31 +239,20 @@ fn resolve(
     Ok(())
 }
 
-/// Charges the modeled cost of one constraint over its column (`None`:
-/// no variant binds the attribute). The model is analytic and
-/// **path-independent**: the wide lanes and the scalar loops perform the
-/// same modeled datapath arithmetic, so the counters stay bit-identical
-/// to the naive engine no matter how lanes are packed (see
+/// Charges the modeled cost of one constraint over a column that
+/// `bound` of the type's variants bind (0: no variant binds the
+/// attribute). Every variant pays the `s_i·w_i` multiply/accumulate; a
+/// variant that binds the attribute also pays the distance, its scaling
+/// and the complement. The model is analytic and **path-independent**:
+/// the wide lanes and the scalar loops perform the same modeled datapath
+/// arithmetic, so the counters stay bit-identical to the naive engine no
+/// matter how lanes are packed or which steps the walk skips (see
 /// `docs/retrieval.md`).
-fn charge(ty: &TypePlane, column: Option<&AttrColumn>, ops: &mut OpCounts) {
-    let rows = ty.variant_count() as u64;
-    let Some(column) = column else {
-        // s_i = 0 for every variant: the accumulator is unchanged, only
-        // the s_i·w_i multiply/accumulate cost is paid.
-        ops.multiplies += rows;
-        ops.additions += rows;
-        return;
-    };
-    if column.is_dense() {
-        ops.distances += rows;
-        ops.multiplies += 2 * rows;
-        ops.additions += 2 * rows;
-    } else {
-        let present = column.present_count() as u64;
-        ops.distances += present;
-        ops.multiplies += rows + present;
-        ops.additions += rows + present;
-    }
+fn charge(ty: &TypePlane, bound: usize, ops: &mut OpCounts) {
+    let (rows, present) = (ty.variant_count() as u64, bound as u64);
+    ops.distances += present;
+    ops.multiplies += rows + present;
+    ops.additions += rows + present;
 }
 
 /// One term of the datapath: `mul_trunc(s(d), weight)` for a case at
@@ -388,55 +366,6 @@ fn walk(
     (usize::from(!(best as u16)), (best >> 16) as u16)
 }
 
-/// Scores every step of the type into `scratch.row`, in tree order: the
-/// sink of the n-best and full-vector entry points.
-fn score_row(ty: &TypePlane, scratch: &mut Scratch, path: ActivePath) {
-    let Scratch {
-        row, plan, grows, ..
-    } = scratch;
-    let row = zeroed(row, ty.variant_count(), grows);
-    // Nothing planned: every score is 0.
-    let Some(first) = plan.first() else { return };
-    let copy = ty.sorted(first.column as usize);
-    for step in 0..copy.steps() {
-        let scores = score_step(path, &copy, plan, step);
-        for (&score, &index) in scores.iter().zip(copy.rows(step)) {
-            // Padded rows have no slot.
-            if let Some(slot) = row.get_mut(usize::from(index)) {
-                *slot = score;
-            }
-        }
-    }
-}
-
-/// Resolves one request against the type plane it addresses: resolves
-/// and charges its constraints into the scratch plan and charges the
-/// comparator — one comparison per variant, whichever sink runs. Returns
-/// the type plane and the cost.
-fn prepare<'p>(
-    plane: &'p RetrievalPlane,
-    request: &Request,
-    scratch: &mut Scratch,
-) -> Result<(&'p TypePlane, OpCounts), CoreError> {
-    let type_id = request.type_id();
-    let ty = plane
-        .type_plane(type_id)
-        .ok_or(CoreError::UnknownType { type_id })?;
-    let mut ops = OpCounts::default();
-    resolve(plane, ty, request, scratch, &mut ops)?;
-    ops.comparisons += ty.variant_count() as u64;
-    Ok((ty, ops))
-}
-
-/// Variant `index` of the type with its clamped score.
-fn scored(ty: &TypePlane, index: usize, raw: u16) -> Scored<Q15> {
-    Scored {
-        impl_id: ty.impl_ids()[index],
-        target: ty.targets()[index],
-        similarity: Q15::saturating_from_raw(raw),
-    }
-}
-
 /// Scores one request with the fused top-1 walk.
 fn score_top1(
     plane: &RetrievalPlane,
@@ -444,11 +373,23 @@ fn score_top1(
     scratch: &mut Scratch,
     path: ActivePath,
 ) -> Result<Retrieval<Q15>, CoreError> {
-    let (ty, ops) = prepare(plane, request, scratch)?;
+    let type_id = request.type_id();
+    let ty = plane
+        .type_plane(type_id)
+        .ok_or(CoreError::UnknownType { type_id })?;
+    let mut ops = OpCounts::default();
+    resolve(plane, ty, request, scratch, &mut ops)?;
+    // The comparator: one comparison per variant, whether the walk scores
+    // it or not.
+    ops.comparisons += ty.variant_count() as u64;
     let (index, raw) = walk(ty, &scratch.plan, &mut scratch.steps_scored, path);
     Ok(Retrieval {
         // A function type — and so its plane — is never empty.
-        best: Some(scored(ty, index, raw)),
+        best: Some(Scored {
+            impl_id: ty.impl_ids()[index],
+            target: ty.targets()[index],
+            similarity: Q15::saturating_from_raw(raw),
+        }),
         evaluated: ty.variant_count(),
         ops,
     })
@@ -464,9 +405,10 @@ fn score_top1(
 /// stamp moved. Handed a base of another lineage it cannot tell equal
 /// stamps over different content apart; only a differing set of type ids
 /// is noticed, and answered with a full compile. Results are
-/// bit-identical to the naive engine — scores, winner/tie selection,
-/// n-best order and error values — on **every** kernel path; only [`OpCounts::search_steps`]
-/// follows the plane cost model (see `docs/retrieval.md`).
+/// bit-identical to the naive engine — winner, its score, tie selection
+/// and error values — on **every** kernel path; only
+/// [`OpCounts::search_steps`] follows the plane cost model (see
+/// `docs/retrieval.md`).
 ///
 /// ```
 /// use rqfa_core::{paper, FixedEngine, KernelPath, PlaneEngine};
@@ -628,100 +570,6 @@ impl PlaneEngine {
         self.retrieve_batch_into(case_base, requests, &mut out);
         out
     }
-
-    /// Plane-kernel equivalent of [`FixedEngine::retrieve_n_best`](crate::FixedEngine::retrieve_n_best),
-    /// writing the ranked list into the caller-owned `ranked` buffer
-    /// (cleared first; descending similarity, ties broken by tree order,
-    /// truncated to `n`). Returns `(evaluated, ops)`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FixedEngine::score_all`](crate::FixedEngine::score_all).
-    pub fn retrieve_n_best_into(
-        &mut self,
-        case_base: &CaseBase,
-        request: &Request,
-        n: usize,
-        ranked: &mut Vec<Scored<Q15>>,
-    ) -> Result<(usize, OpCounts), CoreError> {
-        self.ensure(case_base);
-        let plane = self.plane.as_ref().expect("just ensured");
-        let (ty, ops) = prepare(plane, request, &mut self.scratch)?;
-        score_row(ty, &mut self.scratch, self.active);
-        let variants = ty.variant_count();
-        // Rank indices over the clamped row: descending similarity with
-        // ascending-index tie-break — exactly `nbest::rank`.
-        let Scratch {
-            row, order, grows, ..
-        } = &mut self.scratch;
-        reset(order, variants, grows);
-        order.extend(0..u32::try_from(variants).expect("u16-id variant space"));
-        order.sort_unstable_by_key(|&i| (Reverse(row[i as usize]), i));
-        ranked.clear();
-        ranked.extend(
-            order
-                .iter()
-                .take(n)
-                .map(|&i| scored(ty, i as usize, row[i as usize])),
-        );
-        Ok((variants, ops))
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`PlaneEngine::retrieve_n_best_into`], mirroring
-    /// [`FixedEngine::retrieve_n_best`](crate::FixedEngine::retrieve_n_best).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FixedEngine::score_all`](crate::FixedEngine::score_all).
-    pub fn retrieve_n_best(
-        &mut self,
-        case_base: &CaseBase,
-        request: &Request,
-        n: usize,
-    ) -> Result<NBest<Q15>, CoreError> {
-        let mut ranked = Vec::new();
-        let (evaluated, ops) = self.retrieve_n_best_into(case_base, request, n, &mut ranked)?;
-        Ok(NBest {
-            ranked,
-            evaluated,
-            ops,
-        })
-    }
-
-    /// Materializes the full score vector (the "unless asked" escape
-    /// hatch, and the differential harness's comparison point against
-    /// [`FixedEngine::score_all`](crate::FixedEngine::score_all)).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FixedEngine::score_all`](crate::FixedEngine::score_all).
-    pub fn score_all(
-        &mut self,
-        case_base: &CaseBase,
-        request: &Request,
-    ) -> Result<(Vec<Scored<Q15>>, OpCounts), CoreError> {
-        self.ensure(case_base);
-        let plane = self.plane.as_ref().expect("just ensured");
-        let (ty, ops) = prepare(plane, request, &mut self.scratch)?;
-        score_row(ty, &mut self.scratch, self.active);
-        let scores = self.scratch.row[..ty.variant_count()]
-            .iter()
-            .enumerate()
-            .map(|(index, &raw)| scored(ty, index, raw))
-            .collect();
-        Ok((scores, ops))
-    }
-
-    /// Plane-kernel equivalent of [`FixedEngine::score_batch`](crate::FixedEngine::score_batch): full
-    /// score vectors in input order, each request through
-    /// [`PlaneEngine::score_all`].
-    pub fn score_batch(&mut self, case_base: &CaseBase, requests: &[&Request]) -> Vec<ScoreResult> {
-        requests
-            .iter()
-            .map(|request| self.score_all(case_base, request))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -739,11 +587,11 @@ mod tests {
     fn matches_naive_on_the_paper_example() {
         let cb = paper::table1_case_base();
         let request = paper::table1_request().unwrap();
-        let naive = FixedEngine::new();
-        let mut fast = PlaneEngine::new();
-        let (naive_scores, naive_ops) = naive.score_all(&cb, &request).unwrap();
-        let (plane_scores, plane_ops) = fast.score_all(&cb, &request).unwrap();
-        assert_eq!(naive_scores, plane_scores, "bit-identical score vectors");
+        let naive = FixedEngine::new().retrieve(&cb, &request).unwrap();
+        let plane = PlaneEngine::new().retrieve(&cb, &request).unwrap();
+        assert_eq!(naive.best, plane.best, "bit-identical winner and score");
+        assert_eq!(naive.evaluated, plane.evaluated);
+        let (naive_ops, plane_ops) = (naive.ops, plane.ops);
         assert_eq!(naive_ops.distances, plane_ops.distances);
         assert_eq!(naive_ops.multiplies, plane_ops.multiplies);
         assert_eq!(naive_ops.additions, plane_ops.additions);
@@ -764,21 +612,6 @@ mod tests {
             let fast = PlaneEngine::new().retrieve(&cb, &request).unwrap();
             assert_eq!(naive.best, fast.best);
             assert_eq!(naive.evaluated, fast.evaluated);
-        }
-    }
-
-    #[test]
-    fn n_best_matches_naive_ranking() {
-        let cb = paper::table1_case_base();
-        let request = paper::table1_request().unwrap();
-        let mut fast = PlaneEngine::new();
-        for n in 0..5 {
-            let naive = FixedEngine::new()
-                .retrieve_n_best(&cb, &request, n)
-                .unwrap();
-            let plane = fast.retrieve_n_best(&cb, &request, n).unwrap();
-            assert_eq!(naive.ranked, plane.ranked, "n = {n}");
-            assert_eq!(naive.evaluated, plane.evaluated);
         }
     }
 
@@ -819,8 +652,8 @@ mod tests {
             .constraint(AttrId::new(77).unwrap(), 1)
             .build()
             .unwrap();
-        let naive = FixedEngine::new().score_all(&cb, &request).unwrap_err();
-        let plane = PlaneEngine::new().score_all(&cb, &request).unwrap_err();
+        let naive = FixedEngine::new().retrieve(&cb, &request).unwrap_err();
+        let plane = PlaneEngine::new().retrieve(&cb, &request).unwrap_err();
         assert_eq!(naive, plane);
     }
 
@@ -883,17 +716,14 @@ mod tests {
         let request = paper::table1_request().unwrap();
         let mut fast = PlaneEngine::new();
         let mut out = Vec::new();
-        let mut ranked = Vec::new();
         for _ in 0..3 {
             fast.retrieve(&cb, &request).unwrap();
             fast.retrieve_batch_into(&cb, &[&request, &request], &mut out);
-            fast.retrieve_n_best_into(&cb, &request, 2, &mut ranked).unwrap();
         }
         let warm = fast.scratch_grows();
         for _ in 0..100 {
             fast.retrieve(&cb, &request).unwrap();
             fast.retrieve_batch_into(&cb, &[&request, &request], &mut out);
-            fast.retrieve_n_best_into(&cb, &request, 2, &mut ranked).unwrap();
         }
         assert_eq!(fast.scratch_grows(), warm, "steady state must not grow");
     }
@@ -988,19 +818,21 @@ mod tests {
         let mut state = 7u64;
         for _ in 0..64 {
             let request = wide_request(&mut state);
-            let (auto_scores, auto_ops) = auto.score_all(&cb, &request).unwrap();
-            let (scalar_scores, scalar_ops) = scalar.score_all(&cb, &request).unwrap();
-            let (naive_scores, _) = naive.score_all(&cb, &request).unwrap();
-            assert_eq!(auto_scores, scalar_scores, "paths must be bit-identical");
-            assert_eq!(auto_scores, naive_scores, "plane must match naive");
-            assert_eq!(auto_ops, scalar_ops, "cost model is path-independent");
             let auto_best = auto.retrieve(&cb, &request).unwrap();
             let scalar_best = scalar.retrieve(&cb, &request).unwrap();
-            assert_eq!(auto_best.best, scalar_best.best);
-            assert_eq!(auto_best.ops, scalar_best.ops);
-            let auto_nb = auto.retrieve_n_best(&cb, &request, 5).unwrap();
-            let scalar_nb = scalar.retrieve_n_best(&cb, &request, 5).unwrap();
-            assert_eq!(auto_nb.ranked, scalar_nb.ranked);
+            let naive_best = naive.retrieve(&cb, &request).unwrap();
+            assert_eq!(auto_best.best, scalar_best.best, "paths must be bit-identical");
+            assert_eq!(auto_best.best, naive_best.best, "plane must match naive");
+            assert_eq!(auto_best.ops, scalar_best.ops, "cost model is path-independent");
+            let (naive_ops, plane_ops) = (naive_best.ops, auto_best.ops);
+            assert_eq!(
+                (naive_ops.distances, naive_ops.multiplies),
+                (plane_ops.distances, plane_ops.multiplies)
+            );
+            assert_eq!(
+                (naive_ops.additions, naive_ops.comparisons),
+                (plane_ops.additions, plane_ops.comparisons)
+            );
         }
     }
 

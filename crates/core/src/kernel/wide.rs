@@ -4,8 +4,8 @@
 //! One 256-bit register holds 16 `u16` lanes — the 16 rows of one
 //! lane-step of a presorted copy. A step loops over the request's planned
 //! constraints with the similarity accumulator **in a register** and
-//! clamps it; the top-1 walk and the score-row sink in the parent module
-//! decide which steps to score and what to do with the 16 scores. Each
+//! clamps it; the top-1 walk in the parent module decides which steps to
+//! score and keeps the best of the 16 scores. Each
 //! lane runs the scalar UQ1.15 datapath exactly, on `epu16` operations
 //! only (proofs: `docs/retrieval.md`, "Variant axis"):
 //!
@@ -287,10 +287,12 @@ mod tests {
         let attr = AttrId::new(1).unwrap();
         let bounds =
             BoundsTable::from_decls([AttrDecl::new(attr, "synthetic", 0, 3900).unwrap()]).unwrap();
-        let variants = (0..40u16)
-            .map(|i| {
-                let bindings = vec![AttrBinding::new(attr, i * 100)];
-                ImplVariant::new(ImplId::new(i + 1).unwrap(), ExecutionTarget::Dsp, bindings)
+        let cases: Vec<u16> = (0..40).map(|i| i * 100).collect();
+        let variants = (1..)
+            .zip(&cases)
+            .map(|(id, &case)| {
+                let bindings = vec![AttrBinding::new(attr, case)];
+                ImplVariant::new(ImplId::new(id).unwrap(), ExecutionTarget::Dsp, bindings)
                     .unwrap()
             })
             .collect();
@@ -315,8 +317,7 @@ mod tests {
             vec![0x7FFF; 5],
         ] {
             let plan: Vec<PlanEntry> = weights.iter().map(|&w| entry(0, recip, w)).collect();
-            let wide_sums: Vec<u32> = ty.columns()[0]
-                .values()
+            let wide_sums: Vec<u32> = cases
                 .iter()
                 .map(|&case| plan.iter().map(|e| u32::from(fixed_term(case, e))).sum())
                 .collect();
@@ -328,8 +329,7 @@ mod tests {
                 .map(|&sum| sum.min(0x8000) as u16)
                 .collect();
             // The model: a saturating `u16` accumulator, clamped last.
-            let model: Vec<u16> = ty.columns()[0]
-                .values()
+            let model: Vec<u16> = cases
                 .iter()
                 .map(|&case| {
                     plan.iter()

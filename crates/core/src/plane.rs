@@ -1,5 +1,5 @@
-//! The compiled **retrieval plane**: a columnar (structure-of-arrays)
-//! image of the case base, kept current one function type at a time.
+//! The compiled **retrieval plane**: presorted, step-major images of the
+//! case base, kept current one function type at a time.
 //!
 //! The paper's hardware unit owes its speed to *precompiled memory
 //! layout*: the implementation tree is serialized at design time into
@@ -14,13 +14,14 @@
 //! tool flow, applied at run time and invalidated per function type by
 //! the case base's type stamps ([`CaseBase::type_stamp`]):
 //!
-//! * per function type, one **contiguous `u16` column per attribute**
-//!   across all variants ([`AttrColumn`]), with a presence **bitmap** for
-//!   attributes not bound by every variant;
-//! * per attribute column, one **presorted copy** of the whole type: every
-//!   column again, rows ordered by that column's value, laid out one
-//!   16-row lane-step after the other — the presorted lists the top-1
-//!   walk of [`crate::kernel`] starts from the request's value in;
+//! * per function type, its **columns**: the attributes its variants
+//!   bind, ascending, each with the number of variants that bind it (what
+//!   the cost model charges a constraint for, and the length of a copy's
+//!   keyed head);
+//! * per column, one **presorted copy** of the whole type: every column's
+//!   `u16` values and presence, rows ordered by that column's value, laid
+//!   out one 16-row lane-step after the other — the presorted lists the
+//!   top-1 walk of [`crate::kernel`] starts from the request's value in;
 //! * a flat, sorted **reciprocal table** (`attr → 1/(1+d_max)` in
 //!   UQ1.15, plus the distance `d_cap` at which `d · recip` saturates —
 //!   the constant that lets the wide kernel multiply in 16 bits),
@@ -28,8 +29,8 @@
 //!   constants with binary searches over a dense slice instead of
 //!   `BTreeMap` pointer chasing;
 //! * variant identity columns (`ImplId`, [`ExecutionTarget`]) in tree
-//!   order, so winner selection and ranking keep the exact decision
-//!   semantics of the naive engines.
+//!   order, so winner selection keeps the exact decision semantics of the
+//!   naive engines.
 //!
 //! The plane stores *copies* of the `u16` payloads (a few bytes per
 //! attribute binding), never references — it stays valid while the case
@@ -59,74 +60,24 @@ pub const fn padded_rows(variants: usize) -> usize {
     variants.div_ceil(COLUMN_PAD) * COLUMN_PAD
 }
 
-/// One attribute column of a [`TypePlane`]: the values every variant of
-/// the type binds for one attribute, plus a presence bitmap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttrColumn {
-    attr: AttrId,
-    /// One value per variant, in tree (ascending `ImplId`) order; slots
-    /// of variants that do not bind this attribute hold `0` and are
-    /// masked out by the bitmap.
-    values: Vec<u16>,
-    /// Presence bitmap, 64 variants per word, LSB-first.
-    present: Vec<u64>,
-    /// Number of set bits in `present`.
-    present_count: usize,
-    /// Whether every variant binds this attribute (bitmap tests skipped).
-    dense: bool,
-}
-
-impl AttrColumn {
-    /// The attribute this column holds.
-    pub fn attr(&self) -> AttrId {
-        self.attr
-    }
-
-    /// The per-variant values in tree order (masked slots read `0`).
-    pub fn values(&self) -> &[u16] {
-        &self.values
-    }
-
-    /// The presence bitmap (64 variants per word, LSB-first).
-    pub fn present_words(&self) -> &[u64] {
-        &self.present
-    }
-
-    /// Number of variants binding this attribute.
-    pub fn present_count(&self) -> usize {
-        self.present_count
-    }
-
-    /// Whether every variant of the type binds this attribute.
-    pub fn is_dense(&self) -> bool {
-        self.dense
-    }
-
-    /// Whether variant `index` (tree order) binds this attribute.
-    pub fn is_present(&self, index: usize) -> bool {
-        self.dense || (self.present[index / 64] >> (index % 64)) & 1 == 1
-    }
-}
-
-/// The columnar image of one function type.
+/// The compiled image of one function type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypePlane {
     type_id: TypeId,
     impl_ids: Vec<ImplId>,
     targets: Vec<ExecutionTarget>,
-    /// Columns sorted by ascending [`AttrId`] (the union of all variants'
-    /// attributes).
-    columns: Vec<AttrColumn>,
+    /// `(attribute, variants binding it)` per column, sorted by ascending
+    /// [`AttrId`] (the union of all variants' attributes).
+    columns: Vec<(AttrId, usize)>,
     /// One copy of the plane presorted by each column.
     sorted: SortedCopies,
 }
 
 impl TypePlane {
-    /// Compiles the columnar image of `ty`.
+    /// Compiles the image of `ty`.
     fn compile(ty: &FunctionType) -> TypePlane {
         let variants = ty.variants();
         let n = variants.len();
-        let words = n.div_ceil(64);
         let impl_ids = variants.iter().map(crate::implvariant::ImplVariant::id).collect();
         let targets = variants
             .iter()
@@ -142,34 +93,19 @@ impl TypePlane {
                 }
             }
         }
-        let mut columns: Vec<AttrColumn> = attrs
-            .into_iter()
-            .map(|attr| AttrColumn {
-                attr,
-                values: vec![0; n],
-                present: vec![0; words],
-                present_count: 0,
-                dense: false,
-            })
-            .collect();
-        // The same bindings row-major, `(value, bound)` per cell: what a
-        // sorted copy gathers one row at a time.
-        let width = columns.len();
+        // The bindings row-major, `(value, bound)` per cell: what a sorted
+        // copy gathers one row at a time.
+        let width = attrs.len();
+        let mut columns: Vec<(AttrId, usize)> = attrs.into_iter().map(|attr| (attr, 0)).collect();
         let mut image = vec![(0, false); n * width];
         for (index, variant) in variants.iter().enumerate() {
             for binding in variant.attrs() {
                 let pos = columns
-                    .binary_search_by_key(&binding.attr, |c| c.attr)
+                    .binary_search_by_key(&binding.attr, |&(attr, _)| attr)
                     .expect("column exists for every bound attribute");
-                let column = &mut columns[pos];
-                column.values[index] = binding.value;
-                column.present[index / 64] |= 1 << (index % 64);
-                column.present_count += 1;
+                columns[pos].1 += 1;
                 image[index * width + pos] = (binding.value, true);
             }
-        }
-        for column in &mut columns {
-            column.dense = column.present_count == n;
         }
         let sorted = SortedCopies::compile(&columns, &image, n);
         TypePlane {
@@ -207,21 +143,22 @@ impl TypePlane {
         &self.targets
     }
 
-    /// The attribute columns, sorted by ascending [`AttrId`].
-    pub fn columns(&self) -> &[AttrColumn] {
+    /// `(attribute, variants binding it)` per column, sorted by ascending
+    /// [`AttrId`].
+    pub fn columns(&self) -> &[(AttrId, usize)] {
         &self.columns
     }
 
     /// Index of the column for `attr`, if any variant binds it.
     pub fn column_index(&self, attr: AttrId) -> Option<usize> {
-        self.columns.binary_search_by_key(&attr, |c| c.attr).ok()
+        self.columns.binary_search_by_key(&attr, |&(a, _)| a).ok()
     }
 
     /// The copy of this plane presorted by column `pivot`.
     pub(crate) fn sorted(&self, pivot: usize) -> SortedCopy<'_> {
         let (width, steps) = (self.columns.len(), self.padded_len() / COLUMN_PAD);
         let chunks = steps * width;
-        let bound_steps = self.columns[pivot].present_count.div_ceil(COLUMN_PAD);
+        let bound_steps = self.columns[pivot].1.div_ceil(COLUMN_PAD);
         SortedCopy {
             width,
             values: &self.sorted.values[pivot * chunks..][..chunks],
@@ -246,7 +183,7 @@ struct SortedCopies {
 impl SortedCopies {
     /// Sorts the `n` rows of `columns` by each column in turn. `image`
     /// holds row `r`'s `(value, bound)` of column `j` at `r · width + j`.
-    fn compile(columns: &[AttrColumn], image: &[(u16, bool)], n: usize) -> SortedCopies {
+    fn compile(columns: &[(AttrId, usize)], image: &[(u16, bool)], n: usize) -> SortedCopies {
         let (width, steps) = (columns.len(), n.div_ceil(COLUMN_PAD));
         let chunks = steps * width;
         let mut copies = SortedCopies {
@@ -256,14 +193,15 @@ impl SortedCopies {
             keys: vec![[0; 2]; width * steps],
         };
         let mut order = Vec::with_capacity(n);
-        for (k, pivot) in columns.iter().enumerate() {
+        for (k, &(_, bound)) in columns.iter().enumerate() {
+            let pivot = |row: usize| image[row * width + k];
             // One packed key per row: (absent, value, tree index). A tree
             // index fits 16 bits and is never `0xFFFF`, the padding mark:
             // a type holds at most 65 535 variants, one per `ImplId` word.
             order.clear();
             order.extend((0..n).map(|index| {
-                let absent = u64::from(!pivot.is_present(index));
-                absent << 32 | u64::from(pivot.values[index]) << 16 | index as u64
+                let (value, present) = pivot(index);
+                u64::from(!present) << 32 | u64::from(value) << 16 | index as u64
             }));
             order.sort_unstable();
             let values = &mut copies.values[k * chunks..][..chunks];
@@ -285,12 +223,11 @@ impl SortedCopies {
                 }
             }
             let keys = &mut copies.keys[k * steps..];
-            let bound = pivot.present_count;
             for (step, key) in keys.iter_mut().take(bound.div_ceil(COLUMN_PAD)).enumerate() {
                 let first = step * COLUMN_PAD;
                 let last = (first + COLUMN_PAD).min(bound) - 1;
                 *key = [first, last].map(|position| {
-                    pivot.values[usize::from(rows[position / COLUMN_PAD][position % COLUMN_PAD])]
+                    pivot(usize::from(rows[position / COLUMN_PAD][position % COLUMN_PAD])).0
                 });
             }
         }
@@ -496,19 +433,19 @@ mod tests {
         let fir = plane.type_plane(paper::FIR_EQUALIZER).unwrap();
         assert_eq!(fir.variant_count(), 3);
         assert_eq!(fir.impl_ids()[1], paper::IMPL_DSP);
-        // Every column value matches the variant's binding.
+        // One column per bound attribute, ascending, each with the number
+        // of variants that bind it.
         let ty = cb.function_type(paper::FIR_EQUALIZER).unwrap();
-        for column in fir.columns() {
-            for (index, variant) in ty.variants().iter().enumerate() {
-                match variant.attr(column.attr()) {
-                    Some(value) => {
-                        assert!(column.is_present(index));
-                        assert_eq!(column.values()[index], value);
-                    }
-                    None => assert!(!column.is_present(index)),
-                }
-            }
-        }
+        let mut attrs: Vec<AttrId> = ty
+            .variants()
+            .iter()
+            .flat_map(|variant| variant.attrs().iter().map(|binding| binding.attr))
+            .collect();
+        attrs.sort_unstable();
+        attrs.dedup();
+        let bound = |attr| ty.variants().iter().filter(|v| v.attr(attr).is_some()).count();
+        let expected: Vec<(AttrId, usize)> = attrs.into_iter().map(|a| (a, bound(a))).collect();
+        assert_eq!(fir.columns(), expected);
     }
 
     #[test]
@@ -516,17 +453,17 @@ mod tests {
         let cb = paper::incomplete_attrs_case_base();
         let plane = RetrievalPlane::compile(&cb);
         let ty = plane.type_planes().first().unwrap();
-        let sparse: Vec<&AttrColumn> =
-            ty.columns().iter().filter(|c| !c.is_dense()).collect();
+        let variants = cb.function_type(ty.type_id()).unwrap().variants();
+        let sparse: Vec<(AttrId, usize)> = ty
+            .columns()
+            .iter()
+            .copied()
+            .filter(|&(_, bound)| bound < ty.variant_count())
+            .collect();
         assert!(!sparse.is_empty(), "fixture has a variant missing an attr");
-        for column in sparse {
-            let from_bits: usize = column
-                .present_words()
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum();
-            assert_eq!(from_bits, column.present_count());
-            assert!(column.present_count() < ty.variant_count());
+        for (attr, bound) in sparse {
+            let binding = variants.iter().filter(|v| v.attr(attr).is_some()).count();
+            assert_eq!(bound, binding, "{attr:?}");
         }
     }
 
@@ -596,9 +533,17 @@ mod tests {
             let plane = RetrievalPlane::compile(&cb);
             for ty in plane.type_planes() {
                 let n = ty.variant_count();
+                let variants = cb.function_type(ty.type_id()).unwrap().variants();
+                // Variant `row`'s `(value, bound)` of an attribute, 0 if
+                // unbound.
+                let cell = |row: usize, attr| {
+                    variants[row]
+                        .attr(attr)
+                        .map_or((0, false), |value| (value, true))
+                };
                 assert_eq!(ty.padded_len() % COLUMN_PAD, 0);
                 assert!(ty.padded_len() >= n && ty.padded_len() < n + COLUMN_PAD);
-                for (k, pivot) in ty.columns().iter().enumerate() {
+                for (k, &(pivot, bound)) in ty.columns().iter().enumerate() {
                     let copy = ty.sorted(k);
                     assert_eq!(copy.steps() * COLUMN_PAD, ty.padded_len());
                     let order: Vec<u16> = (0..copy.steps()).flat_map(|s| *copy.rows(s)).collect();
@@ -606,32 +551,27 @@ mod tests {
                     // then padding.
                     let key = |&row: &u16| {
                         let row = usize::from(row);
-                        (!pivot.is_present(row), pivot.values()[row], row)
+                        let (value, present) = cell(row, pivot);
+                        (!present, value, row)
                     };
                     assert!(order[..n].windows(2).all(|w| key(&w[0]) < key(&w[1])));
                     assert!(order[n..].iter().all(|&row| row == u16::MAX));
                     for (position, &row) in order.iter().enumerate() {
                         let (step, lane) = (position / COLUMN_PAD, position % COLUMN_PAD);
-                        for (j, column) in ty.columns().iter().enumerate() {
+                        for (j, &(attr, _)) in ty.columns().iter().enumerate() {
                             let (values, present) = copy.step(j, step);
-                            let bound = present >> lane & 1 == 1;
+                            let lane_cell = (values[lane], present >> lane & 1 == 1);
                             if row == u16::MAX {
-                                assert_eq!(
-                                    (values[lane], bound),
-                                    (0, false),
-                                    "padding binds nothing"
-                                );
+                                assert_eq!(lane_cell, (0, false), "padding binds nothing");
                             } else {
-                                let row = usize::from(row);
-                                assert_eq!(values[lane], column.values()[row]);
-                                assert_eq!(bound, column.is_present(row));
+                                assert_eq!(lane_cell, cell(usize::from(row), attr));
                             }
                         }
                     }
                     // One key range per step that binds the pivot.
-                    let bound: Vec<u16> = order[..pivot.present_count()]
+                    let bound: Vec<u16> = order[..bound]
                         .iter()
-                        .map(|&row| pivot.values()[usize::from(row)])
+                        .map(|&row| cell(usize::from(row), pivot).0)
                         .collect();
                     let keys: Vec<[u16; 2]> = bound
                         .chunks(COLUMN_PAD)

@@ -1,8 +1,8 @@
 //! The zero-allocation proof: a counting global allocator wraps the
 //! system allocator, and the steady-state plane-kernel hot path —
-//! `retrieve`, `retrieve_batch_into`, `retrieve_n_best_into` over a warm
-//! [`PlaneEngine`], including the top-1 walk over a long type plane's
-//! sorted copies — must perform **zero** heap allocations per request.
+//! `retrieve` and `retrieve_batch_into` over a warm [`PlaneEngine`],
+//! including the top-1 walk over a long type plane's sorted copies — must
+//! perform **zero** heap allocations per request.
 //!
 //! The file holds exactly one `#[test]` so no concurrent test can
 //! allocate while the counter window is open (integration-test files are
@@ -61,7 +61,6 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         .repeat_fraction(0.2)
         .generate();
     let mut out = Vec::new();
-    let mut ranked = Vec::new();
     let batches: Vec<Vec<&Request>> = pool.chunks(32).map(|c| c.iter().collect()).collect();
 
     // Both kernel paths must be allocation-free: the auto path (the wide
@@ -73,32 +72,25 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // reused output buffers.
         for request in &pool {
             engine.retrieve(&case_base, request).unwrap();
-            engine
-                .retrieve_n_best_into(&case_base, request, 4, &mut ranked)
-                .unwrap();
         }
         for batch in &batches {
             engine.retrieve_batch_into(&case_base, batch, &mut out);
         }
 
-        // Measured window: single-request retrievals and rankings.
+        // Measured window: single-request retrievals.
         let before = allocations();
         for _ in 0..4 {
             for request in &pool {
                 std::hint::black_box(engine.retrieve(&case_base, request).unwrap());
-                engine
-                    .retrieve_n_best_into(&case_base, request, 4, &mut ranked)
-                    .unwrap();
             }
         }
         assert_eq!(
             allocations(),
             before,
-            "steady-state retrieve / n-best must not allocate ({path:?})"
+            "steady-state retrieve must not allocate ({path:?})"
         );
 
-        // Measured window: batch retrievals (register-blocked column
-        // streaming). The `Vec<&Request>` of borrows is built outside
+        // Measured window: batch retrievals. The `Vec<&Request>` of borrows is built outside
         // the window — a service worker holds its own job buffer; the
         // engine itself must stay allocation-free.
         let before = allocations();
