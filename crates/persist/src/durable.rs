@@ -7,8 +7,8 @@
 //! and appends it to the WAL. Only when the append succeeds is the
 //! mutation acknowledged; an append failure rolls the in-memory state
 //! back (via the inverse mutation) so memory never runs ahead of the
-//! log. After `snapshot_every` acknowledged mutations a checkpoint runs
-//! automatically.
+//! log. It counts the mutations since the last checkpoint and says when
+//! one is due ([`DurableCaseBase::checkpoint_due`]); the owner runs it.
 //!
 //! [`DurableCaseBase::apply_batch`] is the **group commit** path: a whole
 //! window of mutations becomes one WAL append — one `fdatasync` on a
@@ -30,7 +30,7 @@
 //! [`PendingCheckpoint::write`] does the snapshot I/O off-lock, and
 //! [`DurableCaseBase::checkpoint_finish`] reinstalls the slot and trims
 //! the log tail (bounded work, under the lock again). `rqfa-service`
-//! uses this so an auto-checkpoint never stalls a shard's retrievals.
+//! uses this so a checkpoint never stalls a shard's retrievals.
 //!
 //! ## Recovery invariants
 //!
@@ -39,20 +39,20 @@
 //! 1. Pick the valid snapshot with the highest generation (a torn or
 //!    corrupt slot is skipped; the dual-slot discipline guarantees the
 //!    other slot holds the previous good snapshot).
-//! 2. Replay WAL records in order, *skipping* stamps at or below the
-//!    snapshot generation (left behind by a crash between snapshot and
-//!    compaction) and *stopping* at the first bytes that are no clean
-//!    frame: all zeros is the log's reserve and its clean end, anything
-//!    else a torn tail (left behind by a crash mid-append).
+//! 2. Replay WAL records in order, *skipping* the prefix stamped at or
+//!    below the snapshot generation (left behind by a crash between
+//!    snapshot and compaction) and *stopping* at the first bytes that are
+//!    no clean frame: all zeros is the log's reserve and its clean end,
+//!    anything else a torn tail (left behind by a crash mid-append).
 //! 3. Each replayed stamp must be exactly `generation + 1` — anything
 //!    else is corruption beyond what a crash can produce and fails
 //!    recovery loudly ([`PersistError::GenerationGap`]).
-//! 4. Before the first new append, a log with a torn tail is rewritten
-//!    as its clean frames alone. Appends go in place, so a write can
-//!    tear by sector: a batch `[A, B]` can leave `B` whole behind a hole
-//!    where `A` was. Left there, `B` would follow the next append of
-//!    `A`'s length as a CRC-clean, correctly stamped frame that nobody
-//!    was ever acknowledged.
+//! 4. Before the first new append, a log with a torn tail or a skipped
+//!    prefix is rewritten as the byte range between them. Appends go in
+//!    place, so a write can tear by sector: a batch `[A, B]` can leave
+//!    `B` whole behind a hole where `A` was. Left there, `B` would follow
+//!    the next append of `A`'s length as a CRC-clean, correctly stamped
+//!    frame that nobody was ever acknowledged.
 //!
 //! A recovered case base answers retrievals bit-identically to one that
 //! never crashed (the workspace `tests/persist_recovery.rs` harness
@@ -73,10 +73,10 @@ use crate::wal::Wal;
 /// Checkpoint policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistPolicy {
-    /// Run an automatic checkpoint (snapshot + WAL compaction) after this
-    /// many acknowledged mutations. `0` disables automatic checkpoints —
-    /// the log then grows until [`DurableCaseBase::checkpoint`] is called
-    /// explicitly.
+    /// A checkpoint (snapshot + WAL compaction) is due after this many
+    /// acknowledged mutations ([`DurableCaseBase::checkpoint_due`]). `0`
+    /// makes none due — the log then grows until the owner calls
+    /// [`DurableCaseBase::checkpoint`] on its own.
     pub snapshot_every: u64,
 }
 
@@ -87,7 +87,7 @@ impl Default for PersistPolicy {
 }
 
 impl PersistPolicy {
-    /// A policy that never checkpoints automatically.
+    /// A policy under which no checkpoint ever falls due.
     pub fn manual() -> PersistPolicy {
         PersistPolicy { snapshot_every: 0 }
     }
@@ -205,7 +205,6 @@ pub struct DurableCaseBase<S> {
     active_slot: usize,
     policy: PersistPolicy,
     since_checkpoint: u64,
-    checkpoint_error: Option<PersistError>,
     /// Log length covering exactly the acknowledged records. A failed
     /// append may tear bytes beyond it; the log is rewritten without
     /// them before any later append, so acknowledged frames never land
@@ -240,7 +239,6 @@ impl<S: Store> DurableCaseBase<S> {
             active_slot: 0,
             policy,
             since_checkpoint: 0,
-            checkpoint_error: None,
             clean_wal_len: 0,
             wal_dirty: false,
             stats: PersistStats::shared(),
@@ -253,7 +251,7 @@ impl<S: Store> DurableCaseBase<S> {
         // never a silent mix of old and new generations.
         this.slot_mut(1).replace(&[])?;
         this.slot_mut(0).replace(&[])?;
-        this.wal.clear()?;
+        this.wal.retain(0..0)?;
         write_snapshot(this.slot_mut(0), initial)?;
         Ok(this)
     }
@@ -297,15 +295,9 @@ impl<S: Store> DurableCaseBase<S> {
         };
 
         let mut wal = Wal::new(stores.wal);
-        let replay = wal.replay()?;
+        let replay = wal.replay_after(snapshot.generation)?;
         let mut case_base = snapshot.case_base;
-        let mut replayed = 0usize;
-        let mut skipped_older = 0usize;
         for record in &replay.records {
-            if record.generation <= snapshot.generation {
-                skipped_older += 1;
-                continue;
-            }
             let expected = case_base.generation().next();
             if record.generation != expected {
                 return Err(PersistError::GenerationGap {
@@ -315,7 +307,6 @@ impl<S: Store> DurableCaseBase<S> {
             }
             case_base.apply_mutation(&record.mutation)?;
             debug_assert_eq!(case_base.generation(), record.generation);
-            replayed += 1;
         }
 
         // Make the medium clean before accepting new writes: the next
@@ -323,22 +314,23 @@ impl<S: Store> DurableCaseBase<S> {
         // torn tail left there would either swallow it (the next scan
         // stops at the garbage) or, where a whole frame survived behind
         // a hole, be spliced back into the log by it. The atomic rewrite
-        // also drops records the snapshot already covers. A clean log is
-        // left as it is and the store told where it ends.
-        if replay.torn_tail_bytes > 0 || skipped_older > 0 {
-            wal.compact_through(snapshot.generation)?;
+        // also drops the prefix the snapshot already covers. A clean log
+        // is left as it is and the store told where it ends.
+        let clean_wal_len = if replay.torn_tail_bytes > 0 || replay.skipped > 0 {
+            wal.retain(replay.skipped_len as u64..replay.clean_len as u64)?
         } else {
             wal.mark_end(replay.clean_len as u64);
-        }
+            replay.clean_len as u64
+        };
 
+        let replayed = replay.records.len();
         let report = RecoveryReport {
             snapshot_generation: snapshot.generation,
             replayed,
-            skipped_older,
+            skipped_older: replay.skipped,
             torn_tail_bytes: replay.torn_tail_bytes,
             corrupt_slots,
         };
-        let clean_wal_len = wal.store().len()?;
         let this = DurableCaseBase {
             case_base,
             wal,
@@ -346,7 +338,6 @@ impl<S: Store> DurableCaseBase<S> {
             active_slot,
             policy,
             since_checkpoint: replayed as u64,
-            checkpoint_error: None,
             clean_wal_len,
             wal_dirty: false,
             stats: PersistStats::shared(),
@@ -365,14 +356,17 @@ impl<S: Store> DurableCaseBase<S> {
         self.case_base.generation()
     }
 
-    /// The checkpoint policy.
-    pub fn policy(&self) -> PersistPolicy {
-        self.policy
-    }
-
-    /// Acknowledged mutations since the last successful checkpoint.
+    /// Acknowledged mutations since the last successful checkpoint
+    /// (after a recovery: the records it replayed, plus the new ones).
     pub fn since_checkpoint(&self) -> u64 {
         self.since_checkpoint
+    }
+
+    /// Whether [`DurableCaseBase::since_checkpoint`] has reached the
+    /// policy's cadence — the owner's cue to run a checkpoint, since
+    /// applying never runs one.
+    pub fn checkpoint_due(&self) -> bool {
+        self.policy.snapshot_every > 0 && self.since_checkpoint >= self.policy.snapshot_every
     }
 
     /// Encodes the current in-memory state as one transferable snapshot
@@ -400,7 +394,7 @@ impl<S: Store> DurableCaseBase<S> {
     ///
     /// Propagates store read failures.
     pub fn wal_tail(&self, through: Generation) -> Result<Vec<StampedMutation>, PersistError> {
-        self.wal.tail_after(through)
+        Ok(self.wal.replay_after(through)?.records)
     }
 
     /// This case base's write-path counters. The block is behind an
@@ -415,11 +409,6 @@ impl<S: Store> DurableCaseBase<S> {
     ///
     /// On success the mutation is in the WAL — a crash at any later point
     /// recovers it. On error the in-memory case base is unchanged.
-    ///
-    /// An automatic checkpoint that fails does *not* fail the apply (the
-    /// mutation itself is durable); the error is parked and retrievable
-    /// via [`DurableCaseBase::take_checkpoint_error`], and the checkpoint
-    /// retries after the next mutation.
     ///
     /// # Errors
     ///
@@ -461,7 +450,7 @@ impl<S: Store> DurableCaseBase<S> {
         // the immediate truncation could not remove — appending behind
         // garbage would hide these frames from every future replay.
         if self.wal_dirty {
-            self.wal.truncate_to(self.clean_wal_len)?;
+            self.wal.retain(0..self.clean_wal_len)?;
             self.wal_dirty = false;
         }
         let before = self.case_base.generation();
@@ -506,25 +495,14 @@ impl<S: Store> DurableCaseBase<S> {
                 self.case_base.restore_generation(before);
                 // Drop whatever the failed append tore onto the medium;
                 // if even that fails, flag the log for repair-on-retry.
-                if self.wal.truncate_to(self.clean_wal_len).is_err() {
+                if self.wal.retain(0..self.clean_wal_len).is_err() {
                     self.wal_dirty = true;
                 }
                 return Err(e);
             }
         }
         self.since_checkpoint += mutations.len() as u64;
-        if self.policy.snapshot_every > 0 && self.since_checkpoint >= self.policy.snapshot_every {
-            if let Err(e) = self.checkpoint() {
-                self.checkpoint_error = Some(e);
-            }
-        }
         Ok(inverses)
-    }
-
-    /// Takes (and clears) the error of the last failed automatic
-    /// checkpoint, if any.
-    pub fn take_checkpoint_error(&mut self) -> Option<PersistError> {
-        self.checkpoint_error.take()
     }
 
     /// Snapshots the current state into the stale slot, then compacts the
@@ -602,7 +580,7 @@ impl<S: Store> DurableCaseBase<S> {
         // everything acknowledged since is exactly the tail to keep. The
         // clean-length bound also sheds any torn bytes a failed append
         // left behind.
-        self.clean_wal_len = self.wal.retain_tail(wal_mark, self.clean_wal_len)?;
+        self.clean_wal_len = self.wal.retain(wal_mark..self.clean_wal_len)?;
         self.wal_dirty = false;
         // Mutations acknowledged after begin are not in this snapshot:
         // only the counted prefix leaves the checkpoint debt.
@@ -785,7 +763,7 @@ mod tests {
     }
 
     #[test]
-    fn automatic_checkpoint_compacts_the_log() {
+    fn a_checkpoint_falls_due_at_the_cadence_and_pays_the_debt() {
         let mut durable = DurableCaseBase::create(
             &paper::table1_case_base(),
             StoreSet::in_memory(),
@@ -793,8 +771,10 @@ mod tests {
         )
         .unwrap();
         durable.apply(&retain(10, 9)).unwrap();
-        assert!(durable.wal_bytes().unwrap() > 0);
-        durable.apply(&retain(11, 10)).unwrap(); // triggers checkpoint
+        assert!(!durable.checkpoint_due());
+        durable.apply(&retain(11, 10)).unwrap();
+        assert!(durable.checkpoint_due() && durable.wal_bytes().unwrap() > 0);
+        durable.checkpoint().unwrap();
         assert_eq!(durable.wal_bytes().unwrap(), 0, "compaction emptied the log");
         assert_eq!(durable.since_checkpoint(), 0);
         let (recovered, report) =
@@ -1045,10 +1025,11 @@ mod tests {
         let mut old = DurableCaseBase::create(
             &paper::table1_case_base(),
             StoreSet::in_memory(),
-            PersistPolicy { snapshot_every: 1 }, // checkpoints land in slot B
+            PersistPolicy::manual(),
         )
         .unwrap();
         old.apply(&retain(10, 9)).unwrap();
+        old.checkpoint().unwrap(); // lands in slot B
         assert_eq!(old.generation(), Generation::from_raw(1));
         let stale_stores = old.into_stores();
 
@@ -1100,10 +1081,10 @@ mod tests {
         // the single batched append tears, no mutation may be acked.
         let probe = {
             let mut w = Wal::new(MemStore::new());
-            w.append(&crate::StampedMutation {
+            w.append_batch(&[crate::StampedMutation {
                 generation: Generation::from_raw(1),
                 mutation: retain(10, 9),
-            })
+            }])
             .unwrap();
             w.into_store().bytes().len() as u64
         };
@@ -1158,6 +1139,7 @@ mod tests {
         let written = pending.write();
         durable.checkpoint_finish(written).unwrap();
         assert!(durable.wal_bytes().unwrap() > 0, "post-begin frame kept");
+        assert_eq!(durable.since_checkpoint(), 1, "and still owed");
 
         let (recovered, report) =
             DurableCaseBase::recover(durable.into_stores(), PersistPolicy::manual()).unwrap();

@@ -13,8 +13,8 @@
 //! * [`snapshot`] — periodic **full snapshots** as canonical `memlist`
 //!   CB-MEM images in a CRC-guarded container, alternating between two
 //!   slots so the newest durable snapshot is never overwritten in place;
-//! * [`DurableCaseBase`] — the orchestrator: apply → log → ack, automatic
-//!   checkpoint (snapshot + log compaction) every N mutations, and
+//! * [`DurableCaseBase`] — the orchestrator: apply → log → ack, a
+//!   checkpoint (snapshot + log compaction) due every N mutations, and
 //!   [`recovery`](DurableCaseBase::recover) that restores exactly the
 //!   acknowledged prefix after any crash;
 //! * [`FailingStore`] — deterministic **crash injection**: a [`Store`]
@@ -45,6 +45,7 @@
 //! let (recovered, report) =
 //!     DurableCaseBase::recover(durable.into_stores(), PersistPolicy::default())?;
 //! assert_eq!(report.replayed, 1);
+//! assert_eq!(recovered.since_checkpoint(), 1, "the debt survives the crash");
 //! let request = paper::table1_request()?;
 //! let best = FixedEngine::new()
 //!     .retrieve(recovered.case_base(), &request)?

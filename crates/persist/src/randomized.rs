@@ -18,17 +18,22 @@
 //!    tails, over bit flips and lying length words: never a panic, a
 //!    clean length within the input, and nothing decoded that the bytes
 //!    present do not pay for.
+//! 5. **Byte-range compaction** — recovery's rewritten log is the one
+//!    the old re-encoding compaction wrote (every clean frame re-encodes
+//!    to its own bytes), over snapshotted prefixes, torn tails, reserves.
 
 use rqfa_core::{
-    AttrBinding, AttrId, CaseBase, CaseMutation, ExecutionTarget, FixedEngine, ImplId,
+    AttrBinding, AttrId, CaseBase, CaseMutation, ExecutionTarget, FixedEngine, Generation, ImplId,
     ImplVariant, Request,
 };
 use rqfa_workloads::rng::SmallRng;
 use rqfa_workloads::{CaseGen, RequestGen};
 
-use crate::durable::{DurableCaseBase, PersistPolicy, StoreSet};
+use crate::durable::{DurableCaseBase, PersistPolicy, RecoveryReport, StoreSet};
+use crate::error::PersistError;
 use crate::record::{encode_frame, parse_frame, FrameParse, StampedMutation};
-use crate::store::{FailingStore, MemStore};
+use crate::snapshot::write_snapshot;
+use crate::store::{FailingStore, MemStore, Store};
 use crate::wal::Wal;
 
 const SEEDS: u64 = 24;
@@ -140,13 +145,13 @@ fn random_sequences_roundtrip_through_the_wal() {
                     generation: oracle.generation(),
                     mutation,
                 };
-                wal.append(&stamped).unwrap();
+                wal.append_batch(std::slice::from_ref(&stamped)).unwrap();
                 logged.push(stamped);
             }
         }
         let replay = wal.replay().unwrap();
         assert_eq!(replay.records, logged, "seed {seed}");
-        assert!(!replay.has_torn_tail(), "seed {seed}");
+        assert_eq!(replay.torn_tail_bytes, 0, "seed {seed}");
     }
 }
 
@@ -190,7 +195,7 @@ fn any_byte_truncation_yields_the_longest_whole_prefix() {
                 "seed {seed}, cut {cut}: wrong durable prefix"
             );
             assert_eq!(
-                replay.has_torn_tail(),
+                replay.torn_tail_bytes > 0,
                 !boundaries.contains(&cut),
                 "seed {seed}, cut {cut}: torn-tail flag"
             );
@@ -239,6 +244,87 @@ fn random_crash_points_recover_the_acknowledged_prefix() {
             &oracle,
             &requests,
             &format!("seed {seed}"),
+        );
+    }
+}
+
+/// The compaction recovery did before it kept byte ranges — re-encode
+/// the clean records stamped after the snapshot, unless the log has no
+/// torn tail and nothing to skip — and the report it owes.
+fn reencoding_oracle(log: &[u8], snapshot: Generation) -> (Vec<u8>, RecoveryReport) {
+    let (mut kept, mut replayed, mut skipped_older, mut offset) = (Vec::new(), 0, 0, 0);
+    while let FrameParse::Complete { record, consumed } = parse_frame(&log[offset..]) {
+        offset += consumed;
+        if record.generation <= snapshot {
+            skipped_older += 1;
+        } else {
+            kept.extend_from_slice(&encode_frame(&record).unwrap());
+            replayed += 1;
+        }
+    }
+    let torn_tail_bytes = log[offset..].iter().rposition(|&b| b != 0).map_or(0, |at| at + 1);
+    let rewritten = if torn_tail_bytes > 0 || skipped_older > 0 { kept } else { log.to_vec() };
+    let (snapshot_generation, corrupt_slots) = (snapshot, 0);
+    let report =
+        RecoveryReport { snapshot_generation, replayed, skipped_older, torn_tail_bytes, corrupt_slots };
+    (rewritten, report)
+}
+
+/// Recovers from `log` over a snapshot of `state` in slot A.
+fn recover_over(log: Vec<u8>, state: &CaseBase) -> Result<(DurableCaseBase<MemStore>, RecoveryReport), PersistError> {
+    let mut snap_a = MemStore::new();
+    write_snapshot(&mut snap_a, state).unwrap();
+    let stores = StoreSet { wal: MemStore::from_bytes(log), snap_a, snap_b: MemStore::new() };
+    DurableCaseBase::recover(stores, PersistPolicy::manual())
+}
+
+#[test]
+fn byte_range_compaction_equals_the_reencoding_oracle() {
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xC0DA) ^ 0x0DE);
+        // states[g] is the case base at generation g, frames[g - 1] the
+        // record that made it.
+        let (mut states, mut frames) = (vec![seeded_case_base(seed)], Vec::new());
+        while frames.len() < 40 {
+            let mut next = states.last().unwrap().clone();
+            let mutation = random_mutation(&mut rng, &next);
+            if next.apply_mutation(&mutation).is_ok() {
+                let generation = next.generation();
+                frames.push(encode_frame(&StampedMutation { generation, mutation }).unwrap());
+                states.push(next);
+            }
+        }
+        for round in 0..12 {
+            let context = format!("seed {seed}, round {round}");
+            let acked = rng.gen_range(0..=24usize);
+            let snap_at = rng.gen_range(0..=acked);
+            let clean = MemStore::from_bytes(frames[..acked].concat());
+            // Behind the acknowledged frames: nothing, or a window torn by
+            // byte prefix or by sector subset; then a zero reserve.
+            let mut log = if round % 3 == 0 {
+                clean.into_bytes()
+            } else {
+                let window = frames[acked..acked + rng.gen_range(1..=16usize)].concat();
+                let mut torn = match round % 3 {
+                    1 => FailingStore::new(clean, rng.gen_range(0..window.len() as u64)),
+                    _ => FailingStore::tearing_sectors(clean, 0, rng.next_u64()),
+                };
+                assert!(torn.append(&window).is_err(), "{context}: the window tears");
+                torn.into_inner().into_bytes()
+            };
+            log.resize(log.len() + rng.gen_range(0..1024usize), 0);
+            let oracle = reencoding_oracle(&log, Generation::from_raw(snap_at as u64));
+            let (recovered, report) = recover_over(log, &states[snap_at]).unwrap();
+            let rewritten = recovered.into_stores().wal.into_bytes();
+            assert_eq!((rewritten, report), oracle, "{context}");
+        }
+        // A stale stamp behind a replayed record is corruption: the
+        // re-encoding compaction dropped it silently, recovery refuses.
+        let stale = recover_over([frames[..4].concat(), frames[0].clone()].concat(), &states[2]);
+        assert!(
+            matches!(stale, Err(PersistError::GenerationGap { expected, found })
+                if expected.raw() == 5 && found.raw() == 1),
+            "seed {seed}"
         );
     }
 }

@@ -43,7 +43,8 @@ pub struct ServiceConfig {
     /// service time.
     pub promotion_margin_us: u64,
     /// Durable shards checkpoint (snapshot + WAL compaction) after this
-    /// many acknowledged mutations; `0` checkpoints only on
+    /// many acknowledged mutations, replayed ones included (each shard's
+    /// [`PersistPolicy::snapshot_every`]); `0` checkpoints only on
     /// [`AllocationService::checkpoint`]. Ignored by ephemeral services.
     ///
     /// Checkpoints are two-phase (see the [`shard`](crate::shard) module

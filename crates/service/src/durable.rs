@@ -26,6 +26,7 @@ pub(crate) fn create(
     case_base: &CaseBase,
     dir: &Path,
     shards: usize,
+    snapshot_every: u64,
 ) -> Result<Vec<ShardStore>, ServiceError> {
     // Validate before destroying anything: a slice whose genesis snapshot
     // does not encode (the image outgrows the 16-bit address space) must
@@ -50,16 +51,12 @@ pub(crate) fn create(
             }
         }
     }
-    // The shard drives the checkpoint cadence itself (two-phase, off
-    // the store lock); the inner durable case base must never
-    // auto-checkpoint under the lock.
-    let policy = PersistPolicy::manual();
     let mut stores = Vec::with_capacity(slices.len());
     for (index, slice) in slices.into_iter().enumerate() {
         match slice {
             Some(cb) => {
                 let set = StoreSet::in_dir(&dir.join(format!("shard-{index}")))?;
-                let durable = DurableCaseBase::create(&cb, set, policy)?;
+                let durable = DurableCaseBase::create(&cb, set, PersistPolicy { snapshot_every })?;
                 stores.push(ShardStore::Durable(Box::new(durable)));
             }
             None => stores.push(ShardStore::Empty),
@@ -92,6 +89,7 @@ pub(crate) fn create(
 /// (newest valid snapshot + WAL replay), one report per shard.
 pub(crate) fn recover(
     dir: &Path,
+    snapshot_every: u64,
 ) -> Result<(Vec<ShardStore>, Vec<Option<RecoveryReport>>), ServiceError> {
     let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE))
         .map_err(|e| ServiceError::Manifest(format!("read {MANIFEST_FILE}: {e}")))?;
@@ -125,8 +123,6 @@ pub(crate) fn recover(
             .collect::<Result<_, _>>()?,
         None => return Err(ServiceError::Manifest("missing durable= line".into())),
     };
-    // As in durable_create: checkpoint cadence is shard-driven.
-    let policy = PersistPolicy::manual();
     let mut stores = Vec::with_capacity(shards);
     let mut reports = Vec::with_capacity(shards);
     for index in 0..shards {
@@ -144,7 +140,7 @@ pub(crate) fn recover(
             )));
         }
         let set = StoreSet::in_dir(&shard_dir)?;
-        let (durable, report) = DurableCaseBase::recover(set, policy)?;
+        let (durable, report) = DurableCaseBase::recover(set, PersistPolicy { snapshot_every })?;
         stores.push(ShardStore::Durable(Box::new(durable)));
         reports.push(Some(report));
     }

@@ -283,7 +283,7 @@ impl AllocationService {
         config: &ServiceConfig,
     ) -> Result<AllocationService, ServiceError> {
         validate_config(config)?;
-        let stores = durable::create(case_base, dir, config.shards)?;
+        let stores = durable::create(case_base, dir, config.shards, config.snapshot_every)?;
         Ok(AllocationService::from_stores(stores, config))
     }
 
@@ -308,7 +308,7 @@ impl AllocationService {
         dir: &Path,
         config: &ServiceConfig,
     ) -> Result<(AllocationService, Vec<Option<RecoveryReport>>), ServiceError> {
-        let (stores, reports) = durable::recover(dir)?;
+        let (stores, reports) = durable::recover(dir, config.snapshot_every)?;
         Ok((AllocationService::from_stores(stores, config), reports))
     }
 

@@ -30,14 +30,15 @@
 //! checks the stale snapshot slot out under the store lock (cheap), the
 //! snapshot write then runs with the lock *released*, and phase 2
 //! re-locks only to reinstall the slot and trim the already-snapshotted
-//! log prefix (bounded read + atomic replace). A per-shard checkpoint
-//! mutex serializes checkpoints against each other — never against
-//! retrievals; automatic checkpoints triggered by the mutation cadence
-//! simply skip a beat when one is already in flight.
+//! log prefix (bounded read + atomic replace). The mutation that leaves
+//! the durable case base's `checkpoint_due` true runs it, off the lock.
+//! A per-shard checkpoint mutex serializes checkpoints against each
+//! other — never against retrievals; a due checkpoint simply skips a
+//! beat when one is already in flight.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 
@@ -47,7 +48,7 @@ use rqfa_core::{
     TypeId,
 };
 use rqfa_fixed::Q15;
-use rqfa_persist::{DurableCaseBase, FileStore, PendingCheckpoint, PersistError, WrittenCheckpoint};
+use rqfa_persist::{DurableCaseBase, FileStore, PersistError};
 use rqfa_telemetry::{EventKind, FlightRecorder};
 
 use crate::cache::{CacheLookup, RetrievalCache};
@@ -161,32 +162,19 @@ impl ShardStore {
         }
     }
 
-    /// Phase 1 of a checkpoint: checks the stale snapshot slot out with a
-    /// clone of the state. `None` for shards with nothing to checkpoint.
-    pub(crate) fn checkpoint_begin(
-        &mut self,
-    ) -> Result<Option<PendingCheckpoint<FileStore>>, PersistError> {
+    /// The durable case base, which owns the checkpoint debt and cadence
+    /// (`None` for shards with nothing to checkpoint).
+    pub(crate) fn durable(&mut self) -> Option<&mut DurableCaseBase<FileStore>> {
         match self {
-            ShardStore::Durable(durable) => durable.checkpoint_begin().map(Some),
-            _ => Ok(None),
-        }
-    }
-
-    /// Phase 3 of a checkpoint: reinstalls the slot and trims the log.
-    pub(crate) fn checkpoint_finish(
-        &mut self,
-        written: WrittenCheckpoint<FileStore>,
-    ) -> Result<(), PersistError> {
-        match self {
-            ShardStore::Durable(durable) => durable.checkpoint_finish(written),
-            _ => Ok(()),
+            ShardStore::Durable(durable) => Some(durable),
+            _ => None,
         }
     }
 }
 
 /// One live shard: the thread-loop driver of a [`ShardCore`], plus the
 /// handles the service front end keeps (queue to admit into, store to
-/// mutate) and the checkpoint cadence.
+/// mutate, checkpoint lock).
 pub(crate) struct Shard {
     pub(crate) queue: Arc<ClassQueue>,
     pub(crate) store: Arc<Mutex<ShardStore>>,
@@ -196,10 +184,6 @@ pub(crate) struct Shard {
     /// Serializes checkpoints against each other (never against the
     /// store lock — retrievals keep flowing during checkpoint I/O).
     checkpoint_lock: Mutex<()>,
-    /// Acknowledged mutations since the last checkpoint *began*.
-    since_checkpoint: AtomicU64,
-    /// Auto-checkpoint after this many mutations (0 = manual only).
-    snapshot_every: u64,
     /// Parked error of the last failed automatic checkpoint.
     checkpoint_error: Mutex<Option<PersistError>>,
     worker: Option<JoinHandle<()>>,
@@ -218,14 +202,6 @@ impl Shard {
         config: &ServiceConfig,
         metrics: Arc<ServiceMetrics>,
     ) -> Shard {
-        // Only durable stores have anything to checkpoint; an ephemeral
-        // shard with a live cadence would pointlessly re-take the store
-        // lock (held by the worker across whole batches) on every
-        // mutation past the threshold.
-        let snapshot_every = match store {
-            ShardStore::Durable(_) => config.snapshot_every,
-            _ => 0,
-        };
         let mut core = ShardCore::new(store, config, metrics, None);
         let queue = Arc::clone(&core.queue);
         let store = Arc::clone(&core.store);
@@ -243,8 +219,6 @@ impl Shard {
             store,
             context,
             checkpoint_lock: Mutex::new(()),
-            since_checkpoint: AtomicU64::new(0),
-            snapshot_every,
             checkpoint_error: Mutex::new(None),
             worker: Some(worker),
         }
@@ -298,34 +272,24 @@ impl Shard {
     }
 
     /// Applies a mutation to this shard's store under its lock, returning
-    /// the inverse mutation, then runs the auto-checkpoint cadence.
+    /// the inverse mutation, and runs the checkpoint that left due once
+    /// the lock is released. One already in flight makes that a no-op
+    /// (the debt stays due); a failed one parks its error for
+    /// [`Shard::take_checkpoint_error`] instead of failing the apply.
     pub(crate) fn apply(&self, mutation: &CaseMutation) -> Result<CaseMutation, ServiceError> {
-        let inverse = self.store.lock().expect("store poisoned").apply(mutation)?;
-        self.after_acknowledged();
-        Ok(inverse)
-    }
-
-    /// Bumps the checkpoint debt and, when the cadence is due, runs an
-    /// automatic checkpoint. A checkpoint already in flight makes this a
-    /// no-op (the debt keeps accumulating and re-triggers); a failed
-    /// automatic checkpoint parks its error for
-    /// [`Shard::take_checkpoint_error`] instead of failing the apply —
-    /// the mutation itself is already durable in the WAL.
-    fn after_acknowledged(&self) {
-        if self.snapshot_every == 0 {
-            return;
-        }
-        let due = self.since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
-        if due < self.snapshot_every {
-            return;
-        }
-        let Ok(guard) = self.checkpoint_lock.try_lock() else {
-            return; // one is in flight; it will absorb this debt
+        let (inverse, due) = {
+            let mut store = self.store.lock().expect("store poisoned");
+            let inverse = store.apply(mutation)?;
+            (inverse, store.durable().is_some_and(|d| d.checkpoint_due()))
         };
-        if let Err(e) = self.checkpoint_locked() {
-            *self.checkpoint_error.lock().expect("error slot poisoned") = Some(e);
+        if due {
+            if let Ok(_guard) = self.checkpoint_lock.try_lock() {
+                if let Err(e) = self.checkpoint_locked() {
+                    *self.checkpoint_error.lock().expect("error slot poisoned") = Some(e);
+                }
+            }
         }
-        drop(guard);
+        Ok(inverse)
     }
 
     /// Forces a checkpoint on this shard's store (durable shards only).
@@ -339,27 +303,13 @@ impl Shard {
     /// so retrievals and mutations keep flowing during the snapshot
     /// write.
     fn checkpoint_locked(&self) -> Result<(), PersistError> {
-        let (pending, counted) = {
-            let mut store = self.store.lock().expect("store poisoned");
-            match store.checkpoint_begin()? {
-                Some(pending) => (pending, self.since_checkpoint.load(Ordering::Relaxed)),
-                None => return Ok(()), // nothing durable to checkpoint
-            }
+        let pending = match self.store.lock().expect("store poisoned").durable() {
+            Some(durable) => durable.checkpoint_begin()?,
+            None => return Ok(()), // nothing durable to checkpoint
         };
         let written = pending.write(); // the expensive I/O — off-lock
-        let result = self
-            .store
-            .lock()
-            .expect("store poisoned")
-            .checkpoint_finish(written);
-        if result.is_ok() {
-            // Only the debt captured at begin is paid off — mutations
-            // acknowledged during the write are the *next* checkpoint's
-            // debt. A failed checkpoint keeps the full debt, so the next
-            // mutation retries instead of waiting out another interval.
-            self.since_checkpoint.fetch_sub(counted, Ordering::Relaxed);
-        }
-        result
+        let mut store = self.store.lock().expect("store poisoned");
+        store.durable().expect("a shard's store keeps its kind").checkpoint_finish(written)
     }
 
     /// Drains this shard's parked automatic-checkpoint error, if any.
@@ -373,25 +323,15 @@ impl Shard {
     /// The durable store's write-path counters (`None` for ephemeral and
     /// empty shards). The returned block reads lock-free afterwards.
     pub(crate) fn persist_stats(&self) -> Option<Arc<rqfa_persist::PersistStats>> {
-        match &*self.store.lock().expect("store poisoned") {
-            ShardStore::Durable(durable) => Some(durable.stats()),
-            _ => None,
-        }
+        let mut store = self.store.lock().expect("store poisoned");
+        store.durable().map(|durable| durable.stats())
     }
 
     /// Exports this durable shard's snapshot container (the replication
     /// transfer unit) together with the generation it captures. The
     /// store lock is held only for the in-memory encode.
     pub(crate) fn export_snapshot(&self) -> Result<(Vec<u8>, Generation), ServiceError> {
-        match &*self.store.lock().expect("store poisoned") {
-            ShardStore::Durable(durable) => {
-                let bytes = durable.export_snapshot()?;
-                Ok((bytes, durable.generation()))
-            }
-            _ => Err(ServiceError::Remote(
-                "only durable shards replicate (no WAL to stream)".into(),
-            )),
-        }
+        self.replicating(|durable| Ok((durable.export_snapshot()?, durable.generation())))
     }
 
     /// This durable shard's WAL records newer than `through` — the tail a
@@ -400,12 +340,20 @@ impl Shard {
         &self,
         through: Generation,
     ) -> Result<Vec<rqfa_persist::StampedMutation>, ServiceError> {
-        match &*self.store.lock().expect("store poisoned") {
-            ShardStore::Durable(durable) => Ok(durable.wal_tail(through)?),
-            _ => Err(ServiceError::Remote(
-                "only durable shards replicate (no WAL to stream)".into(),
-            )),
-        }
+        self.replicating(|durable| durable.wal_tail(through))
+    }
+
+    /// Runs `f` on this shard's durable case base under the store lock.
+    /// Only durable shards replicate: there is no WAL to stream otherwise.
+    fn replicating<T>(
+        &self,
+        f: impl FnOnce(&DurableCaseBase<FileStore>) -> Result<T, PersistError>,
+    ) -> Result<T, ServiceError> {
+        let mut store = self.store.lock().expect("store poisoned");
+        let durable = store.durable().ok_or_else(|| {
+            ServiceError::Remote("only durable shards replicate (no WAL to stream)".into())
+        })?;
+        Ok(f(durable)?)
     }
 
     /// The generation of this shard's served case base.
@@ -1128,5 +1076,94 @@ mod tests {
         let late = service.call_us(request, QosClass::Critical, None);
         assert_eq!(late.map(|r| r.outcome), Some(Outcome::ShedQueueFull));
         assert_eq!(service.metrics().inline_runs, 0);
+    }
+
+    use rqfa_core::{AttrBinding, ExecutionTarget, ImplId, ImplVariant};
+    use std::path::PathBuf;
+
+    fn retain(id: u16) -> CaseMutation {
+        let bits = vec![AttrBinding::new(paper::ATTR_BITWIDTH, 9)];
+        let variant = ImplVariant::new(ImplId::new(id).unwrap(), ExecutionTarget::Fpga, bits);
+        CaseMutation::Retain { type_id: paper::FIR_EQUALIZER, variant: variant.unwrap() }
+    }
+
+    /// A one-shard durable service checkpointing every `every` mutations,
+    /// over a fresh directory.
+    fn durable_service(name: &str, every: u64) -> (AllocationService, PathBuf, ServiceConfig) {
+        let dir = std::env::temp_dir().join(format!("rqfa-shard-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServiceConfig::default().with_snapshot_every(every);
+        let base = paper::table1_case_base();
+        (AllocationService::durable_create(&base, &dir, &config).unwrap(), dir, config)
+    }
+
+    /// Completed checkpoints of a one-shard durable service.
+    fn checkpoints(service: &AllocationService) -> u64 {
+        service.shards[0].persist_stats().expect("durable shard").checkpoints.get()
+    }
+
+    #[test]
+    fn an_ephemeral_or_empty_shard_is_never_due() {
+        // Only a durable case base counts checkpoint debt.
+        let mut ephemeral = ShardStore::ephemeral(Some(paper::table1_case_base()));
+        (10..20).for_each(|id| assert!(ephemeral.apply(&retain(id)).is_ok()));
+        let mut empty = ShardStore::ephemeral(None);
+        assert!(empty.apply(&retain(10)).is_err());
+        assert!(ephemeral.durable().is_none() && empty.durable().is_none());
+    }
+
+    #[test]
+    fn recovered_debt_brings_the_next_checkpoint_forward() {
+        // Cadence N = 4, R = 2 records replayed: the recovered shard
+        // still owes them, so it checkpoints after N − R = 2 more
+        // mutations, not after N.
+        let (service, dir, config) = durable_service("recovered-debt", 4);
+        service.apply_mutation(&retain(10)).unwrap();
+        service.apply_mutation(&retain(11)).unwrap();
+        assert_eq!(checkpoints(&service), 0);
+        drop(service); // no checkpoint on the way down
+
+        let (service, reports) = AllocationService::durable_recover(&dir, &config).unwrap();
+        assert_eq!(reports[0].map(|r| r.replayed), Some(2));
+        service.apply_mutation(&retain(12)).unwrap();
+        assert_eq!(checkpoints(&service), 0);
+        service.apply_mutation(&retain(13)).unwrap();
+        assert_eq!(checkpoints(&service), 1);
+        service.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_automatic_checkpoint_is_parked_once_and_retried() {
+        if !std::path::Path::new("/dev/full").exists() {
+            return;
+        }
+        let (service, dir, config) = durable_service("parked-error", 2);
+        service.apply_mutation(&retain(10)).unwrap();
+        // The first checkpoint writes the stale slot B through its temp
+        // file; that write fails with ENOSPC, once (the failed replace
+        // removes the link).
+        std::os::unix::fs::symlink("/dev/full", dir.join("shard-0/snap-b.tmp")).unwrap();
+        service
+            .apply_mutation(&retain(11))
+            .expect("the mutation that crossed the cadence is acknowledged");
+        let errors = service.take_checkpoint_errors();
+        assert!(matches!(errors.as_slice(), [(0, PersistError::Io { .. })]), "{errors:?}");
+        assert!(service.take_checkpoint_errors().is_empty(), "taken once");
+        assert_eq!(checkpoints(&service), 0);
+
+        // The debt stays due: the next mutation retries, and it lands.
+        service.apply_mutation(&retain(12)).unwrap();
+        assert_eq!(checkpoints(&service), 1);
+        assert!(service.take_checkpoint_errors().is_empty());
+        drop(service);
+
+        // All three recover, from the snapshot the retry wrote.
+        let (recovered, reports) = AllocationService::durable_recover(&dir, &config).unwrap();
+        let report = reports[0].expect("shard 0 is durable");
+        assert_eq!((report.snapshot_generation.raw(), report.replayed), (3, 0));
+        recovered.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
