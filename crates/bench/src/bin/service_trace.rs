@@ -102,7 +102,6 @@ fn main() {
         .with_shards(2)
         .with_batch_size(8)
         .with_queue_capacity(128)
-        .with_promotion_margin_us(2_000)
         .with_cache_capacity(256)
         .with_trace_capacity(1 << 16);
     let cost = CostModel::default();

@@ -102,8 +102,9 @@ pub enum WireOutcome {
         /// Connection attempts made before giving up.
         attempts: u32,
     },
-    /// Shed at admission because the measured service rate predicted
-    /// the deadline could not be met even if queued.
+    /// Wire code 5, carrying `rqfa_service::Outcome::ShedPredicted`,
+    /// which nothing in this build produces; kept, with its golden
+    /// frame, while the `benchmark/` harness still names that outcome.
     ShedPredicted {
         /// Predicted lateness in µs had the request been queued.
         late_us: u64,

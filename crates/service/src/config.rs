@@ -2,13 +2,12 @@
 //! [`AllocationService`](crate::AllocationService), its builders and
 //! its validation.
 
-use rqfa_core::QosClass;
 use rqfa_persist::PersistPolicy;
 use rqfa_telemetry::{monotonic, SharedClock};
 
 use crate::error::ServiceError;
 #[cfg(doc)]
-use crate::{AllocationService, ClassSnapshot, ManualClock, Outcome, WeightedArbiter};
+use crate::{AllocationService, ManualClock};
 
 /// Configuration of an [`AllocationService`].
 #[derive(Debug, Clone)]
@@ -25,23 +24,6 @@ pub struct ServiceConfig {
     /// Per-shard result-cache capacity in entries (0 disables caching).
     /// Eviction is FIFO (see `docs/caching.md`).
     pub cache_capacity: usize,
-    /// Per-class queueing-delay budget in µs, indexed by
-    /// [`QosClass::index`]. The budget defines a sheddable job's
-    /// *effective deadline* (submit time + budget) unless the request
-    /// carried an explicit deadline
-    /// ([`AllocationService::submit_with_deadline`]); a job whose
-    /// effective deadline has expired when the worker picks it up is
-    /// dropped. `None` disables the budget; CRITICAL ignores its budget
-    /// entirely (never shed, but a served-late CRITICAL request counts as
-    /// a [`missed deadline`](ClassSnapshot::missed_deadline)).
-    pub deadline_budget_us: [Option<u64>; QosClass::COUNT],
-    /// A lane head within this many µs of its effective deadline is
-    /// *urgent*: the scheduler may serve it ahead of the weighted order
-    /// (bounded by [`WeightedArbiter::DEFAULT_PROMOTIONS`] out-of-credit
-    /// promotions per round). `0` promotes only heads due this very
-    /// tick, which is usually too late — size it around one batch's
-    /// service time.
-    pub promotion_margin_us: u64,
     /// Durable shards checkpoint (snapshot + WAL compaction) after this
     /// many acknowledged mutations, replayed ones included (each shard's
     /// [`PersistPolicy::snapshot_every`]); `0` checkpoints only on
@@ -69,14 +51,6 @@ pub struct ServiceConfig {
     /// newest `trace_capacity` events in a fixed ring (zero allocation
     /// per event); drain them with [`AllocationService::drain_trace`].
     pub trace_capacity: usize,
-    /// Whether admission refuses deadlined sheddable jobs the measured
-    /// service rate predicts cannot finish in time even if queued
-    /// (answered with [`Outcome::ShedPredicted`] immediately). Off by
-    /// default; has no effect until the shard's estimator is warm. The
-    /// degradation lever that keeps doomed LOW work from clogging
-    /// queues — and burning remote retry budgets — while a node is
-    /// down (see `docs/distribution.md`).
-    pub predictive_shed: bool,
 }
 
 impl Default for ServiceConfig {
@@ -86,12 +60,9 @@ impl Default for ServiceConfig {
             batch_size: 32,
             queue_capacity: 4096,
             cache_capacity: 1 << 16,
-            deadline_budget_us: [None; QosClass::COUNT],
-            promotion_margin_us: 0,
             snapshot_every: PersistPolicy::default().snapshot_every,
             clock: monotonic(),
             trace_capacity: 0,
-            predictive_shed: false,
         }
     }
 }
@@ -124,18 +95,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets one class's queueing-delay budget.
-    pub fn with_deadline_budget_us(mut self, class: QosClass, budget_us: u64) -> ServiceConfig {
-        self.deadline_budget_us[class.index()] = Some(budget_us);
-        self
-    }
-
-    /// Sets the slack margin (µs) under which a lane head is promoted.
-    pub fn with_promotion_margin_us(mut self, margin_us: u64) -> ServiceConfig {
-        self.promotion_margin_us = margin_us;
-        self
-    }
-
     /// Sets the durable checkpoint cadence (0 = manual only).
     pub fn with_snapshot_every(mut self, mutations: u64) -> ServiceConfig {
         self.snapshot_every = mutations;
@@ -153,13 +112,6 @@ impl ServiceConfig {
     /// events (0 disables tracing).
     pub fn with_trace_capacity(mut self, capacity: usize) -> ServiceConfig {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Enables predictive shedding at admission (see
-    /// [`ServiceConfig::predictive_shed`]).
-    pub fn with_predictive_shed(mut self, on: bool) -> ServiceConfig {
-        self.predictive_shed = on;
         self
     }
 }

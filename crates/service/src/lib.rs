@@ -13,11 +13,11 @@
 //!   shard answers are bit-identical to one big
 //!   [`FixedEngine`](rqfa_core::FixedEngine) over the merged case base.
 //! * **Batching + deadline-aware QoS scheduling** ([`queue`], [`sched`]):
-//!   per-class lanes ordered earliest-deadline-first, drained in weighted
-//!   round-robin (8:4:2:1) with bounded slack promotion for lane heads
-//!   about to miss their budget, per-class deadline budgets and
-//!   per-request deadlines ([`AllocationService::submit_with_deadline`]),
-//!   and urgency-tiered admission limits that shed by **largest slack
+//!   per-class lanes ordered earliest-deadline-first by each request's own
+//!   deadline ([`AllocationService::submit_with_deadline`]), drained in
+//!   weighted round-robin (8:4:2:1) with bounded slack promotion for lane
+//!   heads within one estimated batch of their deadline, and
+//!   urgency-tiered admission limits that shed by **largest slack
 //!   first** under overload — CRITICAL is never shed, ever. The full
 //!   model lives in `docs/scheduling.md`.
 //! * **One hand-over per batch, not per request** ([`Ticket`],
@@ -125,7 +125,7 @@ pub enum Outcome {
     },
     /// Shed at admission: the shard queue was full (LOW only).
     ShedQueueFull,
-    /// Shed at dispatch: the job outlived its class deadline budget.
+    /// Shed at dispatch: the job's deadline expired before it was served.
     ShedDeadline,
     /// Retrieval failed (e.g. unknown function type).
     Failed(CoreError),
@@ -140,11 +140,10 @@ pub enum Outcome {
         /// dead shard was local.
         attempts: u32,
     },
-    /// Shed at admission by *prediction*: the measured service rate
-    /// ([`ServiceTimeEstimator`]) said the deadline could not be met
-    /// even if the job were queued, so it was refused fast instead of
-    /// occupying a slot only to shed at dispatch (enable with
-    /// [`ServiceConfig::with_predictive_shed`]).
+    /// Nothing in this build produces this outcome: admission does not
+    /// shed by predicted lateness. It stays (with wire code 5) only
+    /// because the `benchmark/` harness still names it, and goes once
+    /// that harness stops naming it.
     ShedPredicted {
         /// Predicted completion lateness had the job been queued, µs.
         late_us: u64,
@@ -182,9 +181,8 @@ pub struct Job {
     pub(crate) request: Request,
     /// Clock tick (µs) at which the job was submitted.
     pub(crate) enqueued_at: u64,
-    /// Effective deadline as a clock tick (µs): the explicit per-request
-    /// deadline, else submit time + class budget, else none (sorts
-    /// behind every deadlined job).
+    /// Deadline as a clock tick (µs): the explicit per-request deadline,
+    /// else none (sorts behind every deadlined job).
     pub(crate) deadline: Option<u64>,
     /// The job's half of the reply slot it shares with its [`Ticket`].
     pub(crate) filler: ticket::Filler,
@@ -201,7 +199,7 @@ impl Job {
         self.class
     }
 
-    /// The job's effective deadline, if any, as a clock tick in µs.
+    /// The job's deadline, if any, as a clock tick in µs.
     pub fn deadline(&self) -> Option<u64> {
         self.deadline
     }
@@ -370,19 +368,16 @@ impl AllocationService {
 
     /// Submits a request in the given QoS class. Always returns a ticket;
     /// a request shed at admission gets its `ShedQueueFull` reply
-    /// immediately. The job's effective deadline is the class budget
-    /// (sheddable classes only); use
-    /// [`AllocationService::submit_with_deadline`] for per-request
-    /// deadlines.
+    /// immediately. The job has no deadline; use
+    /// [`AllocationService::submit_with_deadline`] to give it one.
     pub fn submit(&self, request: Request, class: QosClass) -> Ticket {
         self.submit_us(request, class, None)
     }
 
     /// Submits a request that must complete within `deadline` from now.
-    /// The explicit deadline overrides the class budget for EDF ordering,
-    /// slack promotion, displacement *and* dispatch shedding — except
-    /// that CRITICAL is still never shed: a late CRITICAL request is
-    /// served anyway and counted as a
+    /// The deadline drives EDF ordering, slack promotion, displacement
+    /// *and* dispatch shedding — except that CRITICAL is still never
+    /// shed: a late CRITICAL request is served anyway and counted as a
     /// [`missed deadline`](ClassSnapshot::missed_deadline). A deadline
     /// too far to represent saturates at the end of the time axis.
     pub fn submit_with_deadline(
@@ -426,16 +421,6 @@ impl AllocationService {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.shard_for(request.type_id())
             .call(id, request, class, deadline_us)
-    }
-
-    /// Seeds shard `shard`'s measured service-time estimator with one
-    /// observed batch (`batch_us` µs over `jobs` jobs) — exactly what
-    /// the shard worker feeds it after a real dispatch. Lets harnesses
-    /// under a frozen [`ManualClock`] (where measured batch durations
-    /// are zero) warm the predictive-shedding and dynamic-margin
-    /// machinery from a cost model instead.
-    pub fn prime_service_estimate(&self, shard: usize, batch_us: u64, jobs: usize) {
-        self.shards[shard].queue.estimator().observe(batch_us, jobs);
     }
 
     /// Applies any [`CaseMutation`] on the shard owning its function
@@ -604,7 +589,7 @@ pub mod testkit {
 
     pub use crate::shard::BatchHarness;
 
-    /// Builds a job with an explicit enqueue tick and effective deadline
+    /// Builds a job with an explicit enqueue tick and deadline
     /// (both clock µs), plus the ticket its reply (if any) arrives on.
     pub fn job(
         id: u64,

@@ -41,11 +41,11 @@ pub struct ClassMetrics {
     pub completed: AtomicU64,
     /// Requests refused at admission because the queue was full.
     pub shed_queue_full: AtomicU64,
-    /// Requests dropped at dispatch because their deadline budget expired.
+    /// Requests dropped at dispatch because their deadline expired.
     pub shed_deadline: AtomicU64,
-    /// Requests refused at admission because the measured service rate
-    /// predicted their deadline could not be met even if queued
-    /// (predictive shedding; see `ServiceConfig::predictive_shed`).
+    /// Always 0: nothing in this build sheds by predicted lateness. The
+    /// counter stays only because the `benchmark/` harness still names
+    /// it, and goes once that harness stops naming it.
     pub shed_predicted: AtomicU64,
     /// Completions served from the retrieval result cache.
     pub cache_hits: AtomicU64,
@@ -67,8 +67,8 @@ pub struct ClassMetrics {
     /// picks over the total across classes
     /// ([`ClassSnapshot::served_share`]).
     pub picks: AtomicU64,
-    /// Requests that completed *after* their effective deadline (served,
-    /// but late — the p99-vs-budget signal the EDF scheduler minimizes).
+    /// Requests that completed *after* their deadline (served, but late
+    /// — the signal the EDF scheduler minimizes).
     pub missed_deadline: AtomicU64,
     /// End-to-end latency (submit → reply) histogram of *served* traffic
     /// (completed and failed requests; shed requests are excluded so
@@ -265,9 +265,11 @@ pub struct ClassSnapshot {
     pub completed: u64,
     /// Requests shed at admission (queue full).
     pub shed_queue_full: u64,
-    /// Requests shed at dispatch (deadline budget expired).
+    /// Requests shed at dispatch (deadline expired).
     pub shed_deadline: u64,
-    /// Requests shed at admission by deadline prediction.
+    /// Always 0: nothing in this build produces it. It stays only
+    /// because the `benchmark/` harness still names it, and goes once
+    /// that harness stops naming it.
     pub shed_predicted: u64,
     /// Completions served from cache.
     pub cache_hits: u64,

@@ -10,41 +10,40 @@
 //! ## Lane ordering
 //!
 //! Each lane holds its jobs in one total order, `(sort key, sequence)`.
-//! The sort key is the job's *effective deadline* (its explicit
-//! per-request deadline, else enqueue time + class budget); a job with no
-//! deadline at all carries an explicit no-deadline sentinel that orders
-//! **after every tick**, so *any* explicit deadline — however far in the
-//! future — sorts ahead of the deadline-free backlog, and deadline-free
-//! jobs keep arrival order among themselves. The lane head is therefore
-//! always the job closest to missing — earliest-deadline-first; with no
-//! deadlines in play at all that is exactly arrival order. The monotonic
-//! sequence breaks ties deterministically, so two runs over the same
-//! trace dispatch — and shed — identically.
+//! The sort key is the job's deadline (the explicit per-request deadline,
+//! as a clock tick); a job with no deadline carries an explicit
+//! no-deadline sentinel that orders **after every tick**, so *any*
+//! explicit deadline — however far in the future — sorts ahead of the
+//! deadline-free backlog, and deadline-free jobs keep arrival order among
+//! themselves. The lane head is therefore always the job closest to
+//! missing — earliest-deadline-first; with no deadlines in play at all
+//! that is exactly arrival order. The monotonic sequence breaks ties
+//! deterministically, so two runs over the same trace dispatch — and shed
+//! — identically.
 //!
-//! Arrivals are near-sorted — with no deadline, or a class budget on a
-//! monotone clock, *exactly* sorted — so a lane is a sorted ring plus
-//! an ordered map (the private `Lane`): an arrival whose key is not below the
-//! ring's back is pushed there, one that sorts earlier (a per-request
-//! deadline tighter than its predecessors') goes to the map, and
-//! head, tail and both pops merge the two sorted parts. The order is the
-//! one above either way; only its price differs.
+//! Arrivals are near-sorted — with no deadline, *exactly* sorted — so a
+//! lane is a sorted ring plus an ordered map (the private `Lane`): an
+//! arrival whose key is not below the ring's back is pushed there, one
+//! that sorts earlier (a per-request deadline tighter than its
+//! predecessors') goes to the map, and head, tail and both pops merge the
+//! two sorted parts. The order is the one above either way; only its
+//! price differs.
 //!
 //! ## Overload policy
 //!
-//! Admission limits step with urgency so total queue memory stays
-//! bounded while less-urgent traffic sheds first: a LOW job is refused
-//! once `capacity` jobs are queued, MEDIUM at `2 × capacity`, HIGH at
+//! Admission limits step with urgency so total queue memory stays bounded
+//! while less-urgent traffic sheds first: a LOW job is refused once
+//! `capacity` jobs are queued, MEDIUM at `2 × capacity`, HIGH at
 //! `4 × capacity`; CRITICAL is always admitted — it must never be shed.
-//! At its limit a sheddable class sheds by **largest slack first**: if
-//! the newcomer's effective deadline is nearer than the lane's
-//! largest-slack resident, that resident is displaced (it had the most
-//! schedule room to lose) and the newcomer admitted; otherwise the
-//! newcomer — itself the largest-slack job — bounces. With no deadlines
-//! in play the newcomer always has the largest key, so this degrades to
-//! the classic refuse-the-arrival policy. On top of admission control,
-//! effective deadlines shed
+//! At its limit a sheddable class sheds by **largest slack first**: if the
+//! newcomer's deadline is nearer than the lane's largest-slack resident,
+//! that resident is displaced (it had the most schedule room to lose) and
+//! the newcomer admitted; otherwise the newcomer — itself the
+//! largest-slack job — bounces. With no deadlines in play the newcomer
+//! always has the largest key, so this degrades to the classic
+//! refuse-the-arrival policy. On top of admission control, deadlines shed
 //! HIGH/MEDIUM/LOW at *dispatch* once they have expired — work that can
-//! still meet its deadline is never refused by the budget.
+//! still meet its deadline is never refused for it.
 //!
 //! ## Waking the worker
 //!
@@ -91,7 +90,7 @@ use crate::{Job, Outcome, ServiceConfig};
 /// sorts ahead of the deadline-free backlog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SortKey {
-    /// Order by this clock tick (µs): the effective deadline.
+    /// Order by this clock tick (µs): the job's deadline.
     At(u64),
     /// A job with no deadline at all: behind every deadlined job, in
     /// arrival order among themselves (via the tie-breaking sequence).
@@ -109,27 +108,16 @@ pub enum Admission {
     /// The job was refused (class limit reached and the job itself holds
     /// the largest slack, or the queue is shut down).
     Refused(Job),
-    /// Predictive shed: the measured service rate says the job's
-    /// deadline cannot be met even if queued, so it is refused *fast*
-    /// instead of occupying a slot it is doomed to shed at dispatch.
-    /// Carries the predicted lateness in µs.
-    Doomed {
-        /// The refused job (the caller answers it).
-        job: Job,
-        /// Predicted completion lateness had the job been queued, µs.
-        late_us: u64,
-    },
 }
 
-/// A lane's total order: effective deadline, then arrival sequence.
+/// A lane's total order: deadline, then arrival sequence.
 type Key = (SortKey, u64);
 
 /// One class lane: its jobs in [`Key`] order, as two sorted parts.
 ///
 /// `ring` takes every arrival whose key is not below its back — all of
-/// them while deadlines are absent or formed from one class budget on a
-/// monotone clock — so the common insert is a `push_back` and the common
-/// pop a `pop_front`. `late` takes an arrival that sorts before the
+/// them while deadlines are absent — so the common insert is a
+/// `push_back` and the common pop a `pop_front`. `late` takes an arrival that sorts before the
 /// ring's back. Head, tail and both pops compare the two parts' ends, so
 /// callers see one ordered sequence with unique keys.
 #[derive(Default)]
@@ -247,7 +235,7 @@ pub struct ClassQueue {
     pub(crate) recorder: Option<Arc<FlightRecorder>>,
     /// Service-time estimator: written by the shard's driver, read here
     /// to stop a batch fill that would make a picked job late and to
-    /// predict doomed arrivals. Cold (no samples) it changes nothing.
+    /// size the promotion margin. Cold (no samples) it changes nothing.
     estimator: ServiceTimeEstimator,
 }
 
@@ -290,10 +278,9 @@ impl ClassQueue {
         }
     }
 
-    /// Submits one request to this shard: stamps it, forms its effective
-    /// deadline (`deadline_us` after now, else the class budget for a
-    /// sheddable class, else none — saturating, so an absurdly far
-    /// deadline stays in the future instead of wrapping into the past),
+    /// Submits one request to this shard: stamps it, forms its deadline
+    /// (`deadline_us` after now, else none — saturating, so an absurdly
+    /// far deadline stays in the future instead of wrapping into the past),
     /// pushes it, and answers whatever admission sheds on the spot. The
     /// reply, immediate or the worker's, arrives on the returned ticket.
     pub fn admit(
@@ -328,13 +315,12 @@ impl ClassQueue {
         let now = self.config.clock.now_us();
         let record = |id, class, kind, arg| self.trace(now, id, class, kind, arg);
         record(id, class, EventKind::Submitted, 0);
-        let budget = self.config.deadline_budget_us[class.index()].filter(|_| class.sheddable());
         let job = Job {
             id,
             class,
             request,
             enqueued_at: now,
-            deadline: deadline_us.or(budget).map(|d| now.saturating_add(d)),
+            deadline: deadline_us.map(|d| now.saturating_add(d)),
             filler,
         };
         match self.push_with(job, drive) {
@@ -358,32 +344,8 @@ impl ClassQueue {
                 shed.fetch_add(1, Ordering::Relaxed);
                 answer_unseen(job, Outcome::ShedQueueFull, metrics);
             }
-            Admission::Doomed { job, late_us } => {
-                record(id, class, EventKind::Refused, 0);
-                record(id, class, EventKind::ShedPredicted, late_us);
-                let shed = &metrics.class(class).shed_predicted;
-                shed.fetch_add(1, Ordering::Relaxed);
-                answer_unseen(job, Outcome::ShedPredicted { late_us }, metrics);
-            }
         }
         ticket
-    }
-
-    /// Predicted lateness (µs) of a deadlined sheddable job, from the
-    /// warm estimator's per-job rate over the current backlog: with `n`
-    /// jobs already queued the newcomer completes roughly
-    /// `(n + 1) × per_job_us` after its arrival stamp — the same stamp
-    /// its deadline was formed from, so the verdict never mixes two
-    /// "now"s. `None` = viable (or not predictable: predictive shedding
-    /// off, cold estimator, CRITICAL, or no deadline).
-    fn predicted_lateness(&self, job: &Job, queued: usize) -> Option<u64> {
-        if !self.config.predictive_shed || !job.class.sheddable() || self.estimator.samples() == 0 {
-            return None;
-        }
-        let deadline = job.deadline?;
-        let predicted_us = self.estimator.per_job_us().checked_mul(queued as u64 + 1)?;
-        let completes = job.enqueued_at.saturating_add(predicted_us);
-        (completes > deadline).then(|| completes - deadline)
     }
 
     /// Enqueues a job. See [`Admission`] for the outcomes; the class's
@@ -408,13 +370,6 @@ impl ClassQueue {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.shutdown {
             return Admission::Refused(job);
-        }
-        if let Some(late_us) = self.predicted_lateness(&job, inner.len) {
-            // Refuse-fast: the measured service rate says this job
-            // sheds at dispatch anyway; answering now costs nothing and
-            // keeps the doomed work from occupying a queue slot.
-            drop(inner);
-            return Admission::Doomed { job, late_us };
         }
         let capacity = self.config.queue_capacity;
         let limit = match job.class {
@@ -531,10 +486,11 @@ impl ClassQueue {
     /// [`ClassQueue::pop_batch`], a blocking caller from its own push.
     fn fill(&self, inner: &mut Inner, max: usize, batch: &mut Vec<Job>) {
         // Read once: the whole fill judges by one estimate, whichever
-        // driver feeds the estimator meanwhile.
+        // driver feeds the estimator meanwhile. The promotion margin is
+        // one batch at that rate — 0 while the estimator is cold.
         let per_job_us = self.estimator.per_job_us();
-        let margin_us = self.config.promotion_margin_us;
-        // Tightest effective deadline among jobs already picked — the
+        let margin_us = per_job_us.saturating_mul(max as u64);
+        // Tightest deadline among jobs already picked — the
         // deadline-aware composition bound.
         let mut tightest: Option<u64> = None;
         let mut picks = [0u64; QosClass::COUNT];
@@ -577,8 +533,8 @@ impl ClassQueue {
                     break;
                 }
             }
-            // A head within the margin of its effective deadline *and
-            // still viable* is urgent. An already-expired head is
+            // A head within the margin of its deadline *and still
+            // viable* is urgent. An already-expired head is
             // deliberately not: promoting it spends rescue bandwidth on a
             // job that sheds at dispatch anyway — it drains at the lane's
             // weighted rate instead.
@@ -756,7 +712,7 @@ mod tests {
     fn admission_limits_step_with_urgency() {
         // capacity 2 → LOW refused at 2, MEDIUM at 4, HIGH at 8,
         // CRITICAL never: total memory stays bounded for sheddable
-        // classes even with no deadline budgets configured.
+        // classes even with no deadlines in play.
         let q = queue(2);
         let fill = |q: &ClassQueue, class, n: u64| {
             (0..n)
@@ -1060,13 +1016,10 @@ mod tests {
         assert_eq!(reads(&clock), 9 + 3, "one clock read per admission");
     }
 
-    /// A queue on a caller-driven manual clock with a 1 ms fixed
-    /// promotion margin, plus its metrics.
+    /// A queue on a caller-driven manual clock, plus its metrics.
     fn queue_on(clock: &Arc<ManualClock>) -> (ClassQueue, Arc<ServiceMetrics>) {
         let metrics = Arc::new(ServiceMetrics::default());
-        let config = config(64)
-            .with_clock(Arc::clone(clock) as SharedClock)
-            .with_promotion_margin_us(1_000);
+        let config = config(64).with_clock(Arc::clone(clock) as SharedClock);
         (ClassQueue::new(&config, Arc::clone(&metrics), None), metrics)
     }
 
@@ -1077,8 +1030,10 @@ mod tests {
         // rescue bandwidth on jobs that shed at dispatch anyway. An
         // expired head must drain at the lane's weighted rate; a viable
         // head inside the margin must still be promoted.
+        // 1 ms per job: a one-job fill's margin is 1 ms.
         let clock = Arc::new(ManualClock::new());
         let (q, metrics) = queue_on(&clock);
+        q.estimator().observe(1_000, 1);
         push_ok(&q, deadline_job(0, QosClass::Low, 0, 100));
         for id in 1..4 {
             push_ok(&q, job(id, QosClass::Critical));
@@ -1090,6 +1045,7 @@ mod tests {
         // Control: the same shape with a still-viable head inside the
         // margin is promoted ahead of CRITICAL as before.
         let (q2, metrics2) = queue_on(&clock);
+        q2.estimator().observe(1_000, 1);
         push_ok(&q2, deadline_job(10, QosClass::Low, clock.elapsed_us(), 500));
         for id in 11..14 {
             push_ok(&q2, job(id, QosClass::Critical));
@@ -1097,6 +1053,30 @@ mod tests {
         let next = pop(&q2, 1).unwrap();
         assert_eq!(next[0].id, 10, "viable head inside the margin jumps the order");
         assert_eq!(metrics2.class(QosClass::Low).promoted.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_head_is_urgent_within_one_batch_at_the_estimated_rate() {
+        // A LOW head due at `deadline_us` behind three CRITICAL jobs, one
+        // fill of four: whether LOW jumps ahead is the margin's verdict.
+        let first_pick = |per_job_us: Option<u64>, deadline_us: u64| {
+            let (q, metrics) = queue_on(&Arc::new(ManualClock::new()));
+            if let Some(per_job_us) = per_job_us {
+                q.estimator().observe(per_job_us, 1);
+            }
+            push_ok(&q, deadline_job(0, QosClass::Low, 0, deadline_us));
+            for id in 1..4 {
+                push_ok(&q, job(id, QosClass::Critical));
+            }
+            let batch = pop(&q, 4).unwrap();
+            let promoted = metrics.class(QosClass::Low).promoted.load(Ordering::Relaxed);
+            (batch[0].class, promoted)
+        };
+        // Cold: the margin is 0, so a head 1 µs out waits its turn.
+        assert_eq!(first_pick(None, 1), (QosClass::Critical, 0));
+        // Warm at 100 µs per job: the margin is 4 × 100 µs.
+        assert_eq!(first_pick(Some(100), 400), (QosClass::Low, 1), "inside the margin");
+        assert_eq!(first_pick(Some(100), 401), (QosClass::Critical, 0), "1 µs outside");
     }
 
     #[test]
@@ -1128,48 +1108,6 @@ mod tests {
             push_ok(&q, job(id, QosClass::High));
         }
         assert_eq!(pop(&q, 8).unwrap().len(), 8);
-    }
-
-    #[test]
-    fn predictive_shedding_dooms_only_the_truly_doomed() {
-        // 100 µs estimated per job. Five jobs already queued, so a
-        // newcomer completes at ~(5+1)×100 = 600 µs.
-        let q = build(&config(64).with_predictive_shed(true));
-        q.estimator().observe(100, 1);
-        for id in 0..5 {
-            push_ok(&q, job(id, QosClass::Low));
-        }
-        // Doomed: 300 µs deadline against a 600 µs predicted completion.
-        match q.push(deadline_job(10, QosClass::Low, 0, 300)) {
-            Admission::Doomed { job, late_us } => {
-                assert_eq!(job.id, 10);
-                assert_eq!(late_us, 300, "predicted 600 µs against a 300 µs deadline");
-            }
-            other => panic!("expected Doomed, got {other:?}"),
-        }
-        // Viable: 1 ms of slack admits normally.
-        push_ok(&q, deadline_job(11, QosClass::Low, 0, 1_000));
-        // No deadline: nothing to predict against.
-        push_ok(&q, job(12, QosClass::Low));
-        // CRITICAL is never sheddable, predicted lateness or not.
-        push_ok(&q, deadline_job(13, QosClass::Critical, 0, 1));
-    }
-
-    #[test]
-    fn predictive_shedding_stays_dormant_when_cold_or_disabled() {
-        // Cold estimator (no samples): admit even hopeless deadlines.
-        let cold = build(&config(64).with_predictive_shed(true));
-        for id in 0..5 {
-            push_ok(&cold, job(id, QosClass::Low));
-        }
-        push_ok(&cold, deadline_job(10, QosClass::Low, 0, 1));
-        // Feature off: a warm estimator must not shed either.
-        let off = queue(64);
-        off.estimator().observe(100, 1);
-        for id in 0..5 {
-            push_ok(&off, job(id, QosClass::Low));
-        }
-        push_ok(&off, deadline_job(10, QosClass::Low, 0, 1));
     }
 
     #[test]
@@ -1284,30 +1222,5 @@ mod tests {
         assert!(batch.is_empty());
         assert_eq!(q.len(), 2);
         assert_eq!(metrics.worker_wakes.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn a_doomed_verdict_is_judged_at_the_arrival_stamp() {
-        // Regression: the prediction used to re-read the clock, so under
-        // an advancing clock `late_us` was computed against a later "now"
-        // than the job's own deadline. One stamp serves both: with the
-        // arrival stamped at t, `late_us` is exactly
-        // `(t + (queued + 1) × per_job) − (t + deadline)`.
-        let clock = Arc::new(TickingClock::default());
-        let q = build(
-            &config(64)
-                .with_predictive_shed(true)
-                .with_clock(Arc::clone(&clock) as SharedClock),
-        );
-        q.estimator().observe(100, 1);
-        for id in 0..5 {
-            push_ok(&q, job(id, QosClass::Low));
-        }
-        let reply = q
-            .admit(10, request(), QosClass::Low, Some(300))
-            .try_wait()
-            .expect("refused at the door");
-        assert_eq!(reply.outcome, Outcome::ShedPredicted { late_us: 6 * 100 - 300 });
-        assert_eq!(clock.0.load(Ordering::SeqCst), 10, "one clock read per admission");
     }
 }

@@ -9,7 +9,7 @@
 //! else: it drives the very `ShardCore` the live worker threads drive —
 //! arrivals enter through [`ClassQueue::admit`](crate::queue::ClassQueue::admit)
 //! (same admission limits, displacement, EDF lanes, weighted arbiter,
-//! promotions, predictive shedding) and batches run through the same
+//! promotions) and batches run through the same
 //! `step` (same coalescing, cache, plane kernel, metrics commit), all
 //! under a [`ManualClock`] advanced by a single-threaded discrete-event
 //! loop.
@@ -73,8 +73,8 @@ pub struct TraceArrival {
     pub at_us: u64,
     /// QoS class the request is submitted in.
     pub class: QosClass,
-    /// Explicit per-request deadline, µs after submission (`None` falls
-    /// back to the class budget, as in the live service).
+    /// Explicit per-request deadline, µs after submission (`None`: no
+    /// deadline, as in the live service).
     pub deadline_us: Option<u64>,
     /// The allocation request itself.
     pub request: Request,
@@ -207,8 +207,8 @@ impl TraceDriver {
                 // The live driver feeds the estimator the clock time it
                 // measured around the step; here the cost model *is* the
                 // truth, so the estimator sees exactly what the event
-                // loop charges — estimator-bounded batch fill and
-                // predictive shedding replay bit-identically.
+                // loop charges — estimator-bounded batch fill and the
+                // promotion margin replay bit-identically.
                 shard.core.queue.estimator().observe(batch_us, served);
                 shard.free_at_us = t + batch_us;
             }
@@ -309,43 +309,5 @@ mod tests {
         let report = driver.run(&trace);
         assert_eq!(report.replies[1].outcome, Outcome::ShedDeadline);
         assert_eq!(report.metrics.class(QosClass::Low).shed_deadline, 1);
-    }
-    #[test]
-    fn replay_honours_predictive_shedding() {
-        // Regression: the replay used to wire its queues by hand and
-        // left `predictive_shed` out, so a replay silently ignored the
-        // setting. 10 ms per batch against 500 µs deadlines arriving
-        // every 100 µs: once the first batch has warmed the estimator,
-        // every queued LOW arrival is predictably late and must be
-        // refused at the door, exactly as the live service does.
-        let cb = paper::table1_case_base();
-        let config = ServiceConfig::default()
-            .with_shards(1)
-            .with_batch_size(1)
-            .with_predictive_shed(true);
-        let cost = CostModel {
-            dispatch_overhead_us: 10_000,
-            per_request_us: 0,
-        };
-        let trace: Vec<TraceArrival> = (0..32)
-            .map(|i| TraceArrival {
-                at_us: i * 100,
-                class: QosClass::Low,
-                deadline_us: Some(500),
-                request: paper::table1_request().unwrap(),
-            })
-            .collect();
-        let report = TraceDriver::new(&cb, &config, cost).run(&trace);
-        let predicted = report
-            .replies
-            .iter()
-            .filter(|r| matches!(r.outcome, Outcome::ShedPredicted { .. }))
-            .count() as u64;
-        assert!(predicted >= 1, "a saturating deadlined trace must shed predictively");
-        assert_eq!(report.metrics.class(QosClass::Low).shed_predicted, predicted);
-        // The same trace with the lever off sheds only at dispatch.
-        let off = TraceDriver::new(&cb, &config.with_predictive_shed(false), cost).run(&trace);
-        assert_eq!(off.metrics.class(QosClass::Low).shed_predicted, 0);
-        assert!(off.metrics.class(QosClass::Low).shed_deadline > 0);
     }
 }

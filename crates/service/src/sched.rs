@@ -16,7 +16,8 @@
 //!   CRITICAL gets an 8:4:2:1 share under saturation.
 //! * **Bounded slack promotion.** The queue flags a lane *urgent* when
 //!   its head job's remaining slack (deadline − now) has shrunk to the
-//!   promotion margin. An urgent lane may be served ahead of the weighted
+//!   promotion margin: one batch's service time at the
+//!   [`ServiceTimeEstimator`]'s rate (0 while it is cold). An urgent lane may be served ahead of the weighted
 //!   order: if it still has credit the promotion merely reorders work
 //!   inside the round (free — round totals are unchanged); if it is out
 //!   of credit it consumes one of the round's
@@ -47,7 +48,8 @@ pub struct Pick {
 /// Per-shard EWMA estimator of per-job service time, fed by the worker
 /// with *measured* batch durations (or by the replay driver with
 /// cost-model durations) and read by the scheduler to stop batch fill
-/// before a picked job is made late and to predict doomed arrivals.
+/// before a picked job is made late and to size the promotion margin
+/// (one batch at the estimated rate).
 ///
 /// Single writer (the shard's worker), many readers; state is plain
 /// relaxed atomics in ×16 fixed point, so readers never block the worker

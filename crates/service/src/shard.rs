@@ -194,8 +194,8 @@ impl Shard {
     /// stepping the core until the queue is shut down and drained,
     /// feeding each step's *measured* duration (store-lock wait included
     /// — the next lane head waits that out too) to the scheduler's
-    /// estimator. Under a frozen `ManualClock` every measurement is 0 and
-    /// the scheduler keeps its configured margins.
+    /// estimator. Under a frozen `ManualClock` every measurement is 0, so
+    /// batch fill is unbounded and the promotion margin is 0.
     pub(crate) fn spawn(
         index: usize,
         store: ShardStore,
@@ -1034,22 +1034,6 @@ mod tests {
         assert!(matches!(reply, Some(Reply { outcome: Outcome::Allocated { .. }, .. })));
         let snap = service.shutdown();
         assert_eq!((snap.inline_runs, snap.batches, snap.worker_wakes), (0, 1, 1));
-    }
-
-    #[test]
-    fn a_doomed_blocking_call_is_shed_at_the_door_and_runs_nothing() {
-        let service = parked_service(ServiceConfig::default().with_predictive_shed(true));
-        service.prime_service_estimate(0, 1_000, 1);
-        let request = paper::table1_request().unwrap();
-        let reply = service.call_us(request, QosClass::Low, Some(10)).unwrap();
-        assert_eq!(reply.outcome, Outcome::ShedPredicted { late_us: 990 });
-        assert_eq!(
-            event_kinds(&service),
-            [[EventKind::Submitted, EventKind::Refused, EventKind::ShedPredicted]]
-        );
-        let snap = service.shutdown();
-        assert_eq!((snap.inline_runs, snap.batches, snap.worker_wakes), (0, 0, 0));
-        assert_eq!(snap.class(QosClass::Low).shed_predicted, 1);
     }
 
     #[test]

@@ -34,9 +34,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `Refused`), scheduling (`Scheduled`, with `arg = 1` when deadline
 /// urgency promoted the pick), dispatch and the cache probe, and exactly
 /// one terminal event per request (`Replied`, `Failed`, `ShedQueueFull`,
-/// `ShedDeadline`, `ShedPredicted`). Kinds 18+ extend the vocabulary to
-/// the liveness and degradation planes, where events are node-scoped:
-/// the node id rides in the request-id field.
+/// `ShedDeadline`). Kinds 18+ extend the vocabulary to the liveness and
+/// degradation planes, where events are node-scoped: the node id rides
+/// in the request-id field. Code 22 is unassigned:
+/// [`EventKind::from_u8`] decodes it as `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -107,10 +108,6 @@ pub enum EventKind {
     /// Liveness plane: a previously suspect/down node answered a
     /// heartbeat again; node id in the request-id field.
     NodeRecovered = 21,
-    /// Terminal: shed at admission because the measured service rate
-    /// says the deadline cannot be met even if queued (predictive
-    /// shedding); `arg` carries the predicted completion lateness in µs.
-    ShedPredicted = 22,
     /// Degradation plane: a remote shard's circuit breaker tripped open
     /// after consecutive failures; node id in the request-id field,
     /// consecutive-failure count in `arg`.
@@ -146,7 +143,6 @@ impl EventKind {
             19 => EventKind::NodeDown,
             20 => EventKind::NodePromoted,
             21 => EventKind::NodeRecovered,
-            22 => EventKind::ShedPredicted,
             23 => EventKind::BreakerOpened,
             24 => EventKind::BreakerClosed,
             _ => return None,
@@ -161,7 +157,6 @@ impl EventKind {
                 | EventKind::Failed
                 | EventKind::ShedQueueFull
                 | EventKind::ShedDeadline
-                | EventKind::ShedPredicted
         )
     }
 }

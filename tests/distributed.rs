@@ -970,35 +970,3 @@ fn seeded_chaos_promotes_every_kill_and_never_a_live_node() {
         }
     }
 }
-
-#[test]
-fn predictive_shedding_refuses_doomed_low_requests_fast() {
-    let clock = frozen_clock();
-    let base = CaseGen::new(6, 4, 4, 6).seed(0xD00).build();
-    let config = node_config(&clock).with_predictive_shed(true);
-    let service = AllocationService::new(&base, &config).expect("service");
-    // Warm the estimator by hand — under a frozen clock the worker
-    // observes 0 µs batches and would never learn: 10 ms per job, far
-    // past any deadline below.
-    service.prime_service_estimate(0, 10_000, 1);
-    let request = RequestGen::new(&base).seed(1).count(1).generate().remove(0);
-    // LOW with 1 ms of headroom against a 10 ms predicted completion:
-    // refused at admission with the predicted lateness — no queueing,
-    // no waiting for the deadline to pass.
-    let reply = service
-        .submit_with_deadline(request.clone(), QosClass::Low, Duration::from_millis(1))
-        .wait()
-        .expect("service answers");
-    assert_eq!(reply.outcome, Outcome::ShedPredicted { late_us: 9_000 });
-    // CRITICAL is never predictively shed, hopeless deadline or not.
-    let reply = service
-        .submit_with_deadline(request, QosClass::Critical, Duration::from_millis(1))
-        .wait()
-        .expect("service answers");
-    assert!(
-        matches!(reply.outcome, Outcome::Allocated { .. }),
-        "CRITICAL must complete: {:?}",
-        reply.outcome
-    );
-    service.shutdown();
-}

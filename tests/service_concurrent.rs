@@ -157,7 +157,7 @@ fn cache_invalidation_on_case_insertion() {
 }
 
 /// 3. CRITICAL is never shed, even with a 4-slot queue under a flood of
-///    LOW traffic with a 1 µs deadline budget.
+///    LOW traffic with 1 µs deadlines.
 #[test]
 fn critical_survives_overload_that_sheds_low() {
     let case_base = CaseGen::new(6, 32, 8, 10).seed(77).build();
@@ -165,8 +165,7 @@ fn critical_survives_overload_that_sheds_low() {
         .with_shards(2)
         .with_queue_capacity(4)
         .with_batch_size(4)
-        .with_cache_capacity(0) // keep the workers honest (no shortcut)
-        .with_deadline_budget_us(QosClass::Low, 1);
+        .with_cache_capacity(0); // keep the workers honest (no shortcut)
     let service = AllocationService::new(&case_base, &config).expect("valid service config");
     let requests = RequestGen::new(&case_base)
         .seed(5)
@@ -180,7 +179,8 @@ fn critical_survives_overload_that_sheds_low() {
             critical_tickets.push(service.submit(request.clone(), QosClass::Critical));
         } else {
             // Fire-and-forget flood; replies collected via metrics.
-            let _ = service.submit(request.clone(), QosClass::Low);
+            let deadline = Duration::from_micros(1);
+            let _ = service.submit_with_deadline(request.clone(), QosClass::Low, deadline);
         }
     }
 
@@ -216,19 +216,14 @@ fn probe_request() -> Request {
     paper::table1_request().unwrap()
 }
 
-/// Builds a queue of the given capacity, everything else default.
+/// Builds a queue of the given capacity, everything else default, on a
+/// frozen manual clock at tick 0 — the `base` every scheduler-level test
+/// below measures from.
 fn sched_queue(capacity: usize) -> ClassQueue {
-    sched_queue_from(ServiceConfig::default().with_queue_capacity(capacity))
-}
-
-/// Builds the queue `config` describes on a frozen manual clock at tick
-/// 0 — the `base` every scheduler-level test below measures from.
-fn sched_queue_from(config: ServiceConfig) -> ClassQueue {
-    ClassQueue::new(
-        &config.with_clock(Arc::new(ManualClock::new())),
-        Arc::new(ServiceMetrics::default()),
-        None,
-    )
+    let config = ServiceConfig::default()
+        .with_queue_capacity(capacity)
+        .with_clock(Arc::new(ManualClock::new()));
+    ClassQueue::new(&config, Arc::new(ServiceMetrics::default()), None)
 }
 
 /// Drains up to `max` queued jobs as one batch (the queue is never empty
@@ -331,9 +326,6 @@ fn shed_order_is_largest_slack_first_and_deterministic() {
                 Admission::Admitted => format!("admit {id}"),
                 Admission::Displaced(victim) => format!("displace {} for {id}", victim.id()),
                 Admission::Refused(job) => format!("refuse {}", job.id()),
-                Admission::Doomed { job, late_us } => {
-                    format!("doom {} late {late_us}us", job.id())
-                }
             });
         };
         // Fill the LOW lane to its limit (capacity 4)…
@@ -381,22 +373,21 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// 5e. Slack promotion through the queue: with MEDIUM and LOW lane heads
-///     *permanently* urgent (tight deadlines against a 1 s margin) the
-///     promotion token budget still bounds the bypass. Over seeded
-///     saturating traces with randomized batch sizes CRITICAL keeps at
-///     least its documented weight / (Σ weights + tokens) floor of every
-///     pick stream, and the urgent classes keep at least their own
-///     credit share of the token-extended round.
+///     *permanently* urgent (1 µs deadlines against a warm estimator's
+///     one-batch margin) the promotion token budget still bounds the
+///     bypass. Over seeded saturating traces with randomized batch sizes
+///     CRITICAL keeps at least its documented weight / (Σ weights +
+///     tokens) floor of every pick stream, and the urgent classes keep at
+///     least their own credit share of the token-extended round.
 #[test]
 fn slack_promotion_preserves_the_critical_floor_on_saturating_traces() {
     const PICKS: u64 = 1_700; // 100 rounds of 15 credits + 2 tokens
     for seed in 0..4u64 {
         let mut state = seed ^ 0xD1A0;
-        let q = sched_queue_from(
-            ServiceConfig::default()
-                .with_queue_capacity(8_192)
-                .with_promotion_margin_us(1_000_000),
-        );
+        let q = sched_queue(8_192);
+        // 1 µs per job: every fill's margin covers the urgent heads' 1 µs
+        // of slack, and a picked 1 µs deadline may end the fill early.
+        q.estimator().observe(1, 1);
         let base = 0;
         let mut id = 0u64;
         for (class, count, urgent) in [
@@ -417,11 +408,11 @@ fn slack_promotion_preserves_the_critical_floor_on_saturating_traces() {
         while served < PICKS {
             let want = (1 + splitmix(&mut state) % 32).min(PICKS - served) as usize;
             let batch = pop_batch(&q, want);
-            assert_eq!(batch.len(), want, "a saturated queue fills every batch");
+            assert!(!batch.is_empty(), "a saturated queue yields every batch a pick");
             for job in &batch {
                 counts[job.class().index()] += 1;
             }
-            served += want as u64;
+            served += batch.len() as u64;
         }
         // Anti-starvation floor: 8 of every (15 credits + 2 tokens).
         assert!(
