@@ -37,10 +37,9 @@
 //! * [`detector`] — lease-based liveness classification
 //!   ([`FailureDetector`]): heartbeats renew a per-node lease, whole
 //!   missed leases map to `Healthy`/`Suspect`/`Down`, all on the
-//!   injected clock.
-//! * [`breaker`] — the per-remote circuit breaker
-//!   ([`CircuitBreaker`]): consecutive failures trip it open, calls
-//!   fail fast, a clock-driven probe re-closes it.
+//!   injected clock. It is the only liveness judgment the crate makes:
+//!   a call to a dead node spends its bounded retry budget until the
+//!   service's supervisor, acting on the detector, repoints placement.
 //! * [`stats`] — lock-free net-plane counters ([`NetStats`]) pluggable
 //!   into the workspace metrics registry.
 //!
@@ -51,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod conn;
 pub mod detector;
 mod error;
@@ -61,7 +59,6 @@ pub mod replication;
 pub mod stats;
 pub mod wire;
 
-pub use breaker::{BreakerState, CircuitBreaker};
 pub use conn::{connect_loopback, FrameConn, RetryPolicy};
 pub use detector::{FailureDetector, Liveness};
 pub use error::NetError;

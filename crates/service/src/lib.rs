@@ -135,9 +135,9 @@ pub enum Outcome {
     /// client-side — a dead site degrades the requests routed to it into
     /// this explicit outcome, never a hang or a panic.
     Unavailable {
-        /// Connection/send attempts made before giving up. 0: none was
-        /// made — an open circuit breaker failed the call fast, or the
-        /// dead shard was local.
+        /// Connection/send attempts made before giving up: the retry
+        /// budget for a remote node. 0 has one meaning: no transport
+        /// stands in front of the dead shard, which was local.
         attempts: u32,
     },
     /// Nothing in this build produces this outcome: admission does not

@@ -72,7 +72,7 @@ use std::time::Duration;
 use rqfa_core::placement::{NodeId, Placement, ShardSite};
 use rqfa_core::{CaseMutation, Generation, QosClass, Request};
 use rqfa_net::{
-    connect_loopback, snapshot_stream, CircuitBreaker, FailureDetector, Follower, FollowerEvent,
+    connect_loopback, snapshot_stream, FailureDetector, Follower, FollowerEvent,
     FrameConn, Heartbeat, Liveness, Message, MutateAck, NetError, NetStats, RetryPolicy, TailAck,
     WireOutcome, WireReply,
 };
@@ -455,10 +455,6 @@ pub struct RemoteShard {
     /// Locked to pop and to push, never across I/O.
     idle: Mutex<Vec<Conn>>,
     tracer: Option<Tracer>,
-    /// Optional circuit breaker: when open, calls fail fast with
-    /// attempt count 0 instead of burning the whole retry budget
-    /// against a node that is known-dead (see [`CircuitBreaker`]).
-    breaker: Option<Arc<CircuitBreaker>>,
 }
 
 impl RemoteShard {
@@ -470,7 +466,6 @@ impl RemoteShard {
             stats: Arc::new(NetStats::new()),
             idle: Mutex::new(Vec::new()),
             tracer: None,
-            breaker: None,
         }
     }
 
@@ -497,20 +492,6 @@ impl RemoteShard {
     ) -> RemoteShard {
         self.tracer = Some(Tracer { recorder, clock });
         self
-    }
-
-    /// Guards every call with `breaker`: an exhausted retry budget
-    /// counts one failure, a trip makes later calls fail fast (attempt
-    /// count 0) until the breaker's clock-driven probe re-closes it.
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> RemoteShard {
-        self.breaker = Some(breaker);
-        self
-    }
-
-    /// This client's circuit breaker, if one is attached.
-    pub fn breaker(&self) -> Option<Arc<CircuitBreaker>> {
-        self.breaker.clone()
     }
 
     /// This client's transport counters.
@@ -592,14 +573,6 @@ impl RemoteShard {
         message: &Message,
         matcher: impl Fn(Message) -> Option<T>,
     ) -> Result<T, u32> {
-        // Degradation ladder, rung one: an open breaker fails the call
-        // *before* any transport work. Attempt count 0 distinguishes
-        // the fast-fail from a genuinely exhausted retry budget.
-        if let Some(breaker) = &self.breaker {
-            if !breaker.admit() {
-                return Err(0);
-            }
-        }
         for attempt in 0..self.policy.attempts {
             if attempt > 0 {
                 self.stats.on_retry();
@@ -625,10 +598,6 @@ impl RemoteShard {
                     if idle.len() < MAX_IDLE_CONNS {
                         idle.push(conn);
                     }
-                    drop(idle);
-                    if let Some(breaker) = &self.breaker {
-                        breaker.on_success();
-                    }
                     return Ok(value);
                 }
                 Err(error) => {
@@ -639,11 +608,6 @@ impl RemoteShard {
                     self.idle().clear();
                 }
             }
-        }
-        // One exhausted call = one breaker failure (not one per
-        // attempt): the retry budget already oversamples the node.
-        if let Some(breaker) = &self.breaker {
-            breaker.on_failure();
         }
         Err(self.policy.attempts)
     }
@@ -778,8 +742,9 @@ impl ClusterClient {
     /// within the bounded retry budget, so this never hangs). A site
     /// that cannot answer degrades the request to
     /// [`Outcome::Unavailable`], wherever the site is: a remote node that
-    /// stayed unreachable reports the attempts it cost, a local shard
-    /// whose worker died — as a breaker's fast-fail — `attempts: 0`.
+    /// stayed unreachable reports the attempts it cost (the retry
+    /// budget's, never fewer), a local shard whose worker died
+    /// `attempts: 0`.
     ///
     /// # Panics
     ///
@@ -820,7 +785,7 @@ impl ClusterClient {
                     Some(reply) => Reply { id, ..reply },
                     // The local shard's worker is dead. No transport
                     // stands between caller and shard, so no attempt was
-                    // made: 0, as for a breaker's fast-fail.
+                    // made: 0, the one reading of that count.
                     None => Reply {
                         id,
                         class,
@@ -1689,71 +1654,6 @@ mod tests {
         assert!(ended, "connection thread never ended");
         refused.call_heartbeat(1).expect("served once there is room");
         drop(held);
-        server.shutdown();
-        if let Some(service) = Arc::into_inner(service) {
-            service.shutdown();
-        }
-    }
-
-    #[test]
-    fn breaker_fast_fails_and_recovers_via_half_open() {
-        let service = Arc::new(
-            AllocationService::new(
-                &paper::table1_case_base(),
-                &crate::ServiceConfig::default().with_shards(1),
-            )
-            .expect("valid service config"),
-        );
-        let server = NodeServer::spawn(Arc::clone(&service)).unwrap();
-        let addr = server.addr();
-        // A severable link: while `cut`, every (re)connection attempt
-        // fails before touching the live server.
-        let cut = Arc::new(AtomicBool::new(true));
-        let cut_in_factory = Arc::clone(&cut);
-        let clock = Arc::new(rqfa_telemetry::ManualClock::new());
-        let breaker = Arc::new(CircuitBreaker::new(
-            Arc::clone(&clock) as SharedClock,
-            0,
-            2,
-            1_000,
-        ));
-        let remote = RemoteShard::new(
-            Box::new(move || {
-                if cut_in_factory.load(Ordering::SeqCst) {
-                    return Err(NetError::Timeout);
-                }
-                connect_loopback(addr, Duration::from_millis(500))
-                    .map(|stream| Box::new(stream) as Box<dyn RemoteStream>)
-            }),
-            RetryPolicy {
-                attempts: 1,
-                base_backoff: Duration::from_micros(1),
-                jitter_seed: 0,
-            },
-        )
-        .with_breaker(Arc::clone(&breaker));
-        let submit = |id| rqfa_net::Submit {
-            id,
-            class: QosClass::High,
-            deadline_us: None,
-            request: paper::table1_request().unwrap(),
-        };
-        // Two exhausted calls trip the threshold-2 breaker.
-        assert_eq!(remote.call_submit(submit(0)), Err(1));
-        assert_eq!(remote.call_submit(submit(1)), Err(1));
-        assert_eq!(breaker.opens(), 1);
-        // Open: the next call fails fast — attempt count 0 and zero
-        // transport work, not a burned retry budget.
-        assert_eq!(remote.call_submit(submit(2)), Err(0));
-        assert_eq!(breaker.fast_fails(), 1);
-        assert_eq!(remote.stats().frames_sent.load(Ordering::Relaxed), 0);
-        // After the cooldown the single half-open probe re-closes it.
-        clock.advance_us(1_000);
-        cut.store(false, Ordering::SeqCst);
-        let reply = remote.call_submit(submit(3)).expect("probe call lands");
-        assert_eq!(reply.id, 3);
-        assert_eq!(breaker.state(), rqfa_net::BreakerState::Closed);
-        assert_eq!(remote.call_submit(submit(4)).expect("closed again").id, 4);
         server.shutdown();
         if let Some(service) = Arc::into_inner(service) {
             service.shutdown();

@@ -4,7 +4,7 @@
 //! a `u64` microsecond tick — the paper's retrieval unit is stepped by
 //! one cycle counter, and the service around it reads one too. Arrival
 //! stamps, effective deadlines, EDF lane keys, dispatch-time deadline
-//! checks, the service-time estimator, lease and breaker arithmetic and
+//! checks, the service-time estimator, lease arithmetic and
 //! flight-recorder stamps are all the same integer on the same axis, so
 //! comparing any two of them is one subtraction and no conversion.
 //!

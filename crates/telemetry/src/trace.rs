@@ -34,10 +34,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `Refused`), scheduling (`Scheduled`, with `arg = 1` when deadline
 /// urgency promoted the pick), dispatch and the cache probe, and exactly
 /// one terminal event per request (`Replied`, `Failed`, `ShedQueueFull`,
-/// `ShedDeadline`). Kinds 18+ extend the vocabulary to the liveness and
-/// degradation planes, where events are node-scoped: the node id rides
-/// in the request-id field. Code 22 is unassigned:
-/// [`EventKind::from_u8`] decodes it as `None`.
+/// `ShedDeadline`). Kinds 18+ extend the vocabulary to the liveness
+/// plane, where events are node-scoped: the node id rides in the
+/// request-id field. Codes 22–24 are unassigned:
+/// [`EventKind::from_u8`] decodes them as `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -108,13 +108,6 @@ pub enum EventKind {
     /// Liveness plane: a previously suspect/down node answered a
     /// heartbeat again; node id in the request-id field.
     NodeRecovered = 21,
-    /// Degradation plane: a remote shard's circuit breaker tripped open
-    /// after consecutive failures; node id in the request-id field,
-    /// consecutive-failure count in `arg`.
-    BreakerOpened = 23,
-    /// Degradation plane: a probe succeeded and the breaker re-closed;
-    /// node id in the request-id field.
-    BreakerClosed = 24,
 }
 
 impl EventKind {
@@ -143,8 +136,6 @@ impl EventKind {
             19 => EventKind::NodeDown,
             20 => EventKind::NodePromoted,
             21 => EventKind::NodeRecovered,
-            23 => EventKind::BreakerOpened,
-            24 => EventKind::BreakerClosed,
             _ => return None,
         })
     }
@@ -447,6 +438,43 @@ impl StageBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_kind_round_trips_and_unassigned_codes_decode_as_none() {
+        let kinds = [
+            EventKind::Submitted,
+            EventKind::Admitted,
+            EventKind::Displaced,
+            EventKind::Refused,
+            EventKind::Scheduled,
+            EventKind::Dispatched,
+            EventKind::CacheHit,
+            EventKind::CacheStale,
+            EventKind::CacheMiss,
+            EventKind::Scored,
+            EventKind::Replied,
+            EventKind::Failed,
+            EventKind::ShedQueueFull,
+            EventKind::ShedDeadline,
+            EventKind::FrameSent,
+            EventKind::FrameReceived,
+            EventKind::FrameRetried,
+            EventKind::FrameTimedOut,
+            EventKind::NodeSuspected,
+            EventKind::NodeDown,
+            EventKind::NodePromoted,
+            EventKind::NodeRecovered,
+        ];
+        // Codes 0..=21 are exactly these kinds, in order; a torn slot or
+        // one carrying a freed code is skipped, never misread.
+        for (code, kind) in (0..=u8::MAX).zip(kinds) {
+            assert_eq!(kind as u8, code);
+            assert_eq!(EventKind::from_u8(code), Some(kind));
+        }
+        for raw in 22..=u8::MAX {
+            assert_eq!(EventKind::from_u8(raw), None, "code {raw}");
+        }
+    }
 
     #[test]
     fn records_and_drains_in_order() {

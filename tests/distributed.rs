@@ -52,7 +52,7 @@ use rqfa::service::remote::{
     RemoteStream, StreamFactory, Supervisor, SupervisorEvent,
 };
 use rqfa::service::{shard, AllocationService, Outcome, ServiceConfig, ServiceError};
-use rqfa::telemetry::{ManualClock, SharedClock};
+use rqfa::telemetry::{Clock, EventKind, FlightRecorder, ManualClock, SharedClock};
 use rqfa::workloads::{CaseGen, ChaosAction, ChaosPlan, MutationGen, RequestGen};
 
 const NODES: usize = 2;
@@ -645,7 +645,9 @@ fn supervisor_promotes_a_dead_leader_fenced_and_bit_identical() {
     let mut mutations = MutationGen::new(&base, 0x5EED);
 
     let detector = Arc::new(FailureDetector::new(Arc::clone(&clock), LEASE_US, DOWN_MISSES));
-    let mut supervisor = Supervisor::new(Arc::clone(&client), Arc::clone(&detector));
+    let recorder = Arc::new(FlightRecorder::new(64));
+    let mut supervisor = Supervisor::new(Arc::clone(&client), Arc::clone(&detector))
+        .with_recorder(Arc::clone(&recorder), Arc::clone(&clock));
 
     // Phase 1: healthy traffic; a supervision round is all beats.
     let requests = RequestGen::new(&base).seed(21).count(40).generate();
@@ -757,6 +759,14 @@ fn supervisor_promotes_a_dead_leader_fenced_and_bit_identical() {
         "the lease decayed: expected a promotion, got {events:?}"
     );
     assert_eq!(client.epoch(), 2);
+    // The control plane's one record of the promotion: the node id in
+    // the request-id field, the promotion epoch as the argument.
+    let events = recorder.drain().events;
+    assert_eq!(events.len(), 1, "one promotion, one event: {events:?}");
+    assert_eq!(events[0].kind, EventKind::NodePromoted);
+    assert_eq!(events[0].request_id, 0);
+    assert_eq!(events[0].arg, 2);
+    assert_eq!(events[0].at_us, manual.now_us());
 
     // Fencing: the deposed leader's control plane still holds epoch 1.
     // Its mutation is refused by the promoted node *without touching
