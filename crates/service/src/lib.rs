@@ -28,7 +28,9 @@
 //!   signals the worker's condvar only when it finds the worker parked;
 //!   a caller that blocks at once (a node's connection thread, a cluster
 //!   client's local site) runs an idle shard's batch itself and wakes
-//!   nobody. `docs/scheduling.md` §7 is normative.
+//!   nobody, and so does a thread blocked in [`Ticket::wait`] whose idle
+//!   shard owes it at most one batch. `docs/scheduling.md` §7 is
+//!   normative.
 //! * **Result caching** ([`cache`]): retrievals are memoized by request
 //!   fingerprint and stamped with the request's function-type stamp; a
 //!   retain/revise/evict invalidates the cached results of the one type
@@ -402,8 +404,7 @@ impl AllocationService {
     ) -> Ticket {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.shard_for(request.type_id())
-            .queue
-            .admit(id, request, class, deadline_us)
+            .submit(id, request, class, deadline_us)
     }
 
     /// The blocking submit: what `submit_us(..).wait()` returns, for a
@@ -528,7 +529,7 @@ impl AllocationService {
 
     /// Jobs currently queued across all shards.
     pub fn pending(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+        self.shards.iter().map(|s| s.shared.queue.len()).sum()
     }
 
     /// A point-in-time metrics snapshot.
@@ -546,7 +547,7 @@ impl AllocationService {
         TraceDump::merge(
             self.shards
                 .iter()
-                .filter_map(|shard| shard.queue.recorder.as_ref())
+                .filter_map(|shard| shard.shared.queue.recorder.as_ref())
                 .map(|recorder| recorder.drain()),
         )
     }

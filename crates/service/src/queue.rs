@@ -70,7 +70,12 @@
 //! (`ClassQueue::admit_with`, `docs/scheduling.md` §7.4). The queue
 //! is empty again before the mutex is free, so the implication stands.
 //! A worker in its yield is as empty-handed as a parked one, so such a
-//! caller takes a lone job back from it too (`yielding`).
+//! caller takes a lone job back from it too (`yielding`). A thread
+//! blocked on a ticket goes one step further (`ClassQueue::pop_owed`,
+//! §7.5): beside an empty-handed worker and at most one batch queued, it
+//! takes the batch the worker would pop next, and leaves both flags as
+//! they were. It only ever shortens the queue, so the implication
+//! stands.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -213,9 +218,18 @@ struct Inner {
     parked: bool,
     /// The worker found the queue empty and is giving the CPU away once
     /// before it parks (`pop_batch`). Nobody owes it a wake — it looks
-    /// again by itself — so only a driving push reads this: like a parked
-    /// worker, a yielding one holds nothing and wants nothing yet.
+    /// again by itself — so only the inline drivers read this, a driving
+    /// push and a waiter's pop: like a parked worker, a yielding one holds
+    /// nothing and wants nothing yet.
     yielding: bool,
+}
+
+impl Inner {
+    /// Whether the worker holds no job and is not about to run one:
+    /// parked, or in the yield before it parks.
+    fn empty_handed(&self) -> bool {
+        self.parked || self.yielding
+    }
 }
 
 /// A bounded, class-aware, deadline-aware MPSC job queue feeding one
@@ -409,7 +423,7 @@ impl ClassQueue {
         // Empty-handed — parked, or in the yield before it parks — beside
         // a queue that holds this job alone (a parked worker's always
         // does; a yielding one's may have taken ordinary pushes).
-        if (inner.parked || inner.yielding) && inner.len == 1 {
+        if inner.empty_handed() && inner.len == 1 {
             if let Some(batch) = drive {
                 self.fill(&mut inner, self.config.batch_size, batch);
                 debug_assert!(inner.len == 0, "the lone job came back");
@@ -479,11 +493,29 @@ impl ClassQueue {
         true
     }
 
+    /// The waiter's pop (`docs/scheduling.md` §7.5): the batch the worker
+    /// would pop next, into `batch` (empty), through the one fill loop —
+    /// but only while the worker is empty-handed and the queue holds
+    /// `0 < len ≤ batch_size`, so the caller leaves the shard idle as it
+    /// found it and never takes over a backlog. Nothing after shutdown:
+    /// the worker drains that. `parked` and `yielding` stay as they are
+    /// and no wake is issued; a pop only shortens the queue, so `parked ⇒
+    /// len == 0` holds across it.
+    pub(crate) fn pop_owed(&self, batch: &mut Vec<Job>) {
+        debug_assert!(batch.is_empty());
+        let max = self.config.batch_size;
+        let mut inner = self.inner.lock().expect("queue poisoned");
+        if inner.empty_handed() && !inner.shutdown && (1..=max).contains(&inner.len) {
+            self.fill(&mut inner, max, batch);
+        }
+    }
+
     /// The one fill loop: moves jobs from the lanes into `batch` until it
     /// holds `max`, the lanes are empty, or the estimator says one more
     /// pick would make an already-picked job late. Called with the queue
     /// mutex held, by whoever is about to run the batch: the worker from
-    /// [`ClassQueue::pop_batch`], a blocking caller from its own push.
+    /// [`ClassQueue::pop_batch`], a blocking caller from its own push, a
+    /// waiter from [`ClassQueue::pop_owed`].
     fn fill(&self, inner: &mut Inner, max: usize, batch: &mut Vec<Job>) {
         // Read once: the whole fill judges by one estimate, whichever
         // driver feeds the estimator meanwhile. The promotion margin is
@@ -572,6 +604,17 @@ impl ClassQueue {
             }
             inner.lanes[i].trim(keep);
         }
+    }
+
+    /// Test support: puts the worker parked on this queue into the state
+    /// of one in the yield before its park (`true`), to whom no wake is
+    /// owed, or back (`false`). No test thread can be held inside the
+    /// real yield.
+    #[cfg(test)]
+    pub(crate) fn pose_parked_worker_as_yielding(&self, yielding: bool) {
+        let mut inner = self.inner.lock().unwrap();
+        assert!(inner.len == 0 && inner.parked == yielding, "a parked worker's empty queue");
+        (inner.parked, inner.yielding) = (!yielding, yielding);
     }
 
     /// Jobs currently queued.
@@ -1222,5 +1265,106 @@ mod tests {
         assert!(batch.is_empty());
         assert_eq!(q.len(), 2);
         assert_eq!(metrics.worker_wakes.load(Ordering::Relaxed), 0);
+    }
+
+    /// A traced queue of batch size 8 on a frozen clock, its metrics, and
+    /// the same seven mixed jobs pushed: four classes, two deadlined.
+    fn owed_queue() -> (ClassQueue, Arc<ServiceMetrics>, Arc<FlightRecorder>) {
+        let metrics = Arc::new(ServiceMetrics::default());
+        let recorder = Arc::new(FlightRecorder::new(256));
+        let config = config(64).with_batch_size(8);
+        let q = ClassQueue::new(&config, Arc::clone(&metrics), Some(Arc::clone(&recorder)));
+        for id in 0..5 {
+            push_ok(&q, job(id, QosClass::ALL[id as usize % QosClass::COUNT]));
+        }
+        push_ok(&q, deadline_job(5, QosClass::Low, 0, 1_000));
+        push_ok(&q, deadline_job(6, QosClass::Medium, 0, 500));
+        (q, metrics, recorder)
+    }
+
+    fn owed(q: &ClassQueue) -> Vec<u64> {
+        let mut batch = Vec::new();
+        q.pop_owed(&mut batch);
+        batch.iter().map(|j| j.id).collect()
+    }
+
+    #[test]
+    fn a_waiters_pop_takes_the_whole_queue_from_a_yielding_worker_as_the_worker_would() {
+        // The yield cannot hold a test thread: the flag is set by hand.
+        let (q, metrics, recorder) = owed_queue();
+        let (twin, twin_metrics, twin_recorder) = owed_queue();
+        q.inner.lock().unwrap().yielding = true;
+        let taken = owed(&q);
+        let popped: Vec<u64> = pop(&twin, 8).unwrap().iter().map(|j| j.id).collect();
+        assert_eq!(taken.len(), 7, "len ≤ batch_size: the whole queue");
+        assert_eq!(taken, popped, "the same picks in the same order");
+        assert!(q.is_empty());
+        let snapshot = |m: &ServiceMetrics| {
+            QosClass::ALL.map(|c| {
+                let class = m.class(c);
+                (class.picks.load(Ordering::Relaxed), class.promoted.load(Ordering::Relaxed))
+            })
+        };
+        assert_eq!(snapshot(&metrics), snapshot(&twin_metrics));
+        assert_eq!(recorder.drain().events, twin_recorder.drain().events, "`Scheduled` included");
+        let credit = |q: &ClassQueue| format!("{:?}", q.inner.lock().unwrap().arbiter);
+        assert_eq!(credit(&q), credit(&twin), "the arbiter charged alike");
+        // The flags are the worker's: the pop leaves them, and wakes nobody.
+        let inner = q.inner.lock().unwrap();
+        assert!(inner.yielding && !inner.parked);
+        drop(inner);
+        assert_eq!(metrics.worker_wakes.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_waiters_pop_takes_nothing_unless_an_empty_handed_worker_owes_one_batch() {
+        let set = |q: &ClassQueue, parked: bool, yielding: bool| {
+            let mut inner = q.inner.lock().unwrap();
+            (inner.parked, inner.yielding) = (parked, yielding);
+        };
+        // A running worker: it pops these itself.
+        let (q, ..) = owed_queue();
+        assert!(owed(&q).is_empty());
+        assert_eq!(q.len(), 7);
+        // A backlog deeper than one batch: the worker's to drain.
+        push_ok(&q, job(7, QosClass::High));
+        push_ok(&q, job(8, QosClass::High));
+        set(&q, false, true);
+        assert!(owed(&q).is_empty());
+        assert_eq!(q.len(), 9);
+        // An empty queue, beside a yielding or a parked worker.
+        let q = queue(64);
+        set(&q, false, true);
+        assert!(owed(&q).is_empty());
+        set(&q, true, false);
+        assert!(owed(&q).is_empty());
+        // After shutdown the worker drains what is left.
+        let (q, ..) = owed_queue();
+        set(&q, false, true);
+        q.shutdown();
+        assert!(owed(&q).is_empty());
+        assert_eq!(pop(&q, 8).unwrap().len(), 7);
+    }
+
+    #[test]
+    fn a_stopped_fill_leaves_the_rest_queued_for_the_next_pop() {
+        // 50 µs a job against a 100 µs deadline: the fill stops at two
+        // (`estimator_caps_the_batch_at_the_tightest_picked_deadline`).
+        let q = queue(64);
+        q.estimator().observe(100, 2);
+        push_ok(&q, deadline_job(0, QosClass::High, 0, 100));
+        for id in 1..8 {
+            push_ok(&q, job(id, QosClass::High));
+        }
+        q.inner.lock().unwrap().yielding = true;
+        assert_eq!(owed(&q), [0, 1]);
+        let inner = q.inner.lock().unwrap();
+        assert_eq!(inner.len, 6, "the rest stays queued");
+        assert!(!inner.parked || inner.len == 0, "parked ⇒ len == 0");
+        drop(inner);
+        // The worker is still yielding: a waiter whose job is behind the
+        // stop takes the rest on its next round.
+        assert_eq!(owed(&q), [2, 3, 4, 5, 6, 7]);
+        assert!(q.is_empty());
     }
 }

@@ -1220,9 +1220,9 @@ mod tests {
             AllocationService::new(&paper::table1_case_base(), &crate::ServiceConfig::default())
                 .expect("valid service config"),
         );
-        let store = Arc::clone(&service.shards[0].store);
+        let shared = Arc::clone(&service.shards[0].shared);
         let poisoner = std::thread::spawn(move || {
-            let _held = store.lock().unwrap();
+            let _held = shared.store.lock().unwrap();
             panic!("mutator dies holding the store lock (expected by this test)");
         });
         assert!(poisoner.join().is_err());

@@ -165,7 +165,7 @@ impl TraceDriver {
             let next_arrival = order.get(next).map(|&i| arrivals[i].at_us);
             let next_free = shards
                 .iter()
-                .filter(|s| !s.core.queue.is_empty())
+                .filter(|s| !s.core.shared.queue.is_empty())
                 .map(|s| s.free_at_us)
                 .min();
             let t = match (next_arrival, next_free) {
@@ -184,7 +184,7 @@ impl TraceDriver {
                     break;
                 }
                 let owner = shard::route(arrival.request.type_id(), shards.len());
-                tickets.push(shards[owner].core.queue.admit(
+                tickets.push(shards[owner].core.shared.queue.admit(
                     i as u64,
                     arrival.request.clone(),
                     arrival.class,
@@ -196,7 +196,7 @@ impl TraceDriver {
             // Then every free, backlogged shard dispatches one batch,
             // processed at `t` and occupying the shard for its cost.
             for shard in &mut shards {
-                if shard.free_at_us > t || shard.core.queue.is_empty() {
+                if shard.free_at_us > t || shard.core.shared.queue.is_empty() {
                     continue;
                 }
                 let served = shard
@@ -209,7 +209,7 @@ impl TraceDriver {
                 // truth, so the estimator sees exactly what the event
                 // loop charges — estimator-bounded batch fill and the
                 // promotion margin replay bit-identically.
-                shard.core.queue.estimator().observe(batch_us, served);
+                shard.core.shared.queue.estimator().observe(batch_us, served);
                 shard.free_at_us = t + batch_us;
             }
         }

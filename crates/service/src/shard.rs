@@ -6,8 +6,9 @@
 //! [`RetrievalCache`], a [`ClassQueue`] and a [`PlaneEngine`], built by
 //! one constructor and run through one path — `ClassQueue::admit` in,
 //! `ShardCore::step` out. The live service drives it from a worker
-//! thread — and, for a blocking call into an idle shard, from the
-//! caller's own (`Shard::call`) — the replay from its event loop, the
+//! thread — and, when the shard is idle, from the thread of a blocking
+//! call (`Shard::call`) or of a waiter blocked on a ticket
+//! (`Ticket::wait`) — the replay from its event loop, the
 //! [`BatchHarness`] by hand.
 //! Because retrieval only ever touches the requested type's subtree, a
 //! shard answers exactly as the single big engine would over the merged
@@ -55,7 +56,7 @@ use crate::cache::{CacheLookup, RetrievalCache};
 use crate::error::ServiceError;
 use crate::metrics::{BatchDeltas, ServiceMetrics};
 use crate::queue::ClassQueue;
-use crate::ticket::Waiters;
+use crate::ticket::{Ticket, Waiters};
 use crate::{Job, Outcome, Reply, ServiceConfig};
 
 /// Routes a function type to its owning shard — the service's placement
@@ -173,14 +174,11 @@ impl ShardStore {
 }
 
 /// One live shard: the thread-loop driver of a [`ShardCore`], plus the
-/// handles the service front end keeps (queue to admit into, store to
-/// mutate, checkpoint lock).
+/// handle the service front end keeps on what every driver shares (queue
+/// to admit into, store to mutate, worker context to drive with), and the
+/// checkpoint lock.
 pub(crate) struct Shard {
-    pub(crate) queue: Arc<ClassQueue>,
-    pub(crate) store: Arc<Mutex<ShardStore>>,
-    /// The worker context, shared with the worker so that a blocking
-    /// caller can run its own batch ([`Shard::call`]).
-    context: Arc<Mutex<WorkerContext>>,
+    pub(crate) shared: Arc<Shared>,
     /// Serializes checkpoints against each other (never against the
     /// store lock — retrievals keep flowing during checkpoint I/O).
     checkpoint_lock: Mutex<()>,
@@ -203,9 +201,7 @@ impl Shard {
         metrics: Arc<ServiceMetrics>,
     ) -> Shard {
         let mut core = ShardCore::new(store, config, metrics, None);
-        let queue = Arc::clone(&core.queue);
-        let store = Arc::clone(&core.store);
-        let context = Arc::clone(&core.context);
+        let shared = Arc::clone(&core.shared);
         let worker = std::thread::Builder::new()
             .name(format!("rqfa-shard-{index}"))
             .spawn(move || {
@@ -215,24 +211,36 @@ impl Shard {
             })
             .expect("spawn shard worker");
         Shard {
-            queue,
-            store,
-            context,
+            shared,
             checkpoint_lock: Mutex::new(()),
             checkpoint_error: Mutex::new(None),
             worker: Some(worker),
         }
     }
 
-    /// A blocking submit — what `admit(..).wait()` returns — by a fourth
+    /// Submits one request ([`ClassQueue::admit`]). The ticket holds this
+    /// shard weakly, so that a thread blocked on it can run the batch the
+    /// shard's idle worker owes it (`docs/scheduling.md` §7.5).
+    pub(crate) fn submit(
+        &self,
+        id: u64,
+        request: Request,
+        class: QosClass,
+        deadline_us: Option<u64>,
+    ) -> Ticket {
+        let ticket = self.shared.queue.admit(id, request, class, deadline_us);
+        ticket.driven_by(&self.shared)
+    }
+
+    /// A blocking submit — what `submit(..).wait()` returns — by a fourth
     /// driver of the shard core: when the shard is idle the caller runs
     /// its own batch instead of handing a batch of one to the worker and
     /// sleeping until it is handed back (`docs/scheduling.md` §7.4).
     ///
-    /// `None` as from [`Ticket::wait`](crate::Ticket::wait): the shard's
-    /// worker is dead, or this call found the store lock poisoned — in
-    /// which case it shuts the queue as a dying worker does and answers
-    /// `None`; it never panics the caller's thread.
+    /// `None` as from [`Ticket::wait`]: the shard's worker is dead, or
+    /// this call found the store lock poisoned — in which case it shuts
+    /// the queue as a dying worker does and answers `None`; it never
+    /// panics the caller's thread.
     pub(crate) fn call(
         &self,
         id: u64,
@@ -243,32 +251,15 @@ impl Shard {
         // Held: a batch is running, so this job queues behind it like any
         // other. Poisoned: a driver died mid-batch; the worker finds out
         // on its next step and takes the queue down with it.
-        let Ok(mut context) = self.context.try_lock() else {
-            return self.queue.admit(id, request, class, deadline_us).wait();
+        let Ok(mut context) = self.shared.context.try_lock() else {
+            return self.submit(id, request, class, deadline_us).wait();
         };
-        // In this driver's hands, not in the shared context, while it
-        // holds jobs: unwinding drops them here, where their slots are
-        // abandoned, instead of stranding them where nobody looks.
-        let mut flight = std::mem::take(&mut context.idle_flight);
-        let drive = Some(&mut flight.batch);
-        let ticket = self.queue.admit_with(id, request, class, deadline_us, drive);
-        if !flight.batch.is_empty() {
-            let timing = Timing::Measured;
-            if run(&self.queue, &self.store, &mut context, &mut flight, timing).is_some() {
-                // Release: pairs with the snapshot's Acquire read, which
-                // must see the batch (counted by the run) too.
-                let inline_runs = &self.queue.metrics.inline_runs;
-                inline_runs.fetch_add(1, Ordering::Release);
-            } else {
-                // Store poisoned: go as a dying worker goes. The dropped
-                // job abandons its slot, the queue is shut.
-                flight.batch.clear();
-                self.queue.abort();
-            }
-        }
-        context.idle_flight = flight;
+        let queue = &self.shared.queue;
+        let (ticket, _) = self.shared.drive(&mut context, |batch| {
+            queue.admit_with(id, request, class, deadline_us, Some(batch))
+        });
         drop(context);
-        ticket.wait()
+        ticket.driven_by(&self.shared).wait()
     }
 
     /// Applies a mutation to this shard's store under its lock, returning
@@ -278,7 +269,7 @@ impl Shard {
     /// [`Shard::take_checkpoint_error`] instead of failing the apply.
     pub(crate) fn apply(&self, mutation: &CaseMutation) -> Result<CaseMutation, ServiceError> {
         let (inverse, due) = {
-            let mut store = self.store.lock().expect("store poisoned");
+            let mut store = self.shared.store.lock().expect("store poisoned");
             let inverse = store.apply(mutation)?;
             (inverse, store.durable().is_some_and(|d| d.checkpoint_due()))
         };
@@ -303,12 +294,12 @@ impl Shard {
     /// so retrievals and mutations keep flowing during the snapshot
     /// write.
     fn checkpoint_locked(&self) -> Result<(), PersistError> {
-        let pending = match self.store.lock().expect("store poisoned").durable() {
+        let pending = match self.shared.store.lock().expect("store poisoned").durable() {
             Some(durable) => durable.checkpoint_begin()?,
             None => return Ok(()), // nothing durable to checkpoint
         };
         let written = pending.write(); // the expensive I/O — off-lock
-        let mut store = self.store.lock().expect("store poisoned");
+        let mut store = self.shared.store.lock().expect("store poisoned");
         store.durable().expect("a shard's store keeps its kind").checkpoint_finish(written)
     }
 
@@ -323,7 +314,7 @@ impl Shard {
     /// The durable store's write-path counters (`None` for ephemeral and
     /// empty shards). The returned block reads lock-free afterwards.
     pub(crate) fn persist_stats(&self) -> Option<Arc<rqfa_persist::PersistStats>> {
-        let mut store = self.store.lock().expect("store poisoned");
+        let mut store = self.shared.store.lock().expect("store poisoned");
         store.durable().map(|durable| durable.stats())
     }
 
@@ -349,7 +340,7 @@ impl Shard {
         &self,
         f: impl FnOnce(&DurableCaseBase<FileStore>) -> Result<T, PersistError>,
     ) -> Result<T, ServiceError> {
-        let mut store = self.store.lock().expect("store poisoned");
+        let mut store = self.shared.store.lock().expect("store poisoned");
         let durable = store.durable().ok_or_else(|| {
             ServiceError::Remote("only durable shards replicate (no WAL to stream)".into())
         })?;
@@ -358,15 +349,20 @@ impl Shard {
 
     /// The generation of this shard's served case base.
     pub(crate) fn generation(&self) -> Generation {
-        self.store.lock().expect("store poisoned").generation()
+        self.shared.store.lock().expect("store poisoned").generation()
     }
 
     /// Signals shutdown and joins the worker, draining queued jobs first.
+    /// A batch a waiter took off the queue before the shutdown may still
+    /// be running on the waiter's thread: it holds the context until the
+    /// batch is answered, so taking the context once after the join
+    /// waits it out. After the shutdown nobody else takes a batch.
     pub(crate) fn join(&mut self) {
-        self.queue.shutdown();
+        self.shared.queue.shutdown();
         if let Some(handle) = self.worker.take() {
             let _ = handle.join();
         }
+        drop(self.shared.context.lock());
     }
 }
 
@@ -377,7 +373,7 @@ impl Drop for Shard {
 }
 
 /// Whether a driver's batch durations are real. The live drivers (the
-/// worker loop, a blocking caller) feed theirs to the scheduler's
+/// worker loop, a blocking caller, a waiter) feed theirs to the scheduler's
 /// estimator — inside the context's critical section, so the estimator
 /// has one writer at a time. The replay charges its cost model instead
 /// and the harness nothing: under their frozen clocks every measurement
@@ -389,23 +385,31 @@ pub(crate) enum Timing {
 }
 
 /// One shard's whole request path, driver-agnostic: the front half
-/// ([`ClassQueue::admit`] on [`ShardCore::queue`]) turns requests into
+/// ([`ClassQueue::admit`] on [`Shared::queue`]) turns requests into
 /// queued jobs, the worker half ([`ShardCore::step`]) turns queued jobs
 /// into replies. The live service steps it from a thread loop (and runs
-/// an idle shard's batch from a blocking caller, [`Shard::call`]), the
-/// deterministic replay from its discrete-event loop, and the
-/// [`BatchHarness`] hands [`ShardCore::run`] caller-built batches — one
-/// constructor, one execution path, four drivers.
+/// an idle shard's batch from a blocking caller, [`Shard::call`], or a
+/// blocked waiter, [`Ticket::wait`]), the deterministic replay from its
+/// discrete-event loop, and the [`BatchHarness`] hands
+/// [`ShardCore::run`] caller-built batches — one constructor, one
+/// execution path, four drivers.
 pub(crate) struct ShardCore {
+    pub(crate) shared: Arc<Shared>,
+    /// The batch in this driver's hands.
+    flight: InFlight,
+}
+
+/// What every driver of one shard core shares. A live shard's tickets
+/// hold it weakly ([`Shard::submit`]): no allocation per ticket, and a
+/// ticket that outlives the shard keeps none of it alive.
+pub(crate) struct Shared {
     /// The front half; also holds what both halves share — the
     /// configuration (with its clock), the metrics block and the flight
     /// recorder.
-    pub(crate) queue: Arc<ClassQueue>,
-    pub(crate) store: Arc<Mutex<ShardStore>>,
+    pub(crate) queue: ClassQueue,
+    pub(crate) store: Mutex<ShardStore>,
     /// Engine, cache and scratch: locked per batch by whoever runs it.
-    context: Arc<Mutex<WorkerContext>>,
-    /// The batch in this driver's hands.
-    flight: InFlight,
+    context: Mutex<WorkerContext>,
 }
 
 impl ShardCore {
@@ -423,17 +427,20 @@ impl ShardCore {
         let capacity = config.trace_capacity;
         let recorder = shared_recorder
             .or_else(|| (capacity > 0).then(|| Arc::new(FlightRecorder::new(capacity))));
-        ShardCore {
-            queue: Arc::new(ClassQueue::new(config, metrics, recorder)),
-            store: Arc::new(Mutex::new(store)),
-            context: Arc::new(Mutex::new(WorkerContext {
+        let shared = Shared {
+            queue: ClassQueue::new(config, metrics, recorder),
+            store: Mutex::new(store),
+            context: Mutex::new(WorkerContext {
                 engine: PlaneEngine::new(),
                 cache: RetrievalCache::new(config.cache_capacity),
                 results: Vec::new(),
                 seen: HashMap::default(),
                 deltas: BatchDeltas::default(),
                 idle_flight: InFlight::default(),
-            })),
+            }),
+        };
+        ShardCore {
+            shared: Arc::new(shared),
             flight: InFlight::default(),
         }
     }
@@ -442,11 +449,11 @@ impl ShardCore {
     /// it, returning the number of jobs it held. `None` once the queue is
     /// shut down and drained — the driver's signal to stop.
     pub(crate) fn step(&mut self, timing: Timing) -> Option<usize> {
-        let max = self.queue.config.batch_size;
+        let queue = &self.shared.queue;
         // The queue mutex is free again before the context is waited
-        // for: a blocking caller holds the context while it pushes.
-        self.queue
-            .pop_batch(max, &mut self.flight.batch)
+        // for: an inline driver holds the context while it pops.
+        queue
+            .pop_batch(queue.config.batch_size, &mut self.flight.batch)
             .then(|| self.run(timing))
     }
 
@@ -458,35 +465,86 @@ impl ShardCore {
     /// holding it. The batch is dropped with the panicking driver, so its
     /// tickets wake with `None` (see the `Drop` below).
     fn run(&mut self, timing: Timing) -> usize {
-        let mut context = self.context.lock().expect("context poisoned");
-        run(&self.queue, &self.store, &mut context, &mut self.flight, timing)
+        let shared = &*self.shared;
+        let mut context = shared.context.lock().expect("context poisoned");
+        shared
+            .run(&mut context, &mut self.flight, timing)
             .expect("store poisoned")
     }
 }
 
-/// Runs the batch in `flight` against the (locked) store — the one
-/// execution path of every driver — and returns the number of jobs it
-/// held. `None`, with the batch still in `flight`, if the store lock is
-/// poisoned.
-fn run(
-    queue: &ClassQueue,
-    store: &Mutex<ShardStore>,
-    context: &mut WorkerContext,
-    flight: &mut InFlight,
-    timing: Timing,
-) -> Option<usize> {
-    let served = flight.batch.len();
-    // Timed from before the store lock is taken to after the last reply
-    // is sent.
-    let started = queue.config.clock.now_us();
-    let store = store.lock().ok()?;
-    process_batch(&store, queue, context, flight);
-    drop(store);
-    if timing == Timing::Measured {
-        let elapsed_us = queue.config.clock.now_us().saturating_sub(started);
-        queue.estimator().observe(elapsed_us, served);
+impl Shared {
+    /// Runs the batch in `flight` against the (locked) store — the one
+    /// execution path of every driver — and returns the number of jobs it
+    /// held. `None`, with the batch still in `flight`, if the store lock
+    /// is poisoned.
+    fn run(
+        &self,
+        context: &mut WorkerContext,
+        flight: &mut InFlight,
+        timing: Timing,
+    ) -> Option<usize> {
+        let queue = &self.queue;
+        let served = flight.batch.len();
+        // Timed from before the store lock is taken to after the last
+        // reply is sent.
+        let started = queue.config.clock.now_us();
+        let store = self.store.lock().ok()?;
+        process_batch(&store, queue, context, flight);
+        drop(store);
+        if timing == Timing::Measured {
+            let elapsed_us = queue.config.clock.now_us().saturating_sub(started);
+            queue.estimator().observe(elapsed_us, served);
+        }
+        Some(served)
     }
-    Some(served)
+
+    /// The one inline drive (`docs/scheduling.md` §7.4, §7.5), with the
+    /// context held: takes the context's spare buffers into this
+    /// driver's hands, lets `pop` fill the batch under the queue mutex,
+    /// runs a non-empty batch and counts it, puts the buffers back.
+    /// Returns what `pop` returned and whether a batch was answered. A
+    /// store lock found poisoned makes the driver go as a dying worker
+    /// goes: the batch is dropped, its slots abandoned, the queue shut.
+    fn drive<T>(
+        &self,
+        context: &mut WorkerContext,
+        pop: impl FnOnce(&mut Vec<Job>) -> T,
+    ) -> (T, bool) {
+        // In this driver's hands, not in the shared context, while it
+        // holds jobs: unwinding drops them here, where their slots are
+        // abandoned, instead of stranding them where nobody looks.
+        let mut flight = std::mem::take(&mut context.idle_flight);
+        let popped = pop(&mut flight.batch);
+        let mut ran = false;
+        if !flight.batch.is_empty() {
+            if self.run(context, &mut flight, Timing::Measured).is_some() {
+                // Release: pairs with the snapshot's Acquire read, which
+                // must see the batch (counted by the run) too.
+                let inline_runs = &self.queue.metrics.inline_runs;
+                inline_runs.fetch_add(1, Ordering::Release);
+                ran = true;
+            } else {
+                flight.batch.clear();
+                self.queue.abort();
+            }
+        }
+        context.idle_flight = flight;
+        (popped, ran)
+    }
+
+    /// Runs the batch the shard's empty-handed worker would run next on
+    /// the calling thread — a waiter's, whose reply is still outstanding
+    /// (`docs/scheduling.md` §7.5). Returns whether it answered one:
+    /// `false` if a batch is running (context held), a driver died
+    /// (context poisoned), the worker is busy, the queue is empty or
+    /// deeper than one batch, or the store lock was found poisoned.
+    pub(crate) fn run_owed_batch(&self) -> bool {
+        let Ok(mut context) = self.context.try_lock() else {
+            return false;
+        };
+        self.drive(&mut context, |batch| self.queue.pop_owed(batch)).1
+    }
 }
 
 /// Dropping the core — the worker half — leaves nobody to serve the
@@ -497,7 +555,7 @@ fn run(
 /// both waiting forever on a thread that is gone.
 impl Drop for ShardCore {
     fn drop(&mut self) {
-        self.queue.abort();
+        self.shared.queue.abort();
     }
 }
 
@@ -520,8 +578,9 @@ struct WorkerContext {
     seen: HashMap<u64, usize, DigestState>,
     /// The current batch's outcome deltas, committed batch-atomically.
     deltas: BatchDeltas,
-    /// Buffers for a blocking caller to take into its own hands while it
-    /// drives ([`Shard::call`]); empty whenever the context is unlocked.
+    /// Buffers for an inline driver — a blocking caller or a waiter — to
+    /// take into its own hands while it drives ([`Shared::drive`]); empty
+    /// whenever the context is unlocked.
     idle_flight: InFlight,
 }
 
@@ -794,16 +853,16 @@ impl BatchHarness {
     /// type's stamp, so the next batch drops that type's cached results
     /// and recompiles its type plane).
     pub fn apply(&mut self, mutation: &CaseMutation) -> Result<CaseMutation, ServiceError> {
-        self.core.store.lock().expect("store poisoned").apply(mutation)
+        self.core.shared.store.lock().expect("store poisoned").apply(mutation)
     }
 
     fn context(&self) -> std::sync::MutexGuard<'_, WorkerContext> {
-        self.core.context.lock().expect("context poisoned")
+        self.core.shared.context.lock().expect("context poisoned")
     }
 
     /// Metrics accumulated by the processed batches.
     pub fn metrics(&self) -> crate::MetricsSnapshot {
-        self.core.queue.metrics.snapshot()
+        self.core.shared.queue.metrics.snapshot()
     }
 
     /// The result cache's counter set.
@@ -918,9 +977,9 @@ mod tests {
         let mut service =
             AllocationService::new(&paper::table1_case_base(), &ServiceConfig::default())
                 .expect("valid service config");
-        let store = Arc::clone(&service.shards[0].store);
+        let shared = Arc::clone(&service.shards[0].shared);
         let poisoner = std::thread::spawn(move || {
-            let _held = store.lock().unwrap();
+            let _held = shared.store.lock().unwrap();
             panic!("mutator dies holding the store lock (expected by this test)");
         });
         assert!(poisoner.join().is_err());
@@ -1019,7 +1078,7 @@ mod tests {
         let service = parked_service(ServiceConfig::default());
         let request = paper::table1_request().unwrap();
         // A batch is running, as far as the caller can tell.
-        let running = service.shards[0].context.lock().unwrap();
+        let running = service.shards[0].shared.context.lock().unwrap();
         let reply = std::thread::scope(|scope| {
             let caller = scope.spawn(|| service.call_us(request, QosClass::High, None));
             // The ordinary push woke the worker, which now waits for the
@@ -1042,9 +1101,9 @@ mod tests {
         // caller drives: the thread that happens to find the poisoned
         // lock is a connection's or a client's, and must not die of it.
         let mut service = parked_service(ServiceConfig::default());
-        let store = Arc::clone(&service.shards[0].store);
+        let shared = Arc::clone(&service.shards[0].shared);
         let poisoner = std::thread::spawn(move || {
-            let _held = store.lock().unwrap();
+            let _held = shared.store.lock().unwrap();
             panic!("mutator dies holding the store lock (expected by this test)");
         });
         assert!(poisoner.join().is_err());
@@ -1060,6 +1119,163 @@ mod tests {
         let late = service.call_us(request, QosClass::Critical, None);
         assert_eq!(late.map(|r| r.outcome), Some(Outcome::ShedQueueFull));
         assert_eq!(service.metrics().inline_runs, 0);
+    }
+
+    /// A parked service whose worker now poses as one in its yield, so a
+    /// waiter may run the batch the worker owes it.
+    fn yielding_service() -> AllocationService {
+        let service = parked_service(ServiceConfig::default());
+        service.shards[0].shared.queue.pose_parked_worker_as_yielding(true);
+        service
+    }
+
+    /// `ticket.wait()` on a thread of its own, bounded: a waiter that
+    /// failed to drive would park beside a posing worker whom no push
+    /// wakes (the service's teardown does, once the test has failed).
+    fn wait_bounded(ticket: Ticket) -> Option<Reply> {
+        let waiter = std::thread::spawn(move || ticket.wait());
+        for _ in 0..30_000 {
+            if waiter.is_finished() {
+                return waiter.join().unwrap();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        panic!("the waiter parked instead of running the batch it was owed");
+    }
+
+    #[test]
+    fn a_waiter_on_a_yielding_shard_runs_its_batch() {
+        let request = paper::table1_request().unwrap();
+        let inline = yielding_service();
+        let twin = parked_service(ServiceConfig::default());
+        let driven = wait_bounded(inline.submit(request.clone(), QosClass::High));
+        let served = twin.submit(request.clone(), QosClass::High).wait();
+        assert!(matches!(
+            driven,
+            Some(Reply { outcome: Outcome::Allocated { cached: false, .. }, .. })
+        ));
+        assert_eq!(driven, served, "field for field what the worker answers");
+
+        // The waiter ran the batch; the worker was not woken for it.
+        let snap = inline.metrics();
+        assert_eq!((snap.inline_runs, snap.batches, snap.batched_requests), (1, 1, 1));
+        assert_eq!((snap.worker_parks, snap.worker_wakes), (1, 0));
+        assert_eq!(snap.class(QosClass::High).picks, 1, "through the arbiter");
+        assert_eq!(inline.pending(), 0);
+        let snap = twin.metrics();
+        assert_eq!((snap.inline_runs, snap.batches, snap.worker_wakes), (0, 1, 1));
+
+        // Event for event the timeline the worker writes.
+        let ladder = [[
+            EventKind::Submitted,
+            EventKind::Admitted,
+            EventKind::Scheduled,
+            EventKind::Dispatched,
+            EventKind::CacheMiss,
+            EventKind::Scored,
+            EventKind::Replied,
+        ]];
+        assert_eq!(event_kinds(&inline), ladder);
+        assert_eq!(event_kinds(&twin), ladder);
+
+        // One batch, not one job: a waiter runs the other submitters'
+        // jobs queued with its own, against the worker's cache.
+        let submit = || inline.submit(request.clone(), QosClass::Low);
+        let [first, second, third] = [(); 3].map(|()| submit());
+        let first = wait_bounded(first).unwrap();
+        assert!(matches!(first.outcome, Outcome::Allocated { cached: true, .. }));
+        for ticket in [second, third] {
+            assert!(ticket.try_wait().is_some(), "answered in the waiter's batch");
+        }
+        let snap = inline.metrics();
+        assert_eq!((snap.inline_runs, snap.batches, snap.batched_requests), (2, 2, 4));
+        inline.shards[0].shared.queue.pose_parked_worker_as_yielding(false);
+        let snap = inline.shutdown();
+        assert_eq!((snap.worker_parks, snap.worker_wakes, snap.completed()), (1, 0, 4));
+        twin.shutdown();
+    }
+
+    #[test]
+    fn a_waiter_on_a_busy_shard_parks_as_today() {
+        let service = parked_service(ServiceConfig::default());
+        let request = paper::table1_request().unwrap();
+        // A batch is running, as far as the waiter can tell.
+        let running = service.shards[0].shared.context.lock().unwrap();
+        let ticket = service.submit(request, QosClass::High);
+        let reply = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| ticket.wait());
+            // The submit woke the worker, which took the job and now
+            // waits for the context behind the "batch" ahead of it.
+            while service.metrics.worker_wakes.load(Ordering::Relaxed) == 0
+                || service.pending() > 0
+            {
+                std::thread::yield_now();
+            }
+            assert!(!waiter.is_finished());
+            drop(running);
+            waiter.join().unwrap()
+        });
+        assert!(matches!(reply, Some(Reply { outcome: Outcome::Allocated { .. }, .. })));
+        let snap = service.shutdown();
+        assert_eq!((snap.inline_runs, snap.batches, snap.worker_wakes), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_waiter_on_a_poisoned_store_answers_none_and_shuts_the_shard() {
+        // The twin of the blocking call's test, for a batch a waiter runs.
+        let mut service = yielding_service();
+        let shared = Arc::clone(&service.shards[0].shared);
+        let poisoner = std::thread::spawn(move || {
+            let _held = shared.store.lock().unwrap();
+            panic!("mutator dies holding the store lock (expected by this test)");
+        });
+        assert!(poisoner.join().is_err());
+
+        let request = paper::table1_request().unwrap();
+        assert_eq!(wait_bounded(service.submit(request.clone(), QosClass::High)), None);
+        // The queue went down as behind a dead worker (checked first: a
+        // queue left up would leave the posing worker asleep), and the
+        // worker — woken by the teardown, not by a job — left without a
+        // panic.
+        let late = service.submit(request, QosClass::High);
+        assert_eq!(late.try_wait().map(|r| r.outcome), Some(Outcome::ShedQueueFull));
+        let worker = service.shards[0].worker.take().expect("live worker");
+        assert!(worker.join().is_ok());
+        assert_eq!(service.metrics().inline_runs, 0);
+    }
+
+    #[test]
+    fn a_ticket_that_outlives_shutdown_neither_drives_nor_keeps_the_store_alive() {
+        let service = parked_service(ServiceConfig::default());
+        let shared = Arc::downgrade(&service.shards[0].shared);
+        let metrics = Arc::clone(&service.metrics);
+        let ticket = service.submit(paper::table1_request().unwrap(), QosClass::High);
+        let snap = service.shutdown();
+        assert_eq!(shared.strong_count(), 0, "queue, store and context went with the shard");
+        let reply = ticket.wait().expect("a drained shutdown answers first");
+        assert!(matches!(reply.outcome, Outcome::Allocated { .. }));
+        let after = metrics.snapshot();
+        assert_eq!((after.inline_runs, after.batches), (snap.inline_runs, snap.batches));
+        assert_eq!((snap.inline_runs, snap.batches), (0, 1), "the worker drained it");
+    }
+
+    #[test]
+    fn shutdown_waits_out_a_batch_an_inline_driver_is_running() {
+        // A waiter that took a batch before the shutdown holds the context
+        // until the batch is answered; `shutdown` returns only after.
+        let service = parked_service(ServiceConfig::default());
+        let shared = Arc::clone(&service.shards[0].shared);
+        let running = shared.context.lock().unwrap();
+        let shutdown = std::thread::spawn(move || service.shutdown());
+        // Nothing is queued, so the worker leaves at once, dropping its
+        // core; then only the held context stands in `shutdown`'s way.
+        while Arc::strong_count(&shared) > 2 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!shutdown.is_finished(), "returned beside a running batch");
+        drop(running);
+        assert_eq!(shutdown.join().unwrap().batches, 0);
     }
 
     use rqfa_core::{AttrBinding, ExecutionTarget, ImplId, ImplVariant};

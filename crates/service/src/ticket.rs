@@ -6,21 +6,24 @@
 //! *empty* until it settles as *filled* (a reply is waiting) or
 //! *abandoned* (no reply will ever come: the job was dropped unanswered,
 //! or the reply has already been handed out). A waiter that has to block
-//! registers its thread in the empty slot and parks; whoever settles the
-//! slot gets that thread back and owes it the wake — and nobody else is
-//! ever woken, because `Thread::unpark` is only called for a waiter that
-//! registered itself. The worker collects the waiters of a whole batch
-//! and wakes them together (`docs/scheduling.md`, "Hand-over protocol").
+//! — having first run, on a live shard, the batches its idle worker owed
+//! it (`docs/scheduling.md` §7.5) — registers its thread in the empty
+//! slot and parks; whoever settles the slot gets that thread back and
+//! owes it the wake — and nobody else is ever woken, because
+//! `Thread::unpark` is only called for a waiter that registered itself.
+//! The worker collects the waiters of a whole batch and wakes them
+//! together (`docs/scheduling.md`, "Hand-over protocol").
 
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::{self, Thread};
 use std::time::Duration;
 
 use rqfa_core::QosClass;
 use rqfa_telemetry::{Clock, MonotonicClock};
 
+use crate::shard::Shared;
 use crate::Reply;
 
 #[derive(Debug)]
@@ -114,6 +117,10 @@ pub struct Ticket {
     id: u64,
     class: QosClass,
     slot: Arc<ReplySlot>,
+    /// The live shard that admitted the request, whose idle worker's
+    /// batch [`Ticket::wait`] may run; none from the replay or the
+    /// harness, whose batches only their own loop runs.
+    shard: Option<Weak<Shared>>,
     _one_waiter: PhantomData<Cell<()>>,
 }
 
@@ -124,6 +131,7 @@ pub(crate) fn reply_slot(id: u64, class: QosClass) -> (Filler, Ticket) {
         id,
         class,
         slot: Arc::clone(&slot),
+        shard: None,
         _one_waiter: PhantomData,
     };
     (Filler(Some(slot)), ticket)
@@ -140,10 +148,29 @@ impl Ticket {
         self.class
     }
 
+    /// Ties the ticket to the live shard that admitted its request.
+    pub(crate) fn driven_by(mut self, shard: &Arc<Shared>) -> Ticket {
+        self.shard = Some(Arc::downgrade(shard));
+        self
+    }
+
     /// Blocks until the reply arrives. `None` only if the service was torn
-    /// down without answering (worker panic) — a drained shutdown replies
-    /// to everything first.
+    /// down without answering (worker panic, or a store lock found
+    /// poisoned) — a drained shutdown replies to everything first.
+    ///
+    /// The wait does not always park at once. While the reply is
+    /// outstanding, the shard's worker is empty-handed and at most one
+    /// batch is queued, the waiting thread runs that batch itself — the
+    /// other jobs in it too, answered as the worker would answer them —
+    /// and parks only once it cannot (`docs/scheduling.md` §7.5). A store
+    /// lock found poisoned meanwhile makes it shut the shard's queue, as
+    /// a dying worker does, and return `None`; a panic inside such a
+    /// batch unwinds the waiting thread, as it unwinds a blocking
+    /// caller's.
     pub fn wait(self) -> Option<Reply> {
+        if let Some(shard) = self.shard.as_ref().and_then(Weak::upgrade) {
+            while self.is_pending() && shard.run_owed_batch() {}
+        }
         self.wait_until(None)
     }
 
@@ -152,7 +179,8 @@ impl Ticket {
         take_settled(&mut self.slot.lock()).flatten()
     }
 
-    /// Blocks up to `timeout` for the reply.
+    /// Blocks up to `timeout` for the reply. Unlike [`Ticket::wait`] it
+    /// never runs a batch: one can outlast a short timeout.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Reply> {
         // Rounded up to the clock's µs; a deadline past the end of the
         // time axis is no deadline.
@@ -185,6 +213,11 @@ impl Ticket {
                 None => thread::park(),
             }
         }
+    }
+
+    /// Whether the slot is still empty: no reply yet, none abandoned.
+    fn is_pending(&self) -> bool {
+        matches!(*self.slot.lock(), State::Empty(_))
     }
 
     /// Whether the slot was abandoned or already emptied by a take.

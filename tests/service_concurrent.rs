@@ -1137,13 +1137,15 @@ fn a_never_blocking_submitter_that_drops_its_tickets_keeps_the_books() {
     assert!(snap.worker_wakes <= snap.worker_parks, "{snap:?}");
 }
 
-/// 7c. Blocking callers beside a pipelining one: three threads that call
+/// 7c. Blocking callers beside pipelining ones: three threads that call
 ///     and wait (each runs its own batch whenever it finds the shard
-///     idle, `docs/scheduling.md` §7.4) and one that keeps 32 tickets in
-///     flight and polls, on one shard. Every reply carries the reference
-///     engine's bits, every submit ends exactly once, a park is woken at
-///     most once, and both kinds of driver ran batches. Bounded, as 7a,
-///     against a lost wake-up.
+///     idle, `docs/scheduling.md` §7.4) and two that keep 32 tickets in
+///     flight each, one polling, one blocking in `wait` (which runs the
+///     batch an idle worker owes it, §7.5), on one shard. Every reply
+///     carries the reference engine's bits, every submit ends exactly
+///     once, a park is woken at most once, and both the worker and the
+///     inline drivers ran batches. Bounded, as 7a, against a lost
+///     wake-up.
 #[test]
 fn blocking_callers_and_a_pipelining_submitter_share_one_shard() {
     const BLOCKING: usize = 3;
@@ -1198,27 +1200,35 @@ fn blocking_callers_and_a_pipelining_submitter_share_one_shard() {
             })
         })
         .collect();
-    let (pipelined, pool, expected) = (Arc::clone(&service), Arc::clone(&pool), Arc::clone(&expected));
-    clients.push(std::thread::spawn(move || {
-        let mut window = std::collections::VecDeque::with_capacity(IN_FLIGHT);
-        for i in 0..PER_CLIENT + IN_FLIGHT {
-            if i >= IN_FLIGHT {
-                let (slot, ticket): (usize, Ticket) = window.pop_front().expect("full window");
-                let reply = loop {
-                    if let Some(reply) = ticket.try_wait() {
-                        break reply;
-                    }
-                    std::thread::yield_now();
-                };
-                check(&expected, slot, Some(reply));
+    for (client, blocks) in [(BLOCKING, false), (BLOCKING + 1, true)] {
+        let (pipelined, pool, expected) =
+            (Arc::clone(&service), Arc::clone(&pool), Arc::clone(&expected));
+        let done_tx = done_tx.clone();
+        clients.push(std::thread::spawn(move || {
+            let mut window = std::collections::VecDeque::with_capacity(IN_FLIGHT);
+            for i in 0..PER_CLIENT + IN_FLIGHT {
+                if i >= IN_FLIGHT {
+                    let (slot, ticket): (usize, Ticket) = window.pop_front().expect("full window");
+                    let reply = if blocks {
+                        ticket.wait()
+                    } else {
+                        loop {
+                            if let Some(reply) = ticket.try_wait() {
+                                break Some(reply);
+                            }
+                            std::thread::yield_now();
+                        }
+                    };
+                    check(&expected, slot, reply);
+                }
+                if i < PER_CLIENT {
+                    let slot = slot_of(client, i);
+                    window.push_back((slot, pipelined.submit(pool[slot].clone(), class_of(i))));
+                }
             }
-            if i < PER_CLIENT {
-                let slot = slot_of(BLOCKING, i);
-                window.push_back((slot, pipelined.submit(pool[slot].clone(), class_of(i))));
-            }
-        }
-        done_tx.send(()).expect("main thread is waiting");
-    }));
+            done_tx.send(()).expect("main thread is waiting");
+        }));
+    }
     for _ in &clients {
         done.recv_timeout(BOUND)
             .expect("a client hung or died: a reply or its wake-up was lost");
@@ -1232,7 +1242,7 @@ fn blocking_callers_and_a_pipelining_submitter_share_one_shard() {
         let c = snap.class(class);
         assert_eq!(c.completed + c.failed + c.shed(), c.submitted, "{class}");
     }
-    assert_eq!(snap.completed(), ((BLOCKING + 1) * PER_CLIENT) as u64);
+    assert_eq!(snap.completed(), ((BLOCKING + 2) * PER_CLIENT) as u64);
     assert!(snap.worker_wakes <= snap.worker_parks, "{snap:?}");
     assert!(0 < snap.inline_runs && snap.inline_runs < snap.batches, "{snap:?}");
 }
