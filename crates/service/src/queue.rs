@@ -304,7 +304,7 @@ impl ClassQueue {
         class: QosClass,
         deadline_us: Option<u64>,
     ) -> Ticket {
-        self.admit_with(id, request, class, deadline_us, None)
+        self.admit_with(id, request, class, deadline_us, None).0
     }
 
     /// [`ClassQueue::admit`], optionally by a blocking caller that holds
@@ -313,7 +313,8 @@ impl ClassQueue {
     /// a park) and the queue otherwise empty, the job comes
     /// straight back in the offered batch (`docs/scheduling.md` §7.4) and
     /// the caller owes it a run; otherwise the batch stays empty and the
-    /// job is queued, or shed, as any other.
+    /// job is queued, or shed, as any other. Also returns whether the
+    /// queued job may yet be a waiter's to run ([`ClassQueue::pop_owed`]).
     pub(crate) fn admit_with(
         &self,
         id: u64,
@@ -321,7 +322,7 @@ impl ClassQueue {
         class: QosClass,
         deadline_us: Option<u64>,
         drive: Option<&mut Vec<Job>>,
-    ) -> Ticket {
+    ) -> (Ticket, bool) {
         debug_assert!(drive.as_ref().is_none_or(|batch| batch.is_empty()));
         let metrics = &*self.metrics;
         metrics.class(class).submitted.fetch_add(1, Ordering::Relaxed);
@@ -337,7 +338,8 @@ impl ClassQueue {
             deadline: deadline_us.map(|d| now.saturating_add(d)),
             filler,
         };
-        match self.push_with(job, drive) {
+        let (admission, owed) = self.push_with(job, drive);
+        match admission {
             Admission::Admitted => {}
             Admission::Displaced(victim) => {
                 // The newcomer took the largest-slack resident's slot.
@@ -359,7 +361,7 @@ impl ClassQueue {
                 answer_unseen(job, Outcome::ShedQueueFull, metrics);
             }
         }
-        ticket
+        (ticket, owed)
     }
 
     /// Enqueues a job. See [`Admission`] for the outcomes; the class's
@@ -368,7 +370,7 @@ impl ClassQueue {
     /// here, under the mutex, so it precedes in record order whatever the
     /// job's driver records once it can see the job.
     pub fn push(&self, job: Job) -> Admission {
-        self.push_with(job, None)
+        self.push_with(job, None).0
     }
 
     /// [`ClassQueue::push`], offering to drive: a caller that passes its
@@ -380,10 +382,16 @@ impl ClassQueue {
     /// again before the mutex is free, as the wake protocol requires of
     /// a parked worker's queue and as a yielding worker expects to find
     /// it.
-    fn push_with(&self, job: Job, drive: Option<&mut Vec<Job>>) -> Admission {
+    ///
+    /// The flag beside the admission says whether a waiter's pop would
+    /// take from the queue the push leaves. Only a job so pushed can ever
+    /// be in a waiter's pop: a worker is empty-handed only from a moment
+    /// it found the queue empty, and until it pops again the queue only
+    /// grows, but beside one batch or less (`docs/scheduling.md` §7.5).
+    fn push_with(&self, job: Job, drive: Option<&mut Vec<Job>>) -> (Admission, bool) {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.shutdown {
-            return Admission::Refused(job);
+            return (Admission::Refused(job), false);
         }
         let capacity = self.config.queue_capacity;
         let limit = match job.class {
@@ -411,11 +419,11 @@ impl ClassQueue {
                         // One in, one out: the queue was and stays
                         // non-empty, so nobody is parked on it.
                         debug_assert!(!inner.parked, "parked worker beside a full lane");
-                        return Admission::Displaced(victim);
+                        return (Admission::Displaced(victim), self.owes_a_batch(&inner));
                     }
                 }
             }
-            return Admission::Refused(job);
+            return (Admission::Refused(job), false);
         }
         admitted(&job);
         inner.lanes[job.class.index()].insert(key, job);
@@ -427,17 +435,18 @@ impl ClassQueue {
             if let Some(batch) = drive {
                 self.fill(&mut inner, self.config.batch_size, batch);
                 debug_assert!(inner.len == 0, "the lone job came back");
-                return Admission::Admitted;
+                return (Admission::Admitted, false);
             }
         }
         // Whoever finds the worker parked takes on its wake; everybody
         // else's push is over here.
         let wake = std::mem::take(&mut inner.parked);
+        let owed = self.owes_a_batch(&inner);
         drop(inner);
         if wake {
             self.wake_worker();
         }
-        Admission::Admitted
+        (Admission::Admitted, owed)
     }
 
     /// The one wake a worker's park is owed — the only condvar signal on
@@ -503,11 +512,19 @@ impl ClassQueue {
     /// len == 0` holds across it.
     pub(crate) fn pop_owed(&self, batch: &mut Vec<Job>) {
         debug_assert!(batch.is_empty());
-        let max = self.config.batch_size;
         let mut inner = self.inner.lock().expect("queue poisoned");
-        if inner.empty_handed() && !inner.shutdown && (1..=max).contains(&inner.len) {
-            self.fill(&mut inner, max, batch);
+        if self.owes_a_batch(&inner) {
+            self.fill(&mut inner, self.config.batch_size, batch);
         }
+    }
+
+    /// Whether a waiter's pop takes from the queue as it stands: the
+    /// worker is empty-handed, the queue is not shut down and holds
+    /// `0 < len ≤ batch_size`.
+    fn owes_a_batch(&self, inner: &Inner) -> bool {
+        inner.empty_handed()
+            && !inner.shutdown
+            && (1..=self.config.batch_size).contains(&inner.len)
     }
 
     /// The one fill loop: moves jobs from the lanes into `batch` until it
@@ -1219,7 +1236,8 @@ mod tests {
         // Nobody is parked: an offer to drive changes nothing, whether
         // the queue is empty or a job is already waiting.
         for queued in 0..2 {
-            let ticket = q.admit_with(queued, request(), QosClass::High, None, Some(&mut batch));
+            let (ticket, _) =
+                q.admit_with(queued, request(), QosClass::High, None, Some(&mut batch));
             assert!(batch.is_empty() && ticket.try_wait().is_none());
             assert_eq!(q.len(), queued as usize + 1);
         }
@@ -1232,7 +1250,7 @@ mod tests {
         }
         // Parked: the job comes straight back, picked by the same fill
         // loop, the queue is empty again and the worker sleeps on.
-        let ticket = q.admit_with(2, request(), QosClass::Low, None, Some(&mut batch));
+        let (ticket, _) = q.admit_with(2, request(), QosClass::Low, None, Some(&mut batch));
         assert_eq!(batch.len(), 1);
         assert_eq!((batch[0].id, ticket.id()), (2, 2));
         assert_eq!(metrics.class(QosClass::Low).picks.load(Ordering::Relaxed), 1);
@@ -1254,7 +1272,7 @@ mod tests {
         let mut batch = Vec::new();
         q.inner.lock().unwrap().yielding = true;
         // Alone in the queue: the job comes back, nobody is signalled.
-        let ticket = q.admit_with(0, request(), QosClass::High, None, Some(&mut batch));
+        let (ticket, _) = q.admit_with(0, request(), QosClass::High, None, Some(&mut batch));
         assert_eq!((batch.len(), batch[0].id, ticket.id()), (1, 0, 0));
         assert!(q.is_empty());
         // Behind an ordinary push the yielding worker is about to find,
@@ -1366,5 +1384,30 @@ mod tests {
         // stop takes the rest on its next round.
         assert_eq!(owed(&q), [2, 3, 4, 5, 6, 7]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_push_says_whether_a_waiters_pop_may_take_its_job() {
+        let q = build(&config(64).with_batch_size(4));
+        let admit = |id| q.admit_with(id, request(), QosClass::High, None, None).1;
+        // A running worker pops this job itself, and so does a parked
+        // one, which the push wakes.
+        assert!(!admit(0));
+        assert_eq!(pop(&q, 4).unwrap().len(), 1);
+        q.inner.lock().unwrap().parked = true;
+        assert!(!admit(0));
+        assert_eq!(pop(&q, 4).unwrap().len(), 1);
+        // Beside a yielding worker: up to one batch is a waiter's, the
+        // job that makes it a backlog is the worker's, and so is every
+        // later one (a waiter's pop takes nothing from a backlog).
+        q.inner.lock().unwrap().yielding = true;
+        assert_eq!((1..=5).map(admit).collect::<Vec<_>>(), [true, true, true, true, false]);
+        assert!(!admit(6));
+        assert!(owed(&q).is_empty());
+        // After shutdown the push is refused.
+        let q = build(&config(64).with_batch_size(4));
+        q.inner.lock().unwrap().yielding = true;
+        q.shutdown();
+        assert!(!q.admit_with(7, request(), QosClass::High, None, None).1);
     }
 }

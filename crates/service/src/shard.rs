@@ -218,9 +218,7 @@ impl Shard {
         }
     }
 
-    /// Submits one request ([`ClassQueue::admit`]). The ticket holds this
-    /// shard weakly, so that a thread blocked on it can run the batch the
-    /// shard's idle worker owes it (`docs/scheduling.md` §7.5).
+    /// Submits one request ([`ClassQueue::admit`]).
     pub(crate) fn submit(
         &self,
         id: u64,
@@ -228,8 +226,19 @@ impl Shard {
         class: QosClass,
         deadline_us: Option<u64>,
     ) -> Ticket {
-        let ticket = self.shared.queue.admit(id, request, class, deadline_us);
-        ticket.driven_by(&self.shared)
+        self.ticket(self.shared.queue.admit_with(id, request, class, deadline_us, None))
+    }
+
+    /// An admitted job's ticket; one whose job may yet be a waiter's to
+    /// run holds this shard weakly, so that the thread blocked on it can
+    /// run the batch the shard's idle worker owes it (`docs/scheduling.md`
+    /// §7.5). No other job ever is, so no other ticket pays for the handle.
+    fn ticket(&self, (ticket, owed): (Ticket, bool)) -> Ticket {
+        if owed {
+            ticket.driven_by(&self.shared)
+        } else {
+            ticket
+        }
     }
 
     /// A blocking submit — what `submit(..).wait()` returns — by a fourth
@@ -255,11 +264,11 @@ impl Shard {
             return self.submit(id, request, class, deadline_us).wait();
         };
         let queue = &self.shared.queue;
-        let (ticket, _) = self.shared.drive(&mut context, |batch| {
+        let (admitted, _) = self.shared.drive(&mut context, |batch| {
             queue.admit_with(id, request, class, deadline_us, Some(batch))
         });
         drop(context);
-        ticket.driven_by(&self.shared).wait()
+        self.ticket(admitted).wait()
     }
 
     /// Applies a mutation to this shard's store under its lock, returning
@@ -400,8 +409,9 @@ pub(crate) struct ShardCore {
 }
 
 /// What every driver of one shard core shares. A live shard's tickets
-/// hold it weakly ([`Shard::submit`]): no allocation per ticket, and a
-/// ticket that outlives the shard keeps none of it alive.
+/// that a waiter may drive hold it weakly ([`Shard::submit`]): no
+/// allocation per ticket, and a ticket that outlives the shard keeps
+/// none of it alive.
 pub(crate) struct Shared {
     /// The front half; also holds what both halves share — the
     /// configuration (with its clock), the metrics block and the flight
@@ -1246,10 +1256,11 @@ mod tests {
 
     #[test]
     fn a_ticket_that_outlives_shutdown_neither_drives_nor_keeps_the_store_alive() {
-        let service = parked_service(ServiceConfig::default());
+        let service = yielding_service();
         let shared = Arc::downgrade(&service.shards[0].shared);
         let metrics = Arc::clone(&service.metrics);
         let ticket = service.submit(paper::table1_request().unwrap(), QosClass::High);
+        assert_eq!(shared.weak_count(), 2, "the ticket holds the shard, as the test does");
         let snap = service.shutdown();
         assert_eq!(shared.strong_count(), 0, "queue, store and context went with the shard");
         let reply = ticket.wait().expect("a drained shutdown answers first");

@@ -118,7 +118,8 @@ pub struct Ticket {
     class: QosClass,
     slot: Arc<ReplySlot>,
     /// The live shard that admitted the request, whose idle worker's
-    /// batch [`Ticket::wait`] may run; none from the replay or the
+    /// batch [`Ticket::wait`] may run — held only if the push left a
+    /// queue that a waiter's pop takes from; none from the replay or the
     /// harness, whose batches only their own loop runs.
     shard: Option<Weak<Shared>>,
     _one_waiter: PhantomData<Cell<()>>,
