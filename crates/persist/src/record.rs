@@ -287,9 +287,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frame_roundtrip_all_kinds() {
-        let revise = StampedMutation {
+    fn revise() -> StampedMutation {
+        StampedMutation {
             generation: Generation::from_raw(2),
             mutation: CaseMutation::Revise {
                 type_id: paper::FFT_1D,
@@ -300,15 +299,22 @@ mod tests {
                 )
                 .unwrap(),
             },
-        };
-        let evict = StampedMutation {
+        }
+    }
+
+    fn evict() -> StampedMutation {
+        StampedMutation {
             generation: Generation::from_raw(u64::MAX),
             mutation: CaseMutation::Evict {
                 type_id: paper::FIR_EQUALIZER,
                 impl_id: paper::IMPL_GP,
             },
-        };
-        for record in [retain(), revise, evict] {
+        }
+    }
+
+    #[test]
+    fn frame_roundtrip_all_kinds() {
+        for record in [retain(), revise(), evict()] {
             let frame = encode_frame(&record).unwrap();
             match parse_frame(&frame) {
                 FrameParse::Complete {
@@ -377,5 +383,31 @@ mod tests {
         }
         assert_eq!(word_target(0x0200), None);
         assert_eq!(word_target(END_MARKER), None);
+    }
+
+    // One record of each kind as the log has always written it. The
+    // layout is the on-disk contract: recovery reads logs written by
+    // every earlier build, so these bytes never change.
+    const RETAIN: &[u8] = &[
+        0x1c, 0xcb, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x08, 0x00, 0x01, 0x00, 0x09, 0x00, 0x07, 0x01, 0x01, 0x00, 0x0c, 0x00,
+        0x04, 0x00, 0x1e, 0x00, 0xff, 0xff, 0xc4, 0x98, 0x98, 0x70,
+    ];
+    const REVISE: &[u8] = &[
+        0x1c, 0xcb, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
+        0x06, 0x00, 0x02, 0x00, 0x02, 0x00, 0x01, 0x00, 0x01, 0x00, 0x18, 0x00,
+        0xff, 0xff, 0xec, 0x98, 0x2b, 0xc1,
+    ];
+    const EVICT: &[u8] = &[
+        0x1c, 0xcb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x03, 0x00,
+        0x03, 0x00, 0x01, 0x00, 0x03, 0x00, 0xff, 0xff, 0x93, 0xab, 0xcc, 0xd3,
+    ];
+
+    #[test]
+    fn every_record_kind_is_its_golden_frame() {
+        for (golden, record) in [(RETAIN, retain()), (REVISE, revise()), (EVICT, evict())] {
+            assert_eq!(encode_frame(&record).unwrap(), golden, "{record:?}");
+            assert_eq!(decode_frame(golden).unwrap(), record);
+        }
     }
 }

@@ -241,4 +241,72 @@ mod tests {
             }
         }
     }
+
+    /// Table 1's case base plus a dedicated-hardware variant: every
+    /// execution-target kind, at generation 1.
+    fn every_target_kind() -> CaseBase {
+        let mut cb = paper::table1_case_base();
+        cb.apply_mutation(&CaseMutation::Retain {
+            type_id: paper::FIR_EQUALIZER,
+            variant: ImplVariant::new(
+                rqfa_core::ImplId::new(9).unwrap(),
+                ExecutionTarget::Dedicated(7),
+                vec![
+                    rqfa_core::AttrBinding::new(paper::ATTR_BITWIDTH, 12),
+                    rqfa_core::AttrBinding::new(paper::ATTR_RATE, 30),
+                ],
+            )
+            .unwrap(),
+        })
+        .unwrap();
+        cb
+    }
+
+    // The container as snapshots have always been written: recovery
+    // reads slots written by every earlier build, so these bytes never
+    // change.
+    const SNAPSHOT: &[u8] = &[
+        0x55, 0xcb, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x54, 0x00,
+        0x00, 0x00, 0x02, 0x00, 0x13, 0x00, 0x01, 0x00, 0x08, 0x00, 0x10, 0x00,
+        0x39, 0x0e, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x40, 0x03, 0x00,
+        0x00, 0x00, 0x02, 0x00, 0xab, 0x2a, 0x04, 0x00, 0x08, 0x00, 0x2c, 0x00,
+        0x76, 0x03, 0xff, 0xff, 0x01, 0x00, 0x18, 0x00, 0x02, 0x00, 0x21, 0x00,
+        0xff, 0xff, 0x01, 0x00, 0x26, 0x00, 0x02, 0x00, 0x2f, 0x00, 0x03, 0x00,
+        0x38, 0x00, 0x09, 0x00, 0x41, 0x00, 0xff, 0xff, 0x01, 0x00, 0x46, 0x00,
+        0x02, 0x00, 0x4d, 0x00, 0xff, 0xff, 0x01, 0x00, 0x10, 0x00, 0x02, 0x00,
+        0x00, 0x00, 0x03, 0x00, 0x02, 0x00, 0x04, 0x00, 0x2c, 0x00, 0xff, 0xff,
+        0x01, 0x00, 0x10, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x01, 0x00,
+        0x04, 0x00, 0x2c, 0x00, 0xff, 0xff, 0x01, 0x00, 0x08, 0x00, 0x02, 0x00,
+        0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x16, 0x00, 0xff, 0xff,
+        0x01, 0x00, 0x0c, 0x00, 0x04, 0x00, 0x1e, 0x00, 0xff, 0xff, 0x01, 0x00,
+        0x10, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x2c, 0x00, 0xff, 0xff,
+        0x01, 0x00, 0x10, 0x00, 0x02, 0x00, 0x01, 0x00, 0x04, 0x00, 0x16, 0x00,
+        0xff, 0xff, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x02, 0x00,
+        0x07, 0x01, 0x00, 0x00, 0x02, 0x00, 0xd0, 0x1c, 0x1e, 0x83,
+    ];
+
+    #[test]
+    fn a_base_of_every_target_kind_is_its_golden_container() {
+        let cb = every_target_kind();
+        assert_eq!(encode_snapshot(&cb).unwrap(), SNAPSHOT);
+        let snap = decode_snapshot(SNAPSHOT).unwrap();
+        assert_eq!(snap.generation, Generation::from_raw(1));
+        let targets = |cb: &CaseBase| -> Vec<ExecutionTarget> {
+            cb.function_types()
+                .iter()
+                .flat_map(FunctionType::variants)
+                .map(ImplVariant::target)
+                .collect()
+        };
+        assert_eq!(targets(&snap.case_base), targets(&cb));
+        for kind in [
+            ExecutionTarget::Fpga,
+            ExecutionTarget::Dsp,
+            ExecutionTarget::GpProcessor,
+            ExecutionTarget::Dedicated(7),
+        ] {
+            assert!(targets(&cb).contains(&kind), "{kind:?}");
+        }
+        assert_eq!(encode_snapshot(&snap.case_base).unwrap(), SNAPSHOT);
+    }
 }
