@@ -27,6 +27,35 @@ pub enum ExecutionTarget {
     Dedicated(u8),
 }
 
+impl ExecutionTarget {
+    /// The 16-bit word this target travels and rests as — in WAL records,
+    /// snapshot containers and wire replies alike: `0` FPGA, `1` DSP, `2`
+    /// general-purpose processor, `0x0100 | tag` dedicated hardware.
+    pub const fn word(self) -> u16 {
+        match self {
+            ExecutionTarget::Fpga => 0,
+            ExecutionTarget::Dsp => 1,
+            ExecutionTarget::GpProcessor => 2,
+            ExecutionTarget::Dedicated(tag) => DEDICATED_WORD | tag as u16,
+        }
+    }
+
+    /// The target a word encodes ([`ExecutionTarget::word`]'s inverse),
+    /// `None` for a word no target encodes to.
+    pub const fn from_word(word: u16) -> Option<ExecutionTarget> {
+        match word {
+            0 => Some(ExecutionTarget::Fpga),
+            1 => Some(ExecutionTarget::Dsp),
+            2 => Some(ExecutionTarget::GpProcessor),
+            w if w & 0xFF00 == DEDICATED_WORD => Some(ExecutionTarget::Dedicated(w as u8)),
+            _ => None,
+        }
+    }
+}
+
+/// The high byte marking a dedicated device's target word.
+const DEDICATED_WORD: u16 = 0x0100;
+
 impl fmt::Display for ExecutionTarget {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -203,6 +232,22 @@ mod tests {
 
     fn aid(raw: u16) -> AttrId {
         AttrId::new(raw).unwrap()
+    }
+
+    #[test]
+    fn target_words_roundtrip() {
+        for target in [
+            ExecutionTarget::Fpga,
+            ExecutionTarget::Dsp,
+            ExecutionTarget::GpProcessor,
+            ExecutionTarget::Dedicated(0),
+            ExecutionTarget::Dedicated(255),
+        ] {
+            assert_eq!(ExecutionTarget::from_word(target.word()), Some(target));
+        }
+        assert_eq!(ExecutionTarget::Dedicated(7).word(), 0x0107);
+        assert_eq!(ExecutionTarget::from_word(0x0200), None);
+        assert_eq!(ExecutionTarget::from_word(0xFFFF), None);
     }
 
     #[test]

@@ -6,7 +6,8 @@ use rqfa_core::{CaseBase, Request};
 
 use crate::error::MemError;
 use crate::layout::{CaseBaseImage, RequestImage, HEADER_WORDS};
-use crate::word::ImageBuilder;
+use crate::report::predicted_request_words;
+use crate::word::{ImageBuilder, MemImage, WordSink, END_MARKER};
 
 /// Encodes a validated [`CaseBase`] into the canonical CB-MEM image.
 ///
@@ -117,20 +118,37 @@ pub fn encode_case_base(case_base: &CaseBase) -> Result<CaseBaseImage, MemError>
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn encode_request(request: &Request) -> Result<RequestImage, MemError> {
-    let mut b = ImageBuilder::new();
-    b.push(request.type_id().raw());
-    for c in request.constraints() {
-        b.push(c.attr.raw()).push(c.value).push(c.weight_q15.raw());
+    let mut words = Vec::with_capacity(predicted_request_words(request.constraints().len()));
+    write_request(&mut words, request)?;
+    Ok(RequestImage::from_image_unchecked(MemImage::from_words(words)?))
+}
+
+/// Writes a [`Request`]'s Req-MEM image into `sink` — the words
+/// [`encode_request`] builds, written where they go: a wire `Submit`
+/// writes them in place into a connection's send buffer.
+///
+/// # Errors
+///
+/// [`MemError::ImageTooLarge`] when the image would outgrow the 16-bit
+/// address space; then nothing is written.
+pub fn write_request(sink: &mut impl WordSink, request: &Request) -> Result<(), MemError> {
+    let words = predicted_request_words(request.constraints().len());
+    if words > usize::from(u16::MAX) {
+        return Err(MemError::ImageTooLarge { words });
     }
-    b.terminate();
-    let (image, _) = b.finish()?;
-    Ok(RequestImage::from_image_unchecked(image))
+    sink.put_word(request.type_id().raw());
+    for c in request.constraints() {
+        sink.put_word(c.attr.raw());
+        sink.put_word(c.value);
+        sink.put_word(c.weight_q15.raw());
+    }
+    sink.put_word(END_MARKER);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::word::END_MARKER;
     use rqfa_core::paper;
 
     #[test]

@@ -17,7 +17,11 @@
 //! * [`compact`] — the packed attribute-block encoding of the §5 outlook
 //!   (≥2× scan-speed claim, measured in experiment E9);
 //! * [`MemoryReport`] and the `predicted_*` functions — the Table 3
-//!   memory-consumption accounting.
+//!   memory-consumption accounting;
+//! * [`WordSink`] / [`LeWords`] — the one little-endian word codec the
+//!   same words rest and travel in: `rqfa-persist`'s WAL records and
+//!   snapshots, `rqfa-net`'s frames ([`write_request`] writes a request
+//!   straight into one).
 //!
 //! ```
 //! use rqfa_core::paper;
@@ -48,7 +52,7 @@ pub use compact::{encode_compact_case_base, is_compactible, CompactCaseBaseImage
 pub use decode::{
     decode_case_base, decode_request, decode_request_words, decode_supplemental, SupplementalEntry,
 };
-pub use encode::{encode_case_base, encode_request};
+pub use encode::{encode_case_base, encode_request, write_request};
 pub use error::MemError;
 pub use layout::{CaseBaseImage, RequestImage, Section};
 pub use memh::{from_memh, to_memh};
@@ -56,7 +60,7 @@ pub use report::{
     predicted_compact_words, predicted_request_words, predicted_words, MemoryReport,
 };
 pub use validate::{validate_case_base, validate_raw, validate_request, ValidationSummary};
-pub use word::{ImageBuilder, MemImage, SectionMap, Words, END_MARKER};
+pub use word::{ImageBuilder, LeWords, MemImage, SectionMap, WordSink, Words, END_MARKER};
 
 #[cfg(all(test, feature = "proptests"))]
 mod proptests;

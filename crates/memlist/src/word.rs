@@ -1,4 +1,4 @@
-//! Raw word-level memory images.
+//! Raw word-level memory images, and the one little-endian word codec.
 //!
 //! Every data structure of the retrieval unit lives in linearly organized
 //! RAM blocks of 16-bit words (§4.1: "These lists can be easily mapped on
@@ -7,6 +7,13 @@
 //! bounds-checked reads — the BRAM simulator in `rqfa-hwsim` wraps it with
 //! port/latency semantics, the soft-core maps it into its data address
 //! space.
+//!
+//! The same words rest on disk (`rqfa-persist`'s WAL records and
+//! snapshot containers) and travel the wire (`rqfa-net`'s frames) as
+//! little-endian byte pairs. That codec is written here once: a
+//! [`WordSink`] writes words — into a `Vec<u16>`, or as little-endian
+//! bytes into a `Vec<u8>` — and [`LeWords`] reads them back where the
+//! bytes lie.
 
 use core::fmt;
 
@@ -48,6 +55,78 @@ impl Words for [u16] {
 
     fn get(&self, at: usize) -> Option<u16> {
         <[u16]>::get(self, at).copied()
+    }
+}
+
+/// A word list as the little-endian bytes it rests and travels as, read
+/// where they lie: a WAL record or snapshot section, or the payload of a
+/// frame still in a connection's receive buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct LeWords<'a>(&'a [u8]);
+
+impl<'a> LeWords<'a> {
+    /// Reads `bytes` as words, `None` on an odd byte count.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Option<LeWords<'a>> {
+        bytes.len().is_multiple_of(2).then_some(LeWords(bytes))
+    }
+
+    /// The words from `at` on (`at` ≤ the length).
+    pub fn tail(self, at: usize) -> LeWords<'a> {
+        LeWords(&self.0[2 * at..])
+    }
+
+    /// The bytes the words lie in.
+    pub fn as_bytes(self) -> &'a [u8] {
+        self.0
+    }
+
+    /// The words copied out.
+    pub fn to_words(self) -> Vec<u16> {
+        self.0
+            .chunks_exact(2)
+            .map(|pair| u16::from_le_bytes([pair[0], pair[1]]))
+            .collect()
+    }
+}
+
+impl Words for LeWords<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.0.len() / 2
+    }
+
+    #[inline]
+    fn get(&self, at: usize) -> Option<u16> {
+        let pair = self.0.get(2 * at..2 * at + 2)?;
+        Some(u16::from_le_bytes([pair[0], pair[1]]))
+    }
+}
+
+/// Where words are written: a word vector, or — as [`LeWords`] reads
+/// them back — the little-endian bytes of a record, a container or a
+/// frame, written in place in the buffer they are stored or sent from.
+pub trait WordSink {
+    /// Appends one word.
+    fn put_word(&mut self, word: u16);
+
+    /// Appends each of `words`.
+    fn put_words(&mut self, words: &[u16]) {
+        words.iter().for_each(|word| self.put_word(*word));
+    }
+}
+
+impl WordSink for Vec<u16> {
+    #[inline]
+    fn put_word(&mut self, word: u16) {
+        self.push(word);
+    }
+}
+
+impl WordSink for Vec<u8> {
+    #[inline]
+    fn put_word(&mut self, word: u16) {
+        self.extend_from_slice(&word.to_le_bytes());
     }
 }
 
@@ -297,6 +376,22 @@ mod tests {
             MemImage::from_words(words),
             Err(MemError::ImageTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn le_words_read_back_what_a_byte_sink_wrote() {
+        let words = [0u16, 1, 0x1234, 0xFF00, END_MARKER];
+        let mut bytes = Vec::new();
+        bytes.put_words(&words);
+        bytes.put_word(7);
+        assert_eq!(&bytes[4..6], &[0x34, 0x12], "low byte first");
+        let back = LeWords::new(&bytes).unwrap();
+        assert_eq!(back.len(), 6);
+        assert_eq!(back.get(5), Some(7));
+        assert_eq!(back.get(6), None);
+        assert_eq!(back.tail(1).to_words(), [1, 0x1234, 0xFF00, END_MARKER, 7]);
+        assert_eq!(back.as_bytes(), &bytes[..]);
+        assert!(LeWords::new(&bytes[1..]).is_none());
     }
 
     #[test]

@@ -30,11 +30,12 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::error::NetError;
-use crate::frame::{check_frame, FRAME_MAGIC, HEADER_BYTES, MAX_PAYLOAD_WORDS, TRAILER_WORDS};
+use crate::frame::{check_frame, parse_header, HEADER_BYTES};
 use crate::wire::{decode_payload, write_message, Message};
 
 /// The least a `read` is offered: several of the 46–81-byte frames the
-/// request path exchanges. A larger frame grows the buffer to its size.
+/// request path exchanges. A larger frame grows the buffer toward its
+/// size as its bytes arrive.
 const READ_AHEAD_BYTES: usize = 512;
 
 /// A message-framed connection over any byte stream.
@@ -98,9 +99,9 @@ impl<S: Read + Write> FrameConn<S> {
     /// unusable.
     pub fn recv(&mut self) -> Result<(Message, usize), NetError> {
         let bytes = loop {
-            match self.frame_bytes()? {
-                Some(bytes) if bytes <= self.filled => break bytes,
-                wanted => self.read_ahead(wanted.unwrap_or(HEADER_BYTES))?,
+            match parse_header(&self.buffer[..self.filled])? {
+                Some((_, bytes)) if bytes <= self.filled => break bytes,
+                header => self.read_ahead(header.map_or(HEADER_BYTES, |(_, bytes)| bytes))?,
             }
         };
         let decoded = check_frame(&self.buffer[..bytes])
@@ -112,27 +113,15 @@ impl<S: Read + Write> FrameConn<S> {
         Ok((decoded?, bytes))
     }
 
-    /// The size of the frame at the front of the buffer, once its header
-    /// is there to say.
-    fn frame_bytes(&self) -> Result<Option<usize>, NetError> {
-        let Some(header) = self.buffer[..self.filled].first_chunk::<HEADER_BYTES>() else {
-            return Ok(None);
-        };
-        let magic = u16::from_le_bytes([header[0], header[1]]);
-        if magic != FRAME_MAGIC {
-            return Err(NetError::BadMagic { found: magic });
-        }
-        let len = usize::from(u16::from_le_bytes([header[4], header[5]]));
-        if len > MAX_PAYLOAD_WORDS {
-            return Err(NetError::PayloadTooLarge { words: len });
-        }
-        Ok(Some(HEADER_BYTES + (len + TRAILER_WORDS) * 2))
-    }
-
     /// One `read` of whatever the stream has, into a buffer with room
-    /// for at least `wanted` bytes in all.
+    /// for more than `filled` and up to `wanted` bytes in all. The room
+    /// grows with what has arrived, at most to `2 × filled +`
+    /// [`READ_AHEAD_BYTES`]: a header announcing a frame its peer never
+    /// sends reserves nothing it has not paid for in bytes.
     fn read_ahead(&mut self, wanted: usize) -> Result<(), NetError> {
-        let room = wanted.max(READ_AHEAD_BYTES);
+        let room = wanted
+            .min(2 * self.filled + READ_AHEAD_BYTES)
+            .max(READ_AHEAD_BYTES);
         if self.buffer.len() < room {
             self.buffer.resize(room, 0);
         }
@@ -295,8 +284,10 @@ impl Default for RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{FRAME_MAGIC, TRAILER_WORDS};
     use crate::wire::tests::{random_messages, TestRng};
     use crate::wire::{encode_message, TailAck};
+    use rqfa_memlist::WordSink;
     use std::io::Cursor;
 
     /// An in-memory duplex: everything written is readable back.
@@ -517,6 +508,22 @@ mod tests {
         );
         assert_eq!(conn.recv().unwrap(), (big, bytes));
         assert_eq!(conn.recv().unwrap(), (ack(9), small));
+    }
+
+    #[test]
+    fn a_header_announcing_a_maximal_frame_reserves_no_buffer_for_it() {
+        // Magic, kind, 65 535 payload words: a 131 080-byte frame, of
+        // which only the header ever arrives before the read times out.
+        let mut header = Vec::new();
+        header.put_words(&[FRAME_MAGIC, 1, u16::MAX]);
+        let mut conn = FrameConn::new(Trickle {
+            bytes: Cursor::new(header),
+            timeout_at: Some(HEADER_BYTES),
+            reads: 0,
+        });
+        assert!(matches!(conn.recv(), Err(NetError::Timeout)));
+        assert_eq!(conn.filled, HEADER_BYTES);
+        assert!(conn.buffer.len() < 1024, "{} bytes reserved", conn.buffer.len());
     }
 
     /// A socket that has `bytes` and then ends, delivering them in reads

@@ -4,7 +4,7 @@ use core::fmt;
 
 use rqfa_core::CoreError;
 use rqfa_memlist::MemError;
-use rqfa_persist::PersistError;
+use rqfa_persist::{PersistError, Unsealed};
 
 /// Everything a wire operation can fail with. Transport defects
 /// (truncation, bit flips, wrong magic) and decode failures are all
@@ -115,5 +115,15 @@ impl From<MemError> for NetError {
 impl From<PersistError> for NetError {
     fn from(e: PersistError) -> NetError {
         NetError::Persist(e)
+    }
+}
+
+impl From<Unsealed> for NetError {
+    fn from(e: Unsealed) -> NetError {
+        match e {
+            Unsealed::Short => NetError::Truncated,
+            Unsealed::BadMagic { found } => NetError::BadMagic { found },
+            Unsealed::BadCrc { expected, found } => NetError::BadCrc { expected, found },
+        }
     }
 }

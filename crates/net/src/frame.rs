@@ -1,8 +1,10 @@
 //! Length-prefixed, CRC-guarded transport frames of 16-bit words.
 //!
-//! The wire unit mirrors the WAL frame discipline of `rqfa-persist`:
-//! a fixed header, a length-prefixed word payload, and a CRC-32 trailer
-//! covering everything after the magic. Layout (little-endian words):
+//! A frame is `rqfa-persist`'s one envelope ([`rqfa_persist::seal`] /
+//! [`rqfa_persist::open`]), the same the WAL records and snapshot
+//! containers are written in, around a header and a length-prefixed word
+//! payload. Layout (little-endian words, written and read by
+//! `rqfa_memlist`'s one codec, [`WordSink`] and [`LeWords`]):
 //!
 //! ```text
 //! word 0   magic        0xCBF7
@@ -15,15 +17,17 @@
 //!
 //! Every field is a word, so a frame is also a valid `memlist`-style
 //! word list — the same 16-bit vocabulary as the memory images, the WAL
-//! and the snapshots. Decoding rejects any defect (short buffer, wrong
-//! magic, flipped bit, trailing garbage) with a clean [`NetError`];
-//! `tests` sweep every truncated prefix and every single-byte corruption
-//! of valid frames.
+//! and the snapshots. The header is parsed in one place
+//! (`parse_header`), for a whole frame and for the head of a
+//! connection's receive buffer alike. Decoding rejects any defect (short
+//! buffer, wrong magic, flipped bit, trailing garbage) with a clean
+//! [`NetError`]; `tests` sweep every truncated prefix and every
+//! single-byte corruption of valid frames.
 
 use std::borrow::Cow;
 
-use rqfa_memlist::Words;
-use rqfa_persist::crc32;
+use rqfa_memlist::{LeWords, WordSink, Words};
+use rqfa_persist::{open, seal};
 
 use crate::error::NetError;
 
@@ -51,34 +55,6 @@ pub struct Frame {
     pub payload: Vec<u16>,
 }
 
-/// A word list as the little-endian bytes it travels as, read where they
-/// lie: the payload of a frame still in a connection's receive buffer.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LeWords<'a>(&'a [u8]);
-
-impl<'a> LeWords<'a> {
-    /// # Errors
-    ///
-    /// [`NetError::Malformed`] on an odd byte count.
-    pub(crate) fn new(bytes: &'a [u8]) -> Result<LeWords<'a>, NetError> {
-        if !bytes.len().is_multiple_of(2) {
-            return Err(NetError::Malformed("odd byte count is not a word list"));
-        }
-        Ok(LeWords(bytes))
-    }
-}
-
-impl Words for LeWords<'_> {
-    fn len(&self) -> usize {
-        self.0.len() / 2
-    }
-
-    fn get(&self, at: usize) -> Option<u16> {
-        let pair = self.0.get(2 * at..2 * at + 2)?;
-        Some(u16::from_le_bytes([pair[0], pair[1]]))
-    }
-}
-
 /// Where a received payload's words lie: the `[u16]` of a decoded
 /// [`Frame`], or the bytes of a frame checked in place ([`LeWords`]). The
 /// message decoders are written once, over this.
@@ -104,48 +80,24 @@ impl<'a> Payload<'a> for &'a [u16] {
     }
 
     fn to_bytes(self) -> Cow<'a, [u8]> {
-        Cow::Owned(words_to_bytes(self))
+        let mut bytes = Vec::new();
+        bytes.put_words(self);
+        Cow::Owned(bytes)
     }
 }
 
 impl<'a> Payload<'a> for LeWords<'a> {
     fn tail(self, at: usize) -> LeWords<'a> {
-        LeWords(&self.0[2 * at..])
+        LeWords::tail(self, at)
     }
 
     fn to_words(self) -> Vec<u16> {
-        self.0
-            .chunks_exact(2)
-            .map(|pair| u16::from_le_bytes([pair[0], pair[1]]))
-            .collect()
+        LeWords::to_words(self)
     }
 
     fn to_bytes(self) -> Cow<'a, [u8]> {
-        Cow::Borrowed(self.0)
+        Cow::Borrowed(self.as_bytes())
     }
-}
-
-/// Appends one word, little-endian.
-pub(crate) fn put_word(bytes: &mut Vec<u8>, word: u16) {
-    bytes.extend_from_slice(&word.to_le_bytes());
-}
-
-/// Serializes words as little-endian bytes.
-pub(crate) fn words_to_bytes(words: &[u16]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(words.len() * 2);
-    for word in words {
-        put_word(&mut bytes, *word);
-    }
-    bytes
-}
-
-/// Reassembles little-endian bytes into words.
-///
-/// # Errors
-///
-/// [`NetError::Malformed`] on an odd byte count.
-pub(crate) fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u16>, NetError> {
-    Ok(LeWords::new(bytes)?.to_words())
 }
 
 /// Writes one frame into `bytes`, replacing what was there: the header,
@@ -163,22 +115,18 @@ pub(crate) fn write_frame(
     fill: impl FnOnce(&mut Vec<u8>) -> Result<(), NetError>,
 ) -> Result<(), NetError> {
     bytes.clear();
-    put_word(bytes, FRAME_MAGIC);
-    put_word(bytes, kind);
-    // The length is known once the payload lies behind it.
-    put_word(bytes, 0);
-    fill(bytes)?;
-    debug_assert!(bytes.len().is_multiple_of(2), "a payload is whole words");
-    let words = (bytes.len() - HEADER_BYTES) / 2;
-    let Ok(len) = u16::try_from(words) else {
-        return Err(NetError::PayloadTooLarge { words });
-    };
-    bytes[4..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
-    // CRC over everything after the magic: kind, len, payload. Low word
-    // first, each word little-endian: the CRC's own little-endian bytes.
-    let crc = crc32(&bytes[2..]);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    Ok(())
+    seal(bytes, FRAME_MAGIC, |bytes| {
+        // The length is known once the payload lies behind it.
+        bytes.put_words(&[kind, 0]);
+        fill(bytes)?;
+        debug_assert!(bytes.len().is_multiple_of(2), "a payload is whole words");
+        let words = (bytes.len() - HEADER_BYTES) / 2;
+        let Ok(len) = u16::try_from(words) else {
+            return Err(NetError::PayloadTooLarge { words });
+        };
+        bytes[4..HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+        Ok(())
+    })
 }
 
 /// Encodes one frame as its on-wire bytes.
@@ -189,10 +137,29 @@ pub(crate) fn write_frame(
 pub fn encode_frame(kind: u16, payload: &[u16]) -> Result<Vec<u8>, NetError> {
     let mut bytes = Vec::with_capacity((HEADER_WORDS + payload.len() + TRAILER_WORDS) * 2);
     write_frame(&mut bytes, kind, |bytes| {
-        payload.iter().for_each(|word| put_word(bytes, *word));
+        bytes.put_words(payload);
         Ok(())
     })?;
     Ok(bytes)
+}
+
+/// Parses the header at the front of `bytes`: the frame's kind and its
+/// whole size in bytes, as the header announces them. `None` while
+/// fewer bytes than a header are there.
+///
+/// # Errors
+///
+/// [`NetError::BadMagic`] when the first word is not [`FRAME_MAGIC`].
+pub(crate) fn parse_header(bytes: &[u8]) -> Result<Option<(u16, usize)>, NetError> {
+    let Some(header) = bytes.get(..HEADER_BYTES).and_then(LeWords::new) else {
+        return Ok(None);
+    };
+    let word = |at| header.get(at).expect("a header is three words");
+    if word(0) != FRAME_MAGIC {
+        return Err(NetError::BadMagic { found: word(0) });
+    }
+    let len = usize::from(word(2));
+    Ok(Some((word(1), (HEADER_WORDS + len + TRAILER_WORDS) * 2)))
 }
 
 /// Checks a byte buffer holding **exactly one** frame where it lies and
@@ -204,28 +171,20 @@ pub fn encode_frame(kind: u16, payload: &[u16]) -> Result<Vec<u8>, NetError> {
 ///
 /// As [`decode_frame`].
 pub(crate) fn check_frame(bytes: &[u8]) -> Result<(u16, LeWords<'_>), NetError> {
-    let min_bytes = (HEADER_WORDS + TRAILER_WORDS) * 2;
-    if bytes.len() < min_bytes || !bytes.len().is_multiple_of(2) {
+    if bytes.len() < (HEADER_WORDS + TRAILER_WORDS) * 2 || !bytes.len().is_multiple_of(2) {
         return Err(NetError::Truncated);
     }
-    let word = |at: usize| u16::from_le_bytes([bytes[2 * at], bytes[2 * at + 1]]);
-    if word(0) != FRAME_MAGIC {
-        return Err(NetError::BadMagic { found: word(0) });
-    }
-    let len = usize::from(word(2));
-    if bytes.len() != (HEADER_WORDS + len + TRAILER_WORDS) * 2 {
+    let (kind, size) = parse_header(bytes)?.ok_or(NetError::Truncated)?;
+    if bytes.len() != size {
         // A length field disagreeing with the buffer is a tear (or a
         // flipped length bit — either way the CRC words are not where
         // the header claims).
         return Err(NetError::Truncated);
     }
-    let (body, trailer) = bytes.split_at((HEADER_WORDS + len) * 2);
-    let expected = crc32(&body[2..]);
-    let found = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    if expected != found {
-        return Err(NetError::BadCrc { expected, found });
-    }
-    Ok((word(1), LeWords::new(&body[HEADER_BYTES..])?))
+    let body = open(bytes, FRAME_MAGIC)?;
+    // Behind the kind and the length words: the payload.
+    let payload = LeWords::new(&body[4..]).expect("an even frame has an even payload");
+    Ok((kind, payload))
 }
 
 /// Decodes a byte buffer holding **exactly one** frame. Any deviation —

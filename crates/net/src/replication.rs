@@ -23,10 +23,10 @@
 //! [`Follower::promote`] yields the replica for failover.
 
 use rqfa_core::{CaseBase, Generation};
+use rqfa_memlist::{LeWords, WordSink};
 use rqfa_persist::{decode_snapshot, StampedMutation};
 
 use crate::error::NetError;
-use crate::frame::{bytes_to_words, words_to_bytes};
 use crate::wire::{Message, SnapshotChunk, SnapshotDone};
 
 /// Chunks a snapshot container into the message sequence that ships it.
@@ -43,7 +43,9 @@ pub fn snapshot_stream(
     if chunk_words == 0 {
         return Err(NetError::Replication("chunk size must be positive"));
     }
-    let words = bytes_to_words(bytes)?;
+    let words = LeWords::new(bytes)
+        .ok_or(NetError::Malformed("odd byte count is not a word list"))?
+        .to_words();
     let mut messages = Vec::with_capacity(words.len() / chunk_words + 2);
     for (index, window) in words.chunks(chunk_words).enumerate() {
         messages.push(Message::SnapshotChunk(SnapshotChunk {
@@ -136,7 +138,9 @@ impl Follower {
                         "snapshot total does not match the buffered words",
                     ));
                 }
-                let snapshot = decode_snapshot(&words_to_bytes(buffer))?;
+                let mut container = Vec::new();
+                container.put_words(buffer);
+                let snapshot = decode_snapshot(&container)?;
                 if snapshot.generation.raw() != done.generation {
                     return Err(NetError::Replication(
                         "announced generation disagrees with the container",

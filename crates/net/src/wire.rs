@@ -3,15 +3,16 @@
 //! Every message payload is a list of 16-bit words in the formats the
 //! workspace already persists:
 //!
-//! * a [`Submit`] carries the request's **Req-MEM image**
-//!   (`rqfa_memlist::encode_request`) verbatim — the same words the
-//!   hardware unit would scan;
+//! * a [`Submit`] carries the request's **Req-MEM image** verbatim —
+//!   the same words the hardware unit would scan, written in place by
+//!   `rqfa_memlist::write_request`, the writer `encode_request` uses;
 //! * a [`Message::Mutate`] / [`Message::TailFrame`] carries the exact
 //!   **WAL frame bytes** `rqfa-persist` appends to the log
-//!   (`encode_frame`), reinterpreted as words — a mutation travels the
-//!   wire byte-identically to how it lands on disk, CRC and all (a
-//!   `Mutate` prefixes the frame with the sender's cluster epoch, the
-//!   fencing token the serving node checks before applying);
+//!   (`append_frame`, which writes them here in place too), reinterpreted
+//!   as words — a mutation travels the wire byte-identically to how it
+//!   lands on disk, CRC and all (a `Mutate` prefixes the frame with the
+//!   sender's cluster epoch, the fencing token the serving node checks
+//!   before applying);
 //! * a [`SnapshotChunk`] carries a word-window of the **dual-slot
 //!   snapshot container** (`encode_snapshot`) — PR 2's transfer unit.
 //!
@@ -37,11 +38,11 @@
 use rqfa_core::{CaseMutation, CoreError, ExecutionTarget, Generation, QosClass, Request, Scored};
 use rqfa_core::{AttrId, ImplId, TypeId};
 use rqfa_fixed::Q15;
-use rqfa_memlist::{decode_request_words, predicted_request_words, MemError, END_MARKER};
-use rqfa_persist::StampedMutation;
+use rqfa_memlist::{decode_request_words, write_request, WordSink};
+use rqfa_persist::{append_frame, StampedMutation};
 
 use crate::error::NetError;
-use crate::frame::{put_word, write_frame, Frame, LeWords, Payload};
+use crate::frame::{write_frame, Frame, Payload};
 
 /// Frame kind of a [`Submit`].
 pub const KIND_SUBMIT: u16 = 1;
@@ -282,31 +283,6 @@ fn word_class(word: u16) -> Result<QosClass, NetError> {
         .ok_or(NetError::Malformed("unknown QoS class index"))
 }
 
-/// `ExecutionTarget` ↔ word, the same mapping the WAL records use:
-/// `0`/`1`/`2` for the three named targets, `0x0100 | tag` for dedicated
-/// devices.
-fn target_word(target: ExecutionTarget) -> Result<u16, NetError> {
-    match target {
-        ExecutionTarget::Fpga => Ok(0),
-        ExecutionTarget::Dsp => Ok(1),
-        ExecutionTarget::GpProcessor => Ok(2),
-        ExecutionTarget::Dedicated(tag) => Ok(0x0100 | u16::from(tag)),
-        // `ExecutionTarget` is non_exhaustive; refuse rather than
-        // mis-encode a target this protocol version does not know.
-        _ => Err(NetError::Malformed("unencodable execution target")),
-    }
-}
-
-fn word_target(word: u16) -> Result<ExecutionTarget, NetError> {
-    match word {
-        0 => Ok(ExecutionTarget::Fpga),
-        1 => Ok(ExecutionTarget::Dsp),
-        2 => Ok(ExecutionTarget::GpProcessor),
-        w if w & 0xFF00 == 0x0100 => Ok(ExecutionTarget::Dedicated((w & 0xFF) as u8)),
-        _ => Err(NetError::Malformed("unknown execution target word")),
-    }
-}
-
 /// `CoreError` → `(code, [4 argument words])`, lossless for every
 /// variant (the widest, `ValueOutOfBounds`, uses all four).
 fn error_words(error: &CoreError) -> Result<(u16, [u16; 4]), NetError> {
@@ -376,7 +352,7 @@ fn put_string(bytes: &mut Vec<u8>, text: &str) {
     // Wire strings are diagnostics; cap them at the length field's range.
     let clipped = &text[..text.len().min(usize::from(u16::MAX))];
     #[allow(clippy::cast_possible_truncation)]
-    put_word(bytes, clipped.len() as u16);
+    bytes.put_word(clipped.len() as u16);
     bytes.extend_from_slice(clipped);
     if !clipped.len().is_multiple_of(2) {
         bytes.push(0);
@@ -402,27 +378,23 @@ fn put_outcome(bytes: &mut Vec<u8>, outcome: &WireOutcome) -> Result<(), NetErro
             evaluated,
             cached,
         } => {
-            put_word(bytes, 0);
-            put_word(bytes, best.impl_id.raw());
-            put_word(bytes, target_word(best.target)?);
-            put_word(bytes, best.similarity.raw());
+            bytes.put_words(&[0, best.impl_id.raw(), best.target.word(), best.similarity.raw()]);
             put_u64(bytes, *evaluated);
-            put_word(bytes, u16::from(*cached));
+            bytes.put_word(u16::from(*cached));
         }
-        WireOutcome::ShedQueueFull => put_word(bytes, 1),
-        WireOutcome::ShedDeadline => put_word(bytes, 2),
+        WireOutcome::ShedQueueFull => bytes.put_word(1),
+        WireOutcome::ShedDeadline => bytes.put_word(2),
         WireOutcome::Failed(error) => {
-            put_word(bytes, 3);
             let (code, args) = error_words(error)?;
-            put_word(bytes, code);
-            args.iter().for_each(|arg| put_word(bytes, *arg));
+            bytes.put_words(&[3, code]);
+            bytes.put_words(&args);
         }
         WireOutcome::Unavailable { attempts } => {
-            put_word(bytes, 4);
+            bytes.put_word(4);
             put_u32(bytes, *attempts);
         }
         WireOutcome::ShedPredicted { late_us } => {
-            put_word(bytes, 5);
+            bytes.put_word(5);
             put_u64(bytes, *late_us);
         }
     }
@@ -433,7 +405,8 @@ fn read_outcome<'a, P: Payload<'a>>(reader: &mut WordReader<P>) -> Result<WireOu
     Ok(match reader.u16()? {
         0 => {
             let impl_id = ImplId::new(reader.u16()?).map_err(NetError::Core)?;
-            let target = word_target(reader.u16()?)?;
+            let target = ExecutionTarget::from_word(reader.u16()?)
+                .ok_or(NetError::Malformed("unknown execution target word"))?;
             let similarity = Q15::saturating_from_raw(reader.u16()?);
             let evaluated = reader.u64()?;
             let cached = match reader.u16()? {
@@ -468,32 +441,6 @@ fn read_outcome<'a, P: Payload<'a>>(reader: &mut WordReader<P>) -> Result<WireOu
     })
 }
 
-/// Appends a request as its Req-MEM image, word for word what
-/// `rqfa_memlist::encode_request` builds: `[type id, (attr id, value,
-/// weight)*, 0xFFFF]`.
-fn put_request(bytes: &mut Vec<u8>, request: &Request) -> Result<(), NetError> {
-    let words = predicted_request_words(request.constraints().len());
-    if words > usize::from(u16::MAX) {
-        return Err(MemError::ImageTooLarge { words }.into());
-    }
-    put_word(bytes, request.type_id().raw());
-    for constraint in request.constraints() {
-        put_word(bytes, constraint.attr.raw());
-        put_word(bytes, constraint.value);
-        put_word(bytes, constraint.weight_q15.raw());
-    }
-    put_word(bytes, END_MARKER);
-    Ok(())
-}
-
-/// Appends a stamped mutation as its on-disk WAL frame (frames are
-/// always an even number of bytes: whole words).
-fn put_mutation(bytes: &mut Vec<u8>, stamped: &StampedMutation) -> Result<(), NetError> {
-    let frame = rqfa_persist::encode_frame(stamped)?;
-    bytes.extend_from_slice(&LeWords::new(&frame)?.to_bytes());
-    Ok(())
-}
-
 fn read_mutation<'a, P: Payload<'a>>(words: P) -> Result<StampedMutation, NetError> {
     rqfa_persist::decode_frame(&words.to_bytes()).map_err(NetError::Persist)
 }
@@ -518,14 +465,13 @@ fn encode_payload(message: &Message, bytes: &mut Vec<u8>) -> Result<(), NetError
     match message {
         Message::Submit(submit) => {
             put_u64(bytes, submit.id);
-            put_word(bytes, class_word(submit.class));
-            put_word(bytes, u16::from(submit.deadline_us.is_some()));
+            bytes.put_words(&[class_word(submit.class), u16::from(submit.deadline_us.is_some())]);
             put_u64(bytes, submit.deadline_us.unwrap_or(0));
-            put_request(bytes, &submit.request)?;
+            write_request(bytes, &submit.request)?;
         }
         Message::Reply(reply) => {
             put_u64(bytes, reply.id);
-            put_word(bytes, class_word(reply.class));
+            bytes.put_word(class_word(reply.class));
             put_u64(bytes, reply.latency_us);
             put_outcome(bytes, &reply.outcome)?;
         }
@@ -539,28 +485,27 @@ fn encode_payload(message: &Message, bytes: &mut Vec<u8>) -> Result<(), NetError
                 generation: Generation::GENESIS,
                 mutation: mutation.clone(),
             };
-            put_mutation(bytes, &stamped)?;
+            append_frame(bytes, &stamped);
         }
         Message::MutateAck(ack) => {
             put_u64(bytes, ack.generation);
-            put_word(bytes, u16::from(ack.error.is_some()));
+            bytes.put_word(u16::from(ack.error.is_some()));
             if let Some(text) = &ack.error {
                 put_string(bytes, text);
             }
         }
         Message::SnapshotChunk(chunk) => {
             put_u32(bytes, chunk.offset_words);
-            bytes.reserve(chunk.words.len() * 2);
-            chunk.words.iter().for_each(|word| put_word(bytes, *word));
+            bytes.put_words(&chunk.words);
         }
         Message::SnapshotDone(done) => {
             put_u64(bytes, done.generation);
             put_u32(bytes, done.total_words);
         }
-        Message::TailFrame(stamped) => put_mutation(bytes, stamped)?,
+        Message::TailFrame(stamped) => append_frame(bytes, stamped),
         Message::TailAck(ack) => put_u64(bytes, ack.generation),
         Message::Heartbeat(beat) => {
-            put_word(bytes, beat.node);
+            bytes.put_word(beat.node);
             put_u64(bytes, beat.epoch);
             put_u64(bytes, beat.generation);
         }
@@ -695,9 +640,9 @@ pub fn decode_message(frame: &Frame) -> Result<Message, NetError> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::frame::{decode_frame, words_to_bytes};
+    use crate::frame::decode_frame;
     use rqfa_core::paper;
-    use rqfa_memlist::{decode_request, encode_request};
+    use rqfa_memlist::{decode_request, encode_request, LeWords};
     use rqfa_core::{AttrBinding, ImplVariant, Request};
 
     /// Deterministic xorshift64* for the seeded sweeps (no external RNG).
@@ -1220,8 +1165,8 @@ pub(crate) mod tests {
         };
         let bytes = encode_message(&Message::TailFrame(stamped.clone())).unwrap();
         let frame = decode_frame(&bytes).unwrap();
-        let wal_frame = rqfa_persist::encode_frame(&stamped).unwrap();
-        assert_eq!(words_to_bytes(&frame.payload), wal_frame);
+        let wal_frame = rqfa_persist::encode_frame(&stamped);
+        assert_eq!(LeWords::new(&wal_frame).unwrap().to_words(), frame.payload);
     }
 
     #[test]
@@ -1244,7 +1189,7 @@ pub(crate) mod tests {
             generation: Generation::GENESIS,
             mutation,
         };
-        let wal_frame = rqfa_persist::encode_frame(&stamped).unwrap();
-        assert_eq!(words_to_bytes(&frame.payload[4..]), wal_frame);
+        let wal_frame = rqfa_persist::encode_frame(&stamped);
+        assert_eq!(LeWords::new(&wal_frame).unwrap().to_words(), frame.payload[4..]);
     }
 }

@@ -48,10 +48,6 @@ pub enum PersistError {
     /// called while an earlier checkpoint was still pending — its slot is
     /// checked out and there is no stale slot left to write into.
     CheckpointInFlight,
-    /// An [`ExecutionTarget`](rqfa_core::ExecutionTarget) variant this
-    /// crate's word encoding does not know — refusing the write beats
-    /// silently persisting the wrong target.
-    UnsupportedTarget,
 }
 
 impl fmt::Display for PersistError {
@@ -72,9 +68,6 @@ impl fmt::Display for PersistError {
             PersistError::NoValidSnapshot => write!(f, "no valid snapshot in any slot"),
             PersistError::CheckpointInFlight => {
                 write!(f, "a two-phase checkpoint is already pending")
-            }
-            PersistError::UnsupportedTarget => {
-                write!(f, "execution target has no persistent word encoding")
             }
         }
     }

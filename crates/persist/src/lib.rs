@@ -17,6 +17,8 @@
 //!   checkpoint (snapshot + log compaction) due every N mutations, and
 //!   [`recovery`](DurableCaseBase::recover) that restores exactly the
 //!   acknowledged prefix after any crash;
+//! * [`seal`] / [`open`] — the one `magic | body | CRC-32` envelope
+//!   both formats (and `rqfa-net`'s wire frames) are written in;
 //! * [`FailingStore`] — deterministic **crash injection**: a [`Store`]
 //!   decorator that tears a write at an exact byte offset, or by any
 //!   subset of the sectors it touches, so the workspace harness
@@ -67,13 +69,16 @@ pub mod stats;
 mod store;
 mod wal;
 
-pub use crc::crc32;
+pub use crc::{crc32, open, seal, Unsealed};
 pub use durable::{
     DurableCaseBase, PendingCheckpoint, PersistPolicy, RecoveryReport, StoreSet, WrittenCheckpoint,
 };
 pub use stats::PersistStats;
 pub use error::PersistError;
-pub use record::{decode_frame, encode_frame, parse_frame, FrameParse, StampedMutation, RECORD_MAGIC};
+pub use record::{
+    append_frame, decode_frame, encode_frame, parse_frame, FrameParse, StampedMutation,
+    RECORD_MAGIC,
+};
 pub use snapshot::{
     decode_snapshot, encode_snapshot, read_snapshot, write_snapshot, Snapshot, SNAPSHOT_MAGIC,
 };

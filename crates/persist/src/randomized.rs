@@ -169,8 +169,7 @@ fn any_byte_truncation_yields_the_longest_whole_prefix() {
                 let frame = encode_frame(&StampedMutation {
                     generation: oracle.generation(),
                     mutation,
-                })
-                .unwrap();
+                });
                 bytes.extend_from_slice(&frame);
                 frames.push(frame);
             }
@@ -258,7 +257,7 @@ fn reencoding_oracle(log: &[u8], snapshot: Generation) -> (Vec<u8>, RecoveryRepo
         if record.generation <= snapshot {
             skipped_older += 1;
         } else {
-            kept.extend_from_slice(&encode_frame(&record).unwrap());
+            kept.extend_from_slice(&encode_frame(&record));
             replayed += 1;
         }
     }
@@ -290,7 +289,7 @@ fn byte_range_compaction_equals_the_reencoding_oracle() {
             let mutation = random_mutation(&mut rng, &next);
             if next.apply_mutation(&mutation).is_ok() {
                 let generation = next.generation();
-                frames.push(encode_frame(&StampedMutation { generation, mutation }).unwrap());
+                frames.push(encode_frame(&StampedMutation { generation, mutation }));
                 states.push(next);
             }
         }
@@ -350,7 +349,7 @@ fn replay_hostile(bytes: &[u8], context: &str) -> usize {
     let reencoded: usize = replay
         .records
         .iter()
-        .map(|record| encode_frame(record).unwrap().len())
+        .map(|record| encode_frame(record).len())
         .sum();
     assert_eq!(reencoded, replay.clean_len, "{context}: records vs clean bytes");
     replay.clean_len
@@ -371,7 +370,7 @@ fn hostile_bytes_never_panic_and_never_outgrow_the_input() {
                     generation: oracle.generation(),
                     mutation,
                 };
-                frames.extend_from_slice(&encode_frame(&stamped).unwrap());
+                frames.extend_from_slice(&encode_frame(&stamped));
                 records += 1;
             }
         }

@@ -1,9 +1,11 @@
 //! The write-ahead-log record format.
 //!
-//! Every case-base mutation becomes one self-delimiting frame whose
+//! Every case-base mutation becomes one self-delimiting record whose
 //! payload reuses the `memlist` 16-bit word idiom (presorted attribute
-//! pairs, `0xFFFF` terminator) — the same validated encoding the hardware
-//! images use, so a WAL payload *is* a tiny memory-image list:
+//! pairs, `0xFFFF` terminator) — the same encoding the hardware images
+//! use, so a WAL payload *is* a tiny memory-image list. The record is a
+//! [`seal`]ed envelope, its words written and read by
+//! `rqfa_memlist`'s one little-endian codec ([`WordSink`], [`LeWords`]):
 //!
 //! ```text
 //! offset  size  field
@@ -16,28 +18,29 @@
 //!                                the magic
 //! ```
 //!
-//! Payload words (built with [`rqfa_memlist::ImageBuilder`]):
+//! Payload words:
 //!
 //! * retain / revise: `type_id, impl_id, target, (attr, value)*, 0xFFFF`
 //! * evict: `type_id, impl_id, 0xFFFF`
 //!
-//! The execution target word encodes [`ExecutionTarget`]: `0` FPGA, `1`
-//! DSP, `2` general-purpose processor, `0x0100 | tag` dedicated hardware.
-//! Resource footprints and human-readable names are *not* persisted —
-//! they are not part of the hardware memory layout either (see
-//! `rqfa_memlist::decode`), and retrieval results do not depend on them.
+//! The target word is [`ExecutionTarget::word`]. Resource footprints and
+//! human-readable names are *not* persisted — they are not part of the
+//! hardware memory layout either (see `rqfa_memlist::decode`), and
+//! retrieval results do not depend on them.
 //!
 //! Any structural defect — short frame, wrong magic, CRC mismatch,
 //! malformed payload — parses as [`FrameParse::Torn`], which replay
 //! treats as the end of the durable log (a torn tail, the only thing an
 //! honest crashed append can leave behind).
 
+use std::convert::Infallible;
+
 use rqfa_core::{
     AttrBinding, AttrId, CaseMutation, ExecutionTarget, Generation, ImplId, ImplVariant, TypeId,
 };
-use rqfa_memlist::{ImageBuilder, MemImage, END_MARKER};
+use rqfa_memlist::{LeWords, MemImage, WordSink, Words, END_MARKER};
 
-use crate::crc::crc32;
+use crate::crc::{open, seal};
 use crate::error::PersistError;
 
 /// The record magic word.
@@ -45,6 +48,12 @@ pub const RECORD_MAGIC: u16 = 0xCB1C;
 
 /// Frame overhead in bytes around the payload words.
 pub const FRAME_OVERHEAD: usize = 2 + 8 + 2 + 2 + 4;
+
+/// Word offsets in the body (behind the magic): the generation's four
+/// words, then the kind, the payload length and the payload.
+const KIND_AT: usize = 4;
+const LEN_AT: usize = 5;
+const PAYLOAD_AT: usize = 6;
 
 const KIND_RETAIN: u16 = 1;
 const KIND_REVISE: u16 = 2;
@@ -59,91 +68,49 @@ pub struct StampedMutation {
     pub mutation: CaseMutation,
 }
 
-/// Converts words to little-endian bytes.
-pub(crate) fn words_to_bytes(words: &[u16]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(words.len() * 2);
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
-/// Converts little-endian bytes back to words (length must be even).
-pub(crate) fn bytes_to_words(bytes: &[u8]) -> Vec<u16> {
-    bytes
-        .chunks_exact(2)
-        .map(|pair| u16::from_le_bytes([pair[0], pair[1]]))
-        .collect()
-}
-
-pub(crate) fn target_word(target: ExecutionTarget) -> Result<u16, PersistError> {
-    match target {
-        ExecutionTarget::Fpga => Ok(0),
-        ExecutionTarget::Dsp => Ok(1),
-        ExecutionTarget::GpProcessor => Ok(2),
-        ExecutionTarget::Dedicated(tag) => Ok(0x0100 | u16::from(tag)),
-        // `ExecutionTarget` is non_exhaustive: a future variant must fail
-        // the encode loudly — silently persisting a different target
-        // would survive recovery as permanent corruption.
-        _ => Err(PersistError::UnsupportedTarget),
-    }
-}
-
-pub(crate) fn word_target(word: u16) -> Option<ExecutionTarget> {
-    match word {
-        0 => Some(ExecutionTarget::Fpga),
-        1 => Some(ExecutionTarget::Dsp),
-        2 => Some(ExecutionTarget::GpProcessor),
-        w if w & 0xFF00 == 0x0100 => Some(ExecutionTarget::Dedicated((w & 0xFF) as u8)),
-        _ => None,
-    }
-}
-
-fn payload_words(mutation: &CaseMutation) -> Result<Vec<u16>, PersistError> {
-    let mut b = ImageBuilder::new();
-    match mutation {
-        CaseMutation::Retain { type_id, variant } | CaseMutation::Revise { type_id, variant } => {
-            b.push(type_id.raw())
-                .push(variant.id().raw())
-                .push(target_word(variant.target())?);
-            for binding in variant.attrs() {
-                b.push(binding.attr.raw()).push(binding.value);
-            }
-            b.terminate();
-        }
-        CaseMutation::Evict { type_id, impl_id } => {
-            b.push(type_id.raw()).push(impl_id.raw()).terminate();
-        }
-    }
-    let (image, _) = b.finish().expect("mutation payloads are tiny");
-    Ok(image.into_words())
-}
-
 /// Encodes one stamped mutation as a self-delimiting WAL frame.
 ///
-/// # Errors
+/// # Panics
 ///
-/// [`PersistError::UnsupportedTarget`] if the mutation carries an
-/// execution-target variant the word encoding does not cover.
-pub fn encode_frame(stamped: &StampedMutation) -> Result<Vec<u8>, PersistError> {
-    let kind = match &stamped.mutation {
-        CaseMutation::Retain { .. } => KIND_RETAIN,
-        CaseMutation::Revise { .. } => KIND_REVISE,
-        CaseMutation::Evict { .. } => KIND_EVICT,
+/// As [`append_frame`].
+pub fn encode_frame(stamped: &StampedMutation) -> Vec<u8> {
+    let mut frame = Vec::new();
+    append_frame(&mut frame, stamped);
+    frame
+}
+
+/// Appends one stamped mutation's WAL frame to `out`: a log batch, or a
+/// wire frame carrying the record as it lands on disk.
+///
+/// # Panics
+///
+/// If the payload outgrows its 16-bit length word: a variant with more
+/// than 32 765 attributes, which no case base can declare usefully.
+pub fn append_frame(out: &mut Vec<u8>, stamped: &StampedMutation) {
+    let (kind, type_id, impl_id, variant) = match &stamped.mutation {
+        CaseMutation::Retain { type_id, variant } => {
+            (KIND_RETAIN, type_id, variant.id(), Some(variant))
+        }
+        CaseMutation::Revise { type_id, variant } => {
+            (KIND_REVISE, type_id, variant.id(), Some(variant))
+        }
+        CaseMutation::Evict { type_id, impl_id } => (KIND_EVICT, type_id, *impl_id, None),
     };
-    let payload = payload_words(&stamped.mutation)?;
-    debug_assert!(payload.len() <= usize::from(u16::MAX));
-    let mut body = Vec::with_capacity(FRAME_OVERHEAD - 2 + payload.len() * 2);
-    body.extend_from_slice(&stamped.generation.raw().to_le_bytes());
-    body.extend_from_slice(&kind.to_le_bytes());
-    body.extend_from_slice(&(payload.len() as u16).to_le_bytes());
-    body.extend_from_slice(&words_to_bytes(&payload));
-    let crc = crc32(&body);
-    let mut frame = Vec::with_capacity(2 + body.len() + 4);
-    frame.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-    frame.extend_from_slice(&body);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    Ok(frame)
+    let payload_words = 3 + variant.map_or(0, |v| 1 + 2 * v.attr_count());
+    let len = u16::try_from(payload_words).expect("mutation payloads are tiny");
+    out.reserve(FRAME_OVERHEAD + 2 * payload_words);
+    let Ok(()) = seal(out, RECORD_MAGIC, |body| {
+        body.extend_from_slice(&stamped.generation.raw().to_le_bytes());
+        body.put_words(&[kind, len, type_id.raw(), impl_id.raw()]);
+        if let Some(variant) = variant {
+            body.put_word(variant.target().word());
+            for binding in variant.attrs() {
+                body.put_words(&[binding.attr.raw(), binding.value]);
+            }
+        }
+        body.put_word(END_MARKER);
+        Ok::<_, Infallible>(())
+    });
 }
 
 /// The outcome of parsing one frame at the head of a byte slice.
@@ -161,10 +128,6 @@ pub enum FrameParse {
     Torn,
 }
 
-fn read_u16(bytes: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes([bytes[at], bytes[at + 1]])
-}
-
 /// Walks an `(attr, value)` word list off a [`MemImage`], mirroring the
 /// memlist attribute-list layout.
 fn decode_attr_list(image: &MemImage, mut addr: u16) -> Option<Vec<AttrBinding>> {
@@ -180,22 +143,23 @@ fn decode_attr_list(image: &MemImage, mut addr: u16) -> Option<Vec<AttrBinding>>
     }
 }
 
-fn decode_mutation(kind: u16, payload: &[u16]) -> Option<CaseMutation> {
-    let image = MemImage::from_words(payload.to_vec()).ok()?;
+fn decode_mutation(kind: u16, payload: Vec<u16>) -> Option<CaseMutation> {
+    let words = payload.len();
+    let image = MemImage::from_words(payload).ok()?;
     let type_id = TypeId::new(image.read(0).ok()?).ok()?;
     let impl_id = ImplId::new(image.read(1).ok()?).ok()?;
     match kind {
         KIND_EVICT => {
-            if image.read(2).ok()? != END_MARKER || payload.len() != 3 {
+            if image.read(2).ok()? != END_MARKER || words != 3 {
                 return None;
             }
             Some(CaseMutation::Evict { type_id, impl_id })
         }
         KIND_RETAIN | KIND_REVISE => {
-            let target = word_target(image.read(2).ok()?)?;
+            let target = ExecutionTarget::from_word(image.read(2).ok()?)?;
             let attrs = decode_attr_list(&image, 3)?;
             // The terminator must close the payload exactly.
-            if payload.len() != 3 + attrs.len() * 2 + 1 {
+            if words != 3 + attrs.len() * 2 + 1 {
                 return None;
             }
             let variant = ImplVariant::new(impl_id, target, attrs).ok()?;
@@ -211,41 +175,23 @@ fn decode_mutation(kind: u16, payload: &[u16]) -> Option<CaseMutation> {
 
 /// Parses the frame at the head of `bytes`.
 pub fn parse_frame(bytes: &[u8]) -> FrameParse {
-    if bytes.len() < FRAME_OVERHEAD || read_u16(bytes, 0) != RECORD_MAGIC {
-        return FrameParse::Torn;
-    }
-    let payload_words = usize::from(read_u16(bytes, 12));
-    let total = FRAME_OVERHEAD + payload_words * 2;
-    if bytes.len() < total {
-        return FrameParse::Torn;
-    }
-    let body = &bytes[2..total - 4];
-    let stored_crc = u32::from_le_bytes([
-        bytes[total - 4],
-        bytes[total - 3],
-        bytes[total - 2],
-        bytes[total - 1],
-    ]);
-    if crc32(body) != stored_crc {
-        return FrameParse::Torn;
-    }
-    let generation = Generation::from_raw(u64::from_le_bytes(
-        bytes[2..10].try_into().expect("8 bytes"),
-    ));
-    let kind = read_u16(bytes, 10);
-    let payload = bytes_to_words(&bytes[14..total - 4]);
-    match decode_mutation(kind, &payload) {
-        Some(mutation) => FrameParse::Complete {
-            record: StampedMutation {
-                generation,
-                mutation,
-            },
-            consumed: total,
-        },
+    match parse(bytes) {
+        Some((record, consumed)) => FrameParse::Complete { record, consumed },
         None => FrameParse::Torn,
     }
 }
 
+/// The record at the head of `bytes` and its size, `None` for a torn one.
+fn parse(bytes: &[u8]) -> Option<(StampedMutation, usize)> {
+    // The body's words ahead of the payload say how long the record is.
+    let head = LeWords::new(bytes.get(2..2 + 2 * PAYLOAD_AT)?)?;
+    let total = FRAME_OVERHEAD + 2 * usize::from(head.get(LEN_AT)?);
+    let body = open(bytes.get(..total)?, RECORD_MAGIC).ok()?;
+    let generation = Generation::from_raw(u64::from_le_bytes(*body.first_chunk()?));
+    let words = LeWords::new(body)?;
+    let mutation = decode_mutation(words.get(KIND_AT)?, words.tail(PAYLOAD_AT).to_words())?;
+    Some((StampedMutation { generation, mutation }, total))
+}
 /// Decodes a frame that must be complete and valid (tests, tools).
 ///
 /// Prefer [`parse_frame`] when scanning a log, where a torn tail is an
@@ -315,7 +261,7 @@ mod tests {
     #[test]
     fn frame_roundtrip_all_kinds() {
         for record in [retain(), revise(), evict()] {
-            let frame = encode_frame(&record).unwrap();
+            let frame = encode_frame(&record);
             match parse_frame(&frame) {
                 FrameParse::Complete {
                     record: decoded,
@@ -332,7 +278,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_torn_not_panic() {
-        let frame = encode_frame(&retain()).unwrap();
+        let frame = encode_frame(&retain());
         for keep in 0..frame.len() {
             assert_eq!(
                 parse_frame(&frame[..keep]),
@@ -344,7 +290,7 @@ mod tests {
 
     #[test]
     fn every_bit_flip_is_detected() {
-        let frame = encode_frame(&retain()).unwrap();
+        let frame = encode_frame(&retain());
         for byte in 0..frame.len() {
             for bit in 0..8u8 {
                 let mut bad = frame.clone();
@@ -361,28 +307,13 @@ mod tests {
 
     #[test]
     fn trailing_bytes_do_not_confuse_the_parser() {
-        let frame = encode_frame(&retain()).unwrap();
+        let frame = encode_frame(&retain());
         let mut stream = frame.clone();
         stream.extend_from_slice(&[0xAB; 13]);
         match parse_frame(&stream) {
             FrameParse::Complete { consumed, .. } => assert_eq!(consumed, frame.len()),
             FrameParse::Torn => panic!("leading frame must still parse"),
         }
-    }
-
-    #[test]
-    fn target_words_roundtrip() {
-        for target in [
-            ExecutionTarget::Fpga,
-            ExecutionTarget::Dsp,
-            ExecutionTarget::GpProcessor,
-            ExecutionTarget::Dedicated(0),
-            ExecutionTarget::Dedicated(255),
-        ] {
-            assert_eq!(word_target(target_word(target).unwrap()), Some(target));
-        }
-        assert_eq!(word_target(0x0200), None);
-        assert_eq!(word_target(END_MARKER), None);
     }
 
     // One record of each kind as the log has always written it. The
@@ -406,7 +337,7 @@ mod tests {
     #[test]
     fn every_record_kind_is_its_golden_frame() {
         for (golden, record) in [(RETAIN, retain()), (REVISE, revise()), (EVICT, evict())] {
-            assert_eq!(encode_frame(&record).unwrap(), golden, "{record:?}");
+            assert_eq!(encode_frame(&record), golden, "{record:?}");
             assert_eq!(decode_frame(golden).unwrap(), record);
         }
     }

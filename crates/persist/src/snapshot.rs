@@ -2,10 +2,12 @@
 //!
 //! A snapshot is the canonical CB-MEM image produced by
 //! [`rqfa_memlist::encode_case_base`] — the exact word layout the
-//! hardware retrieval unit consumes (fig. 4/5) — wrapped in a small
-//! CRC-guarded container that additionally records the case-base
-//! generation and the per-variant execution targets (which the hardware
-//! layout does not carry, but [`Scored`](rqfa_core::Scored) results do):
+//! hardware retrieval unit consumes (fig. 4/5) — in a
+//! [`seal`]ed envelope that additionally records the
+//! case-base generation and the per-variant execution targets (which the
+//! hardware layout does not carry, but [`Scored`](rqfa_core::Scored)
+//! results do). Its words are written and read by `rqfa_memlist`'s one
+//! little-endian codec ([`WordSink`], [`LeWords`]):
 //!
 //! ```text
 //! offset     size  field
@@ -22,12 +24,13 @@
 //! type names (`"type-<id>"`) and zeroes resource footprints — neither is
 //! part of the persisted state, and neither influences retrieval results.
 
-use rqfa_core::{CaseBase, FunctionType, Generation, ImplVariant};
-use rqfa_memlist::{decode_case_base, encode_case_base, CaseBaseImage, MemImage};
+use std::convert::Infallible;
 
-use crate::crc::crc32;
+use rqfa_core::{CaseBase, ExecutionTarget, FunctionType, Generation, ImplVariant};
+use rqfa_memlist::{decode_case_base, encode_case_base, CaseBaseImage, LeWords, MemImage, WordSink};
+
+use crate::crc::{open, seal, Unsealed};
 use crate::error::PersistError;
-use crate::record::{bytes_to_words, target_word, word_target, words_to_bytes};
 use crate::store::Store;
 
 /// The snapshot magic word.
@@ -56,25 +59,18 @@ fn corrupt(reason: &'static str) -> PersistError {
 pub fn encode_snapshot(case_base: &CaseBase) -> Result<Vec<u8>, PersistError> {
     let image = encode_case_base(case_base)?;
     let image_words = image.image().words();
-    let targets: Vec<u16> = case_base
-        .function_types()
-        .iter()
-        .flat_map(FunctionType::variants)
-        .map(|v| target_word(v.target()))
-        .collect::<Result<_, _>>()?;
+    let variants = || case_base.function_types().iter().flat_map(FunctionType::variants);
+    let targets = variants().count();
 
-    let mut body = Vec::with_capacity(8 + 4 + image_words.len() * 2 + 4 + targets.len() * 2);
-    body.extend_from_slice(&case_base.generation().raw().to_le_bytes());
-    body.extend_from_slice(&(image_words.len() as u32).to_le_bytes());
-    body.extend_from_slice(&words_to_bytes(image_words));
-    body.extend_from_slice(&(targets.len() as u32).to_le_bytes());
-    body.extend_from_slice(&words_to_bytes(&targets));
-    let crc = crc32(&body);
-
-    let mut out = Vec::with_capacity(2 + body.len() + 4);
-    out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let mut out = Vec::with_capacity(2 + 8 + 4 + image_words.len() * 2 + 4 + targets * 2 + 4);
+    let Ok(()) = seal(&mut out, SNAPSHOT_MAGIC, |body| {
+        body.extend_from_slice(&case_base.generation().raw().to_le_bytes());
+        body.extend_from_slice(&(image_words.len() as u32).to_le_bytes());
+        body.put_words(image_words);
+        body.extend_from_slice(&(targets as u32).to_le_bytes());
+        variants().for_each(|v| body.put_word(v.target().word()));
+        Ok::<_, Infallible>(())
+    });
     Ok(out)
 }
 
@@ -91,15 +87,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, PersistError> {
     if bytes.len() < 2 + 8 + 4 + 4 + 4 {
         return Err(corrupt("short container"));
     }
-    if u16::from_le_bytes([bytes[0], bytes[1]]) != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let body = &bytes[2..bytes.len() - 4];
-    let tail = &bytes[bytes.len() - 4..];
-    let stored_crc = u32::from_le_bytes(tail.try_into().expect("4 bytes"));
-    if crc32(body) != stored_crc {
-        return Err(corrupt("crc mismatch"));
-    }
+    let body = open(bytes, SNAPSHOT_MAGIC).map_err(|unsealed| match unsealed {
+        Unsealed::Short => corrupt("short container"),
+        Unsealed::BadMagic { .. } => corrupt("bad magic"),
+        Unsealed::BadCrc { .. } => corrupt("crc mismatch"),
+    })?;
     let generation = Generation::from_raw(u64::from_le_bytes(
         body[..8].try_into().expect("8 bytes"),
     ));
@@ -108,14 +100,15 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, PersistError> {
     if body.len() < image_end + 4 {
         return Err(corrupt("image section overruns container"));
     }
-    let image = MemImage::from_words(bytes_to_words(&body[12..image_end]))?;
+    let words = |section: &[u8]| LeWords::new(section).expect("an even span").to_words();
+    let image = MemImage::from_words(words(&body[12..image_end]))?;
     let target_words =
         u32::from_le_bytes(body[image_end..image_end + 4].try_into().expect("4 bytes")) as usize;
     let targets_end = image_end + 4 + target_words * 2;
     if body.len() != targets_end {
         return Err(corrupt("target section size mismatch"));
     }
-    let targets = bytes_to_words(&body[image_end + 4..targets_end]);
+    let targets = words(&body[image_end + 4..targets_end]);
 
     let decoded = decode_case_base(&CaseBaseImage::from_image(image))?;
     if decoded.variant_count() != targets.len() {
@@ -130,7 +123,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, PersistError> {
         let mut variants = Vec::with_capacity(ty.variant_count());
         for variant in ty.variants() {
             let word = *target_iter.next().expect("counts checked above");
-            let target = word_target(word).ok_or(corrupt("unknown execution target word"))?;
+            let target = ExecutionTarget::from_word(word)
+                .ok_or(corrupt("unknown execution target word"))?;
             variants.push(
                 ImplVariant::new(variant.id(), target, variant.attrs().to_vec())
                     .map_err(PersistError::Core)?,

@@ -29,7 +29,7 @@ use std::ops::Range;
 use rqfa_core::Generation;
 
 use crate::error::PersistError;
-use crate::record::{encode_frame, parse_frame, FrameParse, StampedMutation};
+use crate::record::{append_frame, parse_frame, FrameParse, StampedMutation};
 use crate::store::Store;
 
 /// What a full scan of the log found.
@@ -76,13 +76,12 @@ impl<S: Store> Wal<S> {
     ///
     /// # Errors
     ///
-    /// Frame-encoding failures (nothing touches the medium) and the
-    /// store's write failure (the write may still have torn; the caller
-    /// repairs by [`Wal::retain`]ing the acknowledged length).
+    /// The store's write failure (the write may still have torn; the
+    /// caller repairs by [`Wal::retain`]ing the acknowledged length).
     pub fn append_batch(&mut self, records: &[StampedMutation]) -> Result<u64, PersistError> {
         let mut batch = Vec::new();
         for record in records {
-            batch.extend_from_slice(&encode_frame(record)?);
+            append_frame(&mut batch, record);
         }
         if batch.is_empty() {
             return Ok(0);
@@ -185,6 +184,7 @@ impl<S: Store> Wal<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::encode_frame;
     use crate::store::MemStore;
     use rqfa_core::{paper, CaseMutation};
 
@@ -246,7 +246,7 @@ mod tests {
         let bytes = batched.append_batch(&records).unwrap();
         assert_eq!(batched.append_batch(&[]).unwrap(), 0);
 
-        let frames: Vec<u8> = records.iter().flat_map(|r| encode_frame(r).unwrap()).collect();
+        let frames: Vec<u8> = records.iter().flat_map(encode_frame).collect();
         assert_eq!(batched.store().bytes(), frames, "the records' frames back to back");
         assert_eq!(bytes as usize, frames.len());
         assert_eq!(batched.replay().unwrap().records.len(), 4);
@@ -256,7 +256,7 @@ mod tests {
     fn garbage_between_frames_truncates_from_there() {
         let mut bytes = log_of([1]).into_store().into_bytes();
         bytes.extend_from_slice(&[0xDE, 0xAD]);
-        bytes.extend_from_slice(&encode_frame(&evict(2)).unwrap());
+        bytes.extend_from_slice(&encode_frame(&evict(2)));
         let replay = Wal::new(MemStore::from_bytes(bytes)).replay().unwrap();
         // The record *after* the corruption is unreachable — the scan
         // cannot distinguish garbage length, so it stops. That record was

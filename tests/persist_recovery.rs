@@ -393,8 +393,7 @@ fn torn_group_commit_window_recovers_the_acknowledged_prefix() {
         let frame = encode_frame(&StampedMutation {
             generation: oracles[j + 1].generation(),
             mutation: mutation.clone(),
-        })
-        .unwrap();
+        });
         frame_boundaries.push(frame_boundaries[j] + frame.len() as u64);
     }
     let mut ack_boundaries = vec![(0u64, 0usize)]; // (log bytes, mutations acked)
@@ -460,7 +459,6 @@ fn script_frames(script: &[CaseMutation], oracles: &[CaseBase]) -> Vec<Vec<u8>> 
                 generation: after.generation(),
                 mutation: mutation.clone(),
             })
-            .unwrap()
         })
         .collect()
 }
@@ -693,8 +691,7 @@ fn harness_is_deterministic() {
             encode_frame(&StampedMutation {
                 generation: oracle.generation(),
                 mutation: m.clone(),
-            })
-            .unwrap(),
+            }),
         );
     }
     let mut oracle2 = cb;
@@ -704,8 +701,7 @@ fn harness_is_deterministic() {
             &encode_frame(&StampedMutation {
                 generation: oracle2.generation(),
                 mutation: m.clone(),
-            })
-            .unwrap(),
+            }),
             frame
         );
     }
