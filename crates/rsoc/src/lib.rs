@@ -11,8 +11,10 @@
 //! relaxed-constraint retries after rejection (§3).
 //!
 //! The crate also owns fig. 2's retrieve → reuse → revise → retain loop,
-//! [`CbrCycle`], behind [`Learner`]. The manager ([`System`]) and the
-//! cycle each keep §3's bypass tokens — the previous selection of a
+//! [`CbrCycle`]: [`CbrCycle::learn`] feeds the QoS attributes a task
+//! actually achieved back into the case base (the §5 outlook's
+//! self-learning system). The manager ([`System`]) and the cycle each
+//! keep §3's bypass tokens — the previous selection of a
 //! repeated request — in an [`rqfa_cache::GenCache`] keyed by the request
 //! fingerprint at the stamp of its type.
 //!
@@ -42,7 +44,6 @@
 mod cycle;
 mod device;
 mod error;
-mod learning;
 mod metrics;
 mod power;
 mod repository;
@@ -53,7 +54,6 @@ mod time;
 pub use cycle::{CbrCycle, CycleOutcome, LearnAction, LearnPolicy};
 pub use device::{Device, DeviceId};
 pub use error::RsocError;
-pub use learning::{LearnStats, Learner};
 pub use metrics::Metrics;
 pub use power::EnergyMeter;
 pub use repository::Repository;

@@ -1,11 +1,9 @@
 //! Experiment E7: the complete CBR cycle of fig. 2 (retrieve → reuse →
-//! revise → retain) across crates: core cycle + rsoc learner, with bypass
-//! tokens and generation-based invalidation in the loop.
+//! revise → retain) across crates: core case base + rsoc cycle, with
+//! bypass tokens and generation-based invalidation in the loop.
 
-use rqfa::core::{
-    paper, AttrBinding, ExecutionTarget, FixedEngine, Footprint, Request, Q15,
-};
-use rqfa::rsoc::{CbrCycle, LearnAction, LearnPolicy, Learner};
+use rqfa::core::{paper, AttrBinding, ExecutionTarget, Footprint, Request, Q15};
+use rqfa::rsoc::{CbrCycle, LearnAction, LearnPolicy};
 use rqfa::workloads::{CaseGen, RequestGen};
 
 #[test]
@@ -49,10 +47,9 @@ fn cycle_converges_to_exact_matches() {
 }
 
 #[test]
-fn learner_statistics_track_actions() {
+fn learn_retains_a_novel_case_then_discards_inconsistent_feedback() {
     let mut case_base = paper::table1_case_base();
-    let mut learner = Learner::default();
-    let engine = FixedEngine::new();
+    let mut cycle = CbrCycle::new(8);
 
     // Novel problem → retained.
     let novel = Request::builder(paper::FIR_EQUALIZER)
@@ -60,12 +57,12 @@ fn learner_statistics_track_actions() {
         .constraint(paper::ATTR_RATE, 33)
         .build()
         .unwrap();
-    let best = engine.retrieve(&case_base, &novel).unwrap().best.unwrap();
-    let action = learner
-        .feedback(
+    let outcome = cycle.retrieve(&case_base, &novel).unwrap();
+    let action = cycle
+        .learn(
             &mut case_base,
             &novel,
-            best,
+            &outcome,
             &[
                 AttrBinding::new(paper::ATTR_BITWIDTH, 11),
                 AttrBinding::new(paper::ATTR_RATE, 33),
@@ -77,23 +74,18 @@ fn learner_statistics_track_actions() {
     assert!(matches!(action, LearnAction::Retained { .. }));
 
     // Inconsistent feedback → discarded.
-    let best = engine.retrieve(&case_base, &novel).unwrap().best.unwrap();
-    let action = learner
-        .feedback(
+    let outcome = cycle.retrieve(&case_base, &novel).unwrap();
+    let action = cycle
+        .learn(
             &mut case_base,
             &novel,
-            best,
+            &outcome,
             &[AttrBinding::new(paper::ATTR_RATE, 9999)],
             ExecutionTarget::Fpga,
             Footprint::none(),
         )
         .unwrap();
     assert_eq!(action, LearnAction::Discarded);
-
-    let stats = learner.stats();
-    assert_eq!(stats.reports, 2);
-    assert_eq!(stats.retained, 1);
-    assert_eq!(stats.discarded, 1);
 }
 
 #[test]
@@ -107,18 +99,19 @@ fn mutation_invalidates_bypass_tokens_across_layers() {
     let second = cycle.retrieve(&case_base, &request).unwrap();
     assert!(second.bypassed);
 
-    // External learner mutates the case base (generation bump).
-    let mut learner = Learner::default();
+    // A second cycle, learning elsewhere, mutates the case base
+    // (generation bump).
+    let mut mutator = CbrCycle::new(8);
     let novel = Request::builder(paper::FIR_EQUALIZER)
         .constraint(paper::ATTR_BITWIDTH, 9)
         .build()
         .unwrap();
-    let best = FixedEngine::new().retrieve(&case_base, &novel).unwrap().best.unwrap();
-    learner
-        .feedback(
+    let outcome = mutator.retrieve(&case_base, &novel).unwrap();
+    mutator
+        .learn(
             &mut case_base,
             &novel,
-            best,
+            &outcome,
             &[AttrBinding::new(paper::ATTR_BITWIDTH, 9)],
             ExecutionTarget::Dsp,
             Footprint::none(),
