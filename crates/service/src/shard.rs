@@ -1123,7 +1123,7 @@ mod tests {
         // The queue went down as behind a dead worker, and the worker —
         // woken by the teardown, not by a job — left without a panic.
         let worker = service.shards[0].worker.take().expect("live worker");
-        assert!(worker.join().is_ok());
+        assert!(join_bounded(worker, "the worker stayed parked: the queue was not shut").is_ok());
         let late = service.submit(request.clone(), QosClass::High);
         assert_eq!(late.try_wait().map(|r| r.outcome), Some(Outcome::ShedQueueFull));
         let late = service.call_us(request, QosClass::Critical, None);
@@ -1139,18 +1139,26 @@ mod tests {
         service
     }
 
+    /// Joins `thread` within 30 s, or fails the test with `stuck`: a
+    /// thread that parks where it should finish fails the test instead
+    /// of hanging it.
+    fn join_bounded<T>(thread: JoinHandle<T>, stuck: &str) -> std::thread::Result<T> {
+        for _ in 0..30_000 {
+            if thread.is_finished() {
+                return thread.join();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        panic!("{stuck}");
+    }
+
     /// `ticket.wait()` on a thread of its own, bounded: a waiter that
     /// failed to drive would park beside a posing worker whom no push
     /// wakes (the service's teardown does, once the test has failed).
     fn wait_bounded(ticket: Ticket) -> Option<Reply> {
         let waiter = std::thread::spawn(move || ticket.wait());
-        for _ in 0..30_000 {
-            if waiter.is_finished() {
-                return waiter.join().unwrap();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        panic!("the waiter parked instead of running the batch it was owed");
+        join_bounded(waiter, "the waiter parked instead of running the batch it was owed")
+            .unwrap()
     }
 
     #[test]
@@ -1250,7 +1258,7 @@ mod tests {
         let late = service.submit(request, QosClass::High);
         assert_eq!(late.try_wait().map(|r| r.outcome), Some(Outcome::ShedQueueFull));
         let worker = service.shards[0].worker.take().expect("live worker");
-        assert!(worker.join().is_ok());
+        assert!(join_bounded(worker, "the worker stayed parked: the queue was not shut").is_ok());
         assert_eq!(service.metrics().inline_runs, 0);
     }
 
