@@ -120,7 +120,8 @@ pub fn encode_case_base(case_base: &CaseBase) -> Result<CaseBaseImage, MemError>
 pub fn encode_request(request: &Request) -> Result<RequestImage, MemError> {
     let mut words = Vec::with_capacity(predicted_request_words(request.constraints().len()));
     write_request(&mut words, request)?;
-    Ok(RequestImage::from_image_unchecked(MemImage::from_words(words)?))
+    let image = MemImage::from_words(words)?;
+    Ok(RequestImage::from_image_unchecked(image))
 }
 
 /// Writes a [`Request`]'s Req-MEM image into `sink` — the words

@@ -523,7 +523,8 @@ mod tests {
         });
         assert!(matches!(conn.recv(), Err(NetError::Timeout)));
         assert_eq!(conn.filled, HEADER_BYTES);
-        assert!(conn.buffer.len() < 1024, "{} bytes reserved", conn.buffer.len());
+        let reserved = conn.buffer.len();
+        assert!(reserved < 1024, "{reserved} bytes reserved");
     }
 
     /// A socket that has `bytes` and then ends, delivering them in reads

@@ -378,7 +378,10 @@ fn put_outcome(bytes: &mut Vec<u8>, outcome: &WireOutcome) -> Result<(), NetErro
             evaluated,
             cached,
         } => {
-            bytes.put_words(&[0, best.impl_id.raw(), best.target.word(), best.similarity.raw()]);
+            bytes.put_word(0);
+            bytes.put_word(best.impl_id.raw());
+            bytes.put_word(best.target.word());
+            bytes.put_word(best.similarity.raw());
             put_u64(bytes, *evaluated);
             bytes.put_word(u16::from(*cached));
         }
@@ -386,7 +389,8 @@ fn put_outcome(bytes: &mut Vec<u8>, outcome: &WireOutcome) -> Result<(), NetErro
         WireOutcome::ShedDeadline => bytes.put_word(2),
         WireOutcome::Failed(error) => {
             let (code, args) = error_words(error)?;
-            bytes.put_words(&[3, code]);
+            bytes.put_word(3);
+            bytes.put_word(code);
             bytes.put_words(&args);
         }
         WireOutcome::Unavailable { attempts } => {
@@ -465,7 +469,8 @@ fn encode_payload(message: &Message, bytes: &mut Vec<u8>) -> Result<(), NetError
     match message {
         Message::Submit(submit) => {
             put_u64(bytes, submit.id);
-            bytes.put_words(&[class_word(submit.class), u16::from(submit.deadline_us.is_some())]);
+            bytes.put_word(class_word(submit.class));
+            bytes.put_word(u16::from(submit.deadline_us.is_some()));
             put_u64(bytes, submit.deadline_us.unwrap_or(0));
             write_request(bytes, &submit.request)?;
         }
@@ -1190,6 +1195,7 @@ pub(crate) mod tests {
             mutation,
         };
         let wal_frame = rqfa_persist::encode_frame(&stamped);
-        assert_eq!(LeWords::new(&wal_frame).unwrap().to_words(), frame.payload[4..]);
+        let wal_words = LeWords::new(&wal_frame).unwrap().to_words();
+        assert_eq!(wal_words, frame.payload[4..]);
     }
 }

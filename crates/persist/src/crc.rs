@@ -126,7 +126,8 @@ mod tests {
         assert_eq!(&envelope[..2], &[0x1C, 0xCB]);
         assert_eq!(&envelope[6..], &crc32(b"body").to_le_bytes());
         assert_eq!(open(envelope, 0xCB1C), Ok(&b"body"[..]));
-        assert_eq!(open(envelope, 0xCB55), Err(Unsealed::BadMagic { found: 0xCB1C }));
+        let wrong_magic = Err(Unsealed::BadMagic { found: 0xCB1C });
+        assert_eq!(open(envelope, 0xCB55), wrong_magic);
         for keep in 0..6 {
             assert_eq!(open(&envelope[..keep], 0xCB1C), Err(Unsealed::Short));
         }
@@ -135,7 +136,8 @@ mod tests {
         }
         let mut flipped = envelope.to_vec();
         flipped[3] ^= 0x10;
-        assert!(matches!(open(&flipped, 0xCB1C), Err(Unsealed::BadCrc { .. })));
+        let flipped = open(&flipped, 0xCB1C);
+        assert!(matches!(flipped, Err(Unsealed::BadCrc { .. })));
         // A failing body leaves no CRC behind.
         let mut failed = Vec::new();
         assert_eq!(seal(&mut failed, 1, |_| Err("no")), Err("no"));

@@ -38,7 +38,7 @@ use std::convert::Infallible;
 use rqfa_core::{
     AttrBinding, AttrId, CaseMutation, ExecutionTarget, Generation, ImplId, ImplVariant, TypeId,
 };
-use rqfa_memlist::{LeWords, MemImage, WordSink, Words, END_MARKER};
+use rqfa_memlist::{LeWords, WordSink, Words, END_MARKER};
 
 use crate::crc::{open, seal};
 use crate::error::PersistError;
@@ -128,38 +128,31 @@ pub enum FrameParse {
     Torn,
 }
 
-/// Walks an `(attr, value)` word list off a [`MemImage`], mirroring the
-/// memlist attribute-list layout.
-fn decode_attr_list(image: &MemImage, mut addr: u16) -> Option<Vec<AttrBinding>> {
-    let mut out = Vec::new();
-    loop {
-        let id = image.read(addr).ok()?;
-        if id == END_MARKER {
-            return Some(out);
-        }
-        let value = image.read(addr.checked_add(1)?).ok()?;
-        out.push(AttrBinding::new(AttrId::new(id).ok()?, value));
-        addr = addr.checked_add(2)?;
-    }
-}
-
-fn decode_mutation(kind: u16, payload: Vec<u16>) -> Option<CaseMutation> {
-    let words = payload.len();
-    let image = MemImage::from_words(payload).ok()?;
-    let type_id = TypeId::new(image.read(0).ok()?).ok()?;
-    let impl_id = ImplId::new(image.read(1).ok()?).ok()?;
+/// The mutation a payload of kind `kind` encodes, read where its words
+/// lie; `None` for anything but exactly one well-formed payload.
+fn decode_mutation(kind: u16, payload: LeWords<'_>) -> Option<CaseMutation> {
+    let word = |at| payload.get(at);
+    let type_id = TypeId::new(word(0)?).ok()?;
+    let impl_id = ImplId::new(word(1)?).ok()?;
     match kind {
         KIND_EVICT => {
-            if image.read(2).ok()? != END_MARKER || words != 3 {
+            if word(2)? != END_MARKER || payload.len() != 3 {
                 return None;
             }
             Some(CaseMutation::Evict { type_id, impl_id })
         }
         KIND_RETAIN | KIND_REVISE => {
-            let target = ExecutionTarget::from_word(image.read(2).ok()?)?;
-            let attrs = decode_attr_list(&image, 3)?;
-            // The terminator must close the payload exactly.
-            if words != 3 + attrs.len() * 2 + 1 {
+            let target = ExecutionTarget::from_word(word(2)?)?;
+            // `(attr, value)` pairs, as a memlist attribute list, up to
+            // the terminator — which must close the payload exactly.
+            let mut attrs = Vec::new();
+            let mut at = 3;
+            while word(at)? != END_MARKER {
+                let attr = AttrId::new(word(at)?).ok()?;
+                attrs.push(AttrBinding::new(attr, word(at + 1)?));
+                at += 2;
+            }
+            if payload.len() != at + 1 {
                 return None;
             }
             let variant = ImplVariant::new(impl_id, target, attrs).ok()?;
@@ -189,8 +182,12 @@ fn parse(bytes: &[u8]) -> Option<(StampedMutation, usize)> {
     let body = open(bytes.get(..total)?, RECORD_MAGIC).ok()?;
     let generation = Generation::from_raw(u64::from_le_bytes(*body.first_chunk()?));
     let words = LeWords::new(body)?;
-    let mutation = decode_mutation(words.get(KIND_AT)?, words.tail(PAYLOAD_AT).to_words())?;
-    Some((StampedMutation { generation, mutation }, total))
+    let mutation = decode_mutation(words.get(KIND_AT)?, words.tail(PAYLOAD_AT))?;
+    let record = StampedMutation {
+        generation,
+        mutation,
+    };
+    Some((record, total))
 }
 /// Decodes a frame that must be complete and valid (tests, tools).
 ///

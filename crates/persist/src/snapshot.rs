@@ -27,7 +27,9 @@
 use std::convert::Infallible;
 
 use rqfa_core::{CaseBase, ExecutionTarget, FunctionType, Generation, ImplVariant};
-use rqfa_memlist::{decode_case_base, encode_case_base, CaseBaseImage, LeWords, MemImage, WordSink};
+use rqfa_memlist::{
+    decode_case_base, encode_case_base, CaseBaseImage, LeWords, MemImage, WordSink,
+};
 
 use crate::crc::{open, seal, Unsealed};
 use crate::error::PersistError;
@@ -59,7 +61,12 @@ fn corrupt(reason: &'static str) -> PersistError {
 pub fn encode_snapshot(case_base: &CaseBase) -> Result<Vec<u8>, PersistError> {
     let image = encode_case_base(case_base)?;
     let image_words = image.image().words();
-    let variants = || case_base.function_types().iter().flat_map(FunctionType::variants);
+    let variants = || {
+        case_base
+            .function_types()
+            .iter()
+            .flat_map(FunctionType::variants)
+    };
     let targets = variants().count();
 
     let mut out = Vec::with_capacity(2 + 8 + 4 + image_words.len() * 2 + 4 + targets * 2 + 4);
@@ -123,8 +130,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, PersistError> {
         let mut variants = Vec::with_capacity(ty.variant_count());
         for variant in ty.variants() {
             let word = *target_iter.next().expect("counts checked above");
-            let target = ExecutionTarget::from_word(word)
-                .ok_or(corrupt("unknown execution target word"))?;
+            let target =
+                ExecutionTarget::from_word(word).ok_or(corrupt("unknown execution target word"))?;
             variants.push(
                 ImplVariant::new(variant.id(), target, variant.attrs().to_vec())
                     .map_err(PersistError::Core)?,

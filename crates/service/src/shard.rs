@@ -1123,7 +1123,8 @@ mod tests {
         // The queue went down as behind a dead worker, and the worker —
         // woken by the teardown, not by a job — left without a panic.
         let worker = service.shards[0].worker.take().expect("live worker");
-        assert!(join_bounded(worker, "the worker stayed parked: the queue was not shut").is_ok());
+        let stuck = "the worker stayed parked: the queue was not shut";
+        assert!(join_bounded(worker, stuck).is_ok());
         let late = service.submit(request.clone(), QosClass::High);
         assert_eq!(late.try_wait().map(|r| r.outcome), Some(Outcome::ShedQueueFull));
         let late = service.call_us(request, QosClass::Critical, None);
@@ -1157,8 +1158,8 @@ mod tests {
     /// wakes (the service's teardown does, once the test has failed).
     fn wait_bounded(ticket: Ticket) -> Option<Reply> {
         let waiter = std::thread::spawn(move || ticket.wait());
-        join_bounded(waiter, "the waiter parked instead of running the batch it was owed")
-            .unwrap()
+        let stuck = "the waiter parked instead of running the batch it was owed";
+        join_bounded(waiter, stuck).unwrap()
     }
 
     #[test]
@@ -1258,7 +1259,8 @@ mod tests {
         let late = service.submit(request, QosClass::High);
         assert_eq!(late.try_wait().map(|r| r.outcome), Some(Outcome::ShedQueueFull));
         let worker = service.shards[0].worker.take().expect("live worker");
-        assert!(join_bounded(worker, "the worker stayed parked: the queue was not shut").is_ok());
+        let stuck = "the worker stayed parked: the queue was not shut";
+        assert!(join_bounded(worker, stuck).is_ok());
         assert_eq!(service.metrics().inline_runs, 0);
     }
 

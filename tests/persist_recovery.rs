@@ -687,12 +687,10 @@ fn harness_is_deterministic() {
     let mut frames_a = Vec::new();
     for m in &a {
         oracle.apply_mutation(m).unwrap();
-        frames_a.push(
-            encode_frame(&StampedMutation {
-                generation: oracle.generation(),
-                mutation: m.clone(),
-            }),
-        );
+        frames_a.push(encode_frame(&StampedMutation {
+            generation: oracle.generation(),
+            mutation: m.clone(),
+        }));
     }
     let mut oracle2 = cb;
     for (m, frame) in b.iter().zip(&frames_a) {
