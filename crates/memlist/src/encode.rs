@@ -132,6 +132,7 @@ pub fn encode_request(request: &Request) -> Result<RequestImage, MemError> {
 ///
 /// [`MemError::ImageTooLarge`] when the image would outgrow the 16-bit
 /// address space; then nothing is written.
+#[inline]
 pub fn write_request(sink: &mut impl WordSink, request: &Request) -> Result<(), MemError> {
     let words = predicted_request_words(request.constraints().len());
     if words > usize::from(u16::MAX) {

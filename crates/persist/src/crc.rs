@@ -51,6 +51,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// # Errors
 ///
 /// What `body` fails with; the envelope is then left unsealed.
+#[inline]
 pub fn seal<E>(
     out: &mut Vec<u8>,
     magic: u16,
