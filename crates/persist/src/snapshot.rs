@@ -2,12 +2,12 @@
 //!
 //! A snapshot is the canonical CB-MEM image produced by
 //! [`rqfa_memlist::encode_case_base`] — the exact word layout the
-//! hardware retrieval unit consumes (fig. 4/5) — in a
-//! [`seal`]ed envelope that additionally records the
-//! case-base generation and the per-variant execution targets (which the
-//! hardware layout does not carry, but [`Scored`](rqfa_core::Scored)
-//! results do). Its words are written and read by `rqfa_memlist`'s one
-//! little-endian codec ([`WordSink`], [`LeWords`]):
+//! hardware retrieval unit consumes (fig. 4/5) — in a [`seal`]ed
+//! envelope that additionally records the case-base generation and the
+//! per-variant execution targets (which the hardware layout does not
+//! carry, but [`Scored`](rqfa_core::Scored) results do). Its words are
+//! written and read by `rqfa_memlist`'s one little-endian codec
+//! ([`WordSink`], [`LeWords`]):
 //!
 //! ```text
 //! offset     size  field
