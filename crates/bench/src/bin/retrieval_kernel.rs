@@ -14,18 +14,13 @@
 //!    PR 5 time).
 //! 3. **Batch throughput** — `retrieve_batch` vs `retrieve_batch_into`
 //!    at batch 32 (the service's dispatch shape).
-//! 4. **Within-batch coalescing A/B** — the duplicate-heavy burst trace
-//!    through the deterministic `BatchHarness` with the result cache
-//!    *disabled*, at dispatch batch 1 vs 32: every hit at batch 32 comes
-//!    from coalescing alone (batch 1 cannot coalesce, so its hit rate is
-//!    exactly 0). Hit counts are a pure function of the trace.
-//! 5. **Kernel-path A/B** — the same single-request sweep on a
+//! 4. **Kernel-path A/B** — the same single-request sweep on a
 //!    `ForceScalar` engine, so the wide (SIMD) margin over the scalar
 //!    streaming kernel is measured directly. On hosts without the CPU
 //!    feature both engines resolve to scalar and the ratio is ≈ 1.
-//! 6. **Scan group** — the zipf trace's 24-variant types are two
+//! 5. **Scan group** — the zipf trace's 24-variant types are two
 //!    lane-steps long, so it times the per-request fixed cost and cannot
-//!    see a streaming kernel. `scan/*` repeats sections 1, 2, 3 and 5 on
+//!    see a streaming kernel. `scan/*` repeats sections 1, 2, 3 and 4 on
 //!    the benchmark's `local_scan` shape: 16 types × 512 variants and
 //!    20 000 non-repeating requests, verified bit-for-bit first. It also
 //!    reports how many of a type's 32 lane-steps the top-1 walk scored
@@ -43,10 +38,8 @@
 use std::time::Instant;
 
 use rqfa_bench::json::BenchReport;
-use rqfa_core::{CaseBase, FixedEngine, KernelPath, PlaneEngine, QosClass, Request};
-use rqfa_service::testkit::{job, BatchHarness};
-use rqfa_service::ServiceConfig;
-use rqfa_workloads::{CaseGen, Popularity, RequestGen, TrafficGen};
+use rqfa_core::{CaseBase, FixedEngine, KernelPath, PlaneEngine, Request};
+use rqfa_workloads::{CaseGen, RequestGen, TrafficGen};
 
 const TRIALS: usize = 3;
 const BATCH: usize = 32;
@@ -109,19 +102,6 @@ fn main() {
     report.push("zipf/naive_batch32", "req_per_sec", naive_batch);
     report.push("zipf/plane_batch32", "req_per_sec", plane_batch);
     report.push("zipf/speedup_batch32", "ratio", plane_batch / naive_batch);
-
-    // ── within-batch coalescing A/B ───────────────────────────────────
-    let (rate_b1, rate_b32) = coalescing_ab(&case_base);
-    println!(
-        "\ncoalescing A/B (burst trace, cache disabled, deterministic batches):\n\
-         {:<24} {:>8.1}%\n{:<24} {:>8.1}%",
-        "hit rate @ batch 1",
-        rate_b1 * 100.0,
-        "hit rate @ batch 32",
-        rate_b32 * 100.0
-    );
-    report.push("coalesce/hit_rate_batch1", "ratio", rate_b1);
-    report.push("coalesce/hit_rate_batch32", "ratio", rate_b32);
 
     // ── kernel-path A/B (wide vs forced-scalar streaming) ─────────────
     let mut scalar_engine = PlaneEngine::with_kernel(KernelPath::ForceScalar);
@@ -194,15 +174,10 @@ fn main() {
         "plane single-request throughput regressed below naive \
          ({plane_single:.0} < {naive_single:.0} req/s)"
     );
-    assert!(
-        rate_b1 == 0.0 && rate_b32 > 0.0,
-        "coalescing must surface as a hit-rate gain (batch1 {rate_b1}, batch32 {rate_b32})"
-    );
     println!(
-        "\nverdict: plane ≥ naive ({}× single, {}× batch), coalescing gain {:.1} pp ✓",
+        "\nverdict: plane ≥ naive ({}× single, {}× batch) ✓",
         fmt_ratio(plane_single / naive_single),
         fmt_ratio(plane_batch / naive_batch),
-        (rate_b32 - rate_b1) * 100.0
     );
 
     if let Some(path) = json_path {
@@ -230,41 +205,6 @@ fn verify(case_base: &CaseBase, trace: &[Request], kernel: KernelPath) -> f64 {
     {
         plane.steps_scored() as f64 / trace.len() as f64
     }
-}
-
-/// Deterministic coalescing A/B: hit rate of the duplicate-heavy burst
-/// trace at dispatch batch 1 vs `BATCH`, cache disabled.
-fn coalescing_ab(case_base: &CaseBase) -> (f64, f64) {
-    let burst: Vec<Request> = TrafficGen::new(case_base)
-        .seed(0xE142)
-        .duration_us(1_000_000)
-        .popularity(Popularity::Burst { mean_run: 12 })
-        .generate()
-        .into_iter()
-        .map(|a| a.request)
-        .collect();
-    let hit_rate = |batch_size: usize| -> f64 {
-        let config = ServiceConfig::default().with_cache_capacity(0);
-        let mut harness = BatchHarness::new(case_base, &config);
-        let mut receivers = Vec::with_capacity(burst.len());
-        for chunk in burst.chunks(batch_size) {
-            let mut jobs = Vec::with_capacity(chunk.len());
-            for (i, request) in chunk.iter().enumerate() {
-                let (j, rx) = job(i as u64, QosClass::Medium, request.clone(), 0, None);
-                jobs.push(j);
-                receivers.push(rx);
-            }
-            harness.run_batch(jobs);
-        }
-        let snapshot = harness.metrics();
-        let class = snapshot.class(QosClass::Medium);
-        assert_eq!(class.completed as usize, burst.len());
-        #[allow(clippy::cast_precision_loss)]
-        {
-            class.cache_hits as f64 / class.completed as f64
-        }
-    };
-    (hit_rate(1), hit_rate(BATCH))
 }
 
 /// `FixedEngine::retrieve` over `trace`, one request per call.

@@ -6,7 +6,7 @@
 //! The workload is a deadline-skewed, zipf-popular open-loop mix (wide
 //! per-request deadline spread within each sheddable class, a 2048-payload
 //! zipf-1.1 pool for cache traffic) replayed through the real service
-//! pipeline — real admission/displacement, real EDF lanes + promotion,
+//! pipeline — real admission/displacement, real EDF lanes + WRR arbiter,
 //! real result cache, real plane kernel — under a `ManualClock` and the
 //! default [`CostModel`] (50 µs dispatch + 25 µs/request). Three load
 //! points bracket saturation (two shards × batch 8 ≈ 64k req/s capacity):
@@ -106,7 +106,7 @@ fn main() {
         .with_trace_capacity(1 << 16);
     let cost = CostModel::default();
     println!(
-        "fabric: 2 shards × batch 8, EDF + promotion, cache 256; \
+        "fabric: 2 shards × batch 8, EDF + WRR, cache 256; \
          cost {} µs dispatch + {} µs/request (≈64k req/s capacity)",
         cost.dispatch_overhead_us, cost.per_request_us
     );

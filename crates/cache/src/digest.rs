@@ -14,7 +14,7 @@ use std::hash::{BuildHasher, Hasher, RandomState};
 ///
 /// The state is its own [`Hasher`]: building one copies the seed.
 #[derive(Debug, Clone, Copy)]
-pub struct DigestState(u64);
+pub(crate) struct DigestState(u64);
 
 impl Default for DigestState {
     fn default() -> DigestState {

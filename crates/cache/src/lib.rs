@@ -20,8 +20,6 @@
 //!   `docs/caching.md` for why that was a bug). At capacity the oldest
 //!   *insertion* is evicted — FIFO: hits and overwrites do no
 //!   bookkeeping at all.
-//! * [`DigestState`] — the hasher for maps keyed by a fingerprint: one
-//!   seeded multiply, because the key is a digest already.
 //!
 //! Observable behaviour is a pure function of the operation history — no
 //! clocks, and the one random value, the index's hash seed, decides only
@@ -48,7 +46,7 @@
 
 mod digest;
 
-pub use digest::DigestState;
+use digest::DigestState;
 
 use std::collections::HashMap;
 

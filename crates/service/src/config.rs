@@ -40,7 +40,7 @@ pub struct ServiceConfig {
     /// maintenance context to keep that cost off the mutation path.
     pub snapshot_every: u64,
     /// The time source of the whole request path: admission stamps, EDF
-    /// ordering, slack promotion, dispatch-time deadline checks and
+    /// ordering, the batch-fill cap, dispatch-time deadline checks and
     /// reply latencies all read this clock's µs tick — never
     /// `Instant::now()` directly. Defaults to the monotonic wall clock; inject a
     /// [`ManualClock`] for deterministic tests and trace replays.

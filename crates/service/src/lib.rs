@@ -15,8 +15,8 @@
 //! * **Batching + deadline-aware QoS scheduling** ([`queue`], [`sched`]):
 //!   per-class lanes ordered earliest-deadline-first by each request's own
 //!   deadline ([`AllocationService::submit_with_deadline`]), drained in
-//!   weighted round-robin (8:4:2:1) with bounded slack promotion for lane
-//!   heads within one estimated batch of their deadline, and
+//!   weighted round-robin (8:4:2:1), a batch fill capped before it would
+//!   make a picked deadline late at the estimated rate, and
 //!   urgency-tiered admission limits that shed by **largest slack
 //!   first** under overload — CRITICAL is never shed, ever. The full
 //!   model lives in `docs/scheduling.md`.
@@ -108,7 +108,7 @@ pub use rqfa_cache::CacheStats;
 pub use rqfa_telemetry::{
     Clock, ManualClock, MonotonicClock, RequestTimeline, SharedClock, StageBreakdown, TraceDump,
 };
-pub use sched::{Pick, ServiceTimeEstimator, WeightedArbiter};
+pub use sched::{ServiceTimeEstimator, WeightedArbiter};
 pub use ticket::Ticket;
 
 /// How one request ended.
@@ -377,7 +377,7 @@ impl AllocationService {
     }
 
     /// Submits a request that must complete within `deadline` from now.
-    /// The deadline drives EDF ordering, slack promotion, displacement
+    /// The deadline drives EDF ordering, the batch-fill cap, displacement
     /// *and* dispatch shedding — except that CRITICAL is still never
     /// shed: a late CRITICAL request is served anyway and counted as a
     /// [`missed deadline`](ClassSnapshot::missed_deadline). A deadline

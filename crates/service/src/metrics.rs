@@ -17,7 +17,7 @@
 //! accounting identity `cache_hits + cache_misses == completed + failed`
 //! holds at **every** snapshot point, not only after a drained shutdown
 //! (the observability suite samples it under live load). Front-end
-//! counters (`submitted`, `shed_queue_full`, `promoted`) and the latency
+//! counters (`submitted`, `shed_queue_full`, `picks`) and the latency
 //! histogram are written outside the gate — they are not part of the
 //! identity and must not serialize the submit path.
 
@@ -43,10 +43,6 @@ pub struct ClassMetrics {
     pub shed_queue_full: AtomicU64,
     /// Requests dropped at dispatch because their deadline expired.
     pub shed_deadline: AtomicU64,
-    /// Always 0: nothing in this build sheds by predicted lateness. The
-    /// counter stays only because the `benchmark/` harness still names
-    /// it, and goes once that harness stops naming it.
-    pub shed_predicted: AtomicU64,
     /// Completions served from the retrieval result cache.
     pub cache_hits: AtomicU64,
     /// Dispatched requests the cache could not answer (cold, stale, or
@@ -59,13 +55,9 @@ pub struct ClassMetrics {
     pub cache_stale: AtomicU64,
     /// Requests that failed retrieval (e.g. unknown function type).
     pub failed: AtomicU64,
-    /// Dispatches where deadline urgency promoted this class's lane head
-    /// ahead of the weighted round-robin order.
-    pub promoted: AtomicU64,
-    /// Arbiter grants: every batch slot drawn from this class's lane,
-    /// promoted or not. The measured *served share* is this class's
-    /// picks over the total across classes
-    /// ([`ClassSnapshot::served_share`]).
+    /// Arbiter grants: every batch slot drawn from this class's lane.
+    /// The measured *served share* is this class's picks over the total
+    /// across classes ([`ClassSnapshot::served_share`]).
     pub picks: AtomicU64,
     /// Requests that completed *after* their deadline (served, but late
     /// — the signal the EDF scheduler minimizes).
@@ -167,8 +159,10 @@ pub struct ServiceMetrics {
     /// (`worker_wakes <= worker_parks` at every snapshot), whatever the
     /// number of submits in between.
     pub worker_wakes: AtomicU64,
-    /// Batches a blocking caller ran itself because it found the shard
-    /// idle (`docs/scheduling.md` §7.4); the shard workers ran the other
+    /// Batches run inline instead of by the shard worker: by a blocking
+    /// caller that found the shard idle (`docs/scheduling.md` §7.4), or
+    /// by a thread blocked on a ticket whose idle shard owed it at most
+    /// one batch (§7.5). The shard workers ran the other
     /// `batches - inline_runs` (`inline_runs <= batches` at every
     /// snapshot).
     pub inline_runs: AtomicU64,
@@ -211,12 +205,12 @@ impl ServiceMetrics {
                 completed: m.completed.load(Ordering::Relaxed),
                 shed_queue_full: m.shed_queue_full.load(Ordering::Relaxed),
                 shed_deadline: m.shed_deadline.load(Ordering::Relaxed),
-                shed_predicted: m.shed_predicted.load(Ordering::Relaxed),
+                shed_predicted: 0,
                 cache_hits: m.cache_hits.load(Ordering::Relaxed),
                 cache_misses: m.cache_misses.load(Ordering::Relaxed),
                 cache_stale: m.cache_stale.load(Ordering::Relaxed),
                 failed: m.failed.load(Ordering::Relaxed),
-                promoted: m.promoted.load(Ordering::Relaxed),
+                promoted: 0,
                 picks: m.picks.load(Ordering::Relaxed),
                 missed_deadline: m.missed_deadline.load(Ordering::Relaxed),
                 p50_us: m.latency.quantile(0.50),
@@ -279,7 +273,9 @@ pub struct ClassSnapshot {
     pub cache_stale: u64,
     /// Failed retrievals.
     pub failed: u64,
-    /// Dispatches promoted by deadline urgency.
+    /// Always 0: nothing in this build promotes a pick. It stays only
+    /// because the `benchmark/` harness still names it, and goes once
+    /// that harness stops naming it.
     pub promoted: u64,
     /// Arbiter grants: batch slots drawn from this class's lane.
     pub picks: u64,
@@ -334,8 +330,9 @@ pub struct MetricsSnapshot {
     pub worker_parks: u64,
     /// Wakes issued to parked workers (never more than `worker_parks`).
     pub worker_wakes: u64,
-    /// Batches run by a blocking caller instead of a shard worker (never
-    /// more than `batches`).
+    /// Batches run inline instead of by a shard worker — by a blocking
+    /// caller (`docs/scheduling.md` §7.4) or by a thread blocked on a
+    /// ticket (§7.5); never more than `batches`.
     pub inline_runs: u64,
 }
 
@@ -410,14 +407,14 @@ impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{:<9} {:>9} {:>9} {:>6} {:>9} {:>7} {:>6} {:>6} {:>6} {:>9} {:>9}",
-            "class", "submitted", "completed", "shed", "hits", "hit %", "stale", "promo", "miss",
-            "p50 µs", "p99 µs"
+            "{:<9} {:>9} {:>9} {:>6} {:>9} {:>7} {:>6} {:>6} {:>9} {:>9}",
+            "class", "submitted", "completed", "shed", "hits", "hit %", "stale", "miss", "p50 µs",
+            "p99 µs"
         )?;
         for c in &self.classes {
             writeln!(
                 f,
-                "{:<9} {:>9} {:>9} {:>6} {:>9} {:>6.1}% {:>6} {:>6} {:>6} {:>9} {:>9}",
+                "{:<9} {:>9} {:>9} {:>6} {:>9} {:>6.1}% {:>6} {:>6} {:>9} {:>9}",
                 c.class.to_string(),
                 c.submitted,
                 c.completed,
@@ -425,7 +422,6 @@ impl fmt::Display for MetricsSnapshot {
                 c.cache_hits,
                 c.hit_rate() * 100.0,
                 c.cache_stale,
-                c.promoted,
                 c.missed_deadline,
                 c.p50_us,
                 c.p99_us,
@@ -433,7 +429,8 @@ impl fmt::Display for MetricsSnapshot {
         }
         writeln!(
             f,
-            "batches: {} ({} run by their blocking caller; mean occupancy {:.1}, kernel ops {})",
+            "batches: {} ({} run inline by a blocking caller or a waiter; mean occupancy {:.1}, \
+             kernel ops {})",
             self.batches,
             self.inline_runs,
             self.mean_batch_len(),

@@ -241,15 +241,15 @@ pub struct ClassQueue {
     available: Condvar,
     /// The service configuration the queue reads its knobs from.
     /// `config.clock` is the whole shard's one time base: arrival
-    /// stamps, deadlines, urgency checks, batch stamps and trace stamps
+    /// stamps, deadlines, the fill cap, batch stamps and trace stamps
     /// are all that clock's µs ticks.
     pub(crate) config: ServiceConfig,
     pub(crate) metrics: Arc<ServiceMetrics>,
     /// The shard's flight recorder (`None` = tracing off).
     pub(crate) recorder: Option<Arc<FlightRecorder>>,
     /// Service-time estimator: written by the shard's driver, read here
-    /// to stop a batch fill that would make a picked job late and to
-    /// size the promotion margin. Cold (no samples) it changes nothing.
+    /// to stop a batch fill that would make a picked job late. Cold (no
+    /// samples) it changes nothing.
     estimator: ServiceTimeEstimator,
 }
 
@@ -535,42 +535,28 @@ impl ClassQueue {
     /// waiter from [`ClassQueue::pop_owed`].
     fn fill(&self, inner: &mut Inner, max: usize, batch: &mut Vec<Job>) {
         // Read once: the whole fill judges by one estimate, whichever
-        // driver feeds the estimator meanwhile. The promotion margin is
-        // one batch at that rate — 0 while the estimator is cold.
+        // driver feeds the estimator meanwhile.
         let per_job_us = self.estimator.per_job_us();
-        let margin_us = per_job_us.saturating_mul(max as u64);
         // Tightest deadline among jobs already picked — the
         // deadline-aware composition bound.
         let mut tightest: Option<u64> = None;
         let mut picks = [0u64; QosClass::COUNT];
-        let mut promoted = [0u64; QosClass::COUNT];
         while batch.len() < max {
-            // One walk of the four heads per pick: who has work, and
-            // whose head carries a deadline.
-            let mut backlogged = [false; QosClass::COUNT];
-            let mut head_deadline = [None; QosClass::COUNT];
-            for (i, lane) in inner.lanes.iter().enumerate() {
-                if let Some(head) = lane.first() {
-                    backlogged[i] = true;
-                    head_deadline[i] = head.deadline;
-                }
-            }
+            let backlogged = inner.lanes.each_ref().map(|lane| lane.first().is_some());
             // The clock is read for this pick only if something consumes
-            // the value: a `Scheduled` stamp, a head's urgency, or the
-            // estimator's bound on a picked deadline. Whenever one does
-            // it is re-read every pick — under a real clock urgency and
-            // stamps must not go stale across a long batch (a frozen
-            // manual clock returns the same tick each read, so
-            // deterministic replays are unaffected). Unread, `now` is
-            // never looked at.
-            let bounded = per_job_us > 0 && tightest.is_some();
-            let deadlined = head_deadline.iter().any(Option::is_some);
-            let now = if self.recorder.is_some() || deadlined || bounded {
+            // the value: a `Scheduled` stamp, or the estimator's bound on
+            // a picked deadline. Whenever one does it is re-read every
+            // pick — under a real clock stamps and the bound must not go
+            // stale across a long batch (a frozen manual clock returns
+            // the same tick each read, so deterministic replays are
+            // unaffected). Unread, `now` is never looked at.
+            let bound = tightest.filter(|_| per_job_us > 0);
+            let now = if self.recorder.is_some() || bound.is_some() {
                 self.config.clock.now_us()
             } else {
                 0
             };
-            if let Some(tight) = tightest.filter(|_| bounded) {
+            if let Some(tight) = bound {
                 // Stop filling when the estimator says one more pick
                 // would turn an already-picked job from meeting its
                 // deadline into missing it. An already-late batch keeps
@@ -582,24 +568,14 @@ impl ClassQueue {
                     break;
                 }
             }
-            // A head within the margin of its deadline *and still
-            // viable* is urgent. An already-expired head is
-            // deliberately not: promoting it spends rescue bandwidth on a
-            // job that sheds at dispatch anyway — it drains at the lane's
-            // weighted rate instead.
-            let urgent = head_deadline
-                .map(|head| head.is_some_and(|d| now <= d && d - now <= margin_us));
-            let Some(pick) = inner.arbiter.pick_urgent(backlogged, urgent) else {
+            let Some(class) = inner.arbiter.pick(backlogged) else {
                 break;
             };
-            let class = pick.class.index();
-            let job = inner.lanes[class]
+            let job = inner.lanes[class.index()]
                 .pop_first()
                 .expect("arbiter picked a backlogged lane");
-            let jumped = u64::from(pick.promoted);
-            picks[class] += 1;
-            promoted[class] += jumped;
-            self.trace(now, job.id, job.class, EventKind::Scheduled, jumped);
+            picks[class.index()] += 1;
+            self.trace(now, job.id, job.class, EventKind::Scheduled, 0);
             if let Some(deadline) = job.deadline {
                 tightest = Some(tightest.map_or(deadline, |t| t.min(deadline)));
             }
@@ -614,11 +590,7 @@ impl ClassQueue {
             if picks[i] == 0 {
                 continue;
             }
-            let class_metrics = self.metrics.class(class);
-            class_metrics.picks.fetch_add(picks[i], Ordering::Relaxed);
-            if promoted[i] > 0 {
-                class_metrics.promoted.fetch_add(promoted[i], Ordering::Relaxed);
-            }
+            self.metrics.class(class).picks.fetch_add(picks[i], Ordering::Relaxed);
             inner.lanes[i].trim(keep);
         }
     }
@@ -1008,7 +980,7 @@ mod tests {
     fn scheduled_stamps_re_read_the_clock_per_pick() {
         // Regression: `pop_batch` used to read the clock once before the
         // fill loop, so every `Scheduled` event in a batch carried the
-        // same stamp (and urgency went stale) under an advancing clock.
+        // same stamp under an advancing clock.
         let recorder = Arc::new(FlightRecorder::new(64));
         let q = ClassQueue::new(
             &config(64).with_clock(Arc::new(TickingClock::default())),
@@ -1044,23 +1016,24 @@ mod tests {
         }
         assert_eq!(pop(&q, 8).unwrap().len(), 8);
         assert_eq!(reads(&clock), 0, "eight picks nobody stamps or judges");
-        // A deadlined head is judged for urgency at its own pick; the
-        // deadline-free jobs behind it are not.
+        // A deadlined head costs nothing while the estimator is cold:
+        // there is no rate to bound its deadline with.
         push_ok(&q, deadline_job(0, QosClass::High, 0, 1_000_000));
         for id in 1..4 {
             push_ok(&q, job(id, QosClass::High));
         }
         assert_eq!(pop(&q, 4).unwrap().len(), 4);
-        assert_eq!(reads(&clock), 1, "one deadlined head, one read");
+        assert_eq!(reads(&clock), 0, "a cold estimator judges no deadline");
         // With a warm estimator the picked deadline bounds every later
-        // pick of the fill, so each of them reads.
+        // pick of the fill, so each of them reads; the first pick has no
+        // picked deadline to bound yet.
         q.estimator().observe(1, 1);
         push_ok(&q, deadline_job(0, QosClass::High, 0, 1_000_000));
         for id in 1..4 {
             push_ok(&q, job(id, QosClass::High));
         }
         assert_eq!(pop(&q, 4).unwrap().len(), 4);
-        assert_eq!(reads(&clock), 1 + 4, "a bounded fill re-reads per pick");
+        assert_eq!(reads(&clock), 3, "a bounded fill re-reads per later pick");
         // A recorder stamps every pick.
         let recorder = Some(Arc::new(FlightRecorder::new(64)));
         let traced = ClassQueue::new(&on_clock(), Arc::new(ServiceMetrics::default()), recorder);
@@ -1068,75 +1041,12 @@ mod tests {
             push_ok(&traced, job(id, QosClass::High));
         }
         assert_eq!(pop(&traced, 4).unwrap().len(), 4);
-        assert_eq!(reads(&clock), 5 + 4, "a traced fill re-reads per pick");
+        assert_eq!(reads(&clock), 3 + 4, "a traced fill re-reads per pick");
         // Admission: one read each, as ever.
         for id in 0..3 {
             let _ticket = q.admit(id, request(), QosClass::High, Some(1_000_000));
         }
-        assert_eq!(reads(&clock), 9 + 3, "one clock read per admission");
-    }
-
-    /// A queue on a caller-driven manual clock, plus its metrics.
-    fn queue_on(clock: &Arc<ManualClock>) -> (ClassQueue, Arc<ServiceMetrics>) {
-        let metrics = Arc::new(ServiceMetrics::default());
-        let config = config(64).with_clock(Arc::clone(clock) as SharedClock);
-        (ClassQueue::new(&config, Arc::clone(&metrics), None), metrics)
-    }
-
-    #[test]
-    fn expired_heads_are_not_urgent() {
-        // Regression: an already-expired lane head used to flag its lane
-        // urgent (slack saturates to zero ≤ margin), so promotions spent
-        // rescue bandwidth on jobs that shed at dispatch anyway. An
-        // expired head must drain at the lane's weighted rate; a viable
-        // head inside the margin must still be promoted.
-        // 1 ms per job: a one-job fill's margin is 1 ms.
-        let clock = Arc::new(ManualClock::new());
-        let (q, metrics) = queue_on(&clock);
-        q.estimator().observe(1_000, 1);
-        push_ok(&q, deadline_job(0, QosClass::Low, 0, 100));
-        for id in 1..4 {
-            push_ok(&q, job(id, QosClass::Critical));
-        }
-        clock.advance_us(200); // LOW's head is now 100 µs past its deadline
-        let first = pop(&q, 1).unwrap();
-        assert_eq!(first[0].class, QosClass::Critical, "expired head attracts no promotion");
-        assert_eq!(metrics.class(QosClass::Low).promoted.load(Ordering::Relaxed), 0);
-        // Control: the same shape with a still-viable head inside the
-        // margin is promoted ahead of CRITICAL as before.
-        let (q2, metrics2) = queue_on(&clock);
-        q2.estimator().observe(1_000, 1);
-        push_ok(&q2, deadline_job(10, QosClass::Low, clock.elapsed_us(), 500));
-        for id in 11..14 {
-            push_ok(&q2, job(id, QosClass::Critical));
-        }
-        let next = pop(&q2, 1).unwrap();
-        assert_eq!(next[0].id, 10, "viable head inside the margin jumps the order");
-        assert_eq!(metrics2.class(QosClass::Low).promoted.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn a_head_is_urgent_within_one_batch_at_the_estimated_rate() {
-        // A LOW head due at `deadline_us` behind three CRITICAL jobs, one
-        // fill of four: whether LOW jumps ahead is the margin's verdict.
-        let first_pick = |per_job_us: Option<u64>, deadline_us: u64| {
-            let (q, metrics) = queue_on(&Arc::new(ManualClock::new()));
-            if let Some(per_job_us) = per_job_us {
-                q.estimator().observe(per_job_us, 1);
-            }
-            push_ok(&q, deadline_job(0, QosClass::Low, 0, deadline_us));
-            for id in 1..4 {
-                push_ok(&q, job(id, QosClass::Critical));
-            }
-            let batch = pop(&q, 4).unwrap();
-            let promoted = metrics.class(QosClass::Low).promoted.load(Ordering::Relaxed);
-            (batch[0].class, promoted)
-        };
-        // Cold: the margin is 0, so a head 1 µs out waits its turn.
-        assert_eq!(first_pick(None, 1), (QosClass::Critical, 0));
-        // Warm at 100 µs per job: the margin is 4 × 100 µs.
-        assert_eq!(first_pick(Some(100), 400), (QosClass::Low, 1), "inside the margin");
-        assert_eq!(first_pick(Some(100), 401), (QosClass::Critical, 0), "1 µs outside");
+        assert_eq!(reads(&clock), 7 + 3, "one clock read per admission");
     }
 
     #[test]
@@ -1317,12 +1227,8 @@ mod tests {
         assert_eq!(taken.len(), 7, "len ≤ batch_size: the whole queue");
         assert_eq!(taken, popped, "the same picks in the same order");
         assert!(q.is_empty());
-        let snapshot = |m: &ServiceMetrics| {
-            QosClass::ALL.map(|c| {
-                let class = m.class(c);
-                (class.picks.load(Ordering::Relaxed), class.promoted.load(Ordering::Relaxed))
-            })
-        };
+        let snapshot =
+            |m: &ServiceMetrics| QosClass::ALL.map(|c| m.class(c).picks.load(Ordering::Relaxed));
         assert_eq!(snapshot(&metrics), snapshot(&twin_metrics));
         assert_eq!(recorder.drain().events, twin_recorder.drain().events, "`Scheduled` included");
         let credit = |q: &ClassQueue| format!("{:?}", q.inner.lock().unwrap().arbiter);

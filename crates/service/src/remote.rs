@@ -96,14 +96,9 @@ fn net_err(error: NetError) -> ServiceError {
     ServiceError::Remote(error.to_string())
 }
 
-/// Converts a service outcome to its wire mirror.
-///
-/// # Errors
-///
-/// [`NetError::Malformed`] for outcomes this protocol version cannot
-/// express (impossible for outcomes the service actually produces).
-pub fn outcome_to_wire(outcome: &Outcome) -> Result<WireOutcome, NetError> {
-    Ok(match outcome {
+/// Converts a service outcome to its wire mirror: every outcome has one.
+pub fn outcome_to_wire(outcome: &Outcome) -> WireOutcome {
+    match outcome {
         Outcome::Allocated {
             best,
             evaluated,
@@ -120,7 +115,7 @@ pub fn outcome_to_wire(outcome: &Outcome) -> Result<WireOutcome, NetError> {
             attempts: *attempts,
         },
         Outcome::ShedPredicted { late_us } => WireOutcome::ShedPredicted { late_us: *late_us },
-    })
+    }
 }
 
 /// Converts a wire outcome back into the service's vocabulary.
@@ -322,15 +317,12 @@ fn serve_connection(
                 // A dead shard answers nothing: close, as on transport
                 // damage, and leave the rest to the client's retry.
                 let Some(reply) = reply else { return };
-                let Ok(outcome) = outcome_to_wire(&reply.outcome) else {
-                    return;
-                };
                 let wire = WireReply {
                     // The node's internal ids are its own; the wire reply
                     // echoes the *caller's* id.
                     id,
                     class: reply.class,
-                    outcome,
+                    outcome: outcome_to_wire(&reply.outcome),
                     latency_us: reply.latency_us,
                 };
                 if conn.send(&Message::Reply(wire)).is_err() {
@@ -1132,7 +1124,7 @@ mod tests {
             Outcome::ShedPredicted { late_us: 1_250 },
         ];
         for outcome in outcomes {
-            let wire = outcome_to_wire(&outcome).unwrap();
+            let wire = outcome_to_wire(&outcome);
             assert_eq!(outcome_from_wire(wire), outcome);
         }
     }
@@ -1149,7 +1141,7 @@ mod tests {
             cached: true,
         };
         let outcome = outcome_from_wire(wire.clone());
-        assert_eq!(outcome_to_wire(&outcome).unwrap(), wire);
+        assert_eq!(outcome_to_wire(&outcome), wire);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! of nondeterminism — threads and the wall clock — and keeps everything
 //! else: it drives the very `ShardCore` the live worker threads drive —
 //! arrivals enter through [`ClassQueue::admit`](crate::queue::ClassQueue::admit)
-//! (same admission limits, displacement, EDF lanes, weighted arbiter,
-//! promotions) and batches run through the same
-//! `step` (same coalescing, cache, plane kernel, metrics commit), all
+//! (same admission limits, displacement, EDF lanes, weighted arbiter)
+//! and batches run through the same `step` (same cache, plane kernel,
+//! metrics commit), all
 //! under a [`ManualClock`] advanced by a single-threaded discrete-event
 //! loop.
 //!
@@ -207,8 +207,8 @@ impl TraceDriver {
                 // The live driver feeds the estimator the clock time it
                 // measured around the step; here the cost model *is* the
                 // truth, so the estimator sees exactly what the event
-                // loop charges — estimator-bounded batch fill and the
-                // promotion margin replay bit-identically.
+                // loop charges — estimator-bounded batch fill replays
+                // bit-identically.
                 shard.core.shared.queue.estimator().observe(batch_us, served);
                 shard.free_at_us = t + batch_us;
             }

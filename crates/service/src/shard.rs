@@ -38,12 +38,10 @@
 //! beat when one is already in flight.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 
-use rqfa_cache::DigestState;
 use rqfa_core::{
     CaseBase, CaseMutation, CoreError, Generation, PlaneEngine, QosClass, Request, Retrieval,
     TypeId,
@@ -193,7 +191,7 @@ impl Shard {
     /// feeding each step's *measured* duration (store-lock wait included
     /// — the next lane head waits that out too) to the scheduler's
     /// estimator. Under a frozen `ManualClock` every measurement is 0, so
-    /// batch fill is unbounded and the promotion margin is 0.
+    /// batch fill is unbounded.
     pub(crate) fn spawn(
         index: usize,
         store: ShardStore,
@@ -444,7 +442,6 @@ impl ShardCore {
                 engine: PlaneEngine::new(),
                 cache: RetrievalCache::new(config.cache_capacity),
                 results: Vec::new(),
-                seen: HashMap::default(),
                 deltas: BatchDeltas::default(),
                 idle_flight: InFlight::default(),
             }),
@@ -581,11 +578,8 @@ impl Drop for ShardCore {
 struct WorkerContext {
     engine: PlaneEngine,
     cache: RetrievalCache,
-    /// Engine results of the current batch's leaders, reused.
+    /// Engine results of the current batch's misses, reused.
     results: Vec<Result<Retrieval<Q15>, CoreError>>,
-    /// Batch-local map: fingerprint → leader index in `leaders` (hashed
-    /// like the cache's index: the key is a digest already).
-    seen: HashMap<u64, usize, DigestState>,
     /// The current batch's outcome deltas, committed batch-atomically.
     deltas: BatchDeltas,
     /// Buffers for an inline driver — a blocking caller or a waiter — to
@@ -605,11 +599,8 @@ struct InFlight {
     /// The batch being run: filled by the queue's fill loop (or the
     /// harness), drained by `process_batch`.
     batch: Vec<Job>,
-    /// The current batch's cache misses, one per distinct fingerprint:
-    /// what the kernel scores.
-    leaders: Vec<Leader>,
-    /// Coalesced within-batch duplicates: `(leader index, job)`.
-    followers: Vec<(usize, Job)>,
+    /// The current batch's cache misses: what the kernel scores.
+    misses: Vec<Miss>,
     /// Waiters the replies so far released, not yet woken.
     waiters: Waiters,
 }
@@ -618,14 +609,14 @@ struct InFlight {
 /// type stamp (the store stays locked, so the stamp cannot move), so the
 /// insert in pass 2 neither re-hashes the constraint list nor searches
 /// the type again.
-struct Leader {
+struct Miss {
     fingerprint: u64,
     type_stamp: Generation,
     job: Job,
 }
 
 /// Lets the kernel's batch call read the requests where they lie.
-impl Borrow<Request> for Leader {
+impl Borrow<Request> for Miss {
     fn borrow(&self) -> &Request {
         &self.job.request
     }
@@ -693,15 +684,14 @@ impl BatchStamp<'_> {
 }
 
 /// Processes one dispatched batch: shed expired jobs, answer cache hits,
-/// **coalesce within-batch duplicates**, run the remaining *leaders*
-/// through the plane kernel's batch API, fan replies out, repeat.
+/// run every miss through the plane kernel's batch API, and answer what
+/// it scored.
 ///
-/// Coalescing: identical fingerprints inside one batch are scored once.
-/// The first miss becomes the *leader* (counted as one cache miss); every
-/// later duplicate becomes a *follower* that skips the cache probe and
-/// the engine entirely and is served a copy of the leader's result,
-/// counted — and flagged in its reply — as a cache hit. Normative
-/// semantics: `docs/retrieval.md`.
+/// Every surviving job probes the cache once, so `cache_hits` counts
+/// exactly what the store hit. Two identical requests in one batch are
+/// two misses and two kernel calls, answered bit-identically; the second
+/// insert overwrites the first in place. Normative semantics:
+/// `docs/retrieval.md`.
 fn process_batch(
     store: &ShardStore,
     queue: &ClassQueue,
@@ -717,8 +707,7 @@ fn process_batch(
     let waiters = &mut flight.waiters;
     let mut stamp = BatchStamp { now, queue, waiters };
 
-    // Pass 1: deadline shedding, cache lookups, duplicate coalescing.
-    ctx.seen.clear();
+    // Pass 1: deadline shedding, cache lookups.
     for job in flight.batch.drain(..) {
         stamp.record(&job, EventKind::Dispatched, 0);
         if job.class.sheddable() && job.deadline.is_some_and(|d| stamp.now > d) {
@@ -728,11 +717,6 @@ fn process_batch(
             continue;
         }
         let fingerprint = job.request.fingerprint();
-        if let Some(&leader) = ctx.seen.get(&fingerprint) {
-            // Within-batch duplicate: one computation will serve it.
-            flight.followers.push((leader, job));
-            continue;
-        }
         let type_stamp = store.type_stamp(job.request.type_id());
         match ctx.cache.lookup_outcome(fingerprint, type_stamp) {
             CacheLookup::Hit(hit) => {
@@ -751,38 +735,29 @@ fn process_batch(
                 }
             }
         }
-        ctx.seen.insert(fingerprint, flight.leaders.len());
-        flight.leaders.push(Leader { fingerprint, type_stamp, job });
+        flight.misses.push(Miss { fingerprint, type_stamp, job });
     }
     // Sheds and cache hits are answered: their waiters go now, not after
     // a kernel call they never needed.
     flight.waiters.wake();
 
-    // Pass 2: one batched plane-kernel call for every leader.
+    // Pass 2: one batched plane-kernel call for every miss.
     'serve: {
-        if flight.leaders.is_empty() {
-            debug_assert!(flight.followers.is_empty(), "followers imply a leader");
+        if flight.misses.is_empty() {
             break 'serve;
         }
         let waiters = &mut flight.waiters;
         let Some(case_base) = store.case_base() else {
-            // Empty shard: no type routes here, so the type is unknown
-            // (a follower's probe-that-never-was counts as a miss, as
-            // below).
+            // Empty shard: no type routes here, so the type is unknown.
             let mut stamp = BatchStamp { now, queue, waiters };
-            for (_, job) in flight.followers.drain(..) {
-                ctx.deltas.class(job.class).cache_misses += 1;
-                let type_id = job.request.type_id();
-                stamp.fail(job, CoreError::UnknownType { type_id }, &mut ctx.deltas);
-            }
-            for Leader { job, .. } in flight.leaders.drain(..) {
+            for Miss { job, .. } in flight.misses.drain(..) {
                 let type_id = job.request.type_id();
                 stamp.fail(job, CoreError::UnknownType { type_id }, &mut ctx.deltas);
             }
             break 'serve;
         };
         ctx.engine
-            .retrieve_batch_into(case_base, &flight.leaders, &mut ctx.results);
+            .retrieve_batch_into(case_base, &flight.misses, &mut ctx.results);
         // The kernel ran: what it answered is stamped after it, so the
         // `Scored` checkpoint and the reported latency carry its cost.
         let now = queue.config.clock.now_us();
@@ -790,26 +765,8 @@ fn process_batch(
         for result in ctx.results.iter().flatten() {
             ctx.deltas.add_ops(&result.ops);
         }
-        // Followers first (they read the leaders' results), counted as
-        // cache hits — the coalesced "1 miss + N−1 hits" account.
-        for (leader, job) in flight.followers.drain(..) {
-            match &ctx.results[leader] {
-                Ok(retrieval) => {
-                    stamp.record(&job, EventKind::CacheHit, 1);
-                    stamp.finish(job, retrieval.clone(), true, &mut ctx.deltas);
-                }
-                Err(error) => {
-                    // A failed leader fails its followers identically; the
-                    // follower's probe-that-never-was counts as a miss so
-                    // per-class cache counters keep summing to the served
-                    // total.
-                    ctx.deltas.class(job.class).cache_misses += 1;
-                    stamp.fail(job, error.clone(), &mut ctx.deltas);
-                }
-            }
-        }
-        for (leader, result) in flight.leaders.drain(..).zip(ctx.results.drain(..)) {
-            let Leader { fingerprint, type_stamp, job } = leader;
+        for (miss, result) in flight.misses.drain(..).zip(ctx.results.drain(..)) {
+            let Miss { fingerprint, type_stamp, job } = miss;
             match result {
                 Ok(retrieval) => {
                     stamp.record(&job, EventKind::Scored, retrieval.evaluated as u64);
@@ -831,8 +788,8 @@ fn process_batch(
 
 /// Drives the worker's batch-processing path synchronously, without
 /// worker threads or wall-clock dependence: the caller decides exactly
-/// which jobs form one dispatch batch, which makes coalescing and cache
-/// accounting deterministic and assertable. Construct jobs with
+/// which jobs form one dispatch batch, which makes cache accounting
+/// deterministic and assertable. Construct jobs with
 /// [`crate::testkit::job`].
 ///
 /// Not part of the stable API — test support only.

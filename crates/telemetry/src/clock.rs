@@ -13,8 +13,9 @@
 //! handle — and therefore every recorder in the process, client- or
 //! node-side — shares a timeline. The test/bench implementation
 //! ([`ManualClock`]) *is* its counter, advanced explicitly by the
-//! driver, which makes deadline expiry, EDF ordering, slack promotion
-//! and latency histograms exactly reproducible.
+//! driver, which makes deadline expiry, EDF ordering, the
+//! estimator-capped batch fill and latency histograms exactly
+//! reproducible.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

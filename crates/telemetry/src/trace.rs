@@ -31,12 +31,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The vocabulary mirrors the service pipeline (normative table in
 /// `docs/observability.md`): admission events (`Admitted`, `Displaced`,
-/// `Refused`), scheduling (`Scheduled`, with `arg = 1` when deadline
-/// urgency promoted the pick), dispatch and the cache probe, and exactly
-/// one terminal event per request (`Replied`, `Failed`, `ShedQueueFull`,
-/// `ShedDeadline`). Kinds 18+ extend the vocabulary to the liveness
-/// plane, where events are node-scoped: the node id rides in the
-/// request-id field. Codes 22–24 are unassigned:
+/// `Refused`), scheduling (`Scheduled`), dispatch and the cache probe,
+/// and exactly one terminal event per request (`Replied`, `Failed`,
+/// `ShedQueueFull`, `ShedDeadline`). Kinds 18+ extend the vocabulary to
+/// the liveness plane, where events are node-scoped: the node id rides
+/// in the request-id field. Codes 22–24 are unassigned:
 /// [`EventKind::from_u8`] decodes them as `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -53,13 +52,11 @@ pub enum EventKind {
     Displaced = 2,
     /// Admission control refused the request (class limit reached).
     Refused = 3,
-    /// The scheduler moved the request into a dispatch batch;
-    /// `arg = 1` when the pick was a deadline-urgency promotion.
+    /// The scheduler moved the request into a dispatch batch (`arg = 0`).
     Scheduled = 4,
     /// The worker began processing the request's batch.
     Dispatched = 5,
-    /// The cache served the request (`arg = 1` for a within-batch
-    /// coalesced follower, 0 for a store hit).
+    /// The result cache served the request (`arg = 0`).
     CacheHit = 6,
     /// The cache held only a stale (old-generation) entry.
     CacheStale = 7,

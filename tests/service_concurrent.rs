@@ -11,10 +11,9 @@
 //!    CRITICAL requests are never shed while LOW traffic is.
 //! 4. **Deadline-aware scheduling** (see `docs/scheduling.md`) — on a
 //!    deadline-skewed trace whose arrival order is the exact reverse of
-//!    its deadline order, EDF dispatch meets every HIGH budget; slack
-//!    promotion is bounded so CRITICAL keeps its weighted share, at the
-//!    arbiter and through the queue on seeded saturating traces;
-//!    overload shedding displaces by largest slack first and is
+//!    its deadline order, EDF dispatch meets every HIGH budget; weighted
+//!    round-robin keeps CRITICAL's weighted share through the queue on
+//!    seeded saturating traces; overload shedding displaces by largest slack first and is
 //!    bit-deterministic across runs.
 //!
 //! The scheduling properties drive the queue/arbiter directly through
@@ -33,7 +32,7 @@ use rqfa::service::queue::{Admission, ClassQueue};
 use rqfa::service::remote::ClusterClient;
 use rqfa::service::{
     testkit, AllocationService, Job, ManualClock, Outcome, Reply, ServiceConfig, ServiceError,
-    ServiceMetrics, Ticket, WeightedArbiter,
+    ServiceMetrics, Ticket,
 };
 use rqfa::workloads::{CaseGen, RequestGen};
 use std::sync::Arc;
@@ -282,28 +281,6 @@ fn edf_meets_high_budgets_where_fifo_misses() {
     assert!(edf.windows(2).all(|w| w[0].0 > w[1].0));
 }
 
-/// 5b. Anti-starvation bound: even with a MEDIUM lane that is *always*
-///     urgent, CRITICAL keeps exactly its weighted share of the grown
-///     round — promotions are bounded, not a bypass.
-#[test]
-fn promotion_is_bounded_so_critical_keeps_its_share() {
-    let mut arb = WeightedArbiter::new();
-    let backlogged = [true, false, true, false]; // CRITICAL + MEDIUM
-    let urgent = [false, false, true, false]; // MEDIUM about to miss
-    let mut counts = [0u64; 4];
-    for _ in 0..2400 {
-        let pick = arb.pick_urgent(backlogged, urgent).unwrap();
-        counts[pick.class.index()] += 1;
-    }
-    // Each round: 8 CRITICAL credits + 2 MEDIUM credits + at most 2
-    // promotion tokens → 2400 picks = 200 rounds, shares exactly 8:4.
-    assert_eq!(counts[QosClass::Critical.index()], 1600);
-    assert_eq!(counts[QosClass::Medium.index()], 800);
-    // The documented lower bound: weight / (Σ weights + tokens) = 8/17
-    // of any pick stream, which 1600/2400 comfortably clears.
-    assert!(counts[QosClass::Critical.index()] * 17 >= 2400 * 8);
-}
-
 /// 5c. Overload displacement: at the class limit the largest-slack LOW
 ///     resident is shed first (not the queue tail), the newcomer only
 ///     bounces when it *is* the largest-slack job, and the whole shed
@@ -372,32 +349,31 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// 5e. Slack promotion through the queue: with MEDIUM and LOW lane heads
-///     *permanently* urgent (1 µs deadlines against a warm estimator's
-///     one-batch margin) the promotion token budget still bounds the
-///     bypass. Over seeded saturating traces with randomized batch sizes
-///     CRITICAL keeps at least its documented weight / (Σ weights +
-///     tokens) floor of every pick stream, and the urgent classes keep at
-///     least their own credit share of the token-extended round.
+/// 5b. Weighted round-robin through the queue under deadline pressure:
+///     every MEDIUM and LOW job is due 1 µs after arrival and a warm
+///     estimator cuts fills short at the tightest picked deadline. Over
+///     seeded saturating traces with randomized batch sizes CRITICAL
+///     keeps at least its weight / Σ weights = 8/15 of every pick
+///     stream — deadlines reorder work inside a lane, never across
+///     lanes — and the deadlined classes keep their credit share.
 #[test]
-fn slack_promotion_preserves_the_critical_floor_on_saturating_traces() {
-    const PICKS: u64 = 1_700; // 100 rounds of 15 credits + 2 tokens
+fn critical_keeps_its_weighted_floor_on_saturating_deadline_traces() {
+    const PICKS: u64 = 1_700; // 113 rounds of 15 credits + 5 picks
     for seed in 0..4u64 {
         let mut state = seed ^ 0xD1A0;
         let q = sched_queue(8_192);
-        // 1 µs per job: every fill's margin covers the urgent heads' 1 µs
-        // of slack, and a picked 1 µs deadline may end the fill early.
+        // 1 µs per job: a picked 1 µs deadline ends the fill early.
         q.estimator().observe(1, 1);
         let base = 0;
         let mut id = 0u64;
-        for (class, count, urgent) in [
+        for (class, count, deadlined) in [
             (QosClass::Critical, 1_000u64, false),
             (QosClass::High, 700, false),
             (QosClass::Medium, 500, true),
             (QosClass::Low, 400, true),
         ] {
             for _ in 0..count {
-                let deadline = urgent.then_some(base + 1);
+                let deadline = deadlined.then_some(base + 1);
                 let (job, _rx) = testkit::job(id, class, probe_request(), base, deadline);
                 assert!(matches!(q.push(job), Admission::Admitted));
                 id += 1;
@@ -414,16 +390,16 @@ fn slack_promotion_preserves_the_critical_floor_on_saturating_traces() {
             }
             served += batch.len() as u64;
         }
-        // Anti-starvation floor: 8 of every (15 credits + 2 tokens).
+        // CRITICAL's floor: 8 of every 15 credits.
         assert!(
-            counts[QosClass::Critical.index()] * 17 >= PICKS * 8,
-            "seed {seed}: CRITICAL starved, counts {counts:?}"
+            counts[QosClass::Critical.index()] * 15 >= PICKS * 8,
+            "seed {seed}: CRITICAL below its weighted share, counts {counts:?}"
         );
-        // The urgent classes keep at least their 3-credit share of the
-        // token-extended round (tokens only ever add).
+        // The deadlined classes keep their 3 credits a round, less the
+        // partial round at the end, which CRITICAL takes whole.
         assert!(
             (counts[QosClass::Medium.index()] + counts[QosClass::Low.index()]) * 17 >= PICKS * 3,
-            "seed {seed}: urgent classes lost share, counts {counts:?}"
+            "seed {seed}: deadlined classes lost share, counts {counts:?}"
         );
     }
 }
@@ -797,49 +773,62 @@ fn cache_metrics_invariants_hold_end_to_end() {
     assert!(total_stale > 0, "the mutation must surface as stale detections");
 }
 
-/// 6. Within-batch duplicate coalescing (`docs/retrieval.md`): identical
-///    fingerprints inside one dispatch batch are scored **once** — the
-///    first miss is the leader (one engine evaluation, one cache miss),
-///    every later duplicate is served a copy of the leader's result and
-///    counted as a cache hit with the `cached` reply flag set. Driven
-///    through the synchronous `BatchHarness`, so batch composition — and
-///    therefore every counter — is exact, not timing-dependent.
+/// 6. Within-batch duplicates (`docs/retrieval.md`): identical requests
+///    inside one dispatch batch are scored like any others — each probes
+///    the cache once, misses, and is scored by the kernel — and answered
+///    bit-identically, uncached; their inserts overwrite one entry per
+///    fingerprint in place. Replayed, so batch composition — and
+///    therefore every counter and event — is exact, not timing-dependent.
 #[test]
-fn within_batch_duplicates_coalesce_to_one_evaluation() {
+fn within_batch_duplicates_are_each_scored_and_answered_alike() {
+    use rqfa::service::replay::{CostModel, TraceArrival, TraceDriver};
+    use rqfa::telemetry::EventKind;
+
     let case_base = paper::table1_case_base();
-    let mut harness = testkit::BatchHarness::new(&case_base, &ServiceConfig::default());
+    // One shard, room for the whole burst in one batch, and a cache of
+    // exactly two entries: one per distinct fingerprint.
+    let config = ServiceConfig::default()
+        .with_shards(1)
+        .with_batch_size(8)
+        .with_cache_capacity(2);
+    let driver = TraceDriver::new(&case_base, &config, CostModel::default());
     let fir = paper::table1_request().unwrap();
     let fft = Request::builder(paper::FFT_1D)
         .constraint(AttrId::new(1).unwrap(), 16)
         .build()
         .unwrap();
-    let pattern = [&fir, &fft, &fir, &fir, &fft, &fir];
-    let mut jobs = Vec::new();
-    let mut receivers = Vec::new();
-    for (i, request) in pattern.iter().enumerate() {
-        let (job, rx) = testkit::job(i as u64, QosClass::Medium, (*request).clone(), 0, None);
-        jobs.push(job);
-        receivers.push(rx);
-    }
-    harness.run_batch(jobs);
+    // Six jobs in one batch at tick 0, then one of each request once the
+    // batch is done.
+    let pattern = [&fir, &fft, &fir, &fir, &fft, &fir, &fir, &fft];
+    let arrivals: Vec<TraceArrival> = pattern
+        .iter()
+        .enumerate()
+        .map(|(i, request)| TraceArrival {
+            at_us: if i < 6 { 0 } else { 10_000 },
+            class: QosClass::Medium,
+            deadline_us: None,
+            request: (*request).clone(),
+        })
+        .collect();
+    let report = driver.run(&arrivals);
 
-    let class = harness.metrics();
-    let class = class.class(QosClass::Medium);
-    assert_eq!(class.cache_misses, 2, "one miss per distinct fingerprint");
-    assert_eq!(class.cache_hits, 4, "every coalesced duplicate is a hit");
-    assert_eq!(class.completed, 6);
-    assert_eq!(
-        harness.cache_stats().insertions,
-        2,
-        "only leaders insert into the cache"
-    );
+    let class = report.metrics.class(QosClass::Medium);
+    assert_eq!(class.cache_misses, 6, "every job of the burst misses");
+    assert_eq!(class.cache_hits, 2, "the later pair is served from the cache");
+    assert_eq!(class.completed, 8);
+    assert_eq!(report.metrics.batches, 2);
+    let of_kind = |kind| report.trace.events.iter().filter(move |e| e.kind == kind);
+    let ids = |kind| of_kind(kind).map(|e| e.request_id).collect::<Vec<_>>();
+    assert_eq!(ids(EventKind::Scored), [0, 1, 2, 3, 4, 5], "one kernel score per job");
+    assert_eq!(ids(EventKind::CacheHit), [6, 7]);
+    assert!(of_kind(EventKind::CacheHit).chain(of_kind(EventKind::Scheduled)).all(|e| e.arg == 0));
 
-    // Replies: bit-identical to a direct engine run; `cached` flags mark
-    // exactly the coalesced duplicates (leaders first per fingerprint).
+    // Replies: bit-identical to a direct engine run; `cached` only where
+    // the store hit. Both entries outlived six inserts into a cache of
+    // two: the duplicates overwrote their fingerprint's entry in place.
     let engine = FixedEngine::new();
     let mut cached_flags = Vec::new();
-    for (rx, request) in receivers.iter().zip(pattern) {
-        let reply = rx.try_wait().expect("batch replies synchronously");
+    for (reply, request) in report.replies.iter().zip(pattern) {
         match reply.outcome {
             Outcome::Allocated {
                 best,
@@ -851,28 +840,18 @@ fn within_batch_duplicates_coalesce_to_one_evaluation() {
                 assert_eq!(evaluated, expected.evaluated);
                 cached_flags.push(cached);
             }
-            other => panic!("unexpected outcome: {other:?}"),
+            ref other => panic!("unexpected outcome: {other:?}"),
         }
     }
-    assert_eq!(cached_flags, [false, false, true, true, true, true]);
-
-    // A later batch of the same requests is served from the cache: no
-    // new evaluation, no new insertions.
-    let (job, rx) = testkit::job(9, QosClass::Medium, fir.clone(), 0, None);
-    harness.run_batch(vec![job]);
-    match rx.try_wait().expect("replied").outcome {
-        Outcome::Allocated { cached, .. } => assert!(cached, "resident entry hits"),
-        other => panic!("unexpected outcome: {other:?}"),
-    }
-    assert_eq!(harness.cache_stats().insertions, 2);
+    assert_eq!(cached_flags, [false, false, false, false, false, false, true, true]);
 }
 
-/// 6b. Coalescing after a mutation: the leader takes the stale detection,
-///     the plane engine recompiles once, and followers receive the
-///     *post-mutation* result — a coalesced reply can never resurrect a
-///     stale cached answer.
+/// 6b. A batch after a mutation never serves the pre-mutation result:
+///     the first probe drops the stale entry, every duplicate behind it
+///     misses too, the plane engine recompiles once, and every reply
+///     carries the post-mutation answer.
 #[test]
-fn coalescing_respects_generation_invalidation() {
+fn a_batch_after_a_mutation_never_serves_the_pre_mutation_result() {
     let case_base = paper::table1_case_base();
     let mut harness = testkit::BatchHarness::new(&case_base, &ServiceConfig::default());
     let fir = paper::table1_request().unwrap();
@@ -881,7 +860,7 @@ fn coalescing_respects_generation_invalidation() {
     assert!(rx.try_wait().is_some());
     assert_eq!(harness.engine_recompiles(), 1);
 
-    // Mutate: the generation moves, cache entry + plane both go stale.
+    // Mutate: the type stamp moves, cache entry + plane both go stale.
     harness
         .apply(&CaseMutation::Evict {
             type_id: paper::FIR_EQUALIZER,
@@ -900,25 +879,26 @@ fn coalescing_respects_generation_invalidation() {
     assert_eq!(harness.engine_recompiles(), 2, "one recompile per generation");
     let snap = harness.metrics();
     let class = snap.class(QosClass::Medium);
-    assert_eq!(class.cache_stale, 1, "only the leader detects the stale entry");
-    assert_eq!(class.cache_misses, 2, "first batch + post-mutation leader");
-    assert_eq!(class.cache_hits, 2, "followers of the post-mutation leader");
+    assert_eq!(class.cache_stale, 1, "the first probe detects the stale entry");
+    assert_eq!(class.cache_misses, 4, "first batch + every post-mutation job");
+    assert_eq!(class.cache_hits, 0, "nothing is served from before the mutation");
     for rx in &receivers {
         match rx.try_wait().expect("replied").outcome {
-            Outcome::Allocated { best, evaluated, .. } => {
+            Outcome::Allocated { best, evaluated, cached } => {
                 assert_eq!(evaluated, 2, "post-mutation case base has 2 variants");
                 assert_ne!(best.impl_id, paper::IMPL_GP, "evicted variant cannot win");
+                assert!(!cached);
             }
             other => panic!("unexpected outcome: {other:?}"),
         }
     }
 }
 
-/// 6c. A failed leader fails its followers identically, and the per-class
-///     cache counters keep summing to the served total (the invariant of
-///     §5 above) even on the error path.
+/// 6c. Duplicates of a failing request in one batch each fail
+///     identically, and the per-class cache counters keep summing to the
+///     served total (the invariant of §5 above) even on the error path.
 #[test]
-fn failed_leader_fans_failure_to_followers() {
+fn failing_duplicates_in_one_batch_each_fail_alike() {
     let case_base = paper::table1_case_base();
     let mut harness = testkit::BatchHarness::new(&case_base, &ServiceConfig::default());
     let unknown = Request::builder(rqfa::core::TypeId::new(57).unwrap())
@@ -952,14 +932,13 @@ fn failed_leader_fans_failure_to_followers() {
     );
 }
 
-/// 6d. Live end-to-end: a duplicate-heavy closed loop through real worker
-///     threads with the result cache **disabled** — every `cached` reply
-///     flag and every counted hit can only come from within-batch
-///     coalescing. Batch composition is timing-dependent, so the test
-///     asserts consistency (flags == counters, bits == engine), not exact
-///     counts.
+/// 6d. Live end-to-end: a duplicate-heavy stream through real worker
+///     threads with the result cache **disabled**. Batch composition is
+///     timing-dependent, so the test asserts consistency (flags ==
+///     counters, bits == engine), not exact counts; with no store to hit
+///     nothing is flagged cached.
 #[test]
-fn live_coalescing_keeps_replies_and_metrics_consistent() {
+fn live_duplicate_heavy_stream_keeps_replies_and_metrics_consistent() {
     let case_base = CaseGen::new(5, 6, 5, 8).seed(0xC0A1).build();
     let pool = RequestGen::new(&case_base)
         .seed(0xC0A2)
@@ -970,7 +949,7 @@ fn live_coalescing_keeps_replies_and_metrics_consistent() {
         &case_base,
         &ServiceConfig::default()
             .with_shards(2)
-            .with_cache_capacity(0) // hits can only come from coalescing
+            .with_cache_capacity(0) // no store: nothing can hit
             .with_queue_capacity(5_000),
     ).expect("valid service config");
     let engine = FixedEngine::new();
@@ -983,7 +962,7 @@ fn live_coalescing_keeps_replies_and_metrics_consistent() {
         match reply.outcome {
             Outcome::Allocated { best, cached, .. } => {
                 let expected = engine.retrieve(&case_base, &pool[slot]).unwrap();
-                assert_eq!(Some(best), expected.best, "coalesced bits must match");
+                assert_eq!(Some(best), expected.best, "duplicate bits must match");
                 flagged += u64::from(cached);
             }
             other => panic!("unexpected outcome: {other:?}"),
@@ -993,6 +972,7 @@ fn live_coalescing_keeps_replies_and_metrics_consistent() {
     let class = snap.class(QosClass::Medium);
     assert_eq!(class.completed, 2_000);
     assert_eq!(class.cache_hits, flagged, "counters agree with reply flags");
+    assert_eq!(flagged, 0, "a disabled cache serves nothing");
     assert_eq!(
         class.cache_hits + class.cache_misses,
         class.completed + class.failed

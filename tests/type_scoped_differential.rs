@@ -180,7 +180,7 @@ fn lockstep(seed: u64, base: &CaseBase, mut driver: impl Driver, label: &str) {
             model.mutate(mutation.type_id(), &type_of);
             continue;
         }
-        // A round of distinct requests (no within-batch followers: the
+        // A round of distinct requests (no within-batch duplicates: the
         // live worker's batch cut is its own business), mixed classes.
         let mut picked = HashSet::new();
         let round: Vec<(Request, QosClass)> = (0..rng.gen_range(1..=12usize))
