@@ -170,7 +170,8 @@ fn steady_state_plane_retrieval_allocates_nothing() {
     // tickets in flight (`local_hot`'s depth) and 256 (`local_scan`'s),
     // requests cloned outside the window. The one allocation a request
     // causes is its reply slot (measured: 1.000 per request at either
-    // depth — a lane is a ring that keeps its slots, not a tree that
+    // depth, with or without deadlines — a lane is a ring plus a heap of
+    // handles over a slab, all of which keep their slots, not a tree that
     // splits and frees nodes). The budget leaves less slack than one
     // allocation per two full rounds, so a per-batch
     // `Vec::with_capacity` or a ring regrown per round trips it as
@@ -178,26 +179,48 @@ fn steady_state_plane_retrieval_allocates_nothing() {
     {
         use rqfa::core::QosClass;
         use rqfa::service::{AllocationService, Outcome, ServiceConfig, Ticket};
+        use rqfa::workloads::rng::SmallRng;
+        use std::time::Duration;
         const IN_FLIGHT: usize = 32;
         const DEEP: usize = 256;
         const REQUESTS: usize = 4096;
         // Serves `pool`, cycled: four times round as warm-up (fills the
         // cache, sizes the worker's buffers and the lanes' rings, creates
-        // this thread's handle), then `REQUESTS` measured. Returns how
-        // many of those were answered from the cache.
+        // this thread's handle), then `REQUESTS` measured. With a
+        // `deadline_seed`, HIGH, MEDIUM and LOW requests carry seeded
+        // deadlines drawn from `surge_overload`'s ranges, so arrivals
+        // reach their lanes out of deadline order. Returns how many of
+        // the measured requests were answered from the cache.
         let window = |config: ServiceConfig,
                       pool: &[Request],
                       in_flight: usize,
+                      deadline_seed: Option<u64>,
                       what: &str|
          -> usize {
             let service = AllocationService::new(&case_base, &config).expect("valid config");
             let mut tickets: Vec<Ticket> = Vec::with_capacity(in_flight);
+            let mut rng = SmallRng::seed_from_u64(deadline_seed.unwrap_or(0));
             let mut drive = |requests: Vec<Request>| -> usize {
                 let mut cached_replies = 0;
                 let mut requests = requests.into_iter().enumerate().peekable();
                 while requests.peek().is_some() {
                     for (i, request) in requests.by_ref().take(in_flight) {
-                        tickets.push(service.submit(request, QosClass::ALL[i % QosClass::COUNT]));
+                        let class = QosClass::ALL[i % QosClass::COUNT];
+                        let deadline_ms = match class {
+                            _ if deadline_seed.is_none() => None,
+                            QosClass::Critical => None,
+                            QosClass::High => Some(rng.gen_range(2..=40u64)),
+                            QosClass::Medium => Some(rng.gen_range(5..=80u64)),
+                            QosClass::Low => Some(rng.gen_range(10..=160u64)),
+                        };
+                        tickets.push(match deadline_ms {
+                            Some(ms) => service.submit_with_deadline(
+                                request,
+                                class,
+                                Duration::from_millis(ms),
+                            ),
+                            None => service.submit(request, class),
+                        });
                     }
                     for ticket in tickets.drain(..) {
                         let reply = std::hint::black_box(ticket.wait().expect("answered"));
@@ -226,7 +249,7 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // The shape `local_hot` drives: every request a cache hit. Before
         // the reply slot this window measured 2.2–2.6: a channel counter
         // and a 31-slot message block per ticket, three vectors per batch.
-        let hits = window(ServiceConfig::default(), &pool, IN_FLIGHT, "hit window");
+        let hits = window(ServiceConfig::default(), &pool, IN_FLIGHT, None, "hit window");
         assert_eq!(hits, REQUESTS, "the hit window must hit");
 
         // The shape `local_scan` drives: 1024 distinct requests cycled
@@ -246,12 +269,20 @@ fn steady_state_plane_retrieval_allocates_nothing() {
             .collect();
         assert_eq!(distinct.len(), 1024, "workload collapsed");
         let config = ServiceConfig::default().with_cache_capacity(256);
-        let hits = window(config.clone(), &distinct, IN_FLIGHT, "miss window");
+        let hits = window(config.clone(), &distinct, IN_FLIGHT, None, "miss window");
         assert_eq!(hits, 0, "the miss window must miss");
         // The same misses 256 deep: 64 jobs a lane, full batches, eight
         // batches a round.
-        let hits = window(config, &distinct, DEEP, "deep miss window");
+        let hits = window(config.clone(), &distinct, DEEP, None, "deep miss window");
         assert_eq!(hits, 0, "the deep miss window must miss");
+        // The shape `surge_overload` drives: the same misses 256 deep,
+        // three classes in four with a deadline of its own, so most
+        // arrivals sort before their ring's back and take the lane's
+        // heap. Before the heap of handles over a slab this window
+        // measured ≈ 1.1 per request: the B-tree that held those jobs
+        // split nodes as it grew and freed them as it drained.
+        let hits = window(config, &distinct, DEEP, Some(0xEDF), "deadlined window");
+        assert_eq!(hits, 0, "the deadlined window must miss");
 
         // The shape `cluster_hot`'s nodes serve: one blocking call at a
         // time into an idle shard, so the caller runs its own batch
