@@ -22,12 +22,14 @@
 //! — identically.
 //!
 //! Arrivals are near-sorted — with no deadline, *exactly* sorted — so a
-//! lane is a sorted ring plus an ordered map (the private `Lane`): an
+//! lane is a sorted ring plus a min-max heap (the private `Lane`): an
 //! arrival whose key is not below the ring's back is pushed there, one
 //! that sorts earlier (a per-request deadline tighter than its
-//! predecessors') goes to the map, and head, tail and both pops merge the
-//! two sorted parts. The order is the one above either way; only its
-//! price differs.
+//! predecessors') goes to the heap, and head, tail and both pops compare
+//! the two parts' ends. The heap holds 32-byte `(key, slot)` handles
+//! over a per-lane slab of jobs, so its sifts never move a job and a
+//! warm lane allocates nothing. The order is the one above either way;
+//! only its price differs.
 //!
 //! ## Overload policy
 //!
@@ -77,7 +79,7 @@
 //! they were. It only ever shortens the queue, so the implication
 //! stands.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -118,21 +120,23 @@ pub enum Admission {
 /// A lane's total order: deadline, then arrival sequence.
 type Key = (SortKey, u64);
 
-/// One class lane: its jobs in [`Key`] order, as two sorted parts.
+/// One class lane: its jobs in [`Key`] order, as two parts.
 ///
 /// `ring` takes every arrival whose key is not below its back — all of
 /// them while deadlines are absent — so the common insert is a
-/// `push_back` and the common pop a `pop_front`. `late` takes an arrival that sorts before the
-/// ring's back. Head, tail and both pops compare the two parts' ends, so
-/// callers see one ordered sequence with unique keys.
+/// `push_back` and the common pop a `pop_front`. `late` takes an arrival
+/// that sorts before the ring's back, into a min-max heap whose least
+/// and greatest keys are both at hand. Head, tail and both pops compare
+/// the two parts' ends, so callers see one ordered sequence with unique
+/// keys.
 #[derive(Default)]
 struct Lane {
     ring: VecDeque<(Key, Job)>,
-    late: BTreeMap<Key, Job>,
+    late: Late,
 }
 
 impl Lane {
-    /// How many batches' worth of slots a drained ring keeps
+    /// How many batches' worth of slots a drained part keeps
     /// ([`Lane::trim`]).
     const KEEP_BATCHES: usize = 8;
 
@@ -144,29 +148,35 @@ impl Lane {
         }
     }
 
+    fn is_empty(&self) -> bool {
+        self.ring.is_empty() && self.late.is_empty()
+    }
+
     /// Whether the lane's first job sits in the ring (else in `late`, or
     /// nowhere).
     fn head_in_ring(&self) -> bool {
-        match (self.ring.front(), self.late.first_key_value()) {
-            (Some((ring, _)), Some((late, _))) => ring < late,
+        match (self.ring.front(), self.late.first_key()) {
+            (Some((ring, _)), Some(late)) => *ring < late,
             (ring, _) => ring.is_some(),
         }
     }
 
     /// Whether the lane's last job sits in the ring.
     fn tail_in_ring(&self) -> bool {
-        match (self.ring.back(), self.late.last_key_value()) {
-            (Some((ring, _)), Some((late, _))) => ring > late,
+        match (self.ring.back(), self.late.last_key()) {
+            (Some((ring, _)), Some(late)) => *ring > late,
             (ring, _) => ring.is_some(),
         }
     }
 
-    /// The job closest to missing.
+    /// The job closest to missing (the fill asks only
+    /// [`Lane::is_empty`]; the tests look).
+    #[cfg(test)]
     fn first(&self) -> Option<&Job> {
         if self.head_in_ring() {
             self.ring.front().map(|(_, job)| job)
         } else {
-            self.late.first_key_value().map(|(_, job)| job)
+            self.late.first()
         }
     }
 
@@ -174,7 +184,7 @@ impl Lane {
         if self.head_in_ring() {
             self.ring.pop_front().map(|(_, job)| job)
         } else {
-            self.late.pop_first().map(|(_, job)| job)
+            self.late.pop_first()
         }
     }
 
@@ -183,7 +193,7 @@ impl Lane {
         if self.tail_in_ring() {
             self.ring.back().map(|&(key, _)| key)
         } else {
-            self.late.last_key_value().map(|(&key, _)| key)
+            self.late.last_key()
         }
     }
 
@@ -191,17 +201,201 @@ impl Lane {
         if self.tail_in_ring() {
             self.ring.pop_back().map(|(_, job)| job)
         } else {
-            self.late.pop_last().map(|(_, job)| job)
+            self.late.pop_last()
         }
     }
 
-    /// Gives the ring's memory back once a burst far beyond `keep` jobs
-    /// has drained (the map frees its nodes as it goes; CRITICAL has no
-    /// admission limit, so nothing else bounds what a burst leaves
-    /// behind). A lane that stays within `2 × keep` never reallocates.
+    /// Gives a part's memory back once a burst far beyond `keep` jobs has
+    /// drained from it: a part holding at most `keep` jobs in more than
+    /// `2 × keep` slots shrinks (CRITICAL has no admission limit, so
+    /// nothing else bounds what a burst leaves behind). A lane that stays
+    /// within `2 × keep` never reallocates.
     fn trim(&mut self, keep: usize) {
-        if self.ring.len() <= keep && self.ring.capacity() > keep.saturating_mul(2) {
+        let band = keep.saturating_mul(2);
+        if self.ring.len() <= keep && self.ring.capacity() > band {
             self.ring.shrink_to(keep);
+        }
+        if self.late.len() <= keep && self.late.slots() > band {
+            self.late.shrink_to(keep);
+        }
+    }
+}
+
+/// The late part of a [`Lane`]: a min-max heap (Atkinson et al., 1986)
+/// of `(Key, slot)` handles over a slab of jobs.
+///
+/// Even levels of `heap` are min levels and odd levels max levels, so
+/// the least key is `heap[0]` and the greatest the larger of `heap[1]`
+/// and `heap[2]`. Sifts move only the 32-byte handles; each job is
+/// written to its slot once and taken out once. Freed slots go to
+/// `free` for the next insert, and when the heap empties the slab and
+/// the free list start over, so a warm lane allocates nothing.
+#[derive(Default)]
+struct Late {
+    heap: Vec<(Key, u32)>,
+    slab: Vec<Option<Job>>,
+    free: Vec<u32>,
+}
+
+impl Late {
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Slots allocated for jobs.
+    fn slots(&self) -> usize {
+        self.slab.capacity()
+    }
+
+    fn first_key(&self) -> Option<Key> {
+        self.heap.first().map(|&(key, _)| key)
+    }
+
+    #[cfg(test)]
+    fn first(&self) -> Option<&Job> {
+        let &(_, slot) = self.heap.first()?;
+        self.slab[slot as usize].as_ref()
+    }
+
+    /// Where the greatest key sits: the larger root child, or the root.
+    fn last_index(&self) -> Option<usize> {
+        match self.heap.len() {
+            0 => None,
+            1 => Some(0),
+            2 => Some(1),
+            _ => Some(if self.heap[1].0 > self.heap[2].0 { 1 } else { 2 }),
+        }
+    }
+
+    fn last_key(&self) -> Option<Key> {
+        self.last_index().map(|i| self.heap[i].0)
+    }
+
+    fn insert(&mut self, key: Key, job: Job) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(job);
+                slot
+            }
+            None => {
+                self.slab.push(Some(job));
+                u32::try_from(self.slab.len() - 1).expect("a lane holds fewer than 2^32 jobs")
+            }
+        };
+        self.heap.push((key, slot));
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    fn pop_first(&mut self) -> Option<Job> {
+        (!self.heap.is_empty()).then(|| self.remove(0))
+    }
+
+    fn pop_last(&mut self) -> Option<Job> {
+        self.last_index().map(|i| self.remove(i))
+    }
+
+    /// Takes out the handle at `i` — the root or a root child, the only
+    /// places a min or max sits — and its job.
+    fn remove(&mut self, i: usize) -> Job {
+        let (_, slot) = self.heap.swap_remove(i);
+        if i < self.heap.len() {
+            self.sift_down(i);
+        }
+        let job = self.slab[slot as usize].take().expect("a handle's slot holds its job");
+        if self.heap.is_empty() {
+            self.slab.clear();
+            self.free.clear();
+        } else {
+            self.free.push(slot);
+        }
+        job
+    }
+
+    /// Moves the jobs into a fresh slab of `keep` slots (renumbering the
+    /// handles), and gives the heap's and the free list's excess back.
+    fn shrink_to(&mut self, keep: usize) {
+        let mut slab = Vec::with_capacity(keep.max(self.heap.len()));
+        for (new, (_, slot)) in self.heap.iter_mut().enumerate() {
+            slab.push(self.slab[*slot as usize].take());
+            *slot = u32::try_from(new).expect("a lane holds fewer than 2^32 jobs");
+        }
+        self.slab = slab;
+        self.free.clear();
+        self.free.shrink_to(keep);
+        self.heap.shrink_to(keep);
+    }
+
+    /// Whether `i` sits on a min level (even depth).
+    fn on_min_level(i: usize) -> bool {
+        (i + 1).ilog2().is_multiple_of(2)
+    }
+
+    /// Whether the handle at `a` belongs above the one at `b` on a level
+    /// of the given kind: the lesser on min levels, the greater on max.
+    fn above(&self, a: usize, b: usize, min: bool) -> bool {
+        (self.heap[a].0 < self.heap[b].0) == min
+    }
+
+    fn sift_up(&mut self, i: usize) {
+        if i == 0 {
+            return;
+        }
+        let parent = (i - 1) / 2;
+        let min = Self::on_min_level(i);
+        // A handle that belongs above its parent, which is on the other
+        // kind of level, swaps with it and climbs that kind's levels.
+        let (mut i, min) = if self.above(i, parent, !min) {
+            self.heap.swap(i, parent);
+            (parent, !min)
+        } else {
+            (i, min)
+        };
+        while i >= 3 {
+            let grandparent = ((i - 1) / 2 - 1) / 2;
+            if !self.above(i, grandparent, min) {
+                break;
+            }
+            self.heap.swap(i, grandparent);
+            i = grandparent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let min = Self::on_min_level(i);
+        let len = self.heap.len();
+        loop {
+            // The child or grandchild that belongs highest.
+            let first_child = 2 * i + 1;
+            if first_child >= len {
+                return;
+            }
+            let mut best = first_child;
+            let candidates = [first_child + 1, 4 * i + 3, 4 * i + 4, 4 * i + 5, 4 * i + 6];
+            for c in candidates.into_iter().take_while(|&c| c < len) {
+                if self.above(c, best, min) {
+                    best = c;
+                }
+            }
+            if !self.above(best, i, min) {
+                return;
+            }
+            self.heap.swap(best, i);
+            if best <= first_child + 1 {
+                // A child sits on the other kind of level, below nothing
+                // of this one's: done.
+                return;
+            }
+            // A grandchild: the handle moved down may now belong above
+            // its new parent, on the other kind of level.
+            let parent = (best - 1) / 2;
+            if self.above(parent, best, min) {
+                self.heap.swap(best, parent);
+            }
+            i = best;
         }
     }
 }
@@ -542,7 +736,7 @@ impl ClassQueue {
         let mut tightest: Option<u64> = None;
         let mut picks = [0u64; QosClass::COUNT];
         while batch.len() < max {
-            let backlogged = inner.lanes.each_ref().map(|lane| lane.first().is_some());
+            let backlogged = inner.lanes.each_ref().map(|lane| !lane.is_empty());
             // The clock is read for this pick only if something consumes
             // the value: a `Scheduled` stamp, or the estimator's bound on
             // a picked deadline. Whenever one does it is re-read every
@@ -651,6 +845,7 @@ fn answer_unseen(job: Job, outcome: Outcome, metrics: &ServiceMetrics) {
 mod tests {
     use super::*;
     use crate::testkit;
+    use std::collections::BTreeMap;
     use rqfa_core::ids::{AttrId, TypeId};
     use rqfa_telemetry::{ManualClock, SharedClock};
 
@@ -877,11 +1072,11 @@ mod tests {
 
     #[test]
     fn lane_matches_an_ordered_map_over_seeded_operations() {
-        // Differential: `Lane` (sorted ring + late map) against the plain
-        // ordered map it replaced, operation for operation. Keys come in
-        // stretches of one regime each, so ring-only, map-only and mixed
-        // lanes all occur and hand over to one another.
-        let (mut saw_late, mut saw_both) = (false, false);
+        // Differential: `Lane` (sorted ring + min-max heap over a slab)
+        // against a plain ordered map, operation for operation. Keys come
+        // in stretches of one regime each, so ring-only, heap-only and
+        // mixed lanes all occur and hand over to one another.
+        let (mut saw_late, mut saw_both, mut deepest) = (false, false, 0);
         for seed in 0..16u64 {
             let mut state = seed ^ 0x1A9E;
             let mut lane = Lane::default();
@@ -890,12 +1085,13 @@ mod tests {
                 let draw = splitmix(&mut state);
                 match draw % 8 {
                     0..=3 => {
-                        let regime = (step / 256 + seed) % 6;
-                        let sort = match if regime == 5 { (draw >> 8) % 5 } else { regime } {
+                        let regime = (step / 256 + seed) % 7;
+                        let sort = match if regime == 6 { (draw >> 8) % 6 } else { regime } {
                             0 => SortKey::NoDeadline,
                             1 => SortKey::At(step), // in arrival order
                             2 => SortKey::At((1 << 20) - step), // reversed
                             3 => SortKey::At(7), // tied
+                            4 => SortKey::At(step + (draw >> 16) % 160_000), // random, as surge's
                             _ => SortKey::At(u64::MAX - (draw >> 16) % 4), // far future
                         };
                         // The sequence doubles as the job's id.
@@ -925,8 +1121,10 @@ mod tests {
                     model.last_key_value().map(|(&key, _)| key),
                     "last_key, seed {seed} step {step}"
                 );
+                assert_eq!(lane.is_empty(), model.is_empty(), "is_empty, seed {seed} step {step}");
                 saw_late |= !lane.late.is_empty();
                 saw_both |= !lane.late.is_empty() && !lane.ring.is_empty();
+                deepest = deepest.max(lane.late.len());
             }
             while let Some((_, id)) = model.pop_first() {
                 assert_eq!(lane.pop_first().map(|job| job.id), Some(id), "drain, seed {seed}");
@@ -934,34 +1132,66 @@ mod tests {
             assert!(lane.first().is_none() && lane.pop_last().is_none());
         }
         assert!(saw_late && saw_both, "the traces must reach both parts of a lane");
+        // Seven levels or more: sifts meet grandchildren on both kinds of
+        // level.
+        assert!(deepest >= 127, "the heap must grow deep: {deepest}");
     }
 
     #[test]
     fn a_drained_burst_gives_the_ring_back_and_a_steady_lane_keeps_it() {
         let q = queue(64);
         let keep = q.config.batch_size * Lane::KEEP_BATCHES;
-        let capacity = |q: &ClassQueue| q.inner.lock().unwrap().lanes[0].ring.capacity();
+        // Ring slots, heap handles, slab slots.
+        let capacity = |q: &ClassQueue| {
+            let inner = q.inner.lock().unwrap();
+            let lane = &inner.lanes[0];
+            [lane.ring.capacity(), lane.late.heap.capacity(), lane.late.slab.capacity()]
+        };
         // CRITICAL has no admission limit: nothing else bounds the burst.
+        // Deadline-free jobs fill the ring; deadlines in reverse order
+        // each sort before the ring's back, so they fill the heap.
         let burst = 8 * keep as u64;
-        for id in 0..burst {
-            push_ok(&q, job(id, QosClass::Critical));
-        }
-        assert!(capacity(&q) >= 8 * keep);
+        let push_burst = |q: &ClassQueue, n: u64| {
+            for id in 0..n {
+                push_ok(q, job(id, QosClass::Critical));
+                push_ok(q, deadline_job(n + id, QosClass::Critical, 0, n - id));
+            }
+        };
+        push_burst(&q, burst);
+        assert!(capacity(&q).iter().all(|&c| c >= 8 * keep), "{:?}", capacity(&q));
         while !q.is_empty() {
             assert!(!pop(&q, 32).unwrap().is_empty());
         }
-        assert!(capacity(&q) <= 2 * keep, "a drained burst must not keep its ring");
+        let drained = capacity(&q);
+        assert!(drained.iter().all(|&c| c <= 2 * keep), "a drained burst kept {drained:?}");
         // A lane that cycles within `2 × keep` is left alone.
         for round in 0..4 {
-            for id in 0..2 * keep as u64 {
-                push_ok(&q, job(id, QosClass::Critical));
-            }
+            push_burst(&q, 2 * keep as u64);
             let grown = capacity(&q);
             while !q.is_empty() {
                 assert!(!pop(&q, 32).unwrap().is_empty());
             }
             assert_eq!(capacity(&q), grown, "round {round}: steady state reallocates nothing");
         }
+    }
+
+    #[test]
+    fn a_lane_holding_at_most_keep_late_jobs_moves_them_to_a_smaller_slab() {
+        // A burst drains to a standing few: the heap never empties, so its
+        // slab never starts over, and the trim renumbers what is left.
+        let mut lane = Lane::default();
+        lane.insert((SortKey::NoDeadline, 0), job(0, QosClass::Critical));
+        for seq in 1..1024 {
+            lane.insert((SortKey::At(2048 - seq), seq), job(seq, QosClass::Critical));
+        }
+        for _ in 0..1000 {
+            lane.pop_first();
+        }
+        // 23 late jobs and the deadline-free one are left.
+        lane.trim(32);
+        assert!(lane.late.slots() <= 32 && lane.late.heap.capacity() <= 32);
+        let ids: Vec<u64> = std::iter::from_fn(|| lane.pop_first()).map(|job| job.id).collect();
+        assert_eq!(ids, (1..24).rev().chain([0]).collect::<Vec<_>>(), "the order survives");
     }
 
     /// A clock that jumps forward 10 µs on every read — makes the

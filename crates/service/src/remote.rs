@@ -330,7 +330,7 @@ fn serve_connection(
                 }
             }
             Message::Mutate { epoch, mutation } => {
-                if last_mutate.as_ref() == Some(&(epoch, mutation.clone())) {
+                if last_mutate.as_ref().is_some_and(|(e, m)| *e == epoch && *m == mutation) {
                     // Transport duplicate (see the module docs): already
                     // answered — swallow it.
                     continue;

@@ -279,8 +279,9 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // three classes in four with a deadline of its own, so most
         // arrivals sort before their ring's back and take the lane's
         // heap. Before the heap of handles over a slab this window
-        // measured ≈ 1.1 per request: the B-tree that held those jobs
-        // split nodes as it grew and freed them as it drained.
+        // measured 1.003–1.08 per request (1.08 pinned to one CPU): the
+        // B-tree that held those jobs split nodes as it grew and freed
+        // them as it drained.
         let hits = window(config, &distinct, DEEP, Some(0xEDF), "deadlined window");
         assert_eq!(hits, 0, "the deadlined window must miss");
 
