@@ -468,6 +468,59 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_shares_its_constraint_list() {
+        let original = Request::builder(tid(3))
+            .constraint(aid(1), 16)
+            .weighted_constraint(aid(4), 40, 2.0)
+            .build()
+            .unwrap();
+        let clone = original.clone();
+        assert_eq!(clone.constraints().as_ptr(), original.constraints().as_ptr());
+        assert_eq!(clone, original);
+        assert_eq!(clone.fingerprint(), original.fingerprint());
+        let decoded = Request::from_normalized(tid(3), [(aid(1), 16, 0x4000), (aid(4), 40, 0x4000)])
+            .unwrap();
+        let clone = decoded.clone();
+        assert_eq!(clone.constraints().as_ptr(), decoded.constraints().as_ptr());
+        assert_eq!(clone, decoded);
+        assert_eq!(clone.fingerprint(), decoded.fingerprint());
+    }
+
+    /// Normalized parts behind an iterator that reports `claimed` as its
+    /// exact length, whatever it holds.
+    struct Lying {
+        parts: std::vec::IntoIter<(AttrId, u16, u16)>,
+        claimed: usize,
+    }
+
+    impl Iterator for Lying {
+        type Item = (AttrId, u16, u16);
+
+        fn next(&mut self) -> Option<Self::Item> {
+            self.parts.next()
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            (self.claimed, Some(self.claimed))
+        }
+    }
+
+    impl ExactSizeIterator for Lying {}
+
+    #[test]
+    fn a_length_that_lies_in_either_direction_gives_none() {
+        let parts = vec![(aid(1), 16, 0x2000), (aid(3), 1, 0x2000), (aid(4), 40, 0x4000)];
+        let lying = |claimed| Lying {
+            parts: parts.clone().into_iter(),
+            claimed,
+        };
+        assert!(Request::from_normalized(tid(1), lying(3)).is_some(), "the truth is accepted");
+        for claimed in [0, 1, 2, 4, 5, 64, usize::from(u16::MAX) + 1, usize::MAX] {
+            assert_eq!(Request::from_normalized(tid(1), lying(claimed)), None, "claimed {claimed}");
+        }
+    }
+
+    #[test]
     fn constraint_lookup() {
         let r = Request::builder(tid(1))
             .constraint(aid(1), 16)

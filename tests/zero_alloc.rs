@@ -4,26 +4,46 @@
 //! including the top-1 walk over a long type plane's sorted copies — must
 //! perform **zero** heap allocations per request.
 //!
-//! The file holds exactly one `#[test]` so no concurrent test can
-//! allocate while the counter window is open (integration-test files are
-//! separate binaries, but tests *within* one file share the process).
+//! Every allocation is counted twice: on a process-wide counter and on a
+//! counter of the allocating thread. The exact windows (kernel, walk,
+//! telemetry, wire) run on the test thread alone and read its own
+//! counter, so an allocation made meanwhile by another thread of the test
+//! binary cannot fail them. The service windows read the process-wide
+//! counter, because the shard worker's allocations belong to them; the
+//! file holds exactly one `#[test]` so that no concurrent test allocates
+//! while one of those is open (integration-test files are separate
+//! binaries, but tests *within* one file share the process).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rqfa::core::{KernelPath, PlaneEngine, Request};
 use rqfa::workloads::{CaseGen, RequestGen};
 
-/// System allocator with a global allocation counter.
+/// System allocator with a process-wide and a per-thread allocation
+/// counter.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's allocations: `const`-initialised and without a
+    /// destructor, so counting never allocates and never finds the
+    /// counter gone, not even while the thread exits.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
 // SAFETY: delegates every operation verbatim to the system allocator;
-// the counter is a relaxed atomic side effect.
+// the counters are a relaxed atomic and a thread-local cell.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -32,12 +52,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 }
@@ -45,8 +65,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations by every thread of the process.
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Allocations by the calling thread.
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -78,14 +104,14 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         }
 
         // Measured window: single-request retrievals.
-        let before = allocations();
+        let before = thread_allocations();
         for _ in 0..4 {
             for request in &pool {
                 std::hint::black_box(engine.retrieve(&case_base, request).unwrap());
             }
         }
         assert_eq!(
-            allocations(),
+            thread_allocations(),
             before,
             "steady-state retrieve must not allocate ({path:?})"
         );
@@ -93,14 +119,14 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // Measured window: batch retrievals. The `Vec<&Request>` of borrows is built outside
         // the window — a service worker holds its own job buffer; the
         // engine itself must stay allocation-free.
-        let before = allocations();
+        let before = thread_allocations();
         for _ in 0..4 {
             for batch in &batches {
                 engine.retrieve_batch_into(&case_base, batch, &mut out);
             }
         }
         assert_eq!(
-            allocations(),
+            thread_allocations(),
             before,
             "steady-state batch retrieval must not allocate ({path:?})"
         );
@@ -125,7 +151,7 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         for batch in &long_batches {
             engine.retrieve_batch_into(&long_base, batch, &mut out);
         }
-        let (before, steps_before) = (allocations(), engine.steps_scored());
+        let (before, steps_before) = (thread_allocations(), engine.steps_scored());
         for _ in 0..4 {
             for request in &long_pool {
                 std::hint::black_box(engine.retrieve(&long_base, request).unwrap());
@@ -135,7 +161,7 @@ fn steady_state_plane_retrieval_allocates_nothing() {
             }
         }
         assert_eq!(
-            allocations(),
+            thread_allocations(),
             before,
             "the steady-state walk must not allocate ({path:?})"
         );
@@ -153,14 +179,14 @@ fn steady_state_plane_retrieval_allocates_nothing() {
     let recorder = rqfa::telemetry::FlightRecorder::new(1024);
     let clock = rqfa::telemetry::ManualClock::new();
     recorder.record(0, 0, 0, rqfa::telemetry::EventKind::Submitted, 0);
-    let before = allocations();
+    let before = thread_allocations();
     for i in 0..4096u64 {
         clock.advance_us(1);
         let at_us = std::hint::black_box(clock.elapsed_us());
         recorder.record(at_us, i, (i % 4) as u8, rqfa::telemetry::EventKind::Dispatched, 0);
     }
     assert_eq!(
-        allocations(),
+        thread_allocations(),
         before,
         "flight-recorder record + manual clock must not allocate"
     );
@@ -168,11 +194,13 @@ fn steady_state_plane_retrieval_allocates_nothing() {
     // Measured windows: the whole request path of a live service — submit,
     // admission, EDF lane, batch pop, cache probe, reply, ticket wake — 32
     // tickets in flight (`local_hot`'s depth) and 256 (`local_scan`'s),
-    // requests cloned outside the window. The one allocation a request
-    // causes is its reply slot (measured: 1.000 per request at either
-    // depth, with or without deadlines — a lane is a ring plus a heap of
-    // handles over a slab, all of which keep their slots, not a tree that
-    // splits and frees nodes). The budget leaves less slack than one
+    // requests cloned outside the window, or inside it as the benchmark's
+    // client clones each stored request it submits. The one allocation a
+    // request causes is its reply slot (measured: 1.000 per request at
+    // either depth, with or without deadlines — a lane is a ring plus a
+    // heap of handles over a slab, all of which keep their slots, not a
+    // tree that splits and frees nodes; a clone shares the request's
+    // constraint list). The budget leaves less slack than one
     // allocation per two full rounds, so a per-batch
     // `Vec::with_capacity` or a ring regrown per round trips it as
     // surely as a per-request channel does.
@@ -189,20 +217,23 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // this thread's handle), then `REQUESTS` measured. With a
         // `deadline_seed`, HIGH, MEDIUM and LOW requests carry seeded
         // deadlines drawn from `surge_overload`'s ranges, so arrivals
-        // reach their lanes out of deadline order. Returns how many of
-        // the measured requests were answered from the cache.
+        // reach their lanes out of deadline order. With `resubmit`, the
+        // measured requests are cloned from `pool` as they are submitted,
+        // inside the window. Returns how many of the measured requests
+        // were answered from the cache.
         let window = |config: ServiceConfig,
                       pool: &[Request],
                       in_flight: usize,
                       deadline_seed: Option<u64>,
+                      resubmit: bool,
                       what: &str|
          -> usize {
             let service = AllocationService::new(&case_base, &config).expect("valid config");
             let mut tickets: Vec<Ticket> = Vec::with_capacity(in_flight);
             let mut rng = SmallRng::seed_from_u64(deadline_seed.unwrap_or(0));
-            let mut drive = |requests: Vec<Request>| -> usize {
+            let mut drive = |requests: &mut dyn Iterator<Item = Request>| -> usize {
                 let mut cached_replies = 0;
-                let mut requests = requests.into_iter().enumerate().peekable();
+                let mut requests = requests.enumerate().peekable();
                 while requests.peek().is_some() {
                     for (i, request) in requests.by_ref().take(in_flight) {
                         let class = QosClass::ALL[i % QosClass::COUNT];
@@ -231,11 +262,14 @@ fn steady_state_plane_retrieval_allocates_nothing() {
                 }
                 cached_replies
             };
-            let stream = |n: usize| -> Vec<Request> { pool.iter().cycle().take(n).cloned().collect() };
-            drive(stream(4 * pool.len()));
-            let measured = stream(REQUESTS);
+            let stream = |n: usize| pool.iter().cycle().take(n).cloned();
+            drive(&mut stream(4 * pool.len()));
+            let measured: Option<Vec<Request>> = (!resubmit).then(|| stream(REQUESTS).collect());
             let before = allocations();
-            let cached_replies = drive(measured);
+            let cached_replies = match measured {
+                Some(requests) => drive(&mut requests.into_iter()),
+                None => drive(&mut stream(REQUESTS)),
+            };
             let allocated = allocations() - before;
             assert!(
                 allocated <= (REQUESTS + REQUESTS / (2 * in_flight)) as u64,
@@ -249,7 +283,7 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // The shape `local_hot` drives: every request a cache hit. Before
         // the reply slot this window measured 2.2–2.6: a channel counter
         // and a 31-slot message block per ticket, three vectors per batch.
-        let hits = window(ServiceConfig::default(), &pool, IN_FLIGHT, None, "hit window");
+        let hits = window(ServiceConfig::default(), &pool, IN_FLIGHT, None, false, "hit window");
         assert_eq!(hits, REQUESTS, "the hit window must hit");
 
         // The shape `local_scan` drives: 1024 distinct requests cycled
@@ -269,11 +303,11 @@ fn steady_state_plane_retrieval_allocates_nothing() {
             .collect();
         assert_eq!(distinct.len(), 1024, "workload collapsed");
         let config = ServiceConfig::default().with_cache_capacity(256);
-        let hits = window(config.clone(), &distinct, IN_FLIGHT, None, "miss window");
+        let hits = window(config.clone(), &distinct, IN_FLIGHT, None, false, "miss window");
         assert_eq!(hits, 0, "the miss window must miss");
         // The same misses 256 deep: 64 jobs a lane, full batches, eight
         // batches a round.
-        let hits = window(config.clone(), &distinct, DEEP, None, "deep miss window");
+        let hits = window(config.clone(), &distinct, DEEP, None, false, "deep miss window");
         assert_eq!(hits, 0, "the deep miss window must miss");
         // The shape `surge_overload` drives: the same misses 256 deep,
         // three classes in four with a deadline of its own, so most
@@ -282,8 +316,18 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // measured 1.003–1.08 per request (1.08 pinned to one CPU): the
         // B-tree that held those jobs split nodes as it grew and freed
         // them as it drained.
-        let hits = window(config, &distinct, DEEP, Some(0xEDF), "deadlined window");
+        let hits = window(config.clone(), &distinct, DEEP, Some(0xEDF), false, "deadlined window");
         assert_eq!(hits, 0, "the deadlined window must miss");
+        // The resubmission window: each request is cloned from its stored
+        // original as it is submitted, as the benchmark's client does — the
+        // hits 32 deep, the misses 256 deep. A clone shares the original's
+        // constraint list; when the list was copied per clone this window
+        // measured 2.0 per request, and that copy was then freed by the
+        // shard worker on another thread.
+        let hits = window(ServiceConfig::default(), &pool, IN_FLIGHT, None, true, "resubmission window");
+        assert_eq!(hits, REQUESTS, "the resubmission window's hits must hit");
+        let hits = window(config, &distinct, DEEP, None, true, "deep resubmission window");
+        assert_eq!(hits, 0, "the deep resubmission window must miss");
 
         // The shape `cluster_hot`'s nodes serve: one blocking call at a
         // time into an idle shard, so the caller runs its own batch
@@ -404,10 +448,10 @@ fn steady_state_plane_retrieval_allocates_nothing() {
             }
         };
         round_trips(&mut conn);
-        let before = allocations();
+        let before = thread_allocations();
         round_trips(&mut conn);
         assert_eq!(
-            allocations() - before,
+            thread_allocations() - before,
             exchanges.len() as u64,
             "a warm connection's Submit + Reply round trip allocates once: the request"
         );
@@ -417,12 +461,12 @@ fn steady_state_plane_retrieval_allocates_nothing() {
     // cost the plane removes — if this ever goes to zero the harness
     // window itself is broken).
     let naive = rqfa::core::FixedEngine::new();
-    let before = allocations();
+    let before = thread_allocations();
     for request in pool.iter().take(16) {
         std::hint::black_box(naive.retrieve(&case_base, request).unwrap());
     }
     assert!(
-        allocations() > before,
+        thread_allocations() > before,
         "sanity: the naive path allocates, so the counter window works"
     );
 }
