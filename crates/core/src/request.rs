@@ -10,6 +10,7 @@
 //! overflow.
 
 use core::fmt;
+use std::sync::Arc;
 
 use rqfa_fixed::Q15;
 
@@ -57,9 +58,14 @@ impl fmt::Display for Constraint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     type_id: TypeId,
-    /// Fixed at build, so a boxed slice: with the fingerprint beside it
-    /// a request is as large as it was with a `Vec` and no fingerprint.
-    constraints: Box<[Constraint]>,
+    /// Fixed at build, so shared: a clone — the one a client makes of a
+    /// stored request on every submit — increments a count instead of
+    /// copying the list, and every clone reads the same list, as the
+    /// retrieval unit reads a request list where it lies in Req-MEM
+    /// (fig. 4). Built in one allocation, count and constraints
+    /// together. A fat pointer: with the fingerprint beside it a request
+    /// is 32 bytes.
+    constraints: Arc<[Constraint]>,
     /// [`fingerprint_of`] the two fields above, fixed at build.
     fingerprint: u64,
 }
@@ -85,31 +91,59 @@ impl Request {
     /// with `f64::from(word)` as relative weights: their sum is the
     /// integer 32768, so each division `word / 32768` is exact, each
     /// quantization floor is the word itself and no remainder is handed
-    /// out. One allocation: the constraint slice.
+    /// out.
+    ///
+    /// One allocation: the shared constraint list, sized by `parts.len()`
+    /// and written in place. An iterator that yields fewer or more parts
+    /// than its `len()` gives `None`, as does a `len()` beyond the 65 535
+    /// attribute ids a strictly ascending list can hold — refused before
+    /// it sizes anything.
     pub fn from_normalized<I>(type_id: TypeId, parts: I) -> Option<Request>
     where
         I: IntoIterator<Item = (AttrId, u16, u16)>,
         I::IntoIter: ExactSizeIterator,
     {
-        let parts = parts.into_iter();
-        let one = Q15::ONE.raw();
-        let mut constraints = Vec::with_capacity(parts.len());
-        let mut sum = 0u32;
-        let mut ascending = true;
-        for (attr, value, word) in parts {
-            ascending &= constraints.last().is_none_or(|last: &Constraint| last.attr < attr);
-            sum = sum.saturating_add(u32::from(word));
-            constraints.push(Constraint {
-                attr,
-                value,
-                weight: f64::from(word) / f64::from(one),
-                weight_q15: Q15::saturating_from_raw(word),
-            });
-        }
-        if !ascending || sum != u32::from(one) {
+        let mut parts = parts.into_iter();
+        let len = parts.len();
+        if len > usize::from(u16::MAX) {
             return None;
         }
-        let constraints = constraints.into_boxed_slice();
+        let one = Q15::ONE.raw();
+        // Stands in for a part the iterator owed and did not yield; the
+        // list is then refused, so it is never read.
+        let missing = Constraint {
+            attr: AttrId::new(0).ok()?,
+            value: 0,
+            weight: 0.0,
+            weight_q15: Q15::ZERO,
+        };
+        let mut sum = 0u32;
+        let mut last: Option<AttrId> = None;
+        let mut normal = true;
+        // Collected from a mapped range, whose length the standard
+        // library trusts: the list is allocated once, at its size, with
+        // the count beside it, where a `Vec` would be copied into a
+        // second block. The checks ride in the closure.
+        let constraints: Arc<[Constraint]> = (0..len)
+            .map(|_| {
+                let Some((attr, value, word)) = parts.next() else {
+                    normal = false;
+                    return missing;
+                };
+                normal &= last.is_none_or(|prev| prev < attr);
+                last = Some(attr);
+                sum = sum.saturating_add(u32::from(word));
+                Constraint {
+                    attr,
+                    value,
+                    weight: f64::from(word) / f64::from(one),
+                    weight_q15: Q15::saturating_from_raw(word),
+                }
+            })
+            .collect();
+        if !normal || sum != u32::from(one) || parts.next().is_some() {
+            return None;
+        }
         Some(Request {
             type_id,
             fingerprint: fingerprint_of(type_id, &constraints),
@@ -230,7 +264,10 @@ impl RequestBuilder {
         }
         let weights: Vec<f64> = self.raw.iter().map(|(_, _, w)| w / sum).collect();
         let q15 = quantize_weights(&weights);
-        let constraints: Box<[Constraint]> = self
+        // Zipped slices and a vector's iterator, mapped: a length the
+        // standard library trusts, so one allocation, as in
+        // `from_normalized`.
+        let constraints: Arc<[Constraint]> = self
             .raw
             .iter()
             .zip(weights.iter().zip(q15))
@@ -474,6 +511,9 @@ mod tests {
             .weighted_constraint(aid(4), 40, 2.0)
             .build()
             .unwrap();
+        // Sharing costs no room: a queued job holds the request inline.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<Request>(), 32);
         let clone = original.clone();
         assert_eq!(clone.constraints().as_ptr(), original.constraints().as_ptr());
         assert_eq!(clone, original);

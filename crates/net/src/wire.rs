@@ -31,8 +31,8 @@
 //! (`frame::Payload`). [`crate::FrameConn`] runs both in place — `send`
 //! into its send buffer, `recv` out of its read-ahead buffer — so in the
 //! steady state encoding allocates nothing, a decoded [`Submit`]
-//! allocates once (its constraints) and a decoded [`WireReply`] not at
-//! all. [`encode_message`] and [`decode_message`] are the same code over
+//! allocates once (its shared constraint list) and a decoded
+//! [`WireReply`] not at all. [`encode_message`] and [`decode_message`] are the same code over
 //! a vector of its own and a [`Frame`]'s words.
 
 use rqfa_core::{CaseMutation, CoreError, ExecutionTarget, Generation, QosClass, Request, Scored};

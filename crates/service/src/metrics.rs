@@ -23,7 +23,7 @@
 
 use core::fmt;
 use core::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rqfa_core::{OpCounts, QosClass};
 use rqfa_telemetry::{ratio, MetricSource, Sample};
@@ -176,10 +176,18 @@ impl ServiceMetrics {
         &self.classes[class.index()]
     }
 
+    /// The batch-commit gate, held. It guards no data of its own — the
+    /// counters are atomics, each whole after every add — so a gate
+    /// poisoned by a panic under it is recovered, rather than turning
+    /// every later commit and snapshot into a panic.
+    fn gate(&self) -> MutexGuard<'_, ()> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Commits one batch's outcome deltas in a single critical section,
     /// so no snapshot can observe a half-applied batch.
     pub(crate) fn commit(&self, deltas: &BatchDeltas) {
-        let _gate = self.gate.lock().expect("metrics gate poisoned");
+        let _gate = self.gate();
         for (class, d) in QosClass::ALL.into_iter().zip(deltas.classes) {
             let m = self.class(class);
             m.completed.fetch_add(d.completed, Ordering::Relaxed);
@@ -196,7 +204,7 @@ impl ServiceMetrics {
     /// Immutable snapshot for reporting, taken under the commit gate so
     /// it never observes a torn batch.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let _gate = self.gate.lock().expect("metrics gate poisoned");
+        let _gate = self.gate();
         let classes = QosClass::ALL.map(|class| {
             let m = self.class(class);
             ClassSnapshot {

@@ -15,7 +15,7 @@
 //! compares.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One named, unit-tagged observation.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,10 +64,12 @@ pub trait MetricSource: Send + Sync {
     fn collect(&self, out: &mut Vec<Sample>);
 }
 
+type Sources = Vec<(String, Arc<dyn MetricSource>)>;
+
 /// A set of registered metric sources.
 #[derive(Default)]
 pub struct Registry {
-    sources: Mutex<Vec<(String, Arc<dyn MetricSource>)>>,
+    sources: Mutex<Sources>,
 }
 
 impl Registry {
@@ -76,21 +78,26 @@ impl Registry {
         Registry::default()
     }
 
+    /// The sources, locked. A source whose `collect` panicked poisons
+    /// the lock mid-snapshot; the vector is whole at every step (a
+    /// snapshot only reads it, a registration is one push), so the lock
+    /// is recovered and the registry keeps working.
+    fn sources(&self) -> MutexGuard<'_, Sources> {
+        self.sources.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers `source` under `prefix`; its samples appear in
     /// snapshots as `prefix/name`. Prefixes need not be unique (e.g. one
     /// per shard under the same prefix is fine, if name collisions are
     /// acceptable to the consumer).
     pub fn register(&self, prefix: impl Into<String>, source: Arc<dyn MetricSource>) {
-        self.sources
-            .lock()
-            .expect("registry poisoned")
-            .push((prefix.into(), source));
+        self.sources().push((prefix.into(), source));
     }
 
     /// Collects every source into one point-in-time snapshot, in
     /// registration order.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let sources = self.sources.lock().expect("registry poisoned");
+        let sources = self.sources();
         let mut samples = Vec::new();
         let mut scratch = Vec::new();
         for (prefix, source) in sources.iter() {
@@ -109,7 +116,7 @@ impl Registry {
 
 impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sources = self.sources.lock().expect("registry poisoned");
+        let sources = self.sources();
         f.debug_struct("Registry")
             .field("sources", &sources.iter().map(|(p, _)| p).collect::<Vec<_>>())
             .finish()
@@ -194,6 +201,33 @@ mod tests {
         );
         assert_eq!(snap.value("persist/fsync_p99"), Some(850.0));
         assert_eq!(snap.value("absent"), None);
+    }
+
+    /// Panics on its first `collect`, then reports one sample.
+    struct PanicsOnce(std::sync::atomic::AtomicBool);
+
+    impl MetricSource for PanicsOnce {
+        fn collect(&self, out: &mut Vec<Sample>) {
+            if !self.0.swap(true, std::sync::atomic::Ordering::Relaxed) {
+                panic!("a source fails mid-collect");
+            }
+            out.push(Sample::count("recovered", 1));
+        }
+    }
+
+    #[test]
+    fn a_panicking_source_does_not_poison_the_registry() {
+        let registry = Registry::new();
+        registry.register("a", Arc::new(Fixed(vec![Sample::count("before", 1)])));
+        registry.register("b", Arc::new(PanicsOnce(Default::default())));
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| registry.snapshot()));
+        assert!(failed.is_err(), "the first snapshot meets the panic");
+        registry.register("c", Arc::new(Fixed(vec![Sample::count("after", 2)])));
+        let snap = registry.snapshot();
+        assert_eq!(snap.value("a/before"), Some(1.0));
+        assert_eq!(snap.value("b/recovered"), Some(1.0));
+        assert_eq!(snap.value("c/after"), Some(2.0));
+        assert!(format!("{registry:?}").contains("\"c\""));
     }
 
     #[test]

@@ -364,8 +364,9 @@ fn steady_state_plane_retrieval_allocates_nothing() {
 
     // Measured window: the wire. A warm `FrameConn` sends from its send
     // buffer and decodes in its receive buffer, so a `Submit` + `Reply`
-    // round trip allocates exactly once — the decoded request's
-    // constraints — however many fields, words and CRCs it moves. Before
+    // round trip allocates exactly once — the decoded request's shared
+    // constraint list, count and constraints in one block — however many
+    // fields, words and CRCs it moves. Before
     // the in-place codec this window measured two dozen: a `Vec<u16>`
     // image per message, its copy into a frame, the payload copied out
     // again and the request rebuilt through the builder's temporaries.
