@@ -111,8 +111,11 @@ impl Request {
         let one = Q15::ONE.raw();
         // Stands in for a part the iterator owed and did not yield; the
         // list is then refused, so it is never read.
-        let missing = Constraint {
-            attr: AttrId::new(0).ok()?,
+        const MISSING: Constraint = Constraint {
+            attr: match AttrId::new(0) {
+                Ok(id) => id,
+                Err(_) => unreachable!(),
+            },
             value: 0,
             weight: 0.0,
             weight_q15: Q15::ZERO,
@@ -128,7 +131,7 @@ impl Request {
             .map(|_| {
                 let Some((attr, value, word)) = parts.next() else {
                     normal = false;
-                    return missing;
+                    return MISSING;
                 };
                 normal &= last.is_none_or(|prev| prev < attr);
                 last = Some(attr);

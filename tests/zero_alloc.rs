@@ -193,14 +193,15 @@ fn steady_state_plane_retrieval_allocates_nothing() {
 
     // Measured windows: the whole request path of a live service — submit,
     // admission, EDF lane, batch pop, cache probe, reply, ticket wake — 32
-    // tickets in flight (`local_hot`'s depth) and 256 (`local_scan`'s),
-    // requests cloned outside the window, or inside it as the benchmark's
-    // client clones each stored request it submits. The one allocation a
-    // request causes is its reply slot (measured: 1.000 per request at
-    // either depth, with or without deadlines — a lane is a ring plus a
-    // heap of handles over a slab, all of which keep their slots, not a
-    // tree that splits and frees nodes; a clone shares the request's
-    // constraint list). The budget leaves less slack than one
+    // tickets in flight (`local_hot`'s depth) and 256 (`local_scan`'s).
+    // Every window is a resubmission window: each request is cloned from
+    // its stored original inside the window, as it is submitted, as the
+    // benchmark's client does. The one allocation a request causes is its
+    // reply slot (measured: 1.000 per request at either depth, with or
+    // without deadlines — a lane is a ring plus a heap of handles over a
+    // slab, all of which keep their slots, not a tree that splits and
+    // frees nodes; a clone shares the request's constraint list, where a
+    // copied list made 2.0). The budget leaves less slack than one
     // allocation per two full rounds, so a per-batch
     // `Vec::with_capacity` or a ring regrown per round trips it as
     // surely as a per-request channel does.
@@ -217,15 +218,12 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // this thread's handle), then `REQUESTS` measured. With a
         // `deadline_seed`, HIGH, MEDIUM and LOW requests carry seeded
         // deadlines drawn from `surge_overload`'s ranges, so arrivals
-        // reach their lanes out of deadline order. With `resubmit`, the
-        // measured requests are cloned from `pool` as they are submitted,
-        // inside the window. Returns how many of the measured requests
-        // were answered from the cache.
+        // reach their lanes out of deadline order. Returns how many of
+        // the measured requests were answered from the cache.
         let window = |config: ServiceConfig,
                       pool: &[Request],
                       in_flight: usize,
                       deadline_seed: Option<u64>,
-                      resubmit: bool,
                       what: &str|
          -> usize {
             let service = AllocationService::new(&case_base, &config).expect("valid config");
@@ -264,12 +262,8 @@ fn steady_state_plane_retrieval_allocates_nothing() {
             };
             let stream = |n: usize| pool.iter().cycle().take(n).cloned();
             drive(&mut stream(4 * pool.len()));
-            let measured: Option<Vec<Request>> = (!resubmit).then(|| stream(REQUESTS).collect());
             let before = allocations();
-            let cached_replies = match measured {
-                Some(requests) => drive(&mut requests.into_iter()),
-                None => drive(&mut stream(REQUESTS)),
-            };
+            let cached_replies = drive(&mut stream(REQUESTS));
             let allocated = allocations() - before;
             assert!(
                 allocated <= (REQUESTS + REQUESTS / (2 * in_flight)) as u64,
@@ -283,7 +277,9 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // The shape `local_hot` drives: every request a cache hit. Before
         // the reply slot this window measured 2.2–2.6: a channel counter
         // and a 31-slot message block per ticket, three vectors per batch.
-        let hits = window(ServiceConfig::default(), &pool, IN_FLIGHT, None, false, "hit window");
+        // With its requests cloned inside the window it measured 2.0
+        // while a clone copied the constraint list.
+        let hits = window(ServiceConfig::default(), &pool, IN_FLIGHT, None, "hit window");
         assert_eq!(hits, REQUESTS, "the hit window must hit");
 
         // The shape `local_scan` drives: 1024 distinct requests cycled
@@ -303,11 +299,13 @@ fn steady_state_plane_retrieval_allocates_nothing() {
             .collect();
         assert_eq!(distinct.len(), 1024, "workload collapsed");
         let config = ServiceConfig::default().with_cache_capacity(256);
-        let hits = window(config.clone(), &distinct, IN_FLIGHT, None, false, "miss window");
+        let hits = window(config.clone(), &distinct, IN_FLIGHT, None, "miss window");
         assert_eq!(hits, 0, "the miss window must miss");
         // The same misses 256 deep: 64 jobs a lane, full batches, eight
-        // batches a round.
-        let hits = window(config.clone(), &distinct, DEEP, None, false, "deep miss window");
+        // batches a round. 2.0 per request while a clone copied the
+        // constraint list, which the shard worker then freed on its own
+        // thread.
+        let hits = window(config.clone(), &distinct, DEEP, None, "deep miss window");
         assert_eq!(hits, 0, "the deep miss window must miss");
         // The shape `surge_overload` drives: the same misses 256 deep,
         // three classes in four with a deadline of its own, so most
@@ -315,26 +313,18 @@ fn steady_state_plane_retrieval_allocates_nothing() {
         // heap. Before the heap of handles over a slab this window
         // measured 1.003–1.08 per request (1.08 pinned to one CPU): the
         // B-tree that held those jobs split nodes as it grew and freed
-        // them as it drained.
-        let hits = window(config.clone(), &distinct, DEEP, Some(0xEDF), false, "deadlined window");
+        // them as it drained; 2.0 while a clone copied the constraint
+        // list.
+        let hits = window(config, &distinct, DEEP, Some(0xEDF), "deadlined window");
         assert_eq!(hits, 0, "the deadlined window must miss");
-        // The resubmission window: each request is cloned from its stored
-        // original as it is submitted, as the benchmark's client does — the
-        // hits 32 deep, the misses 256 deep. A clone shares the original's
-        // constraint list; when the list was copied per clone this window
-        // measured 2.0 per request, and that copy was then freed by the
-        // shard worker on another thread.
-        let hits = window(ServiceConfig::default(), &pool, IN_FLIGHT, None, true, "resubmission window");
-        assert_eq!(hits, REQUESTS, "the resubmission window's hits must hit");
-        let hits = window(config, &distinct, DEEP, None, true, "deep resubmission window");
-        assert_eq!(hits, 0, "the deep resubmission window must miss");
 
         // The shape `cluster_hot`'s nodes serve: one blocking call at a
         // time into an idle shard, so the caller runs its own batch
         // (`docs/scheduling.md` §7.4) — through a cluster client whose
-        // every site is local, the public door of that path. Still the
-        // reply slot and nothing else: the driver's buffers are taken out
-        // of the shard's context and put back, not built per call.
+        // every site is local, the public door of that path, each request
+        // again cloned inside the window. Still the reply slot and nothing
+        // else: the driver's buffers are taken out of the shard's context
+        // and put back, not built per call.
         let service = std::sync::Arc::new(
             AllocationService::new(&case_base, &ServiceConfig::default()).expect("valid config"),
         );
@@ -342,17 +332,16 @@ fn steady_state_plane_retrieval_allocates_nothing() {
             Box::new(rqfa::core::ModuloPlacement::new(1)),
             Some(std::sync::Arc::clone(&service)),
         );
-        let call = |requests: Vec<Request>| {
-            for (i, request) in requests.into_iter().enumerate() {
+        let call = |n: usize| {
+            for (i, request) in pool.iter().cycle().take(n).cloned().enumerate() {
                 let reply = client.submit(request, QosClass::ALL[i % QosClass::COUNT]);
                 assert!(matches!(std::hint::black_box(reply.outcome), Outcome::Allocated { .. }));
             }
         };
-        call(pool.iter().cycle().take(4 * pool.len()).cloned().collect());
-        let measured: Vec<Request> = pool.iter().cycle().take(REQUESTS).cloned().collect();
+        call(4 * pool.len());
         let inline_before = service.metrics().inline_runs;
         let before = allocations();
-        call(measured);
+        call(REQUESTS);
         let allocated = allocations() - before;
         assert!(
             allocated <= (REQUESTS + REQUESTS / (2 * IN_FLIGHT)) as u64,
