@@ -842,7 +842,7 @@ fn answer_unseen(job: Job, outcome: Outcome, metrics: &ServiceMetrics) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::testkit;
     use std::collections::BTreeMap;
@@ -1195,10 +1195,17 @@ mod tests {
     }
 
     /// A clock that jumps forward 10 µs on every read — makes the
-    /// per-pick clock re-read in `pop_batch` observable, and its reading
-    /// ÷ 10 counts the reads.
+    /// per-pick clock re-read in `pop_batch` observable, and counts the
+    /// reads.
     #[derive(Debug, Default)]
-    struct TickingClock(std::sync::atomic::AtomicU64);
+    pub(crate) struct TickingClock(std::sync::atomic::AtomicU64);
+
+    impl TickingClock {
+        /// How many times the clock has been read.
+        pub(crate) fn reads(&self) -> u64 {
+            self.0.load(Ordering::SeqCst) / 10
+        }
+    }
 
     impl rqfa_telemetry::Clock for TickingClock {
         fn now_us(&self) -> u64 {
@@ -1237,7 +1244,7 @@ mod tests {
     #[test]
     fn fill_reads_the_clock_only_for_a_pick_that_consumes_it() {
         let clock = Arc::new(TickingClock::default());
-        let reads = |clock: &TickingClock| clock.0.load(Ordering::SeqCst) / 10;
+        let reads = |clock: &TickingClock| clock.reads();
         let on_clock = || config(64).with_clock(Arc::clone(&clock) as SharedClock);
         // No recorder, no deadlined head, cold estimator: nobody reads.
         let q = build(&on_clock());

@@ -969,6 +969,29 @@ mod tests {
         assert_eq!(late.try_wait().map(|r| r.outcome), Some(Outcome::ShedQueueFull));
     }
 
+    #[test]
+    fn a_harness_batch_reads_the_clock_only_for_its_stamps() {
+        // Tracing off, so nothing but a batch stamp has a use for a
+        // reading: the dispatch stamp, and a second one after the kernel
+        // when the batch has misses to score.
+        use crate::queue::tests::TickingClock;
+        use rqfa_core::QosClass;
+
+        let clock = Arc::new(TickingClock::default());
+        let config = ServiceConfig::default().with_clock(Arc::clone(&clock) as _);
+        let mut harness = BatchHarness::new(&paper::table1_case_base(), &config);
+        let batch = |id| {
+            let request = paper::table1_request().unwrap();
+            vec![crate::testkit::job(id, QosClass::High, request, 0, None).0]
+        };
+        harness.run_batch(batch(0));
+        assert_eq!(harness.metrics().class(QosClass::High).cache_misses, 1);
+        assert_eq!(clock.reads(), 2, "a batch with misses: dispatch, then after the kernel");
+        harness.run_batch(batch(1));
+        assert_eq!(harness.metrics().class(QosClass::High).cache_hits, 1);
+        assert_eq!(clock.reads(), 2 + 1, "an all-hit batch: the dispatch stamp alone");
+    }
+
     use crate::{AllocationService, Outcome};
     use rqfa_telemetry::ManualClock;
 
