@@ -12,11 +12,11 @@
 //!   thread. Since retrieval only touches the requested type's subtree,
 //!   shard answers are bit-identical to one big
 //!   [`FixedEngine`](rqfa_core::FixedEngine) over the merged case base.
-//! * **Batching + deadline-aware QoS scheduling** ([`queue`], [`sched`]):
+//! * **Batching + deadline-aware QoS scheduling** ([`queue`]):
 //!   per-class lanes ordered earliest-deadline-first by each request's own
 //!   deadline ([`AllocationService::submit_with_deadline`]), drained in
-//!   weighted round-robin (8:4:2:1), a batch fill capped before it would
-//!   make a picked deadline late at the estimated rate, and
+//!   weighted round-robin (8:4:2:1) into batches of up to
+//!   [`ServiceConfig::batch_size`], and
 //!   urgency-tiered admission limits that shed by **largest slack
 //!   first** under overload — CRITICAL is never shed, ever. The full
 //!   model lives in `docs/scheduling.md`.
@@ -86,7 +86,6 @@ pub mod metrics;
 pub mod queue;
 pub mod remote;
 pub mod replay;
-pub mod sched;
 pub mod shard;
 mod ticket;
 
@@ -108,7 +107,6 @@ pub use rqfa_cache::CacheStats;
 pub use rqfa_telemetry::{
     Clock, ManualClock, MonotonicClock, RequestTimeline, SharedClock, StageBreakdown, TraceDump,
 };
-pub use sched::{ServiceTimeEstimator, WeightedArbiter};
 pub use ticket::Ticket;
 
 /// How one request ended.
@@ -377,7 +375,7 @@ impl AllocationService {
     }
 
     /// Submits a request that must complete within `deadline` from now.
-    /// The deadline drives EDF ordering, the batch-fill cap, displacement
+    /// The deadline drives EDF ordering, displacement
     /// *and* dispatch shedding — except that CRITICAL is still never
     /// shed: a late CRITICAL request is served anyway and counted as a
     /// [`missed deadline`](ClassSnapshot::missed_deadline). A deadline

@@ -1,11 +1,12 @@
 //! The per-shard batching request queue with deadline-aware lanes.
 //!
 //! One [`ClassQueue`] feeds each shard worker: four class-indexed lanes
-//! behind one mutex, the [`WeightedArbiter`] deciding which lane each
+//! behind one mutex, a weighted arbiter deciding which lane each
 //! batch slot is drawn from, and a condvar the worker parks on when the
 //! lanes are empty — signalled once per park, by the one submitter that
 //! finds the worker parked, never once per submit (see *Waking the
-//! worker* below).
+//! worker* below). A batch fill stops only when it holds its `max` or the
+//! lanes are empty.
 //!
 //! ## Lane ordering
 //!
@@ -30,6 +31,20 @@
 //! over a per-lane slab of jobs, so its sifts never move a job and a
 //! warm lane allocates nothing. The order is the one above either way;
 //! only its price differs.
+//!
+//! ## Arbitration
+//!
+//! Which lane yields the next job of a batch is the arbiter's call, credit
+//! **weighted round-robin** — the software analogue of an AXI
+//! interconnect's weighted QoS arbiter (the full model, with its
+//! invariants, is in `docs/scheduling.md`): each class holds a credit
+//! counter refilled to [`QosClass::weight`]; picking a job costs one
+//! credit; the most urgent class with both work and credit wins; when
+//! every backlogged class is out of credit, all counters refill (a new
+//! *round*). LOW traffic therefore keeps forward progress (no starvation)
+//! while CRITICAL gets an 8:4:2:1 share under saturation. Within a lane
+//! the order is the lane's own, above; the arbiter only ever decides
+//! *which lane* yields the next job.
 //!
 //! ## Overload policy
 //!
@@ -87,7 +102,6 @@ use rqfa_core::{QosClass, Request};
 use rqfa_telemetry::{EventKind, FlightRecorder};
 
 use crate::metrics::ServiceMetrics;
-use crate::sched::{ServiceTimeEstimator, WeightedArbiter};
 use crate::ticket::{self, Ticket};
 use crate::{Job, Outcome, ServiceConfig};
 
@@ -400,6 +414,44 @@ impl Late {
     }
 }
 
+/// Credit-based weighted round-robin arbiter over the four QoS classes
+/// (see *Arbitration* above).
+#[derive(Debug)]
+pub(crate) struct WeightedArbiter {
+    credits: [u32; QosClass::COUNT],
+}
+
+impl WeightedArbiter {
+    /// An arbiter at the start of a round: every class holds its
+    /// [`QosClass::weight`] in credits (8:4:2:1).
+    pub(crate) fn new() -> WeightedArbiter {
+        WeightedArbiter {
+            credits: QosClass::ALL.map(QosClass::weight),
+        }
+    }
+
+    /// Picks the class to serve next given which classes have queued work:
+    /// the most urgent backlogged class with credit, after a refill (a new
+    /// round) if none has any. Returns `None` when no class has work;
+    /// consumes one credit otherwise.
+    pub(crate) fn pick(&mut self, backlogged: [bool; QosClass::COUNT]) -> Option<QosClass> {
+        if !backlogged.iter().any(|&b| b) {
+            return None;
+        }
+        let creditable = |credits: &[u32; QosClass::COUNT]| {
+            QosClass::ALL
+                .into_iter()
+                .find(|c| backlogged[c.index()] && credits[c.index()] > 0)
+        };
+        let class = creditable(&self.credits).unwrap_or_else(|| {
+            *self = WeightedArbiter::new();
+            creditable(&self.credits).expect("a backlogged lane has credit after a refill")
+        });
+        self.credits[class.index()] -= 1;
+        Some(class)
+    }
+}
+
 struct Inner {
     lanes: [Lane; QosClass::COUNT],
     arbiter: WeightedArbiter,
@@ -435,16 +487,12 @@ pub struct ClassQueue {
     available: Condvar,
     /// The service configuration the queue reads its knobs from.
     /// `config.clock` is the whole shard's one time base: arrival
-    /// stamps, deadlines, the fill cap, batch stamps and trace stamps
-    /// are all that clock's µs ticks.
+    /// stamps, deadlines, batch stamps and trace stamps are all that
+    /// clock's µs ticks.
     pub(crate) config: ServiceConfig,
     pub(crate) metrics: Arc<ServiceMetrics>,
     /// The shard's flight recorder (`None` = tracing off).
     pub(crate) recorder: Option<Arc<FlightRecorder>>,
-    /// Service-time estimator: written by the shard's driver, read here
-    /// to stop a batch fill that would make a picked job late. Cold (no
-    /// samples) it changes nothing.
-    estimator: ServiceTimeEstimator,
 }
 
 impl ClassQueue {
@@ -469,13 +517,7 @@ impl ClassQueue {
             config: config.clone(),
             metrics,
             recorder,
-            estimator: ServiceTimeEstimator::new(),
         }
-    }
-
-    /// The shard's measured service-time estimator.
-    pub fn estimator(&self) -> &ServiceTimeEstimator {
-        &self.estimator
     }
 
     /// Records one event of request `id` at tick `at_us` (no-op with
@@ -722,46 +764,14 @@ impl ClassQueue {
     }
 
     /// The one fill loop: moves jobs from the lanes into `batch` until it
-    /// holds `max`, the lanes are empty, or the estimator says one more
-    /// pick would make an already-picked job late. Called with the queue
-    /// mutex held, by whoever is about to run the batch: the worker from
+    /// holds `max` or the lanes are empty. Called with the queue mutex
+    /// held, by whoever is about to run the batch: the worker from
     /// [`ClassQueue::pop_batch`], a blocking caller from its own push, a
     /// waiter from [`ClassQueue::pop_owed`].
     fn fill(&self, inner: &mut Inner, max: usize, batch: &mut Vec<Job>) {
-        // Read once: the whole fill judges by one estimate, whichever
-        // driver feeds the estimator meanwhile.
-        let per_job_us = self.estimator.per_job_us();
-        // Tightest deadline among jobs already picked — the
-        // deadline-aware composition bound.
-        let mut tightest: Option<u64> = None;
         let mut picks = [0u64; QosClass::COUNT];
         while batch.len() < max {
             let backlogged = inner.lanes.each_ref().map(|lane| !lane.is_empty());
-            // The clock is read for this pick only if something consumes
-            // the value: a `Scheduled` stamp, or the estimator's bound on
-            // a picked deadline. Whenever one does it is re-read every
-            // pick — under a real clock stamps and the bound must not go
-            // stale across a long batch (a frozen manual clock returns
-            // the same tick each read, so deterministic replays are
-            // unaffected). Unread, `now` is never looked at.
-            let bound = tightest.filter(|_| per_job_us > 0);
-            let now = if self.recorder.is_some() || bound.is_some() {
-                self.config.clock.now_us()
-            } else {
-                0
-            };
-            if let Some(tight) = bound {
-                // Stop filling when the estimator says one more pick
-                // would turn an already-picked job from meeting its
-                // deadline into missing it. An already-late batch keeps
-                // filling — stopping cannot unmiss it.
-                let len = batch.len() as u64;
-                let finish = now.saturating_add(per_job_us.saturating_mul(len));
-                let next = now.saturating_add(per_job_us.saturating_mul(len + 1));
-                if finish <= tight && next > tight {
-                    break;
-                }
-            }
             let Some(class) = inner.arbiter.pick(backlogged) else {
                 break;
             };
@@ -769,9 +779,15 @@ impl ClassQueue {
                 .pop_first()
                 .expect("arbiter picked a backlogged lane");
             picks[class.index()] += 1;
-            self.trace(now, job.id, job.class, EventKind::Scheduled, 0);
-            if let Some(deadline) = job.deadline {
-                tightest = Some(tightest.map_or(deadline, |t| t.min(deadline)));
+            if self.recorder.is_some() {
+                // The `Scheduled` stamp is the one use of a reading here,
+                // so an untraced fill never reads the clock. A traced one
+                // re-reads it every pick: under a real clock a stamp must
+                // not go stale across a long batch (a frozen manual clock
+                // returns the same tick each read, so replays are
+                // unaffected).
+                let now = self.config.clock.now_us();
+                self.trace(now, job.id, job.class, EventKind::Scheduled, 0);
             }
             inner.len -= 1;
             batch.push(job);
@@ -1008,9 +1024,6 @@ pub(crate) mod tests {
         let clock = Arc::new(ManualClock::new());
         clock.advance_us(1_000);
         let q = build(&config(64).with_clock(Arc::clone(&clock) as SharedClock));
-        // A huge measured per-job cost drives the batch-fill projection
-        // (`per_job_us × (len + 1)`) past `u64::MAX` as well.
-        q.estimator().observe(u64::MAX >> 4, 1);
         let mut receivers = vec![q.admit(0, request(), QosClass::Low, None)];
         receivers.extend((1..19).map(|id| q.admit(id, request(), QosClass::Low, Some(u64::MAX))));
         receivers.push(q.admit(19, request(), QosClass::Low, Some(10_000)));
@@ -1244,77 +1257,73 @@ pub(crate) mod tests {
     #[test]
     fn fill_reads_the_clock_only_for_a_pick_that_consumes_it() {
         let clock = Arc::new(TickingClock::default());
-        let reads = |clock: &TickingClock| clock.reads();
         let on_clock = || config(64).with_clock(Arc::clone(&clock) as SharedClock);
-        // No recorder, no deadlined head, cold estimator: nobody reads.
+        // No recorder: nothing stamps a pick, so no pick reads — with
+        // deadlined jobs in the fill as without.
         let q = build(&on_clock());
         for id in 0..8 {
             push_ok(&q, job(id, QosClass::ALL[id as usize % QosClass::COUNT]));
         }
         assert_eq!(pop(&q, 8).unwrap().len(), 8);
-        assert_eq!(reads(&clock), 0, "eight picks nobody stamps or judges");
-        // A deadlined head costs nothing while the estimator is cold:
-        // there is no rate to bound its deadline with.
-        push_ok(&q, deadline_job(0, QosClass::High, 0, 1_000_000));
-        for id in 1..4 {
-            push_ok(&q, job(id, QosClass::High));
+        assert_eq!(clock.reads(), 0, "eight picks nobody stamps");
+        for id in 0..4 {
+            push_ok(&q, deadline_job(id, QosClass::High, 0, 1_000_000 + id));
         }
         assert_eq!(pop(&q, 4).unwrap().len(), 4);
-        assert_eq!(reads(&clock), 0, "a cold estimator judges no deadline");
-        // With a warm estimator the picked deadline bounds every later
-        // pick of the fill, so each of them reads; the first pick has no
-        // picked deadline to bound yet.
-        q.estimator().observe(1, 1);
-        push_ok(&q, deadline_job(0, QosClass::High, 0, 1_000_000));
-        for id in 1..4 {
-            push_ok(&q, job(id, QosClass::High));
-        }
-        assert_eq!(pop(&q, 4).unwrap().len(), 4);
-        assert_eq!(reads(&clock), 3, "a bounded fill re-reads per later pick");
+        assert_eq!(clock.reads(), 0, "four deadlined picks nobody stamps");
         // A recorder stamps every pick.
         let recorder = Some(Arc::new(FlightRecorder::new(64)));
         let traced = ClassQueue::new(&on_clock(), Arc::new(ServiceMetrics::default()), recorder);
         for id in 0..4 {
-            push_ok(&traced, job(id, QosClass::High));
+            push_ok(&traced, deadline_job(id, QosClass::High, 0, 1_000_000));
         }
         assert_eq!(pop(&traced, 4).unwrap().len(), 4);
-        assert_eq!(reads(&clock), 3 + 4, "a traced fill re-reads per pick");
-        // Admission: one read each, as ever.
+        assert_eq!(clock.reads(), 4, "a traced fill re-reads per pick");
+        // Admission: exactly one read each.
         for id in 0..3 {
             let _ticket = q.admit(id, request(), QosClass::High, Some(1_000_000));
         }
-        assert_eq!(reads(&clock), 7 + 3, "one clock read per admission");
+        assert_eq!(clock.reads(), 4 + 3, "one clock read per admission");
     }
 
     #[test]
-    fn estimator_caps_the_batch_at_the_tightest_picked_deadline() {
-        // 50 µs estimated per job against a 100 µs deadline: two picks
-        // fit, a third would turn job 0 from meeting its deadline into
-        // missing it, so the fill stops at 2 of max 8.
-        let q = queue(64);
-        q.estimator().observe(100, 2);
-        push_ok(&q, deadline_job(0, QosClass::High, 0, 100));
-        for id in 1..8 {
-            push_ok(&q, job(id, QosClass::High));
-        }
-        let batch = pop(&q, 8).unwrap();
-        assert_eq!(batch.len(), 2, "fill stops before an estimated miss");
-        assert_eq!(batch[0].id, 0);
-        assert_eq!(q.len(), 6);
+    fn empty_backlog_yields_none() {
+        let mut arb = WeightedArbiter::new();
+        assert_eq!(arb.pick([false; 4]), None);
     }
 
     #[test]
-    fn an_already_late_batch_keeps_filling() {
-        // 100 µs estimated per job against a 50 µs deadline: job 0 is
-        // late after its own service time alone. Capping the batch
-        // cannot unmiss it, so the fill must keep going to max.
-        let q = queue(64);
-        q.estimator().observe(100, 1);
-        push_ok(&q, deadline_job(0, QosClass::High, 0, 50));
-        for id in 1..8 {
-            push_ok(&q, job(id, QosClass::High));
+    fn single_backlogged_class_always_wins() {
+        let mut arb = WeightedArbiter::new();
+        let only_low = [false, false, false, true];
+        for _ in 0..100 {
+            assert_eq!(arb.pick(only_low), Some(QosClass::Low));
         }
-        assert_eq!(pop(&q, 8).unwrap().len(), 8);
+    }
+
+    #[test]
+    fn saturation_share_follows_weights() {
+        let mut arb = WeightedArbiter::new();
+        let mut counts = [0u32; 4];
+        for _ in 0..1500 {
+            let class = arb.pick([true; 4]).unwrap();
+            counts[class.index()] += 1;
+        }
+        // 1500 picks = 100 full rounds of 15 credits → exactly 8:4:2:1.
+        assert_eq!(counts, [800, 400, 200, 100]);
+    }
+
+    #[test]
+    fn low_is_not_starved_by_critical() {
+        let mut arb = WeightedArbiter::new();
+        let crit_and_low = [true, false, false, true];
+        let mut low = 0;
+        for _ in 0..900 {
+            if arb.pick(crit_and_low) == Some(QosClass::Low) {
+                low += 1;
+            }
+        }
+        assert_eq!(low, 100, "LOW must get its 1/9 share");
     }
 
     #[test]
@@ -1505,28 +1514,6 @@ pub(crate) mod tests {
         q.shutdown();
         assert!(owed(&q).is_empty());
         assert_eq!(pop(&q, 8).unwrap().len(), 7);
-    }
-
-    #[test]
-    fn a_stopped_fill_leaves_the_rest_queued_for_the_next_pop() {
-        // 50 µs a job against a 100 µs deadline: the fill stops at two
-        // (`estimator_caps_the_batch_at_the_tightest_picked_deadline`).
-        let q = queue(64);
-        q.estimator().observe(100, 2);
-        push_ok(&q, deadline_job(0, QosClass::High, 0, 100));
-        for id in 1..8 {
-            push_ok(&q, job(id, QosClass::High));
-        }
-        q.inner.lock().unwrap().yielding = true;
-        assert_eq!(owed(&q), [0, 1]);
-        let inner = q.inner.lock().unwrap();
-        assert_eq!(inner.len, 6, "the rest stays queued");
-        assert!(!inner.parked || inner.len == 0, "parked ⇒ len == 0");
-        drop(inner);
-        // The worker is still yielding: a waiter whose job is behind the
-        // stop takes the rest on its next round.
-        assert_eq!(owed(&q), [2, 3, 4, 5, 6, 7]);
-        assert!(q.is_empty());
     }
 
     #[test]

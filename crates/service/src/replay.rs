@@ -24,8 +24,9 @@
 //! live service where a worker stamps the batch when it picks it up) and
 //! occupies its shard until `t + cost(batch)`, where
 //! [`CostModel`] prices a batch as `dispatch_overhead_us` plus
-//! `per_request_us` per job. Shards dispatch in ascending index order;
-//! ties between arrivals are broken by trace order. Every choice is
+//! `per_request_us` per job. The price only sets when the shard is free
+//! again: nothing in the pipeline reads it. Shards dispatch in ascending
+//! index order; ties between arrivals are broken by trace order. Every choice is
 //! total-ordered, so a replay is bit-identical across runs and machines —
 //! `service_trace` in `rqfa-bench` replays its workload twice and asserts
 //! exactly that before writing a BENCH artifact.
@@ -37,7 +38,7 @@ use rqfa_telemetry::{FlightRecorder, ManualClock, TraceDump};
 
 use crate::config::validate_config;
 use crate::metrics::ServiceMetrics;
-use crate::shard::{self, ShardCore, ShardStore, Timing};
+use crate::shard::{self, ShardCore, ShardStore};
 use crate::{MetricsSnapshot, Reply, ServiceConfig, Ticket};
 
 /// Deterministic service-time model of one dispatched batch.
@@ -199,18 +200,8 @@ impl TraceDriver {
                 if shard.free_at_us > t || shard.core.shared.queue.is_empty() {
                     continue;
                 }
-                let served = shard
-                    .core
-                    .step(Timing::Modelled)
-                    .expect("backlogged queue yields a batch");
-                let batch_us = self.cost.batch_us(served);
-                // The live driver feeds the estimator the clock time it
-                // measured around the step; here the cost model *is* the
-                // truth, so the estimator sees exactly what the event
-                // loop charges — estimator-bounded batch fill replays
-                // bit-identically.
-                shard.core.shared.queue.estimator().observe(batch_us, served);
-                shard.free_at_us = t + batch_us;
+                let served = shard.core.step().expect("backlogged queue yields a batch");
+                shard.free_at_us = t + self.cost.batch_us(served);
             }
         }
 

@@ -187,11 +187,7 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Spawns the live driver of a shard core over `store`: a thread
-    /// stepping the core until the queue is shut down and drained,
-    /// feeding each step's *measured* duration (store-lock wait included
-    /// — the next lane head waits that out too) to the scheduler's
-    /// estimator. Under a frozen `ManualClock` every measurement is 0, so
-    /// batch fill is unbounded.
+    /// stepping the core until the queue is shut down and drained.
     pub(crate) fn spawn(
         index: usize,
         store: ShardStore,
@@ -205,7 +201,7 @@ impl Shard {
             .spawn(move || {
                 // `core` is dropped when this thread exits — by return or
                 // by panic — which tears the queue down (see its `Drop`).
-                while core.step(Timing::Measured).is_some() {}
+                while core.step().is_some() {}
             })
             .expect("spawn shard worker");
         Shard {
@@ -379,18 +375,6 @@ impl Drop for Shard {
     }
 }
 
-/// Whether a driver's batch durations are real. The live drivers (the
-/// worker loop, a blocking caller, a waiter) feed theirs to the scheduler's
-/// estimator — inside the context's critical section, so the estimator
-/// has one writer at a time. The replay charges its cost model instead
-/// and the harness nothing: under their frozen clocks every measurement
-/// would read 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Timing {
-    Measured,
-    Modelled,
-}
-
 /// One shard's whole request path, driver-agnostic: the front half
 /// ([`ClassQueue::admit`] on [`Shared::queue`]) turns requests into
 /// queued jobs, the worker half ([`ShardCore::step`]) turns queued jobs
@@ -421,11 +405,11 @@ pub(crate) struct Shared {
 }
 
 impl ShardCore {
-    /// Wires one shard from `config`: queue (with its estimator), result
-    /// cache, plane engine and flight recorder, all on `config.clock`,
-    /// counting into `metrics`. The recorder is a ring of the shard's
-    /// own, sized by `config.trace_capacity` (0 = tracing off), unless
-    /// the driver passes one to share across shards.
+    /// Wires one shard from `config`: queue, result cache, plane engine
+    /// and flight recorder, all on `config.clock`, counting into
+    /// `metrics`. The recorder is a ring of the shard's own, sized by
+    /// `config.trace_capacity` (0 = tracing off), unless the driver
+    /// passes one to share across shards.
     pub(crate) fn new(
         store: ShardStore,
         config: &ServiceConfig,
@@ -443,25 +427,25 @@ impl ShardCore {
                 cache: RetrievalCache::new(config.cache_capacity),
                 results: Vec::new(),
                 deltas: BatchDeltas::default(),
-                idle_flight: InFlight::default(),
+                idle_flight: InFlight::new(config.batch_size),
             }),
         };
         ShardCore {
             shared: Arc::new(shared),
-            flight: InFlight::default(),
+            flight: InFlight::new(config.batch_size),
         }
     }
 
     /// Pops the next batch (blocking while the queue is empty) and runs
     /// it, returning the number of jobs it held. `None` once the queue is
     /// shut down and drained — the driver's signal to stop.
-    pub(crate) fn step(&mut self, timing: Timing) -> Option<usize> {
+    pub(crate) fn step(&mut self) -> Option<usize> {
         let queue = &self.shared.queue;
         // The queue mutex is free again before the context is waited
         // for: an inline driver holds the context while it pops.
         queue
             .pop_batch(queue.config.batch_size, &mut self.flight.batch)
-            .then(|| self.run(timing))
+            .then(|| self.run())
     }
 
     /// Runs the batch in this driver's hands.
@@ -471,11 +455,11 @@ impl ShardCore {
     /// On a poisoned context or store lock: a driver or a mutator died
     /// holding it. The batch is dropped with the panicking driver, so its
     /// tickets wake with `None` (see the `Drop` below).
-    fn run(&mut self, timing: Timing) -> usize {
+    fn run(&mut self) -> usize {
         let shared = &*self.shared;
         let mut context = shared.context.lock().expect("context poisoned");
         shared
-            .run(&mut context, &mut self.flight, timing)
+            .run(&mut context, &mut self.flight)
             .expect("store poisoned")
     }
 }
@@ -485,24 +469,10 @@ impl Shared {
     /// execution path of every driver — and returns the number of jobs it
     /// held. `None`, with the batch still in `flight`, if the store lock
     /// is poisoned.
-    fn run(
-        &self,
-        context: &mut WorkerContext,
-        flight: &mut InFlight,
-        timing: Timing,
-    ) -> Option<usize> {
-        let queue = &self.queue;
+    fn run(&self, context: &mut WorkerContext, flight: &mut InFlight) -> Option<usize> {
         let served = flight.batch.len();
-        // Timed from before the store lock is taken to after the last
-        // reply is sent.
-        let started = queue.config.clock.now_us();
         let store = self.store.lock().ok()?;
-        process_batch(&store, queue, context, flight);
-        drop(store);
-        if timing == Timing::Measured {
-            let elapsed_us = queue.config.clock.now_us().saturating_sub(started);
-            queue.estimator().observe(elapsed_us, served);
-        }
+        process_batch(&store, &self.queue, context, flight);
         Some(served)
     }
 
@@ -525,7 +495,7 @@ impl Shared {
         let popped = pop(&mut flight.batch);
         let mut ran = false;
         if !flight.batch.is_empty() {
-            if self.run(context, &mut flight, Timing::Measured).is_some() {
+            if self.run(context, &mut flight).is_some() {
                 // Release: pairs with the snapshot's Acquire read, which
                 // must see the batch (counted by the run) too.
                 let inline_runs = &self.queue.metrics.inline_runs;
@@ -603,6 +573,20 @@ struct InFlight {
     misses: Vec<Miss>,
     /// Waiters the replies so far released, not yet woken.
     waiters: Waiters,
+}
+
+impl InFlight {
+    /// Buffers for batches of up to `batch_size` jobs, sized up front:
+    /// an inline driver may run its first batch long after the worker's
+    /// buffers are warm, and growing its own then would put a handful of
+    /// allocations on the request path.
+    fn new(batch_size: usize) -> InFlight {
+        InFlight {
+            batch: Vec::with_capacity(batch_size),
+            misses: Vec::with_capacity(batch_size),
+            waiters: Waiters::with_capacity(batch_size),
+        }
+    }
 }
 
 /// A job the kernel has to score. It keeps its pass-1 fingerprint and
@@ -813,7 +797,7 @@ impl BatchHarness {
     /// Processes `batch` exactly as one worker dispatch round would.
     pub fn run_batch(&mut self, batch: Vec<Job>) {
         self.core.flight.batch = batch;
-        self.core.run(Timing::Modelled);
+        self.core.run();
     }
 
     /// Applies a mutation to the underlying store (moves the mutated
@@ -986,10 +970,18 @@ mod tests {
         };
         harness.run_batch(batch(0));
         assert_eq!(harness.metrics().class(QosClass::High).cache_misses, 1);
-        assert_eq!(clock.reads(), 2, "a batch with misses: dispatch, then after the kernel");
+        assert_eq!(
+            clock.reads(),
+            2,
+            "a batch with misses: dispatch, then after the kernel"
+        );
         harness.run_batch(batch(1));
         assert_eq!(harness.metrics().class(QosClass::High).cache_hits, 1);
-        assert_eq!(clock.reads(), 2 + 1, "an all-hit batch: the dispatch stamp alone");
+        assert_eq!(
+            clock.reads(),
+            2 + 1,
+            "an all-hit batch: the dispatch stamp alone"
+        );
     }
 
     use crate::{AllocationService, Outcome};

@@ -91,6 +91,10 @@ impl Drop for Filler {
 pub(crate) struct Waiters(Vec<Thread>);
 
 impl Waiters {
+    pub(crate) fn with_capacity(waiters: usize) -> Waiters {
+        Waiters(Vec::with_capacity(waiters))
+    }
+
     pub(crate) fn extend(&mut self, released: Option<Thread>) {
         self.0.extend(released);
     }

@@ -4,7 +4,7 @@
 //! a `u64` microsecond tick — the paper's retrieval unit is stepped by
 //! one cycle counter, and the service around it reads one too. Arrival
 //! stamps, effective deadlines, EDF lane keys, dispatch-time deadline
-//! checks, the service-time estimator, lease arithmetic and
+//! checks, reply latencies, lease arithmetic and
 //! flight-recorder stamps are all the same integer on the same axis, so
 //! comparing any two of them is one subtraction and no conversion.
 //!
@@ -13,9 +13,8 @@
 //! handle — and therefore every recorder in the process, client- or
 //! node-side — shares a timeline. The test/bench implementation
 //! ([`ManualClock`]) *is* its counter, advanced explicitly by the
-//! driver, which makes deadline expiry, EDF ordering, the
-//! estimator-capped batch fill and latency histograms exactly
-//! reproducible.
+//! driver, which makes deadline expiry, EDF ordering and latency
+//! histograms exactly reproducible.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

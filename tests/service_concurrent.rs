@@ -350,8 +350,7 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// 5b. Weighted round-robin through the queue under deadline pressure:
-///     every MEDIUM and LOW job is due 1 µs after arrival and a warm
-///     estimator cuts fills short at the tightest picked deadline. Over
+///     every MEDIUM and LOW job is due 1 µs after arrival. Over
 ///     seeded saturating traces with randomized batch sizes CRITICAL
 ///     keeps at least its weight / Σ weights = 8/15 of every pick
 ///     stream — deadlines reorder work inside a lane, never across
@@ -362,8 +361,6 @@ fn critical_keeps_its_weighted_floor_on_saturating_deadline_traces() {
     for seed in 0..4u64 {
         let mut state = seed ^ 0xD1A0;
         let q = sched_queue(8_192);
-        // 1 µs per job: a picked 1 µs deadline ends the fill early.
-        q.estimator().observe(1, 1);
         let base = 0;
         let mut id = 0u64;
         for (class, count, deadlined) in [
