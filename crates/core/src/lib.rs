@@ -120,6 +120,3 @@ pub use request::{Constraint, Request, RequestBuilder};
 
 // Re-export the numeric type users see in all fixed-point results.
 pub use rqfa_fixed::Q15;
-
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;

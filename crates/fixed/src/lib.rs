@@ -56,6 +56,3 @@ mod recip;
 pub use error::Q15RangeError;
 pub use q15::Q15;
 pub use recip::{local_similarity, max_distance_for, recip_plus_one};
-
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;

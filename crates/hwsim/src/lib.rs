@@ -52,6 +52,3 @@ pub use fsm::{CostModel, CycleBreakdown, Phase};
 pub use trace::{Trace, TraceEvent};
 pub use unit::{HwRetrieval, ImageLayout, RetrievalUnit, UnitConfig};
 pub use vcd::export_vcd;
-
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;

@@ -61,6 +61,3 @@ pub use report::{
 };
 pub use validate::{validate_case_base, validate_raw, validate_request, ValidationSummary};
 pub use word::{ImageBuilder, LeWords, MemImage, SectionMap, WordSink, Words, END_MARKER};
-
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;

@@ -233,23 +233,7 @@ mod tests {
     use rqfa_memlist::encode_case_base;
     use rqfa_persist::encode_snapshot;
 
-    /// Deterministic xorshift64* (same shape as the wire tests').
-    struct TestRng(u64);
-
-    impl TestRng {
-        fn new(seed: u64) -> TestRng {
-            TestRng(seed.max(1))
-        }
-
-        fn below(&mut self, bound: u64) -> u64 {
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound.max(1)
-        }
-    }
+    use crate::wire::tests::TestRng;
 
     fn attr(raw: u16) -> AttrId {
         AttrId::new(raw).unwrap()

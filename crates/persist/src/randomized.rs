@@ -1,5 +1,5 @@
-//! Seed-driven randomized coverage of WAL append/replay — proptest-style
-//! properties without the (network-gated) `proptest` dependency.
+//! Seed-driven randomized coverage of WAL append/replay: properties
+//! over seeded loops, with no outside dependency.
 //!
 //! The generators come from `rqfa-workloads`: its in-crate xoshiro256**
 //! PRNG is bit-stable across platforms, so every "random" sequence here

@@ -60,6 +60,3 @@ pub use repository::Repository;
 pub use system::{AllocPolicy, ArrivalSpec, Decision, RejectReason, System, SystemBuilder};
 pub use task::{AppId, Task, TaskId, TaskState};
 pub use time::SimTime;
-
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;

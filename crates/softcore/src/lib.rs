@@ -55,6 +55,3 @@ pub use program::{
     FAULT_SUPPLEMENTAL_MISS, FAULT_TYPE_NOT_FOUND, MEM_SIZE, REQ_BASE, RESULT_BASE,
     RETRIEVAL_SOURCE, RETRIEVAL_SOURCE_COMPILED,
 };
-
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;

@@ -40,9 +40,6 @@ mod primitive;
 mod retrieval_unit;
 mod timing;
 
-#[cfg(all(test, feature = "proptests"))]
-mod proptests;
-
 pub use area::{estimate_area, AreaReport};
 pub use error::SynthError;
 pub use library::{Device, TechLibrary, XC2V3000};

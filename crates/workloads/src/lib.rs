@@ -26,6 +26,7 @@
 
 mod casegen;
 mod chaosgen;
+pub mod check;
 mod mutationgen;
 mod requestgen;
 pub mod rng;

@@ -5,23 +5,19 @@
 //! implementations; every fixed-point path must agree bit-exactly, and
 //! the float reference must agree up to quantization ties.
 
-// Property-based suite: needs the external `proptest` crate (not vendored
-// offline). Enable with `--features proptests` where crates.io is reachable.
-#![cfg(feature = "proptests")]
-
-use proptest::prelude::*;
-
 use rqfa::core::{FixedEngine, FloatEngine};
 use rqfa::hwsim::{RetrievalUnit, UnitConfig};
 use rqfa::memlist::{encode_case_base, encode_request};
 use rqfa::softcore::{run_retrieval_with, CpuCostModel, ProgramKind};
+use rqfa::workloads::check::check;
 use rqfa::workloads::{CaseGen, RequestGen};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+const CASES: u32 = 40;
 
-    #[test]
-    fn four_engines_agree_on_generated_workloads(seed in 0u64..5000) {
+#[test]
+fn four_engines_agree_on_generated_workloads() {
+    check("four_engines_agree_on_generated_workloads", CASES, |rng| {
+        let seed = rng.gen_range(0u64..5000);
         let case_base = CaseGen::new(4, 6, 5, 8)
             .seed(seed)
             .value_span(200)
@@ -38,7 +34,7 @@ proptest! {
 
             let mut unit = RetrievalUnit::new(&cb_img, UnitConfig::default()).unwrap();
             let hw = unit.retrieve(&req_img).unwrap();
-            prop_assert_eq!(hw.best, Some((fixed.impl_id.raw(), fixed.similarity)));
+            assert_eq!(hw.best, Some((fixed.impl_id.raw(), fixed.similarity)));
 
             let sw = run_retrieval_with(
                 &cb_img,
@@ -47,7 +43,7 @@ proptest! {
                 ProgramKind::HandOptimized,
             )
             .unwrap();
-            prop_assert_eq!(sw.best, Some((fixed.impl_id.raw(), fixed.similarity)));
+            assert_eq!(sw.best, Some((fixed.impl_id.raw(), fixed.similarity)));
 
             // Float agrees up to quantization: if winners differ, the float
             // scores of both must be within the quantization bound.
@@ -59,7 +55,7 @@ proptest! {
                     .find(|s| s.impl_id == fixed.impl_id)
                     .unwrap()
                     .similarity;
-                prop_assert!(
+                assert!(
                     (float.similarity - fixed_winner_float).abs() < 8e-3,
                     "winner divergence beyond quantization: {} vs {}",
                     float.similarity,
@@ -67,12 +63,15 @@ proptest! {
                 );
             }
         }
-    }
+    });
+}
 
-    /// Ranking agreement rate between float and fixed stays high — the
-    /// quantitative form of the paper's "same retrieval results" claim.
-    #[test]
-    fn fixed_float_winner_agreement_is_high(seed in 0u64..500) {
+/// Ranking agreement rate between float and fixed stays high — the
+/// quantitative form of the paper's "same retrieval results" claim.
+#[test]
+fn fixed_float_winner_agreement_is_high() {
+    check("fixed_float_winner_agreement_is_high", CASES, |rng| {
+        let seed = rng.gen_range(0u64..500);
         let case_base = CaseGen::new(3, 8, 5, 6).seed(seed).value_span(100).build();
         let requests = RequestGen::new(&case_base).seed(seed).count(20).generate();
         let mut agree = 0usize;
@@ -84,6 +83,6 @@ proptest! {
             }
         }
         // Ties at quantization boundaries are rare; demand ≥ 90 %.
-        prop_assert!(agree * 10 >= requests.len() * 9, "{agree}/{}", requests.len());
-    }
+        assert!(agree * 10 >= requests.len() * 9, "{agree}/{}", requests.len());
+    });
 }

@@ -10,9 +10,9 @@
 //!   Any change to the word layout or the generators breaks this suite
 //!   *loudly* — which is the point: the on-disk format is a compatibility
 //!   promise now that WALs and snapshots persist it.
-//! * [`proptest_suite`] — property-based corruption drills; needs the
-//!   external `proptest` crate (not vendored offline), gated behind
-//!   `--features proptests`.
+//! * [`properties`] — seeded corruption drills on the property checker
+//!   `rqfa::workloads::check`: a flipped word never panics a consumer,
+//!   and an image the validator accepts always executes.
 
 /// Golden-image byte-stability suite (fixture:
 /// `tests/fixtures/seeded_case_base.memh`).
@@ -86,9 +86,8 @@ mod golden {
         );
     }
 
-    /// Deterministic multi-seed round trip (no proptest APIs needed, so
-    /// it runs in the offline container too): encode → validate →
-    /// decode → bit-identical retrieval, across generated shapes.
+    /// Deterministic multi-seed round trip: encode → validate → decode →
+    /// bit-identical retrieval, across generated shapes.
     #[test]
     fn generated_images_validate_and_roundtrip() {
         use rqfa::core::FixedEngine;
@@ -136,28 +135,26 @@ mod golden {
     }
 }
 
-// Property-based suite: needs the external `proptest` crate (not vendored
-// offline). Enable with `--features proptests` where crates.io is
-// reachable.
-#[cfg(feature = "proptests")]
-mod proptest_suite {
-    use proptest::prelude::*;
-
+/// Seeded corruption drills over generated images.
+mod properties {
     use rqfa::hwsim::{RetrievalUnit, UnitConfig};
     use rqfa::memlist::{
         decode_case_base, encode_case_base, encode_request, validate_case_base, CaseBaseImage,
         MemImage,
     };
     use rqfa::softcore::{run_retrieval, CpuCostModel};
+    use rqfa::workloads::check::check;
     use rqfa::workloads::{CaseGen, RequestGen};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+    const CASES: u32 = 48;
 
-        /// Corrupted images never panic any consumer: they either still parse
-        /// (benign flip) or fail with a structured error.
-        #[test]
-        fn corruption_is_contained(seed in 0u64..1000, word in 0usize..4096, flip in 1u16..=u16::MAX) {
+    /// Corrupted images never panic any consumer: they either still parse
+    /// (benign flip) or fail with a structured error.
+    #[test]
+    fn corruption_is_contained() {
+        check("corruption_is_contained", CASES, |rng| {
+            let seed = rng.gen_range(0u64..1000);
+            let (word, flip) = (rng.gen_range(0..4096usize), rng.gen_range(1..=u16::MAX));
             let case_base = CaseGen::new(3, 3, 4, 5).seed(seed).build();
             let image = encode_case_base(&case_base).unwrap();
             let request = &RequestGen::new(&case_base).seed(seed).count(1).generate()[0];
@@ -179,20 +176,23 @@ mod proptest_suite {
             }
             // Soft core: same containment.
             let _ = run_retrieval(&corrupted, &req_image, CpuCostModel::default());
-        }
+        });
+    }
 
-        /// When the validator accepts an image, the hardware simulator must
-        /// complete without memory faults (validation soundness).
-        #[test]
-        fn validated_images_execute(seed in 0u64..500) {
+    /// When the validator accepts an image, the hardware simulator must
+    /// complete without memory faults (validation soundness).
+    #[test]
+    fn validated_images_execute() {
+        check("validated_images_execute", CASES, |rng| {
+            let seed = rng.gen_range(0u64..500);
             let case_base = CaseGen::new(2, 4, 3, 4).seed(seed).build();
             let image = encode_case_base(&case_base).unwrap();
-            prop_assert!(validate_case_base(&image).is_ok());
+            assert!(validate_case_base(&image).is_ok());
             let request = &RequestGen::new(&case_base).seed(seed).count(1).generate()[0];
             let req_image = encode_request(request).unwrap();
             let mut unit = RetrievalUnit::new(&image, UnitConfig::default()).unwrap();
             let result = unit.retrieve(&req_image);
-            prop_assert!(result.is_ok(), "validated image faulted: {result:?}");
-        }
+            assert!(result.is_ok(), "validated image faulted: {result:?}");
+        });
     }
 }
